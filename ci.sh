@@ -10,6 +10,16 @@ go vet ./...
 go test ./...
 go test -race ./...
 
+# The end-to-end benchmark is a nested module the commands above do not
+# see: vet and test it, then run it once, small — one lap per phase,
+# untraced — and fail if any workload's output was wrong (fde2e exits
+# non-zero on correct=false). BENCHMARK.json's own runs are the driver's.
+go vet -C e2ebench ./...
+go test -C e2ebench ./...
+e2e_state="$(mktemp -d)"
+go run -C e2ebench forwarddecay/e2ebench/cmd/fde2e -laps 1 -trace 0 -state-dir "$e2e_state"
+rm -rf "$e2e_state"
+
 # Epoch-rollover chaos soak, short mode: a simulated two-day stream with
 # hourly landmark rolls plus injected crashes/corruptions must match the
 # fault-free never-rolling oracle (the full 30-day tape runs without -short).
@@ -29,8 +39,15 @@ go test -race -run 'Churn|Crash|Handoff|Roll|Fault' -short -count=1 ./distrib/
 # protocol and the ring freeze/thaw/fence dance are where the server's
 # locking is subtle. Quarantine/Admission/Fenced cover the catalog-resilience
 # suite: poison-query fencing, dormant rebuild across crashes, admission
-# rejections, and the fence-at-pump invariant.
-go test -race -run 'Kill|Slow|Breaker|Wedge|Shutdown|Disconnect|Quarantine|Admission|Fenced' -count=1 ./server/
+# rejections, and the fence-at-pump invariant. Shutdown and UnixIngest are
+# the graceful-stop and rebuild-on-a-unix-socket regressions; Allocs the
+# result path's allocation guards, which must hold under the detector too.
+go test -race -run 'Kill|Slow|Breaker|Wedge|Shutdown|Disconnect|Quarantine|Admission|Fenced|UnixIngest|Allocs' -count=1 ./server/
+
+# The result ring is shared between the ingest pump and the subscription
+# writers, and the client demuxes batches onto subscriber channels: ten
+# rounds of the ring and client suites under the detector.
+go test -race -run 'ResultLog|RowFrame|ServeEndToEnd|MidStreamClient|DetachNotifies' -count=10 ./server/
 
 # Shared multi-query runtime: the differential suite (MultiRun vs N
 # standalone runs, bit-for-bit, through checkpoints, epoch rolls, solo

@@ -62,6 +62,20 @@ type Merger interface {
 	Merge(other Aggregator) error
 }
 
+// Resetter is implemented by aggregators that can return to the state their
+// factory produced them in. A run recycles the aggregators of a closed bucket
+// into the groups of the next one through it; an aggregator without it is
+// simply replaced by a fresh AggSpec.New() — recycling is an optimization the
+// run discovers, never a requirement. All builtin aggregates implement it.
+// A Resetter that is also a Merger must not keep references into the
+// aggregator it merged: that one is reset and reused next.
+type Resetter interface {
+	Aggregator
+	// Reset discards every folded value; the aggregator must afterwards be
+	// indistinguishable from a newly constructed one.
+	Reset()
+}
+
 // AggSpec describes an aggregate function: its name, arity and factory.
 // Mergeable must be set only if the factory's aggregators implement Merger.
 type AggSpec struct {
@@ -130,6 +144,8 @@ func (c *countAgg) StepBatch(args []Value, n, stride int) error {
 
 func (c *countAgg) Final() Value { return Int(c.n) }
 
+func (c *countAgg) Reset() { c.n = 0 }
+
 func (c *countAgg) Merge(o Aggregator) error {
 	oc, ok := o.(*countAgg)
 	if !ok {
@@ -176,6 +192,8 @@ func (s *sumAgg) StepBatch(args []Value, n, stride int) error {
 	}
 	return nil
 }
+
+func (s *sumAgg) Reset() { *s = sumAgg{} }
 
 func (s *sumAgg) Final() Value {
 	if !s.seen {
@@ -230,6 +248,8 @@ func (a *avgAgg) StepBatch(args []Value, n, stride int) error {
 	return nil
 }
 
+func (a *avgAgg) Reset() { *a = avgAgg{} }
+
 func (a *avgAgg) Final() Value {
 	if a.n == 0 {
 		return Null
@@ -282,6 +302,8 @@ func (m *minmaxAgg) StepBatch(args []Value, n, stride int) error {
 	}
 	return nil
 }
+
+func (m *minmaxAgg) Reset() { *m = minmaxAgg{min: m.min} }
 
 func (m *minmaxAgg) Final() Value {
 	if !m.seen {

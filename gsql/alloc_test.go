@@ -84,3 +84,127 @@ func TestPushSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// bucketTuples builds one second's worth of tuples for the flush guards:
+// groups distinct destinations, twice each, all in bucket sec.
+func bucketTuples(sec int64, groups int) []Tuple {
+	tuples := make([]Tuple, 0, 2*groups)
+	for rep := 0; rep < 2; rep++ {
+		for g := 0; g < groups; g++ {
+			tuples = append(tuples, pkt(sec, int64(g), 80, int64(100+g)))
+		}
+	}
+	return tuples
+}
+
+// TestFlushSteadyStateAllocs guards the group lifecycle across buckets in
+// the shape the service's queries have: the temporal bucket is part of the
+// group key, so no key ever repeats and every bucket's groups are born,
+// emitted and retired. Once the run has seen its peak bucket, a whole
+// bucket — births, folds, the flush — costs one allocation, the slab its
+// output rows are cut from, whether or not the low table is forced to evict
+// into the high level on the way.
+func TestFlushSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is noisy under -short harnesses")
+	}
+	e := mkEngine(t)
+	st, err := e.Prepare(`select tb, dstIP, count(*), sum(len), min(len), max(len), avg(float(len))
+	                        from TCP group by time/1 as tb, dstIP`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const groups = 48
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"low-only", Options{}},
+		{"evicting", Options{LowLevelSlots: 16}},
+		{"high-only", Options{DisableTwoLevel: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := 0
+			run := st.Start(func(Tuple) error { rows++; return nil }, tc.opts)
+			sec := int64(0)
+			bucket := func() {
+				for _, tp := range bucketTuples(sec, groups) {
+					if err := run.Push(tp); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sec++
+			}
+			for i := 0; i < 8; i++ { // warm up: tables, free lists and scratch reach their sizes
+				bucket()
+			}
+			// Pre-build the tuples: the guard counts the run's allocations only.
+			var feed [][]Tuple
+			for i := 0; i < 64; i++ {
+				feed = append(feed, bucketTuples(sec+int64(i), groups))
+			}
+			i, before := 0, rows
+			avg := testing.AllocsPerRun(len(feed)-2, func() {
+				for _, tp := range feed[i] {
+					if err := run.Push(tp); err != nil {
+						t.Fatal(err)
+					}
+				}
+				i++
+			})
+			if avg > 1 {
+				t.Errorf("a bucket of %d groups allocates %.2f objects, want <= 1 (the output slab)", groups, avg)
+			}
+			if got := rows - before; got < groups*(len(feed)-3) {
+				t.Fatalf("only %d rows emitted while measuring", got)
+			}
+			if tc.name == "evicting" {
+				if _, ev := run.Stats(); ev == 0 {
+					t.Fatal("the evicting case never evicted")
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointAllocs guards Run.Checkpoint on a warm run: the entries are
+// encoded into the run's own scratch and sorted through an index, so the
+// cost in objects is the returned buffer plus the one probe aggregator per
+// slot the checkpointable test instantiates — independent of the group
+// count.
+func TestCheckpointAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is noisy under -short harnesses")
+	}
+	e := mkEngine(t)
+	st, err := e.Prepare(`select tb, dstIP, count(*), sum(len), min(len), avg(float(len))
+	                        from TCP group by time/60 as tb, dstIP`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, groups := range []int{8, 2000} {
+		// 2000 groups overflow the 256 slots: both tables hold entries.
+		run := st.Start(func(Tuple) error { return nil }, Options{LowLevelSlots: 256})
+		for _, tp := range bucketTuples(30, groups) {
+			if err := run.Push(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := run.Checkpoint() // warm the scratch
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		avg := testing.AllocsPerRun(20, func() {
+			if got, err = run.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if max := float64(1 + len(st.p.aggSpecs)); avg > max {
+			t.Errorf("checkpoint of %d groups allocates %.2f objects, want <= %.0f", groups, avg, max)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("checkpoint of %d groups is not stable across calls", groups)
+		}
+	}
+}

@@ -356,19 +356,18 @@ func (r *Run) stepRun(aggs []Aggregator) error {
 // aggregators. It is the probe section of the scalar fold, shared verbatim
 // by both paths.
 func (r *Run) probeGroup(key []byte, gv Tuple) ([]Aggregator, error) {
+	h := core.HashBytes(key)
 	if !r.twoLevel {
-		g := r.high[string(key)]
+		g := r.highGet(h, key)
 		if g == nil {
-			aggs, err := r.newGroupAggs()
-			if err != nil {
+			var err error
+			if g, err = r.bornGroup(h, key, gv); err != nil {
 				return nil, err
 			}
-			g = &group{gv: append(Tuple(nil), gv...), aggs: aggs}
-			r.high[string(key)] = g
+			r.highPut(g)
 		}
 		return g.aggs, nil
 	}
-	h := core.HashBytes(key)
 	i := h & r.lowMask
 	s := &r.low[i]
 	// A colliding insert grows the table (doubling separates the keys'
@@ -376,19 +375,19 @@ func (r *Run) probeGroup(key []byte, gv Tuple) ([]Aggregator, error) {
 	// paper's evict-to-high policy kick in. Hot keys that would otherwise
 	// thrash one slot get separated instead of re-allocating aggregators
 	// every tuple.
-	for s.used && !(s.hash == h && bytes.Equal(s.key, key)) && len(r.low) < r.lowMax {
+	for s.used && !(s.hash == h && bytes.Equal(s.g.key, key)) && len(r.low) < r.lowMax {
 		r.growLow()
 		i = h & r.lowMask
 		s = &r.low[i]
 	}
-	if s.used && !(s.hash == h && bytes.Equal(s.key, key)) {
+	if s.used && !(s.hash == h && bytes.Equal(s.g.key, key)) {
 		if err := r.evict(s); err != nil {
 			return nil, err
 		}
 		s.used = false
 	}
 	if !s.used {
-		aggs, err := r.newGroupAggs()
+		g, err := r.bornGroup(h, key, gv)
 		if err != nil {
 			return nil, err
 		}
@@ -397,12 +396,9 @@ func (r *Run) probeGroup(key []byte, gv Tuple) ([]Aggregator, error) {
 			s.listed = true
 			r.lowUsed = append(r.lowUsed, uint32(i))
 		}
-		s.hash = h
-		s.key = append(s.key[:0], key...)
-		s.gv = append(s.gv[:0], gv...)
-		s.aggs = aggs
+		s.hash, s.g = h, g
 	}
-	return s.aggs, nil
+	return s.g.aggs, nil
 }
 
 // replaySegment is the scalar fallback: each row of the segment materializes

@@ -6,7 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"forwarddecay/internal/core"
 )
@@ -73,6 +73,15 @@ type CheckpointAggregator interface {
 	Aggregator
 	encoding.BinaryMarshaler
 	encoding.BinaryUnmarshaler
+}
+
+// binaryAppender is the append form of MarshalBinary (the method set of Go
+// 1.24's encoding.BinaryAppender): AppendBinary(b) must append exactly the
+// bytes MarshalBinary returns. A checkpoint encodes an aggregator that has
+// the method straight into its buffer instead of through a slice of the
+// aggregator's own; all builtin aggregates do.
+type binaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
 }
 
 // Checkpointable reports whether every aggregate of the statement supports
@@ -209,6 +218,16 @@ func appendGroupEntry(b []byte, p *plan, g *group) ([]byte, error) {
 		b = appendCkptValue(b, v)
 	}
 	for i, a := range g.aggs {
+		if ap, ok := a.(binaryAppender); ok {
+			at := len(b)
+			b = ckU64(b, 0) // length, known once the state is appended
+			var err error
+			if b, err = ap.AppendBinary(b); err != nil {
+				return nil, err
+			}
+			binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+			continue
+		}
 		m, ok := a.(encoding.BinaryMarshaler)
 		if !ok {
 			return nil, fmt.Errorf("gsql: aggregate %s does not support checkpointing", p.aggSpecs[i].Name)
@@ -370,42 +389,54 @@ func (r *Run) Checkpoint() ([]byte, error) {
 	if err := checkpointable(r.p); err != nil {
 		return nil, err
 	}
-	b := appendCkptHeader(nil, r.p, r.bucketSet, r.bucket, r.tuples, r.ep)
-	entries := make([][]byte, 0, len(r.high))
-	var err error
-	appendOne := func(g *group) error {
-		var eb []byte
-		if eb, err = appendGroupEntry(nil, r.p, g); err != nil {
+	// Every entry is encoded back to back into one scratch buffer the run
+	// keeps, and the spans index is what gets sorted.
+	buf, spans := r.ckBuf[:0], r.ckSpans[:0]
+	appendOne := func(g *group) (err error) {
+		at := len(buf)
+		if buf, err = appendGroupEntry(buf, r.p, g); err != nil {
 			return err
 		}
-		entries = append(entries, eb)
+		spans = append(spans, ckSpan{at, len(buf)})
 		return nil
 	}
 	for _, g := range r.high {
-		if err := appendOne(g); err != nil {
-			return nil, err
-		}
-	}
-	for i := range r.low {
-		if s := &r.low[i]; s.used {
-			if err := appendOne(&group{gv: s.gv, aggs: s.aggs}); err != nil {
+		for ; g != nil; g = g.next {
+			if err := appendOne(g); err != nil {
 				return nil, err
 			}
 		}
 	}
+	for _, i := range r.lowUsed {
+		if s := &r.low[i]; s.used {
+			if err := appendOne(s.g); err != nil {
+				return nil, err
+			}
+		}
+	}
+	r.ckBuf, r.ckSpans = buf, spans
 	// Sorting the serialized entries (group values encode first, so this is
 	// key order with the aggregate payload as tie-break) makes the order
 	// independent of map iteration and of which table a partial lives in —
 	// equal state, equal bytes, even when an evicted partial and a reborn
 	// low slot share a group key.
-	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i], entries[j]) < 0 })
-	b = ckU64(b, uint64(len(entries)))
-	for _, eb := range entries {
-		b = append(b, eb...)
+	slices.SortFunc(spans, func(a, b ckSpan) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
+	// The result is the caller's to keep, so it is a buffer of its own —
+	// sized once: header, count, entries, integrity hash.
+	var hdrBuf [64]byte // fits the header of any numeric bucket value
+	hdr := appendCkptHeader(hdrBuf[:0], r.p, r.bucketSet, r.bucket, r.tuples, r.ep)
+	b := make([]byte, 0, len(hdr)+8+len(buf)+8)
+	b = append(b, hdr...)
+	b = ckU64(b, uint64(len(spans)))
+	for _, sp := range spans {
+		b = append(b, buf[sp.lo:sp.hi]...)
 	}
 	r.checkpoints++
 	return sealCkpt(b), nil
 }
+
+// ckSpan locates one encoded group entry in Run.ckBuf.
+type ckSpan struct{ lo, hi int }
 
 // Restore resumes a run from a checkpoint taken by Run.Checkpoint or
 // ParallelRun.Checkpoint on the same statement: the open window bucket and
@@ -450,8 +481,10 @@ func (s *Statement) Restore(ckpt []byte, sink func(Tuple) error, opts Options) (
 		for _, v := range g.gv {
 			keyBuf = v.appendKey(keyBuf)
 		}
-		if dst := r.high[string(keyBuf)]; dst == nil {
-			r.high[string(keyBuf)] = g
+		g.hash = core.HashBytes(keyBuf)
+		if dst := r.highGet(g.hash, keyBuf); dst == nil {
+			g.key = append([]byte(nil), keyBuf...)
+			r.highPut(g)
 		} else if err := mergeAggs(dst.aggs, g.aggs); err != nil {
 			return nil, err
 		}
@@ -480,8 +513,10 @@ func RestoreStatement(s *Statement, ckpt []byte, sink func(Tuple) error, opts Op
 
 // --- builtin aggregator encodings --------------------------------------
 
-func (c *countAgg) MarshalBinary() ([]byte, error) {
-	return ckU64([]byte{tagCkptCount}, uint64(c.n)), nil
+func (c *countAgg) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
+
+func (c *countAgg) AppendBinary(b []byte) ([]byte, error) {
+	return ckU64(append(b, tagCkptCount), uint64(c.n)), nil
 }
 
 func (c *countAgg) UnmarshalBinary(b []byte) error {
@@ -492,7 +527,9 @@ func (c *countAgg) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-func (s *sumAgg) MarshalBinary() ([]byte, error) {
+func (s *sumAgg) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+func (s *sumAgg) AppendBinary(b []byte) ([]byte, error) {
 	var flags byte
 	if s.isFloat {
 		flags |= 1
@@ -500,7 +537,7 @@ func (s *sumAgg) MarshalBinary() ([]byte, error) {
 	if s.seen {
 		flags |= 2
 	}
-	b := []byte{tagCkptSum, flags}
+	b = append(b, tagCkptSum, flags)
 	b = ckU64(b, uint64(s.i))
 	return ckU64(b, math.Float64bits(s.f)), nil
 }
@@ -516,8 +553,10 @@ func (s *sumAgg) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-func (a *avgAgg) MarshalBinary() ([]byte, error) {
-	b := ckU64([]byte{tagCkptAvg}, math.Float64bits(a.sum))
+func (a *avgAgg) MarshalBinary() ([]byte, error) { return a.AppendBinary(nil) }
+
+func (a *avgAgg) AppendBinary(b []byte) ([]byte, error) {
+	b = ckU64(append(b, tagCkptAvg), math.Float64bits(a.sum))
 	return ckU64(b, uint64(a.n)), nil
 }
 
@@ -530,7 +569,9 @@ func (a *avgAgg) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-func (m *minmaxAgg) MarshalBinary() ([]byte, error) {
+func (m *minmaxAgg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
+
+func (m *minmaxAgg) AppendBinary(b []byte) ([]byte, error) {
 	var flags byte
 	if m.min {
 		flags |= 1
@@ -538,7 +579,7 @@ func (m *minmaxAgg) MarshalBinary() ([]byte, error) {
 	if m.seen {
 		flags |= 2
 	}
-	return appendCkptValue([]byte{tagCkptMinMax, flags}, m.best), nil
+	return appendCkptValue(append(b, tagCkptMinMax, flags), m.best), nil
 }
 
 func (m *minmaxAgg) UnmarshalBinary(b []byte) error {

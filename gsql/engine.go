@@ -138,7 +138,10 @@ func (s *Statement) Describe() string { return s.p.describe() }
 // Text returns the original query text.
 func (s *Statement) Text() string { return s.text }
 
-// Start begins an execution run delivering output rows to sink.
+// Start begins an execution run delivering output rows to sink. Each row
+// handed to sink is the sink's to keep: the run never writes to it or reuses
+// its storage afterwards. (The rows of one bucket flush are cut from one
+// allocation, so retaining a single row keeps that flush's rows alive.)
 func (s *Statement) Start(sink func(Tuple) error, opts Options) *Run {
 	return newRun(s.p, sink, opts)
 }

@@ -207,13 +207,15 @@ func verifyLandmark(aggs []Aggregator, epochSet bool, landmark float64) error {
 // and must be abandoned.
 func (r *Run) ShiftLandmark(newL float64) error {
 	for _, g := range r.high {
-		if err := shiftAggs(g.aggs, newL); err != nil {
-			return err
+		for ; g != nil; g = g.next {
+			if err := shiftAggs(g.aggs, newL); err != nil {
+				return err
+			}
 		}
 	}
 	for _, i := range r.lowUsed {
 		if r.low[i].used {
-			if err := shiftAggs(r.low[i].aggs, newL); err != nil {
+			if err := shiftAggs(r.low[i].g.aggs, newL); err != nil {
 				return err
 			}
 		}
@@ -225,19 +227,36 @@ func (r *Run) ShiftLandmark(newL float64) error {
 	return nil
 }
 
-// newGroupAggs instantiates one aggregator per plan slot for a newborn
-// group, rebasing them onto the run's current landmark when a rollover has
-// moved it: a group born mid-epoch must live in the same frame as every
-// shifted group, or checkpoint verification (and cross-frame merges) would
-// see state straddling two landmarks.
-func (r *Run) newGroupAggs() ([]Aggregator, error) {
-	aggs := newAggs(r.p)
+// bornGroup returns the group object for a newborn group: a closed bucket's,
+// when one is free, with each aggregator Reset (or replaced, if it cannot
+// be), else a new one. The aggregators are rebased onto the run's current
+// landmark when a rollover has moved it: a group born mid-epoch must live in
+// the same frame as every shifted group, or checkpoint verification (and
+// cross-frame merges) would see state straddling two landmarks.
+func (r *Run) bornGroup(hash uint64, key []byte, gv Tuple) (*group, error) {
+	var g *group
+	if n := len(r.free); n > 0 {
+		g = r.free[n-1]
+		r.free = r.free[:n-1]
+		for i, a := range g.aggs {
+			if rs, ok := a.(Resetter); ok {
+				rs.Reset()
+			} else {
+				g.aggs[i] = r.p.aggSpecs[i].New()
+			}
+		}
+	} else {
+		g = &group{aggs: newAggs(r.p)}
+	}
 	if r.landmarkSet {
-		if err := shiftAggs(aggs, r.curL); err != nil {
+		if err := shiftAggs(g.aggs, r.curL); err != nil {
 			return nil, err
 		}
 	}
-	return aggs, nil
+	g.hash = hash
+	g.key = append(g.key[:0], key...)
+	g.gv = append(g.gv[:0], gv...)
+	return g, nil
 }
 
 // maybeRoll is the serial per-tuple epoch hook.

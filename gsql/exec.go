@@ -1,7 +1,9 @@
 package gsql
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -31,7 +33,8 @@ type Options struct {
 
 // Run executes one prepared statement over a stream: Push tuples, then
 // Close. Rows are delivered to the sink as time buckets close (and finally
-// at Close), each bucket's groups in deterministic (key-sorted) order.
+// at Close), each bucket's groups in deterministic (key-sorted) order; a
+// delivered row belongs to the sink (see Statement.Start).
 //
 // A Run is single-use and not safe for concurrent use.
 type Run struct {
@@ -50,7 +53,18 @@ type Run struct {
 	// the whole table — with many mostly-empty runs (the multi-query
 	// runtime) a full-table scan per flush dominates the per-tuple cost.
 	lowUsed []uint32
-	high    map[string]*group
+	// high is the high-level table: evicted partials of a two-level run, or
+	// every group of a high-only one. It is keyed by the group key's hash —
+	// groups sharing a hash chain through group.next — so inserting a group
+	// copies no key string, and it is created on first insert: most runs of a
+	// large shared catalog never evict.
+	high map[uint64]*group
+
+	// free holds the groups of closed buckets — key and value buffers and
+	// aggregators attached — for the next bucket's groups to be born into
+	// (bornGroup). refs is flush's scratch list of the groups being emitted.
+	free []*group
+	refs []*group
 
 	bucketSet bool
 	bucket    Value
@@ -72,6 +86,11 @@ type Run struct {
 	// scalar-only runs never pay for it.
 	bx *batchExec
 
+	// ckBuf and ckSpans are Checkpoint's scratch: every group entry encoded
+	// back to back, and the index into them that is sorted in their place.
+	ckBuf   []byte
+	ckSpans []ckSpan
+
 	// stats
 	evictions   uint64
 	tuples      uint64
@@ -87,14 +106,19 @@ type lowSlot struct {
 	// across evict/reuse cycles within one bucket).
 	listed bool
 	hash   uint64
-	key    []byte
-	gv     Tuple
-	aggs   []Aggregator
+	g      *group // the occupant while used
 }
 
+// group is one group's partial state. A Run's tables fill every field and
+// recycle the object, buffers and aggregators included, from bucket to
+// bucket; the sharded runtime keys its per-shard maps by string and uses gv
+// and aggs only.
 type group struct {
+	hash uint64
+	key  []byte
 	gv   Tuple
 	aggs []Aggregator
+	next *group // high-level groups sharing a hash
 }
 
 // newRun wires a plan to a sink under the given options.
@@ -102,7 +126,6 @@ func newRun(p *plan, sink func(Tuple) error, opts Options) *Run {
 	r := &Run{
 		p:    p,
 		sink: sink,
-		high: make(map[string]*group, 256),
 		args: make([]Value, 0, 4),
 		gv:   make(Tuple, len(p.groupFns)),
 		rec:  make(Tuple, len(p.groupFns)+len(p.aggSpecs)),
@@ -264,20 +287,67 @@ func stepAggs(p *plan, aggs []Aggregator, t Tuple, args []Value) ([]Value, error
 	return args, nil
 }
 
-// evict merges a low-level partial into the high level. The slot's group
-// values and aggregators are handed off, never aliased, so the slot can be
-// refilled immediately.
+// highGet returns the high-level group with the given key, or nil.
+func (r *Run) highGet(hash uint64, key []byte) *group {
+	g := r.high[hash]
+	for g != nil && !bytes.Equal(g.key, key) {
+		g = g.next
+	}
+	return g
+}
+
+// highPut inserts a group highGet does not find.
+func (r *Run) highPut(g *group) {
+	if r.high == nil {
+		r.high = make(map[uint64]*group)
+	}
+	g.next = r.high[g.hash]
+	r.high[g.hash] = g
+}
+
+// evict moves a low-level partial into the high level: merged into its twin
+// there if the key was evicted before, linked in as it is otherwise. Either
+// way the slot is free for its next occupant at once.
 func (r *Run) evict(s *lowSlot) error {
 	r.evictions++
-	g := r.high[string(s.key)]
-	if g == nil {
-		r.high[string(s.key)] = &group{gv: s.gv, aggs: s.aggs}
-		s.gv, s.aggs = nil, nil
-		return nil
+	g := s.g
+	s.g = nil
+	if dst := r.highGet(g.hash, g.key); dst != nil {
+		r.free = append(r.free, g)
+		return mergeAggs(dst.aggs, g.aggs)
 	}
-	err := mergeAggs(g.aggs, s.aggs)
-	s.gv, s.aggs = nil, nil
-	return err
+	r.highPut(g)
+	return nil
+}
+
+// emitGroup finalizes one group into rec (groupVals ++ aggFinals), applies
+// HAVING and the output projection, and hands sink a row cut from the front
+// of slab, which is returned advanced. The row is the sink's to keep: slab
+// is allocated per flush and never written again.
+func emitGroup(p *plan, g *group, rec Tuple, slab []Value, sink func(Tuple) error) ([]Value, error) {
+	copy(rec, g.gv)
+	for i, a := range g.aggs {
+		rec[len(g.gv)+i] = a.Final()
+	}
+	if p.having != nil {
+		ok, err := p.having(rec)
+		if err != nil {
+			return slab, err
+		}
+		if !ok.Truthy() {
+			return slab, nil
+		}
+	}
+	w := len(p.outFns)
+	out := Tuple(slab[:w:w])
+	for i, fn := range p.outFns {
+		v, err := fn(rec)
+		if err != nil {
+			return slab, err
+		}
+		out[i] = v
+	}
+	return slab[w:], sink(out)
 }
 
 // emitGroups emits every group of high in deterministic (key-sorted) order
@@ -289,56 +359,73 @@ func emitGroups(p *plan, high map[string]*group, rec Tuple, sink func(Tuple) err
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	slab := make([]Value, len(keys)*len(p.outFns))
 	for _, k := range keys {
-		g := high[k]
-		copy(rec, g.gv)
-		for i, a := range g.aggs {
-			rec[len(g.gv)+i] = a.Final()
-		}
-		if p.having != nil {
-			ok, err := p.having(rec)
-			if err != nil {
-				return err
-			}
-			if !ok.Truthy() {
-				continue
-			}
-		}
-		out := make(Tuple, len(p.outFns))
-		for i, fn := range p.outFns {
-			v, err := fn(rec)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-		if err := sink(out); err != nil {
+		var err error
+		if slab, err = emitGroup(p, high[k], rec, slab, sink); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// flush drains the low table into the high level, emits every group of the
-// closed bucket in key order, and resets for the next bucket.
+// flush emits every group of the closed bucket in key order and resets for
+// the next bucket. Low-level partials are emitted from their slots — only
+// one whose key was also evicted during the bucket is merged into its
+// high-level twin first — and the output rows of the flush are cut from one
+// slab. The bucket's groups then go to the free list.
+//
+// A sink or HAVING error leaves every group in place, so the bucket is
+// emitted again, from its first row, by the next flush.
 func (r *Run) flush() error {
-	if r.twoLevel {
-		for _, i := range r.lowUsed {
-			s := &r.low[i]
-			if s.used {
-				if err := r.evict(s); err != nil {
+	refs := r.refs[:0]
+	drained := 0
+	for _, i := range r.lowUsed {
+		s := &r.low[i]
+		if !s.used {
+			continue // stale index from an aborted insert
+		}
+		drained++
+		if len(r.high) > 0 {
+			if dst := r.highGet(s.hash, s.g.key); dst != nil {
+				g := s.g
+				s.g, s.used = nil, false
+				r.free = append(r.free, g)
+				if err := mergeAggs(dst.aggs, g.aggs); err != nil {
 					return err
 				}
-				s.used = false
+				continue
 			}
-			s.listed = false
 		}
-		r.lowUsed = r.lowUsed[:0]
+		refs = append(refs, s.g)
 	}
-	if err := emitGroups(r.p, r.high, r.rec, r.sink); err != nil {
-		return err
+	for _, g := range r.high {
+		for ; g != nil; g = g.next {
+			refs = append(refs, g)
+		}
 	}
+	// Byte order of the canonical keys: the order sort.Strings gives them.
+	slices.SortFunc(refs, func(a, b *group) int { return bytes.Compare(a.key, b.key) })
+	r.refs = refs
+	slab := make([]Value, len(refs)*len(r.p.outFns))
+	for _, g := range refs {
+		var err error
+		if slab, err = emitGroup(r.p, g, r.rec, slab, r.sink); err != nil {
+			return err
+		}
+	}
+
+	for _, g := range refs {
+		g.next = nil
+	}
+	r.free = append(r.free, refs...)
+	clear(refs)
+	for _, i := range r.lowUsed {
+		r.low[i] = lowSlot{}
+	}
+	r.lowUsed = r.lowUsed[:0]
 	clear(r.high)
+	r.evictions += uint64(drained)
 	r.windows++
 	return nil
 }

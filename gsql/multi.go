@@ -652,6 +652,9 @@ func (m *MultiRun) AdmitUsed() float64 { return m.admitUsed }
 // tuples pushed after their attach, exactly as a standalone run started at
 // that point would. Under admission control an attach that would blow the
 // catalog budget fails with *AdmissionError.
+//
+// The sink contract is Statement.Start's: a row handed to sink is the sink's
+// to keep, never written or reused by the runtime afterwards.
 func (m *MultiRun) Attach(text string, shards int, sink func(Tuple) error) (*MultiHandle, error) {
 	return m.add(text, shards, nil, sink)
 }

@@ -49,7 +49,10 @@ type DialerStats struct {
 	Reconnects uint64
 	// FramesSent counts first transmissions of data frames.
 	FramesSent uint64
-	// FramesResent counts retransmissions after a reconnect.
+	// FramesResent counts retransmissions after a reconnect: frames that had
+	// been written to an earlier connection. A frame queued while no
+	// connection existed yet (the lazy first dial) goes out for the first
+	// time on the new one and is not a resend.
 	FramesResent uint64
 	// PacketsSent counts packets in first transmissions.
 	PacketsSent uint64
@@ -58,7 +61,10 @@ type DialerStats struct {
 // sentFrame is an unacknowledged data frame retained for resend.
 type sentFrame struct {
 	seq uint64
-	buf []byte // sealed wire encoding
+	buf []byte // sealed wire encoding; back to Dialer.free once acknowledged
+	// written records that a write of the frame was attempted on some
+	// connection, which is what makes its next transmission a resend.
+	written bool
 }
 
 // Dialer streams packets to an ingest Listener with automatic reconnect
@@ -74,10 +80,14 @@ type Dialer struct {
 	batch   []netgen.Packet
 	nextSeq uint64
 
-	mu       sync.Mutex
-	unacked  []sentFrame
+	mu      sync.Mutex
+	unacked []sentFrame
+	// free holds the buffers of acknowledged frames for Flush to encode the
+	// next ones into; the window bounds how many buffers exist at all.
+	free     [][]byte
 	lastAck  uint64
 	notify   chan struct{} // 1-buffered: ack-reader kicks waiters
+	ackTimer *time.Timer   // waitAckProgress's timeout, reused across waits
 	conn     net.Conn
 	connGen  uint64 // guards stale ack-readers after a reconnect
 	dialFail int    // consecutive dial failures (backoff exponent)
@@ -160,7 +170,13 @@ func (d *Dialer) Flush() error {
 	}
 	seq := d.nextSeq
 	d.nextSeq++
-	buf := AppendData(nil, seq, d.batch)
+	var buf []byte
+	d.mu.Lock()
+	if n := len(d.free); n > 0 {
+		buf, d.free = d.free[n-1][:0], d.free[:n-1]
+	}
+	d.mu.Unlock()
+	buf = AppendData(buf, seq, d.batch)
 	npkts := len(d.batch)
 	d.batch = d.batch[:0]
 
@@ -168,7 +184,7 @@ func (d *Dialer) Flush() error {
 		return err
 	}
 	d.mu.Lock()
-	d.unacked = append(d.unacked, sentFrame{seq: seq, buf: buf})
+	d.unacked = append(d.unacked, sentFrame{seq: seq, buf: buf, written: d.conn != nil})
 	d.stats.FramesSent++
 	d.stats.PacketsSent += uint64(npkts)
 	err := d.writeLocked(buf)
@@ -249,10 +265,18 @@ func (d *Dialer) waitAckProgress() error {
 	if err := d.ensureConn(); err != nil {
 		return err
 	}
+	if d.ackTimer == nil {
+		d.ackTimer = time.NewTimer(d.cfg.AckTimeout)
+	} else {
+		d.ackTimer.Reset(d.cfg.AckTimeout)
+	}
 	select {
 	case <-d.notify:
+		if !d.ackTimer.Stop() {
+			<-d.ackTimer.C // fired meanwhile: leave the channel empty for the next Reset
+		}
 		return nil
-	case <-time.After(d.cfg.AckTimeout):
+	case <-d.ackTimer.C:
 		d.cfg.Logf("ingest: no ack in %v, reconnecting", d.cfg.AckTimeout)
 		d.dropConn()
 		return nil
@@ -330,13 +354,17 @@ func (d *Dialer) ensureConn() error {
 		}
 		d.pruneLocked()
 		resend := make([][]byte, len(d.unacked))
-		for i, sf := range d.unacked {
+		for i := range d.unacked {
+			sf := &d.unacked[i]
 			resend[i] = sf.buf
+			if sf.written {
+				d.stats.FramesResent++
+			}
+			sf.written = true
 		}
 		d.conn = conn
 		d.connGen++
 		gen := d.connGen
-		d.stats.FramesResent += uint64(len(resend))
 		d.mu.Unlock()
 
 		ok := true
@@ -395,10 +423,12 @@ func (d *Dialer) sleepBackoff(fails int) {
 	time.Sleep(b.Delay(fails, d.rng))
 }
 
-// pruneLocked discards unacked frames covered by lastAck; d.mu held.
+// pruneLocked discards unacked frames covered by lastAck, returning their
+// buffers to the free list; d.mu held.
 func (d *Dialer) pruneLocked() {
 	i := 0
 	for i < len(d.unacked) && d.unacked[i].seq <= d.lastAck {
+		d.free = append(d.free, d.unacked[i].buf)
 		i++
 	}
 	if i > 0 {

@@ -52,6 +52,14 @@ func TestHeartbeatDrivesEpochRollover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Heartbeats are not acknowledged, and Shutdown closes connections
+	// without reading what is still in flight on them. A trailing data frame
+	// is the fence: Close waits for its ack, and the listener acks it only
+	// after applying everything that preceded it on the connection. (Its
+	// early timestamp neither rolls the landmark nor trips the sentinel.)
+	if err := d.Send(pkts[0]); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}

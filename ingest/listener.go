@@ -139,8 +139,9 @@ type item struct {
 // serverConn wraps one accepted connection with a write lock shared by the
 // reader (hello-acks, duplicate re-acks) and the pump (applied acks).
 type serverConn struct {
-	c  net.Conn
-	mu sync.Mutex
+	c   net.Conn
+	mu  sync.Mutex
+	ack []byte // writeAck's frame buffer, reused under mu
 }
 
 // writeAck sends a cumulative ack; errors are ignored (a dead peer will
@@ -148,9 +149,9 @@ type serverConn struct {
 func (sc *serverConn) writeAck(seq uint64) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	b := AppendAck(nil, seq)
+	sc.ack = AppendAck(sc.ack[:0], seq)
 	sc.c.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	sc.c.Write(b)
+	sc.c.Write(sc.ack)
 	sc.c.SetWriteDeadline(time.Time{})
 }
 

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"forwarddecay/internal/core"
@@ -168,9 +169,10 @@ type Frame struct {
 
 // sealFrame wraps an encoded body in the length/checksum header.
 func sealFrame(dst, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = binary.LittleEndian.AppendUint64(dst, core.HashBytes(body))
-	return append(dst, body...)
+	at := len(dst)
+	dst = append(ReserveSealed(dst), body...)
+	SealInPlace(dst, at)
+	return dst
 }
 
 // AppendSealed wraps an arbitrary body in the protocol's length+checksum
@@ -178,6 +180,25 @@ func sealFrame(dst, body []byte) []byte {
 // exported so other durable byte streams (the distrib write-ahead log's
 // segment records) reuse this codec instead of inventing a second framing.
 func AppendSealed(dst, body []byte) []byte { return sealFrame(dst, body) }
+
+// SealedHeaderSize is the size of the header AppendSealed prepends.
+const SealedHeaderSize = frameHeaderSize
+
+// ReserveSealed appends SealedHeaderSize placeholder bytes to dst. A caller
+// that encodes a body straight after them and then calls SealInPlace gets the
+// record AppendSealed would have built, without a second buffer for the body.
+func ReserveSealed(dst []byte) []byte {
+	var hdr [frameHeaderSize]byte
+	return append(dst, hdr[:]...)
+}
+
+// SealInPlace fills the header reserved at b[at:] for the body b holds after
+// it (everything from at+SealedHeaderSize to the end of b).
+func SealInPlace(b []byte, at int) {
+	body := b[at+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(body)))
+	binary.LittleEndian.PutUint64(b[at+4:], core.HashBytes(body))
+}
 
 // DecodeSealed splits the first sealed record off b, verifying its checksum,
 // and returns the body along with the total bytes consumed. A record whose
@@ -215,15 +236,20 @@ func AppendHello(dst []byte, session uint64) []byte {
 }
 
 // AppendData appends an encoded FrameData carrying pkts under seq to dst.
+// The frame is built in place, so a dst with room for it makes the call
+// allocation-free.
 func AppendData(dst []byte, seq uint64, pkts []netgen.Packet) []byte {
-	body := make([]byte, 0, 1+8+4+len(pkts)*netgen.PacketRecordSize)
-	body = append(body, byte(FrameData))
-	body = binary.LittleEndian.AppendUint64(body, seq)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(pkts)))
+	at := len(dst)
+	dst = slices.Grow(dst, frameHeaderSize+1+8+4+len(pkts)*netgen.PacketRecordSize)
+	dst = ReserveSealed(dst)
+	dst = append(dst, byte(FrameData))
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pkts)))
 	for _, p := range pkts {
-		body = netgen.AppendPacketRecord(body, p)
+		dst = netgen.AppendPacketRecord(dst, p)
 	}
-	return sealFrame(dst, body)
+	SealInPlace(dst, at)
+	return dst
 }
 
 // AppendHeartbeat appends an encoded FrameHeartbeat at stream time ts.
@@ -404,7 +430,8 @@ func DecodeFrame(b []byte, maxFrame int) (Frame, int, error) {
 type FrameReader struct {
 	br       *bufio.Reader
 	maxFrame int
-	body     []byte // reusable body buffer
+	hdr      [frameHeaderSize]byte // a local would escape through io.ReadFull
+	body     []byte                // reusable body buffer
 }
 
 // NewFrameReader returns a reader over r. maxFrame <= 0 selects
@@ -423,8 +450,8 @@ func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
 // and the caller should close the connection — framing cannot be
 // re-synchronized past a corrupt length prefix.
 func (fr *FrameReader) ReadFrame() (Frame, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
+	hdr := fr.hdr[:]
+	if _, err := io.ReadFull(fr.br, hdr); err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF
 		}
@@ -433,7 +460,7 @@ func (fr *FrameReader) ReadFrame() (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > uint32(fr.maxFrame) {
 		return Frame{}, frameErrf(FrameTooLarge, "body of %d bytes exceeds limit %d", n, fr.maxFrame)
 	}

@@ -22,7 +22,8 @@ import (
 
 // SubEvent is one subscription delivery.
 type SubEvent struct {
-	// Row and Cursor are set for a row delivery.
+	// Row and Cursor are set for a row delivery. The row is the receiver's to
+	// keep (the rows of one wire batch share one allocation).
 	Row    gsql.Tuple
 	Cursor uint64
 	// Gap reports shed rows [GapFrom, GapTo) before the next delivery.
@@ -134,25 +135,32 @@ func (cl *Client) fail(err error) {
 // readLoop demuxes incoming frames: responses go to their request waiter,
 // subscription traffic to its event channel.
 func (cl *Client) readLoop() {
-	r := bufio.NewReader(cl.c)
+	r := msgReader{r: bufio.NewReader(cl.c)}
 	for {
-		m, err := readMsg(r)
+		m, err := r.next()
 		if err != nil {
 			cl.fail(fmt.Errorf("server: connection lost: %w", err))
 			return
 		}
 		switch m.Type {
 		case StRow:
-			cl.deliver(m.Query, SubEvent{Row: m.Row, Cursor: m.Cursor})
+			if ch := cl.subChan(m.Query); ch != nil {
+				for i, row := range m.Rows {
+					ch <- SubEvent{Row: row, Cursor: m.Cursor + uint64(i)}
+				}
+			}
 		case StGap:
-			cl.deliver(m.Query, SubEvent{Gap: true, GapFrom: m.GapFrom, GapTo: m.Cursor})
+			if ch := cl.subChan(m.Query); ch != nil {
+				ch <- SubEvent{Gap: true, GapFrom: m.GapFrom, GapTo: m.Cursor}
+			}
 		default:
 			cl.mu.Lock()
 			ch := cl.pending[m.Req]
 			delete(cl.pending, m.Req)
 			cl.mu.Unlock()
 			if ch != nil {
-				ch <- m
+				resp := *m // the reader reuses m for the next frame
+				ch <- &resp
 				continue
 			}
 			if m.Type == StErr {
@@ -164,13 +172,11 @@ func (cl *Client) readLoop() {
 	}
 }
 
-func (cl *Client) deliver(query uint32, ev SubEvent) {
+// subChan returns the event channel of a live subscription, or nil.
+func (cl *Client) subChan(query uint32) chan SubEvent {
 	cl.mu.Lock()
-	ch := cl.subs[query]
-	cl.mu.Unlock()
-	if ch != nil {
-		ch <- ev
-	}
+	defer cl.mu.Unlock()
+	return cl.subs[query]
 }
 
 // terminateSubByReq routes an async StErr — whose Req echoes the original

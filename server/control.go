@@ -10,10 +10,12 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -82,6 +84,9 @@ type ctlSub struct {
 	q   *Query
 	sub *subscriber
 	req uint32 // the subscribe request id; async StErr terminations echo it
+	// frame is the writer's buffer: each fetched batch is sealed over the
+	// last one, so a steady subscription writes without allocating.
+	frame []byte
 	// stopped marks a client-requested unsubscribe, so the writer exits
 	// silently instead of reporting a termination.
 	stopped bool
@@ -99,15 +104,18 @@ type ctlConn struct {
 	subs map[uint32]*ctlSub // by query id
 }
 
-// write seals and sends one frame; on failure the connection is torn down
-// (the reader will notice the closed socket and clean up).
-func (cc *ctlConn) write(m *Msg) error {
-	buf := AppendMsg(nil, m)
+// write seals and sends one frame.
+func (cc *ctlConn) write(m *Msg) error { return cc.writeFrame(AppendMsg(nil, m)) }
+
+// writeFrame sends sealed frames in one Write; on failure the connection is
+// torn down (the reader will notice the closed socket and clean up). Every
+// write arms its own deadline first, so none is ever cleared: an expired
+// deadline only matters to a Write in progress.
+func (cc *ctlConn) writeFrame(buf []byte) error {
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
 	cc.c.SetWriteDeadline(time.Now().Add(controlIOTimeout))
 	_, err := cc.c.Write(buf)
-	cc.c.SetWriteDeadline(time.Time{})
 	if err != nil {
 		cc.c.Close()
 	}
@@ -118,38 +126,52 @@ func (cc *ctlConn) writeErr(req uint32, code uint16, text string) error {
 	return cc.write(&Msg{Type: StErr, Req: req, Code: code, Text: text})
 }
 
-// readMsg reads one sealed control frame off the buffered reader.
-func readMsg(r *bufio.Reader) (*Msg, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// msgReader reads sealed control frames off a connection, reusing one frame
+// buffer and one Msg for all of them.
+type msgReader struct {
+	r   *bufio.Reader
+	buf []byte
+	m   Msg
+}
+
+// next reads and decodes the next frame. The returned Msg is the reader's
+// own and is overwritten by the following call; the strings and rows it
+// carries are not.
+func (mr *msgReader) next() (*Msg, error) {
+	// The length prefix is read into the frame buffer itself: a local array
+	// would escape through io.ReadFull, one allocation per frame.
+	hdr := slices.Grow(mr.buf[:0], ingest.SealedHeaderSize)[:4]
+	if _, err := io.ReadFull(mr.r, hdr); err != nil {
 		return nil, err
 	}
-	n := int(uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24)
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n > MaxControlFrame {
 		return nil, errors.New("server: control frame exceeds MaxControlFrame")
 	}
-	full := make([]byte, 4+8+n)
-	copy(full, hdr[:])
-	if _, err := io.ReadFull(r, full[4:]); err != nil {
+	mr.buf = slices.Grow(hdr, ingest.SealedHeaderSize-4+n)[:ingest.SealedHeaderSize+n]
+	if _, err := io.ReadFull(mr.r, mr.buf[4:]); err != nil {
 		return nil, err
 	}
-	body, _, err := ingest.DecodeSealed(full, MaxControlFrame)
+	body, _, err := ingest.DecodeSealed(mr.buf, MaxControlFrame)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeMsg(body)
+	if err := decodeMsgInto(&mr.m, body); err != nil {
+		return nil, err
+	}
+	return &mr.m, nil
 }
 
 // serve runs one control session: authenticate, dispatch, clean up.
 func (cc *ctlConn) serve() {
 	defer cc.c.Close()
 	defer cc.dropAllSubs()
-	r := bufio.NewReader(cc.c)
+	r := msgReader{r: bufio.NewReader(cc.c)}
 
 	// Auth handshake: the first frame must be a CtHello carrying a valid
 	// token. Everything before a good hello gets exactly one typed error.
 	cc.c.SetReadDeadline(time.Now().Add(controlIOTimeout))
-	hello, err := readMsg(r)
+	hello, err := r.next()
 	cc.c.SetReadDeadline(time.Time{})
 	if err != nil {
 		return
@@ -165,7 +187,7 @@ func (cc *ctlConn) serve() {
 	cc.s.counters.Add("server_control_sessions", 1)
 
 	for {
-		m, err := readMsg(r)
+		m, err := r.next()
 		if err != nil {
 			return
 		}
@@ -271,7 +293,7 @@ func (cc *ctlConn) handleSubscribe(m *Msg) {
 	// Blocking policies promise a gapless stream; a start cursor already
 	// evicted from the ring makes that promise unkeepable.
 	if m.Policy != PolicyDropOldest && m.Cursor != 0 {
-		if base, _ := q.log.snapshot(); m.Cursor < base {
+		if base, _ := q.log.bounds(); m.Cursor < base {
 			cc.smu.Unlock()
 			cc.writeErr(m.Req, CodeCursorGap, "cursor predates the retained result log")
 			return
@@ -329,24 +351,24 @@ func (cc *ctlConn) dropAllSubs() {
 	}
 }
 
-// runSub is the subscription writer: fetch a bounded batch, write it, then
-// advance the cursor. Between fetch and advance the rows are "in the output
-// queue" — un-advanced — which is what lets PolicyBlock/PolicyDisconnect
-// hold the emit path on this subscriber's behalf.
+// runSub is the subscription writer: fetch a bounded batch as one sealed
+// frame, write it, then advance the cursor. Between fetch and advance the
+// rows are "in the output queue" — un-advanced — which is what lets
+// PolicyBlock/PolicyDisconnect hold the emit path on this subscriber's
+// behalf.
 func (cc *ctlConn) runSub(sub *ctlSub) {
 	defer close(sub.done)
 	rl := sub.q.log
 	for {
-		rows, start, gapFrom, st := rl.fetch(sub.sub, cc.s.cfg.SubscriberBatch)
+		frame, n, start, gapFrom, st := rl.fetch(sub.sub, sub.q.ID, cc.s.cfg.SubscriberBatch, sub.frame)
+		sub.frame = frame
 		switch st {
 		case fetchRows:
-			for i, row := range rows {
-				if cc.write(&Msg{Type: StRow, Query: sub.q.ID, Cursor: start + uint64(i), Row: row}) != nil {
-					return // socket dead; reader goroutine cleans up
-				}
+			if cc.writeFrame(frame) != nil {
+				return // socket dead; reader goroutine cleans up
 			}
-			rl.advance(sub.sub, uint64(len(rows)))
-			cc.s.counters.Add("server_rows_delivered", uint64(len(rows)))
+			rl.advance(sub.sub, uint64(n))
+			cc.s.counters.Add("server_rows_delivered", uint64(n))
 		case fetchGap:
 			if cc.write(&Msg{Type: StGap, Query: sub.q.ID, GapFrom: gapFrom, Cursor: start}) != nil {
 				return
@@ -496,10 +518,8 @@ func (s *Service) statsJSON() string {
 	}
 	s.mu.Lock()
 	for _, q := range s.queries {
-		base, rows := q.log.snapshot()
-		st := queryStat{
-			ID: q.ID, Text: q.Text, Base: base, End: base + uint64(len(rows)) - 1,
-		}
+		base, end := q.log.bounds()
+		st := queryStat{ID: q.ID, Text: q.Text, Base: base, End: end}
 		if qs, ok := perRun[q.ID]; ok {
 			st.Tuples, st.Errors, st.NsPerTuple = qs.Tuples, qs.Errors, qs.NsPerTuple
 		}

@@ -76,13 +76,72 @@ func TestKillResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestUnixIngestSurvivesRebuild is the kill-and-rebuild drill on a unix
+// ingest socket: the rebuilt incarnation must listen where its predecessor
+// did. The service remembers the bound address across incarnations, and it
+// has to remember it in the form it parses — a bare socket path read back as
+// a tcp address fails every rebuild until the breaker opens.
+func TestUnixIngestSurvivesRebuild(t *testing.T) {
+	dir := t.TempDir()
+	sock := filepath.Join(dir, "ingest.sock")
+	pkts := genPackets(t, 6000, 50, 43)
+	want := oracleRows(t, pkts)
+	svc := startService(t, filepath.Join(dir, "state"), func(c *Config) {
+		c.ControlAddr = "unix:" + filepath.Join(dir, "control.sock")
+		c.IngestAddr = "unix:" + sock
+		c.CheckpointEvery = 600
+		c.ResultLog = 1 << 15
+	})
+	if network, address := ingest.SplitAddr(svc.IngestAddr()); network != "unix" || address != sock {
+		t.Fatalf("IngestAddr() = %q, which SplitAddr reads as (%s, %s); want (unix, %s)", svc.IngestAddr(), network, address, sock)
+	}
+	cl := dialControl(t, svc)
+	id, err := cl.Attach(testQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := cl.Subscribe(id, 0, PolicyBlock, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dialIngest(t, svc, 29)
+	for i, p := range pkts {
+		if i == len(pkts)/2 {
+			svc.Kill()
+			// Wait the rebuild out before sending on: a dialer with no dial
+			// budget would otherwise retry a socket that never comes back
+			// until the test binary times out.
+			waitFor(t, 20*time.Second, "the rebuilt incarnation to listen on the unix socket", func() bool {
+				return svc.Counters().Get("server_restarts") >= 1 && svc.Mode() == ModeHealthy
+			})
+		}
+		if err := d.Send(p); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("dialer close: %v", err)
+	}
+	rows, _ := collectRows(t, ch, 1, len(want), 60*time.Second)
+	requireIdentical(t, want, rows, "subscription across a rebuild on a unix ingest socket")
+	if got := svc.Counters().Get("server_restarts"); got < 1 {
+		t.Fatalf("server_restarts = %d, want >= 1", got)
+	}
+	if got := svc.Counters().Get("server_build_failures"); got != 0 {
+		t.Fatalf("server_build_failures = %d: the rebuild could not listen on the unix socket again", got)
+	}
+	if svc.Mode() != ModeHealthy {
+		t.Fatalf("mode %v after the rebuild", svc.Mode())
+	}
+}
+
 // rawConn is a hand-driven control connection for tests that must control
 // exactly when (and whether) responses are read — e.g. a deliberately
 // stalled subscriber.
 type rawConn struct {
 	t   *testing.T
 	c   net.Conn
-	r   *bufio.Reader
+	r   msgReader
 	req uint32
 }
 
@@ -94,7 +153,7 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	rc := &rawConn{t: t, c: c, r: bufio.NewReader(c)}
+	rc := &rawConn{t: t, c: c, r: msgReader{r: bufio.NewReader(c)}}
 	rc.roundTrip(&Msg{Type: CtHello, Text: testToken}, StOK)
 	return rc
 }
@@ -115,7 +174,7 @@ func (rc *rawConn) roundTrip(m *Msg, wantType uint8) *Msg {
 	rc.t.Helper()
 	req := rc.send(m)
 	for {
-		resp, err := readMsg(rc.r)
+		resp, err := rc.r.next()
 		if err != nil {
 			rc.t.Fatalf("raw read: %v", err)
 		}
@@ -393,8 +452,8 @@ func TestWedgeWatchdogRecovers(t *testing.T) {
 		t.Fatalf("stream across wedge: %v", err)
 	}
 	waitFor(t, 20*time.Second, "emission to catch up", func() bool {
-		base, rows := q.log.snapshot()
-		return base+uint64(len(rows))-1 == uint64(len(want))
+		_, end := q.log.bounds()
+		return end == uint64(len(want))
 	})
 
 	// A late subscriber reads the retained tail bit-exactly.

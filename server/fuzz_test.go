@@ -33,7 +33,8 @@ func FuzzControlFrameDecode(f *testing.F) {
 		{Type: StErr, Req: 9, Code: CodeSlowConsumer, Text: "too slow"},
 		{Type: StErr, Req: 14, Code: CodeAdmission, Text: "admission: estimated cost 48 exceeds budget"},
 		{Type: StAttached, Req: 10, Query: 3},
-		{Type: StRow, Query: 3, Cursor: 77, Row: row},
+		{Type: StRow, Query: 3, Cursor: 77, Rows: []gsql.Tuple{row}},
+		{Type: StRow, Query: 4, Cursor: 1 << 40, Rows: []gsql.Tuple{row[:2], {row[3], row[4]}, row[1:3]}},
 		{Type: StGap, Query: 3, GapFrom: 5, Cursor: 9},
 		{Type: StStats, Req: 11, Text: "{}"},
 		{Type: StBye, Req: 12},

@@ -9,10 +9,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	goruntime "runtime" // the package has a type named runtime
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +22,7 @@ import (
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
 	"forwarddecay/internal/core"
+	"forwarddecay/metrics"
 	"forwarddecay/netgen"
 )
 
@@ -187,7 +190,7 @@ func drainRows(ch <-chan SubEvent, start uint64, n int, timeout time.Duration) (
 			}
 			next = ev.Cursor + 1
 			last = ev.Cursor
-			rows = append(rows, append(gsql.Tuple(nil), ev.Row...))
+			rows = append(rows, ev.Row) // kept as handed: a delivered row is the receiver's
 		case <-deadline:
 			return rows, last, fmt.Errorf("timed out with %d/%d rows", len(rows), n)
 		}
@@ -278,7 +281,8 @@ func TestControlWireRoundTrip(t *testing.T) {
 		{Type: StOK, Req: 8},
 		{Type: StErr, Req: 9, Code: CodeDegraded, Text: "nope"},
 		{Type: StAttached, Req: 10, Query: 12},
-		{Type: StRow, Query: 12, Cursor: 1234, Row: row},
+		{Type: StRow, Query: 12, Cursor: 1234, Rows: []gsql.Tuple{row}},
+		{Type: StRow, Query: 12, Cursor: 1235, Rows: []gsql.Tuple{row, row, row}},
 		{Type: StGap, Query: 12, GapFrom: 10, Cursor: 20},
 		{Type: StStats, Req: 11, Text: `{"mode":"healthy"}`},
 		{Type: StBye, Req: 12},
@@ -299,7 +303,7 @@ func TestControlWireRoundTrip(t *testing.T) {
 	}
 
 	// Hostile input: every strict prefix must be rejected, never panic.
-	body := appendMsgBody(nil, &Msg{Type: StRow, Query: 1, Cursor: 2, Row: row})
+	body := appendMsgBody(nil, &Msg{Type: StRow, Query: 1, Cursor: 2, Rows: []gsql.Tuple{row, row}})
 	for i := 0; i < len(body); i++ {
 		if _, err := DecodeMsg(body[:i]); err == nil {
 			t.Fatalf("truncated body (%d/%d bytes) decoded successfully", i, len(body))
@@ -320,6 +324,32 @@ func TestControlWireRoundTrip(t *testing.T) {
 
 // --- result ring policies ---
 
+// append adds one row the way the emit path adds a flush.
+func (rl *resultLog) append(row gsql.Tuple) { rl.appendRows([]gsql.Tuple{row}, nil) }
+
+// fetchDecoded is fetch with the sealed StRow frame decoded back into rows,
+// checking the frame against what fetch reported about it.
+func fetchDecoded(t *testing.T, rl *resultLog, sub *subscriber, max int) (rows []gsql.Tuple, start, gapFrom uint64, st fetchStatus) {
+	t.Helper()
+	frame, n, start, gapFrom, st := rl.fetch(sub, 9, max, nil)
+	if st != fetchRows {
+		return nil, start, gapFrom, st
+	}
+	body, used, err := ingest.DecodeSealed(frame, MaxControlFrame)
+	if err != nil || used != len(frame) {
+		t.Fatalf("fetched frame: %v (consumed %d of %d bytes)", err, used, len(frame))
+	}
+	m, err := DecodeMsg(body)
+	if err != nil {
+		t.Fatalf("fetched frame: %v", err)
+	}
+	if m.Type != StRow || m.Query != 9 || m.Cursor != start || len(m.Rows) != n {
+		t.Fatalf("fetched frame: type %d query %d cursor %d with %d rows; fetch reported start %d, %d rows",
+			m.Type, m.Query, m.Cursor, len(m.Rows), start, n)
+	}
+	return m.Rows, start, 0, st
+}
+
 func TestResultLogPolicies(t *testing.T) {
 	row := func(i int) gsql.Tuple { return gsql.Tuple{{T: gsql.TInt, I: int64(i)}} }
 
@@ -331,14 +361,14 @@ func TestResultLogPolicies(t *testing.T) {
 		for i := 1; i <= 10; i++ {
 			rl.append(row(i))
 		}
-		_, start, gapFrom, st := rl.fetch(sub, 100)
+		_, start, gapFrom, st := fetchDecoded(t, rl, sub, 100)
 		if st != fetchGap || gapFrom != 1 || start != 7 {
 			t.Fatalf("want gap [1,7), got st=%d gapFrom=%d start=%d", st, gapFrom, start)
 		}
 		if shed != 6 {
 			t.Fatalf("shed %d rows, want 6", shed)
 		}
-		rows, start, _, st := rl.fetch(sub, 100)
+		rows, start, _, st := fetchDecoded(t, rl, sub, 100)
 		if st != fetchRows || start != 7 || len(rows) != 4 {
 			t.Fatalf("want rows 7..10, got st=%d start=%d n=%d", st, start, len(rows))
 		}
@@ -359,7 +389,7 @@ func TestResultLogPolicies(t *testing.T) {
 			t.Fatal("append proceeded past a blocking subscriber")
 		case <-time.After(50 * time.Millisecond):
 		}
-		rows, _, _, st := rl.fetch(sub, 1)
+		rows, _, _, st := fetchDecoded(t, rl, sub, 1)
 		if st != fetchRows || len(rows) != 1 {
 			t.Fatalf("fetch: st=%d n=%d", st, len(rows))
 		}
@@ -386,7 +416,7 @@ func TestResultLogPolicies(t *testing.T) {
 		if disc != 1 {
 			t.Fatalf("onDisconnect fired %d times, want 1", disc)
 		}
-		if _, _, _, st := rl.fetch(sub, 1); st != fetchRemoved {
+		if _, _, _, st := fetchDecoded(t, rl, sub, 1); st != fetchRemoved {
 			t.Fatalf("fetch after disconnect: st=%d, want fetchRemoved", st)
 		}
 	})
@@ -396,7 +426,7 @@ func TestResultLogPolicies(t *testing.T) {
 		sub := rl.subscribe(0, PolicyBlock, 0)
 		got := make(chan fetchStatus, 1)
 		go func() {
-			_, _, _, st := rl.fetch(sub, 1)
+			_, _, _, _, st := rl.fetch(sub, 9, 1, nil)
 			got <- st
 		}()
 		time.Sleep(20 * time.Millisecond)
@@ -424,7 +454,7 @@ func TestResultLogPolicies(t *testing.T) {
 		for i := 4; i <= 6; i++ {
 			rl.append(row(i))
 		}
-		rows, start, _, st := rl.fetch(sub, 10)
+		rows, start, _, st := fetchDecoded(t, rl, sub, 10)
 		if st != fetchRows || start != 5 || len(rows) != 2 {
 			t.Fatalf("st=%d start=%d n=%d, want rows 5..6", st, start, len(rows))
 		}
@@ -593,13 +623,29 @@ func TestStateRoundTrip(t *testing.T) {
 			text:   testQuery,
 			ckpt:   []byte{1, 2, 3, 4},
 			base:   4,
-			rows:   []gsql.Tuple{{{T: gsql.TInt, I: 10}, {T: gsql.TFloat, F: 2.5}}},
-			end:    4,
+			rows:   []gsql.Tuple{{{T: gsql.TInt, I: 10}, {T: gsql.TFloat, F: 2.5}}, {{T: gsql.TNull}, {T: gsql.TString, S: "x"}}},
+			end:    5,
 			shards: 2,
+		}, {
+			id:          2,
+			text:        "select tb, count(*) from TCP group by time as tb",
+			base:        1,
+			end:         0, // an empty ring
+			quarantined: true,
+			qreason:     "breaker",
 		}},
 		sessions: map[uint64]uint64{7: 42, 9: 1},
 	}
-	if err := writeState(dir, st); err != nil {
+	// A checkpoint encodes each ring image from a live ring: load the
+	// expected images into rings first.
+	b := beginState(nil, st.walEpoch, st.walApplied, st.nextQueryID, len(st.queries))
+	for i := range st.queries {
+		q := &st.queries[i]
+		ring := newResultLog(8)
+		ring.restore(q.base, q.rows)
+		b = appendQueryState(b, q, ring)
+	}
+	if err := writeState(dir, finishState(b, st.sessions)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := loadState(dir)
@@ -612,7 +658,7 @@ func TestStateRoundTrip(t *testing.T) {
 
 	// A flipped byte anywhere must fail the checksum.
 	path := filepath.Join(dir, stateFile)
-	b, err := os.ReadFile(path)
+	b, err = os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -924,4 +970,79 @@ func TestShutdownRestartResume(t *testing.T) {
 	if err := svc2.Shutdown(); err != nil {
 		t.Fatalf("second shutdown: %v", err)
 	}
+}
+
+// TestShutdownReleasesEverything pins what Shutdown promises and once did
+// not deliver (the supervisor cleared the runtime pointer on its way out, so
+// Shutdown found nothing to drain): afterwards the ingest socket refuses,
+// the final checkpoint exists so a reopen has no WAL to replay, no goroutine
+// of the service is left, and nothing keeps the Service itself reachable.
+func TestShutdownReleasesEverything(t *testing.T) {
+	dir := t.TempDir()
+	sock := filepath.Join(dir, "ingest.sock")
+	cfg := Config{
+		Dir:         filepath.Join(dir, "state"),
+		ControlAddr: "unix:" + filepath.Join(dir, "control.sock"),
+		IngestAddr:  "unix:" + sock,
+	}
+	pkts := genPackets(t, 3000, 50, 77)
+	want := oracleRows(t, pkts)
+
+	goroutines := goruntime.NumGoroutine()
+	// Not startService: its Cleanup closure would keep the Service reachable.
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The probe is the service's metric registry, which only the Service
+	// refers to. A finalizer on the Service itself could never run: its
+	// rings' callbacks point back at it, and a finalizer keeps a cycle
+	// through its own object alive.
+	collected := make(chan struct{})
+	goruntime.SetFinalizer(svc.Counters(), func(*metrics.CounterSet) { close(collected) })
+	id, err := svc.Attach(testQuery, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamAll(t, dialIngest(t, svc, 31), pkts)
+	if err := svc.Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	svc = nil
+
+	if c, err := net.Dial("unix", sock); err == nil {
+		c.Close()
+		t.Fatal("ingest socket still accepts after Shutdown")
+	}
+	// The final checkpoint rotated the WAL: nothing is left to replay, and
+	// the state file carries the query with every row it emitted.
+	wal, recs, err := openWAL(cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.close()
+	if len(recs) != 0 {
+		t.Fatalf("%d WAL records to replay after a graceful shutdown, want 0", len(recs))
+	}
+	st, err := loadState(cfg.Dir)
+	if err != nil || st == nil {
+		t.Fatalf("state after shutdown: %v, %v", st, err)
+	}
+	if len(st.queries) != 1 || st.queries[0].id != id || st.queries[0].end != uint64(len(want)) {
+		t.Fatalf("final checkpoint holds %+v, want query %d through cursor %d", st.queries, id, len(want))
+	}
+	requireIdentical(t, want, st.queries[0].rows, "ring image of the final checkpoint")
+
+	waitFor(t, 5*time.Second, "the service's goroutines to exit", func() bool {
+		return goruntime.NumGoroutine() <= goroutines
+	})
+	waitFor(t, 5*time.Second, "the closed Service to be collected", func() bool {
+		goruntime.GC()
+		select {
+		case <-collected:
+			return true
+		default:
+			return false
+		}
+	})
 }

@@ -181,14 +181,17 @@ func (q *Query) Quarantined() (bool, string) {
 
 // queryRun is the per-incarnation engine handle for one query.
 type queryRun struct {
-	q      *Query
-	push   func(*gsql.Batch) (int, error)
-	hb     func(gsql.Value) error
-	ckpt   func() ([]byte, error)
-	close  func() error
-	quar   func() (bool, string)
-	revive func() error
-	stats  func() gsql.QueryStats
+	q *Query
+	// pending holds the rows the run emitted during the apply in progress,
+	// as the engine handed them over; flushEmits moves them into the ring.
+	pending []gsql.Tuple
+	push    func(*gsql.Batch) (int, error)
+	hb      func(gsql.Value) error
+	ckpt    func() ([]byte, error)
+	close   func() error
+	quar    func() (bool, string)
+	revive  func() error
+	stats   func() gsql.QueryStats
 }
 
 // runtime is one supervised incarnation: WAL appender, engine runs and the
@@ -204,6 +207,11 @@ type runtime struct {
 	mu   sync.Mutex
 	wal  *ingestWAL
 	runs map[uint32]*queryRun
+	// emitted lists the runs with pending rows, in order of first emission.
+	// Sinks fill it during an apply and flushEmits drains it at its end, so a
+	// ring is locked, and its waiters woken, once per apply instead of once
+	// per row.
+	emitted []*queryRun
 	// multi is the incarnation's shared execution runtime: every attached
 	// query is a member of this one MultiRun, so the apply path makes a
 	// single pass over each frame no matter how many queries are live.
@@ -238,6 +246,9 @@ type Service struct {
 	mu      sync.Mutex // catalog + checkpoint + lifecycle; outer to rt.mu
 	queries map[uint32]*Query
 	nextID  uint32
+	// stateSize is the size of the last checkpoint's state file image: the
+	// next one is assembled in a buffer allocated once, at about that size.
+	stateSize int
 
 	rt   atomic.Pointer[runtime]
 	gen  atomic.Uint64
@@ -256,7 +267,7 @@ type Service struct {
 	rng      *core.RNG
 
 	ctl        net.Listener
-	ingestAddr string // concrete ingest address, stable across incarnations
+	ingestAddr string // concrete ingest address (SplitAddr form), stable across incarnations
 	httpClose  func() error
 	httpAddr   string
 
@@ -320,8 +331,9 @@ func New(cfg Config) (*Service, error) {
 // ControlAddr returns the concrete control-plane address.
 func (s *Service) ControlAddr() net.Addr { return s.ctl.Addr() }
 
-// IngestAddr returns the concrete ingest address ("" until the first
-// incarnation has bound it).
+// IngestAddr returns the concrete ingest address in the "host:port" /
+// "unix:/path" form ingest.SplitAddr reads ("" until the first incarnation
+// has bound it).
 func (s *Service) IngestAddr() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -379,10 +391,10 @@ func (s *Service) supervise(first chan struct{}) {
 		firstDone()
 
 		verdict := s.watch(rt)
-		s.rt.Store(nil)
 		if verdict == watchStop {
-			return
+			return // Shutdown drains and checkpoints the live incarnation
 		}
+		s.rt.Store(nil)
 		s.mode.Store(int32(ModeRestarting))
 		s.teardown(rt)
 		switch verdict {
@@ -511,17 +523,28 @@ func (s *Service) Shutdown() error {
 		rt := s.rt.Load()
 		s.rt.Store(nil)
 		if rt != nil {
-			// Drain in-flight frames, then take the final checkpoint.
-			if err := rt.listener.Shutdown(s.cfg.DrainTimeout); err != nil {
-				s.shutErr = err
-			}
-			if !rt.degraded {
+			// Drain in-flight frames, then take the final checkpoint — unless
+			// nothing was logged since the last one: state file and catalog
+			// journal are then already the whole truth, and a reopen has
+			// nothing to replay either way.
+			drainErr := rt.listener.Shutdown(s.cfg.DrainTimeout)
+			s.shutErr = drainErr
+			if !rt.degraded && rt.wal.applied > 0 {
 				if err := s.checkpoint(rt); err != nil && s.shutErr == nil {
 					s.shutErr = err
 				}
 			}
 			rt.wal.close()
 			rt.fenced.Store(true) // fence any pump that failed to drain
+			if drainErr == nil {
+				// The pump exited, so the runs are ours to close (as in
+				// teardown): shard goroutines stop, and the open bucket's
+				// flush is refused by the fence — the checkpoint above has
+				// those partials.
+				for _, run := range rt.runs {
+					run.close()
+				}
+			}
 		}
 		for _, rl := range *s.rings.Load() {
 			rl.close()
@@ -767,13 +790,17 @@ func (s *Service) newRing() *resultLog {
 // the same shared-pass state the apply path walks.
 func (s *Service) startRun(rt *runtime, q *Query, ckpt []byte) (*queryRun, error) {
 	fence := &rt.fenced
-	rl := q.log
+	run := &queryRun{q: q}
+	// The engine hands over rows it will never touch again, so they are
+	// parked as they come and copied into the ring by flushEmits.
 	sink := func(row gsql.Tuple) error {
 		if fence.Load() {
 			return errFenced
 		}
-		rl.appendFenced(row, fence)
-		s.counters.Add("server_rows_emitted", 1)
+		if len(run.pending) == 0 {
+			rt.emitted = append(rt.emitted, run)
+		}
+		run.pending = append(run.pending, row)
 		return nil
 	}
 	var (
@@ -789,15 +816,29 @@ func (s *Service) startRun(rt *runtime, q *Query, ckpt []byte) (*queryRun, error
 		return nil, err
 	}
 	h.SetTag(q)
-	closer := func() error {
+	run.push, run.hb, run.ckpt = h.PushBatch, h.Heartbeat, h.Checkpoint
+	run.quar, run.revive, run.stats = h.Quarantined, h.Revive, h.QueryStats
+	run.close = func() error {
 		err := h.Close()
 		h.Detach()
 		return err
 	}
-	return &queryRun{
-		q: q, push: h.PushBatch, hb: h.Heartbeat, ckpt: h.Checkpoint, close: closer,
-		quar: h.Quarantined, revive: h.Revive, stats: h.QueryStats,
-	}, nil
+	return run, nil
+}
+
+// flushEmits ends an apply (a frame, a heartbeat, a replayed record, a run's
+// close): every run that emitted appends its rows to its ring in one call,
+// gated by the incarnation's fence. Callers are whoever drove the engine —
+// the pump under rt.mu, or buildRuntime before the listener exists.
+func (s *Service) flushEmits(rt *runtime) {
+	for i, run := range rt.emitted {
+		run.q.log.appendRows(run.pending, &rt.fenced)
+		s.counters.Add("server_rows_emitted", uint64(len(run.pending)))
+		clear(run.pending)
+		run.pending = run.pending[:0]
+		rt.emitted[i] = nil
+	}
+	rt.emitted = rt.emitted[:0]
 }
 
 // maxJournalCkpt bounds the retained checkpoint a quarantine journal entry
@@ -888,6 +929,7 @@ func (s *Service) replay(rt *runtime, specs []buildSpec, recs []walRecord) error
 				}
 				replayed++
 			}
+			s.flushEmits(rt)
 		case recHeartbeat:
 			for id, run := range rt.runs {
 				if pos < starts[id] {
@@ -900,6 +942,7 @@ func (s *Service) replay(rt *runtime, specs []buildSpec, recs []walRecord) error
 					return fmt.Errorf("server: replaying heartbeat %d into query %d: %w", i, id, err)
 				}
 			}
+			s.flushEmits(rt)
 		}
 	}
 	if replayed > 0 {
@@ -923,7 +966,7 @@ func (s *Service) finishBuild(rt *runtime, sessions map[uint64]uint64) (*runtime
 	if rt.degraded {
 		sink = walOnlySink{}
 	} else {
-		sink = &fanSink{rt: rt}
+		sink = &fanSink{s: s, rt: rt}
 	}
 	cfg := ingest.Config{
 		Sink:              sink,
@@ -946,7 +989,12 @@ func (s *Service) finishBuild(rt *runtime, sessions map[uint64]uint64) (*runtime
 	}
 	rt.listener = l
 	if s.ingestAddr == "" {
+		// Scheme-qualified, because the next incarnation feeds it back to
+		// SplitAddr: a bare unix path would be read as a tcp address.
 		s.ingestAddr = l.Addr().String()
+		if network == "unix" {
+			s.ingestAddr = "unix:" + s.ingestAddr
+		}
 	}
 	s.cfg.Logf("server: incarnation gen=%d up (degraded=%v, ingest %s)", rt.gen, rt.degraded, s.ingestAddr)
 	return rt, nil
@@ -969,54 +1017,35 @@ func (s *Service) checkpoint(rt *runtime) error {
 		// rings refused; persisting that state would orphan those rows.
 		return fmt.Errorf("server: cannot checkpoint a fenced incarnation")
 	}
-	st := &serverState{
-		walEpoch:    rt.wal.epoch,
-		walApplied:  rt.wal.applied,
-		nextQueryID: s.nextID,
-		sessions:    rt.listener.Sessions(),
-	}
+	b := make([]byte, 0, s.stateSize+s.stateSize/8+1024)
+	b = beginState(b, rt.wal.epoch, rt.wal.applied, s.nextID, len(s.queries))
 	for id, q := range s.queries {
+		qs := queryState{id: id, text: q.Text, shards: q.Shards}
 		if qi := q.quar.Load(); qi != nil {
 			// Fenced (live-quarantined or rebuilt dormant): persist the
 			// retained partials and the quarantine trailer so the next
 			// incarnation parks it dormant too.
-			base, rows := q.log.snapshot()
-			st.queries = append(st.queries, queryState{
-				id:          id,
-				text:        q.Text,
-				shards:      q.Shards,
-				ckpt:        qi.retained,
-				base:        base,
-				rows:        rows,
-				end:         base + uint64(len(rows)) - 1,
-				quarantined: true,
-				qreason:     qi.reason,
-			})
-			continue
+			qs.ckpt, qs.quarantined, qs.qreason = qi.retained, true, qi.reason
+		} else {
+			run := rt.runs[id]
+			if run == nil {
+				return fmt.Errorf("server: checkpointing query %d: no live run", id)
+			}
+			var err error
+			if qs.ckpt, err = run.ckpt(); err != nil {
+				return fmt.Errorf("server: checkpointing query %d: %w", id, err)
+			}
 		}
-		run := rt.runs[id]
-		if run == nil {
-			return fmt.Errorf("server: checkpointing query %d: no live run", id)
-		}
-		b, err := run.ckpt()
-		if err != nil {
-			return fmt.Errorf("server: checkpointing query %d: %w", id, err)
-		}
-		base, rows := q.log.snapshot()
-		st.queries = append(st.queries, queryState{
-			id:     id,
-			text:   q.Text,
-			shards: q.Shards,
-			ckpt:   b,
-			base:   base,
-			rows:   rows,
-			end:    base + uint64(len(rows)) - 1,
-		})
+		// Only the pump appends to a ring, and this runs on it (or after it
+		// has drained): the image is the ring as of the engine checkpoint.
+		b = appendQueryState(b, &qs, q.log)
 	}
+	b = finishState(b, rt.listener.Sessions())
+	s.stateSize = len(b)
 	if err := rt.wal.sync(); err != nil {
 		return err
 	}
-	if err := writeState(s.cfg.Dir, st); err != nil {
+	if err := writeState(s.cfg.Dir, b); err != nil {
 		return err
 	}
 	if err := rt.wal.rotate(); err != nil {
@@ -1222,6 +1251,7 @@ func (s *Service) Detach(id uint32) error {
 		delete(rt.runs, id)
 		q.log.freeze() // Close()'s partial-bucket flush must not leak rows
 		run.close()
+		s.flushEmits(rt)
 	}
 	q.log.close() // wakes subscribers with fetchClosed→removed semantics
 	s.publishRingsLocked()
@@ -1260,6 +1290,7 @@ var errFenced = errors.New("server: incarnation fenced")
 // rt.mu acquired by the ApplyLog hook is released here, making {WAL append,
 // shared pass} one atomic step with respect to Attach/Detach.
 type fanSink struct {
+	s  *Service
 	rt *runtime
 }
 
@@ -1284,7 +1315,9 @@ func (f *fanSink) PushBatch(b *gsql.Batch) (rejected int, err error) {
 		// that row-less state.
 		return 0, errFenced
 	}
-	return rt.multi.PushBatch(b)
+	rejected, err = rt.multi.PushBatch(b)
+	f.s.flushEmits(rt)
+	return rejected, err
 }
 
 // Push exists to satisfy ingest.Sink; the listener always prefers the
@@ -1308,7 +1341,9 @@ func (f *fanSink) Heartbeat(v gsql.Value) (err error) {
 	if rt.fenced.Load() {
 		return errFenced // see PushBatch
 	}
-	return rt.multi.Heartbeat(v)
+	err = rt.multi.Heartbeat(v)
+	f.s.flushEmits(rt)
+	return err
 }
 
 // rtLog adapts the incarnation WAL to ingest.ApplyLog, acquiring rt.mu so

@@ -48,7 +48,9 @@ const (
 	jRevive     = 4
 )
 
-// queryState is one query's persisted slice of the state file.
+// queryState is one query's persisted slice of the state file. The ring
+// image (base, rows, end) is filled by decoding only: a checkpoint encodes it
+// straight from the live ring (appendQueryState).
 type queryState struct {
 	id      uint32
 	text    string
@@ -74,36 +76,40 @@ type serverState struct {
 	sessions    map[uint64]uint64
 }
 
-// encodeState serializes the state with a checksum trailer.
-func encodeState(st *serverState) []byte {
-	b := append([]byte{}, stateMagic[:]...)
-	b = binary.LittleEndian.AppendUint64(b, st.walEpoch)
-	b = binary.LittleEndian.AppendUint64(b, st.walApplied)
-	b = binary.LittleEndian.AppendUint32(b, st.nextQueryID)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.queries)))
-	for i := range st.queries {
-		q := &st.queries[i]
-		b = binary.LittleEndian.AppendUint32(b, q.id)
-		b = appendString(b, q.text)
-		b = binary.LittleEndian.AppendUint32(b, q.shards)
-		b = binary.LittleEndian.AppendUint64(b, q.startAt)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(q.ckpt)))
-		b = append(b, q.ckpt...)
-		b = binary.LittleEndian.AppendUint64(b, q.base)
-		b = binary.LittleEndian.AppendUint64(b, q.end)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(q.rows)))
-		for _, row := range q.rows {
-			b = appendRow(b, row)
-		}
-		if q.quarantined {
-			b = append(b, 1)
-			b = appendString(b, q.qreason)
-		} else {
-			b = append(b, 0)
-		}
+// A state file image is assembled in three steps, so a checkpoint can encode
+// each query as it visits it, its ring included, into one buffer:
+// beginState, appendQueryState once per query, finishState.
+
+// beginState starts an image on b for the given number of queries.
+func beginState(b []byte, walEpoch, walApplied uint64, nextQueryID uint32, queries int) []byte {
+	b = append(b, stateMagic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, walEpoch)
+	b = binary.LittleEndian.AppendUint64(b, walApplied)
+	b = binary.LittleEndian.AppendUint32(b, nextQueryID)
+	return binary.LittleEndian.AppendUint32(b, uint32(queries))
+}
+
+// appendQueryState appends one query: q's catalog fields and engine
+// checkpoint, and the ring image read from ring.
+func appendQueryState(b []byte, q *queryState, ring *resultLog) []byte {
+	b = binary.LittleEndian.AppendUint32(b, q.id)
+	b = appendString(b, q.text)
+	b = binary.LittleEndian.AppendUint32(b, q.shards)
+	b = binary.LittleEndian.AppendUint64(b, q.startAt)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(q.ckpt)))
+	b = append(b, q.ckpt...)
+	b = ring.appendSnapshot(b)
+	if q.quarantined {
+		b = append(b, 1)
+		return appendString(b, q.qreason)
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.sessions)))
-	for id, applied := range st.sessions {
+	return append(b, 0)
+}
+
+// finishState appends the session table and the checksum trailer.
+func finishState(b []byte, sessions map[uint64]uint64) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(sessions)))
+	for id, applied := range sessions {
 		b = binary.LittleEndian.AppendUint64(b, id)
 		b = binary.LittleEndian.AppendUint64(b, applied)
 	}
@@ -173,9 +179,9 @@ func decodeState(b []byte) (*serverState, error) {
 	return st, nil
 }
 
-// writeState durably replaces the state file.
-func writeState(dir string, st *serverState) error {
-	return durable.WriteFileAtomic(filepath.Join(dir, stateFile), encodeState(st), 0o644)
+// writeState durably replaces the state file with a finished image.
+func writeState(dir string, image []byte) error {
+	return durable.WriteFileAtomic(filepath.Join(dir, stateFile), image, 0o644)
 }
 
 // loadState reads the state file; a missing file returns (nil, nil) — a

@@ -94,39 +94,39 @@ type ingestWAL struct {
 
 // LogFrame implements ingest.ApplyLog.
 func (w *ingestWAL) LogFrame(session, seq uint64, pkts []netgen.Packet) error {
-	body := make([]byte, 0, 32+len(pkts)*netgen.PacketRecordSize)
-	body = append(body, recFrame)
-	body = binary.LittleEndian.AppendUint64(body, session)
-	body = binary.LittleEndian.AppendUint64(body, seq)
-	body = binary.LittleEndian.AppendUint16(body, uint16(len(pkts)))
+	b := append(ingest.ReserveSealed(w.buf[:0]), recFrame)
+	b = binary.LittleEndian.AppendUint64(b, session)
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(pkts)))
 	for _, p := range pkts {
-		body = netgen.AppendPacketRecord(body, p)
+		b = netgen.AppendPacketRecord(b, p)
 	}
-	return w.appendBody(body)
+	return w.writeSealed(b)
 }
 
 // LogHeartbeat implements ingest.ApplyLog.
 func (w *ingestWAL) LogHeartbeat(ts gsql.Value) error {
-	body := make([]byte, 0, 10)
-	body = append(body, recHeartbeat)
+	b := append(ingest.ReserveSealed(w.buf[:0]), recHeartbeat)
 	switch ts.T {
 	case gsql.TInt:
-		body = append(body, hbInt)
-		body = binary.LittleEndian.AppendUint64(body, uint64(ts.I))
+		b = append(b, hbInt)
+		b = binary.LittleEndian.AppendUint64(b, uint64(ts.I))
 	case gsql.TFloat:
-		body = append(body, hbFloat)
-		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(ts.F))
+		b = append(b, hbFloat)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ts.F))
 	default:
 		return fmt.Errorf("server: wal: heartbeat value type %v not persistable", ts.T)
 	}
-	return w.appendBody(body)
+	return w.writeSealed(b)
 }
 
-// appendBody seals and writes one record body. The write syscall lands the
-// bytes in the file before the frame is acked, which is what makes an
-// in-process kill recoverable.
-func (w *ingestWAL) appendBody(body []byte) error {
-	w.buf = ingest.AppendSealed(w.buf[:0], body)
+// writeSealed seals the record body built after the reserved header in b (the
+// reused encode buffer) and writes it. The write syscall lands the bytes in
+// the file before the frame is acked, which is what makes an in-process kill
+// recoverable.
+func (w *ingestWAL) writeSealed(b []byte) error {
+	ingest.SealInPlace(b, 0)
+	w.buf = b
 	if _, err := w.f.Write(w.buf); err != nil {
 		return fmt.Errorf("server: wal append: %w", err)
 	}

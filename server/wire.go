@@ -48,7 +48,7 @@ const (
 	StErr uint8 = 65
 	// StAttached returns the catalog id assigned to an attached query.
 	StAttached uint8 = 66
-	// StRow delivers one result row on a subscription.
+	// StRow delivers a batch of consecutive result rows on a subscription.
 	StRow uint8 = 67
 	// StGap tells a drop-oldest subscriber that rows were shed.
 	StGap uint8 = 68
@@ -128,18 +128,22 @@ type Msg struct {
 	Sess  uint64 // CtHello client session id
 	Query uint32 // query id (CtDetach/CtSubscribe/CtUnsubscribe/CtRevive/StAttached/StRow/StGap)
 	// Cursor is the 1-based absolute result cursor: the subscribe start
-	// position, a row's position, or a gap's resume position.
+	// position, the position of a batch's first row, or a gap's resume
+	// position.
 	Cursor uint64
 	// GapFrom is the first shed cursor of an StGap (the gap is
 	// [GapFrom, Cursor)).
 	GapFrom  uint64
 	Policy   Policy // CtSubscribe
 	Deadline uint32 // CtSubscribe: PolicyDisconnect stall budget, milliseconds
-	Row      gsql.Tuple
+	// Rows is an StRow batch: at least one row, all of one width, at cursors
+	// Cursor, Cursor+1, … Decoded rows are cut from one allocation that
+	// nothing else refers to.
+	Rows []gsql.Tuple
 }
 
-// MaxControlFrame bounds control frame bodies; result rows are small, so
-// this is generous.
+// MaxControlFrame bounds control frame bodies. A row batch is cut to fit
+// (one row always goes, however large).
 const MaxControlFrame = 1 << 16
 
 // MsgError reports a structurally invalid control frame body.
@@ -154,10 +158,14 @@ func (e *MsgError) Error() string {
 }
 
 // AppendMsg seals a control message onto dst using the ingest envelope
-// (u32 length + u64 checksum), ready to write to a control connection.
+// (u32 length + u64 checksum), ready to write to a control connection. The
+// frame is built in place: a dst with room for it makes the call
+// allocation-free.
 func AppendMsg(dst []byte, m *Msg) []byte {
-	body := appendMsgBody(make([]byte, 0, 64), m)
-	return ingest.AppendSealed(dst, body)
+	at := len(dst)
+	dst = appendMsgBody(ingest.ReserveSealed(dst), m)
+	ingest.SealInPlace(dst, at)
+	return dst
 }
 
 func appendMsgBody(b []byte, m *Msg) []byte {
@@ -184,9 +192,18 @@ func appendMsgBody(b []byte, m *Msg) []byte {
 	case StAttached:
 		b = binary.LittleEndian.AppendUint32(b, m.Query)
 	case StRow:
-		b = binary.LittleEndian.AppendUint32(b, m.Query)
-		b = binary.LittleEndian.AppendUint64(b, m.Cursor)
-		b = appendRow(b, m.Row)
+		if len(m.Rows) == 0 {
+			panic("server: encoding an empty row batch")
+		}
+		b = appendRowBatchHeader(b, m.Query, m.Cursor, len(m.Rows[0]), len(m.Rows))
+		for _, row := range m.Rows {
+			if len(row) != len(m.Rows[0]) {
+				panic("server: encoding a row batch of mixed widths")
+			}
+			for _, v := range row {
+				b = appendValue(b, v)
+			}
+		}
 	case StGap:
 		b = binary.LittleEndian.AppendUint32(b, m.Query)
 		b = binary.LittleEndian.AppendUint64(b, m.GapFrom)
@@ -203,8 +220,20 @@ func appendMsgBody(b []byte, m *Msg) []byte {
 // DecodeSealed returned). It never panics on hostile input; structural
 // problems come back as *MsgError.
 func DecodeMsg(body []byte) (*Msg, error) {
-	d := decoder{b: body}
 	m := &Msg{}
+	if err := decodeMsgInto(m, body); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decodeMsgInto is DecodeMsg over a Msg the caller reuses from frame to
+// frame: every field is overwritten, and m.Rows keeps its capacity — the
+// rows themselves are always cut from a new allocation, so a row taken from
+// one frame's Msg survives the next decode. On error m is unspecified.
+func decodeMsgInto(m *Msg, body []byte) error {
+	d := decoder{b: body}
+	*m = Msg{Rows: m.Rows[:0]}
 	m.Type = d.u8()
 	m.Req = d.u32()
 	switch m.Type {
@@ -221,7 +250,7 @@ func DecodeMsg(body []byte) (*Msg, error) {
 		m.Policy = Policy(d.u8())
 		m.Deadline = d.u32()
 		if d.err == "" && !m.Policy.valid() {
-			return nil, &MsgError{Type: m.Type, Off: d.off, Why: fmt.Sprintf("unknown policy %d", uint8(m.Policy))}
+			return &MsgError{Type: m.Type, Off: d.off, Why: fmt.Sprintf("unknown policy %d", uint8(m.Policy))}
 		}
 	case CtStats, CtBye, StOK, StBye:
 	case StErr:
@@ -232,7 +261,7 @@ func DecodeMsg(body []byte) (*Msg, error) {
 	case StRow:
 		m.Query = d.u32()
 		m.Cursor = d.u64()
-		m.Row = d.row()
+		m.Rows = d.rowBatch(m.Rows)
 	case StGap:
 		m.Query = d.u32()
 		m.GapFrom = d.u64()
@@ -240,15 +269,15 @@ func DecodeMsg(body []byte) (*Msg, error) {
 	case StStats:
 		m.Text = d.str()
 	default:
-		return nil, &MsgError{Type: m.Type, Off: 0, Why: "unknown frame type"}
+		return &MsgError{Type: m.Type, Off: 0, Why: "unknown frame type"}
 	}
 	if d.err != "" {
-		return nil, &MsgError{Type: m.Type, Off: d.off, Why: d.err}
+		return &MsgError{Type: m.Type, Off: d.off, Why: d.err}
 	}
 	if d.off != len(d.b) {
-		return nil, &MsgError{Type: m.Type, Off: d.off, Why: fmt.Sprintf("%d trailing bytes", len(d.b)-d.off)}
+		return &MsgError{Type: m.Type, Off: d.off, Why: fmt.Sprintf("%d trailing bytes", len(d.b)-d.off)}
 	}
-	return m, nil
+	return nil
 }
 
 // maxRowCols bounds decoded row width; no query in this engine produces
@@ -261,24 +290,42 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// appendRow writes u16 column count then each value.
+// appendRow writes u16 column count then each value (the state file's row
+// layout).
 func appendRow(b []byte, row gsql.Tuple) []byte {
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(row)))
 	for _, v := range row {
-		b = append(b, uint8(v.T))
-		switch v.T {
-		case gsql.TNull:
-		case gsql.TInt, gsql.TBool:
-			b = binary.LittleEndian.AppendUint64(b, uint64(v.I))
-		case gsql.TFloat:
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
-		case gsql.TString:
-			b = appendString(b, v.S)
-		default:
-			panic(fmt.Sprintf("server: encoding unknown value type %d", v.T))
-		}
+		b = appendValue(b, v)
 	}
 	return b
+}
+
+// appendValue writes a type tag and the value's payload.
+func appendValue(b []byte, v gsql.Value) []byte {
+	b = append(b, uint8(v.T))
+	switch v.T {
+	case gsql.TNull:
+	case gsql.TInt, gsql.TBool:
+		b = binary.LittleEndian.AppendUint64(b, uint64(v.I))
+	case gsql.TFloat:
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
+	case gsql.TString:
+		b = appendString(b, v.S)
+	default:
+		panic(fmt.Sprintf("server: encoding unknown value type %d", v.T))
+	}
+	return b
+}
+
+// appendRowBatchHeader writes what an StRow body carries between the frame
+// header and the values: query · cursor of the first row · u16 row width ·
+// u32 row count. The n×width values follow, row after row; a writer that
+// does not know n yet patches the last four bytes.
+func appendRowBatchHeader(b []byte, query uint32, cursor uint64, width, n int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, query)
+	b = binary.LittleEndian.AppendUint64(b, cursor)
+	b = binary.LittleEndian.AppendUint16(b, uint16(width))
+	return binary.LittleEndian.AppendUint32(b, uint32(n))
 }
 
 // decoder is a bounds-checked little-endian reader; the first failure
@@ -361,27 +408,56 @@ func (d *decoder) row() gsql.Tuple {
 		d.fail(fmt.Sprintf("row claims %d columns (max %d)", n, maxRowCols))
 		return nil
 	}
-	row := make(gsql.Tuple, 0, n)
-	for i := 0; i < int(n); i++ {
-		t := gsql.Type(d.u8())
-		var v gsql.Value
-		switch t {
-		case gsql.TNull:
-		case gsql.TInt, gsql.TBool:
-			v = gsql.Value{T: t, I: int64(d.u64())}
-		case gsql.TFloat:
-			f := math.Float64frombits(d.u64())
-			v = gsql.Value{T: t, F: f}
-		case gsql.TString:
-			v = gsql.Value{T: t, S: d.str()}
-		default:
-			d.fail(fmt.Sprintf("unknown value type %d in column %d", uint8(t), i))
-			return nil
-		}
-		if d.err != "" {
-			return nil
-		}
-		row = append(row, v)
+	row := make(gsql.Tuple, n)
+	if !d.values(row) {
+		return nil
 	}
 	return row
+}
+
+// values decodes len(dst) values into dst, reporting whether all were there.
+func (d *decoder) values(dst []gsql.Value) bool {
+	for i := range dst {
+		t := gsql.Type(d.u8())
+		switch t {
+		case gsql.TNull:
+			dst[i] = gsql.Value{}
+		case gsql.TInt, gsql.TBool:
+			dst[i] = gsql.Value{T: t, I: int64(d.u64())}
+		case gsql.TFloat:
+			dst[i] = gsql.Value{T: t, F: math.Float64frombits(d.u64())}
+		case gsql.TString:
+			dst[i] = gsql.Value{T: t, S: d.str()}
+		default:
+			d.fail(fmt.Sprintf("unknown value type %d in value %d", uint8(t), i))
+		}
+		if d.err != "" {
+			return false
+		}
+	}
+	return true
+}
+
+// rowBatch decodes an StRow batch (see appendRowBatchHeader) into rows cut
+// from one new value slab, appended to the caller's recycled rows[:0].
+func (d *decoder) rowBatch(rows []gsql.Tuple) []gsql.Tuple {
+	width, n := int(d.u16()), int(d.u32())
+	if d.err != "" {
+		return rows
+	}
+	// Every value is at least its type tag, so the remaining bytes bound the
+	// slab; an empty batch or zero-width rows are never sent and would not
+	// re-encode to the same bytes.
+	if width == 0 || n == 0 || width > maxRowCols || n > (len(d.b)-d.off)/width {
+		d.fail(fmt.Sprintf("row batch claims %d rows of %d columns in %d bytes", n, width, len(d.b)-d.off))
+		return rows
+	}
+	slab := make([]gsql.Value, n*width)
+	if !d.values(slab) {
+		return rows
+	}
+	for ; len(slab) > 0; slab = slab[width:] {
+		rows = append(rows, slab[:width:width])
+	}
+	return rows
 }
