@@ -42,7 +42,19 @@ go test -race -run 'Churn|Crash|Handoff|Roll|Fault' -short -count=1 ./distrib/
 # rejections, and the fence-at-pump invariant. Shutdown and UnixIngest are
 # the graceful-stop and rebuild-on-a-unix-socket regressions; Allocs the
 # result path's allocation guards, which must hold under the detector too.
-go test -race -run 'Kill|Slow|Breaker|Wedge|Shutdown|Disconnect|Quarantine|Admission|Fenced|UnixIngest|Allocs' -count=1 ./server/
+# PersistCrashPoints, CatalogChange, ParentLayout and Revive are the
+# pipelined checkpoint's drills (DESIGN.md §16): a kill at every boundary of
+# cut and persist, catalog changes between the two, the older directory
+# layout, and the revive a crash inside a checkpoint must not re-apply — the
+# cut, the persister and the supervisor's join meet there.
+go test -race -run 'Kill|Slow|Breaker|Wedge|Shutdown|Disconnect|Quarantine|Admission|Fenced|UnixIngest|Allocs|PersistCrashPoints|CatalogChange|ParentLayout|Revive|Journal' -count=1 ./server/
+
+# The ack writer: the pump and the readers nudge, one goroutine per
+# connection writes. Twenty rounds under the detector for the hand-off (a
+# lost wake-up or a missing last ack is a timing bug), five for the
+# head-of-line drill, which fills a socket each time.
+go test -race -run 'AckWriterEveryWindow|AckWriterHello|AckNudge' -count=20 ./ingest/
+go test -race -run 'AckWriterNoHeadOfLine' -count=5 ./ingest/
 
 # The result ring is shared between the ingest pump and the subscription
 # writers, and the client demuxes batches onto subscriber channels: ten

@@ -429,8 +429,8 @@ func serve(run *gsql.Run, addr string, drainTimeout, heartbeat time.Duration, sc
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr,
-		"processed %d tuples, %d windows; ingest: %d frames, %d quarantined, %d duplicates dropped, %d reconnects, %d heartbeats synthesized; epoch: %d rollovers, %d sentinel trips\n",
-		rs.TuplesIn, rs.WindowsClosed, rs.FramesAccepted, rs.FramesQuarantined,
+		"processed %d tuples, %d windows; ingest: %d frames, %d acks, %d quarantined, %d duplicates dropped, %d reconnects, %d heartbeats synthesized; epoch: %d rollovers, %d sentinel trips\n",
+		rs.TuplesIn, rs.WindowsClosed, rs.FramesAccepted, rs.AcksWritten, rs.FramesQuarantined,
 		rs.DuplicatesDropped, rs.Reconnects, rs.HeartbeatsSynthesized,
 		rs.EpochRollovers, rs.SentinelTrips)
 }

@@ -43,6 +43,10 @@ type RuntimeStats struct {
 
 	// FramesAccepted counts wire frames decoded, deduplicated and applied.
 	FramesAccepted uint64
+	// AcksWritten counts cumulative acks written to clients. One ack can
+	// cover many frames, so FramesAccepted/AcksWritten is the coalescing
+	// factor of the ack path (1 when the socket keeps up with the pump).
+	AcksWritten uint64
 	// FramesQuarantined counts malformed frames diverted to the dead-letter
 	// ring instead of being applied (or crashing the server).
 	FramesQuarantined uint64

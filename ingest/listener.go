@@ -67,7 +67,7 @@ type Config struct {
 	CheckpointEvery uint64
 	// Checkpoint is called from the pump goroutine (safe with respect to
 	// the sink) after every CheckpointEvery tuples. Errors are sticky and
-	// stop the listener.
+	// stop the listener (work the hook hands off fails through Fail).
 	Checkpoint func() error
 	// ScalarPush forces the per-tuple Push path even when Sink implements
 	// BatchSink — the differential lever for batch-vs-scalar comparisons and
@@ -136,23 +136,62 @@ type item struct {
 	isHB   bool
 }
 
-// serverConn wraps one accepted connection with a write lock shared by the
-// reader (hello-acks, duplicate re-acks) and the pump (applied acks).
+// ackWriteTimeout bounds one ack write; a peer not reading for that long has
+// its connection closed, and learns from the next hello ack where it stands.
+const ackWriteTimeout = 5 * time.Second
+
+// serverConn is one accepted connection. Its reader (serveConn) and the pump
+// only ask for acks (nudgeAck); one goroutine per connection, writeAcks,
+// owns the ack buffer, the write deadline and every write to c.
 type serverConn struct {
-	c   net.Conn
-	mu  sync.Mutex
-	ack []byte // writeAck's frame buffer, reused under mu
+	c    net.Conn
+	sess atomic.Pointer[session] // the Hello's session: what the acks report
+	// nudge has one slot: a send that finds it full is dropped, because the
+	// pending ack is cumulative and will carry the newer applied as well.
+	nudge chan struct{}
+	gone  chan struct{} // closed when the reader has dropped the connection
+	ack   []byte        // writeAck's frame buffer
 }
 
-// writeAck sends a cumulative ack; errors are ignored (a dead peer will
-// reconnect and learn the applied sequence from the hello-ack).
-func (sc *serverConn) writeAck(seq uint64) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.ack = AppendAck(sc.ack[:0], seq)
-	sc.c.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	sc.c.Write(sc.ack)
-	sc.c.SetWriteDeadline(time.Time{})
+// nudgeAck asks the ack writer to report the session's applied sequence. It
+// neither blocks nor allocates: whatever the socket does, the pump moves on.
+func (sc *serverConn) nudgeAck() {
+	select {
+	case sc.nudge <- struct{}{}:
+	default:
+	}
+}
+
+// writeAcks is the connection's ack writer, from accept until the reader
+// drops the connection. A nudge is answered with applied as it stands when
+// the write starts, so whatever was applied while the previous write sat in
+// its syscall collapses into one ack: the coalescing follows the load. The
+// ack still means "applied after logged".
+func (l *Listener) writeAcks(sc *serverConn) {
+	defer l.readers.Done()
+	for {
+		select {
+		case <-sc.nudge:
+		case <-sc.gone:
+			return
+		}
+		if err := l.writeAck(sc); err != nil {
+			sc.c.Close() // dead or not reading: ends the reader too; the client redials
+			return
+		}
+	}
+}
+
+// writeAck sends one cumulative ack for the connection's session, which the
+// Hello has set before anything nudges. Only writeAcks calls it.
+func (l *Listener) writeAck(sc *serverConn) error {
+	sc.ack = AppendAck(sc.ack[:0], sc.sess.Load().applied.Load())
+	sc.c.SetWriteDeadline(time.Now().Add(ackWriteTimeout))
+	if _, err := sc.c.Write(sc.ack); err != nil {
+		return err
+	}
+	l.acksWritten.Add(1)
+	return nil
 }
 
 // Listener serves the ingest protocol and feeds a gsql run. Create with
@@ -176,6 +215,7 @@ type Listener struct {
 
 	// counters (atomics: bumped from readers and pump, read from anywhere)
 	framesAccepted  atomic.Uint64
+	acksWritten     atomic.Uint64
 	duplicates      atomic.Uint64
 	reconnects      atomic.Uint64
 	heartbeatsSynth atomic.Uint64
@@ -184,6 +224,7 @@ type Listener struct {
 	tuplesShed      atomic.Uint64
 	batchesShed     atomic.Uint64
 	pumpStopped     atomic.Bool
+	failed          atomic.Bool // set with err; the pump's stop signal
 
 	// frameGaps tracks the decayed distribution of wall-clock gaps between
 	// applied data frames — a forward-decay reservoir watching the feed's
@@ -259,13 +300,17 @@ func (l *Listener) Err() error {
 	return l.err
 }
 
-// fail records the first sticky error.
-func (l *Listener) fail(err error) {
+// Fail records the first sticky error and stops the pump: frames still
+// queued are drained, neither applied nor acknowledged. The pump calls it for
+// a sink, log or checkpoint failure, an owner when work its Checkpoint hook
+// handed to another goroutine fails later.
+func (l *Listener) Fail(err error) {
 	l.mu.Lock()
 	if l.err == nil {
 		l.err = err
 	}
 	l.mu.Unlock()
+	l.failed.Store(true)
 	l.cfg.Logf("ingest: pump failed: %v", err)
 }
 
@@ -310,6 +355,7 @@ func (l *Listener) RuntimeStats() gsql.RuntimeStats {
 		}
 	}
 	s.FramesAccepted = l.framesAccepted.Load()
+	s.AcksWritten = l.acksWritten.Load()
 	s.FramesQuarantined = l.deadTotal()
 	s.DuplicatesDropped = l.duplicates.Load()
 	s.Reconnects = l.reconnects.Load()
@@ -355,7 +401,7 @@ func (l *Listener) acceptLoop() {
 		if err != nil {
 			return // Shutdown closed the listener
 		}
-		sc := &serverConn{c: c}
+		sc := &serverConn{c: c, nudge: make(chan struct{}, 1), gone: make(chan struct{})}
 		l.mu.Lock()
 		if l.closing {
 			l.mu.Unlock()
@@ -363,18 +409,21 @@ func (l *Listener) acceptLoop() {
 			return
 		}
 		l.conns[sc] = struct{}{}
-		l.readers.Add(1)
+		l.readers.Add(2) // the reader and the ack writer
 		l.mu.Unlock()
 		go l.serveConn(sc)
+		go l.writeAcks(sc)
 	}
 }
 
-// dropConn unregisters and closes a connection.
+// dropConn unregisters and closes a connection and ends its ack writer.
+// Only the connection's reader calls it, once.
 func (l *Listener) dropConn(sc *serverConn) {
 	l.mu.Lock()
 	delete(l.conns, sc)
 	l.mu.Unlock()
 	sc.c.Close()
+	close(sc.gone)
 }
 
 // getSession finds or creates the session, counting re-attachments.
@@ -426,7 +475,8 @@ func (l *Listener) serveConn(sc *serverConn) {
 		switch f.Type {
 		case FrameHello:
 			sess = l.getSession(f.Session)
-			sc.writeAck(sess.applied.Load())
+			sc.sess.Store(sess)
+			sc.nudgeAck()
 		case FrameData:
 			if sess == nil {
 				l.quarantine(frameErrf(FrameNoSession, "seq %d from %s", f.Seq, remote), remote)
@@ -457,7 +507,7 @@ func (l *Listener) admitData(sc *serverConn, sess *session, f Frame, remote stri
 			// Duplicate delivery (resend overlap or a duplicated wire
 			// frame): drop it, but re-ack so the client can prune.
 			l.duplicates.Add(1)
-			sc.writeAck(sess.applied.Load())
+			sc.nudgeAck()
 			recyclePackets(f.Packets)
 			return true
 		case f.Seq > next:
@@ -497,7 +547,7 @@ func (l *Listener) enqueue(it item) {
 			l.tuplesShed.Add(uint64(len(it.pkts)))
 			if it.sess != nil {
 				advanceApplied(it.sess, it.seq)
-				it.conn.writeAck(it.sess.applied.Load())
+				it.conn.nudgeAck()
 			}
 			recyclePackets(it.pkts)
 		}
@@ -516,10 +566,11 @@ func advanceApplied(sess *session, seq uint64) {
 	}
 }
 
-// pump is the single consumer of the intake queue: it applies frames to
-// the sink in arrival order, acknowledges them, synthesizes heartbeats on
-// idle, and triggers periodic checkpoints. It exits when the queue is
-// closed (Shutdown) after draining every queued frame.
+// pump is the single consumer of the intake queue: it logs and applies
+// frames to the sink in arrival order, nudges their connection's ack writer,
+// synthesizes heartbeats on idle, and triggers periodic checkpoints — what
+// must be serial, and nothing that waits on a socket. It exits when the
+// queue is closed (Shutdown) after draining every queued frame.
 func (l *Listener) pump() {
 	defer close(l.pumped)
 	defer l.pumpStopped.Store(true)
@@ -551,10 +602,9 @@ func (l *Listener) pump() {
 	var lastTSSet bool
 	lastActivity := time.Now()
 	var sinceCkpt uint64
-	var failed bool
 
 	apply := func(it item) {
-		if failed {
+		if l.failed.Load() {
 			// The sink is poisoned; keep draining so readers do not hang on
 			// a stalled queue — but neither apply nor acknowledge. Acking a
 			// frame the sink never saw prunes it from the client's resend
@@ -572,14 +622,12 @@ func (l *Listener) pump() {
 			lastActivity = time.Now()
 			if l.cfg.WAL != nil {
 				if err := l.cfg.WAL.LogHeartbeat(gsql.Int(int64(it.hb))); err != nil {
-					l.fail(err)
-					failed = true
+					l.Fail(err)
 					return
 				}
 			}
 			if err := l.cfg.Sink.Heartbeat(gsql.Int(int64(it.hb))); err != nil {
-				l.fail(err)
-				failed = true
+				l.Fail(err)
 			}
 			return
 		}
@@ -591,8 +639,7 @@ func (l *Listener) pump() {
 			// log and ack merely leaves an unacked logged frame — the resend
 			// is recognized as a duplicate after replay.
 			if err := l.cfg.WAL.LogFrame(it.sess.id, it.seq, it.pkts); err != nil {
-				l.fail(err)
-				failed = true
+				l.Fail(err)
 				return
 			}
 		}
@@ -608,8 +655,7 @@ func (l *Listener) pump() {
 				l.tuplesRejected.Add(uint64(rej))
 			}
 			if err != nil {
-				l.fail(err)
-				failed = true
+				l.Fail(err)
 			} else {
 				sinceCkpt += uint64(len(it.pkts) - rej)
 				for _, p := range it.pkts {
@@ -629,8 +675,7 @@ func (l *Listener) pump() {
 						l.tuplesRejected.Add(1)
 						continue
 					}
-					l.fail(err)
-					failed = true
+					l.Fail(err)
 					break
 				}
 				sinceCkpt++
@@ -640,7 +685,7 @@ func (l *Listener) pump() {
 			}
 		}
 		lastActivity = time.Now()
-		if failed {
+		if l.failed.Load() {
 			// The sink died partway through this frame. Do not ack it: the
 			// last checkpoint predates it, so the client must keep it in the
 			// resend buffer for whichever incarnation restores from that
@@ -649,12 +694,11 @@ func (l *Listener) pump() {
 		}
 		l.framesAccepted.Add(1)
 		advanceApplied(it.sess, it.seq)
-		it.conn.writeAck(it.sess.applied.Load())
-		if !failed && l.cfg.Checkpoint != nil && l.cfg.CheckpointEvery > 0 && sinceCkpt >= l.cfg.CheckpointEvery {
+		it.conn.nudgeAck()
+		if l.cfg.Checkpoint != nil && l.cfg.CheckpointEvery > 0 && sinceCkpt >= l.cfg.CheckpointEvery {
 			sinceCkpt = 0
 			if err := l.cfg.Checkpoint(); err != nil {
-				l.fail(err)
-				failed = true
+				l.Fail(err)
 			}
 		}
 	}
@@ -670,7 +714,7 @@ func (l *Listener) pump() {
 			// dropped); their buffer goes back to the decode pool.
 			recyclePackets(it.pkts)
 		case <-tick:
-			if failed || !lastTSSet {
+			if l.failed.Load() || !lastTSSet {
 				continue
 			}
 			idle := time.Since(lastActivity)
@@ -685,14 +729,12 @@ func (l *Listener) pump() {
 				// Synthesized heartbeats mutate stream time exactly like
 				// client ones, so they must be replayable too.
 				if err := l.cfg.WAL.LogHeartbeat(gsql.Int(int64(ts))); err != nil {
-					l.fail(err)
-					failed = true
+					l.Fail(err)
 					continue
 				}
 			}
 			if err := l.cfg.Sink.Heartbeat(gsql.Int(int64(ts))); err != nil {
-				l.fail(err)
-				failed = true
+				l.Fail(err)
 			}
 		}
 	}

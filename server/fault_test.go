@@ -519,3 +519,260 @@ func TestMidStreamClientDisconnect(t *testing.T) {
 		t.Fatalf("server_subscribes = %d, want 2", got)
 	}
 }
+
+// TestPersistCrashPoints is the headline drill once per boundary of a
+// checkpoint: the runtime dies between the cut and the persister picking it
+// up, and after each step of the persist (addressed by hit counts of the
+// durable.* fault points, counted from the first checkpoint of the stream),
+// the supervisor rebuilds from whatever that left on disk, the dialer rides
+// through — and the subscriber sees exactly the rows of an uninterrupted run:
+// no acked frame lost, no row repeated, cursors exact. The set-up's attach is
+// still in the journal at the first checkpoint, so its persist goes all the
+// way to the journal reset.
+func TestPersistCrashPoints(t *testing.T) {
+	defer faultinject.Reset()
+	pkts := genPackets(t, 6000, 50, 47)
+	want := oracleRows(t, pkts)
+	for _, tc := range []struct {
+		name  string
+		point string
+		hit   uint64
+	}{
+		{"cut-never-picked-up", "server.persist", 1},
+		{"wal-fsync", "durable.sync", 1},
+		{"after-wal-fsync", "durable.dirsync", 1},
+		{"after-state-temp-write", "durable.sync", 2},
+		{"after-state-rename", "durable.dirsync", 2},
+		{"after-old-epoch-removal", "durable.dirsync", 3},
+		{"journal-temp-write", "durable.sync", 3},
+		{"after-journal-reset", "durable.dirsync", 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			svc := startService(t, t.TempDir(), func(c *Config) {
+				c.CheckpointEvery = 600
+				c.ResultLog = 1 << 15
+			})
+			cl := dialControl(t, svc)
+			id, err := cl.Attach(testQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, err := cl.Subscribe(id, 0, PolicyBlock, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faultinject.Set(tc.point, faultinject.Fault{ErrAt: tc.hit})
+			d := dialIngest(t, svc, 23)
+			killed := false
+			for i, p := range pkts {
+				if !killed && faultinject.Hits(tc.point) >= tc.hit {
+					// The persist has stopped at the boundary; the rest of
+					// the process goes with it.
+					svc.Kill()
+					killed = true
+				}
+				if err := d.Send(p); err != nil {
+					t.Fatalf("send %d: %v", i, err)
+				}
+			}
+			if err := d.Close(); err != nil {
+				t.Fatalf("dialer close: %v", err)
+			}
+			rows, last := collectRows(t, ch, 1, len(want), 60*time.Second)
+			requireIdentical(t, want, rows, "subscription across a crash at "+tc.name)
+			if last != uint64(len(want)) {
+				t.Fatalf("last cursor %d, want %d", last, len(want))
+			}
+			if !killed {
+				t.Fatalf("the stream ended with %s hit %d times, want %d: the boundary was never reached", tc.point, faultinject.Hits(tc.point), tc.hit)
+			}
+			if got := svc.Counters().Get("server_restarts"); got < 1 {
+				t.Fatalf("server_restarts = %d, want >= 1", got)
+			}
+			if _, end := mustLookup(t, svc, id).log.bounds(); end != uint64(len(want)) {
+				t.Fatalf("ring ends at cursor %d, want %d", end, len(want))
+			}
+		})
+	}
+}
+
+// TestCatalogChangeBetweenCutAndPersist holds a checkpoint's persist back
+// while an Attach and a Detach land: their journal entries are stamped with
+// the epoch the cut opened, so the state file about to be written does not
+// hold them and the journal must survive its persist. The runtime is then
+// killed — once with that persist aborted, once after it completed — and the
+// rebuilt catalog must have the attached query running from exactly where it
+// was attached and must not have the detached one.
+func TestCatalogChangeBetweenCutAndPersist(t *testing.T) {
+	defer faultinject.Reset()
+	pkts := genPackets(t, 6000, 50, 53)
+	want := oracleRows(t, pkts)
+	for _, persistFails := range []bool{true, false} {
+		t.Run(fmt.Sprintf("persistFails=%v", persistFails), func(t *testing.T) {
+			defer faultinject.Reset()
+			svc := startService(t, t.TempDir(), func(c *Config) {
+				c.CheckpointEvery = 600
+				c.ResultLog = 1 << 15
+			})
+			cl := dialControl(t, svc)
+			first, err := cl.Attach(testQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doomed, err := cl.Attach(testQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, err := cl.Subscribe(first, 0, PolicyBlock, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first persist sleeps before it does anything (and then
+			// fails, in one of the two runs): the window the catalog changes
+			// land in.
+			hold := faultinject.Fault{DelayAt: 1, Delay: 400 * time.Millisecond}
+			if persistFails {
+				hold.ErrAt = 1
+			}
+			faultinject.Set("server.persist", hold)
+
+			d := dialIngest(t, svc, 27)
+			var late uint32
+			for i, p := range pkts {
+				if late == 0 && svc.Counters().Get("server_checkpoints") >= 1 {
+					if late, err = cl.Attach(testQuery); err != nil {
+						t.Fatal(err)
+					}
+					if err := cl.Detach(doomed); err != nil {
+						t.Fatal(err)
+					}
+					if svc.Counters().Get("server_checkpoint_persist_ns") != 0 {
+						t.Skip("the held persist finished before the catalog changes landed")
+					}
+					if !persistFails {
+						waitFor(t, 10*time.Second, "the held persist to complete", func() bool {
+							return svc.Counters().Get("server_checkpoint_persist_ns") != 0
+						})
+						svc.Kill()
+					}
+				}
+				if err := d.Send(p); err != nil {
+					t.Fatalf("send %d: %v", i, err)
+				}
+			}
+			if err := d.Close(); err != nil {
+				t.Fatalf("dialer close: %v", err)
+			}
+			if late == 0 {
+				t.Fatal("no checkpoint was cut mid-stream")
+			}
+			rows, _ := collectRows(t, ch, 1, len(want), 60*time.Second)
+			requireIdentical(t, want, rows, "the query attached at set-up")
+			if got := svc.Counters().Get("server_restarts"); got < 1 {
+				t.Fatalf("server_restarts = %d, want >= 1", got)
+			}
+			if _, err := svc.lookup(doomed); err == nil {
+				t.Fatal("the detached query is back after the rebuild")
+			}
+			// The late query has the same text, so from its first whole
+			// bucket on it must emit what the first one emits: a record
+			// replayed into it twice, or not at all, shows in the counts.
+			_, end := mustLookup(t, svc, late).log.bounds()
+			lch, err := cl.Subscribe(late, 1, PolicyBlock, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lrows, _ := collectRows(t, lch, 1, int(end), 20*time.Second)
+			if len(lrows) == 0 {
+				t.Fatal("the late query emitted nothing")
+			}
+			partial := lrows[0][0] // the bucket it was attached in the middle of
+			for len(lrows) > 0 && lrows[0][0] == partial {
+				lrows = lrows[1:]
+			}
+			tail := want
+			for len(tail) > 0 && tail[0][0].I <= partial.I {
+				tail = tail[1:]
+			}
+			if len(tail) == 0 {
+				t.Fatal("the late query was attached in the last bucket: nothing to compare")
+			}
+			requireIdentical(t, tail, lrows, "the query attached between a cut and its persist")
+		})
+	}
+}
+
+// TestOpensParentLayoutDirectory: the layout before checkpoints were
+// pipelined — a state file cut in the middle of an epoch, (E, applied > 0),
+// and that epoch's WAL file as the only one — is read by the same recovery
+// rule: the first `applied` records are in the state and must not be replayed,
+// the rest must.
+func TestOpensParentLayoutDirectory(t *testing.T) {
+	dir := t.TempDir()
+	pkts := genPackets(t, 6000, 50, 61)
+	want := oracleRows(t, pkts)
+	const frame = 64
+	cut, logged := 40*frame, 60*frame // state through frame 40; frames 41-60 only in the WAL
+
+	// A graceful shutdown after `cut` packets leaves state (E, 0) and an
+	// empty WAL file E ...
+	svc1 := startService(t, dir, func(c *Config) { c.ResultLog = 1 << 15 })
+	id, err := svc1.Attach(testQuery, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamAll(t, dialIngest(t, svc1, 5), pkts[:cut])
+	if err := svc1.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := loadState(dir)
+	if err != nil || st == nil || st.walApplied != 0 {
+		t.Fatalf("state after shutdown: %+v, %v", st, err)
+	}
+	// ... which is rewritten the way the parent commit would have left it had
+	// it died later: the state claims the first 8 records of the file, which
+	// are the last 8 frames it holds (replaying them would count them twice),
+	// and the file goes on with 20 frames the state has not seen.
+	const folded = 8
+	w, recs, err := openWAL(dir, walPos{st.walEpoch, 0})
+	if err != nil || len(recs) != 0 || w.epoch != st.walEpoch {
+		t.Fatalf("WAL after shutdown: epoch %d (state %d), %d records, %v", w.epoch, st.walEpoch, len(recs), err)
+	}
+	seq := st.sessions[5]
+	for i := cut - folded*frame; i < logged; i += frame {
+		s := seq - folded + uint64((i-(cut-folded*frame))/frame) + 1
+		if err := w.LogFrame(5, s, pkts[i:i+frame]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.close()
+	b := beginState(nil, st.walEpoch, folded, st.nextQueryID, len(st.queries))
+	for i := range st.queries {
+		ring := newResultLog(1 << 15)
+		ring.restore(st.queries[i].base, st.queries[i].rows)
+		b = appendQueryState(b, &st.queries[i], ring)
+	}
+	if err := writeState(dir, sealState(finishState(b, st.sessions))); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := startService(t, dir, func(c *Config) { c.ResultLog = 1 << 15 })
+	cl := dialControl(t, svc2)
+	ch, err := cl.Subscribe(id, 1, PolicyBlock, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The session's frames through `logged` are in the log: resent, they are
+	// duplicates; the stream continues after them.
+	d := dialIngest(t, svc2, 6)
+	streamAll(t, d, pkts[logged:])
+	rows, last := collectRows(t, ch, 1, len(want), 30*time.Second)
+	requireIdentical(t, want, rows, "stream continued from a parent-layout directory")
+	if last != uint64(len(want)) {
+		t.Fatalf("last cursor %d, want %d", last, len(want))
+	}
+	if got := svc2.rt.Load().listener.Sessions()[5]; got != seq+uint64((logged-cut)/frame) {
+		t.Fatalf("session 5 recovered at seq %d, want %d (state's %d + the logged frames)", got, seq+uint64((logged-cut)/frame), seq)
+	}
+}

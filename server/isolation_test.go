@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"forwarddecay/gsql"
+	"forwarddecay/internal/faultinject"
+	"forwarddecay/netgen"
 )
 
 // serverPoisonQuery divides by zero on every folded tuple: each charge is a
@@ -158,6 +160,118 @@ func TestServerQuarantineSurvivesRestartDormant(t *testing.T) {
 	if fenced, why := q.Quarantined(); fenced {
 		t.Fatalf("revived query re-fenced (%q) after crash: the jRevive entry did not replay", why)
 	}
+}
+
+// flakyQuery divides by zero on packets of length 40 and on nothing else: a
+// run of them trips its breaker, and once revived it folds clean packets
+// like any query, so a tuple applied twice shows in its counts.
+const flakyQuery = `select tb, dstIP, count(*), sum(len / (len - 40))
+	from TCP group by time/10 as tb, dstIP`
+
+// TestReviveNotReappliedAfterCrashInCheckpoint: a query quarantined before
+// one checkpoint and revived after it, at WAL position (E, at), is folded
+// into the next checkpoint's state file, cut later. If the process dies once
+// that state file is durable but before the checkpoint's remaining steps, the
+// journal still holds the revive — and recovery must not act on it: the
+// restored image already has every record up to the cut, and replaying from
+// the revive position would apply the records between the two twice. The
+// crash run must emit exactly what a run without the crash emits.
+func TestReviveNotReappliedAfterCrashInCheckpoint(t *testing.T) {
+	defer faultinject.Reset()
+	pkts := genPackets(t, 7000, 50, 59)
+	for i := range pkts {
+		if pkts[i].Len == 40 {
+			pkts[i].Len = 41
+		}
+	}
+	poison := pkts[1984:2624] // ten whole frames of nothing but faults
+	for i := range poison {
+		poison[i].Len = 40
+	}
+	// stateRenameSync is the directory sync that makes the state file's
+	// rename durable, counted in durable.dirsync hits from the start of a
+	// checkpoint's persist: the WAL epoch's names first, then this one.
+	const stateRenameSync = 2
+
+	run := func(crash bool) []gsql.Tuple {
+		svc := startService(t, t.TempDir(), func(c *Config) {
+			c.CheckpointEvery = 500
+			c.ResultLog = 1 << 15
+			c.QueryBreakerErrors = 3
+		})
+		cl := dialControl(t, svc)
+		id, err := cl.Attach(flakyQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		session := uint64(70)
+		stream := func(part []netgen.Packet) {
+			session++
+			streamAll(t, dialIngest(t, svc, session), part)
+		}
+		// Frames are 64 packets and a checkpoint is cut every 8 of them (512 ≥
+		// 500 tuples): the sixth follows frame 48.
+		stream(pkts[:2624]) // frames 1-41
+		if fenced, _ := mustLookup(t, svc, id).Quarantined(); !fenced {
+			t.Fatal("the poison frames did not quarantine the query")
+		}
+		stream(pkts[2624:3200]) // frames 42-50: checkpoint six holds the query fenced
+		waitFor(t, 10*time.Second, "checkpoint six, persisted", func() bool {
+			rt := svc.rt.Load()
+			if svc.Counters().Get("server_checkpoints") < 6 || !rt.persistMu.TryLock() {
+				return false
+			}
+			rt.persistMu.Unlock()
+			return true
+		})
+		if err := cl.Revive(id); err != nil {
+			t.Fatal(err)
+		}
+		stream(pkts[3200:3328]) // frames 51-52: revived two records into the epoch, these are the ones at stake
+		if n := svc.Counters().Get("server_checkpoints"); n != 6 {
+			t.Fatalf("%d checkpoints before the fault is armed, want 6: the revive must still be in the journal", n)
+		}
+		if crash {
+			faultinject.Set("durable.dirsync", faultinject.Fault{ErrAt: stateRenameSync})
+		}
+		restarts := svc.Counters().Get("server_restarts")
+		stream(pkts[3328:4800]) // checkpoint seven is cut after frame 56, past the revive
+		if crash {
+			if faultinject.Hits("durable.dirsync") < stateRenameSync {
+				t.Fatal("the fault after the state rename never fired")
+			}
+			svc.Kill()
+			waitFor(t, 10*time.Second, "the rebuild", func() bool {
+				return svc.Counters().Get("server_restarts") > restarts && svc.Mode() == ModeHealthy
+			})
+			faultinject.Reset()
+		}
+		stream(pkts[4800:])
+		if fenced, why := mustLookup(t, svc, id).Quarantined(); fenced {
+			t.Fatalf("revived query is fenced (%s) at the end of the stream", why)
+		}
+		_, end := mustLookup(t, svc, id).log.bounds()
+		ch, err := cl.Subscribe(id, 1, PolicyBlock, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _ := collectRows(t, ch, 1, int(end), 20*time.Second)
+		return rows
+	}
+	want := run(false)
+	if len(want) < 100 {
+		t.Fatalf("reference run emitted only %d rows", len(want))
+	}
+	requireIdentical(t, want, run(true), "revived query across a crash after the state rename")
+}
+
+func mustLookup(t *testing.T, svc *Service, id uint32) *Query {
+	t.Helper()
+	q, err := svc.lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
 }
 
 func TestServerAdmissionRejectionCode(t *testing.T) {

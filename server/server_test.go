@@ -22,6 +22,7 @@ import (
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
 	"forwarddecay/internal/core"
+	"forwarddecay/internal/faultinject"
 	"forwarddecay/metrics"
 	"forwarddecay/netgen"
 )
@@ -468,7 +469,7 @@ func TestResultLogPolicies(t *testing.T) {
 
 func TestWALRoundTripAndTornTail(t *testing.T) {
 	dir := t.TempDir()
-	w, recs, err := openWAL(dir)
+	w, recs, err := openWAL(dir, walPos{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +491,7 @@ func TestWALRoundTripAndTornTail(t *testing.T) {
 	}
 	w.close()
 
-	w2, recs, err := openWAL(dir)
+	w2, recs, err := openWAL(dir, walPos{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +519,7 @@ func TestWALRoundTripAndTornTail(t *testing.T) {
 	}
 	f.Write([]byte{9, 9, 9})
 	f.Close()
-	w3, recs, err := openWAL(dir)
+	w3, recs, err := openWAL(dir, walPos{})
 	if err != nil {
 		t.Fatalf("torn tail not repaired: %v", err)
 	}
@@ -529,14 +530,14 @@ func TestWALRoundTripAndTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	w3.close()
-	_, recs, err = openWAL(dir)
+	_, recs, err = openWAL(dir, walPos{})
 	if err != nil || len(recs) != 5 {
 		t.Fatalf("append after repair: %v, %d recs", err, len(recs))
 	}
 
 	// Corruption in the interior is NOT a torn tail: refuse to load.
 	dir2 := t.TempDir()
-	wc, _, err := openWAL(dir2)
+	wc, _, err := openWAL(dir2, walPos{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,62 +552,127 @@ func TestWALRoundTripAndTornTail(t *testing.T) {
 	if err := os.WriteFile(walName(dir2, 1), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := openWAL(dir2); err == nil {
+	if _, _, err := openWAL(dir2, walPos{}); err == nil {
 		t.Fatal("corrupted WAL loaded without error")
 	}
 }
 
 func TestWALRotation(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := openWAL(dir)
+	w, _, err := openWAL(dir, walPos{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.LogHeartbeat(gsql.Value{T: gsql.TInt, I: 1})
-	if err := w.rotate(); err != nil {
+	w.LogHeartbeat(gsql.Value{T: gsql.TInt, I: 2})
+	old, err := w.rotate()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if w.epoch != 2 || w.applied != 0 {
 		t.Fatalf("after rotate: epoch=%d applied=%d", w.epoch, w.applied)
 	}
-	w.LogHeartbeat(gsql.Value{T: gsql.TInt, I: 2})
+	old.Close()
+	w.LogHeartbeat(gsql.Value{T: gsql.TInt, I: 3})
 	w.close()
-
-	w2, recs, err := openWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2.epoch != 2 || len(recs) != 1 || recs[0].hb.I != 2 {
-		t.Fatalf("newest epoch: epoch=%d recs=%+v", w2.epoch, recs)
-	}
-	w2.close()
-	names, _ := filepath.Glob(filepath.Join(dir, "ingest-*.wal"))
-	if len(names) != 1 {
-		t.Fatalf("rotation left %d WAL files: %v", len(names), names)
+	// The cut removes nothing: both epochs are on disk until a persist
+	// retires the older one.
+	if names, _ := filepath.Glob(filepath.Join(dir, "ingest-*.wal")); len(names) != 2 {
+		t.Fatalf("rotation left %d WAL files, want 2: %v", len(names), names)
 	}
 
-	// A superseded epoch left by a crash mid-rotation is swept on open.
-	dir2 := t.TempDir()
-	f1, err := createWAL(dir2, 1)
+	// The recovery rule, by watermark. No state file: every record of every
+	// epoch, in epoch order, each with its position.
+	positions := func(recs []walRecord) (out []walPos) {
+		for _, r := range recs {
+			out = append(out, r.pos)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		from walPos
+		want []walPos
+	}{
+		{walPos{}, []walPos{{1, 0}, {1, 1}, {2, 0}}},
+		{walPos{1, 1}, []walPos{{1, 1}, {2, 0}}}, // state cut mid-epoch (the old layout)
+		{walPos{1, 2}, []walPos{{2, 0}}},
+	} {
+		w2, recs, err := openWAL(dir, tc.from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := positions(recs); !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("replay from %v: positions %v, want %v", tc.from, got, tc.want)
+		}
+		if w2.epoch != 2 || w2.applied != 1 || w2.oldest != 1 {
+			t.Fatalf("replay from %v: appender at epoch=%d applied=%d oldest=%d, want 2, 1, 1", tc.from, w2.epoch, w2.applied, w2.oldest)
+		}
+		w2.close()
+	}
+
+	// A state file at (2, 0) covers epoch 1: its file is swept on open, and
+	// retire removes whatever the appender still lists as older.
+	w3, recs, err := openWAL(dir, walPos{2, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1.Close()
-	f2, err := createWAL(dir2, 2)
+	if len(recs) != 1 || recs[0].hb.I != 3 || w3.oldest != 2 {
+		t.Fatalf("replay from (2,0): recs=%+v oldest=%d", recs, w3.oldest)
+	}
+	if _, err := os.Stat(walName(dir, 1)); !os.IsNotExist(err) {
+		t.Fatalf("superseded epoch not removed: %v", err)
+	}
+	old, err = w3.rotate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2.Close()
-	w3, _, err := openWAL(dir2)
-	if err != nil {
+	old.Close()
+	if err := w3.retire(2); err != nil {
 		t.Fatal(err)
-	}
-	if w3.epoch != 2 {
-		t.Fatalf("picked epoch %d, want 2", w3.epoch)
 	}
 	w3.close()
-	if _, err := os.Stat(walName(dir2, 1)); !os.IsNotExist(err) {
-		t.Fatalf("superseded epoch not removed: %v", err)
+	if names, _ := filepath.Glob(filepath.Join(dir, "ingest-*.wal")); len(names) != 1 || names[0] != walName(dir, 3) {
+		t.Fatalf("after retire(2): %v, want only epoch 3", names)
+	}
+
+	// A state file naming an epoch with no file (nothing survived): the log
+	// restarts at that epoch.
+	w4, recs, err := openWAL(t.TempDir(), walPos{7, 0})
+	if err != nil || w4.epoch != 7 || len(recs) != 0 {
+		t.Fatalf("empty dir from (7,0): epoch=%d recs=%d err=%v", w4.epoch, len(recs), err)
+	}
+	w4.close()
+
+	// Torn tails: tolerated at the end of the newest file that has records
+	// (here epoch 1, with epoch 2 still empty) ...
+	dir2 := t.TempDir()
+	w5, _, err := openWAL(dir2, walPos{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w5.LogHeartbeat(gsql.Value{T: gsql.TInt, I: 1})
+	w5.f.Write([]byte{9, 9, 9})
+	old, err = w5.rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Close()
+	w5.close()
+	w6, recs, err := openWAL(dir2, walPos{})
+	if err != nil || len(recs) != 1 || w6.epoch != 2 {
+		t.Fatalf("torn tail under an empty newer epoch: %d recs, err=%v", len(recs), err)
+	}
+	// ... and corruption once a later epoch continues the log past them.
+	w6.LogHeartbeat(gsql.Value{T: gsql.TInt, I: 2})
+	w6.close()
+	f, err := os.OpenFile(walName(dir2, 1), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{9, 9, 9})
+	f.Close()
+	if _, _, err := openWAL(dir2, walPos{}); err == nil {
+		t.Fatal("a torn record in the middle of the log loaded without error")
 	}
 }
 
@@ -645,7 +711,7 @@ func TestStateRoundTrip(t *testing.T) {
 		ring.restore(q.base, q.rows)
 		b = appendQueryState(b, q, ring)
 	}
-	if err := writeState(dir, finishState(b, st.sessions)); err != nil {
+	if err := writeState(dir, sealState(finishState(b, st.sessions))); err != nil {
 		t.Fatal(err)
 	}
 	got, err := loadState(dir)
@@ -678,17 +744,18 @@ func TestStateRoundTrip(t *testing.T) {
 
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
+	j := &journal{dir: dir}
 	entries := []journalEntry{
 		{op: jAttach, id: 1, text: testQuery, shards: 2, epoch: 1, at: 5},
 		{op: jDetach, id: 1, epoch: 1, at: 9},
 		{op: jAttach, id: 2, text: "select count(*) from TCP group by time as tb", epoch: 2, at: 0},
 	}
 	for _, e := range entries {
-		if err := appendJournal(dir, e); err != nil {
+		if err := j.append(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := loadJournal(dir)
+	got, err := j.load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,24 +763,80 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("journal round trip:\n want %+v\n got  %+v", entries, got)
 	}
 
-	// Torn tail tolerated: the un-acked attach simply vanishes.
-	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	// Torn tail tolerated: the un-acked attach simply vanishes — from the
+	// file too, so that the next append does not land behind it.
+	path := filepath.Join(dir, journalFile)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Write([]byte{44, 0, 0})
 	f.Close()
-	got, err = loadJournal(dir)
+	j = &journal{dir: dir} // a restart: what the journal holds is learnt from the file
+	got, err = j.load()
 	if err != nil || len(got) != 3 {
 		t.Fatalf("torn journal tail: %v, %d entries", err, len(got))
 	}
-
-	if err := resetJournal(dir); err != nil {
+	if err := j.append(journalEntry{op: jDetach, id: 2, epoch: 2, at: 4}); err != nil {
 		t.Fatal(err)
 	}
-	got, err = loadJournal(dir)
-	if err != nil || len(got) != 0 {
+	if got, err = j.load(); err != nil || len(got) != 4 {
+		t.Fatalf("append after a torn tail: %v, %d entries", err, len(got))
+	}
+
+	// A state file cut at (2, 0) has not folded the epoch-2 entries in: the
+	// journal stays. One cut at (3, 0) has: it is emptied.
+	if err := j.resetBelow(2); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = j.load(); err != nil || len(got) != 4 {
+		t.Fatalf("reset below an epoch the journal reaches: %v, %d entries, want all 4 kept", err, len(got))
+	}
+	if err := j.resetBelow(3); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = j.load(); err != nil || len(got) != 0 {
 		t.Fatalf("after reset: %v, %d entries", err, len(got))
+	}
+}
+
+// TestJournalResetSkippedWhenEmpty: a checkpoint with nothing journalled
+// since the last one must not rewrite the journal — that is a temp file, an
+// fsync, a rename and a directory sync per checkpoint, for nothing.
+func TestJournalResetSkippedWhenEmpty(t *testing.T) {
+	defer faultinject.Reset()
+	syncs := func() uint64 { return faultinject.Hits("durable.sync") + faultinject.Hits("durable.dirsync") }
+	faultinject.Set("durable.sync", faultinject.Fault{})
+	faultinject.Set("durable.dirsync", faultinject.Fault{})
+	j := &journal{dir: t.TempDir()}
+	if _, err := j.load(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.resetBelow(5); err != nil {
+		t.Fatal(err)
+	}
+	if n := syncs(); n != 0 {
+		t.Fatalf("resetting a journal that holds nothing cost %d syncs", n)
+	}
+	if _, err := os.Stat(filepath.Join(j.dir, journalFile)); !os.IsNotExist(err) {
+		t.Fatalf("resetting a journal that holds nothing created the file: %v", err)
+	}
+	if err := j.append(journalEntry{op: jDetach, id: 1, epoch: 4, at: 2}); err != nil {
+		t.Fatal(err)
+	}
+	before := syncs()
+	if err := j.resetBelow(5); err != nil {
+		t.Fatal(err)
+	}
+	if syncs() == before {
+		t.Fatal("a journal holding a folded entry was not emptied")
+	}
+	before = syncs()
+	if err := j.resetBelow(6); err != nil {
+		t.Fatal(err)
+	}
+	if n := syncs() - before; n != 0 {
+		t.Fatalf("the second reset in a row cost %d syncs", n)
 	}
 }
 
@@ -1016,17 +1139,17 @@ func TestShutdownReleasesEverything(t *testing.T) {
 	}
 	// The final checkpoint rotated the WAL: nothing is left to replay, and
 	// the state file carries the query with every row it emitted.
-	wal, recs, err := openWAL(cfg.Dir)
+	st, err := loadState(cfg.Dir)
+	if err != nil || st == nil {
+		t.Fatalf("state after shutdown: %v, %v", st, err)
+	}
+	wal, recs, err := openWAL(cfg.Dir, walPos{st.walEpoch, st.walApplied})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wal.close()
 	if len(recs) != 0 {
 		t.Fatalf("%d WAL records to replay after a graceful shutdown, want 0", len(recs))
-	}
-	st, err := loadState(cfg.Dir)
-	if err != nil || st == nil {
-		t.Fatalf("state after shutdown: %v, %v", st, err)
 	}
 	if len(st.queries) != 1 || st.queries[0].id != id || st.queries[0].end != uint64(len(want)) {
 		t.Fatalf("final checkpoint holds %+v, want query %d through cursor %d", st.queries, id, len(want))

@@ -12,6 +12,8 @@ import (
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
 	"forwarddecay/internal/core"
+	"forwarddecay/internal/durable"
+	"forwarddecay/internal/faultinject"
 	"forwarddecay/metrics"
 	"forwarddecay/netgen"
 )
@@ -150,13 +152,6 @@ type Query struct {
 	Text   string
 	Shards uint32
 	log    *resultLog
-	// journaled marks a query not yet folded into a checkpoint; its attach
-	// position lives in the catalog journal.
-	journaled bool
-	// attachEpoch/attachAt pin the WAL position of the attach (journaled
-	// queries only).
-	attachEpoch uint64
-	attachAt    uint64
 	// quar is non-nil while the query is quarantined: fenced out of the
 	// shared pass, its last-good partials retained for an operator Revive.
 	// Stored atomically because the quarantine callback fires on the ingest
@@ -236,6 +231,22 @@ type runtime struct {
 	fenced atomic.Bool
 	// degraded marks a WAL-only incarnation (breaker open).
 	degraded bool
+
+	// persistMu is held from the start of a cut to the end of its persist:
+	// locked by the cutter, unlocked by the persister (by the cutter, if the
+	// cut fails). A cut thereby waits for the previous persist. It guards the
+	// three fields below; outer to s.mu, and the persister takes no other lock.
+	persistMu   sync.Mutex
+	persistJobs chan persistJob // nil until the first cut starts the persister
+	persistDone chan struct{}   // closed when the persister has exited
+	persistErr  error           // sticky: the first persist failure, or errFenced once joined
+}
+
+// persistJob is one cut handed to the persister.
+type persistJob struct {
+	image []byte   // the state image with watermark (epoch+1, 0), not yet sealed
+	epoch uint64   // the WAL epoch the cut closed
+	wal   *os.File // that epoch's file, to be fsynced and closed
 }
 
 // Service is the long-lived query service. Create with New, stop with
@@ -249,6 +260,7 @@ type Service struct {
 	// stateSize is the size of the last checkpoint's state file image: the
 	// next one is assembled in a buffer allocated once, at about that size.
 	stateSize int
+	journal   journal
 
 	rt   atomic.Pointer[runtime]
 	gen  atomic.Uint64
@@ -296,6 +308,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:      cfg,
+		journal:  journal{dir: cfg.Dir},
 		queries:  map[uint32]*Query{},
 		nextID:   1,
 		counters: metrics.NewCounterSet(),
@@ -463,7 +476,8 @@ func (s *Service) watch(rt *runtime) watchVerdict {
 
 // teardown abandons an incarnation WITHOUT checkpointing: freeze the rings
 // (so run teardown cannot pollute cursors), drain the listener
-// best-effort, close the WAL file. State recovery is disk's job.
+// best-effort, let a persist in flight finish (the successor reads the
+// directory next), close the WAL file. State recovery is disk's job.
 func (s *Service) teardown(rt *runtime) {
 	// Fence first: even if a wedged pump wakes after the successor thaws the
 	// rings, its sink refuses to emit.
@@ -478,6 +492,7 @@ func (s *Service) teardown(rt *runtime) {
 	if err := rt.listener.Shutdown(500 * time.Millisecond); err != nil {
 		s.cfg.Logf("server: teardown drain: %v", err)
 	}
+	rt.joinPersister()
 	drained := rt.listener.Err() == nil && !rt.pumpWedged()
 	// Close the WAL file WITHOUT rt.mu: a wedged pump may hold that lock
 	// forever, and the close is exactly what fences such a zombie — once the
@@ -534,6 +549,9 @@ func (s *Service) Shutdown() error {
 					s.shutErr = err
 				}
 			}
+			if err := rt.joinPersister(); err != nil && s.shutErr == nil {
+				s.shutErr = err
+			}
 			rt.wal.close()
 			rt.fenced.Store(true) // fence any pump that failed to drain
 			if drainErr == nil {
@@ -573,11 +591,17 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	journal, err := loadJournal(s.cfg.Dir)
+	journal, err := s.journal.load()
 	if err != nil {
 		return nil, err
 	}
-	wal, recs, err := openWAL(s.cfg.Dir)
+	// The state file's watermark splits log and journal into what the state
+	// holds and what is replayed on top of it (no state file: everything).
+	var from walPos
+	if st != nil {
+		from = walPos{st.walEpoch, st.walApplied}
+	}
+	wal, recs, err := openWAL(s.cfg.Dir, from)
 	if err != nil {
 		return nil, err
 	}
@@ -609,12 +633,7 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 			s.nextID = st.nextQueryID
 		}
 		for i := range st.queries {
-			q := &st.queries[i]
-			replayFrom := uint64(0)
-			if wal.epoch == st.walEpoch {
-				replayFrom = st.walApplied
-			}
-			specs = append(specs, buildSpec{qs: *q, replayFrom: replayFrom, fromState: true})
+			specs = append(specs, buildSpec{qs: st.queries[i], replayFrom: from, fromState: true})
 		}
 	}
 	inState := map[uint32]bool{}
@@ -622,21 +641,18 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 		inState[sp.qs.id] = true
 	}
 	for _, e := range journal {
+		pos := walPos{e.epoch, e.at}
+		if e.epoch != 0 && pos.before(from) {
+			continue // folded into the state; the journal was not emptied since
+		}
 		switch e.op {
 		case jAttach:
 			if inState[e.id] {
 				continue // checkpoint already folded this attach
 			}
-			replayFrom := uint64(0)
-			if wal.epoch == e.epoch {
-				replayFrom = e.at
-			}
 			specs = append(specs, buildSpec{
 				qs:         queryState{id: e.id, text: e.text, shards: e.shards},
-				replayFrom: replayFrom,
-				journaled:  true,
-				epoch:      e.epoch,
-				at:         e.at,
+				replayFrom: pos,
 			})
 			if e.id >= s.nextID {
 				s.nextID = e.id + 1
@@ -668,12 +684,7 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 				if specs[i].qs.id == e.id {
 					specs[i].qs.quarantined = false
 					specs[i].qs.qreason = ""
-					specs[i].replayFrom = 0
-					if wal.epoch == e.epoch {
-						specs[i].replayFrom = e.at
-					}
-					specs[i].journaled = true
-					specs[i].epoch, specs[i].at = e.epoch, e.at
+					specs[i].replayFrom = pos
 					break
 				}
 			}
@@ -720,8 +731,6 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 			// below re-emits everything after it bit-identically.
 			q.log.truncateTo(sp.qs.end)
 		}
-		q.journaled = sp.journaled
-		q.attachEpoch, q.attachAt = sp.epoch, sp.at
 		if sp.qs.quarantined {
 			// A fenced query rebuilds dormant: no run, no replay, its ring
 			// and cursors intact, its retained partials parked on the Query
@@ -767,10 +776,8 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 // buildSpec pairs a persisted query with its replay start.
 type buildSpec struct {
 	qs         queryState
-	replayFrom uint64
+	replayFrom walPos
 	fromState  bool
-	journaled  bool
-	epoch, at  uint64
 }
 
 func (s *Service) newRing() *resultLog {
@@ -888,8 +895,9 @@ func (s *Service) isolateConfig(rt *runtime) *gsql.IsolateConfig {
 			if len(ckpt) > maxJournalCkpt {
 				ckpt = nil
 			}
-			if err := appendJournal(s.cfg.Dir, journalEntry{
+			if err := s.journal.append(journalEntry{
 				op: jQuarantine, id: q.ID, reason: ev.Reason, ckpt: ckpt,
+				epoch: rt.wal.epoch, at: rt.wal.applied,
 			}); err != nil {
 				s.cfg.Logf("server: journaling quarantine of query %d: %v", q.ID, err)
 			}
@@ -907,18 +915,17 @@ func (s *Service) replay(rt *runtime, specs []buildSpec, recs []walRecord) error
 	if err != nil {
 		return err
 	}
-	starts := map[uint32]uint64{}
+	starts := map[uint32]walPos{}
 	for _, sp := range specs {
 		starts[sp.qs.id] = sp.replayFrom
 	}
 	replayed := 0
 	for i, rec := range recs {
-		pos := uint64(i)
 		switch rec.kind {
 		case recFrame:
 			netgen.FillBatch(batch, rec.pkts)
 			for id, run := range rt.runs {
-				if pos < starts[id] {
+				if rec.pos.before(starts[id]) {
 					continue
 				}
 				if fenced, _ := run.quar(); fenced {
@@ -932,7 +939,7 @@ func (s *Service) replay(rt *runtime, specs []buildSpec, recs []walRecord) error
 			s.flushEmits(rt)
 		case recHeartbeat:
 			for id, run := range rt.runs {
-				if pos < starts[id] {
+				if rec.pos.before(starts[id]) {
 					continue
 				}
 				if fenced, _ := run.quar(); fenced {
@@ -1000,11 +1007,24 @@ func (s *Service) finishBuild(rt *runtime, sessions map[uint64]uint64) (*runtime
 	return rt, nil
 }
 
-// checkpoint drains nothing — it runs between frames on the pump goroutine
-// (or at shutdown after the drain) and snapshots runs, rings, sessions and
-// the WAL watermark into one durable state file, then starts a fresh WAL
-// epoch and resets the catalog journal.
-func (s *Service) checkpoint(rt *runtime) error {
+// checkpoint is the cut: it runs between frames on the pump goroutine (or at
+// shutdown after the drain) and does only what must be serial with the apply
+// path. Once the previous cut's persist is done (so one image is in flight
+// and the disk is the backpressure), it snapshots runs, rings and sessions
+// into a state image with watermark (E+1, 0), switches WAL appends to epoch
+// E+1 and hands image and epoch E to the persister. Nothing here waits on the
+// disk. A persist failure is the listener's sticky error, and this one's.
+func (s *Service) checkpoint(rt *runtime) (err error) {
+	start := time.Now()
+	if !rt.persistMu.TryLock() {
+		s.counters.Add("server_checkpoint_waits", 1)
+		rt.persistMu.Lock()
+	}
+	defer func() {
+		if err != nil {
+			rt.persistMu.Unlock() // nothing was handed off
+		}
+	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rt.mu.Lock()
@@ -1017,8 +1037,11 @@ func (s *Service) checkpoint(rt *runtime) error {
 		// rings refused; persisting that state would orphan those rows.
 		return fmt.Errorf("server: cannot checkpoint a fenced incarnation")
 	}
+	if rt.persistErr != nil {
+		return rt.persistErr
+	}
 	b := make([]byte, 0, s.stateSize+s.stateSize/8+1024)
-	b = beginState(b, rt.wal.epoch, rt.wal.applied, s.nextID, len(s.queries))
+	b = beginState(b, rt.wal.epoch+1, 0, s.nextID, len(s.queries))
 	for id, q := range s.queries {
 		qs := queryState{id: id, text: q.Text, shards: q.Shards}
 		if qi := q.quar.Load(); qi != nil {
@@ -1031,7 +1054,6 @@ func (s *Service) checkpoint(rt *runtime) error {
 			if run == nil {
 				return fmt.Errorf("server: checkpointing query %d: no live run", id)
 			}
-			var err error
 			if qs.ckpt, err = run.ckpt(); err != nil {
 				return fmt.Errorf("server: checkpointing query %d: %w", id, err)
 			}
@@ -1041,23 +1063,78 @@ func (s *Service) checkpoint(rt *runtime) error {
 		b = appendQueryState(b, &qs, q.log)
 	}
 	b = finishState(b, rt.listener.Sessions())
-	s.stateSize = len(b)
-	if err := rt.wal.sync(); err != nil {
+	s.stateSize = len(b) + 8 // sealState's trailer
+	old, err := rt.wal.rotate()
+	if err != nil {
 		return err
 	}
-	if err := writeState(s.cfg.Dir, b); err != nil {
-		return err
+	if rt.persistJobs == nil {
+		rt.persistJobs = make(chan persistJob, 1) // the one hand-off persistMu admits
+		rt.persistDone = make(chan struct{})
+		go s.persistLoop(rt)
 	}
-	if err := rt.wal.rotate(); err != nil {
-		return err
-	}
-	if err := resetJournal(s.cfg.Dir); err != nil {
-		return err
-	}
-	for _, q := range s.queries {
-		q.journaled = false
-	}
+	rt.persistJobs <- persistJob{image: b, epoch: rt.wal.epoch - 1, wal: old}
+	s.counters.Add("server_checkpoint_cut_ns", uint64(time.Since(start)))
 	return nil
+}
+
+// persistLoop is an incarnation's persister: it makes each cut durable and
+// releases persistMu, until joinPersister closes the hand-off channel.
+func (s *Service) persistLoop(rt *runtime) {
+	defer close(rt.persistDone)
+	for job := range rt.persistJobs {
+		start := time.Now()
+		if err := s.persist(rt, job); err != nil {
+			rt.persistErr = err
+			rt.listener.Fail(err)
+		}
+		s.counters.Add("server_checkpoint_persist_ns", uint64(time.Since(start)))
+		rt.persistMu.Unlock()
+	}
+}
+
+// persist makes one cut durable, in the order recovery relies on (DESIGN.md
+// §16): WAL bytes and epoch name before the state file that presumes them;
+// WAL files and journal entries go only once a durable state file covers them.
+func (s *Service) persist(rt *runtime, job persistJob) error {
+	err := faultinject.Hit("server.persist")
+	if err == nil {
+		err = durable.SyncFile(job.wal)
+	}
+	if cerr := job.wal.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("server: sealing wal epoch %d: %w", job.epoch, err)
+	}
+	if err := durable.SyncDir(s.cfg.Dir); err != nil {
+		return err
+	}
+	if err := writeState(s.cfg.Dir, sealState(job.image)); err != nil {
+		return err
+	}
+	if err := rt.wal.retire(job.epoch); err != nil {
+		return err
+	}
+	return s.journal.resetBelow(job.epoch + 1)
+}
+
+// joinPersister waits for the persist in flight, stops the persister and
+// returns its sticky error; no cut succeeds afterwards. Called before the
+// incarnation's WAL is closed and before a successor reads the directory.
+func (rt *runtime) joinPersister() error {
+	rt.persistMu.Lock()
+	defer rt.persistMu.Unlock()
+	if rt.persistJobs != nil {
+		close(rt.persistJobs)
+		<-rt.persistDone
+		rt.persistJobs = nil
+	}
+	err := rt.persistErr
+	if err == nil {
+		rt.persistErr = errFenced
+	}
+	return err
 }
 
 // refreshCatalogGauges snapshots the live incarnation's shared-runtime
@@ -1084,6 +1161,10 @@ func (s *Service) refreshCatalogGauges() {
 	s.gauges.Set("server_shared_hit_ratio", st.SharedHitRatio())
 	s.gauges.Set("server_catalog_quarantined", float64(st.Quarantined))
 	s.gauges.Set("server_catalog_admit_used", st.AdmitUsed)
+	// Frames per ack: the ack path's coalescing factor (this incarnation's).
+	ing := rt.listener.RuntimeStats()
+	s.gauges.Set("server_ingest_frames_accepted", float64(ing.FramesAccepted))
+	s.gauges.Set("server_ingest_acks_written", float64(ing.AcksWritten))
 	for id, qs := range perRun {
 		s.setQueryGauges(id, qs.Tuples, qs.Errors, qs.NsPerTuple, qs.Quarantined)
 	}
@@ -1143,7 +1224,7 @@ func (s *Service) Attach(text string, shards uint32) (uint32, error) {
 		return 0, errDegraded
 	}
 	id := s.nextID
-	q := &Query{ID: id, Text: text, Shards: shards, log: s.newRing(), journaled: true}
+	q := &Query{ID: id, Text: text, Shards: shards, log: s.newRing()}
 	// The WAL position must be frame-aligned, and the shared-runtime attach
 	// must not race the shared pass: rt.mu excludes the apply path, so
 	// wal.applied cannot move under us and the MultiRun is quiescent.
@@ -1153,10 +1234,9 @@ func (s *Service) Attach(text string, shards uint32) (uint32, error) {
 	if err != nil {
 		return 0, attachErr(err)
 	}
-	q.attachEpoch, q.attachAt = rt.wal.epoch, rt.wal.applied
-	if err := appendJournal(s.cfg.Dir, journalEntry{
+	if err := s.journal.append(journalEntry{
 		op: jAttach, id: id, text: text, shards: shards,
-		epoch: q.attachEpoch, at: q.attachAt,
+		epoch: rt.wal.epoch, at: rt.wal.applied,
 	}); err != nil {
 		run.close()
 		return 0, err
@@ -1214,11 +1294,9 @@ func (s *Service) Revive(id uint32) error {
 		}
 		rt.runs[id] = run
 	}
-	q.attachEpoch, q.attachAt = rt.wal.epoch, rt.wal.applied
-	q.journaled = true
 	q.quar.Store(nil)
-	if err := appendJournal(s.cfg.Dir, journalEntry{
-		op: jRevive, id: id, epoch: q.attachEpoch, at: q.attachAt,
+	if err := s.journal.append(journalEntry{
+		op: jRevive, id: id, epoch: rt.wal.epoch, at: rt.wal.applied,
 	}); err != nil {
 		// The revive is live but not durable; a crash before the next
 		// checkpoint re-parks the query dormant. Surface the disk failure.
@@ -1243,7 +1321,9 @@ func (s *Service) Detach(id uint32) error {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if err := appendJournal(s.cfg.Dir, journalEntry{op: jDetach, id: id}); err != nil {
+	if err := s.journal.append(journalEntry{
+		op: jDetach, id: id, epoch: rt.wal.epoch, at: rt.wal.applied,
+	}); err != nil {
 		return err
 	}
 	delete(s.queries, id)

@@ -15,8 +15,10 @@ package server
 // each attach/detach appends a sealed record here. An attach record carries
 // the WAL position at which the query began receiving data; replay feeds it
 // only records from that position on, which is what makes a mid-stream
-// attach exact across a restart. The journal is reset at each checkpoint
-// (its content is folded into the state file).
+// attach exact across a restart. Every entry is stamped with the WAL position
+// it took effect at and recovery skips those before the state file's
+// watermark, so the persister empties the journal after the state write, and
+// only when it holds nothing newer than the state.
 
 import (
 	"encoding/binary"
@@ -24,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
@@ -76,9 +79,10 @@ type serverState struct {
 	sessions    map[uint64]uint64
 }
 
-// A state file image is assembled in three steps, so a checkpoint can encode
-// each query as it visits it, its ring included, into one buffer:
-// beginState, appendQueryState once per query, finishState.
+// A state file image is assembled in steps, so a checkpoint can encode each
+// query as it visits it, its ring included, into one buffer: beginState,
+// appendQueryState once per query, finishState — and, off the pump,
+// sealState.
 
 // beginState starts an image on b for the given number of queries.
 func beginState(b []byte, walEpoch, walApplied uint64, nextQueryID uint32, queries int) []byte {
@@ -106,13 +110,18 @@ func appendQueryState(b []byte, q *queryState, ring *resultLog) []byte {
 	return append(b, 0)
 }
 
-// finishState appends the session table and the checksum trailer.
+// finishState appends the session table, the last part of the payload.
 func finishState(b []byte, sessions map[uint64]uint64) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(sessions)))
 	for id, applied := range sessions {
 		b = binary.LittleEndian.AppendUint64(b, id)
 		b = binary.LittleEndian.AppendUint64(b, applied)
 	}
+	return b
+}
+
+// sealState appends the checksum trailer over a finished payload.
+func sealState(b []byte) []byte {
 	return binary.LittleEndian.AppendUint64(b, core.HashBytes(b))
 }
 
@@ -203,8 +212,10 @@ type journalEntry struct {
 	id     uint32
 	text   string // attach
 	shards uint32 // attach
-	// epoch/at pin where in the WAL the attach (or revive) took effect:
-	// replay feeds the query only records from this position on.
+	// epoch/at pin where in the WAL the mutation took effect: replay feeds an
+	// attached or revived query only records from there on, and an entry
+	// before the state file's watermark is skipped. Epoch 0 (detach and
+	// quarantine entries of older binaries) is unpositioned: always applied.
 	epoch uint64
 	at    uint64
 	// Quarantine payload: why the query was fenced and the partials
@@ -268,24 +279,42 @@ func decodeJournalEntry(body []byte) (journalEntry, error) {
 	return e, nil
 }
 
-// appendJournal appends one sealed entry and syncs the file: an attach the
-// client saw acknowledged must survive a crash.
-func appendJournal(dir string, e journalEntry) error {
-	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+// journal is the catalog journal of a state directory. Its mutex orders
+// appends (under s.mu or rt.mu, which are outer to it) against the persister's
+// reset; held/newest let that reset decide without reading the file.
+type journal struct {
+	mu     sync.Mutex
+	dir    string
+	held   bool   // the file is not empty
+	newest uint64 // highest epoch stamped on an entry it holds
+}
+
+// append appends one sealed entry and syncs the file: an attach the client
+// saw acknowledged must survive a crash.
+func (j *journal) append(e journalEntry) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	f, err := os.OpenFile(filepath.Join(j.dir, journalFile), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("server: journal: %w", err)
 	}
 	defer f.Close()
+	// Before the write: even a failed one may leave bytes behind.
+	j.held, j.newest = true, max(j.newest, e.epoch)
 	if _, err := f.Write(encodeJournalEntry(e)); err != nil {
 		return fmt.Errorf("server: journal: %w", err)
 	}
 	return durable.SyncFile(f)
 }
 
-// loadJournal reads every intact entry; a torn tail (crash mid-append) is
-// tolerated and dropped — the client never got that attach acknowledged.
-func loadJournal(dir string) ([]journalEntry, error) {
-	b, err := os.ReadFile(filepath.Join(dir, journalFile))
+// load reads every intact entry. A torn tail (crash mid-append: the client
+// never saw that attach acknowledged) is cut off, so no append lands behind it.
+func (j *journal) load() ([]journalEntry, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.held, j.newest = false, 0
+	path := filepath.Join(j.dir, journalFile)
+	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
@@ -297,6 +326,9 @@ func loadJournal(dir string) ([]journalEntry, error) {
 	for off < len(b) {
 		body, n, derr := ingest.DecodeSealed(b[off:], MaxControlFrame)
 		if errors.Is(derr, ingest.ErrIncomplete) {
+			if err := os.Truncate(path, int64(off)); err != nil {
+				return nil, fmt.Errorf("server: journal: truncating torn tail: %w", err)
+			}
 			break
 		}
 		if derr != nil {
@@ -307,13 +339,25 @@ func loadJournal(dir string) ([]journalEntry, error) {
 			return nil, fmt.Errorf("server: journal: offset %d: %w", off, jerr)
 		}
 		out = append(out, e)
+		j.held, j.newest = true, max(j.newest, e.epoch)
 		off += n
 	}
 	return out, nil
 }
 
-// resetJournal empties the journal after its entries were folded into a
-// checkpoint.
-func resetJournal(dir string) error {
-	return durable.WriteFileAtomic(filepath.Join(dir, journalFile), nil, 0o644)
+// resetBelow empties the journal once a durable state file with watermark
+// (epoch, 0) has folded its entries in — unless it is empty already, or holds
+// an entry appended since that cut: the stale prefix then stays, which
+// recovery skips, until a later checkpoint finds the journal quiet.
+func (j *journal) resetBelow(epoch uint64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.held || j.newest >= epoch {
+		return nil
+	}
+	if err := durable.WriteFileAtomic(filepath.Join(j.dir, journalFile), nil, 0o644); err != nil {
+		return err
+	}
+	j.held, j.newest = false, 0
+	return nil
 }

@@ -21,21 +21,23 @@ package server
 //	  u8 recFrame     · u64 session · u64 seq · u16 n · n×23-byte packets
 //	  u8 recHeartbeat · u8 kind (0=int, 1=float) · f64/i64 payload
 //
-// Epoch discipline: a checkpoint snapshots the runtime with `applied`
-// records of epoch E consumed, durably writes the state file carrying
-// (E, applied), then starts epoch E+1 (create the new file, sync the
-// directory, delete the old). Recovery compares the newest WAL's epoch W
-// to the state file's E:
-//
-//	W == E   → replay records after `applied` (crash before rotation)
-//	W  > E   → rotation happened after the state write: replay everything
+// Epoch discipline: a checkpoint is a cut on the ingest pump and a persist
+// behind it (Service.checkpoint, Service.persist; DESIGN.md §16). The cut,
+// taken with every record of epoch E applied, stamps its state image with the
+// watermark (E+1, 0) and switches appends to a new file E+1; the persister
+// fsyncs file E, writes the state file, and only then removes the files older
+// than E+1. A log position is thus a pair (epoch, index in that epoch's
+// file), several epochs can be on disk at once, and recovery is one rule
+// (openWAL): with S the state file's watermark (none: the start of the log),
+// delete the files of epochs before S's and replay every record at or after S.
 //
 // A torn final record (crash mid-append) is truncated away: its frame was
-// never acked, so the client will resend it. Torn bytes anywhere else are
+// never acked, so the client will resend it. It is tolerated only at the end
+// of the newest file that has records; torn bytes anywhere else are
 // corruption and refuse to load. Each record lands in the file (one write
 // syscall) before the ack goes out — durable against a process kill; the
-// power-cut story is the checkpoint's fsync-before-rename plus the epoch
-// files' directory syncs, the same stance the distrib WAL takes.
+// power-cut story is the persister's fsyncs and directory syncs, the same
+// stance the distrib WAL takes.
 
 import (
 	"encoding/binary"
@@ -66,8 +68,17 @@ const (
 	walMaxRecord = ingest.DefaultMaxFrame + 32
 )
 
+// walPos is a position in the log: index at in the file of an epoch. The
+// zero value is before everything (epochs start at 1).
+type walPos struct{ epoch, at uint64 }
+
+func (p walPos) before(q walPos) bool {
+	return p.epoch < q.epoch || (p.epoch == q.epoch && p.at < q.at)
+}
+
 // walRecord is one replayable ingest event.
 type walRecord struct {
+	pos  walPos
 	kind byte
 	sess uint64          // recFrame
 	seq  uint64          // recFrame
@@ -90,6 +101,7 @@ type ingestWAL struct {
 	f       *os.File
 	applied uint64 // records appended in the current epoch
 	buf     []byte // reused encode buffer
+	oldest  uint64 // lowest epoch that may still have a file; retire's, after openWAL
 }
 
 // LogFrame implements ingest.ApplyLog.
@@ -134,35 +146,28 @@ func (w *ingestWAL) writeSealed(b []byte) error {
 	return nil
 }
 
-// rotate starts the next epoch: create its file, sync the directory, then
-// delete the previous epoch's file (its records are covered by the state
-// file the caller just wrote).
-func (w *ingestWAL) rotate() error {
-	old, oldEpoch := w.f, w.epoch
+// rotate switches appends to the next epoch — on the pump, so a plain create
+// and nothing that waits on the disk — and returns the previous epoch's file,
+// still open, for the persister to fsync.
+func (w *ingestWAL) rotate() (old *os.File, err error) {
 	f, err := createWAL(w.dir, w.epoch+1)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	old = w.f
 	w.f, w.epoch, w.applied = f, w.epoch+1, 0
-	if old != nil {
-		old.Close()
-		if err := os.Remove(walName(w.dir, oldEpoch)); err != nil {
-			return fmt.Errorf("server: wal rotate: %w", err)
-		}
-		if err := durable.SyncDir(w.dir); err != nil {
-			return err
-		}
-	}
-	return nil
+	return old, nil
 }
 
-// sync fsyncs the active file — called when sealing a checkpoint so the
-// watermark the state file claims is durable.
-func (w *ingestWAL) sync() error {
-	if w.f == nil {
-		return nil
+// retire removes the files of the epochs up to through, which a durable
+// state file now covers, and syncs the directory. Persister only.
+func (w *ingestWAL) retire(through uint64) error {
+	for ; w.oldest <= through; w.oldest++ {
+		if err := os.Remove(walName(w.dir, w.oldest)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("server: wal retire: %w", err)
+		}
 	}
-	return durable.SyncFile(w.f)
+	return durable.SyncDir(w.dir)
 }
 
 // close closes the epoch file. w.f is deliberately left non-nil: the
@@ -177,8 +182,9 @@ func (w *ingestWAL) close() error {
 	return w.f.Close()
 }
 
-// createWAL creates (exclusively) and headers the file for an epoch, then
-// syncs the directory so the name survives a power cut.
+// createWAL creates (exclusively) and headers the file for an epoch. The
+// name is not synced here: the persister's directory sync makes it durable
+// before any state file that refers to the epoch.
 func createWAL(dir string, epoch uint64) (*os.File, error) {
 	f, err := os.OpenFile(walName(dir, epoch), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -191,74 +197,88 @@ func createWAL(dir string, epoch uint64) (*os.File, error) {
 		f.Close()
 		return nil, fmt.Errorf("server: wal create: %w", err)
 	}
-	if err := durable.SyncDir(dir); err != nil {
-		f.Close()
-		return nil, err
-	}
 	return f, nil
 }
 
-// openWAL scans dir for the newest WAL epoch, repairs a torn tail, deletes
-// superseded epochs, and returns the records of the surviving epoch plus an
-// appender positioned at its end. A directory with no WAL starts epoch 1.
-func openWAL(dir string) (w *ingestWAL, recs []walRecord, err error) {
+// openWAL applies the recovery rule to dir: files of epochs before from's
+// are deleted, the others read in epoch order, and the records at or after
+// from returned with their positions; a torn tail is repaired where one can
+// occur (see the header). The appender continues the newest epoch, or starts
+// epoch max(from.epoch, 1) in a directory with no file left.
+func openWAL(dir string, from walPos) (w *ingestWAL, recs []walRecord, err error) {
 	names, err := filepath.Glob(filepath.Join(dir, "ingest-*.wal"))
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: wal open: %w", err)
 	}
 	sort.Strings(names)
-	if len(names) == 0 {
-		f, err := createWAL(dir, 1)
+	w = &ingestWAL{dir: dir}
+	var newest string          // the newest kept file
+	torn := map[string]int64{} // files ending in a torn record, and its offset
+	for _, name := range names {
+		data, err := os.ReadFile(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("server: wal open: %w", err)
 		}
-		return &ingestWAL{dir: dir, epoch: 1, f: f}, nil, nil
-	}
-	// Only the newest epoch matters; older files are leftovers of a crash
-	// mid-rotation, fully covered by the state file written before the
-	// newer epoch was created.
-	newest := names[len(names)-1]
-	for _, n := range names[:len(names)-1] {
-		if err := os.Remove(n); err != nil {
-			return nil, nil, fmt.Errorf("server: wal open: removing superseded %s: %w", n, err)
+		base := filepath.Base(name)
+		if len(data) < 16 || [8]byte(data[:8]) != walMagic {
+			return nil, nil, fmt.Errorf("server: wal open: %s: bad header", base)
+		}
+		epoch := binary.LittleEndian.Uint64(data[8:16])
+		if epoch < from.epoch {
+			if err := os.Remove(name); err != nil {
+				return nil, nil, fmt.Errorf("server: wal open: removing superseded %s: %w", base, err)
+			}
+			continue
+		}
+		if newest == "" {
+			w.oldest = epoch
+		}
+		newest, w.epoch, w.applied = name, epoch, 0
+		for off := 16; off < len(data); {
+			body, n, derr := ingest.DecodeSealed(data[off:], walMaxRecord)
+			if errors.Is(derr, ingest.ErrIncomplete) {
+				torn[name] = int64(off) // crash mid-append; the frame was never acked
+				break
+			}
+			if derr != nil {
+				return nil, nil, fmt.Errorf("server: wal open: %s: offset %d: %w", base, off, derr)
+			}
+			rec, rerr := decodeWALRecord(body)
+			if rerr != nil {
+				return nil, nil, fmt.Errorf("server: wal open: %s: offset %d: %w", base, off, rerr)
+			}
+			if len(torn) > 0 {
+				return nil, nil, fmt.Errorf("server: wal open: %s continues the log past a torn record", base)
+			}
+			rec.pos = walPos{epoch, w.applied}
+			if !rec.pos.before(from) {
+				recs = append(recs, rec)
+			}
+			w.applied++
+			off += n
 		}
 	}
-	data, err := os.ReadFile(newest)
-	if err != nil {
-		return nil, nil, fmt.Errorf("server: wal open: %w", err)
-	}
-	if len(data) < 16 || [8]byte(data[:8]) != walMagic {
-		return nil, nil, fmt.Errorf("server: wal open: %s: bad header", filepath.Base(newest))
-	}
-	epoch := binary.LittleEndian.Uint64(data[8:16])
-	good := 16
-	off := 16
-	for off < len(data) {
-		body, n, derr := ingest.DecodeSealed(data[off:], walMaxRecord)
-		if errors.Is(derr, ingest.ErrIncomplete) {
-			break // torn tail: crash mid-append; the frame was never acked
-		}
-		if derr != nil {
-			return nil, nil, fmt.Errorf("server: wal open: %s: offset %d: %w", filepath.Base(newest), off, derr)
-		}
-		rec, rerr := decodeWALRecord(body)
-		if rerr != nil {
-			return nil, nil, fmt.Errorf("server: wal open: %s: offset %d: %w", filepath.Base(newest), off, rerr)
-		}
-		recs = append(recs, rec)
-		off += n
-		good = off
-	}
-	if good < len(data) {
-		if err := os.Truncate(newest, int64(good)); err != nil {
+	for name, at := range torn {
+		if err := os.Truncate(name, at); err != nil {
 			return nil, nil, fmt.Errorf("server: wal open: truncating torn tail: %w", err)
 		}
 	}
-	f, err := os.OpenFile(newest, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if newest == "" {
+		w.epoch = max(from.epoch, 1)
+		w.oldest = w.epoch
+		if w.f, err = createWAL(dir, w.epoch); err != nil {
+			return nil, nil, err
+		}
+		if err := durable.SyncDir(dir); err != nil {
+			w.f.Close()
+			return nil, nil, err
+		}
+		return w, nil, nil
+	}
+	if w.f, err = os.OpenFile(newest, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return nil, nil, fmt.Errorf("server: wal open: %w", err)
 	}
-	return &ingestWAL{dir: dir, epoch: epoch, f: f, applied: uint64(len(recs))}, recs, nil
+	return w, recs, nil
 }
 
 func decodeWALRecord(body []byte) (walRecord, error) {
