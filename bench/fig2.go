@@ -118,7 +118,7 @@ func runFig2c(cfg RunConfig) []Table {
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
-		"undecayed and forward-decayed throughput is ε-independent; the EH baseline degrades as ε shrinks")
+		"undecayed and forward-decayed throughput is ε-independent; the EH baseline's per-group state grows as ε shrinks (its insert does not)")
 	return []Table{t}
 }
 

@@ -299,6 +299,36 @@ func BenchmarkAblationSpaceSaving(b *testing.B) {
 	})
 }
 
+// The EH's insert alone, over a 60 s window of one tape: packet lengths at
+// two accuracies (≈ 90 and ≈ 550 live buckets) and the classic unit-weight
+// case at the finest. The per-insert cost must not follow the bucket count.
+func BenchmarkExpHistogramInsert(b *testing.B) {
+	pkts := benchPackets(100, 200_000)
+	for _, c := range []struct {
+		name string
+		eps  float64
+		unit bool
+	}{{"eps=0.1", 0.1, false}, {"eps=0.01", 0.01, false}, {"unit-eps=0.005", 0.005, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			h := sketch.NewExpHistogram(c.eps, 60)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Laps of the tape continue its clock, so the window keeps
+				// turning over instead of clamping every timestamp.
+				p := &pkts[i%len(pkts)]
+				ts := p.Time + float64(i/len(pkts))*pkts[len(pkts)-1].Time
+				if c.unit {
+					h.Insert(ts, 1)
+				} else {
+					h.Insert(ts, float64(p.Len))
+				}
+			}
+			b.ReportMetric(float64(h.Len()), "buckets")
+		})
+	}
+}
+
 // Ablation: Exponential Histogram vs Deterministic Wave for window counts.
 func BenchmarkAblationWindowCount(b *testing.B) {
 	pkts := benchPackets(100_000, 200_000)

@@ -7,6 +7,7 @@ set -eux
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 go test ./...
 go test -race ./...
 

@@ -57,10 +57,10 @@ func runServeDrill(packets int, seed uint64, verbose bool) {
 	}
 	newService := func() *server.Service {
 		svc, err := server.New(server.Config{
-			Dir:         dir,
-			ControlAddr: "127.0.0.1:0",
-			IngestAddr:  "127.0.0.1:0",
-			Tokens:      []string{serveToken},
+			Dir:             dir,
+			ControlAddr:     "127.0.0.1:0",
+			IngestAddr:      "127.0.0.1:0",
+			Tokens:          []string{serveToken},
 			CheckpointEvery: 2048,
 			ResultLog:       1 << 15,
 			Logf:            logf,

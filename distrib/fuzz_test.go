@@ -21,10 +21,10 @@ func FuzzLogSegmentDecode(f *testing.F) {
 		valid = encodeRecord(valid, Record{Part: uint32(i % 2), Seq: uint64(i + 1), Key: uint64(i), Val: float64(i), Time: float64(i)})
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-7])             // torn tail
-	f.Add(valid[:len(walMagic)])            // header only
-	f.Add(valid[:3])                        // torn header
-	f.Add([]byte{})                         // empty image
+	f.Add(valid[:len(valid)-7])               // torn tail
+	f.Add(valid[:len(walMagic)])              // header only
+	f.Add(valid[:3])                          // torn header
+	f.Add([]byte{})                           // empty image
 	f.Add(faultinject.CorruptByte(valid, 1))  // forged checksum / bent body
 	f.Add(faultinject.CorruptByte(valid, 99)) // another deterministic flip
 

@@ -44,11 +44,11 @@ func TestDistribChurnSoak(t *testing.T) {
 
 	ms := metrics.NewCounterSet()
 	cfg := Config{
-		Sites:       4,
-		Model:       decay.NewForward(decay.NewExp(1.0/1024), 0),
-		HHK:         64,
-		QuantileU:   1 << 10,
-		QuantileEps: 0.05,
+		Sites:           4,
+		Model:           decay.NewForward(decay.NewExp(1.0/1024), 0),
+		HHK:             64,
+		QuantileU:       1 << 10,
+		QuantileEps:     0.05,
 		Partitions:      64,
 		WALDir:          t.TempDir(),
 		WALSegmentBytes: 1 << 14, // small segments so checkpoints can trim

@@ -6,7 +6,11 @@
 package forwarddecay_test
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -220,6 +224,78 @@ func TestEndToEndTraceReplayDeterminism(t *testing.T) {
 			if a[i][j] != b[i][j] {
 				t.Fatalf("row %d col %d: %v vs %v", i, j, a[i][j], b[i][j])
 			}
+		}
+	}
+}
+
+// TestEndToEndBackwardUDAFResultsPinned runs the backward-decay baselines
+// (swhh and ehsum, both over sketch.ExpHistogram) through Statement.Start on
+// out-of-order netgen tapes and compares a digest of every emitted row with
+// the one the scan-based histogram produced at the commit before it became
+// a linked structure: the rewrite changes how buckets are found, never
+// which buckets exist, so no bit of any result may move.
+func TestEndToEndBackwardUDAFResultsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests pinned on amd64; architectures that fuse multiply-add round the decayed sums differently")
+	}
+	e := gsql.NewEngine()
+	if err := e.RegisterStream(gsql.PacketSchema("TCP")); err != nil {
+		t.Fatal(err)
+	}
+	cfg := udaf.Config{Decay: decay.NewForward(decay.NewExp(0.1), 0), Epsilon: 0.01}
+	if err := udaf.RegisterAll(e, cfg); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		`select tb, swhh(dstIP, ftime, float(1)), ehsum(ftime, float(len)) from TCP group by time/60 as tb`,
+		`select tb, destPort, ehsum(ftime, float(len)), ehsum(ftime, float(1)) from TCP group by time/20 as tb, destPort`,
+	}
+	want := map[uint64]string{
+		1: "135 rows d15fda0d532b0375",
+		2: "138 rows 6ea6e9512a0324d3",
+		3: "136 rows 63d2827ec1e78c5b",
+		4: "142 rows 429a440c0b86b729",
+		5: "138 rows 09fd1b576fbb2593",
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		ncfg := netgen.DefaultConfig(400, seed)
+		ncfg.OutOfOrder = 64
+		pkts := netgen.New(ncfg).Take(nil, 60_000) // ~150 s: three 60 s buckets
+		var rows []string
+		for _, q := range queries {
+			st, err := e.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := st.Start(func(row gsql.Tuple) error {
+				var sb strings.Builder
+				for _, v := range row {
+					// swhh lists key:count pairs by count, equal counts in
+					// map order: sort the pairs.
+					parts := strings.Split(v.String(), ",")
+					sort.Strings(parts)
+					sb.WriteString(strings.Join(parts, ","))
+					sb.WriteByte('|')
+				}
+				rows = append(rows, sb.String())
+				return nil
+			}, gsql.Options{})
+			for _, p := range pkts {
+				if err := run.Push(netgen.Tuple(p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := run.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sort.Strings(rows) // a flush emits a bucket's groups in map order
+		digest := fnv.New64a()
+		for _, r := range rows {
+			fmt.Fprintln(digest, r)
+		}
+		if got := fmt.Sprintf("%d rows %016x", len(rows), digest.Sum64()); got != want[seed] {
+			t.Errorf("seed %d: %s, pinned %s", seed, got, want[seed])
 		}
 	}
 }

@@ -96,27 +96,6 @@ func TestErrorBoundStates(t *testing.T) {
 	}
 }
 
-// TestEHRecountRepairsDrift covers the defensive class-count rebuild.
-func TestEHRecountRepairsDrift(t *testing.T) {
-	h := NewExpHistogram(0.2, 0)
-	for i := 0; i < 100; i++ {
-		h.Insert(float64(i), 1+float64(i%7))
-	}
-	// Corrupt the bookkeeping, then force a cascade; recount must repair.
-	h.classCount[12345] = 99
-	h.recount()
-	if _, ok := h.classCount[12345]; ok {
-		t.Error("recount kept phantom class")
-	}
-	total := 0
-	for _, c := range h.classCount {
-		total += c
-	}
-	if total != h.Len() {
-		t.Errorf("class counts sum to %d, have %d buckets", total, h.Len())
-	}
-}
-
 // TestDominanceMergeEmptyIntoFull and full-into-empty branches.
 func TestDominanceMergeEmptyBranches(t *testing.T) {
 	full := NewDominance(16, 2, 8)

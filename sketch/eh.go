@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"unsafe"
 
 	"forwarddecay/decay"
 )
@@ -16,26 +17,50 @@ import (
 // evaluation uses as the general backward-decay competitor — the same bucket
 // structure answers a sum decayed by an arbitrary non-increasing age
 // function f: each bucket's sum is weighted by f evaluated at the bucket's
-// age (DecayedSum). This flexibility is what makes the structure so much
-// more expensive than forward decay in Figure 2: per group it stores
-// kilobytes of buckets versus a single 8-byte scaled sum.
+// age (DecayedSum). This flexibility is what makes the structure more
+// expensive than forward decay in Figure 2, and the gap is in the state, not
+// in the insert: an insert links one node, performs one merge on average
+// and pops the expired heads — O(1) amortised, no scan and no logarithm —
+// but a group holds kilobytes of 64-byte buckets, growing with 1/ε, against
+// a single 8-byte scaled sum, and a decayed query walks every one of them.
 //
 // Timestamps must be non-decreasing (the classical EH requirement); earlier
 // timestamps are clamped. ExpHistogram is not safe for concurrent use.
 type ExpHistogram struct {
-	maxPerClass int
-	window      float64    // expiry horizon; <= 0 means unbounded
-	buckets     []ehBucket // oldest first
-	last        float64    // newest timestamp observed
-	count       int64      // items currently represented (approx., for stats)
-	classCount  map[int]int
+	maxPerClass int32
+	window      float64   // expiry horizon; <= 0 means unbounded
+	last        float64   // newest timestamp observed
+	seq         uint64    // arrivals so far; stamps each new bucket
+	nodes       []ehNode  // the pool; nodes[0] is the time list's sentinel
+	free        int32     // head of the free list (chained through next), 0 if none
+	live        int32     // buckets in the time list
+	classes     []ehClass // classes[c-classLo] is size class c
+	classLo     int
 }
 
-type ehBucket struct {
+// ehNode is one bucket. It sits in two doubly linked lists threaded through
+// the pool by index, 0 meaning "none": the time list (oldest first, closed
+// into a ring by nodes[0]) and the list of its size class. Three invariants
+// make every structural step O(1):
+//
+//   - time order is position order: a new bucket is linked at the tail, and
+//     a merged bucket stays where the older of the pair was, so seq — the
+//     arrival rank of the oldest item folded in — increases along the list;
+//   - each class list is the subsequence of the time list holding that
+//     class, in the same order, so the two oldest buckets of a class are its
+//     list's first two and the time list's head is its own class's oldest;
+//   - class is derived from sum once, when sum is set.
+type ehNode struct {
 	sum            float64
 	count          float64
 	oldest, newest float64 // timestamps of the bucket's extreme items
+	seq            uint64
+	prev, next     int32 // time list
+	cprev, cnext   int32 // class list
+	class          int32
 }
+
+type ehClass struct{ head, tail, n int32 }
 
 // NewExpHistogram returns a histogram with relative error epsilon over a
 // sliding window of the given length (in time units); window <= 0 keeps all
@@ -47,14 +72,14 @@ func NewExpHistogram(epsilon float64, window float64) *ExpHistogram {
 	// ceil(1/eps)/2+2 buckets per class bounds the half-oldest-bucket error
 	// by epsilon of the window sum.
 	m := int(math.Ceil(1/epsilon))/2 + 2
-	return &ExpHistogram{maxPerClass: m, window: window, classCount: make(map[int]int, 24)}
+	return &ExpHistogram{maxPerClass: int32(m), window: window, nodes: make([]ehNode, 1)}
 }
 
 // Window returns the expiry horizon (0 for unbounded).
 func (h *ExpHistogram) Window() float64 { return h.window }
 
 // Len returns the current number of buckets.
-func (h *ExpHistogram) Len() int { return len(h.buckets) }
+func (h *ExpHistogram) Len() int { return int(h.live) }
 
 // Insert adds an item with the given timestamp and positive value (use 1
 // for counting). Non-positive values are ignored.
@@ -66,68 +91,131 @@ func (h *ExpHistogram) Insert(ts float64, value float64) {
 		ts = h.last
 	}
 	h.last = ts
-	h.buckets = append(h.buckets, ehBucket{sum: value, count: 1, oldest: ts, newest: ts})
-	h.count++
+	i := h.free
+	if i != 0 {
+		h.free = h.nodes[i].next
+	} else {
+		i = int32(len(h.nodes))
+		h.nodes = append(h.nodes, ehNode{})
+	}
+	h.seq++
+	tail := h.nodes[0].prev
+	h.nodes[i] = ehNode{sum: value, count: 1, oldest: ts, newest: ts, seq: h.seq, prev: tail}
+	h.nodes[tail].next = i
+	h.nodes[0].prev = i
+	h.live++
 	c := sizeClass(value)
-	h.classCount[c]++
+	h.classLink(i, c) // the newest bucket of all is the newest of its class
 	h.cascade(c)
 	h.expire(ts)
 }
 
 // sizeClass buckets sums geometrically: class j holds sums in [2^j, 2^(j+1)).
+// It reads the exponent, which is exact; floor(log2(sum)) rounds sums just
+// below a power of two up into the wrong class.
 func sizeClass(sum float64) int {
-	return int(math.Floor(math.Log2(sum)))
+	_, e := math.Frexp(sum)
+	return e - 1
+}
+
+// classAt returns class c's entry, extending the table to reach it; the
+// pointer is good until the next call.
+func (h *ExpHistogram) classAt(c int) *ehClass {
+	if len(h.classes) == 0 {
+		h.classLo = c
+	}
+	if c < h.classLo {
+		grown := make([]ehClass, len(h.classes)+h.classLo-c)
+		copy(grown[h.classLo-c:], h.classes)
+		h.classes, h.classLo = grown, c
+	}
+	for c-h.classLo >= len(h.classes) {
+		h.classes = append(h.classes, ehClass{})
+	}
+	return &h.classes[c-h.classLo]
+}
+
+// classLink files node i under class c, keeping the class list in time
+// order. It looks for i's place from both ends at once, so the cost is twice
+// the distance to the nearer end: zero steps for a new arrival (the newest
+// bucket of all), and in practice for a merged bucket too — on a unit-weight
+// stream older buckets are never smaller, so it is the newest of the class
+// above, and below the mode of a weighted stream the class above turns over
+// faster, so it is the oldest. It is never more than the class holds.
+func (h *ExpHistogram) classLink(i int32, c int) {
+	cl := h.classAt(c)
+	n := &h.nodes[i]
+	// after and before close in on i's place from the two ends: everything
+	// beyond after arrived later than i, everything ahead of before earlier.
+	after, before := cl.tail, cl.head
+	for after != 0 && h.nodes[after].seq > n.seq && h.nodes[before].seq < n.seq {
+		after, before = h.nodes[after].cprev, h.nodes[before].cnext
+	}
+	if after != 0 {
+		if h.nodes[after].seq > n.seq { // before found the place first
+			after = h.nodes[before].cprev
+		} else {
+			before = h.nodes[after].cnext
+		}
+	}
+	if after != 0 {
+		h.nodes[after].cnext = i
+	} else {
+		cl.head = i
+	}
+	if before != 0 {
+		h.nodes[before].cprev = i
+	} else {
+		cl.tail = i
+	}
+	n.class, n.cprev, n.cnext = int32(c), after, before
+	cl.n++
+}
+
+// classPop unlinks and returns the oldest bucket of class c.
+func (h *ExpHistogram) classPop(c int) int32 {
+	cl := &h.classes[c-h.classLo]
+	i := cl.head
+	cl.head = h.nodes[i].cnext
+	if cl.head != 0 {
+		h.nodes[cl.head].cprev = 0
+	} else {
+		cl.tail = 0
+	}
+	cl.n--
+	return i
+}
+
+// release takes node i, already out of its class list, out of the time list
+// and returns it to the pool.
+func (h *ExpHistogram) release(i int32) {
+	n := &h.nodes[i]
+	h.nodes[n.prev].next = n.next
+	h.nodes[n.next].prev = n.prev
+	n.next = h.free
+	h.free = i
+	h.live--
 }
 
 // cascade restores the per-class bucket bound after class c gained a
-// bucket, merging the two oldest buckets of an over-full class; the merged
-// bucket lands in a higher class, which may cascade upward.
+// bucket, merging the two oldest buckets of an over-full class into the
+// older one's place; the merged bucket lands in the class above, which may
+// cascade upward.
 func (h *ExpHistogram) cascade(c int) {
-	for h.classCount[c] > h.maxPerClass {
-		// Merge the two oldest buckets of class c.
-		first := -1
-		merged := -1
-		for i := range h.buckets {
-			if sizeClass(h.buckets[i].sum) != c {
-				continue
-			}
-			if first < 0 {
-				first = i
-				continue
-			}
-			b := &h.buckets[first]
-			b.sum += h.buckets[i].sum
-			b.count += h.buckets[i].count
-			if h.buckets[i].newest > b.newest {
-				b.newest = h.buckets[i].newest
-			}
-			if h.buckets[i].oldest < b.oldest {
-				b.oldest = h.buckets[i].oldest
-			}
-			h.buckets = append(h.buckets[:i], h.buckets[i+1:]...)
-			merged = sizeClass(b.sum)
-			break
+	for h.classes[c-h.classLo].n > h.maxPerClass {
+		a, b := h.classPop(c), h.classPop(c)
+		older, younger := &h.nodes[a], &h.nodes[b]
+		older.sum += younger.sum
+		older.count += younger.count
+		if younger.newest > older.newest {
+			older.newest = younger.newest
 		}
-		if merged < 0 { // bookkeeping drift; recount defensively
-			h.recount()
-			return
+		if younger.oldest < older.oldest {
+			older.oldest = younger.oldest
 		}
-		h.classCount[c] -= 2
-		if h.classCount[c] == 0 {
-			delete(h.classCount, c)
-		}
-		h.classCount[merged]++
-		c = merged
-	}
-}
-
-// recount rebuilds the class counts from scratch.
-func (h *ExpHistogram) recount() {
-	for k := range h.classCount {
-		delete(h.classCount, k)
-	}
-	for _, b := range h.buckets {
-		h.classCount[sizeClass(b.sum)]++
+		h.release(b)
+		c = sizeClass(older.sum)
+		h.classLink(a, c)
 	}
 }
 
@@ -137,18 +225,9 @@ func (h *ExpHistogram) expire(now float64) {
 		return
 	}
 	cutoff := now - h.window
-	i := 0
-	for i < len(h.buckets) && h.buckets[i].newest < cutoff {
-		h.count -= int64(h.buckets[i].count)
-		c := sizeClass(h.buckets[i].sum)
-		h.classCount[c]--
-		if h.classCount[c] == 0 {
-			delete(h.classCount, c)
-		}
-		i++
-	}
-	if i > 0 {
-		h.buckets = h.buckets[i:]
+	for i := h.nodes[0].next; i != 0 && h.nodes[i].newest < cutoff; i = h.nodes[0].next {
+		h.classPop(int(h.nodes[i].class))
+		h.release(i)
 	}
 }
 
@@ -158,13 +237,13 @@ func (h *ExpHistogram) expire(now float64) {
 func (h *ExpHistogram) WindowSum(t float64) float64 {
 	h.expire(t)
 	var s float64
-	for _, b := range h.buckets {
-		s += b.sum
+	for i := h.nodes[0].next; i != 0; i = h.nodes[i].next {
+		s += h.nodes[i].sum
 	}
-	if h.window > 0 && len(h.buckets) > 0 && h.buckets[0].oldest < t-h.window {
+	if head := &h.nodes[h.nodes[0].next]; h.window > 0 && h.live > 0 && head.oldest < t-h.window {
 		// The oldest bucket straddles the window boundary: count half of it,
 		// the classical EH estimate.
-		s -= h.buckets[0].sum / 2
+		s -= head.sum / 2
 	}
 	return s
 }
@@ -174,11 +253,11 @@ func (h *ExpHistogram) WindowSum(t float64) float64 {
 func (h *ExpHistogram) WindowCount(t float64) float64 {
 	h.expire(t)
 	var c float64
-	for _, b := range h.buckets {
-		c += b.count
+	for i := h.nodes[0].next; i != 0; i = h.nodes[i].next {
+		c += h.nodes[i].count
 	}
-	if h.window > 0 && len(h.buckets) > 0 && h.buckets[0].oldest < t-h.window {
-		c -= h.buckets[0].count / 2
+	if head := &h.nodes[h.nodes[0].next]; h.window > 0 && h.live > 0 && head.oldest < t-h.window {
+		c -= head.count / 2
 	}
 	return c
 }
@@ -193,16 +272,9 @@ func (h *ExpHistogram) DecayedSum(f decay.AgeFunc, t float64) float64 {
 	h.expire(t)
 	f0 := f.Eval(0)
 	var s float64
-	for _, b := range h.buckets {
-		aNew, aOld := t-b.newest, t-b.oldest
-		if aNew < 0 {
-			aNew = 0
-		}
-		if aOld < 0 {
-			aOld = 0
-		}
-		w := (f.Eval(aNew) + f.Eval(aOld)) / 2 / f0
-		s += b.sum * w
+	for i := h.nodes[0].next; i != 0; i = h.nodes[i].next {
+		b := &h.nodes[i]
+		s += b.sum * ageWeight(f, f0, t, b)
 	}
 	return s
 }
@@ -212,20 +284,29 @@ func (h *ExpHistogram) DecayedCount(f decay.AgeFunc, t float64) float64 {
 	h.expire(t)
 	f0 := f.Eval(0)
 	var s float64
-	for _, b := range h.buckets {
-		aNew, aOld := t-b.newest, t-b.oldest
-		if aNew < 0 {
-			aNew = 0
-		}
-		if aOld < 0 {
-			aOld = 0
-		}
-		w := (f.Eval(aNew) + f.Eval(aOld)) / 2 / f0
-		s += b.count * w
+	for i := h.nodes[0].next; i != 0; i = h.nodes[i].next {
+		b := &h.nodes[i]
+		s += b.count * ageWeight(f, f0, t, b)
 	}
 	return s
 }
 
-// SizeBytes estimates the in-memory footprint: 32 bytes per bucket plus the
-// header.
-func (h *ExpHistogram) SizeBytes() int { return 48 + cap(h.buckets)*32 }
+// ageWeight is f at the midpoint of bucket b's age span at time t, over f(0).
+func ageWeight(f decay.AgeFunc, f0, t float64, b *ehNode) float64 {
+	aNew, aOld := t-b.newest, t-b.oldest
+	if aNew < 0 {
+		aNew = 0
+	}
+	if aOld < 0 {
+		aOld = 0
+	}
+	return (f.Eval(aNew) + f.Eval(aOld)) / 2 / f0
+}
+
+// SizeBytes reports the memory held: the header, the node pool at its
+// capacity (free nodes included — they are held) and the class table.
+func (h *ExpHistogram) SizeBytes() int {
+	return int(unsafe.Sizeof(*h)) +
+		cap(h.nodes)*int(unsafe.Sizeof(ehNode{})) +
+		cap(h.classes)*int(unsafe.Sizeof(ehClass{}))
+}

@@ -21,6 +21,7 @@ import (
 type HeavyHitters struct {
 	window  float64
 	levels  int
+	width   []float64 // width[l] = window/2^l, level l's block duration
 	k       int
 	blks    [][]hhBlock // per level, ascending block index
 	last    float64
@@ -50,9 +51,14 @@ func NewHeavyHitters(window, epsilon float64) *HeavyHitters {
 		levels = 1
 	}
 	k := int(math.Ceil(2 / epsilon))
+	width := make([]float64, levels)
+	for l := range width {
+		width[l] = window / float64(uint64(1)<<uint(l))
+	}
 	return &HeavyHitters{
 		window:  window,
 		levels:  levels,
+		width:   width,
 		k:       k,
 		blks:    make([][]hhBlock, levels),
 		totalEH: sketch.NewExpHistogram(epsilon/2, window),
@@ -75,8 +81,7 @@ func (h *HeavyHitters) Observe(key uint64, ts, weight float64) {
 		ts = h.last
 	}
 	h.last = ts
-	for l := 0; l < h.levels; l++ {
-		d := h.window / float64(uint64(1)<<uint(l))
+	for l, d := range h.width {
 		idx := int64(math.Floor(ts / d))
 		lv := h.blks[l]
 		if n := len(lv); n == 0 || lv[n-1].idx != idx {
@@ -112,12 +117,11 @@ func (h *HeavyHitters) expireLevel(l int, ts float64) {
 // block straddling each boundary, counted fully.
 func (h *HeavyHitters) cover(from, to float64) []*hhBlock {
 	var out []*hhBlock
-	fine := h.window / float64(uint64(1)<<uint(h.levels-1))
+	fine := h.width[h.levels-1]
 	p := from
 	for p < to-1e-9 {
 		placed := false
-		for l := 0; l < h.levels; l++ {
-			d := h.window / float64(uint64(1)<<uint(l))
+		for l, d := range h.width {
 			idx := int64(math.Ceil((p - 1e-9) / d))
 			start := float64(idx) * d
 			if start-p < fine && start+d <= to+1e-9 {

@@ -6,13 +6,16 @@
 //     Histogram following Cohen and Strauss — the "EH" series of Figure 2.
 //     The decay function is chosen at query time, which is exactly the
 //     flexibility that costs kilobytes of state per group versus the 8
-//     bytes of a forward-decayed sum.
+//     bytes of a forward-decayed sum. The histogram's insert is O(1)
+//     amortised, like a forward-decayed fold; what it pays for is that
+//     state, which grows with 1/ε and is walked whole by every query.
 //
 //   - HeavyHitters: sliding-window heavy hitters over a hierarchy of dyadic
 //     time blocks, each summarized by a Misra–Gries sketch (in the style of
 //     Arasu and Manku; see DESIGN.md for the substitution note). Every
-//     arrival updates one block per level, and queries combine blocks — far
-//     heavier than a single SpaceSaving update, reproducing the cost gap of
+//     arrival updates one block per level — ⌈log₂ 1/ε⌉+1 Misra–Gries map
+//     updates, which is where its time goes, against a single SpaceSaving
+//     update — and queries combine blocks, reproducing the cost gap of
 //     Figures 4 and 5.
 //
 //   - HeavyHitters.DecayedQuery: heavy hitters under an arbitrary backward
