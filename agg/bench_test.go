@@ -59,18 +59,3 @@ func BenchmarkHeavyHittersObserve(b *testing.B) {
 		h.Observe(keys[i&4095], 1+float64(i)*1e-6)
 	}
 }
-
-func BenchmarkShardedSumObserve(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "shards=1", 2: "shards=2", 4: "shards=4"}[shards], func(b *testing.B) {
-			s := NewShardedSum(benchModel(), ShardOptions{Shards: shards})
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s.Observe(1+float64(i)*1e-6, float64(i&1023))
-			}
-			s.s.sync()
-			b.StopTimer()
-			s.Close()
-		})
-	}
-}

@@ -29,21 +29,10 @@ type RunConfig struct {
 	Scale float64
 	// Seed makes every experiment deterministic.
 	Seed uint64
-	// Shards pins the parallel experiment to one shard count; 0 sweeps the
-	// default ladder (1, 2, 4, 8).
-	Shards int
 }
 
 // DefaultConfig is the full-scale deterministic configuration.
 func DefaultConfig() RunConfig { return RunConfig{Scale: 1, Seed: 20090329} }
-
-// shardList returns the shard counts the parallel experiment sweeps.
-func (c RunConfig) shardList() []int {
-	if c.Shards > 0 {
-		return []int{c.Shards}
-	}
-	return []int{1, 2, 4, 8}
-}
 
 // packets returns n scaled by the config, with a floor to keep tiny scales
 // meaningful.

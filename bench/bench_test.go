@@ -13,7 +13,7 @@ func tiny() RunConfig { return RunConfig{Scale: 0.02, Seed: 7} }
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"ablations", "acc", "dist", "examples", "fig1", "fig2a",
 		"fig2b", "fig2c", "fig2d", "fig3a", "fig3b", "fig4a", "fig4b", "fig4c",
-		"fig4d", "fig5", "ooo", "parallel"}
+		"fig4d", "fig5", "ooo"}
 	got := Experiments()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(got), len(want))

@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI check: build, vet, tests, the race detector over the concurrent code
-# (the sharded gsql runtime, the agg shard wrappers, and the fault-injection
-# suites), a short fuzz smoke over every decoder and the query parser, and a
-# perf-regression gate over the hot-path micro-benchmarks.
+# (the listener, the query service, the distributed tier, the stand-alone
+# sharded gsql runtime, and the fault-injection suites), a short fuzz smoke
+# over every decoder and the query parser, and a perf-regression gate over
+# the hot-path micro-benchmarks.
 set -eux
 
 go build ./...
@@ -65,8 +66,9 @@ go test -race -run 'ResultLog|RowFrame|ServeEndToEnd|MidStreamClient|DetachNotif
 # Shared multi-query runtime: the differential suite (MultiRun vs N
 # standalone runs, bit-for-bit, through checkpoints, epoch rolls, solo
 # replay, poison-query quarantine and attach/detach churn) gets a dedicated
-# -race pass — sharded members run the parallel runtime under the shared
-# feed, and detach-under-load is where the catalog locking is subtle.
+# -race pass. The runtime is single-producer and starts no goroutine of its
+# own; the pass stays so that the detector sees the suite that churns the
+# catalog hardest (detach under load, quarantine from inside a fold).
 go test -race -run 'Multi|SoloReplay' -count=1 ./gsql/
 
 # Fuzz smoke: 10s per target. -run='^$' skips the unit tests (already run

@@ -3,16 +3,14 @@
 //
 // Usage:
 //
-//	fdbench [-scale f] [-seed n] [-shards n] list
-//	fdbench [-scale f] [-seed n] [-shards n] all
-//	fdbench [-scale f] [-seed n] [-shards n] <experiment-id> [<experiment-id>...]
+//	fdbench [-scale f] [-seed n] list
+//	fdbench [-scale f] [-seed n] all
+//	fdbench [-scale f] [-seed n] <experiment-id> [<experiment-id>...]
 //
 // Experiment ids are the paper's figure numbers (fig1, fig2a…fig2d,
-// fig3a, fig3b, fig4a…fig4d, fig5) plus "examples" for the worked examples
-// and "parallel" for the sharded-runtime throughput sweep.
+// fig3a, fig3b, fig4a…fig4d, fig5) plus "examples" for the worked examples.
 // Scale 1.0 (the default) runs the full workloads; smaller values run
-// proportionally smaller ones. -shards pins the parallel experiment to one
-// shard count instead of sweeping 1, 2, 4, 8.
+// proportionally smaller ones.
 //
 // A separate mode backs the ci.sh perf-regression gate:
 //
@@ -55,7 +53,6 @@ import (
 func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = full experiment)")
 	seed := flag.Uint64("seed", 20090329, "deterministic workload seed")
-	shards := flag.Int("shards", 0, "shard count for the parallel experiment (0 = sweep 1,2,4,8)")
 	benchJSON := flag.Bool("bench-json", false, "run the hot-path micro-benchmark suite and emit BENCH_*.json on stdout")
 	benchtime := flag.String("benchtime", "1s", "per-benchmark run time for -bench-json (go test -benchtime syntax)")
 	baseline := flag.String("baseline", "", "baseline BENCH_*.json for -bench-json; exit non-zero on >25% ns/op regression")
@@ -80,7 +77,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	cfg := bench.RunConfig{Scale: *scale, Seed: *seed, Shards: *shards}
+	cfg := bench.RunConfig{Scale: *scale, Seed: *seed}
 
 	switch args[0] {
 	case "list":

@@ -21,9 +21,6 @@
 //	-heartbeat d    synthesize a heartbeat after d of input silence so open
 //	                time buckets still close while the source idles
 //	                (both local and -listen input; 0 = off)
-//	-batch          execute via the columnar batch path (default on); with
-//	                -batch=false every tuple goes through the scalar Push
-//	                path — the differential lever for batch-vs-scalar runs
 //	-rate r         synthetic packet rate (default 100000)
 //	-packets n      synthetic packet count (default 1000000)
 //	-seed n         synthetic generator seed
@@ -60,8 +57,6 @@
 //	-http addr      /healthz + /metrics HTTP address (with -serve; off by
 //	                default)
 //	-token t        control session token (with -serve; empty accepts any)
-//	-shards n       run attached queries on n-way sharded parallel runs
-//	                (with -serve; 0 = serial)
 //
 // A kill-and-restore cycle is: run with -checkpoint state.fdc
 // -checkpoint-every 100000, interrupt it, then rerun the remaining input
@@ -100,7 +95,6 @@ func main() {
 	listen := flag.String("listen", "", "serve the ingest protocol on this address (host:port or unix:/path)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "bound on draining in-flight frames at shutdown (with -listen)")
 	heartbeat := flag.Duration("heartbeat", 0, "synthesize a heartbeat after this much input silence (0 = off)")
-	batchMode := flag.Bool("batch", true, "execute via the columnar batch path (-batch=false forces scalar pushes)")
 	rate := flag.Float64("rate", 100_000, "synthetic packet rate (pkt/s)")
 	packets := flag.Int("packets", 1_000_000, "synthetic packet count")
 	seed := flag.Uint64("seed", 1, "synthetic generator seed")
@@ -120,7 +114,6 @@ func main() {
 	controlAddr := flag.String("control", "127.0.0.1:9898", "control-plane listen address (with -serve)")
 	httpAddr := flag.String("http", "", "health/metrics HTTP listen address (with -serve; empty = off)")
 	token := flag.String("token", "", "control session token (with -serve; empty = unauthenticated)")
-	shards := flag.Int("shards", 0, "parallel shards per attached query (with -serve; 0 = serial)")
 	flag.Parse()
 
 	if *listen != "" && *trace != "" {
@@ -139,7 +132,7 @@ func main() {
 			ingestAddr = "127.0.0.1:9899"
 		}
 		runService(*serveDir, *controlAddr, ingestAddr, *httpAddr, *token,
-			*shards, *ckptEvery, *heartbeat, *drainTimeout, flag.Arg(0))
+			*ckptEvery, *heartbeat, *drainTimeout, flag.Arg(0))
 		return
 	}
 	if flag.NArg() != 1 {
@@ -221,58 +214,42 @@ func main() {
 	}
 
 	if *listen != "" {
-		serve(run, *listen, *drainTimeout, *heartbeat, !*batchMode, *ckptFile, *ckptEvery, *restoreFile)
+		serve(run, *listen, *drainTimeout, *heartbeat, *ckptFile, *ckptEvery, *restoreFile)
 		return
 	}
 
+	// Columnar drive: buffer packets and push 256 at a time. Heartbeats,
+	// checkpoints and the end of input all flush first, so stream time
+	// never overtakes buffered data and checkpoint cuts land at batch
+	// boundaries.
+	bb, err := gsql.NewBatch(gsql.PacketSchema("TCP"))
+	if err != nil {
+		fatal(err)
+	}
+	buf := make([]netgen.Packet, 0, 256)
 	sinceCkpt := 0
-	maybeCkpt := func() error {
+	flush := func() error {
+		if len(buf) == 0 {
+			return nil
+		}
+		netgen.FillBatch(bb, buf)
+		sinceCkpt += len(buf)
+		buf = buf[:0]
+		if _, err := run.PushBatch(bb); err != nil {
+			return err
+		}
 		if *ckptFile != "" && *ckptEvery > 0 && sinceCkpt >= *ckptEvery {
 			sinceCkpt = 0
 			return writeCheckpoint(run, *ckptFile)
 		}
 		return nil
 	}
-	var push func(p netgen.Packet) error
-	flush := func() error { return nil }
-	if *batchMode {
-		// Columnar drive: buffer packets and push 256 at a time. Heartbeats,
-		// checkpoints and the end of input all flush first, so stream time
-		// never overtakes buffered data and checkpoint cuts land at batch
-		// boundaries.
-		bb, err := gsql.NewBatch(gsql.PacketSchema("TCP"))
-		if err != nil {
-			fatal(err)
+	push := func(p netgen.Packet) error {
+		buf = append(buf, p)
+		if len(buf) == cap(buf) {
+			return flush()
 		}
-		buf := make([]netgen.Packet, 0, 256)
-		flush = func() error {
-			if len(buf) == 0 {
-				return nil
-			}
-			netgen.FillBatch(bb, buf)
-			n := len(buf)
-			buf = buf[:0]
-			if _, err := run.PushBatch(bb); err != nil {
-				return err
-			}
-			sinceCkpt += n
-			return maybeCkpt()
-		}
-		push = func(p netgen.Packet) error {
-			buf = append(buf, p)
-			if len(buf) == cap(buf) {
-				return flush()
-			}
-			return nil
-		}
-	} else {
-		push = func(p netgen.Packet) error {
-			if err := run.Push(netgen.Tuple(p)); err != nil {
-				return err
-			}
-			sinceCkpt++
-			return maybeCkpt()
-		}
+		return nil
 	}
 
 	var produce func(emit func(netgen.Packet) error) error
@@ -299,7 +276,7 @@ func main() {
 	finish(run, drive(run, push, flush, produce, *heartbeat), *ckptFile)
 }
 
-// drive feeds packets from produce into push, flushing any batch buffer at
+// drive feeds packets from produce into push, flushing the batch buffer at
 // the end of input and before every heartbeat. With a positive heartbeat
 // interval the producer runs on its own goroutine and input silence longer
 // than the interval synthesizes a heartbeat — stream time advanced by the
@@ -368,14 +345,13 @@ func drive(run *gsql.Run, push func(netgen.Packet) error, flush func() error, pr
 // -checkpoint is set — a final checkpoint written. The run is deliberately
 // NOT closed after a final checkpoint: closing would emit the open bucket,
 // and a successor restored from the checkpoint would then emit it again.
-func serve(run *gsql.Run, addr string, drainTimeout, heartbeat time.Duration, scalarPush bool, ckptFile string, ckptEvery int, restoreFile string) {
+func serve(run *gsql.Run, addr string, drainTimeout, heartbeat time.Duration, ckptFile string, ckptEvery int, restoreFile string) {
 	network, address := ingest.SplitAddr(addr)
 	// lref lets the checkpoint hook reach the listener's session table; the
 	// hook can fire from the pump before Listen has returned the value.
 	var lref atomic.Pointer[ingest.Listener]
 	cfg := ingest.Config{
 		Sink:              run,
-		ScalarPush:        scalarPush,
 		HeartbeatInterval: heartbeat,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)

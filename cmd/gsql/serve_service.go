@@ -19,13 +19,12 @@ import (
 )
 
 // runService blocks until the service is told to exit.
-func runService(dir, controlAddr, ingestAddr, httpAddr, token string, shards int, ckptEvery int, heartbeat, drainTimeout time.Duration, query string) {
+func runService(dir, controlAddr, ingestAddr, httpAddr, token string, ckptEvery int, heartbeat, drainTimeout time.Duration, query string) {
 	cfg := server.Config{
 		Dir:               dir,
 		ControlAddr:       controlAddr,
 		IngestAddr:        ingestAddr,
 		HTTPAddr:          httpAddr,
-		Shards:            shards,
 		HeartbeatInterval: heartbeat,
 		DrainTimeout:      drainTimeout,
 		Logf: func(format string, args ...any) {
@@ -52,7 +51,7 @@ func runService(dir, controlAddr, ingestAddr, httpAddr, token string, shards int
 	// single-query deployment without a separate control client. On a warm
 	// state directory the query may already be in the recovered catalog.
 	if query != "" {
-		id, err := svc.Attach(query, uint32(shards))
+		id, err := svc.Attach(query)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gsql: startup attach: %v\n", err)
 		} else {

@@ -57,10 +57,6 @@ import (
 //
 //   - Single producer. A MultiRun, like a Run, is driven by one goroutine;
 //     the memo generation counter and slot values are unsynchronized.
-//   - Sharded members evaluate WHERE and group expressions on the producer
-//     goroutine (the ParallelRun coordinator) so those share slots, but
-//     their aggregate arguments run on shard workers — those are compiled
-//     without the hook (planHooks.plainArgs).
 //   - The memo is only live during the shared scalar pass (m.share). The
 //     per-query scalar replay of a batch segment and the per-query solo
 //     pushes of crash-recovery replay evaluate slots plainly, which is
@@ -72,21 +68,17 @@ import (
 //   - Epoch rollovers are runtime-wide: one shared supervisor observes the
 //     stream clock once per tuple and shifts every member's landmark at the
 //     same point of the sequence, so decay state never straddles landmarks
-//     across members (sharded members run their own supervisor over the
-//     same configuration, which rolls at the same stream times).
+//     across members.
 type MultiRun struct {
 	eng    *Engine
 	schema *Schema
 	opts   Options
 	iso    *IsolateConfig // normalized copy of opts.Isolate; nil = legacy
 
-	// Plan-time identity: expression interner and per-mode statement
-	// catalogs (serial and sharded plans compile differently, so the same
-	// text maps to different artifacts per mode).
-	in   *analyzer.Interner
-	scat *analyzer.Catalog // serial statements by exact text
-	pcat *analyzer.Catalog // sharded statements by exact text
-	env  *compileEnv       // slot compiler; env.shared is self-referential
+	// Plan-time identity: expression interner and statement catalog.
+	in  *analyzer.Interner
+	cat *analyzer.Catalog // statements by exact text
+	env *compileEnv       // slot compiler; env.shared is self-referential
 
 	// Shared slot table, indexed by interner slot id. A nil entry is a slot
 	// whose compilation is in flight or failed; the hook declines those and
@@ -109,7 +101,6 @@ type MultiRun struct {
 
 	classes    []*predClass
 	classByKey map[string]*predClass
-	parallel   []*multiEntry // sharded members; order changes under churn
 
 	entries map[uint64]*multiEntry
 	nextID  uint64
@@ -146,10 +137,9 @@ type IsolateConfig struct {
 	// erroring tuple after tuple). 0 disables the breaker; transient
 	// errors then only count toward QueryStats.Errors.
 	BreakerErrors int
-	// MaxGroups quarantines a serial query whose live group population
-	// (current bucket) exceeds the cap — the group-key cardinality bomb.
-	// 0 disables the cap. Sharded members are not capped: their group
-	// state lives on shard workers where counting it would need a barrier.
+	// MaxGroups quarantines a query whose live group population (current
+	// bucket) exceeds the cap — the group-key cardinality bomb. 0 disables
+	// the cap.
 	MaxGroups int
 	// AdmitBudget is the catalog-wide budget for estimated private-
 	// expression cost, in estimated ns/tuple (the same unit QueryStats
@@ -205,6 +195,18 @@ func (e *AdmissionError) Error() string {
 		e.EstCost, e.Used, e.Budget)
 }
 
+// ShardedUnsupportedError reports a request to run a catalog member sharded.
+// Every member is a serial Run: Attach/Restore refuse a non-zero shard count,
+// and the service a persisted one, rather than silently run it serial.
+type ShardedUnsupportedError struct {
+	Query  string
+	Shards int
+}
+
+func (e *ShardedUnsupportedError) Error() string {
+	return fmt.Sprintf("gsql: sharded execution is not supported (shards=%d): %s", e.Shards, e.Query)
+}
+
 // sharedSlot is one hash-consed subexpression: its compiled evaluator and
 // the single-tuple memo.
 type sharedSlot struct {
@@ -256,17 +258,14 @@ type predClass struct {
 
 // multiEntry is one attached query.
 type multiEntry struct {
-	id     uint64
-	text   string
-	mode   string // catalog key space: "serial" or "parallel"
-	shards int
-	sink   func(Tuple) error
-	run    *Run
-	pr     *ParallelRun
-	cls    *predClass
-	pos    int // index in cls.members or m.parallel (swap-remove)
-	armed  bool
-	tag    any
+	id    uint64
+	text  string
+	sink  func(Tuple) error
+	run   *Run
+	cls   *predClass
+	pos   int // index in cls.members (swap-remove)
+	armed bool
+	tag   any
 	// off converts the shared feed position into this run's tuple counter:
 	// r.tuples == m.tuples + off. Attach sets it to -m.tuples; restore to
 	// ckpt.tuples - m.tuples; solo pushes advance it directly.
@@ -296,25 +295,18 @@ type MultiHandle struct {
 	e *multiEntry
 }
 
-// serialStmt is the serial catalog artifact: the deduped statement, the
-// pieces the predicate class is built from, and the shared-slot retains of
-// its compile (released with the last reference to the text).
-type serialStmt struct {
+// multiStmt is the catalog artifact: the deduped statement, the pieces the
+// predicate class is built from, and the shared-slot retains of its compile
+// (released with the last reference to the text).
+type multiStmt struct {
 	st       *Statement
 	whereKey string
 	whereAST expr
 	slots    []int
 }
 
-// parallelStmt is the sharded catalog artifact.
-type parallelStmt struct {
-	st    *Statement
-	slots []int
-}
-
 // NewMultiRun creates an empty multi-query runtime over one registered
-// stream. Options apply to every serial member (sharded members derive
-// their epoch supervisor from the same config). Like a Run, a MultiRun is
+// stream. Options apply to every member. Like a Run, a MultiRun is
 // single-producer: Push/PushBatch/Heartbeat and Attach/Detach must not be
 // called concurrently.
 func NewMultiRun(e *Engine, stream string, opts Options) (*MultiRun, error) {
@@ -331,8 +323,7 @@ func NewMultiRun(e *Engine, stream string, opts Options) (*MultiRun, error) {
 		schema:     schema,
 		opts:       opts,
 		in:         analyzer.NewInterner(),
-		scat:       analyzer.NewCatalog(),
-		pcat:       analyzer.NewCatalog(),
+		cat:        analyzer.NewCatalog(),
 		classByKey: map[string]*predClass{},
 		entries:    map[uint64]*multiEntry{},
 		ep:         ep,
@@ -446,11 +437,11 @@ func (m *MultiRun) compileScope(f func() error) ([]int, error) {
 	return rec, nil
 }
 
-// prepareSerial compiles a parsed query for shared serial execution: WHERE
-// stripped from the per-query plan (the predicate class applies it), every
-// tuple-level expression routed through the shared slots.
-func (m *MultiRun) prepareSerial(text string, ast *queryAST) (*serialStmt, error) {
-	ss := &serialStmt{whereAST: ast.where}
+// prepare compiles a parsed query for shared execution: WHERE stripped from
+// the per-query plan (the predicate class applies it), every tuple-level
+// expression routed through the shared slots.
+func (m *MultiRun) prepare(text string, ast *queryAST) (*multiStmt, error) {
+	ss := &multiStmt{whereAST: ast.where}
 	if ast.where != nil {
 		ss.whereKey = exprKey(ast.where)
 	}
@@ -470,28 +461,6 @@ func (m *MultiRun) prepareSerial(text string, ast *queryAST) (*serialStmt, error
 	return ss, nil
 }
 
-// prepareParallel compiles a parsed query for a sharded member: WHERE and
-// group expressions stay in the plan (the coordinator evaluates them on the
-// producer goroutine, so they still share slots); aggregate arguments
-// compile plainly because shard workers evaluate them off-thread.
-func (m *MultiRun) prepareParallel(text string, ast *queryAST) (*parallelStmt, error) {
-	ps := &parallelStmt{}
-	slots, err := m.compileScope(func() error {
-		p, err := buildPlanH(ast, m.schema, m.eng.aggs, planHooks{shared: m.sharedHook, plainArgs: true})
-		if err != nil {
-			return err
-		}
-		p.fp = fingerprint(text, m.schema.Name)
-		ps.st = &Statement{p: p, text: text}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ps.slots = slots
-	return ps, nil
-}
-
 func (m *MultiRun) parse(text string) (*queryAST, error) {
 	isAgg := func(name string) bool { _, ok := m.eng.aggs[name]; return ok }
 	ast, err := parseQuery(text, isAgg)
@@ -506,7 +475,7 @@ func (m *MultiRun) parse(text string) (*queryAST, error) {
 
 // classFor returns (creating if needed) the predicate class of a canonical
 // WHERE key.
-func (m *MultiRun) classFor(ss *serialStmt) (*predClass, error) {
+func (m *MultiRun) classFor(ss *multiStmt) (*predClass, error) {
 	if cls := m.classByKey[ss.whereKey]; cls != nil {
 		return cls, nil
 	}
@@ -646,7 +615,8 @@ func (m *MultiRun) admit(text string, q *queryAST) (float64, error) {
 func (m *MultiRun) AdmitUsed() float64 { return m.admitUsed }
 
 // Attach registers a query against the shared feed and starts its run.
-// shards > 0 selects sharded (LFTA/HFTA) execution with that many workers.
+// shards must be 0: every member is a serial Run, and anything else is
+// refused with *ShardedUnsupportedError before the catalog is touched.
 // Identical query texts share one compiled plan; every attach owns its own
 // run, sink, cursor and checkpoints. Queries attached mid-stream see only
 // tuples pushed after their attach, exactly as a standalone run started at
@@ -668,6 +638,9 @@ func (m *MultiRun) Restore(text string, shards int, ckpt []byte, sink func(Tuple
 }
 
 func (m *MultiRun) add(text string, shards int, ckpt []byte, sink func(Tuple) error) (*MultiHandle, error) {
+	if shards != 0 {
+		return nil, &ShardedUnsupportedError{Query: text, Shards: shards}
+	}
 	ast, err := m.parse(text)
 	if err != nil {
 		return nil, err
@@ -676,7 +649,7 @@ func (m *MultiRun) add(text string, shards int, ckpt []byte, sink func(Tuple) er
 	if err != nil {
 		return nil, err
 	}
-	e := &multiEntry{id: m.nextID, text: text, shards: shards, sink: sink}
+	e := &multiEntry{id: m.nextID, text: text, sink: sink}
 	if err := m.link(e, ast, ckpt); err != nil {
 		return nil, err
 	}
@@ -697,54 +670,26 @@ func (m *MultiRun) add(text string, shards int, ckpt []byte, sink func(Tuple) er
 // Restore and Revive all come through here, and its cost is O(query) — no
 // catalog-wide recompilation happens on any membership change.
 func (m *MultiRun) link(e *multiEntry, ast *queryAST, ckpt []byte) error {
-	if e.shards > 0 {
-		ent, fresh := m.pcat.Acquire(e.text)
-		if fresh {
-			ps, err := m.prepareParallel(e.text, ast)
-			if err != nil {
-				m.pcat.Release(e.text)
-				return err
-			}
-			ent.Data = ps
-		}
-		ps := ent.Data.(*parallelStmt)
-		popts := ParallelOptions{Shards: e.shards, Epoch: m.opts.Epoch}
-		var pr *ParallelRun
-		var err error
-		if ckpt != nil {
-			pr, err = ps.st.RestoreParallel(ckpt, e.sink, popts)
-		} else {
-			pr, err = ps.st.StartParallel(e.sink, popts)
-		}
-		if err != nil {
-			m.releaseParallelRef(e.text)
-			return err
-		}
-		e.mode, e.pr, e.run, e.cls = "parallel", pr, nil, nil
-		e.pos = len(m.parallel)
-		m.parallel = append(m.parallel, e)
-		return nil
-	}
-	ent, fresh := m.scat.Acquire(e.text)
+	ent, fresh := m.cat.Acquire(e.text)
 	if fresh {
-		ss, err := m.prepareSerial(e.text, ast)
+		ss, err := m.prepare(e.text, ast)
 		if err != nil {
-			m.scat.Release(e.text)
+			m.cat.Release(e.text)
 			return err
 		}
 		ent.Data = ss
 	}
-	ss := ent.Data.(*serialStmt)
+	ss := ent.Data.(*multiStmt)
 	cls, err := m.classFor(ss)
 	if err != nil {
-		m.releaseSerialRef(e.text)
+		m.releaseRef(e.text)
 		return err
 	}
 	var r *Run
 	if ckpt != nil {
 		r, err = ss.st.Restore(ckpt, e.sink, m.opts)
 		if err != nil {
-			m.releaseSerialRef(e.text)
+			m.releaseRef(e.text)
 			return err
 		}
 		e.off = int64(r.tuples) - int64(m.tuples)
@@ -769,34 +714,22 @@ func (m *MultiRun) link(e *multiEntry, ast *queryAST, ckpt []byte) error {
 			}
 		}
 	}
-	e.mode, e.run, e.pr, e.cls = "serial", r, nil, cls
+	e.run, e.cls = r, cls
 	e.pos = len(cls.members)
 	cls.members = append(cls.members, e)
 	return nil
 }
 
-// releaseSerialRef drops one serial-catalog reference to text; the last
-// reference also returns the statement's shared-slot retains.
-func (m *MultiRun) releaseSerialRef(text string) {
-	ent := m.scat.Get(text)
+// releaseRef drops one catalog reference to text; the last reference also
+// returns the statement's shared-slot retains.
+func (m *MultiRun) releaseRef(text string) {
+	ent := m.cat.Get(text)
 	if ent == nil {
 		return
 	}
-	ss, _ := ent.Data.(*serialStmt)
-	if m.scat.Release(text) && ss != nil {
+	ss, _ := ent.Data.(*multiStmt)
+	if m.cat.Release(text) && ss != nil {
 		m.releaseSlots(ss.slots)
-	}
-}
-
-// releaseParallelRef is releaseSerialRef for the sharded catalog.
-func (m *MultiRun) releaseParallelRef(text string) {
-	ent := m.pcat.Get(text)
-	if ent == nil {
-		return
-	}
-	ps, _ := ent.Data.(*parallelStmt)
-	if m.pcat.Release(text) && ps != nil {
-		m.releaseSlots(ps.slots)
 	}
 }
 
@@ -812,17 +745,12 @@ func swapRemoveAt(s []*multiEntry, i int) []*multiEntry {
 
 // unlink removes an armed entry from every shared structure: class
 // membership (pruning an empty class and releasing its predicate slots),
-// the sharded member list, the admission budget, and the catalog reference
-// (releasing the statement's shared slots on the last one). O(1) in the
-// catalog size via the stored positions. The entry itself stays wherever
-// the caller keeps it — Detach drops it, quarantine retains it.
+// the admission budget, and the catalog reference (releasing the
+// statement's shared slots on the last one). O(1) in the catalog size via
+// the stored positions. The entry itself stays wherever the caller keeps
+// it — Detach drops it, quarantine retains it.
 func (m *MultiRun) unlink(e *multiEntry) {
 	m.admitUsed -= e.estCost
-	if e.pr != nil {
-		m.parallel = swapRemoveAt(m.parallel, e.pos)
-		m.releaseParallelRef(e.text)
-		return
-	}
 	cls := e.cls
 	cls.members = swapRemoveAt(cls.members, e.pos)
 	if len(cls.members) == 0 {
@@ -836,24 +764,7 @@ func (m *MultiRun) unlink(e *multiEntry) {
 		cls.slots = nil
 	}
 	e.cls = nil
-	m.releaseSerialRef(e.text)
-}
-
-// abortParallel tears a sharded member's workers down without the final
-// flush: quarantine must not emit rows from a fenced query, but the worker
-// goroutines must not outlive their membership either.
-func abortParallel(pr *ParallelRun) {
-	defer func() { _ = recover() }()
-	if pr.closed {
-		return
-	}
-	pr.closed = true
-	for _, w := range pr.workers {
-		close(w.work)
-	}
-	for _, w := range pr.workers {
-		<-w.done
-	}
+	m.releaseRef(e.text)
 }
 
 // quarantine fences an armed entry out of the shared feed: best-effort
@@ -869,25 +780,13 @@ func (m *MultiRun) quarantine(e *multiEntry, reason string, cause error) {
 	// starts fresh.
 	func() {
 		defer func() { _ = recover() }()
-		if e.pr != nil {
-			e.retained, _ = e.pr.Checkpoint()
-		} else if e.run != nil {
-			m.syncTuples(e)
-			e.retained, _ = e.run.Checkpoint()
-		}
+		m.syncTuples(e)
+		e.retained, _ = e.run.Checkpoint()
 	}()
-	if e.pr != nil {
-		e.qtuples = e.pr.Stats()
-	} else {
-		e.qtuples = uint64(int64(m.tuples) + e.off)
-	}
+	e.qtuples = uint64(int64(m.tuples) + e.off)
 	e.quarantined, e.qreason, e.qerr = true, reason, cause
-	pr := e.pr
 	m.unlink(e)
-	e.run, e.pr = nil, nil
-	if pr != nil {
-		abortParallel(pr)
-	}
+	e.run = nil
 	if m.iso != nil && m.iso.OnQuarantine != nil {
 		m.iso.OnQuarantine(QuarantineEvent{
 			ID: e.id, Tag: e.tag, Text: e.text, Reason: reason, Err: cause,
@@ -982,11 +881,6 @@ func (m *MultiRun) foldAll(t Tuple) error {
 			}
 		}
 	}
-	for _, e := range m.parallel {
-		if err := e.pr.Push(t); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -1025,18 +919,6 @@ func (m *MultiRun) foldAllIso(t Tuple) {
 			ci++
 		}
 	}
-	for i := 0; i < len(m.parallel); {
-		e := m.parallel[i]
-		err, reason := m.parallelPushSafe(e, t)
-		if err != nil {
-			m.chargeMember(e, err, reason)
-		} else {
-			e.consecErrs = 0
-		}
-		if i < len(m.parallel) && m.parallel[i] == e {
-			i++
-		}
-	}
 }
 
 // evalPredSafe evaluates a class predicate with panic containment. reason
@@ -1054,7 +936,7 @@ func (m *MultiRun) evalPredSafe(cls *predClass, t Tuple) (ok bool, err error, re
 	return v.Truthy(), nil, ""
 }
 
-// foldMember folds one tuple into a serial member under isolation: recover,
+// foldMember folds one tuple into a member under isolation: recover,
 // sampled timing into the ns/tuple EWMA, error charging, cardinality cap.
 func (m *MultiRun) foldMember(e *multiEntry, t Tuple) {
 	err, reason := m.foldMemberSafe(e, t)
@@ -1086,20 +968,10 @@ func (m *MultiRun) foldMemberSafe(e *multiEntry, t Tuple) (err error, reason str
 	return e.run.foldTuple(t), ""
 }
 
-func (m *MultiRun) parallelPushSafe(e *multiEntry, t Tuple) (err error, reason string) {
-	defer func() {
-		if p := recover(); p != nil {
-			err, reason = fmt.Errorf("gsql: panic pushing query %d: %v", e.id, p), QuarantinePanic
-		}
-	}()
-	return e.pr.Push(t), ""
-}
-
-// shiftAll applies a landmark roll across the runtime: every serial member
-// shifts at the same point of the tuple sequence (sharded members roll
-// under their own supervisor at the same stream time). Under isolation a
-// member whose shift fails is quarantined — a half-shifted run can never
-// rejoin the shared landmark frame — and the roll continues for the rest.
+// shiftAll applies a landmark roll across the runtime: every member shifts
+// at the same point of the tuple sequence. Under isolation a member whose
+// shift fails is quarantined — a half-shifted run can never rejoin the
+// shared landmark frame — and the roll continues for the rest.
 func (m *MultiRun) shiftAll(newL float64) error {
 	if m.iso == nil {
 		for _, cls := range m.classes {
@@ -1167,11 +1039,6 @@ func (m *MultiRun) Heartbeat(ts Value) error {
 			}
 		}
 	}
-	for _, e := range m.parallel {
-		if err := e.pr.Heartbeat(ts); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -1192,16 +1059,6 @@ func (m *MultiRun) heartbeatIso(ts Value) {
 			ci++
 		}
 	}
-	for i := 0; i < len(m.parallel); {
-		e := m.parallel[i]
-		err, reason := m.heartbeatParallelSafe(e, ts)
-		if err != nil {
-			m.chargeMember(e, err, reason)
-		}
-		if i < len(m.parallel) && m.parallel[i] == e {
-			i++
-		}
-	}
 }
 
 func (m *MultiRun) heartbeatMemberSafe(e *multiEntry, ts Value) (err error, reason string) {
@@ -1211,15 +1068,6 @@ func (m *MultiRun) heartbeatMemberSafe(e *multiEntry, ts Value) (err error, reas
 		}
 	}()
 	return e.run.heartbeatBucket(ts), ""
-}
-
-func (m *MultiRun) heartbeatParallelSafe(e *multiEntry, ts Value) (err error, reason string) {
-	defer func() {
-		if p := recover(); p != nil {
-			err, reason = fmt.Errorf("gsql: panic in heartbeat of query %d: %v", e.id, p), QuarantinePanic
-		}
-	}()
-	return e.pr.Heartbeat(ts), ""
 }
 
 // PushBatch folds a columnar batch into every attached query: one finite
@@ -1258,41 +1106,11 @@ func (m *MultiRun) PushBatch(b *Batch) (rejected int, err error) {
 		}
 		lo, skipObserve = hi, roll
 	}
-	if m.iso != nil {
-		for i := 0; i < len(m.parallel); {
-			e := m.parallel[i]
-			err, reason := m.parallelBatchSafe(e, b)
-			if err != nil {
-				m.chargeMember(e, err, reason)
-			} else {
-				e.consecErrs = 0
-			}
-			if i < len(m.parallel) && m.parallel[i] == e {
-				i++
-			}
-		}
-		return rejected, nil
-	}
-	for _, e := range m.parallel {
-		if _, err := e.pr.PushBatch(b); err != nil {
-			return rejected, err
-		}
-	}
 	return rejected, nil
 }
 
-func (m *MultiRun) parallelBatchSafe(e *multiEntry, b *Batch) (err error, reason string) {
-	defer func() {
-		if p := recover(); p != nil {
-			err, reason = fmt.Errorf("gsql: panic pushing batch to query %d: %v", e.id, p), QuarantinePanic
-		}
-	}()
-	_, err = e.pr.PushBatch(b)
-	return err, ""
-}
-
 // processSegmentAll folds rows [lo,hi) — a fixed-landmark segment — into
-// every serial member, one class selection per class.
+// every member, one class selection per class.
 func (m *MultiRun) processSegmentAll(b *Batch, lo, hi int) error {
 	if lo >= hi {
 		return nil
@@ -1367,7 +1185,7 @@ func (m *MultiRun) classSelectSafe(cls *predClass, b *Batch, lo, hi int) (n int,
 	return n, err, ""
 }
 
-// batchMember folds one selected segment into a serial member under
+// batchMember folds one selected segment into a member under
 // isolation, timing the whole segment into the ns/tuple EWMA (n is the
 // surviving row count).
 func (m *MultiRun) batchMember(e *multiEntry, b *Batch, lo, hi int, sel []uint64, n int) {
@@ -1486,8 +1304,7 @@ func (s MultiStats) SharedHitRatio() float64 {
 // MultiStats snapshots the runtime's sharing counters.
 func (m *MultiRun) MultiStats() MultiStats {
 	es := m.in.Stats()
-	ss := m.scat.Stats()
-	ps := m.pcat.Stats()
+	ss := m.cat.Stats()
 	live := 0
 	for _, cls := range m.classes {
 		if len(cls.members) > 0 {
@@ -1502,7 +1319,7 @@ func (m *MultiRun) MultiStats() MultiStats {
 	}
 	return MultiStats{
 		Queries:       len(m.entries),
-		DistinctTexts: m.scat.Len() + m.pcat.Len(),
+		DistinctTexts: m.cat.Len(),
 		Classes:       live,
 		Quarantined:   quar,
 		DistinctExprs: es.Distinct,
@@ -1510,8 +1327,8 @@ func (m *MultiRun) MultiStats() MultiStats {
 		ExprMisses:    es.Misses,
 		MemoHits:      m.memoHits,
 		MemoMisses:    m.memoMisses,
-		PlanHits:      ss.Hits + ps.Hits,
-		PlanMisses:    ss.Misses + ps.Misses,
+		PlanHits:      ss.Hits,
+		PlanMisses:    ss.Misses,
 		Tuples:        m.tuples,
 		AdmitUsed:     m.admitUsed,
 	}
@@ -1523,9 +1340,8 @@ func (m *MultiRun) MultiStats() MultiStats {
 type QueryStats struct {
 	ID   uint64
 	Text string
-	Mode string // "serial" or "parallel"
 	// Tuples is the query's own tuple counter (frozen at quarantine time
-	// for fenced queries); Groups its live group population (serial only).
+	// for fenced queries); Groups its live group population.
 	Tuples uint64
 	Groups int
 	// Errors counts failed folds; ConsecErrors the current breaker streak.
@@ -1543,7 +1359,7 @@ type QueryStats struct {
 
 func (m *MultiRun) queryStats(e *multiEntry) QueryStats {
 	qs := QueryStats{
-		ID: e.id, Text: e.text, Mode: e.mode,
+		ID: e.id, Text: e.text,
 		Errors: e.errs, ConsecErrors: e.consecErrs,
 		Quarantined: e.quarantined, Reason: e.qreason,
 		EstCostNs: e.estCost, NsPerTuple: e.nsEWMA,
@@ -1551,12 +1367,9 @@ func (m *MultiRun) queryStats(e *multiEntry) QueryStats {
 	if e.qerr != nil {
 		qs.Cause = e.qerr.Error()
 	}
-	switch {
-	case e.quarantined:
+	if e.quarantined {
 		qs.Tuples = e.qtuples
-	case e.pr != nil:
-		qs.Tuples = e.pr.Stats()
-	default:
+	} else {
 		qs.Tuples = uint64(int64(m.tuples) + e.off)
 		qs.Groups = e.run.liveGroups()
 	}
@@ -1609,9 +1422,7 @@ func (m *MultiRun) CloseAll() error {
 
 // syncTuples materializes the entry's derived tuple counter into its run.
 func (m *MultiRun) syncTuples(e *multiEntry) {
-	if e.run != nil {
-		e.run.tuples = uint64(int64(m.tuples) + e.off)
-	}
+	e.run.tuples = uint64(int64(m.tuples) + e.off)
 }
 
 // errSoloEpoch: per-query pushes cannot drive the shared epoch clock — a
@@ -1648,18 +1459,6 @@ func (h *MultiHandle) Push(t Tuple) error {
 	m, e := h.m, h.e
 	if e.quarantined {
 		return errQuarantined
-	}
-	if e.pr != nil {
-		if m.iso != nil {
-			err, reason := m.parallelPushSafe(e, t)
-			if err != nil {
-				m.chargeMember(e, err, reason)
-			} else {
-				e.consecErrs = 0
-			}
-			return nil
-		}
-		return e.pr.Push(t)
 	}
 	if m.ep != nil {
 		return errSoloEpoch
@@ -1707,18 +1506,6 @@ func (h *MultiHandle) PushBatch(b *Batch) (rejected int, err error) {
 	m, e := h.m, h.e
 	if e.quarantined {
 		return 0, errQuarantined
-	}
-	if e.pr != nil {
-		if m.iso != nil {
-			err, reason := m.parallelBatchSafe(e, b)
-			if err != nil {
-				m.chargeMember(e, err, reason)
-			} else {
-				e.consecErrs = 0
-			}
-			return 0, nil
-		}
-		return e.pr.PushBatch(b)
 	}
 	if m.ep != nil {
 		return 0, errSoloEpoch
@@ -1770,16 +1557,6 @@ func (h *MultiHandle) Heartbeat(ts Value) error {
 	if e.quarantined {
 		return errQuarantined
 	}
-	if e.pr != nil {
-		if m.iso != nil {
-			err, reason := m.heartbeatParallelSafe(e, ts)
-			if err != nil {
-				m.chargeMember(e, err, reason)
-			}
-			return nil
-		}
-		return e.pr.Heartbeat(ts)
-	}
 	if m.ep != nil {
 		return errSoloEpoch
 	}
@@ -1804,9 +1581,6 @@ func (h *MultiHandle) Checkpoint() ([]byte, error) {
 		}
 		return append([]byte(nil), h.e.retained...), nil
 	}
-	if h.e.pr != nil {
-		return h.e.pr.Checkpoint()
-	}
 	h.m.syncTuples(h.e)
 	return h.e.run.Checkpoint()
 }
@@ -1818,9 +1592,6 @@ func (h *MultiHandle) Stats() (tuples, evictions uint64) {
 	if h.e.quarantined {
 		return h.e.qtuples, 0
 	}
-	if h.e.pr != nil {
-		return h.e.pr.Stats(), 0
-	}
 	h.m.syncTuples(h.e)
 	return h.e.run.Stats()
 }
@@ -1831,9 +1602,6 @@ func (h *MultiHandle) Stats() (tuples, evictions uint64) {
 func (h *MultiHandle) Close() error {
 	if h.e.quarantined {
 		return nil
-	}
-	if h.e.pr != nil {
-		return h.e.pr.Close()
 	}
 	return h.e.run.Close()
 }

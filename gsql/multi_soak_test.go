@@ -9,10 +9,9 @@ import (
 )
 
 // Poison-query soak: the PR-10 acceptance gate. A catalog of 1000 standing
-// queries (serial and sharded members) rides one shared feed while a
-// deterministic tape of hostile queries — an erroring storm, a group-key
-// cardinality bomb, a panicking aggregate, a failing sharded member — is
-// attached mid-stream and quarantined by the isolation machinery. Across a
+// queries rides one shared feed while a deterministic tape of hostile
+// queries — an erroring storm, a group-key cardinality bomb, a panicking
+// aggregate, a failing WHERE clause — is attached mid-stream and quarantined by the isolation machinery. Across a
 // kill-and-recover cut (checkpoint every survivor, rebuild the runtime,
 // restore, finish the stream), every survivor's rows and final checkpoint
 // must be bit-for-bit identical to a fault-free oracle catalog that never
@@ -51,8 +50,6 @@ func soakCatalogTrace(n int, seed uint64) []gsql.Tuple {
 	return out
 }
 
-const soakShardedSurvivors = 3 // queries 0..2 attach with shards=2
-
 // runSoakCatalog drives one catalog over the soak stream with a
 // kill-and-recover cut at cutAt, optionally injecting the poison tape
 // mid-stream, and returns each survivor's collected rows and final
@@ -64,16 +61,12 @@ func runSoakCatalog(t *testing.T, queries []string, tuples []gsql.Tuple, cutAt i
 	registerBoom(t, e)
 
 	attach := func(m *gsql.MultiRun, i int, sink func(gsql.Tuple) error, ckpt []byte) *gsql.MultiHandle {
-		shards := 0
-		if i < soakShardedSurvivors {
-			shards = 2
-		}
 		var h *gsql.MultiHandle
 		var err error
 		if ckpt != nil {
-			h, err = m.Restore(queries[i], shards, ckpt, sink)
+			h, err = m.Restore(queries[i], 0, ckpt, sink)
 		} else {
-			h, err = m.Attach(queries[i], shards, sink)
+			h, err = m.Attach(queries[i], 0, sink)
 		}
 		if err != nil {
 			t.Fatalf("soak attach %d: %v", i, err)
@@ -102,19 +95,15 @@ func runSoakCatalog(t *testing.T, queries []string, tuples []gsql.Tuple, cutAt i
 	}
 	var poisonHandles []*gsql.MultiHandle
 	if poisons {
-		specs := []struct {
-			q      string
-			shards int
-		}{
-			{poisonErrQuery, 0},
-			{poisonCardQuery, 0},
-			{poisonBoomQuery, 0},
-			{`select tb, sum(len) from TCP where len / (len - len) > 0 group by time/60 as tb`, 2},
-		}
-		for _, sp := range specs {
-			h, err := m1.Attach(sp.q, sp.shards, func(gsql.Tuple) error { return nil })
+		for _, q := range []string{
+			poisonErrQuery,
+			poisonCardQuery,
+			poisonBoomQuery,
+			`select tb, sum(len) from TCP where len / (len - len) > 0 group by time/60 as tb`,
+		} {
+			h, err := m1.Attach(q, 0, func(gsql.Tuple) error { return nil })
 			if err != nil {
-				t.Fatalf("attach poison %q: %v", sp.q, err)
+				t.Fatalf("attach poison %q: %v", q, err)
 			}
 			poisonHandles = append(poisonHandles, h)
 		}

@@ -2,6 +2,7 @@ package gsql_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -476,10 +477,11 @@ func TestMultiEpochRollDifferential(t *testing.T) {
 	})
 }
 
-// TestMultiShardedDifferential: sharded members attached to the shared feed
-// must match a standalone ParallelRun, while serial members riding the same
-// feed still match standalone serial runs.
-func TestMultiShardedDifferential(t *testing.T) {
+// TestMultiShardedRefused: every member is a serial run, so a non-zero shard
+// count is refused with the typed error before parse or admission touch the
+// catalog, and the serial members riding the feed still match standalone
+// runs bit for bit.
+func TestMultiShardedRefused(t *testing.T) {
 	e := parallelEngine(t)
 	tuples := trace(20_000, 0, 59)
 	serialQ := multiQueries[0]
@@ -491,12 +493,39 @@ func TestMultiShardedDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var serialGot, shardGot []gsql.Tuple
-			if _, err := m.Attach(serialQ, 0, func(r gsql.Tuple) error { serialGot = append(serialGot, r); return nil }); err != nil {
+			var serialGot, lateGot []gsql.Tuple
+			hs, err := m.Attach(serialQ, 0, func(r gsql.Tuple) error { serialGot = append(serialGot, r); return nil })
+			if err != nil {
 				t.Fatal(err)
 			}
-			hs, err := m.Attach(shardedQ, 3, func(r gsql.Tuple) error { shardGot = append(shardGot, r); return nil })
+			ckpt, err := hs.Checkpoint()
 			if err != nil {
+				t.Fatal(err)
+			}
+			queries, used, stats := m.Queries(), m.AdmitUsed(), m.MultiStats()
+			refused := func(what string, err error) {
+				t.Helper()
+				var sue *gsql.ShardedUnsupportedError
+				if !errors.As(err, &sue) || sue.Shards != 2 {
+					t.Fatalf("%s with shards=2: error = %v, want *ShardedUnsupportedError{Shards: 2}", what, err)
+				}
+				if m.Queries() != queries || m.AdmitUsed() != used || m.MultiStats() != stats {
+					t.Fatalf("refused %s changed the catalog: %d queries, %v admitted, %+v (was %d, %v, %+v)",
+						what, m.Queries(), m.AdmitUsed(), m.MultiStats(), queries, used, stats)
+				}
+			}
+			nop := func(gsql.Tuple) error { return nil }
+			_, err = m.Attach(shardedQ, 2, nop)
+			refused("Attach", err)
+			_, err = m.Restore(serialQ, 2, ckpt, nop)
+			refused("Restore", err)
+			// A text that does not even parse is refused for its shard count
+			// first: nothing is looked at before the check.
+			_, err = m.Attach("select from", 2, nop)
+			refused("Attach of an unparsable text", err)
+
+			// The refused text attaches fine as a serial member.
+			if _, err := m.Attach(shardedQ, 0, func(r gsql.Tuple) error { lateGot = append(lateGot, r); return nil }); err != nil {
 				t.Fatal(err)
 			}
 			if mode == "scalar" {
@@ -512,30 +541,13 @@ func TestMultiShardedDifferential(t *testing.T) {
 					}
 				}
 			}
-			shardCkpt, err := hs.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
 			if err := m.CloseAll(); err != nil {
 				t.Fatal(err)
 			}
-
 			wantSerial, _ := standaloneRun(t, e, serialQ, tuples, gsql.Options{})
-			requireIdentical(t, wantSerial, serialGot, "serial member")
-
-			st, err := e.Prepare(shardedQ)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := parallelRows(t, st, tuples, gsql.ParallelOptions{Shards: 3})
-			requireIdentical(t, want, shardGot, "sharded member")
-
-			// The sharded member's checkpoint restores into a standalone
-			// parallel run — formats are identical.
-			if _, err := st.RestoreParallel(shardCkpt, func(gsql.Tuple) error { return nil },
-				gsql.ParallelOptions{Shards: 3}); err != nil {
-				t.Fatalf("sharded checkpoint does not restore standalone: %v", err)
-			}
+			requireIdentical(t, wantSerial, serialGot, "resident member")
+			wantLate, _ := standaloneRun(t, e, shardedQ, tuples, gsql.Options{})
+			requireIdentical(t, wantLate, lateGot, "member attached after the refusals")
 		})
 	}
 }

@@ -58,10 +58,6 @@ type planHooks struct {
 	// and keeps it out of the vectorized plan: the MultiRun applies the
 	// filter once per predicate class, before fanning into per-query folds.
 	stripWhere bool
-	// plainArgs compiles aggregate arguments without the shared hook.
-	// Sharded backends evaluate arguments on shard-worker goroutines, where
-	// a shared slot's single-threaded memo would race.
-	plainArgs bool
 }
 
 // buildPlan analyzes and compiles a standalone query.
@@ -84,13 +80,6 @@ func buildPlanH(q *queryAST, schema *Schema, aggs map[string]AggSpec, hooks plan
 		shared: hooks.shared,
 		funcs:  builtinFuncs,
 	}
-	argEnv := tupleEnv
-	if hooks.plainArgs {
-		plain := *tupleEnv
-		plain.shared = nil
-		argEnv = &plain
-	}
-
 	// WHERE clause: tuple-level, no aggregates.
 	if q.where != nil {
 		if hasAgg(q.where) {
@@ -168,7 +157,7 @@ func buildPlanH(q *queryAST, schema *Schema, aggs map[string]AggSpec, hooks plan
 			if hasAgg(arg) {
 				return 0, fmt.Errorf("gsql: nested aggregates are not allowed")
 			}
-			fn, err := argEnv.compile(arg)
+			fn, err := tupleEnv.compile(arg)
 			if err != nil {
 				return 0, err
 			}

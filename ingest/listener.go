@@ -22,12 +22,12 @@ type Sink interface {
 }
 
 // BatchSink is optionally implemented by sinks that accept columnar batches;
-// *gsql.Run and *gsql.ParallelRun both do. When the sink implements it (and
-// Config.ScalarPush is off) the pump loads each data frame straight into a
-// reused gsql.Batch — no per-tuple Value materialization — and applies it in
-// one PushBatch call. Rejected rows (non-finite floats) are counted exactly
-// as the scalar path counts per-tuple *gsql.NonFiniteValueError pushes, and
-// checkpoints keep their cut at frame boundaries on both paths.
+// *gsql.Run and *gsql.ParallelRun both do. When the sink implements it the
+// pump loads each data frame straight into a reused gsql.Batch — no per-tuple
+// Value materialization — and applies it in one PushBatch call; otherwise it
+// falls back to per-tuple Push. Rejected rows (non-finite floats) are counted
+// exactly as the scalar path counts per-tuple *gsql.NonFiniteValueError
+// pushes, and checkpoints keep their cut at frame boundaries on both paths.
 type BatchSink interface {
 	Sink
 	PushBatch(*gsql.Batch) (rejected int, err error)
@@ -69,10 +69,6 @@ type Config struct {
 	// the sink) after every CheckpointEvery tuples. Errors are sticky and
 	// stop the listener (work the hook hands off fails through Fail).
 	Checkpoint func() error
-	// ScalarPush forces the per-tuple Push path even when Sink implements
-	// BatchSink — the differential lever for batch-vs-scalar comparisons and
-	// an escape hatch should a workload prefer the scalar engine.
-	ScalarPush bool
 	// Sessions seeds the session table (session id → highest applied
 	// sequence) from a previous listener's Sessions() snapshot. Restoring
 	// it alongside the sink's checkpoint is what makes kill-and-recover
@@ -584,13 +580,10 @@ func (l *Listener) pump() {
 	}
 
 	tup := make(gsql.Tuple, 8)
-	// The columnar path engages when the sink takes batches and the config
-	// does not force scalar pushes; one batch buffer is reused per frame.
+	// The columnar path engages when the sink takes batches; one batch
+	// buffer is reused per frame.
 	var batch *gsql.Batch
 	bsink, _ := l.cfg.Sink.(BatchSink)
-	if l.cfg.ScalarPush {
-		bsink = nil
-	}
 	if bsink != nil {
 		if b, err := gsql.NewBatch(gsql.PacketSchema("packets")); err == nil {
 			batch = b

@@ -242,7 +242,7 @@ func (cc *ctlConn) handleAttach(m *Msg) {
 		cc.writeErr(m.Req, CodeBadRequest, "empty query text")
 		return
 	}
-	id, err := cc.s.Attach(m.Text, uint32(cc.s.cfg.Shards))
+	id, err := cc.s.Attach(m.Text)
 	if err != nil {
 		code, msg := errCode(err)
 		cc.writeErr(m.Req, code, msg)

@@ -24,56 +24,47 @@ import (
 // TestKillResumeBitIdentical is the headline drill: the runtime is killed
 // twice mid-stream (no checkpoint, no graceful anything), the dialer rides
 // through the restarts, and a blocking subscriber sees exactly the rows an
-// uninterrupted run would have produced — serial and sharded.
+// uninterrupted run would have produced.
 func TestKillResumeBitIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{
-		{"serial", 0},
-		{"sharded", 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			pkts := genPackets(t, 8000, 50, 41)
-			want := oracleRows(t, pkts) // serial oracle: parallel emission is bit-identical
-			svc := startService(t, t.TempDir(), func(c *Config) {
-				c.Shards = tc.shards
-				c.CheckpointEvery = 600
-				c.ResultLog = 1 << 15
-			})
-			cl := dialControl(t, svc)
-			id, err := cl.Attach(testQuery)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ch, err := cl.Subscribe(id, 0, PolicyBlock, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			d := dialIngest(t, svc, 23)
-			for i, p := range pkts {
-				if i == len(pkts)/3 || i == 2*len(pkts)/3 {
-					svc.Kill()
-				}
-				if err := d.Send(p); err != nil {
-					t.Fatalf("send %d: %v", i, err)
-				}
-			}
-			if err := d.Close(); err != nil {
-				t.Fatalf("dialer close: %v", err)
-			}
-
-			rows, last := collectRows(t, ch, 1, len(want), 60*time.Second)
-			requireIdentical(t, want, rows, "post-kill subscription")
-			if last != uint64(len(want)) {
-				t.Fatalf("last cursor %d, want %d", last, len(want))
-			}
-			if got := svc.Counters().Get("server_restarts"); got < 1 {
-				t.Fatalf("server_restarts = %d, want >= 1", got)
-			}
+	t.Run("serial", func(t *testing.T) {
+		pkts := genPackets(t, 8000, 50, 41)
+		want := oracleRows(t, pkts)
+		svc := startService(t, t.TempDir(), func(c *Config) {
+			c.CheckpointEvery = 600
+			c.ResultLog = 1 << 15
 		})
-	}
+		cl := dialControl(t, svc)
+		id, err := cl.Attach(testQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := cl.Subscribe(id, 0, PolicyBlock, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		d := dialIngest(t, svc, 23)
+		for i, p := range pkts {
+			if i == len(pkts)/3 || i == 2*len(pkts)/3 {
+				svc.Kill()
+			}
+			if err := d.Send(p); err != nil {
+				t.Fatalf("send %d: %v", i, err)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("dialer close: %v", err)
+		}
+
+		rows, last := collectRows(t, ch, 1, len(want), 60*time.Second)
+		requireIdentical(t, want, rows, "post-kill subscription")
+		if last != uint64(len(want)) {
+			t.Fatalf("last cursor %d, want %d", last, len(want))
+		}
+		if got := svc.Counters().Get("server_restarts"); got < 1 {
+			t.Fatalf("server_restarts = %d, want >= 1", got)
+		}
+	})
 }
 
 // TestUnixIngestSurvivesRebuild is the kill-and-rebuild drill on a unix
@@ -718,7 +709,7 @@ func TestOpensParentLayoutDirectory(t *testing.T) {
 	// A graceful shutdown after `cut` packets leaves state (E, 0) and an
 	// empty WAL file E ...
 	svc1 := startService(t, dir, func(c *Config) { c.ResultLog = 1 << 15 })
-	id, err := svc1.Attach(testQuery, 0)
+	id, err := svc1.Attach(testQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

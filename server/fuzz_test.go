@@ -62,7 +62,7 @@ func FuzzControlFrameDecode(f *testing.F) {
 // decodes re-encodes to the exact input (the rebuild path trusts that).
 func FuzzJournalEntryDecode(f *testing.F) {
 	seeds := []journalEntry{
-		{op: jAttach, id: 1, text: "select count(*) from TCP group by time as tb", shards: 2, epoch: 3, at: 9},
+		{op: jAttach, id: 1, text: "select count(*) from TCP group by time as tb", epoch: 3, at: 9},
 		{op: jDetach, id: 1, epoch: 3, at: 12},
 		{op: jQuarantine, id: 2, reason: "breaker", ckpt: []byte{1, 2, 3, 4}},
 		{op: jQuarantine, id: 3, reason: "panic"},
@@ -71,6 +71,11 @@ func FuzzJournalEntryDecode(f *testing.F) {
 	for _, e := range seeds {
 		f.Add(encodeJournalBody(e))
 	}
+	// An attach an older binary journaled under -shards 2: refused, and the
+	// refusal stays fuzzed.
+	sharded := encodeJournalBody(seeds[0])
+	sharded[1+4+8+8] = 2
+	f.Add(sharded)
 	f.Add([]byte{})
 	f.Add([]byte{99, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -6,7 +6,9 @@ package server
 // oracle). Crash/fault drills live in fault_test.go.
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -685,13 +687,12 @@ func TestStateRoundTrip(t *testing.T) {
 		walApplied:  17,
 		nextQueryID: 9,
 		queries: []queryState{{
-			id:     1,
-			text:   testQuery,
-			ckpt:   []byte{1, 2, 3, 4},
-			base:   4,
-			rows:   []gsql.Tuple{{{T: gsql.TInt, I: 10}, {T: gsql.TFloat, F: 2.5}}, {{T: gsql.TNull}, {T: gsql.TString, S: "x"}}},
-			end:    5,
-			shards: 2,
+			id:   1,
+			text: testQuery,
+			ckpt: []byte{1, 2, 3, 4},
+			base: 4,
+			rows: []gsql.Tuple{{{T: gsql.TInt, I: 10}, {T: gsql.TFloat, F: 2.5}}, {{T: gsql.TNull}, {T: gsql.TString, S: "x"}}},
+			end:  5,
 		}, {
 			id:          2,
 			text:        "select tb, count(*) from TCP group by time as tb",
@@ -742,11 +743,58 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPersistedShardsRefused: the state file and the journal still carry the
+// shard count older binaries wrote. A non-zero one — a directory written
+// under -shards 2 — is refused with the typed error naming the query, not
+// resumed on the serial runtime; the same images with 0 load.
+func TestPersistedShardsRefused(t *testing.T) {
+	refused := func(what string, err error) {
+		t.Helper()
+		var sue *gsql.ShardedUnsupportedError
+		if !errors.As(err, &sue) || sue.Shards != 2 || sue.Query != testQuery {
+			t.Fatalf("%s with shards=2: error = %v, want *gsql.ShardedUnsupportedError{Shards: 2}", what, err)
+		}
+		if !strings.Contains(err.Error(), "query 7") {
+			t.Fatalf("%s: error %q does not name query 7", what, err)
+		}
+	}
+
+	// State image: magic, epoch, applied, next id, query count, then the
+	// query's id and text; the shard count follows.
+	q := &queryState{id: 7, text: testQuery, ckpt: []byte{1, 2, 3}, end: 2}
+	b := beginState(nil, 3, 17, 9, 1)
+	b = finishState(appendQueryState(b, q, newResultLog(8)), nil)
+	if _, err := decodeState(sealState(b)); err != nil {
+		t.Fatalf("state image with shards=0: %v", err)
+	}
+	binary.LittleEndian.PutUint32(b[8+8+8+4+4+4+4+len(testQuery):], 2)
+	dir := t.TempDir()
+	if err := writeState(dir, sealState(b)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := loadState(dir)
+	refused("state file", err)
+
+	// Journal attach entry: op, id, epoch, at; the shard count follows.
+	body := encodeJournalBody(journalEntry{op: jAttach, id: 7, text: testQuery, epoch: 1, at: 5})
+	if _, err := decodeJournalEntry(body); err != nil {
+		t.Fatalf("journal entry with shards=0: %v", err)
+	}
+	binary.LittleEndian.PutUint32(body[1+4+8+8:], 2)
+	_, err = decodeJournalEntry(body)
+	refused("journal entry", err)
+	if err := os.WriteFile(filepath.Join(dir, journalFile), ingest.AppendSealed(nil, body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = (&journal{dir: dir}).load()
+	refused("journal file", err)
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j := &journal{dir: dir}
 	entries := []journalEntry{
-		{op: jAttach, id: 1, text: testQuery, shards: 2, epoch: 1, at: 5},
+		{op: jAttach, id: 1, text: testQuery, epoch: 1, at: 5},
 		{op: jDetach, id: 1, epoch: 1, at: 9},
 		{op: jAttach, id: 2, text: "select count(*) from TCP group by time as tb", epoch: 2, at: 0},
 	}
@@ -1123,7 +1171,7 @@ func TestShutdownReleasesEverything(t *testing.T) {
 	// through its own object alive.
 	collected := make(chan struct{})
 	goruntime.SetFinalizer(svc.Counters(), func(*metrics.CounterSet) { close(collected) })
-	id, err := svc.Attach(testQuery, 0)
+	id, err := svc.Attach(testQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

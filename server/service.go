@@ -61,9 +61,6 @@ type Config struct {
 	HTTPAddr string
 	// Tokens are the accepted session tokens; empty means unauthenticated.
 	Tokens []string
-	// Shards > 0 runs every query on a sharded ParallelRun with that many
-	// workers; 0 keeps runs serial.
-	Shards int
 	// ResultLog is the per-query result ring capacity (default 1024).
 	ResultLog int
 	// SubscriberBatch bounds rows fetched per subscriber write (default 64)
@@ -148,10 +145,9 @@ func (c *Config) fill() {
 // ring (and with it every subscriber's cursor) survives a supervised
 // restart; only the engine run inside the incarnation is rebuilt.
 type Query struct {
-	ID     uint32
-	Text   string
-	Shards uint32
-	log    *resultLog
+	ID   uint32
+	Text string
+	log  *resultLog
 	// quar is non-nil while the query is quarantined: fenced out of the
 	// shared pass, its last-good partials retained for an operator Revive.
 	// Stored atomically because the quarantine callback fires on the ingest
@@ -500,11 +496,10 @@ func (s *Service) teardown(rt *runtime) {
 	// the successor (which scans the file next) would never account for.
 	rt.wal.close()
 	if drained {
-		// The pump exited, so the runs are exclusively ours: Close them to
-		// release shard goroutines. Their partial-bucket flush lands on
-		// frozen rings and is discarded — the successor's replay re-derives
-		// those rows. A wedged pump still owns its run; leak it instead of
-		// violating the single-producer contract.
+		// The pump exited, so the runs are exclusively ours to close. Their
+		// partial-bucket flush lands on frozen rings and is discarded — the
+		// successor's replay re-derives those rows. A wedged pump still owns
+		// its run; leak it instead of violating the single-producer contract.
 		for _, run := range rt.runs {
 			run.close()
 		}
@@ -556,9 +551,8 @@ func (s *Service) Shutdown() error {
 			rt.fenced.Store(true) // fence any pump that failed to drain
 			if drainErr == nil {
 				// The pump exited, so the runs are ours to close (as in
-				// teardown): shard goroutines stop, and the open bucket's
-				// flush is refused by the fence — the checkpoint above has
-				// those partials.
+				// teardown): the open bucket's flush is refused by the
+				// fence — the checkpoint above has those partials.
 				for _, run := range rt.runs {
 					run.close()
 				}
@@ -651,7 +645,7 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 				continue // checkpoint already folded this attach
 			}
 			specs = append(specs, buildSpec{
-				qs:         queryState{id: e.id, text: e.text, shards: e.shards},
+				qs:         queryState{id: e.id, text: e.text},
 				replayFrom: pos,
 			})
 			if e.id >= s.nextID {
@@ -721,7 +715,7 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 		live[sp.qs.id] = true
 		q := s.queries[sp.qs.id]
 		if q == nil {
-			q = &Query{ID: sp.qs.id, Text: sp.qs.text, Shards: sp.qs.shards, log: s.newRing()}
+			q = &Query{ID: sp.qs.id, Text: sp.qs.text, log: s.newRing()}
 			if sp.fromState {
 				q.log.restore(sp.qs.base, sp.qs.rows)
 			}
@@ -815,9 +809,9 @@ func (s *Service) startRun(rt *runtime, q *Query, ckpt []byte) (*queryRun, error
 		err error
 	)
 	if ckpt != nil {
-		h, err = rt.multi.Restore(q.Text, int(q.Shards), ckpt, sink)
+		h, err = rt.multi.Restore(q.Text, 0, ckpt, sink)
 	} else {
-		h, err = rt.multi.Attach(q.Text, int(q.Shards), sink)
+		h, err = rt.multi.Attach(q.Text, 0, sink)
 	}
 	if err != nil {
 		return nil, err
@@ -1043,7 +1037,7 @@ func (s *Service) checkpoint(rt *runtime) (err error) {
 	b := make([]byte, 0, s.stateSize+s.stateSize/8+1024)
 	b = beginState(b, rt.wal.epoch+1, 0, s.nextID, len(s.queries))
 	for id, q := range s.queries {
-		qs := queryState{id: id, text: q.Text, shards: q.Shards}
+		qs := queryState{id: id, text: q.Text}
 		if qi := q.quar.Load(); qi != nil {
 			// Fenced (live-quarantined or rebuilt dormant): persist the
 			// retained partials and the quarantine trailer so the next
@@ -1216,7 +1210,7 @@ func (s *Service) publishRingsLocked() {
 
 // Attach registers a query, journals the attach durably, and starts its
 // run on the live incarnation. The returned id is the subscription handle.
-func (s *Service) Attach(text string, shards uint32) (uint32, error) {
+func (s *Service) Attach(text string) (uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rt := s.rt.Load()
@@ -1224,7 +1218,7 @@ func (s *Service) Attach(text string, shards uint32) (uint32, error) {
 		return 0, errDegraded
 	}
 	id := s.nextID
-	q := &Query{ID: id, Text: text, Shards: shards, log: s.newRing()}
+	q := &Query{ID: id, Text: text, log: s.newRing()}
 	// The WAL position must be frame-aligned, and the shared-runtime attach
 	// must not race the shared pass: rt.mu excludes the apply path, so
 	// wal.applied cannot move under us and the MultiRun is quiescent.
@@ -1235,7 +1229,7 @@ func (s *Service) Attach(text string, shards uint32) (uint32, error) {
 		return 0, attachErr(err)
 	}
 	if err := s.journal.append(journalEntry{
-		op: jAttach, id: id, text: text, shards: shards,
+		op: jAttach, id: id, text: text,
 		epoch: rt.wal.epoch, at: rt.wal.applied,
 	}); err != nil {
 		run.close()

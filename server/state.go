@@ -61,7 +61,6 @@ type queryState struct {
 	base    uint64 // result ring snapshot
 	rows    []gsql.Tuple
 	end     uint64 // highest assigned cursor at checkpoint time
-	shards  uint32 // 0 = serial run
 	startAt uint64 // replay start within the checkpoint's WAL epoch
 	// Quarantine trailer (state v2): a fenced query is persisted dormant —
 	// ckpt holds the partials retained at the moment it was fenced, and the
@@ -98,7 +97,7 @@ func beginState(b []byte, walEpoch, walApplied uint64, nextQueryID uint32, queri
 func appendQueryState(b []byte, q *queryState, ring *resultLog) []byte {
 	b = binary.LittleEndian.AppendUint32(b, q.id)
 	b = appendString(b, q.text)
-	b = binary.LittleEndian.AppendUint32(b, q.shards)
+	b = binary.LittleEndian.AppendUint32(b, 0) // shard count of older binaries
 	b = binary.LittleEndian.AppendUint64(b, q.startAt)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(q.ckpt)))
 	b = append(b, q.ckpt...)
@@ -151,7 +150,12 @@ func decodeState(b []byte) (*serverState, error) {
 		var q queryState
 		q.id = d.u32()
 		q.text = d.str()
-		q.shards = d.u32()
+		if shards := d.u32(); d.err == "" && shards != 0 {
+			// Written under -shards n: resuming the query on the serial
+			// runtime would be a silent downgrade, so the load fails.
+			return nil, fmt.Errorf("server: state file: query %d: %w", q.id,
+				&gsql.ShardedUnsupportedError{Query: q.text, Shards: int(shards)})
+		}
 		q.startAt = d.u64()
 		cl := d.u32()
 		if d.err == "" {
@@ -208,10 +212,9 @@ func loadState(dir string) (*serverState, error) {
 
 // journalEntry is one catalog mutation since the last checkpoint.
 type journalEntry struct {
-	op     byte
-	id     uint32
-	text   string // attach
-	shards uint32 // attach
+	op   byte
+	id   uint32
+	text string // attach
 	// epoch/at pin where in the WAL the mutation took effect: replay feeds an
 	// attached or revived query only records from there on, and an entry
 	// before the state file's watermark is skipped. Epoch 0 (detach and
@@ -236,7 +239,7 @@ func encodeJournalBody(e journalEntry) []byte {
 	body = binary.LittleEndian.AppendUint64(body, e.at)
 	switch e.op {
 	case jAttach:
-		body = binary.LittleEndian.AppendUint32(body, e.shards)
+		body = binary.LittleEndian.AppendUint32(body, 0) // shard count of older binaries
 		body = appendString(body, e.text)
 	case jQuarantine:
 		body = appendString(body, e.reason)
@@ -255,8 +258,12 @@ func decodeJournalEntry(body []byte) (journalEntry, error) {
 	e.at = d.u64()
 	switch e.op {
 	case jAttach:
-		e.shards = d.u32()
+		shards := d.u32()
 		e.text = d.str()
+		if d.err == "" && shards != 0 {
+			return e, fmt.Errorf("query %d: %w", e.id,
+				&gsql.ShardedUnsupportedError{Query: e.text, Shards: int(shards)})
+		}
 	case jDetach, jRevive:
 	case jQuarantine:
 		e.reason = d.str()
