@@ -48,8 +48,11 @@ go test -race -run 'Churn|Crash|Handoff|Roll|Fault' -short -count=1 ./distrib/
 # pipelined checkpoint's drills (DESIGN.md §16): a kill at every boundary of
 # cut and persist, catalog changes between the two, the older directory
 # layout, and the revive a crash inside a checkpoint must not re-apply — the
-# cut, the persister and the supervisor's join meet there.
-go test -race -run 'Kill|Slow|Breaker|Wedge|Shutdown|Disconnect|Quarantine|Admission|Fenced|UnixIngest|Allocs|PersistCrashPoints|CatalogChange|ParentLayout|Revive|Journal' -count=1 ./server/
+# cut, the persister and the supervisor's join meet there. ResumeJoins is the
+# recovery drill: one log tail re-fed through the shared pass, every query
+# joining at its journaled position (state file, attached or revived mid-tail,
+# attached after the last record, detached), against an uninterrupted service.
+go test -race -run 'Kill|Slow|Breaker|Wedge|Shutdown|Disconnect|Quarantine|Admission|Fenced|UnixIngest|Allocs|PersistCrashPoints|CatalogChange|ParentLayout|Revive|Journal|ResumeJoins' -count=1 ./server/
 
 # The ack writer: the pump and the readers nudge, one goroutine per
 # connection writes. Twenty rounds under the detector for the hand-off (a
@@ -64,12 +67,12 @@ go test -race -run 'AckWriterNoHeadOfLine' -count=5 ./ingest/
 go test -race -run 'ResultLog|RowFrame|ServeEndToEnd|MidStreamClient|DetachNotifies' -count=10 ./server/
 
 # Shared multi-query runtime: the differential suite (MultiRun vs N
-# standalone runs, bit-for-bit, through checkpoints, epoch rolls, solo
-# replay, poison-query quarantine and attach/detach churn) gets a dedicated
+# standalone runs, bit-for-bit, through checkpoints, epoch rolls,
+# poison-query quarantine and attach/detach churn) gets a dedicated
 # -race pass. The runtime is single-producer and starts no goroutine of its
 # own; the pass stays so that the detector sees the suite that churns the
 # catalog hardest (detach under load, quarantine from inside a fold).
-go test -race -run 'Multi|SoloReplay' -count=1 ./gsql/
+go test -race -run 'Multi' -count=1 ./gsql/
 
 # Fuzz smoke: 10s per target. -run='^$' skips the unit tests (already run
 # above); -fuzzminimizetime caps the engine's per-input minimization, whose

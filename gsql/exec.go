@@ -23,10 +23,11 @@ type Options struct {
 	// overflow-triggered landmark advancement across every live aggregate.
 	// Nil leaves the landmark fixed for the run's lifetime.
 	Epoch *EpochConfig
-	// Isolate enables per-query fault isolation in the multi-query runtime
-	// (see MultiRun): breaker/cardinality quarantine and attach-time
-	// admission control. Nil keeps the legacy fate-sharing behavior where
-	// the first member error aborts the tuple for the whole runtime.
+	// Isolate sets the limits of per-query fault isolation in the
+	// multi-query runtime (see MultiRun, IsolateConfig): the breaker, the
+	// cardinality cap and the attach-time admission budget. The runtime
+	// always contains a member's panics and errors; nil means the zero
+	// IsolateConfig — no breaker, no cap, no budget — not another mode.
 	// Standalone runs ignore it.
 	Isolate *IsolateConfig
 }

@@ -42,12 +42,15 @@ import (
 //     are recorded per compiled artifact and released when its last
 //     reference drops — so attach/detach latency is O(query), independent
 //     of the catalog size.
-//   - Fault isolation (Options.Isolate): a query whose private expressions
-//     panic, whose error rate trips a per-query breaker, or whose group
-//     table exceeds a cardinality cap is fenced into a Quarantined state.
-//     Its shared slots and class membership are released and its last
-//     checkpoint retained for an operator-initiated Revive; every other
-//     query continues bit-for-bit as if the offender were never attached.
+//   - Fault isolation: there is one fold/shift/heartbeat/segment loop, and
+//     it contains every member's faults. A failed fold is charged to its
+//     query and the tuple continues for the neighbours; a query whose
+//     private expressions panic, whose error streak trips the breaker, or
+//     whose group table exceeds the cardinality cap (Options.Isolate sets
+//     the limits) is fenced into a Quarantined state. Its shared slots and
+//     class membership are released and its last checkpoint retained for an
+//     operator-initiated Revive; every other query continues bit-for-bit
+//     as if the offender were never attached.
 //   - Admission control (Options.Isolate.AdmitBudget): Attach estimates the
 //     per-tuple cost of the candidate's private (non-shared) expressions
 //     against a catalog-wide budget and rejects with a typed
@@ -58,9 +61,8 @@ import (
 //   - Single producer. A MultiRun, like a Run, is driven by one goroutine;
 //     the memo generation counter and slot values are unsynchronized.
 //   - The memo is only live during the shared scalar pass (m.share). The
-//     per-query scalar replay of a batch segment and the per-query solo
-//     pushes of crash-recovery replay evaluate slots plainly, which is
-//     always correct, just unshared.
+//     per-query scalar fallback of a batch segment evaluates slots
+//     plainly, which is always correct, just unshared.
 //   - Slots are value-transparent: a slot evaluator produces exactly what
 //     structural compilation of the subtree would, errors included. The
 //     memo stores the error too, so every member of a tuple observes the
@@ -69,11 +71,17 @@ import (
 //     stream clock once per tuple and shifts every member's landmark at the
 //     same point of the sequence, so decay state never straddles landmarks
 //     across members.
+//   - One feed. A member sees tuples only through Push/PushBatch/Heartbeat
+//     of the runtime; recovery restores members (Restore) at their position
+//     in a log and re-feeds the log through the same pass.
+//   - No empty class exists: a class is created by the attach that links
+//     its first member and pruned with its last, so every loop may assume
+//     len(cls.members) > 0.
 type MultiRun struct {
 	eng    *Engine
 	schema *Schema
 	opts   Options
-	iso    *IsolateConfig // normalized copy of opts.Isolate; nil = legacy
+	iso    IsolateConfig // opts.Isolate (nil = the zero config) with defaults filled
 
 	// Plan-time identity: expression interner and statement catalog.
 	in  *analyzer.Interner
@@ -119,18 +127,19 @@ type MultiRun struct {
 	curL        float64
 	landmarkSet bool
 
-	// Batch scratch: the finite bitmap, epoch segmentation state, a solo
-	// selection bitmap for per-query replay, and a row buffer for scalar
-	// class fallback.
-	valid   []uint64
-	soloSel []uint64
-	mbx     *batchExec
-	row     Tuple
+	// Batch scratch: the finite bitmap, epoch segmentation state, and a row
+	// buffer for scalar class fallback.
+	valid []uint64
+	mbx   *batchExec
+	row   Tuple
 }
 
-// IsolateConfig tunes per-query fault isolation and admission control in a
-// MultiRun. The zero value of each field selects a sane default where one
-// exists; a nil *IsolateConfig in Options disables isolation entirely.
+// IsolateConfig sets the limits of per-query fault isolation and admission
+// control in a MultiRun. Isolation itself is not optional: under the zero
+// value (which a nil *IsolateConfig in Options means) a member's panic is
+// contained and quarantines it, and a member's error is counted in
+// QueryStats.Errors while the tuple continues for its neighbours; the fields
+// add a breaker, a cardinality cap and an admission budget on top.
 type IsolateConfig struct {
 	// BreakerErrors quarantines a query after this many consecutive
 	// failed folds (its private expressions, aggregate steps or sink
@@ -219,7 +228,7 @@ type sharedSlot struct {
 
 // read is the slot's evalFn. During the shared pass it computes once per
 // tuple generation and serves every later reader from the memo; outside it
-// (batch replay, solo pushes) it evaluates plainly.
+// (the batch path's scalar fallback) it evaluates plainly.
 func (s *sharedSlot) read(rec Tuple) (Value, error) {
 	m := s.m
 	if !m.share {
@@ -268,11 +277,10 @@ type multiEntry struct {
 	tag   any
 	// off converts the shared feed position into this run's tuple counter:
 	// r.tuples == m.tuples + off. Attach sets it to -m.tuples; restore to
-	// ckpt.tuples - m.tuples; solo pushes advance it directly.
+	// ckpt.tuples - m.tuples.
 	off int64
 
-	// Admission and attribution (only maintained under Options.Isolate,
-	// except estCost which admission always records).
+	// Admission and attribution.
 	estCost    float64
 	folds      uint64
 	errs       uint64
@@ -330,14 +338,13 @@ func NewMultiRun(e *Engine, stream string, opts Options) (*MultiRun, error) {
 		row:        make(Tuple, len(schema.Cols)),
 	}
 	if opts.Isolate != nil {
-		iso := *opts.Isolate
-		if iso.EWMAAlpha <= 0 {
-			iso.EWMAAlpha = 0.2
-		}
-		if iso.SampleEvery <= 0 {
-			iso.SampleEvery = 32
-		}
-		m.iso = &iso
+		m.iso = *opts.Isolate
+	}
+	if m.iso.EWMAAlpha <= 0 {
+		m.iso.EWMAAlpha = 0.2
+	}
+	if m.iso.SampleEvery <= 0 {
+		m.iso.SampleEvery = 32
 	}
 	m.env = &compileEnv{
 		resolve: func(name string) int { return schema.ColumnIndex(name) },
@@ -604,7 +611,7 @@ func (m *MultiRun) privateCost(q *queryAST) float64 {
 // rejected attach perturbs nothing.
 func (m *MultiRun) admit(text string, q *queryAST) (float64, error) {
 	est := m.privateCost(q)
-	if m.iso != nil && m.iso.AdmitBudget > 0 && m.admitUsed+est > m.iso.AdmitBudget {
+	if m.iso.AdmitBudget > 0 && m.admitUsed+est > m.iso.AdmitBudget {
 		return est, &AdmissionError{Query: text, EstCost: est, Used: m.admitUsed, Budget: m.iso.AdmitBudget}
 	}
 	return est, nil
@@ -653,11 +660,8 @@ func (m *MultiRun) add(text string, shards int, ckpt []byte, sink func(Tuple) er
 	if err := m.link(e, ast, ckpt); err != nil {
 		return nil, err
 	}
-	e.estCost = est
+	e.estCost, e.nsEWMA = est, est
 	m.admitUsed += est
-	if m.iso != nil {
-		e.nsEWMA = est
-	}
 	m.nextID++
 	m.entries[e.id] = e
 	e.armed = true
@@ -689,6 +693,9 @@ func (m *MultiRun) link(e *multiEntry, ast *queryAST, ckpt []byte) error {
 	if ckpt != nil {
 		r, err = ss.st.Restore(ckpt, e.sink, m.opts)
 		if err != nil {
+			if len(cls.members) == 0 {
+				m.dropClass(cls) // classFor made it for this attach alone
+			}
 			m.releaseRef(e.text)
 			return err
 		}
@@ -754,17 +761,23 @@ func (m *MultiRun) unlink(e *multiEntry) {
 	cls := e.cls
 	cls.members = swapRemoveAt(cls.members, e.pos)
 	if len(cls.members) == 0 {
-		delete(m.classByKey, cls.key)
-		last := len(m.classes) - 1
-		m.classes[cls.pos] = m.classes[last]
-		m.classes[cls.pos].pos = cls.pos
-		m.classes[last] = nil
-		m.classes = m.classes[:last]
-		m.releaseSlots(cls.slots)
-		cls.slots = nil
+		m.dropClass(cls)
 	}
 	e.cls = nil
 	m.releaseRef(e.text)
+}
+
+// dropClass prunes a memberless class (swap-remove from m.classes) and
+// releases the shared slots of its predicate.
+func (m *MultiRun) dropClass(cls *predClass) {
+	delete(m.classByKey, cls.key)
+	last := len(m.classes) - 1
+	m.classes[cls.pos] = m.classes[last]
+	m.classes[cls.pos].pos = cls.pos
+	m.classes[last] = nil
+	m.classes = m.classes[:last]
+	m.releaseSlots(cls.slots)
+	cls.slots = nil
 }
 
 // quarantine fences an armed entry out of the shared feed: best-effort
@@ -787,7 +800,7 @@ func (m *MultiRun) quarantine(e *multiEntry, reason string, cause error) {
 	e.quarantined, e.qreason, e.qerr = true, reason, cause
 	m.unlink(e)
 	e.run = nil
-	if m.iso != nil && m.iso.OnQuarantine != nil {
+	if m.iso.OnQuarantine != nil {
 		m.iso.OnQuarantine(QuarantineEvent{
 			ID: e.id, Tag: e.tag, Text: e.text, Reason: reason, Err: cause,
 			Retained: e.retained, Tuples: e.qtuples,
@@ -829,9 +842,8 @@ func (m *MultiRun) chargeClass(cls *predClass, cause error, reason string) {
 // Push feeds one tuple to every attached query: one finite check, one epoch
 // observation, one predicate evaluation per class, one fold per member whose
 // class passes. Shared subexpression slots are memoized for the duration of
-// the call. Without isolation the first member error aborts the tuple and
-// surfaces; with Options.Isolate member errors are charged to their query
-// and Push keeps feeding everyone else.
+// the call. The only error is the tuple's own (a non-finite value): member
+// errors are charged to their query and Push keeps feeding everyone else.
 func (m *MultiRun) Push(t Tuple) error {
 	m.tuples++
 	if err := checkTupleFinite(m.schema, t); err != nil {
@@ -840,60 +852,25 @@ func (m *MultiRun) Push(t Tuple) error {
 	if m.ep != nil {
 		if ts, ok := m.ep.time(t); ok {
 			if newL, roll := m.ep.observe(ts); roll {
-				if err := m.shiftAll(newL); err != nil {
-					return err
-				}
+				m.shiftAll(newL)
 			}
 		}
 	}
 	m.gen++
 	m.share = true
-	err := m.foldAll(t)
+	m.foldAll(t)
 	m.share = false
-	return err
-}
-
-// foldAll is the post-epoch body of Push. Without isolation, errors surface
-// in iteration order and the first one aborts the tuple (fate-sharing, the
-// historical contract); membership lists are swap-remove maintained, so
-// iteration order is attach order only until the first detach.
-func (m *MultiRun) foldAll(t Tuple) error {
-	if m.iso != nil {
-		m.foldAllIso(t)
-		return nil
-	}
-	for _, cls := range m.classes {
-		if len(cls.members) == 0 {
-			continue
-		}
-		if cls.pred != nil {
-			ok, err := cls.pred(t)
-			if err != nil {
-				return err
-			}
-			if !ok.Truthy() {
-				continue
-			}
-		}
-		for _, e := range cls.members {
-			if err := e.run.foldTuple(t); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
-// foldAllIso is foldAll under fault isolation: per-member recover, error
+// foldAll is the post-epoch body of Push: per-member recover, error
 // charging, breaker and cardinality enforcement. Quarantine swap-removes
 // from the very lists being walked, so every loop re-checks its cursor.
-func (m *MultiRun) foldAllIso(t Tuple) {
+// Membership lists are swap-remove maintained, so iteration order is attach
+// order only until the first detach.
+func (m *MultiRun) foldAll(t Tuple) {
 	for ci := 0; ci < len(m.classes); {
 		cls := m.classes[ci]
-		if len(cls.members) == 0 {
-			ci++
-			continue
-		}
 		if cls.pred != nil {
 			ok, err, reason := m.evalPredSafe(cls, t)
 			if err != nil {
@@ -936,7 +913,7 @@ func (m *MultiRun) evalPredSafe(cls *predClass, t Tuple) (ok bool, err error, re
 	return v.Truthy(), nil, ""
 }
 
-// foldMember folds one tuple into a member under isolation: recover,
+// foldMember folds one tuple into a member: recover,
 // sampled timing into the ns/tuple EWMA, error charging, cardinality cap.
 func (m *MultiRun) foldMember(e *multiEntry, t Tuple) {
 	err, reason := m.foldMemberSafe(e, t)
@@ -968,34 +945,15 @@ func (m *MultiRun) foldMemberSafe(e *multiEntry, t Tuple) (err error, reason str
 	return e.run.foldTuple(t), ""
 }
 
-// shiftAll applies a landmark roll across the runtime: every member shifts
-// at the same point of the tuple sequence. Under isolation a member whose
-// shift fails is quarantined — a half-shifted run can never rejoin the
-// shared landmark frame — and the roll continues for the rest.
-func (m *MultiRun) shiftAll(newL float64) error {
-	if m.iso == nil {
-		for _, cls := range m.classes {
-			for _, e := range cls.members {
-				if err := e.run.ShiftLandmark(newL); err != nil {
-					return err
-				}
-			}
-		}
-		m.ep.advanced(newL)
-		m.curL, m.landmarkSet = newL, true
-		return nil
-	}
+// eachMember calls f for every linked member. f may quarantine the member
+// it is handed (swap-removing it, perhaps pruning its class), so both
+// cursors re-check before they advance.
+func (m *MultiRun) eachMember(f func(*multiEntry)) {
 	for ci := 0; ci < len(m.classes); {
 		cls := m.classes[ci]
 		for i := 0; i < len(cls.members); {
 			e := cls.members[i]
-			err, reason := m.shiftMemberSafe(e, newL)
-			if err != nil {
-				if reason == "" {
-					reason = QuarantineEpoch
-				}
-				m.chargeMember(e, err, reason)
-			}
+			f(e)
 			if i < len(cls.members) && cls.members[i] == e {
 				i++
 			}
@@ -1004,9 +962,24 @@ func (m *MultiRun) shiftAll(newL float64) error {
 			ci++
 		}
 	}
+}
+
+// shiftAll applies a landmark roll across the runtime: every member shifts
+// at the same point of the tuple sequence. A member whose shift fails is
+// quarantined — a half-shifted run can never rejoin the shared landmark
+// frame — and the roll continues for the rest.
+func (m *MultiRun) shiftAll(newL float64) {
+	m.eachMember(func(e *multiEntry) {
+		err, reason := m.shiftMemberSafe(e, newL)
+		if err != nil {
+			if reason == "" {
+				reason = QuarantineEpoch
+			}
+			m.chargeMember(e, err, reason)
+		}
+	})
 	m.ep.advanced(newL)
 	m.curL, m.landmarkSet = newL, true
-	return nil
 }
 
 func (m *MultiRun) shiftMemberSafe(e *multiEntry, newL float64) (err error, reason string) {
@@ -1019,46 +992,20 @@ func (m *MultiRun) shiftMemberSafe(e *multiEntry, newL float64) (err error, reas
 }
 
 // Heartbeat advances the epoch supervisor and every member's temporal bucket
-// without carrying data — one observation fanned to all queries.
+// without carrying data — one observation fanned to all queries. A member's
+// failure is charged to it; the returned error is always nil.
 func (m *MultiRun) Heartbeat(ts Value) error {
 	if m.ep != nil {
 		if newL, roll := m.ep.observe(ts.AsFloat()); roll {
-			if err := m.shiftAll(newL); err != nil {
-				return err
-			}
+			m.shiftAll(newL)
 		}
 	}
-	if m.iso != nil {
-		m.heartbeatIso(ts)
-		return nil
-	}
-	for _, cls := range m.classes {
-		for _, e := range cls.members {
-			if err := e.run.heartbeatBucket(ts); err != nil {
-				return err
-			}
+	m.eachMember(func(e *multiEntry) {
+		if err, reason := m.heartbeatMemberSafe(e, ts); err != nil {
+			m.chargeMember(e, err, reason)
 		}
-	}
+	})
 	return nil
-}
-
-func (m *MultiRun) heartbeatIso(ts Value) {
-	for ci := 0; ci < len(m.classes); {
-		cls := m.classes[ci]
-		for i := 0; i < len(cls.members); {
-			e := cls.members[i]
-			err, reason := m.heartbeatMemberSafe(e, ts)
-			if err != nil {
-				m.chargeMember(e, err, reason)
-			}
-			if i < len(cls.members) && cls.members[i] == e {
-				i++
-			}
-		}
-		if ci < len(m.classes) && m.classes[ci] == cls {
-			ci++
-		}
-	}
 }
 
 func (m *MultiRun) heartbeatMemberSafe(e *multiEntry, ts Value) (err error, reason string) {
@@ -1075,7 +1022,8 @@ func (m *MultiRun) heartbeatMemberSafe(e *multiEntry, ts Value) (err error, reas
 // predicate class shared by its members. A class with no surviving rows in
 // a segment skips its members entirely. The batch's selection bitmap is
 // consumed as working state. rejected counts non-finite rows, as
-// Run.PushBatch does. Isolation semantics match Push.
+// Run.PushBatch does. Member errors are charged as in Push; the error
+// returned is the batch's own (a schema the stream cannot take).
 func (m *MultiRun) PushBatch(b *Batch) (rejected int, err error) {
 	if b == nil || b.Len() == 0 {
 		return 0, nil
@@ -1095,14 +1043,10 @@ func (m *MultiRun) PushBatch(b *Batch) (rejected int, err error) {
 			m.mbx.valid = m.valid
 			hi, newL, roll = m.mbx.scanEpoch(m.ep, b, lo, skipObserve)
 		}
-		if err := m.processSegmentAll(b, lo, hi); err != nil {
-			return rejected, err
-		}
+		m.processSegmentAll(b, lo, hi)
 		m.tuples += uint64(hi - lo)
 		if roll {
-			if err := m.shiftAll(newL); err != nil {
-				return rejected, err
-			}
+			m.shiftAll(newL)
 		}
 		lo, skipObserve = hi, roll
 	}
@@ -1111,45 +1055,12 @@ func (m *MultiRun) PushBatch(b *Batch) (rejected int, err error) {
 
 // processSegmentAll folds rows [lo,hi) — a fixed-landmark segment — into
 // every member, one class selection per class.
-func (m *MultiRun) processSegmentAll(b *Batch, lo, hi int) error {
+func (m *MultiRun) processSegmentAll(b *Batch, lo, hi int) {
 	if lo >= hi {
-		return nil
+		return
 	}
-	if m.iso != nil {
-		m.processSegmentIso(b, lo, hi)
-		return nil
-	}
-	for _, cls := range m.classes {
-		if len(cls.members) == 0 {
-			continue
-		}
-		n, err := m.classSelect(cls, b, lo, hi)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			continue
-		}
-		for _, e := range cls.members {
-			r := e.run
-			if r.bx == nil {
-				r.bx = newBatchExec(r.p, r.ep)
-			}
-			if err := r.processSegmentBase(b, lo, hi, cls.sel); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (m *MultiRun) processSegmentIso(b *Batch, lo, hi int) {
 	for ci := 0; ci < len(m.classes); {
 		cls := m.classes[ci]
-		if len(cls.members) == 0 {
-			ci++
-			continue
-		}
 		n, err, reason := m.classSelectSafe(cls, b, lo, hi)
 		if err != nil {
 			m.chargeClass(cls, err, reason)
@@ -1185,9 +1096,8 @@ func (m *MultiRun) classSelectSafe(cls *predClass, b *Batch, lo, hi int) (n int,
 	return n, err, ""
 }
 
-// batchMember folds one selected segment into a member under
-// isolation, timing the whole segment into the ns/tuple EWMA (n is the
-// surviving row count).
+// batchMember folds one selected segment into a member, timing the whole
+// segment into the ns/tuple EWMA (n is the surviving row count).
 func (m *MultiRun) batchMember(e *multiEntry, b *Batch, lo, hi int, sel []uint64, n int) {
 	err, reason := func() (err error, reason string) {
 		defer func() {
@@ -1305,12 +1215,6 @@ func (s MultiStats) SharedHitRatio() float64 {
 func (m *MultiRun) MultiStats() MultiStats {
 	es := m.in.Stats()
 	ss := m.cat.Stats()
-	live := 0
-	for _, cls := range m.classes {
-		if len(cls.members) > 0 {
-			live++
-		}
-	}
 	quar := 0
 	for _, e := range m.entries {
 		if e.quarantined {
@@ -1320,7 +1224,7 @@ func (m *MultiRun) MultiStats() MultiStats {
 	return MultiStats{
 		Queries:       len(m.entries),
 		DistinctTexts: m.cat.Len(),
-		Classes:       live,
+		Classes:       len(m.classes),
 		Quarantined:   quar,
 		DistinctExprs: es.Distinct,
 		ExprHits:      es.Hits,
@@ -1425,13 +1329,6 @@ func (m *MultiRun) syncTuples(e *multiEntry) {
 	e.run.tuples = uint64(int64(m.tuples) + e.off)
 }
 
-// errSoloEpoch: per-query pushes cannot drive the shared epoch clock — a
-// solo tuple would advance one member's landmark past its peers'.
-var errSoloEpoch = fmt.Errorf("gsql: per-query push is not supported under a shared epoch supervisor")
-
-// errQuarantined guards the solo paths of a fenced query.
-var errQuarantined = fmt.Errorf("gsql: query is quarantined")
-
 // ID returns the query's runtime-assigned id (stable across quarantine and
 // revive, unique within this MultiRun).
 func (h *MultiHandle) ID() uint64 { return h.e.id }
@@ -1447,128 +1344,6 @@ func (h *MultiHandle) Quarantined() (bool, string) {
 
 // QueryStats snapshots this query's attribution counters.
 func (h *MultiHandle) QueryStats() QueryStats { return h.m.queryStats(h.e) }
-
-// Push feeds one tuple to this query alone — the crash-recovery replay path,
-// where members resume from different feed offsets. Equivalent to a
-// standalone Run.Push: the class filter (this query's WHERE) still applies.
-// Not available when the runtime has an epoch supervisor. Under isolation,
-// fold errors are charged to the query (tripping the breaker exactly as the
-// shared feed would) instead of surfacing, so a deterministic replay
-// re-quarantines a poison query at the same tuple.
-func (h *MultiHandle) Push(t Tuple) error {
-	m, e := h.m, h.e
-	if e.quarantined {
-		return errQuarantined
-	}
-	if m.ep != nil {
-		return errSoloEpoch
-	}
-	e.off++
-	if err := checkTupleFinite(m.schema, t); err != nil {
-		return err
-	}
-	if m.iso != nil {
-		m.soloFoldIso(e, t)
-		return nil
-	}
-	if cls := e.cls; cls.pred != nil {
-		ok, err := cls.pred(t)
-		if err != nil {
-			return err
-		}
-		if !ok.Truthy() {
-			return nil
-		}
-	}
-	return e.run.foldTuple(t)
-}
-
-// soloFoldIso is the isolated solo fold: the class predicate error is the
-// member's own WHERE failing, so it charges like a fold error.
-func (m *MultiRun) soloFoldIso(e *multiEntry, t Tuple) {
-	if cls := e.cls; cls.pred != nil {
-		ok, err, reason := m.evalPredSafe(cls, t)
-		if err != nil {
-			m.chargeMember(e, err, reason)
-			return
-		}
-		if !ok {
-			return
-		}
-	}
-	m.foldMember(e, t)
-}
-
-// PushBatch feeds a batch to this query alone (solo replay). Rows are
-// replayed through the scalar fold path — replay exactness over replay
-// speed.
-func (h *MultiHandle) PushBatch(b *Batch) (rejected int, err error) {
-	m, e := h.m, h.e
-	if e.quarantined {
-		return 0, errQuarantined
-	}
-	if m.ep != nil {
-		return 0, errSoloEpoch
-	}
-	if b == nil || b.Len() == 0 {
-		return 0, nil
-	}
-	if !b.compatibleWith(m.schema) {
-		return 0, fmt.Errorf("gsql: batch schema %s is incompatible with stream %s",
-			b.schema.Name, m.schema.Name)
-	}
-	m.soloSel = growBits(m.soloSel, b.n)
-	b.scanFinite(m.soloSel)
-	for i := 0; i < b.n; i++ {
-		if e.quarantined {
-			// Replay re-fenced the query mid-batch; the rest of the batch
-			// is not its to see.
-			return rejected, nil
-		}
-		e.off++
-		if !bitGet(m.soloSel, i) {
-			rejected++
-			continue
-		}
-		b.row(i, m.row)
-		if m.iso != nil {
-			m.soloFoldIso(e, m.row)
-			continue
-		}
-		if cls := e.cls; cls.pred != nil {
-			ok, perr := cls.pred(m.row)
-			if perr != nil {
-				return rejected, perr
-			}
-			if !ok.Truthy() {
-				continue
-			}
-		}
-		if err := e.run.foldTuple(m.row); err != nil {
-			return rejected, err
-		}
-	}
-	return rejected, nil
-}
-
-// Heartbeat advances this query's temporal bucket alone (solo replay).
-func (h *MultiHandle) Heartbeat(ts Value) error {
-	m, e := h.m, h.e
-	if e.quarantined {
-		return errQuarantined
-	}
-	if m.ep != nil {
-		return errSoloEpoch
-	}
-	if m.iso != nil {
-		err, reason := m.heartbeatMemberSafe(e, ts)
-		if err != nil {
-			m.chargeMember(e, err, reason)
-		}
-		return nil
-	}
-	return e.run.heartbeatBucket(ts)
-}
 
 // Checkpoint serializes this query's aggregation state, restorable by
 // MultiRun.Restore or the standalone Statement.Restore — the formats are
@@ -1659,7 +1434,7 @@ func (h *MultiHandle) Revive() error {
 	e.consecErrs = 0
 	e.estCost = est
 	m.admitUsed += est
-	if m.iso != nil && e.nsEWMA == 0 {
+	if e.nsEWMA == 0 {
 		e.nsEWMA = est
 	}
 	return nil

@@ -148,3 +148,66 @@ func TestMultiSharedSlotMemo(t *testing.T) {
 		t.Fatalf("memo counters off: %+v", st)
 	}
 }
+
+// TestMultiFailedRestoreLeavesNoClass: a Restore (or a Revive's restore
+// attempt) that fails on a query whose WHERE is new to the catalog must take
+// the predicate class it created back out — no memberless class, no retained
+// predicate slots.
+func TestMultiFailedRestoreLeavesNoClass(t *testing.T) {
+	e := mkEngine(t)
+	m, err := NewMultiRun(e, "TCP", Options{Isolate: &IsolateConfig{BreakerErrors: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nop := func(Tuple) error { return nil }
+	for _, q := range []string{
+		`select tb, count(*) from TCP where len > 10 group by time/60 as tb`,
+		`select tb, sum(len) from TCP group by time/60 as tb`,
+	} {
+		if _, err := m.Attach(q, 0, nop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// shape is the catalog's population: what a failed attach must not move.
+	type shape struct{ queries, texts, classes, keyed, listed, exprs int }
+	shapeOf := func() shape {
+		s := m.MultiStats()
+		return shape{s.Queries, s.DistinctTexts, s.Classes, len(m.classByKey), len(m.classes), s.DistinctExprs}
+	}
+	base := shapeOf()
+
+	fresh := `select tb, count(*) from TCP where destPort * 3 > 100 group by time/60 as tb`
+	if _, err := m.Restore(fresh, 0, []byte("not a checkpoint"), nop); err == nil {
+		t.Fatal("restore of a garbage checkpoint succeeded")
+	}
+	if got := shapeOf(); got != base {
+		t.Fatalf("failed Restore: catalog %+v, want %+v", got, base)
+	}
+
+	// Revive of a query whose retained partials no longer restore: the failed
+	// restore attempt must not leave its class behind for the fresh start to
+	// stack on, so a detach afterwards lands back on the baseline.
+	h, err := m.Attach(`select tb, sum(len / (len - len)) from TCP where destPort * 5 > 100 group by time/60 as tb`, 0, nop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := m.Push(pkt(int64(i), 1, 80, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q, _ := h.Quarantined(); !q {
+		t.Fatal("poison not quarantined")
+	}
+	h.e.retained = []byte("torn mid-write")
+	if err := h.Revive(); err != nil {
+		t.Fatalf("revive with a torn retained checkpoint: %v", err)
+	}
+	if got := shapeOf(); got.listed != base.listed+1 || got.classes != got.listed || got.keyed != got.listed {
+		t.Fatalf("after the revive: catalog %+v, want one class over %+v", got, base)
+	}
+	h.Detach()
+	if got := shapeOf(); got != base {
+		t.Fatalf("failed restore inside Revive, then Detach: catalog %+v, want %+v", got, base)
+	}
+}

@@ -9,11 +9,11 @@ import (
 	"forwarddecay/gsql"
 )
 
-// Isolation suite: a MultiRun under Options.Isolate must fence hostile
-// queries (erroring, panicking, cardinality-bombing) into quarantine while
-// every other query's output stays bit-for-bit identical to an oracle
-// catalog that never contained the offender — the blast radius of a bad
-// query is that query.
+// Isolation suite: a MultiRun must fence hostile queries (erroring,
+// panicking, cardinality-bombing — Options.Isolate sets the limits) into
+// quarantine while every other query's output stays bit-for-bit identical to
+// an oracle catalog that never contained the offender — the blast radius of
+// a bad query is that query.
 
 // isoOpts returns Options with the given isolation config.
 func isoOpts(cfg gsql.IsolateConfig) gsql.Options {
@@ -47,16 +47,21 @@ func registerBoom(t *testing.T, e *gsql.Engine) {
 
 // runIsoDifferential attaches the survivor fixtures plus one poison query,
 // feeds the trace (scalar or batch), asserts the poison lands in quarantine
-// with the expected reason, and requires every survivor bit-for-bit
-// identical (rows and checkpoint) to a standalone run that never saw the
-// poison.
-func runIsoDifferential(t *testing.T, e *gsql.Engine, cfg gsql.IsolateConfig, poison, wantReason string, batch bool) {
+// with the expected reason — or, for wantReason "", stays attached with its
+// failures counted — and requires every survivor bit-for-bit identical (rows
+// and checkpoint) to a standalone run that never saw the poison. A nil cfg
+// is Options{}: the zero config, with no callback to observe.
+func runIsoDifferential(t *testing.T, e *gsql.Engine, cfg *gsql.IsolateConfig, poison, wantReason string, batch bool) {
 	t.Helper()
 	tuples := trace(12_000, 0, 71)
 
 	var events []gsql.QuarantineEvent
-	cfg.OnQuarantine = func(ev gsql.QuarantineEvent) { events = append(events, ev) }
-	m, handles, rows := multiAttach(t, e, isoOpts(cfg), multiQueries)
+	opts := gsql.Options{}
+	if cfg != nil {
+		cfg.OnQuarantine = func(ev gsql.QuarantineEvent) { events = append(events, ev) }
+		opts.Isolate = cfg
+	}
+	m, handles, rows := multiAttach(t, e, opts, multiQueries)
 	ph, err := m.Attach(poison, 0, func(gsql.Tuple) error { return nil })
 	if err != nil {
 		t.Fatalf("attach poison: %v", err)
@@ -77,21 +82,28 @@ func runIsoDifferential(t *testing.T, e *gsql.Engine, cfg gsql.IsolateConfig, po
 		}
 	}
 
-	if q, reason := ph.Quarantined(); !q || reason != wantReason {
-		t.Fatalf("poison quarantined=%v reason=%q, want true/%q", q, reason, wantReason)
-	}
-	if len(events) != 1 || events[0].Reason != wantReason || events[0].Tag != "poison" {
-		t.Fatalf("quarantine events = %+v, want one %q event tagged poison", events, wantReason)
-	}
-	if err := ph.Push(pkt2(9000, 1, 80, 100)); err == nil {
-		t.Error("push into a quarantined query succeeded")
-	}
-	if s := m.MultiStats(); s.Quarantined != 1 || s.Queries != len(multiQueries)+1 {
-		t.Errorf("stats after quarantine: %+v", s)
-	}
 	qs := ph.QueryStats()
-	if !qs.Quarantined || qs.Reason != wantReason {
-		t.Errorf("poison QueryStats = %+v", qs)
+	if wantReason == "" {
+		// No breaker: every failed fold is counted, the streak never fences.
+		if q, _ := ph.Quarantined(); q || len(events) != 0 || m.MultiStats().Quarantined != 0 {
+			t.Fatalf("poison fenced with no breaker set: %+v, events %+v", qs, events)
+		}
+		if qs.Errors < 16 || qs.ConsecErrors != int(qs.Errors) {
+			t.Fatalf("poison QueryStats = %+v, want every failed fold counted", qs)
+		}
+	} else {
+		if q, reason := ph.Quarantined(); !q || reason != wantReason {
+			t.Fatalf("poison quarantined=%v reason=%q, want true/%q", q, reason, wantReason)
+		}
+		if cfg != nil && (len(events) != 1 || events[0].Reason != wantReason || events[0].Tag != "poison") {
+			t.Fatalf("quarantine events = %+v, want one %q event tagged poison", events, wantReason)
+		}
+		if s := m.MultiStats(); s.Quarantined != 1 || s.Queries != len(multiQueries)+1 {
+			t.Errorf("stats after quarantine: %+v", s)
+		}
+		if !qs.Quarantined || qs.Reason != wantReason {
+			t.Errorf("poison QueryStats = %+v", qs)
+		}
 	}
 
 	ckpts := make([][]byte, len(handles))
@@ -142,7 +154,7 @@ func TestMultiQuarantineBreaker(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			e := parallelEngine(t)
-			runIsoDifferential(t, e, gsql.IsolateConfig{BreakerErrors: 5},
+			runIsoDifferential(t, e, &gsql.IsolateConfig{BreakerErrors: 5},
 				poisonErrQuery, gsql.QuarantineBreaker, batch)
 		})
 	}
@@ -156,7 +168,7 @@ func TestMultiQuarantineCardinality(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			e := parallelEngine(t)
-			runIsoDifferential(t, e, gsql.IsolateConfig{MaxGroups: 64},
+			runIsoDifferential(t, e, &gsql.IsolateConfig{MaxGroups: 64},
 				poisonCardQuery, gsql.QuarantineCardinality, batch)
 		})
 	}
@@ -171,8 +183,27 @@ func TestMultiQuarantinePanic(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := parallelEngine(t)
 			registerBoom(t, e)
-			runIsoDifferential(t, e, gsql.IsolateConfig{},
+			runIsoDifferential(t, e, &gsql.IsolateConfig{},
 				poisonBoomQuery, gsql.QuarantinePanic, batch)
+		})
+	}
+}
+
+// TestMultiIsolationZeroConfig states the contract of Options{} (no
+// IsolateConfig): isolation is the runtime, not a mode. A member's error is
+// counted in QueryStats.Errors and the tuple continues for its neighbours, a
+// member's panic quarantines it, and nothing trips a breaker.
+func TestMultiIsolationZeroConfig(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		name := "scalar"
+		if batch {
+			name = "batch"
+		}
+		t.Run(name, func(t *testing.T) {
+			e := parallelEngine(t)
+			registerBoom(t, e)
+			runIsoDifferential(t, e, nil, poisonErrQuery, "", batch)
+			runIsoDifferential(t, e, nil, poisonBoomQuery, gsql.QuarantinePanic, batch)
 		})
 	}
 }
@@ -559,81 +590,5 @@ func TestMultiQueryStatsAttribution(t *testing.T) {
 	}
 	if err := m.CloseAll(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Mirrors the server rebuild flow: shared feed → checkpoint at a frame
-// boundary → fresh runtime → solo replay of the tail via the handle →
-// shared feed onward. Iso vs legacy must be bit-identical.
-func TestSoloReplayTransitionDifferential(t *testing.T) {
-	tuples := trace(4000, 0, 77)
-	batches := toBatches(t, tuples, 50)
-	q := multiQueries[0]
-
-	run := func(opts gsql.Options, ckptAt, replayTo int) ([]gsql.Tuple, []byte) {
-		e := parallelEngine(t)
-		m1, err := gsql.NewMultiRun(e, "TCP", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rows []gsql.Tuple
-		sink := func(r gsql.Tuple) error { rows = append(rows, r); return nil }
-		h, err := m1.Attach(q, 0, sink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range batches[:ckptAt] {
-			if _, err := m1.PushBatch(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ck, err := h.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Feed continues past the checkpoint before the "kill": those rows
-		// are discarded (frozen ring) and re-derived by replay.
-		for _, b := range batches[ckptAt:replayTo] {
-			if _, err := m1.PushBatch(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// The dead incarnation's post-checkpoint rows are discarded with it;
-		_ = rows // the successor re-derives them below, collected fresh
-		e2 := parallelEngine(t)
-		m2, err := gsql.NewMultiRun(e2, "TCP", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rows2 []gsql.Tuple
-		h2, err := m2.Restore(q, 0, ck, func(r gsql.Tuple) error { rows2 = append(rows2, r); return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range batches[ckptAt:replayTo] {
-			if _, err := h2.PushBatch(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, b := range batches[replayTo:] {
-			if _, err := m2.PushBatch(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		fin, err := h2.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows2, fin
-	}
-
-	iso := gsql.IsolateConfig{BreakerErrors: 16}
-	for _, cut := range [][2]int{{10, 20}, {24, 36}, {7, 53}, {40, 41}, {12, 80}} {
-		legacyRows, legacyCk := run(gsql.Options{}, cut[0], cut[1])
-		isoRows, isoCk := run(isoOpts(iso), cut[0], cut[1])
-		requireIdentical(t, legacyRows, isoRows, fmt.Sprintf("cut %v rows", cut))
-		if !bytes.Equal(legacyCk, isoCk) {
-			t.Errorf("cut %v: final checkpoint differs", cut)
-		}
 	}
 }

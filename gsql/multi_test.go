@@ -615,84 +615,6 @@ func TestMultiDedupAndStats(t *testing.T) {
 	}
 }
 
-// TestMultiSoloReplay: the crash-recovery path. A query attached mid-stream
-// is caught up with per-query solo pushes (its WAL suffix), then rejoins
-// the shared feed; it must end bit-identical to a standalone run fed the
-// same suffix.
-func TestMultiSoloReplay(t *testing.T) {
-	e := parallelEngine(t)
-	tuples := trace(12_000, 0, 67)
-	attachAt, rejoinAt := 4_000, 6_000
-	q1, q2 := multiQueries[0], multiQueries[1]
-
-	m, err := gsql.NewMultiRun(e, "TCP", gsql.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows1, rows2 []gsql.Tuple
-	h1, err := m.Attach(q1, 0, func(r gsql.Tuple) error { rows1 = append(rows1, r); return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range tuples[:attachAt] {
-		if err := m.Push(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h2, err := m.Attach(q2, 0, func(r gsql.Tuple) error { rows2 = append(rows2, r); return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Catch h2 up solo — scalar for the first stretch, batch for the rest.
-	for _, tp := range tuples[attachAt : attachAt+1000] {
-		if err := h2.Push(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, b := range toBatches(t, tuples[attachAt+1000:rejoinAt], 128) {
-		if _, err := h2.PushBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// ...while h1 sees the same stretch via the shared feed.
-	for _, tp := range tuples[attachAt:rejoinAt] {
-		if err := h1.Push(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Both rejoin the shared feed.
-	for _, tp := range tuples[rejoinAt:] {
-		if err := m.Push(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ck1, err := h1.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck2, err := h2.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp, _ := h2.Stats(); tp != uint64(len(tuples)-attachAt) {
-		t.Errorf("h2 tuples = %d, want %d", tp, len(tuples)-attachAt)
-	}
-	if err := m.CloseAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	want1, wantCk1 := standaloneRun(t, e, q1, tuples, gsql.Options{})
-	requireIdentical(t, want1, rows1, "full-stream member")
-	if !bytes.Equal(wantCk1, ck1) {
-		t.Error("full-stream member checkpoint differs")
-	}
-	want2, wantCk2 := standaloneRun(t, e, q2, tuples[attachAt:], gsql.Options{})
-	requireIdentical(t, want2, rows2, "replayed member")
-	if !bytes.Equal(wantCk2, ck2) {
-		t.Error("replayed member checkpoint differs")
-	}
-}
-
 // TestMultiHeartbeat: a heartbeat fans one bucket advance to every member.
 func TestMultiHeartbeat(t *testing.T) {
 	e := parallelEngine(t)
@@ -747,20 +669,6 @@ func TestMultiAttachErrors(t *testing.T) {
 	}
 	if _, err := m.Restore(multiQueries[2], 0, ck, func(gsql.Tuple) error { return nil }); err == nil {
 		t.Error("restore with a foreign checkpoint succeeded, want fingerprint error")
-	}
-
-	// Solo pushes are rejected under a shared epoch supervisor.
-	opts, _ := multiEpochOpts()
-	me, err := gsql.NewMultiRun(e, "TCP", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := me.Attach(`select tb, count(*) from TCP group by time/60 as tb`, 0, func(gsql.Tuple) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Push(pkt2(1, 1, 80, 10)); err == nil {
-		t.Error("solo push under shared epoch succeeded, want error")
 	}
 }
 

@@ -61,8 +61,8 @@ func TestAckWriterEveryWindow(t *testing.T) {
 // nopSink applies nothing: these tests are about frames and acks.
 type nopSink struct{}
 
-func (nopSink) Push(gsql.Tuple) error      { return nil }
-func (nopSink) Heartbeat(gsql.Value) error { return nil }
+func (nopSink) PushBatch(*gsql.Batch) (int, error) { return 0, nil }
+func (nopSink) Heartbeat(gsql.Value) error         { return nil }
 
 // TestAckWriterNoHeadOfLineBlocking: one client sends frames and never reads
 // an ack, until the socket to it is full and the write of its next ack

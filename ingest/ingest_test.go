@@ -254,9 +254,9 @@ type slowSink struct {
 	delay time.Duration
 }
 
-func (s *slowSink) Push(t gsql.Tuple) error {
+func (s *slowSink) PushBatch(b *gsql.Batch) (int, error) {
 	time.Sleep(s.delay)
-	return s.run.Push(t)
+	return s.run.PushBatch(b)
 }
 func (s *slowSink) Heartbeat(ts gsql.Value) error { return s.run.Heartbeat(ts) }
 

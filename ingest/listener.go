@@ -15,22 +15,14 @@ import (
 
 // Sink is the run a Listener feeds. Both *gsql.Run and *gsql.ParallelRun
 // satisfy it; all calls are made from the listener's single pump goroutine,
-// matching the runs' single-producer contract.
+// matching the runs' single-producer contract. The pump loads each data
+// frame straight into a reused gsql.Batch — no per-tuple Value
+// materialization — and applies it in one PushBatch call; rejected counts
+// the rows refused for a non-finite float, which do not fail the frame.
+// Checkpoints cut at frame boundaries.
 type Sink interface {
-	Push(gsql.Tuple) error
-	Heartbeat(gsql.Value) error
-}
-
-// BatchSink is optionally implemented by sinks that accept columnar batches;
-// *gsql.Run and *gsql.ParallelRun both do. When the sink implements it the
-// pump loads each data frame straight into a reused gsql.Batch — no per-tuple
-// Value materialization — and applies it in one PushBatch call; otherwise it
-// falls back to per-tuple Push. Rejected rows (non-finite floats) are counted
-// exactly as the scalar path counts per-tuple *gsql.NonFiniteValueError
-// pushes, and checkpoints keep their cut at frame boundaries on both paths.
-type BatchSink interface {
-	Sink
 	PushBatch(*gsql.Batch) (rejected int, err error)
+	Heartbeat(gsql.Value) error
 }
 
 // runtimeStatser is optionally implemented by sinks (both gsql runtimes
@@ -43,7 +35,7 @@ type runtimeStatser interface {
 // Config parameterizes a Listener. The zero value of every field is a
 // usable default except Sink, which is required.
 type Config struct {
-	// Sink receives tuples and heartbeats. Required.
+	// Sink receives frames (as batches) and heartbeats. Required.
 	Sink Sink
 	// Queue is the intake queue capacity in frames (default 64). Readers
 	// enqueue decoded frames here; the pump applies them to the sink.
@@ -579,17 +571,10 @@ func (l *Listener) pump() {
 		defer ticker.Stop()
 	}
 
-	tup := make(gsql.Tuple, 8)
-	// The columnar path engages when the sink takes batches; one batch
-	// buffer is reused per frame.
-	var batch *gsql.Batch
-	bsink, _ := l.cfg.Sink.(BatchSink)
-	if bsink != nil {
-		if b, err := gsql.NewBatch(gsql.PacketSchema("packets")); err == nil {
-			batch = b
-		} else {
-			bsink = nil
-		}
+	// One batch buffer is reused per frame.
+	batch, err := gsql.NewBatch(gsql.PacketSchema("packets"))
+	if err != nil {
+		l.Fail(err) // the packet schema is fixed: not reachable
 	}
 	var lastTS float64 // latest stream time seen
 	var lastTSSet bool
@@ -636,42 +621,20 @@ func (l *Listener) pump() {
 				return
 			}
 		}
-		if bsink != nil {
-			// Columnar apply: the frame's packets become one batch, pushed in
-			// a single call. Rejected rows are the batch-path spelling of the
-			// scalar loop's skip-and-continue on *gsql.NonFiniteValueError.
-			netgen.FillBatch(batch, it.pkts)
-			batch.SetSorted(batch.Sorted() && it.sorted)
-			l.tuplesIn.Add(uint64(len(it.pkts)))
-			rej, err := bsink.PushBatch(batch)
-			if rej > 0 {
-				l.tuplesRejected.Add(uint64(rej))
-			}
-			if err != nil {
-				l.Fail(err)
-			} else {
-				sinceCkpt += uint64(len(it.pkts) - rej)
-				for _, p := range it.pkts {
-					if p.Time > lastTS || !lastTSSet {
-						lastTS, lastTSSet = p.Time, true
-					}
-				}
-			}
+		// The frame's packets become one batch, pushed in a single call; a
+		// rejected (non-finite) row does not poison the frame.
+		netgen.FillBatch(batch, it.pkts)
+		batch.SetSorted(batch.Sorted() && it.sorted)
+		l.tuplesIn.Add(uint64(len(it.pkts)))
+		rej, err := l.cfg.Sink.PushBatch(batch)
+		if rej > 0 {
+			l.tuplesRejected.Add(uint64(rej))
+		}
+		if err != nil {
+			l.Fail(err)
 		} else {
+			sinceCkpt += uint64(len(it.pkts) - rej)
 			for _, p := range it.pkts {
-				netgen.AppendTuple(tup, p)
-				l.tuplesIn.Add(1)
-				if err := l.cfg.Sink.Push(tup); err != nil {
-					var nfe *gsql.NonFiniteValueError
-					if gsqlAsNonFinite(err, &nfe) {
-						// One poisoned tuple does not poison the frame.
-						l.tuplesRejected.Add(1)
-						continue
-					}
-					l.Fail(err)
-					break
-				}
-				sinceCkpt++
 				if p.Time > lastTS || !lastTSSet {
 					lastTS, lastTSSet = p.Time, true
 				}
@@ -703,7 +666,7 @@ func (l *Listener) pump() {
 				return
 			}
 			apply(it)
-			// The packets were copied into tuples (or intentionally
+			// The packets were copied into the batch (or intentionally
 			// dropped); their buffer goes back to the decode pool.
 			recyclePackets(it.pkts)
 		case <-tick:
@@ -731,17 +694,6 @@ func (l *Listener) pump() {
 			}
 		}
 	}
-}
-
-// gsqlAsNonFinite reports whether err is a *gsql.NonFiniteValueError,
-// filling target — a tiny errors.As specialization kept explicit for the
-// hot path.
-func gsqlAsNonFinite(err error, target **gsql.NonFiniteValueError) bool {
-	if e, ok := err.(*gsql.NonFiniteValueError); ok {
-		*target = e
-		return true
-	}
-	return false
 }
 
 // Shutdown drains the listener to a quiescent sink: it stops accepting,

@@ -10,12 +10,12 @@ import (
 	"forwarddecay/ingest"
 )
 
-// poisonSink fails every Push with a fixed error — the stand-in for a
+// poisonSink fails every PushBatch with a fixed error — the stand-in for a
 // runtime that has died under the listener.
 type poisonSink struct{ err error }
 
-func (s poisonSink) Push(gsql.Tuple) error      { return s.err }
-func (s poisonSink) Heartbeat(gsql.Value) error { return s.err }
+func (s poisonSink) PushBatch(*gsql.Batch) (int, error) { return 0, s.err }
+func (s poisonSink) Heartbeat(gsql.Value) error         { return s.err }
 
 // TestShutdownIdempotent: Shutdown must be safe to call twice — including
 // concurrently — with every call draining to the same quiescent state and
@@ -131,7 +131,7 @@ func TestErrAfterSinkFailure(t *testing.T) {
 	}
 }
 
-// TestShutdownTimeoutExpires: a sink wedged inside Push can outlive the
+// TestShutdownTimeoutExpires: a sink wedged inside PushBatch can outlive the
 // drain budget; Shutdown must return the timeout error instead of hanging.
 func TestShutdownTimeoutExpires(t *testing.T) {
 	release := make(chan struct{})
@@ -151,7 +151,7 @@ func TestShutdownTimeoutExpires(t *testing.T) {
 		}
 	}
 	select {
-	case <-entered: // the pump is provably stuck inside Push
+	case <-entered: // the pump is provably stuck inside PushBatch
 	case <-time.After(5 * time.Second):
 		t.Fatal("pump never reached the wedged sink")
 	}
@@ -166,7 +166,7 @@ func TestShutdownTimeoutExpires(t *testing.T) {
 	close(release) // unwedge so the pump goroutine can exit
 }
 
-// wedgeSink blocks inside Push until released — the watchdog drill's model
+// wedgeSink blocks inside PushBatch until released — the watchdog drill's model
 // of a runtime stuck on a lock. It closes entered on first entry so the
 // test can synchronize with the wedge.
 type wedgeSink struct {
@@ -175,9 +175,9 @@ type wedgeSink struct {
 	once    sync.Once
 }
 
-func (s *wedgeSink) Push(gsql.Tuple) error {
+func (s *wedgeSink) PushBatch(*gsql.Batch) (int, error) {
 	s.once.Do(func() { close(s.entered) })
 	<-s.release
-	return nil
+	return 0, nil
 }
 func (s *wedgeSink) Heartbeat(gsql.Value) error { return nil }

@@ -444,7 +444,7 @@ func (s *Service) TopExpensive(n int) []QueryCost {
 	byMember := map[uint64]uint32{}
 	rt.mu.Lock()
 	for id, run := range rt.runs {
-		qs := run.stats()
+		qs := run.h.QueryStats()
 		perRun[id] = qs
 		byMember[qs.ID] = id
 	}
@@ -495,7 +495,7 @@ func (s *Service) statsJSON() string {
 	if rt := s.rt.Load(); rt != nil && !rt.degraded {
 		rt.mu.Lock()
 		for id, run := range rt.runs {
-			qs := run.stats()
+			qs := run.h.QueryStats()
 			perRun[id] = qs
 			byMember[qs.ID] = id
 		}

@@ -8,9 +8,12 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -19,6 +22,7 @@ import (
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
 	"forwarddecay/internal/faultinject"
+	"forwarddecay/netgen"
 )
 
 // TestKillResumeBitIdentical is the headline drill: the runtime is killed
@@ -765,5 +769,247 @@ func TestOpensParentLayoutDirectory(t *testing.T) {
 	}
 	if got := svc2.rt.Load().listener.Sessions()[5]; got != seq+uint64((logged-cut)/frame) {
 		t.Fatalf("session 5 recovered at seq %d, want %d (state's %d + the logged frames)", got, seq+uint64((logged-cut)/frame), seq)
+	}
+}
+
+// waitPersisted waits until n checkpoints have been cut and the last one's
+// persist is done: the directory then holds what the next rebuild reads.
+func waitPersisted(t *testing.T, svc *Service, n uint64) {
+	t.Helper()
+	waitFor(t, 10*time.Second, fmt.Sprintf("checkpoint %d, persisted", n), func() bool {
+		rt := svc.rt.Load()
+		if rt == nil || svc.Counters().Get("server_checkpoints") < n || !rt.persistMu.TryLock() {
+			return false
+		}
+		rt.persistMu.Unlock()
+		return true
+	})
+}
+
+// killAndRebuild kills the idle runtime and waits for its successor.
+func killAndRebuild(t *testing.T, svc *Service) {
+	t.Helper()
+	restarts := svc.Counters().Get("server_restarts")
+	svc.Kill()
+	waitFor(t, 10*time.Second, "the rebuild", func() bool {
+		return svc.Counters().Get("server_restarts") > restarts && svc.Mode() == ModeHealthy
+	})
+}
+
+// tailTuples counts the packets in the log records of dir at or after its
+// state file's watermark — what a rebuild from dir re-feeds. Read-only.
+func tailTuples(t *testing.T, dir string) (tuples uint64) {
+	t.Helper()
+	st, err := loadState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var from walPos
+	if st != nil {
+		from = walPos{st.walEpoch, st.walApplied}
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "ingest-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil || len(data) < 16 {
+			t.Fatalf("reading %s: %d bytes, %v", name, len(data), err)
+		}
+		pos := walPos{epoch: binary.LittleEndian.Uint64(data[8:16])}
+		for off := 16; off < len(data); pos.at++ {
+			body, n, err := ingest.DecodeSealed(data[off:], walMaxRecord)
+			if err != nil {
+				t.Fatalf("%s at %d: %v", name, off, err)
+			}
+			rec, err := decodeWALRecord(body)
+			if err != nil {
+				t.Fatalf("%s at %d: %v", name, off, err)
+			}
+			if !pos.before(from) {
+				tuples += uint64(len(rec.pkts))
+			}
+			off += n
+		}
+	}
+	return tuples
+}
+
+// TestKillRebuildAdvancesSharedFeed: recovery is the live path. A rebuild
+// restores the state file's queries and re-feeds the log's tail through the
+// incarnation's one MultiRun, so afterwards the shared feed position is the
+// tail's tuple count, and the restored query's own counter the whole stream.
+func TestKillRebuildAdvancesSharedFeed(t *testing.T) {
+	dir := t.TempDir()
+	pkts := genPackets(t, 3000, 50, 61)
+	svc := startService(t, dir, func(c *Config) { c.CheckpointEvery = 1000 })
+	id, err := dialControl(t, svc).Attach(testQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamAll(t, dialIngest(t, svc, 61), pkts)
+	waitPersisted(t, svc, 2)
+	killAndRebuild(t, svc)
+
+	tail := tailTuples(t, dir)
+	if tail == 0 || tail >= uint64(len(pkts)) {
+		t.Fatalf("the log's tail holds %d of %d tuples: the drill needs a state file and a tail after it", tail, len(pkts))
+	}
+	rt := svc.rt.Load()
+	rt.mu.Lock()
+	fed := rt.multi.Tuples()
+	seen, _ := rt.runs[id].h.Stats()
+	rt.mu.Unlock()
+	if fed != tail {
+		t.Errorf("shared feed position %d after the rebuild, want the tail's %d tuples", fed, tail)
+	}
+	if seen != uint64(len(pkts)) {
+		t.Errorf("restored query has seen %d tuples, want %d", seen, len(pkts))
+	}
+}
+
+// TestResumeJoinsAtLogPosition: one log tail, every way a query can stand to
+// it. The catalog below is built against a stream cut once by a checkpoint;
+// the runtime is then killed, and after the rebuild (and one more stretch of
+// stream) every surviving query's ring and engine checkpoint must be
+// bit-identical to those of a service that was fed the same frames and never
+// died. The rebuild walks the tail once through the shared pass, each query
+// joining at the position its attach or revive was journaled at.
+func TestResumeJoinsAtLogPosition(t *testing.T) {
+	// Tail positions: 0 is before the cut (the query is in the state file),
+	// 1..3 fall between stretches of the tail, 4 is after its last record.
+	const never = -1
+	cases := []struct {
+		name, text             string
+		attach, detach, revive int
+	}{
+		{"from the state file", testQuery, 0, never, never},
+		{"attached mid-tail",
+			`select tb, destPort, count(*), sum(len) from TCP where len > 200 group by time/10 as tb, destPort`, 1, never, never},
+		{"attached after the last logged record",
+			`select tb, count(*), max(len) from TCP group by time/10 as tb`, 4, never, never},
+		{"detached mid-tail",
+			`select tb, srcIP, count(*) from TCP where proto = 6 group by time/10 as tb, srcIP`, 0, 2, never},
+		// Fenced by the poison frames that open the tail, revived at 3.
+		{"quarantined then revived mid-tail", flakyQuery, 0, never, 3},
+	}
+	const (
+		cut    = 63 * 64 // one checkpoint, after frame 63
+		poison = 4 * 64  // the tail opens with four frames of nothing but faults
+		part   = 10 * 64
+	)
+	pkts := genPackets(t, cut+4*part+600, 50, 67)
+	for i := range pkts {
+		if pkts[i].Len == 40 {
+			pkts[i].Len = 41
+		}
+	}
+	for i := cut; i < cut+poison; i++ {
+		pkts[i].Len = 40
+	}
+	// A query rejoins from the partials retained at its fence, so what it
+	// emitted between the cut and the fence is not re-derived: keep the fence
+	// inside the bucket the cut fell in.
+	if a, b := int64(pkts[cut-1].Time)/10, int64(pkts[cut+poison-1].Time)/10; a != b {
+		t.Fatalf("fixture: the poison frames span buckets %d..%d", a, b)
+	}
+
+	type outcome struct {
+		rows []gsql.Tuple
+		ckpt []byte
+	}
+	run := func(kill bool) map[string]outcome {
+		svc := startService(t, t.TempDir(), func(c *Config) {
+			c.CheckpointEvery = 4000 // frame 63 cuts; the tail stays under it
+			c.ResultLog = 1 << 15
+			c.QueryBreakerErrors = 3
+		})
+		cl := dialControl(t, svc)
+		ids := make([]uint32, len(cases))
+		session := uint64(90)
+		stream := func(part []netgen.Packet) {
+			session++
+			streamAll(t, dialIngest(t, svc, session), part)
+		}
+		at := func(pos int) {
+			for i, tc := range cases {
+				var err error
+				switch pos {
+				case tc.attach:
+					ids[i], err = cl.Attach(tc.text)
+				case tc.detach:
+					err = cl.Detach(ids[i])
+				case tc.revive:
+					if fenced, _ := mustLookup(t, svc, ids[i]).Quarantined(); !fenced {
+						t.Fatalf("%s: not fenced by the poison frames", tc.name)
+					}
+					err = cl.Revive(ids[i])
+				}
+				if err != nil {
+					t.Fatalf("%s at position %d: %v", tc.name, pos, err)
+				}
+			}
+		}
+		at(0)
+		stream(pkts[:cut])
+		waitPersisted(t, svc, 1)
+		for pos := 1; pos <= 4; pos++ {
+			lo := cut + (pos-1)*part
+			stream(pkts[lo : lo+part])
+			at(pos)
+		}
+		if n := svc.Counters().Get("server_checkpoints"); n != 1 {
+			t.Fatalf("%d checkpoints, want 1: the catalog changes must all be in the journal", n)
+		}
+		if kill {
+			killAndRebuild(t, svc)
+		}
+		stream(pkts[cut+4*part:])
+
+		out := map[string]outcome{}
+		for i, tc := range cases {
+			if tc.detach != never {
+				if _, err := svc.lookup(ids[i]); err == nil {
+					t.Fatalf("%s: still in the catalog", tc.name)
+				}
+				continue
+			}
+			q := mustLookup(t, svc, ids[i])
+			if fenced, why := q.Quarantined(); fenced {
+				t.Fatalf("%s: fenced (%s) at the end of the stream", tc.name, why)
+			}
+			rt := svc.rt.Load()
+			rt.mu.Lock()
+			ckpt, err := rt.runs[ids[i]].h.Checkpoint()
+			rt.mu.Unlock()
+			if err != nil {
+				t.Fatalf("%s: checkpoint: %v", tc.name, err)
+			}
+			_, end := q.log.bounds()
+			ch, err := cl.Subscribe(ids[i], 1, PolicyBlock, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, _ := collectRows(t, ch, 1, int(end), 20*time.Second)
+			out[tc.name] = outcome{rows, ckpt}
+		}
+		return out
+	}
+
+	want, got := run(false), run(true)
+	for _, tc := range cases {
+		if tc.detach != never {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			if len(want[tc.name].rows) == 0 {
+				t.Fatal("the uninterrupted service emitted no rows: the fixture proves nothing")
+			}
+			requireIdentical(t, want[tc.name].rows, got[tc.name].rows, "ring across the rebuild")
+			if !bytes.Equal(want[tc.name].ckpt, got[tc.name].ckpt) {
+				t.Error("engine checkpoint differs from the uninterrupted service's")
+			}
+		})
 	}
 }

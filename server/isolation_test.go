@@ -148,11 +148,7 @@ func TestServerQuarantineSurvivesRestartDormant(t *testing.T) {
 	if err := cl.Revive(pid); err != nil {
 		t.Fatalf("revive after restart: %v", err)
 	}
-	restarts := svc.Counters().Get("server_restarts")
-	svc.Kill()
-	waitFor(t, 10*time.Second, "rebuild after second kill", func() bool {
-		return svc.Counters().Get("server_restarts") > restarts && svc.Mode() == ModeHealthy
-	})
+	killAndRebuild(t, svc)
 	q, err = svc.lookup(pid)
 	if err != nil {
 		t.Fatal(err)
@@ -216,14 +212,7 @@ func TestReviveNotReappliedAfterCrashInCheckpoint(t *testing.T) {
 			t.Fatal("the poison frames did not quarantine the query")
 		}
 		stream(pkts[2624:3200]) // frames 42-50: checkpoint six holds the query fenced
-		waitFor(t, 10*time.Second, "checkpoint six, persisted", func() bool {
-			rt := svc.rt.Load()
-			if svc.Counters().Get("server_checkpoints") < 6 || !rt.persistMu.TryLock() {
-				return false
-			}
-			rt.persistMu.Unlock()
-			return true
-		})
+		waitPersisted(t, svc, 6)
 		if err := cl.Revive(id); err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,9 +91,9 @@ type Config struct {
 	// DrainTimeout bounds the graceful-shutdown drain (default 5s).
 	DrainTimeout time.Duration
 	// QueryBreakerErrors is the consecutive per-query evaluation-failure
-	// count that quarantines a standing query (default 16). Negative
-	// disables per-query fault isolation entirely; a member fault then
-	// fails the whole incarnation as it did before isolation existed.
+	// count that quarantines a standing query (default 16, which zero or a
+	// negative value also selects). Per-query fault isolation is how the
+	// runtime works, not something this can turn off.
 	QueryBreakerErrors int
 	// QueryMaxGroups caps one query's live group cardinality; exceeding it
 	// quarantines the query (0 = unlimited).
@@ -133,7 +135,7 @@ func (c *Config) fill() {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
-	if c.QueryBreakerErrors == 0 {
+	if c.QueryBreakerErrors <= 0 {
 		c.QueryBreakerErrors = 16
 	}
 	if c.Logf == nil {
@@ -176,13 +178,14 @@ type queryRun struct {
 	// pending holds the rows the run emitted during the apply in progress,
 	// as the engine handed them over; flushEmits moves them into the ring.
 	pending []gsql.Tuple
-	push    func(*gsql.Batch) (int, error)
-	hb      func(gsql.Value) error
-	ckpt    func() ([]byte, error)
-	close   func() error
-	quar    func() (bool, string)
-	revive  func() error
-	stats   func() gsql.QueryStats
+	h       *gsql.MultiHandle
+}
+
+// close flushes the run's open bucket and takes it off the shared feed.
+func (run *queryRun) close() error {
+	err := run.h.Close()
+	run.h.Detach()
+	return err
 }
 
 // runtime is one supervised incarnation: WAL appender, engine runs and the
@@ -214,10 +217,10 @@ type runtime struct {
 	inflight atomic.Int64
 	// killed is closed by Kill to simulate an abrupt process death.
 	killed chan struct{}
-	// replaying is true while buildRuntime replays the WAL tail: quarantines
-	// that re-fire during replay are deterministic re-derivations of events
-	// the journal already records (or will re-derive on every rebuild), so
-	// the OnQuarantine hook skips the journal append. Written before the
+	// replaying is true while buildRuntime re-feeds the WAL tail: quarantines
+	// that re-fire there are deterministic re-derivations of events the
+	// journal already records (or will re-derive on every rebuild), so the
+	// OnQuarantine hook skips the journal append. Written before the
 	// listener starts; never raced.
 	replaying bool
 	// fenced is set at teardown. The emit sinks of this incarnation check it
@@ -575,7 +578,8 @@ func (s *Service) Shutdown() error {
 func (s *Service) nextGen() uint64 { return s.gen.Add(1) }
 
 // buildRuntime constructs an incarnation from disk truth: state file +
-// catalog journal + WAL replay. With degraded=true it builds a WAL-only
+// catalog journal + the WAL tail, re-fed through the same shared pass the
+// live pump drives (replay). With degraded=true it builds a WAL-only
 // incarnation instead: no engine runs, frames ack straight after logging.
 func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 	s.mu.Lock()
@@ -627,7 +631,7 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 			s.nextID = st.nextQueryID
 		}
 		for i := range st.queries {
-			specs = append(specs, buildSpec{qs: st.queries[i], replayFrom: from, fromState: true})
+			specs = append(specs, buildSpec{qs: st.queries[i], joinAt: from, fromState: true})
 		}
 	}
 	inState := map[uint32]bool{}
@@ -645,8 +649,8 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 				continue // checkpoint already folded this attach
 			}
 			specs = append(specs, buildSpec{
-				qs:         queryState{id: e.id, text: e.text},
-				replayFrom: pos,
+				qs:     queryState{id: e.id, text: e.text},
+				joinAt: pos,
 			})
 			if e.id >= s.nextID {
 				s.nextID = e.id + 1
@@ -678,7 +682,7 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 				if specs[i].qs.id == e.id {
 					specs[i].qs.quarantined = false
 					specs[i].qs.qreason = ""
-					specs[i].replayFrom = pos
+					specs[i].joinAt = pos
 					break
 				}
 			}
@@ -698,8 +702,8 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 	}
 
 	// Build the shared runtime and reconcile the service catalog with disk.
-	// One engine, one MultiRun: every query attaches to the same feed, and
-	// the fan-out below becomes a single shared pass per frame.
+	// One engine, one MultiRun: every query attaches to the same feed — in
+	// replay, at its position in the tail — and a frame is one shared pass.
 	eng := gsql.NewEngine()
 	if err := eng.RegisterStream(gsql.PacketSchema("TCP")); err != nil {
 		return nil, err
@@ -711,6 +715,7 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 	rt.multi = multi
 
 	live := map[uint32]bool{}
+	joins := specs[:0] // the specs that get a run; dormant ones drop out
 	for _, sp := range specs {
 		live[sp.qs.id] = true
 		q := s.queries[sp.qs.id]
@@ -733,11 +738,7 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 			continue
 		}
 		q.quar.Store(nil)
-		run, err := s.startRun(rt, q, sp.qs.ckpt)
-		if err != nil {
-			return nil, fmt.Errorf("server: rebuilding query %d: %w", q.ID, err)
-		}
-		rt.runs[q.ID] = run
+		joins = append(joins, sp)
 	}
 	// Drop catalog entries disk does not know (e.g. attach journal lost to
 	// a deliberate state reset).
@@ -752,12 +753,12 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 		rl.thaw()
 	}
 
-	// Replay the WAL tail into the rebuilt runs. Rows emitted here land in
-	// the rings at exactly the cursors they held before the crash. A query
-	// that was fenced after the tail began re-quarantines deterministically
-	// mid-replay (same tuples, same breaker) without failing the build.
+	// Re-feed the WAL tail, each query joining at its position in it. Rows
+	// emitted here land in the rings at exactly the cursors they held before
+	// the crash. A query that was fenced after the tail began re-quarantines
+	// deterministically (same tuples, same breaker) without failing the build.
 	rt.replaying = true
-	err = s.replay(rt, specs, recs)
+	err = s.replay(rt, joins, recs)
 	rt.replaying = false
 	if err != nil {
 		return nil, err
@@ -767,11 +768,13 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 	return out, err
 }
 
-// buildSpec pairs a persisted query with its replay start.
+// buildSpec pairs a persisted query with the log position at which it joins
+// the shared feed: the state file's watermark, or where its attach or revive
+// was journaled — the record at that position is the first it sees.
 type buildSpec struct {
-	qs         queryState
-	replayFrom walPos
-	fromState  bool
+	qs        queryState
+	joinAt    walPos
+	fromState bool
 }
 
 func (s *Service) newRing() *resultLog {
@@ -817,13 +820,7 @@ func (s *Service) startRun(rt *runtime, q *Query, ckpt []byte) (*queryRun, error
 		return nil, err
 	}
 	h.SetTag(q)
-	run.push, run.hb, run.ckpt = h.PushBatch, h.Heartbeat, h.Checkpoint
-	run.quar, run.revive, run.stats = h.Quarantined, h.Revive, h.QueryStats
-	run.close = func() error {
-		err := h.Close()
-		h.Detach()
-		return err
-	}
+	run.h = h
 	return run, nil
 }
 
@@ -849,8 +846,7 @@ func (s *Service) flushEmits(rt *runtime) {
 const maxJournalCkpt = MaxControlFrame - 256
 
 // isolateConfig builds the per-query fault-isolation policy for one
-// incarnation, or nil (fate-sharing, the pre-isolation behavior) when
-// QueryBreakerErrors is negative.
+// incarnation.
 //
 // The OnQuarantine hook fires synchronously on whichever goroutine drove the
 // faulting tuple — the ingest pump under rt.mu, or buildRuntime itself
@@ -858,9 +854,6 @@ const maxJournalCkpt = MaxControlFrame - 256
 // touches (the Query's atomic quarantine slot, counters, the journal file)
 // is safe under rt.mu.
 func (s *Service) isolateConfig(rt *runtime) *gsql.IsolateConfig {
-	if s.cfg.QueryBreakerErrors < 0 {
-		return nil
-	}
 	return &gsql.IsolateConfig{
 		BreakerErrors: s.cfg.QueryBreakerErrors,
 		MaxGroups:     s.cfg.QueryMaxGroups,
@@ -899,58 +892,55 @@ func (s *Service) isolateConfig(rt *runtime) *gsql.IsolateConfig {
 	}
 }
 
-// replay feeds the WAL tail to each rebuilt run, honoring per-query replay
-// positions. Batch-path application mirrors the live path bit-for-bit.
-func (s *Service) replay(rt *runtime, specs []buildSpec, recs []walRecord) error {
-	if len(recs) == 0 {
+// replay is recovery's one rule: walk the WAL tail once, and before the
+// record at a position start every query that joins there — Restore from its
+// partials or a fresh Attach, exactly what the live Attach/Revive did under
+// rt.mu at that position — then apply the record as the pump does, one
+// shared pass and one flushEmits. Queries joining past the last record start
+// at the end. joins need not be ordered (a revive moves a spec's position).
+func (s *Service) replay(rt *runtime, joins []buildSpec, recs []walRecord) error {
+	slices.SortStableFunc(joins, func(a, b buildSpec) int {
+		return cmp.Or(cmp.Compare(a.joinAt.epoch, b.joinAt.epoch), cmp.Compare(a.joinAt.at, b.joinAt.at))
+	})
+	// startThrough starts the queries that join at or before pos.
+	startThrough := func(pos walPos) error {
+		for ; len(joins) > 0 && !pos.before(joins[0].joinAt); joins = joins[1:] {
+			q := s.queries[joins[0].qs.id]
+			run, err := s.startRun(rt, q, joins[0].qs.ckpt)
+			if err != nil {
+				return fmt.Errorf("server: rebuilding query %d: %w", q.ID, err)
+			}
+			rt.runs[q.ID] = run
+		}
 		return nil
 	}
 	batch, err := gsql.NewBatch(gsql.PacketSchema("TCP"))
 	if err != nil {
 		return err
 	}
-	starts := map[uint32]walPos{}
-	for _, sp := range specs {
-		starts[sp.qs.id] = sp.replayFrom
-	}
-	replayed := 0
+	replayed := false
 	for i, rec := range recs {
+		if err := startThrough(rec.pos); err != nil {
+			return err
+		}
 		switch rec.kind {
 		case recFrame:
 			netgen.FillBatch(batch, rec.pkts)
-			for id, run := range rt.runs {
-				if rec.pos.before(starts[id]) {
-					continue
-				}
-				if fenced, _ := run.quar(); fenced {
-					continue // re-quarantined mid-replay; sees nothing more
-				}
-				if _, err := run.push(batch); err != nil {
-					return fmt.Errorf("server: replaying record %d into query %d: %w", i, id, err)
-				}
-				replayed++
-			}
-			s.flushEmits(rt)
+			_, err = rt.multi.PushBatch(batch)
+			replayed = replayed || len(rt.runs) > 0
 		case recHeartbeat:
-			for id, run := range rt.runs {
-				if rec.pos.before(starts[id]) {
-					continue
-				}
-				if fenced, _ := run.quar(); fenced {
-					continue
-				}
-				if err := run.hb(rec.hb); err != nil {
-					return fmt.Errorf("server: replaying heartbeat %d into query %d: %w", i, id, err)
-				}
-			}
-			s.flushEmits(rt)
+			err = rt.multi.Heartbeat(rec.hb)
+		}
+		s.flushEmits(rt)
+		if err != nil {
+			return fmt.Errorf("server: replaying record %d: %w", i, err)
 		}
 	}
-	if replayed > 0 {
+	if replayed {
 		s.counters.Add("server_wal_replays", 1)
 		s.cfg.Logf("server: replayed %d WAL records into %d queries", len(recs), len(rt.runs))
 	}
-	return nil
+	return startThrough(walPos{epoch: ^uint64(0)}) // past every record: the rest join at the end
 }
 
 // finishBuild binds the ingest listener and publishes the incarnation.
@@ -1048,7 +1038,7 @@ func (s *Service) checkpoint(rt *runtime) (err error) {
 			if run == nil {
 				return fmt.Errorf("server: checkpointing query %d: no live run", id)
 			}
-			if qs.ckpt, err = run.ckpt(); err != nil {
+			if qs.ckpt, err = run.h.Checkpoint(); err != nil {
 				return fmt.Errorf("server: checkpointing query %d: %w", id, err)
 			}
 		}
@@ -1145,7 +1135,7 @@ func (s *Service) refreshCatalogGauges() {
 	st := rt.multi.MultiStats()
 	perRun := make(map[uint32]gsql.QueryStats, len(rt.runs))
 	for id, run := range rt.runs {
-		perRun[id] = run.stats()
+		perRun[id] = run.h.QueryStats()
 	}
 	rt.mu.Unlock()
 	s.gauges.Set("server_catalog_queries", float64(st.Queries))
@@ -1277,7 +1267,7 @@ func (s *Service) Revive(id uint32) error {
 	defer rt.mu.Unlock()
 	if run := rt.runs[id]; run != nil {
 		// Quarantined in this incarnation: the handle revives in place.
-		if err := run.revive(); err != nil {
+		if err := run.h.Revive(); err != nil {
 			return attachErr(err)
 		}
 	} else {
@@ -1394,13 +1384,6 @@ func (f *fanSink) PushBatch(b *gsql.Batch) (rejected int, err error) {
 	return rejected, err
 }
 
-// Push exists to satisfy ingest.Sink; the listener always prefers the
-// batch path (fanSink implements BatchSink) so this is never called.
-func (f *fanSink) Push(gsql.Tuple) error {
-	f.rt.mu.Unlock()
-	return fmt.Errorf("server: scalar push path not supported")
-}
-
 // Heartbeat applies one logged heartbeat through the shared pass.
 func (f *fanSink) Heartbeat(v gsql.Value) (err error) {
 	rt := f.rt
@@ -1457,8 +1440,6 @@ func (r *rtLog) LogHeartbeat(ts gsql.Value) error {
 // walOnlySink is the degraded-mode sink: frames were already logged by the
 // ApplyLog hook; nothing else to do.
 type walOnlySink struct{}
-
-func (walOnlySink) Push(gsql.Tuple) error { return nil }
 
 func (walOnlySink) Heartbeat(gsql.Value) error { return nil }
 
