@@ -2,7 +2,8 @@
 # CI check: build, vet, tests, the race detector over the concurrent code
 # (the listener, the query service, the distributed tier, the stand-alone
 # sharded gsql runtime, and the fault-injection suites), a short fuzz smoke
-# over every decoder and the query parser, and a perf-regression gate over
+# over every decoder and the query planner and row paths, and a
+# perf-regression gate over
 # the hot-path micro-benchmarks.
 set -eux
 
@@ -76,7 +77,13 @@ go test -race -run 'Multi' -count=1 ./gsql/
 
 # Fuzz smoke: 10s per target. -run='^$' skips the unit tests (already run
 # above); -fuzzminimizetime caps the engine's per-input minimization, whose
-# 60s default dwarfs the budget and reads as a hang.
+# 60s default dwarfs the budget and reads as a hang. A decoder that sizes an
+# allocation from a forged count kills the fuzz worker; the sketch and agg
+# testdata/fuzz seeds are the forged-k SpaceSaving inputs that once did.
+# FuzzQuery is the batch ≡ scalar oracle: every query that prepares folds a
+# fixed three-batch tape through PushBatch and row by row through Push, and
+# the two must emit the same rows to the bit, the same error and the same
+# Stats().
 go test -run='^$' -fuzz='^FuzzSketchDecode$' -fuzztime=10s -fuzzminimizetime=10x ./sketch/
 go test -run='^$' -fuzz='^FuzzAggDecode$' -fuzztime=10s -fuzzminimizetime=10x ./agg/
 go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=10s -fuzzminimizetime=10x ./gsql/

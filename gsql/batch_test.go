@@ -1,6 +1,7 @@
 package gsql_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -19,13 +20,19 @@ import (
 // and sharded runtimes, with and without epoch rollovers, at every batch
 // size worth worrying about.
 
-// toBatches slices tuples into columnar batches of the given size.
+// toBatches slices packet tuples into columnar batches of the given size.
 func toBatches(t *testing.T, tuples []gsql.Tuple, size int) []*gsql.Batch {
+	t.Helper()
+	return schemaBatches(t, gsql.PacketSchema("TCP"), tuples, size)
+}
+
+// schemaBatches slices tuples of schema s into batches of the given size.
+func schemaBatches(t testing.TB, s *gsql.Schema, tuples []gsql.Tuple, size int) []*gsql.Batch {
 	t.Helper()
 	var out []*gsql.Batch
 	for lo := 0; lo < len(tuples); lo += size {
 		hi := min(lo+size, len(tuples))
-		b, err := gsql.NewBatch(gsql.PacketSchema("TCP"))
+		b, err := gsql.NewBatch(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,6 +263,304 @@ func TestPushBatchErrorReplay(t *testing.T) {
 	}
 }
 
+// flowSchema is a packet stream with the operand and key classes the packet
+// schema lacks: a string and a bool column, and a float column x that
+// carries edge values.
+func flowSchema() *gsql.Schema {
+	return gsql.MustSchema("FLOW",
+		gsql.Column{Name: "time", Type: gsql.TInt, Monotone: true},
+		gsql.Column{Name: "ftime", Type: gsql.TFloat, Monotone: true},
+		gsql.Column{Name: "host", Type: gsql.TString},
+		gsql.Column{Name: "up", Type: gsql.TBool},
+		gsql.Column{Name: "len", Type: gsql.TInt},
+		gsql.Column{Name: "x", Type: gsql.TFloat},
+	)
+}
+
+func flowEngine(t *testing.T) *gsql.Engine {
+	t.Helper()
+	e := gsql.NewEngine()
+	if err := e.RegisterStream(flowSchema()); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// flowEdges are the x values every 13th row carries: signed zeros,
+// subnormals, the largest finite magnitudes, exp's overflow and underflow
+// bounds, and the non-finite values the finite check rejects.
+var flowEdges = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e308, -1e308, 709.78, 710,
+	-745.1, -746, 0.5, -0.5, -2.5, math.Inf(1), math.NaN()}
+
+// flowTuples maps a packet trace onto the FLOW stream; between edge rows x
+// is a benign positive function of len.
+func flowTuples(n int, seed uint64) []gsql.Tuple {
+	out := make([]gsql.Tuple, n)
+	for r, p := range trace(n, 0, seed) {
+		x := float64(p[7].I) / 100
+		if r%13 == 12 {
+			x = flowEdges[(r/13)%len(flowEdges)]
+		}
+		out[r] = gsql.Tuple{p[0], p[1], gsql.Str(fmt.Sprintf("h%d", p[3].I%7)),
+			gsql.Bool(p[5].I%2 == 0), p[7], gsql.Float(x)}
+	}
+	return out
+}
+
+// positiveX copies a FLOW tape with every x that is not positive and finite
+// replaced by 1.5, so ln, log2 and sqrt of x cannot fail on it.
+func positiveX(tuples []gsql.Tuple) []gsql.Tuple {
+	out := make([]gsql.Tuple, len(tuples))
+	for r, tp := range tuples {
+		tp = append(gsql.Tuple(nil), tp...)
+		if !(tp[5].F > 0 && tp[5].F < math.Inf(1)) {
+			tp[5] = gsql.Float(1.5)
+		}
+		out[r] = tp
+	}
+	return out
+}
+
+// flowBatches slices FLOW tuples into batches of the given size.
+func flowBatches(t *testing.T, tuples []gsql.Tuple, size int) []*gsql.Batch {
+	t.Helper()
+	return schemaBatches(t, flowSchema(), tuples, size)
+}
+
+// requireSameBits is requireIdentical to the bit: NaN payloads compare
+// equal to themselves and -0 differs from +0.
+func requireSameBits(t *testing.T, want, got []gsql.Tuple, label string) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: want %d rows, got %d", label, len(want), len(got))
+	}
+	for i := range want {
+		if len(want[i]) != len(got[i]) {
+			t.Fatalf("%s row %d: width %d vs %d", label, i, len(want[i]), len(got[i]))
+		}
+		for j, w := range want[i] {
+			g := got[i][j]
+			if w.T != g.T || w.I != g.I || w.S != g.S || math.Float64bits(w.F) != math.Float64bits(g.F) {
+				t.Fatalf("%s row %d col %d: want %#v, got %#v", label, i, j, w, g)
+			}
+		}
+	}
+}
+
+// kernelCase is one builtin over one operand, with the WHERE clause that
+// keeps it inside its domain.
+type kernelCase struct{ call, domain string }
+
+var kernelCases = []kernelCase{
+	{"exp(x)", ""}, {"exp(len)", ""}, {"exp(-len)", ""}, {"exp(up)", ""},
+	{"exp(float(time%60)/10)", ""},
+	{"floor(x)", ""}, {"ceil(x * 3)", ""}, {"floor(up)", ""}, {"ceil(len)", ""},
+	{"abs(x)", ""}, {"abs(len - 800)", ""}, {"abs(up)", ""},
+	{"pow(x, 0.5)", ""}, {"pow(len, x)", ""}, {"pow(up, len)", ""},
+	{"ln(x)", "x > 0"}, {"ln(len)", ""}, {"ln(up)", "up"},
+	{"log2(x)", "x > 0"}, {"log2(len - 39)", ""},
+	{"sqrt(x)", "x >= 0"}, {"sqrt(len - 40)", ""}, {"sqrt(up)", ""},
+}
+
+// kernelQuery aggregates a builtin by a string and a time key.
+func kernelQuery(c kernelCase, where string) string {
+	if where != "" {
+		where = " where " + where
+	}
+	return fmt.Sprintf("select tb, host, count(*), sum(%s), max(%s) from FLOW%s group by time/1 as tb, host",
+		c.call, c.call, where)
+}
+
+// TestPushBatchBuiltinKernels: every builtin's column kernel, on int, bool
+// and float operands through their edge values, folds bit-for-bit like
+// scalar Push — and the domain errors of ln/log2/sqrt surface with the
+// scalar message, the scalar tuple count and the scalar rows before the
+// failing row.
+func TestPushBatchBuiltinKernels(t *testing.T) {
+	e := flowEngine(t)
+	tuples := flowTuples(12_000, 17)
+	// The domain-error tape: x stays positive except at one row, after
+	// several buckets have been emitted.
+	poisoned := positiveX(tuples)
+	poisoned[10_321][5] = gsql.Float(-2.5)
+
+	drive := func(label, q string, tape []gsql.Tuple, wantErr bool) {
+		st, err := e.Prepare(q)
+		if err != nil {
+			t.Fatalf("prepare %q: %v", q, err)
+		}
+		sRows, sRej, sN, sErr := scalarPushAll(t, st, tape, gsql.Options{})
+		if (sErr != nil) != wantErr {
+			t.Fatalf("%s: scalar err %v, want error %v", label, sErr, wantErr)
+		}
+		if len(sRows) == 0 {
+			t.Fatalf("%s: no rows before the end of the tape", label)
+		}
+		for _, size := range []int{1, 7, 64, 256} {
+			var bRows []gsql.Tuple
+			run := st.Start(func(row gsql.Tuple) error { bRows = append(bRows, row); return nil }, gsql.Options{})
+			bRej, bErr := 0, error(nil)
+			for _, b := range flowBatches(t, tape, size) {
+				rej, err := run.PushBatch(b)
+				bRej += rej
+				if err != nil {
+					bErr = err
+					break
+				}
+			}
+			if bErr == nil {
+				if err := run.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bN, _ := run.Stats()
+			l := fmt.Sprintf("%s, batch %d", label, size)
+			requireSameBits(t, sRows, bRows, l)
+			if sRej != bRej || sN != bN {
+				t.Fatalf("%s: scalar rejected %d of %d tuples, batch %d of %d", l, sRej, sN, bRej, bN)
+			}
+			if (sErr == nil) != (bErr == nil) || sErr != nil && sErr.Error() != bErr.Error() {
+				t.Fatalf("%s: scalar err %v, batch err %v", l, sErr, bErr)
+			}
+		}
+	}
+	for _, c := range kernelCases {
+		drive(c.call, kernelQuery(c, c.domain), tuples, false)
+	}
+	for _, call := range []string{"ln(x)", "log2(x)", "sqrt(x)"} {
+		drive(call+" domain error", kernelQuery(kernelCase{call: call}, ""), poisoned, true)
+	}
+}
+
+// TestMultiBatchBuiltinKernels: two members of one MultiRun sharing a
+// builtin (one predicate class, the same argument expression) fold through
+// MultiRun.PushBatch exactly as standalone runs fold through scalar Push —
+// rows and checkpoint bytes. A domain error on the tape's last row is
+// charged once to each member, with the same rows and state as the scalar
+// shared pass.
+func TestMultiBatchBuiltinKernels(t *testing.T) {
+	e := flowEngine(t)
+	tuples := flowTuples(4_000, 19)
+	members := func(c kernelCase) []string {
+		where := ""
+		if c.domain != "" {
+			where = " where " + c.domain
+		}
+		return []string{
+			fmt.Sprintf("select tb, host, sum(%s) from FLOW%s group by time/1 as tb, host", c.call, where),
+			fmt.Sprintf("select tb, up, count(*), max(%s) from FLOW%s group by time/1 as tb, up", c.call, where),
+		}
+	}
+	attach := func(qs []string) (*gsql.MultiRun, []*gsql.MultiHandle, []*[]gsql.Tuple) {
+		m, err := gsql.NewMultiRun(e, "FLOW", gsql.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := make([]*gsql.MultiHandle, len(qs))
+		rows := make([]*[]gsql.Tuple, len(qs))
+		for i, q := range qs {
+			got := &[]gsql.Tuple{}
+			if hs[i], err = m.Attach(q, 0, func(r gsql.Tuple) error { *got = append(*got, r); return nil }); err != nil {
+				t.Fatalf("attach %q: %v", q, err)
+			}
+			rows[i] = got
+		}
+		return m, hs, rows
+	}
+	// finish checkpoints every member, then closes the runtime.
+	finish := func(m *gsql.MultiRun, hs []*gsql.MultiHandle) [][]byte {
+		ckpts := make([][]byte, len(hs))
+		for i, h := range hs {
+			var err error
+			if ckpts[i], err = h.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.CloseAll(); err != nil {
+			t.Fatal(err)
+		}
+		return ckpts
+	}
+
+	for _, c := range kernelCases {
+		qs := members(c)
+		m, hs, rows := attach(qs)
+		for _, b := range flowBatches(t, tuples, 64) {
+			if _, err := m.PushBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ckpts := finish(m, hs)
+		for i, q := range qs {
+			want, wantCkpt := flowStandalone(t, e, q, tuples)
+			requireSameBits(t, want, *rows[i], fmt.Sprintf("%s member %d", c.call, i))
+			if !bytes.Equal(wantCkpt, ckpts[i]) {
+				t.Errorf("%s member %d: checkpoint differs from the standalone scalar run", c.call, i)
+			}
+		}
+	}
+
+	poisoned := positiveX(tuples)
+	poisoned[len(poisoned)-1][5] = gsql.Float(-2.5)
+	for _, call := range []string{"ln(x)", "log2(x)", "sqrt(x)"} {
+		qs := members(kernelCase{call: call})
+		ms, hss, srows := attach(qs)
+		for _, tp := range poisoned {
+			if err := ms.Push(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sCkpts := finish(ms, hss)
+		mb, hsb, brows := attach(qs)
+		for _, b := range flowBatches(t, poisoned, 64) {
+			if _, err := mb.PushBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bCkpts := finish(mb, hsb)
+		for i := range qs {
+			l := fmt.Sprintf("%s member %d", call, i)
+			requireSameBits(t, *srows[i], *brows[i], l)
+			if !bytes.Equal(sCkpts[i], bCkpts[i]) {
+				t.Errorf("%s: batch checkpoint differs from the scalar shared pass", l)
+			}
+			ss, bs := hss[i].QueryStats(), hsb[i].QueryStats()
+			if ss.Errors != 1 || bs.Errors != 1 || ss.Tuples != bs.Tuples {
+				t.Errorf("%s: scalar %d errors over %d tuples, batch %d over %d", l, ss.Errors, ss.Tuples, bs.Errors, bs.Tuples)
+			}
+		}
+	}
+}
+
+// flowStandalone runs one FLOW query through scalar Push, skipping the
+// non-finite rows as every scalar caller does, and returns its rows and
+// final checkpoint.
+func flowStandalone(t *testing.T, e *gsql.Engine, q string, tuples []gsql.Tuple) ([]gsql.Tuple, []byte) {
+	t.Helper()
+	st, err := e.Prepare(q)
+	if err != nil {
+		t.Fatalf("prepare %q: %v", q, err)
+	}
+	var rows []gsql.Tuple
+	run := st.Start(func(r gsql.Tuple) error { rows = append(rows, r); return nil }, gsql.Options{})
+	for _, tp := range tuples {
+		if err := run.Push(tp); err != nil {
+			var nfe *gsql.NonFiniteValueError
+			if !errors.As(err, &nfe) {
+				t.Fatalf("standalone push: %v", err)
+			}
+		}
+	}
+	ckpt, err := run.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rows, ckpt
+}
+
 // TestPushBatchCheckpointEquivalence: a checkpoint cut at a batch boundary
 // restores into a run whose continuation matches the scalar kill-recover
 // cycle bit-for-bit (checkpoint bytes themselves are map-order dependent,
@@ -377,40 +682,59 @@ func TestPushBatchEquivalenceParallel(t *testing.T) {
 
 // TestPushBatchSteadyStateAllocs guards the batch hot path's allocation-free
 // property: once groups and kernel scratch exist, a whole PushBatch cycle —
-// finite scan, vectorized WHERE, group kernels, key runs, batched aggregate
-// stepping — must not allocate.
+// finite scan, vectorized WHERE, group kernels, keys written from the kernel
+// columns, key runs, batched aggregate stepping — must not allocate, for
+// numeric keys as for string keys, and with a builtin's kernel (exp) in an
+// aggregate argument.
 func TestPushBatchSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short harnesses")
 	}
-	e := parallelEngine(t)
-	st, err := e.Prepare(`select tb, dstIP, count(*), sum(len), avg(float(len))
-	   from TCP where len > 0 and destPort = 80 group by time/60 as tb, dstIP`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := st.Start(func(gsql.Tuple) error { return nil }, gsql.Options{})
-	b, err := gsql.NewBatch(gsql.PacketSchema("TCP"))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		e      *gsql.Engine
+		schema *gsql.Schema
+		query  string
+		tuples []gsql.Tuple
+	}{
+		{"numeric-key", parallelEngine(t), gsql.PacketSchema("TCP"), `select tb, dstIP, count(*), sum(len), avg(float(len))
+		   from TCP where len > 0 and destPort = 80 group by time/60 as tb, dstIP`, nil},
+		{"string-key-exp", flowEngine(t), flowSchema(), `select tb, host, up, count(*), sum(float(len)*exp(float(time%60)/10))
+		   from FLOW where len > 0 group by time/60 as tb, host, up`, flowTuples(64, 23)},
 	}
 	for i := 0; i < 64; i++ {
-		if err := b.Append(pkt2(30, int64(i%16), 80, 100+int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		cases[0].tuples = append(cases[0].tuples, pkt2(30, int64(i%16), 80, 100+int64(i)))
 	}
-	if _, err := run.PushBatch(b); err != nil { // warm groups + scratch
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(500, func() {
-		if _, err := run.PushBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("steady-state PushBatch allocates %.2f objects/op, want 0", avg)
-	}
-	if err := run.Close(); err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			st, err := c.e.Prepare(c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := st.Start(func(gsql.Tuple) error { return nil }, gsql.Options{})
+			b, err := gsql.NewBatch(c.schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tp := range c.tuples {
+				if err := b.Append(tp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := run.PushBatch(b); err != nil { // warm groups + scratch
+				t.Fatal(err)
+			}
+			avg := testing.AllocsPerRun(500, func() {
+				if _, err := run.PushBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Errorf("steady-state PushBatch allocates %.2f objects/op, want 0", avg)
+			}
+			if err := run.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

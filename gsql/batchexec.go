@@ -256,12 +256,16 @@ func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64) error {
 	// fold walks the bitmap inline (not through forSel) so its mutable run
 	// state stays on the stack: the steady-state batch cycle allocates
 	// nothing, and TestPushBatchSteadyStateAllocs holds it there.
+	//
+	// Each row's group key is written straight from the kernel columns, in
+	// the bytes keyAppend would write for the row's group values; the values
+	// themselves are materialized only where a row needs them — the temporal
+	// bucket at a run start, and a group's values at its birth.
 	segBase := r.tuples
 	r.tuples += uint64(hi - lo)
 
 	var curAggs []Aggregator
 	runLen := 0
-	gv := r.gv
 	for w, m := range sel {
 		if m == 0 {
 			continue
@@ -269,10 +273,11 @@ func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64) error {
 		base := w << 6
 		for ; m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros64(m)
-			for gi, gn := range vp.groups {
-				gv[gi] = ctx.valueAt(gn, i)
+			key := bx.curKey[:0]
+			for _, gn := range vp.groups {
+				key = ctx.appendKeyAt(key, gn, i)
 			}
-			bx.curKey = r.p.keyAppend(bx.curKey[:0], gv)
+			bx.curKey = key
 			if runLen > 0 && bytes.Equal(bx.curKey, bx.prevKey) {
 				// Same group as the previous row: same group values, same
 				// temporal bucket — extend the run, nothing else to check.
@@ -288,7 +293,7 @@ func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64) error {
 			}
 			runLen = 0
 			if ti := r.p.temporalIdx; ti >= 0 {
-				bv := gv[ti]
+				bv := ctx.valueAt(vp.groups[ti], i)
 				if !r.bucketSet {
 					r.bucket, r.bucketSet = bv, true
 				} else if r.p.bucketAfter(bv, r.bucket) {
@@ -299,12 +304,17 @@ func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64) error {
 					r.bucket = bv
 				}
 			}
-			aggs, err := r.probeGroup(bx.curKey, gv)
+			g, born, err := r.probeGroup(bx.curKey)
 			if err != nil {
 				r.tuples = segBase + uint64(i-lo+1)
 				return err
 			}
-			curAggs = aggs
+			if born {
+				for gi, gn := range vp.groups {
+					g.gv[gi] = ctx.valueAt(gn, i)
+				}
+			}
+			curAggs = g.aggs
 			bx.rows = append(bx.rows[:0], int32(i))
 			runLen = 1
 			bx.curKey, bx.prevKey = bx.prevKey, bx.curKey
@@ -352,21 +362,21 @@ func (r *Run) stepRun(aggs []Aggregator) error {
 	return nil
 }
 
-// probeGroup locates (or creates) the group for key, returning its
-// aggregators. It is the probe section of the scalar fold, shared verbatim
-// by both paths.
-func (r *Run) probeGroup(key []byte, gv Tuple) ([]Aggregator, error) {
+// probeGroup locates (or creates) the group for key. It is the probe section
+// of the scalar fold, shared verbatim by both paths. A group born by this
+// probe (born == true) has its key but not its values: the caller fills g.gv
+// from the row, so a probe that finds its group never materializes them.
+func (r *Run) probeGroup(key []byte) (g *group, born bool, err error) {
 	h := core.HashBytes(key)
 	if !r.twoLevel {
-		g := r.highGet(h, key)
-		if g == nil {
-			var err error
-			if g, err = r.bornGroup(h, key, gv); err != nil {
-				return nil, err
-			}
-			r.highPut(g)
+		if g = r.highGet(h, key); g != nil {
+			return g, false, nil
 		}
-		return g.aggs, nil
+		if g, err = r.bornGroup(h, key); err != nil {
+			return nil, false, err
+		}
+		r.highPut(g)
+		return g, true, nil
 	}
 	i := h & r.lowMask
 	s := &r.low[i]
@@ -382,23 +392,23 @@ func (r *Run) probeGroup(key []byte, gv Tuple) ([]Aggregator, error) {
 	}
 	if s.used && !(s.hash == h && bytes.Equal(s.g.key, key)) {
 		if err := r.evict(s); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		s.used = false
 	}
-	if !s.used {
-		g, err := r.bornGroup(h, key, gv)
-		if err != nil {
-			return nil, err
-		}
-		s.used = true
-		if !s.listed {
-			s.listed = true
-			r.lowUsed = append(r.lowUsed, uint32(i))
-		}
-		s.hash, s.g = h, g
+	if s.used {
+		return s.g, false, nil
 	}
-	return s.g.aggs, nil
+	if g, err = r.bornGroup(h, key); err != nil {
+		return nil, false, err
+	}
+	s.used = true
+	if !s.listed {
+		s.listed = true
+		r.lowUsed = append(r.lowUsed, uint32(i))
+	}
+	s.hash, s.g = h, g
+	return g, true, nil
 }
 
 // replaySegment is the scalar fallback: each row of the segment materializes

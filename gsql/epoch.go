@@ -232,8 +232,10 @@ func (r *Run) ShiftLandmark(newL float64) error {
 // be), else a new one. The aggregators are rebased onto the run's current
 // landmark when a rollover has moved it: a group born mid-epoch must live in
 // the same frame as every shifted group, or checkpoint verification (and
-// cross-frame merges) would see state straddling two landmarks.
-func (r *Run) bornGroup(hash uint64, key []byte, gv Tuple) (*group, error) {
+// cross-frame merges) would see state straddling two landmarks. The group's
+// values (gv, one slot per group expression) are the caller's to fill (see
+// probeGroup).
+func (r *Run) bornGroup(hash uint64, key []byte) (*group, error) {
 	var g *group
 	if n := len(r.free); n > 0 {
 		g = r.free[n-1]
@@ -246,7 +248,7 @@ func (r *Run) bornGroup(hash uint64, key []byte, gv Tuple) (*group, error) {
 			}
 		}
 	} else {
-		g = &group{aggs: newAggs(r.p)}
+		g = &group{gv: make(Tuple, len(r.p.groupFns)), aggs: newAggs(r.p)}
 	}
 	if r.landmarkSet {
 		if err := shiftAggs(g.aggs, r.curL); err != nil {
@@ -255,7 +257,6 @@ func (r *Run) bornGroup(hash uint64, key []byte, gv Tuple) (*group, error) {
 	}
 	g.hash = hash
 	g.key = append(g.key[:0], key...)
-	g.gv = append(g.gv[:0], gv...)
 	return g, nil
 }
 

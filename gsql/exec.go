@@ -235,11 +235,14 @@ func (r *Run) foldTuple(t Tuple) error {
 	// Probe the group table (two-level or high-only; the fast path — a
 	// repeated group key hitting its slot — performs no allocation at all)
 	// and fold the tuple in.
-	aggs, err := r.probeGroup(r.keyBuf, gv)
+	g, born, err := r.probeGroup(r.keyBuf)
 	if err != nil {
 		return err
 	}
-	r.args, err = stepAggs(r.p, aggs, t, r.args)
+	if born {
+		copy(g.gv, gv)
+	}
+	r.args, err = stepAggs(r.p, g.aggs, t, r.args)
 	return err
 }
 

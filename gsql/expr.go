@@ -79,6 +79,9 @@ func (env *compileEnv) staticType(e expr) Type {
 		}
 	case *callExpr:
 		if f, ok := env.funcs[n.name]; ok {
+			if f.i1 != nil && len(n.args) == 1 {
+				return argRet(env.staticType(n.args[0]))
+			}
 			return f.ret
 		}
 	}

@@ -20,6 +20,16 @@ type scalarFunc struct {
 	// known argument type, bypassing the fn1 indirection and any runtime
 	// type switch; returning nil declines the specialization.
 	spec func(argType Type, arg evalFn) evalFn
+
+	// The numeric core the scalar closure applies to its promoted argument,
+	// exposed so the batch compiler's column kernels call the very same
+	// function (vexpr.go compileCall): at most one of f1, f1e, f2 is set.
+	f1  func(float64) float64          // total unary: exp, floor, ceil
+	f1e func(float64) (float64, error) // partial unary: ln, log2, sqrt
+	f2  func(x, y float64) float64     // binary: pow
+	// i1, set beside f1, marks a unary function whose result type follows
+	// its argument's (abs): i1 on an int, f1 on any other numeric.
+	i1 func(int64) int64
 }
 
 // builtinFuncs are the scalar functions available in expressions. They
@@ -28,39 +38,26 @@ type scalarFunc struct {
 // "PRISAMP(srcIP, exp(time % 60))".
 var builtinFuncs = map[string]scalarFunc{
 	"exp": float1(math.Exp),
-	"ln": unaryT(TFloat, func(a Value) (Value, error) {
-		x := a.AsFloat()
+	"ln": floatErr1(func(x float64) (float64, error) {
 		if x <= 0 {
-			return Null, fmt.Errorf("gsql: ln of non-positive value %g", x)
+			return 0, fmt.Errorf("gsql: ln of non-positive value %g", x)
 		}
-		return Float(math.Log(x)), nil
+		return math.Log(x), nil
 	}),
-	"log2": unaryT(TFloat, func(a Value) (Value, error) {
-		x := a.AsFloat()
+	"log2": floatErr1(func(x float64) (float64, error) {
 		if x <= 0 {
-			return Null, fmt.Errorf("gsql: log2 of non-positive value %g", x)
+			return 0, fmt.Errorf("gsql: log2 of non-positive value %g", x)
 		}
-		return Float(math.Log2(x)), nil
+		return math.Log2(x), nil
 	}),
-	"sqrt": unaryT(TFloat, func(a Value) (Value, error) {
-		x := a.AsFloat()
+	"sqrt": floatErr1(func(x float64) (float64, error) {
 		if x < 0 {
-			return Null, fmt.Errorf("gsql: sqrt of negative value %g", x)
+			return 0, fmt.Errorf("gsql: sqrt of negative value %g", x)
 		}
-		return Float(math.Sqrt(x)), nil
+		return math.Sqrt(x), nil
 	}),
-	"pow": {nargs: 2, ret: TFloat, fn: func(a []Value) (Value, error) {
-		return Float(math.Pow(a[0].AsFloat(), a[1].AsFloat())), nil
-	}},
-	"abs": unary(func(a Value) (Value, error) {
-		if a.T == TInt {
-			if a.I < 0 {
-				return Int(-a.I), nil
-			}
-			return a, nil
-		}
-		return Float(math.Abs(a.AsFloat())), nil
-	}),
+	"pow":   float2(math.Pow),
+	"abs":   {nargs: 1, fn1: absValue, f1: math.Abs, i1: absInt},
 	"floor": float1(math.Floor),
 	"ceil":  float1(math.Ceil),
 	// float(x) forces float arithmetic where integer semantics would
@@ -117,20 +114,52 @@ func specConvert(to Type) func(argType Type, arg evalFn) evalFn {
 	}
 }
 
-// unary wraps a single-argument function as a scalarFunc whose result type
-// depends on the input (ret stays TNull = unknown).
-func unary(f func(Value) (Value, error)) scalarFunc {
-	return scalarFunc{nargs: 1, fn1: f}
+// argRet is the result type of an i1 function (abs) on a statically typed
+// argument: int on an int, float on any other numeric, else unknown.
+func argRet(argType Type) Type {
+	switch argType {
+	case TInt:
+		return TInt
+	case TFloat, TBool:
+		return TFloat
+	}
+	return TNull
 }
 
-// unaryT wraps a single-argument function with a statically known result
-// type.
-func unaryT(ret Type, f func(Value) (Value, error)) scalarFunc {
-	return scalarFunc{nargs: 1, fn1: f, ret: ret}
+// absInt and absValue are abs on an int and on any value: an int stays an
+// int, everything else promotes to float.
+func absInt(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+func absValue(a Value) (Value, error) {
+	if a.T == TInt {
+		return Int(absInt(a.I)), nil
+	}
+	return Float(math.Abs(a.AsFloat())), nil
 }
 
 func float1(f func(float64) float64) scalarFunc {
-	return unaryT(TFloat, func(a Value) (Value, error) {
+	return scalarFunc{nargs: 1, ret: TFloat, f1: f, fn1: func(a Value) (Value, error) {
 		return Float(f(a.AsFloat())), nil
-	})
+	}}
+}
+
+func floatErr1(f func(float64) (float64, error)) scalarFunc {
+	return scalarFunc{nargs: 1, ret: TFloat, f1e: f, fn1: func(a Value) (Value, error) {
+		x, err := f(a.AsFloat())
+		if err != nil {
+			return Null, err
+		}
+		return Float(x), nil
+	}}
+}
+
+func float2(f func(x, y float64) float64) scalarFunc {
+	return scalarFunc{nargs: 2, ret: TFloat, f2: f, fn: func(a []Value) (Value, error) {
+		return Float(f(a[0].AsFloat(), a[1].AsFloat())), nil
+	}}
 }

@@ -1,6 +1,9 @@
 package gsql_test
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -65,8 +68,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 }
 
 // FuzzQuery drives the lexer, parser and planner with arbitrary query
-// text: Prepare must reject garbage with an error, never panic, for any
-// byte sequence — including invalid UTF-8 and deeply nested expressions.
+// text, and the two row paths with every query that prepares. Prepare must
+// reject garbage with an error, never panic, for any byte sequence —
+// including invalid UTF-8 and deeply nested expressions. A prepared query is
+// a batch ≡ scalar oracle: one fixed three-batch tape folded through
+// PushBatch and, row by row, through Push must emit the same rows to the
+// bit, fail with the same error text and count the same Stats().
 func FuzzQuery(f *testing.F) {
 	seeds := []string{
 		`select tb, dstIP, count(*) from TCP group by time/60 as tb, dstIP`,
@@ -76,14 +83,24 @@ func FuzzQuery(f *testing.F) {
 		`select tb, sum(float(len)*(time % 60))/60 from TCP group by time/60 as tb`,
 		`select`, `select * from`, `((((((`, `select "unterminated`,
 		`select 1e309 from TCP group by time/60 as tb`,
+		// Every builtin, and string, bool, float and dynamically typed keys.
+		`select tb, host, count(*), sum(float(len)*exp(float(time%60)/10)) from TCP group by time/1 as tb, host`,
+		`select up, count(*), avg(ln(float(len))), max(log2(len)), min(sqrt(float(len) - 100)) from TCP group by up`,
+		`select fb, count(*), sum(pow(ftime, 0.5)), max(abs(srcPort - destPort)) from TCP group by floor(ftime) as fb`,
+		`select tb, len > 500, min(ceil(ftime * 3)), sum(abs(up)), max(int(ftime)) from TCP group by time/1 as tb, len > 500`,
+		`select tb, -host, count(*) from TCP where host != 'h3' group by time/1 as tb, -host`,
+		`select tb, 'k', count(*), sum(1000 / len) from TCP group by time/1 as tb, 'k'`,
+		`select h, count(*) from TCP where up and exp(len) > 1e300 group by host as h having count(*) > 1`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	e := gsql.NewEngine()
-	if err := e.RegisterStream(gsql.PacketSchema("TCP")); err != nil {
+	schema := fuzzSchema()
+	if err := e.RegisterStream(schema); err != nil {
 		f.Fatal(err)
 	}
+	tape, batches := fuzzTape(f, schema)
 	f.Fuzz(func(t *testing.T, query string) {
 		// Bound pathological inputs: the parser is recursive-descent, so a
 		// megabyte of '(' would legitimately exhaust the stack. Real queries
@@ -98,8 +115,71 @@ func FuzzQuery(f *testing.F) {
 			}
 			return
 		}
-		// A query that parses must plan a runnable statement.
-		run := st.Start(func(gsql.Tuple) error { return nil }, gsql.Options{})
-		_ = run.Close()
+		var sRows, bRows []gsql.Tuple
+		scalar := st.Start(func(r gsql.Tuple) error { sRows = append(sRows, r); return nil }, gsql.Options{})
+		batch := st.Start(func(r gsql.Tuple) error { bRows = append(bRows, r); return nil }, gsql.Options{})
+		sRej, sErr := 0, error(nil)
+		for _, tp := range tape {
+			if err := scalar.Push(tp); err != nil {
+				var nfe *gsql.NonFiniteValueError
+				if errors.As(err, &nfe) {
+					sRej++
+					continue
+				}
+				sErr = err
+				break
+			}
+		}
+		bRej, bErr := 0, error(nil)
+		for _, b := range batches {
+			rej, err := batch.PushBatch(b)
+			bRej += rej
+			if err != nil {
+				bErr = err
+				break
+			}
+		}
+		if sErr == nil {
+			sErr = scalar.Close()
+		}
+		if bErr == nil {
+			bErr = batch.Close()
+		}
+		if (sErr == nil) != (bErr == nil) || sErr != nil && sErr.Error() != bErr.Error() {
+			t.Fatalf("%q: Push err %v, PushBatch err %v", query, sErr, bErr)
+		}
+		sN, sEv := scalar.Stats()
+		bN, bEv := batch.Stats()
+		if sRej != bRej || sN != bN || sEv != bEv {
+			t.Fatalf("%q: Push rejected %d, counted %d, evicted %d; PushBatch %d, %d, %d",
+				query, sRej, sN, sEv, bRej, bN, bEv)
+		}
+		requireSameBits(t, sRows, bRows, fmt.Sprintf("%q: Push vs PushBatch", query))
 	})
+}
+
+// fuzzSchema is the packet stream with a string and a bool column added, so
+// fuzzed queries reach string and bool keys and operands.
+func fuzzSchema() *gsql.Schema {
+	cols := append([]gsql.Column(nil), gsql.PacketSchema("TCP").Cols...)
+	cols = append(cols, gsql.Column{Name: "host", Type: gsql.TString}, gsql.Column{Name: "up", Type: gsql.TBool})
+	return gsql.MustSchema("TCP", cols...)
+}
+
+// fuzzTape is FuzzQuery's fixed tape: a packet trace spanning several
+// one-second buckets, with a non-finite row in the second batch and a
+// zero-length packet (a divisor of zero) in the third, as tuples and as
+// three batches.
+func fuzzTape(f *testing.F, s *gsql.Schema) ([]gsql.Tuple, []*gsql.Batch) {
+	const perBatch = 100
+	var tape []gsql.Tuple
+	for r, p := range trace(3*perBatch, 0, 53) {
+		tp := append(p, gsql.Str(fmt.Sprintf("h%d", p[3].I%5)), gsql.Bool(p[7].I > 500))
+		tp[0] = gsql.Int(int64(r / 40)) // a new bucket every 40 rows
+		tp[1] = gsql.Float(float64(r) / 40)
+		tape = append(tape, tp)
+	}
+	tape[perBatch+17][1] = gsql.Float(math.NaN())
+	tape[2*perBatch+31][7] = gsql.Int(0)
+	return tape, schemaBatches(f, s, tape, perBatch)
 }

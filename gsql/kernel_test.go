@@ -1,0 +1,267 @@
+package gsql
+
+import (
+	"bytes"
+	"math"
+	"sort"
+	"testing"
+
+	"forwarddecay/internal/core"
+)
+
+// The column kernels of the builtin functions and the batch fold's key
+// writer, each checked against the scalar oracle it replaces: per row, the
+// kernel's value (or error) must be the scalar closure's to the bit, and the
+// key bytes written from the kernel columns must be keyAppend's over the
+// scalar group values.
+
+// kernelSchema has one column per operand class the kernels read.
+func kernelSchema() *Schema {
+	return MustSchema("K",
+		Column{Name: "t", Type: TInt, Monotone: true},
+		Column{Name: "i", Type: TInt},
+		Column{Name: "b", Type: TBool},
+		Column{Name: "f", Type: TFloat},
+		Column{Name: "g", Type: TFloat},
+		Column{Name: "s", Type: TString},
+	)
+}
+
+// Operand values at the edges of the float functions: signed zeros,
+// subnormals, the largest finite magnitudes, the bounds of exp's range, and
+// the non-finite values a computed operand can carry.
+var (
+	edgeFloats = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308,
+		1e-300, 0.5, -0.5, 1, -1, 2.5, -2.5, math.Pi, 709.78, 709.79, 710, -745.1, -746,
+		1e308, -1e308, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	edgeInts = []int64{0, 1, -1, 2, -3, 709, 710, -745, -746, 1<<53 + 1, math.MaxInt64, math.MinInt64}
+)
+
+// kernelBatch crosses the edge values into rows: f walks the float edges, g
+// walks them backwards, i and b cycle on their own periods.
+func kernelBatch(t *testing.T, s *Schema) *Batch {
+	t.Helper()
+	b, err := NewBatch(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(edgeFloats) * len(edgeInts)
+	for r := 0; r < n; r++ {
+		row := Tuple{
+			Int(int64(r / 8)),
+			Int(edgeInts[r%len(edgeInts)]),
+			Bool(r%3 == 0),
+			Float(edgeFloats[r%len(edgeFloats)]),
+			Float(edgeFloats[len(edgeFloats)-1-(r/len(edgeInts))%len(edgeFloats)]),
+			Str([]string{"", "a", "b\x00c", "ab"}[r%4]),
+		}
+		if err := b.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// parseTupleExpr parses src as a tuple-level expression.
+func parseTupleExpr(t *testing.T, src string) expr {
+	t.Helper()
+	q, err := parseQuery("select count(*) from K where "+src, func(n string) bool { return n == "count" })
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	return q.where
+}
+
+func kernelEnv(s *Schema) *compileEnv {
+	return &compileEnv{
+		resolve: s.ColumnIndex,
+		colType: func(name string) Type {
+			if i := s.ColumnIndex(name); i >= 0 {
+				return s.Cols[i].Type
+			}
+			return TNull
+		},
+		funcs: builtinFuncs,
+	}
+}
+
+// sameBits reports whether two values are identical to the bit (NaN
+// payloads and the sign of zero included).
+func sameBits(a, b Value) bool {
+	return a.T == b.T && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
+func TestBuiltinKernelsMatchScalar(t *testing.T) {
+	s := kernelSchema()
+	b := kernelBatch(t, s)
+	names := make([]string, 0, len(builtinFuncs))
+	for name := range builtinFuncs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var cases []string
+	for _, name := range names {
+		if builtinFuncs[name].nargs == 1 {
+			for _, a := range []string{"i", "b", "f"} {
+				cases = append(cases, name+"("+a+")")
+			}
+			continue
+		}
+		for _, a := range []string{"f, g", "g, f", "i, f", "f, i", "b, i", "i, i"} {
+			cases = append(cases, name+"("+a+")")
+		}
+	}
+	// Kernels feeding kernels, and serve_fwd's decay weight.
+	cases = append(cases, "exp(float(i % 60) / 10)", "sqrt(abs(f))", "ln(exp(f))",
+		"pow(abs(i), 0.5)", "floor(-f) + ceil(f)", "abs(-i)", "log2(f * g)")
+
+	scalarEnv := kernelEnv(s)
+	vecEnv := kernelEnv(s)
+	fallbacks := 0
+	// A fallback node compiles its subtree with the scalar compiler, which
+	// consults the shared hook first: counting the calls counts fallbacks.
+	vecEnv.shared = func(expr) evalFn { fallbacks++; return nil }
+
+	row := make(Tuple, len(s.Cols))
+	sel := make([]uint64, bitWords(b.Len()))
+	for _, src := range cases {
+		e := parseTupleExpr(t, src)
+		fn, err := scalarEnv.compile(e)
+		if err != nil {
+			t.Fatalf("%s: scalar compile: %v", src, err)
+		}
+		vc := &vecComp{env: vecEnv, schema: s}
+		fallbacks = 0
+		n, err := vc.compile(e)
+		if err != nil {
+			t.Fatalf("%s: vector compile: %v", src, err)
+		}
+		if fallbacks != 0 {
+			t.Errorf("%s: compiled to a fallback node, want a column kernel", src)
+		}
+		if got, want := n.t, scalarEnv.staticType(e); got != want {
+			t.Errorf("%s: kernel type %s, static type %s", src, got, want)
+		}
+		vp := &vecPlan{nslots: vc.nslots}
+		var ctx vctx
+		for r := 0; r < b.Len(); r++ {
+			ctx.reset(b, vp)
+			clear(sel)
+			putBit(sel, r, true)
+			n.run(&ctx, sel)
+			b.row(r, row)
+			want, werr := fn(row)
+			switch {
+			case werr != nil || ctx.err != nil:
+				if werr == nil || ctx.err == nil || werr.Error() != ctx.err.Error() {
+					t.Fatalf("%s row %d: scalar err %v, kernel err %v", src, r, werr, ctx.err)
+				}
+			default:
+				if got := ctx.valueAt(n, r); !sameBits(got, want) {
+					t.Fatalf("%s row %d (%v): kernel %#v, scalar %#v", src, r, row, got, want)
+				}
+			}
+		}
+	}
+
+	// The counter sees a fallback where one is still due: an operand that
+	// is not statically numeric.
+	fallbacks = 0
+	if _, err := (&vecComp{env: vecEnv, schema: s}).compile(parseTupleExpr(t, "exp(s)")); err != nil {
+		t.Fatal(err)
+	}
+	if fallbacks == 0 {
+		t.Error("exp(s) did not fall back; the fallback counter is blind")
+	}
+}
+
+// TestBatchKeysMatchKeyAppend: for every class of group expression — int,
+// bool, float, string, dynamically typed, mixed lists and constants — the
+// key bytes the batch fold writes from the kernel columns equal keyAppend
+// over the scalar group values, and so hash alike.
+func TestBatchKeysMatchKeyAppend(t *testing.T) {
+	s := kernelSchema()
+	b := kernelBatch(t, s)
+	e := NewEngine()
+	if err := e.RegisterStream(s); err != nil {
+		t.Fatal(err)
+	}
+	lists := []string{
+		"i", "t, i % 7", // int
+		"b", "f > 0", // bool: a column and a kernel bitmap
+		"f", "f * 2", // float: ±0 must stay apart
+		"s",           // string
+		"-s", "s + i", // dynamically typed
+		"t, b, f, s, -s, i > 0, abs(i), exp(f)", // mixed
+		"7", "'k'", "1.5", "i, 'k'",             // constants
+	}
+	row := make(Tuple, len(s.Cols))
+	for _, list := range lists {
+		st, err := e.Prepare("select count(*) from K group by " + list)
+		if err != nil {
+			t.Fatalf("prepare %q: %v", list, err)
+		}
+		p := st.p
+		if p.vec == nil {
+			t.Fatalf("%q: plan did not vectorize", list)
+		}
+		var ctx vctx
+		ctx.reset(b, p.vec)
+		sel := allBits(b.Len())
+		for _, g := range p.vec.groups {
+			g.run(&ctx, sel)
+		}
+		if ctx.err != nil {
+			t.Fatalf("%q: kernels failed: %v", list, ctx.err)
+		}
+		gvBatch := make(Tuple, len(p.groupFns))
+		gvScalar := make(Tuple, len(p.groupFns))
+		keys := map[string]Value{}
+		for r := 0; r < b.Len(); r++ {
+			var got []byte
+			for gi, g := range p.vec.groups {
+				got = ctx.appendKeyAt(got, g, r)
+				gvBatch[gi] = ctx.valueAt(g, r)
+			}
+			b.row(r, row)
+			for gi, fn := range p.groupFns {
+				if gvScalar[gi], err = fn(row); err != nil {
+					t.Fatalf("%q row %d: %v", list, r, err)
+				}
+			}
+			fromValues := p.keyAppend(nil, gvBatch)
+			oracle := p.keyAppend(nil, gvScalar)
+			if !bytes.Equal(got, fromValues) || !bytes.Equal(got, oracle) {
+				t.Fatalf("%q row %d: batch key %x, keyAppend(valueAt) %x, keyAppend(scalar) %x",
+					list, r, got, fromValues, oracle)
+			}
+			if core.HashBytes(got) != core.HashBytes(oracle) {
+				t.Fatalf("%q row %d: hashes differ", list, r)
+			}
+			if len(p.groupFns) == 1 {
+				keys[string(got)] = gvScalar[0]
+			}
+		}
+		if list == "f" {
+			// +0.0 and -0.0 are distinct groups.
+			zeros := 0
+			for _, v := range keys {
+				if v.T == TFloat && v.F == 0 {
+					zeros++
+				}
+			}
+			if zeros != 2 {
+				t.Errorf("float key: %d distinct zero groups, want 2 (+0 and -0)", zeros)
+			}
+		}
+	}
+}
+
+// allBits returns an n-bit bitmap with every bit set.
+func allBits(n int) []uint64 {
+	bm := make([]uint64, bitWords(n))
+	for i := 0; i < n; i++ {
+		putBit(bm, i, true)
+	}
+	return bm
+}

@@ -1190,8 +1190,9 @@ type MultiStats struct {
 	// plan-time reuse counters.
 	DistinctExprs        int
 	ExprHits, ExprMisses uint64
-	// MemoHits/MemoMisses count runtime shared-pass slot reads served from
-	// (resp. filled into) the per-tuple memo.
+	// MemoHits/MemoMisses count the scalar Push pass's shared-slot reads
+	// served from (resp. filled into) the per-tuple memo; PushBatch
+	// evaluates columns and never touches the memo.
 	MemoHits, MemoMisses uint64
 	// PlanHits/PlanMisses count statement-catalog acquisitions.
 	PlanHits, PlanMisses uint64
@@ -1201,8 +1202,9 @@ type MultiStats struct {
 	AdmitUsed float64
 }
 
-// SharedHitRatio is MemoHits/(MemoHits+MemoMisses) — the fraction of shared
-// slot reads served without re-evaluation. Zero when nothing was read.
+// SharedHitRatio is MemoHits/(MemoHits+MemoMisses) — the fraction of the
+// scalar Push pass's shared slot reads served without re-evaluation. It
+// measures that pass only: a runtime fed by PushBatch alone reads zero.
 func (s MultiStats) SharedHitRatio() float64 {
 	total := s.MemoHits + s.MemoMisses
 	if total == 0 {

@@ -178,6 +178,71 @@ func TestMultiDifferentialBatch(t *testing.T) {
 	}
 }
 
+// TestMultiDifferentialStringKeyExp: the exponential-decay weight of the
+// paper's Fig. 2 query, exp(float(time%60)/10), under string, bool and float
+// group keys. Both shared passes (Push, and PushBatch at every batch size)
+// must match standalone scalar runs — rows and checkpoint bytes.
+func TestMultiDifferentialStringKeyExp(t *testing.T) {
+	e := flowEngine(t)
+	tuples := flowTuples(12_000, 41)
+	queries := []string{
+		`select tb, host, count(*), sum(float(len)*exp(float(time%60)/10)) from FLOW group by time/1 as tb, host`,
+		`select tb, host, up, max(exp(float(time%60)/10)), sum(len) from FLOW where len > 200 group by time/1 as tb, host, up`,
+		`select tb, floor(x) as fx, count(*), avg(exp(x / 1000)) from FLOW where x < 700 group by time/1 as tb, floor(x)`,
+		`select tb, host, count(*), sum(float(len)*exp(float(time%60)/10)) from FLOW group by time/1 as tb, host`, // dup of [0]
+	}
+	want := make([][]gsql.Tuple, len(queries))
+	wantCkpt := make([][]byte, len(queries))
+	for i, q := range queries {
+		want[i], wantCkpt[i] = flowStandalone(t, e, q, tuples)
+		if len(want[i]) == 0 {
+			t.Fatalf("query %d emitted no rows; fixture too small", i)
+		}
+	}
+	for _, size := range []int{0, 1, 7, 256} { // 0: scalar Push
+		m, err := gsql.NewMultiRun(e, "FLOW", gsql.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles := make([]*gsql.MultiHandle, len(queries))
+		rows := make([][]gsql.Tuple, len(queries))
+		for i, q := range queries {
+			if handles[i], err = m.Attach(q, 0, func(r gsql.Tuple) error { rows[i] = append(rows[i], r); return nil }); err != nil {
+				t.Fatalf("attach %q: %v", q, err)
+			}
+		}
+		if size == 0 {
+			for _, tp := range tuples {
+				var nfe *gsql.NonFiniteValueError
+				if err := m.Push(tp); err != nil && !errors.As(err, &nfe) {
+					t.Fatal(err)
+				}
+			}
+		} else {
+			for _, b := range flowBatches(t, tuples, size) {
+				if _, err := m.PushBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i, h := range handles {
+			ckpt, err := h.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ckpt, wantCkpt[i]) {
+				t.Errorf("query %d, batch %d: checkpoint differs from the standalone scalar run", i, size)
+			}
+		}
+		if err := m.CloseAll(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range queries {
+			requireSameBits(t, want[i], rows[i], fmt.Sprintf("query %d, batch %d", i, size))
+		}
+	}
+}
+
 // TestMultiBatchMatchesScalar: the columnar shared pass and the scalar
 // shared pass of the same MultiRun fixture must agree with each other.
 func TestMultiBatchMatchesScalar(t *testing.T) {

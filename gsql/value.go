@@ -133,21 +133,39 @@ func (v Value) String() string {
 // appendKey appends a canonical byte encoding of the value to dst, used to
 // build group keys.
 func (v Value) appendKey(dst []byte) []byte {
-	dst = append(dst, byte(v.T))
 	switch v.T {
 	case TInt, TBool:
-		u := uint64(v.I)
-		dst = append(dst, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+		return appendKeyWord(dst, v.T, uint64(v.I))
 	case TFloat:
-		u := math.Float64bits(v.F)
-		dst = append(dst, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+		return appendKeyWord(dst, TFloat, math.Float64bits(v.F))
 	case TString:
-		dst = append(dst, v.S...)
-		dst = append(dst, 0)
+		return appendKeyStr(dst, v.S)
 	}
-	return dst
+	return append(dst, byte(v.T))
+}
+
+// The key encodings of one value: the type tag, then 8 little-endian payload
+// bytes for int, bool and float, or the string's bytes and a NUL. Every key
+// writer — appendKey, buildKeyAppender and the batch fold's appendKeyAt —
+// goes through these, so their bytes cannot drift apart.
+
+func appendKeyWord(dst []byte, t Type, u uint64) []byte {
+	return append(dst, byte(t), byte(u), byte(u>>8), byte(u>>16),
+		byte(u>>24), byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+}
+
+func appendKeyBool(dst []byte, b bool) []byte {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return appendKeyWord(dst, TBool, u)
+}
+
+func appendKeyStr(dst []byte, s string) []byte {
+	dst = append(dst, byte(TString))
+	dst = append(dst, s...)
+	return append(dst, 0)
 }
 
 // buildKeyAppender returns a closure appending the canonical group-key
@@ -169,14 +187,11 @@ func buildKeyAppender(types []Type) func(dst []byte, gv Tuple) []byte {
 	return func(dst []byte, gv Tuple) []byte {
 		for i := range gv {
 			v := &gv[i]
-			var u uint64
+			u := uint64(v.I)
 			if v.T == TFloat {
 				u = math.Float64bits(v.F)
-			} else {
-				u = uint64(v.I)
 			}
-			dst = append(dst, byte(v.T), byte(u), byte(u>>8), byte(u>>16),
-				byte(u>>24), byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+			dst = appendKeyWord(dst, v.T, u)
 		}
 		return dst
 	}

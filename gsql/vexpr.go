@@ -10,21 +10,24 @@ package gsql
 //
 //   - Kernels perform the same primitive operation on the same operand
 //     representation as the scalar evaluator they shadow (same int64/float64
-//     ops, the same three-way float compare, the same scalar function
-//     pointers via fallback nodes), so results are bit-identical.
+//     ops, the same three-way float compare, and for builtins the very Go
+//     function the scalar closure calls, on the same float promotion), so
+//     results are bit-identical.
 //   - and/or kernels evaluate their right side only under the rows the left
 //     side selects, preserving scalar short-circuit semantics.
-//   - Any kernel error (division by zero, a scalar function failing inside a
-//     fallback node) aborts the batch's vectorized pass before any run state
-//     is touched; the executor then replays the segment through the scalar
-//     per-tuple path, which reproduces the scalar error at the exact row with
-//     the exact message. Errors are rare, so the replay never costs in steady
-//     state — and it collapses all error-ordering corner cases to "exactly
-//     what Push does".
+//   - Any kernel error (division by zero, a builtin's domain error, a scalar
+//     closure failing inside a fallback node) aborts the batch's vectorized
+//     pass before any run state is touched; the executor then replays the
+//     segment through the scalar per-tuple path, which reproduces the scalar
+//     error at the exact row with the exact message. Errors are rare, so the
+//     replay never costs in steady state — and it collapses all
+//     error-ordering corner cases to "exactly what Push does".
 //
-// Subexpressions without a vectorized form compile to fallback nodes that
-// materialize each selected row and invoke the scalar closure — full
-// generality at scalar speed, never a semantic fork.
+// Fallback nodes, which materialize each selected row and invoke the scalar
+// closure, remain only for operands the static type pass cannot pin to a
+// kernel representation: dynamically typed values, or a string where a
+// number is expected — full generality at scalar speed, never a semantic
+// fork.
 
 import (
 	"fmt"
@@ -272,6 +275,41 @@ func (ctx *vctx) valueAt(n *vecNode, r int) Value {
 		return Str(ctx.slots[n.slot].strs[r])
 	default:
 		return ctx.slots[n.slot].vals[r]
+	}
+}
+
+// appendKeyAt appends row r of node n in the group-key encoding, straight
+// from the node's column or slot: byte-identical to valueAt(n, r).appendKey
+// (bools normalize to 0/1 as valueAt's Bool does) without building a Value.
+func (ctx *vctx) appendKeyAt(dst []byte, n *vecNode, r int) []byte {
+	if n.constOK {
+		return n.constV.appendKey(dst)
+	}
+	if n.col >= 0 {
+		c := &ctx.b.cols[n.col]
+		switch n.t {
+		case TInt:
+			return appendKeyWord(dst, TInt, uint64(c.ints[r]))
+		case TBool:
+			return appendKeyBool(dst, c.ints[r] != 0)
+		case TFloat:
+			return appendKeyWord(dst, TFloat, math.Float64bits(c.fls[r]))
+		default: // TString
+			return appendKeyStr(dst, c.strs[r])
+		}
+	}
+	s := &ctx.slots[n.slot]
+	switch n.t {
+	case TInt:
+		return appendKeyWord(dst, TInt, uint64(s.ints[r]))
+	case TBool:
+		return appendKeyBool(dst, bitGet(s.bits, r))
+	case TFloat:
+		return appendKeyWord(dst, TFloat, math.Float64bits(s.fls[r]))
+	case TString:
+		return appendKeyStr(dst, s.strs[r])
+	default:
+		return s.vals[r].appendKey(dst)
 	}
 }
 
@@ -545,49 +583,69 @@ func (vc *vecComp) compileVecBin(n *binExpr) (*vecNode, error) {
 	}
 }
 
-// compileCall vectorizes the float()/int() conversions over statically
-// numeric arguments (the hot pattern: avg(float(len))); every other scalar
-// function runs through a fallback node calling the very same function the
-// scalar path calls, so transcendental results are bit-identical.
+// compileCall gives a builtin whose arguments are all statically numeric a
+// column kernel: float()/int() compile to loads or conversions (the hot
+// pattern: avg(float(len))), and the numeric functions to kernels calling
+// the very function the scalar closure calls (scalarFunc.f1/f1e/f2/i1) on
+// the same floatAcc promotion, so results — exp's included — are
+// bit-identical, and a domain error aborts the pass with the scalar message.
+// Only an argument without a static numeric type falls back.
 func (vc *vecComp) compileCall(n *callExpr) (*vecNode, error) {
-	if len(n.args) == 1 && (n.name == "float" || n.name == "int") {
-		at := vc.env.staticType(n.args[0])
-		if staticNumeric(at) {
-			c, err := vc.compile(n.args[0])
-			if err != nil {
-				return nil, err
-			}
-			switch {
-			case n.name == "float" && at == TFloat:
-				return c, nil // Float(v.F) ≡ identity on a TFloat value
-			case n.name == "float":
-				out := vc.node(TFloat)
-				out.eval = func(ctx *vctx, sel []uint64) {
-					c.run(ctx, sel)
-					if ctx.err != nil {
-						return
-					}
-					cx, o := ctx.accInt(c), ctx.floats(out)
-					forSel(sel, func(i int) bool { o[i] = float64(cx.at(i)); return true })
-				}
-				return out, nil
-			case at == TInt:
-				return c, nil // Int(v.I) ≡ identity on a TInt value
-			case at == TBool:
-				return vc.intUn(c, func(x int64) int64 { return x }), nil
-			default: // int(TFloat)
-				out := vc.node(TInt)
-				out.eval = func(ctx *vctx, sel []uint64) {
-					c.run(ctx, sel)
-					if ctx.err != nil {
-						return
-					}
-					cx, o := ctx.accFloat(c), ctx.ints(out)
-					forSel(sel, func(i int) bool { o[i] = int64(cx.at(i)); return true })
-				}
-				return out, nil
-			}
+	f, ok := vc.env.funcs[n.name]
+	if !ok || len(n.args) != f.nargs {
+		return vc.fallback(n) // reports the scalar compiler's error
+	}
+	at := vc.env.staticType(n.args[0])
+	for _, a := range n.args {
+		if !staticNumeric(vc.env.staticType(a)) {
+			return vc.fallback(n)
 		}
+	}
+	c, err := vc.compile(n.args[0])
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case n.name == "float" && at == TFloat:
+		return c, nil // Float(v.F) ≡ identity on a TFloat value
+	case n.name == "float":
+		out := vc.node(TFloat)
+		out.eval = func(ctx *vctx, sel []uint64) {
+			c.run(ctx, sel)
+			if ctx.err != nil {
+				return
+			}
+			cx, o := ctx.accInt(c), ctx.floats(out)
+			forSel(sel, func(i int) bool { o[i] = float64(cx.at(i)); return true })
+		}
+		return out, nil
+	case n.name == "int" && at == TInt:
+		return c, nil // Int(v.I) ≡ identity on a TInt value
+	case n.name == "int" && at == TBool:
+		return vc.intUn(c, func(x int64) int64 { return x }), nil
+	case n.name == "int": // int(TFloat)
+		out := vc.node(TInt)
+		out.eval = func(ctx *vctx, sel []uint64) {
+			c.run(ctx, sel)
+			if ctx.err != nil {
+				return
+			}
+			cx, o := ctx.accFloat(c), ctx.ints(out)
+			forSel(sel, func(i int) bool { o[i] = int64(cx.at(i)); return true })
+		}
+		return out, nil
+	case f.i1 != nil && at == TInt:
+		return vc.intUn(c, f.i1), nil
+	case f.f1 != nil:
+		return vc.floatUn(c, f.f1), nil
+	case f.f1e != nil:
+		return vc.floatUnErr(c, f.f1e), nil
+	case f.f2 != nil:
+		r, err := vc.compile(n.args[1])
+		if err != nil {
+			return nil, err
+		}
+		return vc.floatBin(c, r, f.f2), nil
 	}
 	return vc.fallback(n)
 }
@@ -676,6 +734,29 @@ func (vc *vecComp) floatUn(c *vecNode, f func(float64) float64) *vecNode {
 		}
 		cx, o := ctx.accFloat(c), ctx.floats(out)
 		forSel(sel, func(i int) bool { o[i] = f(cx.at(i)); return true })
+	}
+	return out
+}
+
+// floatUnErr is floatUn for a partial function: its first domain error
+// aborts the pass, and the segment replay reproduces it at the exact row.
+func (vc *vecComp) floatUnErr(c *vecNode, f func(float64) (float64, error)) *vecNode {
+	out := vc.node(TFloat)
+	out.eval = func(ctx *vctx, sel []uint64) {
+		c.run(ctx, sel)
+		if ctx.err != nil {
+			return
+		}
+		cx, o := ctx.accFloat(c), ctx.floats(out)
+		forSel(sel, func(i int) bool {
+			x, err := f(cx.at(i))
+			if err != nil {
+				ctx.fail(err)
+				return false
+			}
+			o[i] = x
+			return true
+		})
 	}
 	return out
 }

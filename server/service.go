@@ -1122,9 +1122,9 @@ func (rt *runtime) joinPersister() error {
 }
 
 // refreshCatalogGauges snapshots the live incarnation's shared-runtime
-// scoreboard into the gauge registry: attached-query count, how much
-// plan-level sharing the analyzer found, and how well the per-tuple memo is
-// paying off. Called at scrape time; a degraded or restarting incarnation
+// scoreboard into the gauge registry: attached-query count and how much
+// plan-level sharing the analyzer found. Called at scrape time; a degraded
+// or restarting incarnation
 // leaves the gauges at their last published levels.
 func (s *Service) refreshCatalogGauges() {
 	rt := s.rt.Load()
@@ -1142,7 +1142,6 @@ func (s *Service) refreshCatalogGauges() {
 	s.gauges.Set("server_catalog_distinct_texts", float64(st.DistinctTexts))
 	s.gauges.Set("server_catalog_predicate_classes", float64(st.Classes))
 	s.gauges.Set("server_catalog_shared_exprs", float64(st.DistinctExprs))
-	s.gauges.Set("server_shared_hit_ratio", st.SharedHitRatio())
 	s.gauges.Set("server_catalog_quarantined", float64(st.Quarantined))
 	s.gauges.Set("server_catalog_admit_used", st.AdmitUsed)
 	// Frames per ack: the ack path's coalescing factor (this incarnation's).

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"forwarddecay/internal/core"
@@ -36,6 +37,67 @@ func TestSpaceSavingRoundTrip(t *testing.T) {
 	if est, _ := d.Estimate(999999); est < 5 {
 		t.Errorf("decoded sketch update broken: %v", est)
 	}
+}
+
+// TestSpaceSavingDecodeSizesIndexFromEntries: the key index of a decoded
+// summary is sized from the entries the input holds, not from its declared
+// k, so a forged k costs nothing; the index then grows as the summary fills,
+// and the summary behaves exactly like one built with k counters.
+func TestSpaceSavingDecodeSizesIndexFromEntries(t *testing.T) {
+	forged := ssHeader(1<<30, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var d SpaceSaving
+	if err := d.UnmarshalBinary(forged); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("decoding a %d-byte empty summary allocated %d bytes", len(forged), grew)
+	}
+
+	const k = 300
+	ref := NewSpaceSavingK(k)
+	ref.Update(7, 3)
+	ref.Update(8, 1)
+	b, err := ref.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got SpaceSaving
+	if err := got.UnmarshalBinary(b); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.idx.vals) >= len(ref.idx.vals) {
+		t.Fatalf("decoded index has %d slots for 2 entries (k=%d)", len(got.idx.vals), k)
+	}
+	keys, ws, _ := zipfStream(103, 5000, 2000, 1.1, true)
+	for i := range keys {
+		ref.Update(keys[i], ws[i])
+		got.Update(keys[i], ws[i])
+	}
+	want, have := ref.Top(k), got.Top(k)
+	if len(want) != len(have) {
+		t.Fatalf("decoded summary holds %d entries, want %d", len(have), len(want))
+	}
+	for i := range want {
+		if want[i] != have[i] {
+			t.Fatalf("entry %d: decoded summary %+v, want %+v", i, have[i], want[i])
+		}
+	}
+	if 4*got.Len() > len(got.idx.vals) {
+		t.Fatalf("index load above 1/4: %d entries in %d slots", got.Len(), len(got.idx.vals))
+	}
+}
+
+// ssHeader encodes a SpaceSaving header declaring k counters and n entries.
+func ssHeader(k, n uint64) []byte {
+	e := &enc{}
+	e.u8(tagSpaceSaving)
+	e.u64(k)
+	e.f64(0)
+	e.u64(n)
+	return e.b
 }
 
 func TestQDigestRoundTrip(t *testing.T) {

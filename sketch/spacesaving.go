@@ -110,6 +110,11 @@ func (s *SpaceSaving) Update(key uint64, w float64) {
 	}
 	if len(s.entries) < s.k {
 		s.entries = append(s.entries, ssEntry{key: key, count: w})
+		if 4*len(s.entries) > len(s.idx.vals) {
+			// An index sized from a decoded or merged entry count, not from
+			// k, doubles before it passes 1/4 load.
+			s.idx.grow()
+		}
 		s.idx.put(key, int32(len(s.entries)-1))
 		s.winOK = false // growth phase; window built at first eviction
 		return
@@ -439,9 +444,11 @@ func (s *SpaceSaving) SizeBytes() int {
 }
 
 // rebuildIndex refills the key index after a bulk entry rewrite (Merge,
-// decode) and invalidates the min-window.
+// decode) and invalidates the min-window. The index is sized from the
+// entries actually present, never from k: a decoded k is only bounded by a
+// plausibility check, and Update grows the index as the summary fills.
 func (s *SpaceSaving) rebuildIndex() {
-	s.idx.init(s.k)
+	s.idx.init(len(s.entries))
 	for i := range s.entries {
 		s.idx.put(s.entries[i].key, int32(i))
 	}
@@ -461,9 +468,9 @@ type ssIndex struct {
 
 // init (re)allocates for capacity k, clearing any existing contents.
 func (t *ssIndex) init(k int) {
-	n := 1 << bits.Len(uint(k)*4-1)
-	if n < 16 {
-		n = 16
+	n := 16
+	if k > 4 {
+		n = 1 << bits.Len(uint(k)*4-1)
 	}
 	if len(t.vals) == n {
 		t.clear()
@@ -472,8 +479,20 @@ func (t *ssIndex) init(k int) {
 	t.keys = make([]uint64, n)
 	t.vals = make([]int32, n)
 	t.mask = uint64(n - 1)
-	for i := range t.vals {
-		t.vals[i] = -1
+	t.clear()
+}
+
+// grow doubles the table and reinserts every key.
+func (t *ssIndex) grow() {
+	keys, vals := t.keys, t.vals
+	t.keys = make([]uint64, 2*len(keys))
+	t.vals = make([]int32, 2*len(vals))
+	t.mask = uint64(len(t.vals) - 1)
+	t.clear()
+	for i, v := range vals {
+		if v >= 0 {
+			t.put(keys[i], v)
+		}
 	}
 }
 
