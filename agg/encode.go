@@ -1,12 +1,8 @@
 package agg
 
 import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"math"
-
 	"forwarddecay/decay"
+	"forwarddecay/internal/codec"
 	"forwarddecay/internal/core"
 	"forwarddecay/sketch"
 )
@@ -27,31 +23,30 @@ const (
 	tagDistinctExact byte = 0x67
 )
 
-// appendModel appends the model's text encoding, length-prefixed.
-func appendModel(b []byte, m decay.Forward) ([]byte, error) {
+// appendHead starts an encoding: the tag, then the model's text encoding,
+// length-prefixed.
+func appendHead(tag byte, m decay.Forward) ([]byte, error) {
 	mt, err := m.MarshalText()
 	if err != nil {
 		return nil, err
 	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(mt)))
-	return append(b, mt...), nil
+	return codec.AppendBytes64([]byte{tag}, mt), nil
 }
 
-// readModel consumes a length-prefixed model encoding.
-func readModel(b []byte) (decay.Forward, []byte, error) {
-	if len(b) < 8 {
-		return decay.Forward{}, nil, fmt.Errorf("agg: truncated encoding")
-	}
-	n := binary.LittleEndian.Uint64(b)
-	b = b[8:]
-	if uint64(len(b)) < n || n > 4096 {
-		return decay.Forward{}, nil, fmt.Errorf("agg: truncated or implausible model encoding")
+// openDec starts decoding what appendHead started: it checks the tag and
+// reads the model.
+func openDec(b []byte, tag byte) (codec.Dec, decay.Forward) {
+	d := codec.NewDec(b, "agg")
+	d.Tag(tag)
+	n := d.U64()
+	if n > 4096 {
+		d.Failf("implausible model encoding of %d bytes", n)
 	}
 	var m decay.Forward
-	if err := m.UnmarshalText(b[:n]); err != nil {
-		return decay.Forward{}, nil, err
+	if err := m.UnmarshalText(d.Bytes(n)); err != nil {
+		d.Failf("%w", err)
 	}
-	return m, b[n:], nil
+	return d, m
 }
 
 // appendScaled appends a scaled sum's full state: emptiness, raw sum, Kahan
@@ -60,193 +55,102 @@ func readModel(b []byte) (decay.Forward, []byte, error) {
 // epoch-rollover equivalence suites rely on.
 func appendScaled(b []byte, s *core.ScaledSum) []byte {
 	sum, comp, scale, nonEmpty := s.State()
-	empty := byte(0)
-	if !nonEmpty {
-		empty = 1
-	}
-	b = append(b, empty)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sum))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(comp))
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(scale))
+	b = codec.AppendBool(b, !nonEmpty)
+	return codec.AppendF64(codec.AppendF64(codec.AppendF64(b, sum), comp), scale)
 }
 
-// readScaled consumes a scaled sum's state.
-func readScaled(b []byte) (core.ScaledSum, []byte, error) {
-	if len(b) < 25 {
-		return core.ScaledSum{}, nil, fmt.Errorf("agg: truncated encoding")
-	}
-	empty := b[0]
-	sum := math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))
-	comp := math.Float64frombits(binary.LittleEndian.Uint64(b[9:]))
-	scale := math.Float64frombits(binary.LittleEndian.Uint64(b[17:]))
-	b = b[25:]
-	var s core.ScaledSum
-	s.Restore(sum, comp, scale, empty == 0)
-	return s, b, nil
+// readScaled reads what appendScaled appended.
+func readScaled(d *codec.Dec) (s core.ScaledSum) {
+	empty := d.Bool()
+	sum, comp, scale := d.F64(), d.F64(), d.F64()
+	s.Restore(sum, comp, scale, !empty)
+	return s
 }
 
 // MarshalBinary encodes the counter with its decay model.
 func (c *Counter) MarshalBinary() ([]byte, error) {
-	b := []byte{tagCounter}
-	b, err := appendModel(b, c.model)
+	b, err := appendHead(tagCounter, c.model)
 	if err != nil {
 		return nil, err
 	}
-	b = appendScaled(b, &c.c)
-	return binary.LittleEndian.AppendUint64(b, c.n), nil
+	return codec.AppendU64(appendScaled(b, &c.c), c.n), nil
 }
 
 // UnmarshalBinary decodes a counter produced by MarshalBinary.
 func (c *Counter) UnmarshalBinary(b []byte) error {
-	b = bytes.Clone(b)
-	if len(b) < 1 || b[0] != tagCounter {
-		return fmt.Errorf("agg: not a Counter encoding")
-	}
-	m, rest, err := readModel(b[1:])
-	if err != nil {
+	d, m := openDec(b, tagCounter)
+	s, n := readScaled(&d), d.U64()
+	if err := d.Done(); err != nil {
 		return err
 	}
-	s, rest, err := readScaled(rest)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 8 {
-		return fmt.Errorf("agg: malformed Counter encoding")
-	}
-	c.model = m
-	c.c = s
-	c.n = binary.LittleEndian.Uint64(rest)
+	c.model, c.c, c.n = m, s, n
 	c.memo.invalidate() // cached weight may belong to a different model
 	return nil
 }
 
 // MarshalBinary encodes the aggregate with its decay model.
 func (s *Sum) MarshalBinary() ([]byte, error) {
-	b := []byte{tagSum}
-	b, err := appendModel(b, s.model)
+	b, err := appendHead(tagSum, s.model)
 	if err != nil {
 		return nil, err
 	}
-	b = appendScaled(b, &s.c)
-	b = appendScaled(b, &s.s)
-	b = appendScaled(b, &s.s2)
-	return binary.LittleEndian.AppendUint64(b, s.n), nil
+	b = appendScaled(appendScaled(appendScaled(b, &s.c), &s.s), &s.s2)
+	return codec.AppendU64(b, s.n), nil
 }
 
 // UnmarshalBinary decodes an aggregate produced by MarshalBinary.
 func (s *Sum) UnmarshalBinary(b []byte) error {
-	b = bytes.Clone(b)
-	if len(b) < 1 || b[0] != tagSum {
-		return fmt.Errorf("agg: not a Sum encoding")
-	}
-	m, rest, err := readModel(b[1:])
-	if err != nil {
+	d, m := openDec(b, tagSum)
+	c, sv, s2, n := readScaled(&d), readScaled(&d), readScaled(&d), d.U64()
+	if err := d.Done(); err != nil {
 		return err
 	}
-	var c, sv, s2 core.ScaledSum
-	if c, rest, err = readScaled(rest); err != nil {
-		return err
-	}
-	if sv, rest, err = readScaled(rest); err != nil {
-		return err
-	}
-	if s2, rest, err = readScaled(rest); err != nil {
-		return err
-	}
-	if len(rest) != 8 {
-		return fmt.Errorf("agg: malformed Sum encoding")
-	}
-	s.model = m
-	s.c, s.s, s.s2 = c, sv, s2
-	s.n = binary.LittleEndian.Uint64(rest)
+	s.model, s.c, s.s, s.s2, s.n = m, c, sv, s2, n
 	s.memo.invalidate() // cached weight may belong to a different model
 	return nil
 }
 
 // MarshalBinary encodes the summary with its decay model and log scale.
 func (h *HeavyHitters) MarshalBinary() ([]byte, error) {
-	b := []byte{tagHeavyHitters}
-	b, err := appendModel(b, h.model)
+	b, err := appendHead(tagHeavyHitters, h.model)
 	if err != nil {
 		return nil, err
 	}
-	started := byte(0)
-	if h.started {
-		started = 1
-	}
-	b = append(b, started)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(h.logScale))
 	sb, err := h.ss.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	return append(b, sb...), nil
+	return append(codec.AppendF64(codec.AppendBool(b, h.started), h.logScale), sb...), nil
 }
 
 // UnmarshalBinary decodes a summary produced by MarshalBinary.
 func (h *HeavyHitters) UnmarshalBinary(b []byte) error {
-	b = bytes.Clone(b)
-	if len(b) < 1 || b[0] != tagHeavyHitters {
-		return fmt.Errorf("agg: not a HeavyHitters encoding")
-	}
-	m, rest, err := readModel(b[1:])
-	if err != nil {
-		return err
-	}
-	if len(rest) < 9 {
-		return fmt.Errorf("agg: truncated HeavyHitters encoding")
-	}
-	started := rest[0] == 1
-	logScale := math.Float64frombits(binary.LittleEndian.Uint64(rest[1:]))
+	d, m := openDec(b, tagHeavyHitters)
+	started, logScale := d.Bool(), d.F64()
 	ss := &sketch.SpaceSaving{}
-	if err := ss.UnmarshalBinary(rest[9:]); err != nil {
+	d.Unmarshal(ss, d.Rest())
+	if err := d.Done(); err != nil {
 		return err
 	}
-	h.model = m
-	h.started = started
-	h.logScale = logScale
-	h.ss = ss
+	h.model, h.started, h.logScale, h.ss = m, started, logScale, ss
 	return nil
 }
 
 // marshalExtreme encodes an extreme tracker under the given tag.
 func marshalExtreme(tag byte, e *extreme) ([]byte, error) {
-	b := []byte{tag}
-	b, err := appendModel(b, e.model)
+	b, err := appendHead(tag, e.model)
 	if err != nil {
 		return nil, err
 	}
-	set := byte(0)
-	if e.set {
-		set = 1
-	}
-	b = append(b, set)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.ti))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.v))
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(e.lw)), nil
+	b = codec.AppendF64(codec.AppendBool(b, e.set), e.ti)
+	return codec.AppendF64(codec.AppendF64(b, e.v), e.lw), nil
 }
 
 // unmarshalExtreme decodes an extreme tracker, checking the tag.
 func unmarshalExtreme(tag byte, b []byte, isMax bool) (extreme, error) {
-	b = bytes.Clone(b)
-	if len(b) < 1 || b[0] != tag {
-		return extreme{}, fmt.Errorf("agg: wrong min/max encoding tag")
-	}
-	m, rest, err := readModel(b[1:])
-	if err != nil {
-		return extreme{}, err
-	}
-	if len(rest) != 25 {
-		return extreme{}, fmt.Errorf("agg: malformed min/max encoding")
-	}
-	return extreme{
-		model: m,
-		max:   isMax,
-		set:   rest[0] == 1,
-		ti:    math.Float64frombits(binary.LittleEndian.Uint64(rest[1:])),
-		v:     math.Float64frombits(binary.LittleEndian.Uint64(rest[9:])),
-		lw:    math.Float64frombits(binary.LittleEndian.Uint64(rest[17:])),
-	}, nil
+	d, m := openDec(b, tag)
+	e := extreme{model: m, max: isMax, set: d.Bool(), ti: d.F64(), v: d.F64(), lw: d.F64()}
+	return e, d.Done()
 }
 
 // MarshalBinary encodes the aggregate with its decay model.
@@ -277,95 +181,57 @@ func (m *Min) UnmarshalBinary(b []byte) error {
 
 // MarshalBinary encodes the exact distinct counter with its decay model.
 func (d *DistinctExact) MarshalBinary() ([]byte, error) {
-	b := []byte{tagDistinctExact}
-	b, err := appendModel(b, d.model)
+	b, err := appendHead(tagDistinctExact, d.model)
 	if err != nil {
 		return nil, err
 	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(d.maxLW)))
+	b = codec.AppendU64(b, uint64(len(d.maxLW)))
 	// Encode in key order so identical state always produces identical
 	// bytes (checkpoint comparisons depend on it).
 	for _, k := range sortedKeys(d.maxLW) {
-		b = binary.LittleEndian.AppendUint64(b, k)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.maxLW[k]))
+		b = codec.AppendF64(codec.AppendU64(b, k), d.maxLW[k])
 	}
 	return b, nil
 }
 
 // UnmarshalBinary decodes a counter produced by MarshalBinary.
 func (d *DistinctExact) UnmarshalBinary(b []byte) error {
-	b = bytes.Clone(b)
-	if len(b) < 1 || b[0] != tagDistinctExact {
-		return fmt.Errorf("agg: not a DistinctExact encoding")
+	r, m := openDec(b, tagDistinctExact)
+	count := r.Count(r.U64(), 16)
+	maxLW := make(map[uint64]float64, count)
+	for range count {
+		k := r.U64()
+		maxLW[k] = r.F64()
 	}
-	m, rest, err := readModel(b[1:])
-	if err != nil {
+	if err := r.Done(); err != nil {
 		return err
 	}
-	if len(rest) < 8 {
-		return fmt.Errorf("agg: truncated DistinctExact encoding")
-	}
-	n := binary.LittleEndian.Uint64(rest)
-	rest = rest[8:]
-	// Guard the multiplication: a claimed n near 2⁶⁴/16 would wrap n*16
-	// and could both pass the length check and over-allocate the map.
-	if n > uint64(len(rest))/16 || uint64(len(rest)) != n*16 {
-		return fmt.Errorf("agg: malformed DistinctExact encoding")
-	}
-	maxLW := make(map[uint64]float64, n)
-	for i := uint64(0); i < n; i++ {
-		k := binary.LittleEndian.Uint64(rest)
-		lw := math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
-		maxLW[k] = lw
-		rest = rest[16:]
-	}
-	d.model = m
-	d.maxLW = maxLW
+	d.model, d.maxLW = m, maxLW
 	return nil
 }
 
 // MarshalBinary encodes the summary with its decay model and log scale.
 func (q *Quantiles) MarshalBinary() ([]byte, error) {
-	b := []byte{tagQuantiles}
-	b, err := appendModel(b, q.model)
+	b, err := appendHead(tagQuantiles, q.model)
 	if err != nil {
 		return nil, err
 	}
-	started := byte(0)
-	if q.started {
-		started = 1
-	}
-	b = append(b, started)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(q.logScale))
 	qb, err := q.qd.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	return append(b, qb...), nil
+	return append(codec.AppendF64(codec.AppendBool(b, q.started), q.logScale), qb...), nil
 }
 
 // UnmarshalBinary decodes a summary produced by MarshalBinary.
 func (q *Quantiles) UnmarshalBinary(b []byte) error {
-	b = bytes.Clone(b)
-	if len(b) < 1 || b[0] != tagQuantiles {
-		return fmt.Errorf("agg: not a Quantiles encoding")
-	}
-	m, rest, err := readModel(b[1:])
-	if err != nil {
-		return err
-	}
-	if len(rest) < 9 {
-		return fmt.Errorf("agg: truncated Quantiles encoding")
-	}
-	started := rest[0] == 1
-	logScale := math.Float64frombits(binary.LittleEndian.Uint64(rest[1:]))
+	d, m := openDec(b, tagQuantiles)
+	started, logScale := d.Bool(), d.F64()
 	qd := &sketch.QDigest{}
-	if err := qd.UnmarshalBinary(rest[9:]); err != nil {
+	d.Unmarshal(qd, d.Rest())
+	if err := d.Done(); err != nil {
 		return err
 	}
-	q.model = m
-	q.started = started
-	q.logScale = logScale
-	q.qd = qd
+	q.model, q.started, q.logScale, q.qd = m, started, logScale, qd
 	return nil
 }

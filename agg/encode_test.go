@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"forwarddecay/decay"
+	"forwarddecay/internal/codec/codectest"
 	"forwarddecay/internal/core"
 )
 
@@ -253,5 +254,62 @@ func TestDecodedEmptyAggregates(t *testing.T) {
 	}
 	if !math.IsNaN(ds.Mean()) {
 		t.Errorf("decoded empty sum mean = %v, want NaN", ds.Mean())
+	}
+}
+
+// TestQuantilesMergeRefusesOtherDomain: a decoded partial carries its own
+// domain, and merging it into a summary over another one is an error, as a
+// model mismatch is — not the digest's "different domains" panic.
+func TestQuantilesMergeRefusesOtherDomain(t *testing.T) {
+	m := decay.NewForward(decay.NewExp(0.01), 0)
+	wide := NewQuantiles(m, 1<<16, 0.05)
+	wide.Observe(40000, 1)
+	b, err := wide.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := NewQuantiles(m, 1<<10, 0.05)
+	if err := dec.UnmarshalBinary(b); err != nil {
+		t.Fatal(err)
+	}
+	narrow := NewQuantiles(m, 1<<10, 0.05)
+	narrow.Observe(3, 1)
+	if err := narrow.Merge(dec); err == nil {
+		t.Error("a 2^10-domain summary merged a 2^16-domain one")
+	}
+	if err := dec.Merge(narrow); err == nil {
+		t.Error("a 2^16-domain summary merged a 2^10-domain one")
+	}
+}
+
+// TestDecodersKeepNoInput: every aggregate decodes into state of its own —
+// overwriting the input afterwards changes nothing the aggregate encodes.
+func TestDecodersKeepNoInput(t *testing.T) {
+	m := decay.NewForward(decay.NewPoly(2), -1)
+	c, s, h := NewCounter(m), NewSum(m), NewHeavyHittersK(m, 8)
+	mx, d, q := NewMax(m), NewDistinctExact(m), NewQuantiles(m, 64, 0.1)
+	for i := 0; i < 50; i++ {
+		ts := float64(i % 7)
+		c.Observe(ts)
+		s.Observe(ts, float64(i))
+		h.Observe(uint64(i%5), ts)
+		mx.Observe(ts, float64(i%11))
+		d.Observe(uint64(i%13), ts)
+	}
+	q.Observe(9, 3) // one node: the digest's map order cannot vary
+	for name, pair := range map[string][2]interface {
+		MarshalBinary() ([]byte, error)
+		UnmarshalBinary([]byte) error
+	}{
+		"counter": {c, &Counter{}}, "sum": {s, &Sum{}}, "heavyhitters": {h, &HeavyHitters{}},
+		"max": {mx, &Max{}}, "distinct": {d, &DistinctExact{}}, "quantiles": {q, &Quantiles{}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			enc, err := pair[0].MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			codectest.NoRetain(t, enc, pair[1].UnmarshalBinary, pair[1].MarshalBinary)
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"forwarddecay/agg"
 	"forwarddecay/decay"
+	"forwarddecay/internal/codec/codectest"
 )
 
 func fuzzModel() decay.Forward { return decay.NewForward(decay.NewPoly(2), 0) }
@@ -61,7 +62,9 @@ func FuzzAggDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for name, dec := range aggDecoders() {
-			if err := dec.UnmarshalBinary(data); err != nil {
+			var err error
+			codectest.Allocs(t, len(data), func() { err = dec.UnmarshalBinary(data) })
+			if err != nil {
 				continue
 			}
 			// Exercise the read path of whatever decoded successfully.

@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"fmt"
 	"math"
 
 	"forwarddecay/decay"
@@ -81,6 +82,9 @@ func (q *Quantiles) DecayedCount(t float64) float64 {
 func (q *Quantiles) Merge(o *Quantiles) error {
 	if !sameModel(q.model, o.model) {
 		return errModelMismatch(q.model, o.model)
+	}
+	if q.qd.U() != o.qd.U() {
+		return fmt.Errorf("agg: cannot merge: quantile domains differ ([0, %d) vs [0, %d))", q.qd.U(), o.qd.U())
 	}
 	if !o.started {
 		return nil

@@ -77,9 +77,13 @@ go test -race -run 'Multi' -count=1 ./gsql/
 
 # Fuzz smoke: 10s per target. -run='^$' skips the unit tests (already run
 # above); -fuzzminimizetime caps the engine's per-input minimization, whose
-# 60s default dwarfs the budget and reads as a hang. A decoder that sizes an
-# allocation from a forged count kills the fuzz worker; the sketch and agg
-# testdata/fuzz seeds are the forged-k SpaceSaving inputs that once did.
+# 60s default dwarfs the budget and reads as a hang. Every decoder target
+# asserts the codectest allocation bound (internal/codec/codectest), so a
+# decoder that sizes an allocation from a forged count fails its smoke
+# instead of killing the worker; the sketch and agg testdata/fuzz seeds are
+# the forged-k SpaceSaving inputs that once did. The checkpoint, slice and
+# state targets also decode each input re-sealed, to reach the parsers
+# behind their integrity hashes.
 # FuzzQuery is the batch ≡ scalar oracle: every query that prepares folds a
 # fixed three-batch tape through PushBatch and row by row through Push, and
 # the two must emit the same rows to the bit, the same error and the same
@@ -96,6 +100,7 @@ go test -run='^$' -fuzz='^FuzzSliceDecode$' -fuzztime=10s -fuzzminimizetime=10x 
 go test -run='^$' -fuzz='^FuzzControlFrameDecode$' -fuzztime=10s -fuzzminimizetime=10x ./server/
 go test -run='^$' -fuzz='^FuzzWALRecordDecode$' -fuzztime=10s -fuzzminimizetime=10x ./server/
 go test -run='^$' -fuzz='^FuzzJournalEntryDecode$' -fuzztime=10s -fuzzminimizetime=10x ./server/
+go test -run='^$' -fuzz='^FuzzStateDecode$' -fuzztime=10s -fuzzminimizetime=10x ./server/
 
 # Perf gate: re-measure the hot-path micro-benchmarks and fail if any shared
 # benchmark runs >25% slower (ns/op) than the committed baseline. 300ms per

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"forwarddecay/decay"
+	"forwarddecay/internal/codec/codectest"
 )
 
 // FuzzDecayUnmarshal exercises the only codec in the repository without a
@@ -28,7 +29,10 @@ func FuzzDecayUnmarshal(f *testing.F) {
 	f.Add("@@")
 	f.Add("poly(-1)@0")
 	f.Fuzz(func(t *testing.T, s string) {
-		if g, err := decay.DecodeFunc(s); err == nil {
+		var g decay.Func
+		var err error
+		codectest.Allocs(t, len(s), func() { g, err = decay.DecodeFunc(s) })
+		if err == nil {
 			canon := decay.EncodeFunc(g)
 			g2, err2 := decay.DecodeFunc(canon)
 			if err2 != nil {
@@ -39,7 +43,8 @@ func FuzzDecayUnmarshal(f *testing.F) {
 			}
 		}
 		var m decay.Forward
-		if err := m.UnmarshalText([]byte(s)); err == nil {
+		codectest.Allocs(t, len(s), func() { err = m.UnmarshalText([]byte(s)) })
+		if err == nil {
 			b, err := m.MarshalText()
 			if err != nil {
 				t.Fatalf("decoded model from %q does not re-encode: %v", s, err)

@@ -1,10 +1,13 @@
 package distrib
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
 
+	"forwarddecay/internal/codec"
+	"forwarddecay/internal/codec/codectest"
 	"forwarddecay/internal/faultinject"
 )
 
@@ -42,9 +45,13 @@ func FuzzLogSegmentDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var recs []Record
-		clean, err := scanSegment(data, func(r Record) error {
-			recs = append(recs, r)
-			return nil
+		var clean bool
+		var err error
+		codectest.Allocs(t, len(data), func() {
+			clean, err = scanSegment(data, func(r Record) error {
+				recs = append(recs, r)
+				return nil
+			})
 		})
 		if err != nil {
 			var le *LogError
@@ -84,7 +91,9 @@ func FuzzLogSegmentDecode(f *testing.F) {
 }
 
 // FuzzSliceDecode hardens the state-slice envelope the same way: hostile
-// bytes must never panic, and any accepted slice re-encodes faithfully.
+// bytes must never panic or allocate past the codectest bound, and any
+// accepted slice re-encodes faithfully. Each input is also decoded
+// re-sealed, so mutations reach the parser behind the integrity hash.
 func FuzzSliceDecode(f *testing.F) {
 	c := &Cluster{cfg: Config{HHK: 8, QuantileU: 256, QuantileEps: 0.1}}
 	ps := c.newPartState(elasticCfg(1).Model)
@@ -94,20 +103,43 @@ func FuzzSliceDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(blob)
+	f.Add(blob[:len(blob)-8])
 	f.Add(faultinject.CorruptByte(blob, 7))
 	f.Add(blob[:len(blob)-9])
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, ps, err := decodeSlice(data)
-		if err != nil {
-			return
-		}
-		if ps == nil || ps.sum == nil {
-			t.Fatal("decoded slice without a sum")
-		}
-		if _, err := encodeSlice(hdr.part, ps); err != nil {
-			t.Fatalf("accepted slice fails to re-encode: %v", err)
+		for _, in := range [][]byte{data, codec.Seal(bytes.Clone(data))} {
+			var hdr sliceHeader
+			var ps *partState
+			var err error
+			codectest.Allocs(t, len(in), func() { hdr, ps, err = decodeSlice(in) })
+			if err != nil {
+				continue
+			}
+			if ps == nil || ps.sum == nil {
+				t.Fatal("decoded slice without a sum")
+			}
+			if _, err := encodeSlice(hdr.part, ps); err != nil {
+				t.Fatalf("accepted slice fails to re-encode: %v", err)
+			}
 		}
 	})
+}
+
+// TestSliceKeepsNoInput: a decoded slice holds nothing of its input —
+// overwriting the input afterwards changes nothing that re-encodes.
+func TestSliceKeepsNoInput(t *testing.T) {
+	c := &Cluster{cfg: Config{HHK: 8}}
+	ps := c.newPartState(elasticCfg(1).Model)
+	ps.observe(Observation{Key: 3, Value: 5, Time: 7}, 1)
+	blob, err := encodeSlice(9, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr sliceHeader
+	codectest.NoRetain(t, blob, func(b []byte) (err error) {
+		hdr, ps, err = decodeSlice(b)
+		return err
+	}, func() ([]byte, error) { return encodeSlice(hdr.part, ps) })
 }

@@ -10,14 +10,12 @@ package distrib
 // ShiftLandmark instead of being blended across frames.
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 
 	"forwarddecay/agg"
 	"forwarddecay/decay"
-	"forwarddecay/internal/core"
+	"forwarddecay/internal/codec"
 )
 
 // sliceVersion stamps the state-slice envelope format.
@@ -119,33 +117,26 @@ func encodeSlice(part uint32, ps *partState) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, 64+len(sumB))
-	b = append(b, sliceVersion)
-	b = binary.LittleEndian.AppendUint32(b, part)
-	b = binary.LittleEndian.AppendUint64(b, ps.lastSeq)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ps.sum.Model().Landmark))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(sumB)))
-	b = append(b, sumB...)
+	b := codec.AppendU64(codec.AppendU32([]byte{sliceVersion}, part), ps.lastSeq)
+	b = codec.AppendBytes32(codec.AppendF64(b, ps.sum.Model().Landmark), sumB)
 	appendOpt := func(blob []byte, err error) error {
 		if err != nil {
 			return err
 		}
-		b = append(b, 1)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(blob)))
-		b = append(b, blob...)
+		b = codec.AppendBytes32(codec.AppendBool(b, true), blob)
 		return nil
 	}
 	if ps.hh == nil {
-		b = append(b, 0)
+		b = codec.AppendBool(b, false)
 	} else if err := appendOpt(ps.hh.MarshalBinary()); err != nil {
 		return nil, err
 	}
 	if ps.qd == nil {
-		b = append(b, 0)
+		b = codec.AppendBool(b, false)
 	} else if err := appendOpt(ps.qd.MarshalBinary()); err != nil {
 		return nil, err
 	}
-	return binary.LittleEndian.AppendUint64(b, core.HashBytes(b)), nil
+	return codec.Seal(b), nil
 }
 
 // sliceHeader carries the envelope fields alongside the decoded state.
@@ -160,78 +151,30 @@ type sliceHeader struct {
 // inside every aggregate's own model); callers rebase with shift when the
 // cluster has rolled past it.
 func decodeSlice(b []byte) (sliceHeader, *partState, error) {
-	var hdr sliceHeader
-	if len(b) < 1+4+8+8+4+8 {
-		return hdr, nil, errors.New("state slice too short")
+	payload, ok := codec.Unseal(b)
+	if !ok {
+		return sliceHeader{}, nil, errors.New("state slice integrity hash mismatch")
 	}
-	payload, tail := b[:len(b)-8], b[len(b)-8:]
-	if core.HashBytes(payload) != binary.LittleEndian.Uint64(tail) {
-		return hdr, nil, errors.New("state slice integrity hash mismatch")
+	d := codec.NewDec(payload, "state slice")
+	if v := d.U8(); v != sliceVersion {
+		d.Failf("version %d, want %d", v, sliceVersion)
 	}
-	if payload[0] != sliceVersion {
-		return hdr, nil, fmt.Errorf("state slice version %d, want %d", payload[0], sliceVersion)
-	}
-	hdr.part = binary.LittleEndian.Uint32(payload[1:])
-	hdr.lastSeq = binary.LittleEndian.Uint64(payload[5:])
-	hdr.landmark = math.Float64frombits(binary.LittleEndian.Uint64(payload[13:]))
+	hdr := sliceHeader{part: d.U32(), lastSeq: d.U64(), landmark: d.F64()}
 	if math.IsNaN(hdr.landmark) || math.IsInf(hdr.landmark, 0) {
-		return hdr, nil, fmt.Errorf("state slice with non-finite landmark %v", hdr.landmark)
-	}
-	rest := payload[21:]
-	next := func(withLen bool) ([]byte, error) {
-		if !withLen {
-			return nil, nil
-		}
-		if len(rest) < 4 {
-			return nil, errors.New("state slice truncated before a length prefix")
-		}
-		n := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if uint64(len(rest)) < uint64(n) {
-			return nil, fmt.Errorf("state slice component claims %d bytes, %d remain", n, len(rest))
-		}
-		blob := rest[:n]
-		rest = rest[n:]
-		return blob, nil
-	}
-	sumB, err := next(true)
-	if err != nil {
-		return hdr, nil, err
+		d.Failf("non-finite landmark %v", hdr.landmark)
 	}
 	ps := &partState{sum: &agg.Sum{}, lastSeq: hdr.lastSeq}
-	if err := ps.sum.UnmarshalBinary(sumB); err != nil {
-		return hdr, nil, fmt.Errorf("decoding sum: %w", err)
+	d.Unmarshal(ps.sum, d.Bytes32())
+	if d.Bool() {
+		ps.hh = &agg.HeavyHitters{}
+		d.Unmarshal(ps.hh, d.Bytes32())
 	}
-	for i := 0; i < 2; i++ {
-		if len(rest) < 1 {
-			return hdr, nil, errors.New("state slice truncated before a presence flag")
-		}
-		present := rest[0]
-		rest = rest[1:]
-		if present > 1 {
-			return hdr, nil, fmt.Errorf("state slice presence flag 0x%02x", present)
-		}
-		blob, err := next(present == 1)
-		if err != nil {
-			return hdr, nil, err
-		}
-		if blob == nil {
-			continue
-		}
-		if i == 0 {
-			ps.hh = &agg.HeavyHitters{}
-			if err := ps.hh.UnmarshalBinary(blob); err != nil {
-				return hdr, nil, fmt.Errorf("decoding heavy hitters: %w", err)
-			}
-		} else {
-			ps.qd = &agg.Quantiles{}
-			if err := ps.qd.UnmarshalBinary(blob); err != nil {
-				return hdr, nil, fmt.Errorf("decoding quantiles: %w", err)
-			}
-		}
+	if d.Bool() {
+		ps.qd = &agg.Quantiles{}
+		d.Unmarshal(ps.qd, d.Bytes32())
 	}
-	if len(rest) != 0 {
-		return hdr, nil, fmt.Errorf("state slice has %d trailing bytes", len(rest))
+	if err := d.Done(); err != nil {
+		return hdr, nil, err
 	}
 	return hdr, ps, nil
 }

@@ -588,7 +588,7 @@ func TestPushBatchCheckpointEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("checkpoint: %v", err)
 		}
-		restored, err := gsql.RestoreStatement(st, ckpt, sink, gsql.Options{})
+		restored, err := st.Restore(ckpt, sink, gsql.Options{})
 		if err != nil {
 			t.Fatalf("restore: %v", err)
 		}

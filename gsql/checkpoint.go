@@ -3,11 +3,11 @@ package gsql
 import (
 	"bytes"
 	"encoding"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 
+	"forwarddecay/internal/codec"
 	"forwarddecay/internal/core"
 )
 
@@ -103,22 +103,12 @@ func fingerprint(text, schemaName string) uint64 {
 	return core.Hash2(core.HashString(text), core.HashString(schemaName))
 }
 
-// --- primitive encoding helpers ---------------------------------------
-
-func ckU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-// sealCkpt appends the integrity hash over the assembled checkpoint body.
-func sealCkpt(b []byte) []byte { return ckU64(b, core.HashBytes(b)) }
-
 // unsealCkpt verifies and strips the integrity hash. Any corruption —
 // a flipped byte anywhere in the body or the hash itself, or a truncated
 // file — fails here, before any field is interpreted.
 func unsealCkpt(b []byte) ([]byte, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("gsql: not a checkpoint (too short)")
-	}
-	body := b[:len(b)-8]
-	if core.HashBytes(body) != binary.LittleEndian.Uint64(b[len(b)-8:]) {
+	body, ok := codec.Unseal(b)
+	if !ok {
 		return nil, fmt.Errorf("gsql: checkpoint failed integrity check (corrupt or truncated)")
 	}
 	return body, nil
@@ -128,85 +118,49 @@ func appendCkptValue(b []byte, v Value) []byte {
 	b = append(b, byte(v.T))
 	switch v.T {
 	case TInt, TBool:
-		b = ckU64(b, uint64(v.I))
+		b = codec.AppendU64(b, uint64(v.I))
 	case TFloat:
-		b = ckU64(b, math.Float64bits(v.F))
+		b = codec.AppendF64(b, v.F)
 	case TString:
-		b = ckU64(b, uint64(len(v.S)))
-		b = append(b, v.S...)
+		b = codec.AppendBytes64(b, v.S)
 	}
 	return b
 }
 
-// ckptDec is a consuming reader over checkpoint bytes; every read method
-// hard-errors on truncation.
-type ckptDec struct{ b []byte }
-
-var errCkptTruncated = fmt.Errorf("gsql: truncated checkpoint")
-
-func (d *ckptDec) u8() (byte, error) {
-	if len(d.b) < 1 {
-		return 0, errCkptTruncated
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v, nil
-}
-
-func (d *ckptDec) u64() (uint64, error) {
-	if len(d.b) < 8 {
-		return 0, errCkptTruncated
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v, nil
-}
-
-// bytesField consumes a u64 length prefix and that many bytes, bounding
-// the length by the remaining input so corrupt prefixes cannot trigger
-// over-allocation.
-func (d *ckptDec) bytesField() ([]byte, error) {
-	n, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.b)) {
-		return nil, fmt.Errorf("gsql: checkpoint field claims %d bytes but only %d remain", n, len(d.b))
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out, nil
-}
-
-func (d *ckptDec) value() (Value, error) {
-	tag, err := d.u8()
-	if err != nil {
-		return Null, err
-	}
-	switch Type(tag) {
+func readCkptValue(d *codec.Dec) Value {
+	switch t := Type(d.U8()); t {
 	case TNull:
-		return Null, nil
+		return Null
 	case TInt, TBool:
-		u, err := d.u64()
-		if err != nil {
-			return Null, err
-		}
-		return Value{T: Type(tag), I: int64(u)}, nil
+		return Value{T: t, I: int64(d.U64())}
 	case TFloat:
-		u, err := d.u64()
-		if err != nil {
-			return Null, err
-		}
-		return Float(math.Float64frombits(u)), nil
+		return Float(d.F64())
 	case TString:
-		sb, err := d.bytesField()
-		if err != nil {
-			return Null, err
-		}
-		return Str(string(sb)), nil
+		return Str(string(d.Bytes64()))
 	default:
-		return Null, fmt.Errorf("gsql: checkpoint has unknown value tag 0x%02x", tag)
+		d.Failf("unknown value tag 0x%02x", byte(t))
+		return Null
 	}
+}
+
+// appendFlags appends two booleans as the low bits of one byte.
+func appendFlags(b []byte, bit0, bit1 bool) []byte {
+	var f byte
+	if bit0 {
+		f |= 1
+	}
+	if bit1 {
+		f |= 2
+	}
+	return append(b, f)
+}
+
+func readFlags(d *codec.Dec) (bit0, bit1 bool) {
+	f := d.U8()
+	if f > 3 {
+		d.Failf("flag bits 0x%02x", f)
+	}
+	return f&1 != 0, f&2 != 0
 }
 
 // --- group entries -----------------------------------------------------
@@ -220,12 +174,12 @@ func appendGroupEntry(b []byte, p *plan, g *group) ([]byte, error) {
 	for i, a := range g.aggs {
 		if ap, ok := a.(binaryAppender); ok {
 			at := len(b)
-			b = ckU64(b, 0) // length, known once the state is appended
+			b = codec.AppendU64(b, 0) // length, known once the state is appended
 			var err error
 			if b, err = ap.AppendBinary(b); err != nil {
 				return nil, err
 			}
-			binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+			codec.PutU64(b[at:], uint64(len(b)-at-8))
 			continue
 		}
 		m, ok := a.(encoding.BinaryMarshaler)
@@ -236,38 +190,28 @@ func appendGroupEntry(b []byte, p *plan, g *group) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		b = ckU64(b, uint64(len(ab)))
-		b = append(b, ab...)
+		b = codec.AppendBytes64(b, ab)
 	}
 	return b, nil
 }
 
 // readGroupEntry decodes one partial group, instantiating fresh
 // aggregators from the plan and loading their serialized partials.
-func readGroupEntry(d *ckptDec, p *plan) (*group, error) {
+func readGroupEntry(d *codec.Dec, p *plan) *group {
 	gv := make(Tuple, len(p.groupFns))
 	for i := range gv {
-		v, err := d.value()
-		if err != nil {
-			return nil, err
-		}
-		gv[i] = v
+		gv[i] = readCkptValue(d)
 	}
 	aggs := newAggs(p)
 	for i, a := range aggs {
-		ab, err := d.bytesField()
-		if err != nil {
-			return nil, err
-		}
-		u, ok := a.(encoding.BinaryUnmarshaler)
-		if !ok {
-			return nil, fmt.Errorf("gsql: aggregate %s does not support checkpointing", p.aggSpecs[i].Name)
-		}
-		if err := u.UnmarshalBinary(ab); err != nil {
-			return nil, fmt.Errorf("gsql: checkpoint aggregate %s: %w", p.aggSpecs[i].Name, err)
+		ab := d.Bytes64()
+		if u, ok := a.(encoding.BinaryUnmarshaler); !ok {
+			d.Failf("aggregate %s does not support checkpointing", p.aggSpecs[i].Name)
+		} else if err := u.UnmarshalBinary(ab); err != nil {
+			d.Failf("aggregate %s: %w", p.aggSpecs[i].Name, err)
 		}
 	}
-	return &group{gv: gv, aggs: aggs}, nil
+	return &group{gv: gv, aggs: aggs}
 }
 
 // --- header ------------------------------------------------------------
@@ -286,91 +230,70 @@ type ckptHeader struct {
 // sharded paths; ep (nil when the run has no epoch supervisor) stamps the
 // rollover count and current landmark.
 func appendCkptHeader(b []byte, p *plan, bucketSet bool, bucket Value, tuples uint64, ep *epochState) []byte {
-	b = append(b, ckptMagic[:]...)
-	b = ckU64(b, p.fp)
-	b = ckU64(b, uint64(len(p.groupFns)))
-	b = ckU64(b, uint64(len(p.aggSpecs)))
+	b = codec.AppendU64(append(b, ckptMagic[:]...), p.fp)
+	b = codec.AppendU64(b, uint64(len(p.groupFns)))
+	b = codec.AppendBool(codec.AppendU64(b, uint64(len(p.aggSpecs))), bucketSet)
 	if bucketSet {
-		b = append(b, 1)
 		b = appendCkptValue(b, bucket)
-	} else {
-		b = append(b, 0)
 	}
-	b = ckU64(b, tuples)
+	b = codec.AppendBool(codec.AppendU64(b, tuples), ep != nil)
 	if ep != nil {
-		b = append(b, 1)
-		b = ckU64(b, ep.epoch)
-		return ckU64(b, math.Float64bits(ep.model.Landmark))
+		b = codec.AppendF64(codec.AppendU64(b, ep.epoch), ep.model.Landmark)
 	}
-	return append(b, 0)
+	return b
 }
 
-// readCkptHeader validates the preamble against the restoring plan.
-func readCkptHeader(d *ckptDec, p *plan) (h ckptHeader, err error) {
-	if len(d.b) < 4 || d.b[0] != ckptMagic[0] || d.b[1] != ckptMagic[1] || d.b[2] != ckptMagic[2] {
-		return h, fmt.Errorf("gsql: not a checkpoint (bad magic)")
+// readCkptHeader reads the preamble, validating it against the restoring
+// plan.
+func readCkptHeader(d *codec.Dec, p *plan) (h ckptHeader) {
+	switch magic := d.Bytes(4); {
+	case len(magic) < 4: // truncated: d has failed already
+	case string(magic[:3]) != string(ckptMagic[:3]):
+		d.Failf("not a checkpoint (bad magic)")
+	case magic[3] != ckptMagic[3]:
+		d.Failf("unsupported checkpoint version %d", magic[3])
 	}
-	if d.b[3] != ckptMagic[3] {
-		return h, fmt.Errorf("gsql: unsupported checkpoint version %d", d.b[3])
+	if d.U64() != p.fp {
+		d.Failf("taken by a different statement or schema")
 	}
-	d.b = d.b[4:]
-	fp, err := d.u64()
-	if err != nil {
-		return h, err
-	}
-	if fp != p.fp {
-		return h, fmt.Errorf("gsql: checkpoint was taken by a different statement or schema")
-	}
-	ng, err := d.u64()
-	if err != nil {
-		return h, err
-	}
-	na, err := d.u64()
-	if err != nil {
-		return h, err
-	}
-	if ng != uint64(len(p.groupFns)) || na != uint64(len(p.aggSpecs)) {
-		return h, fmt.Errorf("gsql: checkpoint shape (%d groups, %d aggregates) does not match plan (%d, %d)",
+	if ng, na := d.U64(), d.U64(); ng != uint64(len(p.groupFns)) || na != uint64(len(p.aggSpecs)) {
+		d.Failf("shape (%d groups, %d aggregates) does not match plan (%d, %d)",
 			ng, na, len(p.groupFns), len(p.aggSpecs))
 	}
-	bs, err := d.u8()
-	if err != nil {
-		return h, err
+	if h.bucketSet = d.Bool(); h.bucketSet {
+		h.bucket = readCkptValue(d)
 	}
-	if bs > 1 {
-		return h, fmt.Errorf("gsql: corrupt checkpoint bucket flag 0x%02x", bs)
-	}
-	if bs == 1 {
-		if h.bucket, err = d.value(); err != nil {
-			return h, err
-		}
-		h.bucketSet = true
-	}
-	if h.tuples, err = d.u64(); err != nil {
-		return h, err
-	}
-	es, err := d.u8()
-	if err != nil {
-		return h, err
-	}
-	if es > 1 {
-		return h, fmt.Errorf("gsql: corrupt checkpoint epoch flag 0x%02x", es)
-	}
-	if es == 1 {
-		if h.epoch, err = d.u64(); err != nil {
-			return h, err
-		}
-		lm, err := d.u64()
-		if err != nil {
-			return h, err
-		}
-		h.landmark = math.Float64frombits(lm)
+	h.tuples = d.U64()
+	if h.epochSet = d.Bool(); h.epochSet {
+		h.epoch, h.landmark = d.U64(), d.F64()
 		if math.IsNaN(h.landmark) || math.IsInf(h.landmark, 0) {
-			return h, fmt.Errorf("gsql: checkpoint stamps non-finite landmark %v", h.landmark)
+			d.Failf("stamps non-finite landmark %v", h.landmark)
 		}
-		h.epochSet = true
 	}
-	return h, nil
+	return h
+}
+
+// readCkpt decodes a verified checkpoint body for p: the header, then every
+// partial group, handed to add with the bytes it was decoded from.
+func readCkpt(body []byte, p *plan, add func(g *group, raw []byte) error) (ckptHeader, error) {
+	d := codec.NewDec(body, "gsql: checkpoint")
+	h := readCkptHeader(&d, p)
+	// Each entry carries at least one tag byte per group value and one
+	// length prefix per aggregate slot.
+	for range d.Count(d.U64(), len(p.groupFns)+8*len(p.aggSpecs)) {
+		at := d.Off()
+		g := readGroupEntry(&d, p)
+		if err := d.Err(); err != nil {
+			return h, err
+		}
+		if err := verifyLandmark(g.aggs, h.epochSet, h.landmark); err != nil {
+			return h, err
+		}
+		if err := add(g, body[at:d.Off()]); err != nil {
+			return h, err
+		}
+	}
+	return h, d.Done()
 }
 
 // --- serial Run --------------------------------------------------------
@@ -426,13 +349,12 @@ func (r *Run) Checkpoint() ([]byte, error) {
 	var hdrBuf [64]byte // fits the header of any numeric bucket value
 	hdr := appendCkptHeader(hdrBuf[:0], r.p, r.bucketSet, r.bucket, r.tuples, r.ep)
 	b := make([]byte, 0, len(hdr)+8+len(buf)+8)
-	b = append(b, hdr...)
-	b = ckU64(b, uint64(len(spans)))
+	b = codec.AppendU64(append(b, hdr...), uint64(len(spans)))
 	for _, sp := range spans {
 		b = append(b, buf[sp.lo:sp.hi]...)
 	}
 	r.checkpoints++
-	return sealCkpt(b), nil
+	return codec.Seal(b), nil
 }
 
 // ckSpan locates one encoded group entry in Run.ckBuf.
@@ -454,43 +376,22 @@ func (s *Statement) Restore(ckpt []byte, sink func(Tuple) error, opts Options) (
 	if r.epErr != nil {
 		return nil, r.epErr
 	}
-	d := &ckptDec{b: body}
-	h, err := readCkptHeader(d, s.p)
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
-	// Each entry carries at least one length prefix per aggregate slot and
-	// one tag byte per group value; bound the claimed count by that.
-	if min := uint64(len(s.p.groupFns) + 8*len(s.p.aggSpecs)); min > 0 && n > uint64(len(d.b))/min {
-		return nil, fmt.Errorf("gsql: checkpoint claims %d groups but only %d bytes remain", n, len(d.b))
-	}
 	var keyBuf []byte
-	for i := uint64(0); i < n; i++ {
-		g, err := readGroupEntry(d, s.p)
-		if err != nil {
-			return nil, err
-		}
-		if err := verifyLandmark(g.aggs, h.epochSet, h.landmark); err != nil {
-			return nil, err
-		}
+	h, err := readCkpt(body, s.p, func(g *group, _ []byte) error {
 		keyBuf = keyBuf[:0]
 		for _, v := range g.gv {
 			keyBuf = v.appendKey(keyBuf)
 		}
 		g.hash = core.HashBytes(keyBuf)
-		if dst := r.highGet(g.hash, keyBuf); dst == nil {
-			g.key = append([]byte(nil), keyBuf...)
-			r.highPut(g)
-		} else if err := mergeAggs(dst.aggs, g.aggs); err != nil {
-			return nil, err
+		if dst := r.highGet(g.hash, keyBuf); dst != nil {
+			return mergeAggs(dst.aggs, g.aggs)
 		}
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("gsql: %d trailing bytes in checkpoint", len(d.b))
+		g.key = append([]byte(nil), keyBuf...)
+		r.highPut(g)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	r.bucketSet, r.bucket, r.tuples = h.bucketSet, h.bucket, h.tuples
 	if h.epochSet {
@@ -505,97 +406,75 @@ func (s *Statement) Restore(ckpt []byte, sink func(Tuple) error, opts Options) (
 	return r, nil
 }
 
-// RestoreStatement is a package-level convenience equivalent to
-// s.Restore(ckpt, sink, opts).
-func RestoreStatement(s *Statement, ckpt []byte, sink func(Tuple) error, opts Options) (*Run, error) {
-	return s.Restore(ckpt, sink, opts)
-}
-
 // --- builtin aggregator encodings --------------------------------------
 
 func (c *countAgg) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
 
 func (c *countAgg) AppendBinary(b []byte) ([]byte, error) {
-	return ckU64(append(b, tagCkptCount), uint64(c.n)), nil
+	return codec.AppendU64(append(b, tagCkptCount), uint64(c.n)), nil
 }
 
 func (c *countAgg) UnmarshalBinary(b []byte) error {
-	if len(b) != 9 || b[0] != tagCkptCount {
-		return fmt.Errorf("gsql: malformed count encoding")
+	d := codec.NewDec(b, "gsql: count")
+	d.Tag(tagCkptCount)
+	n := int64(d.U64())
+	if err := d.Done(); err != nil {
+		return err
 	}
-	c.n = int64(binary.LittleEndian.Uint64(b[1:]))
+	c.n = n
 	return nil
 }
 
 func (s *sumAgg) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
 
 func (s *sumAgg) AppendBinary(b []byte) ([]byte, error) {
-	var flags byte
-	if s.isFloat {
-		flags |= 1
-	}
-	if s.seen {
-		flags |= 2
-	}
-	b = append(b, tagCkptSum, flags)
-	b = ckU64(b, uint64(s.i))
-	return ckU64(b, math.Float64bits(s.f)), nil
+	b = codec.AppendU64(appendFlags(append(b, tagCkptSum), s.isFloat, s.seen), uint64(s.i))
+	return codec.AppendF64(b, s.f), nil
 }
 
 func (s *sumAgg) UnmarshalBinary(b []byte) error {
-	if len(b) != 18 || b[0] != tagCkptSum || b[1] > 3 {
-		return fmt.Errorf("gsql: malformed sum encoding")
+	d := codec.NewDec(b, "gsql: sum")
+	d.Tag(tagCkptSum)
+	isFloat, seen := readFlags(&d)
+	i, f := int64(d.U64()), d.F64()
+	if err := d.Done(); err != nil {
+		return err
 	}
-	s.isFloat = b[1]&1 != 0
-	s.seen = b[1]&2 != 0
-	s.i = int64(binary.LittleEndian.Uint64(b[2:]))
-	s.f = math.Float64frombits(binary.LittleEndian.Uint64(b[10:]))
+	s.isFloat, s.seen, s.i, s.f = isFloat, seen, i, f
 	return nil
 }
 
 func (a *avgAgg) MarshalBinary() ([]byte, error) { return a.AppendBinary(nil) }
 
 func (a *avgAgg) AppendBinary(b []byte) ([]byte, error) {
-	b = ckU64(append(b, tagCkptAvg), math.Float64bits(a.sum))
-	return ckU64(b, uint64(a.n)), nil
+	return codec.AppendU64(codec.AppendF64(append(b, tagCkptAvg), a.sum), uint64(a.n)), nil
 }
 
 func (a *avgAgg) UnmarshalBinary(b []byte) error {
-	if len(b) != 17 || b[0] != tagCkptAvg {
-		return fmt.Errorf("gsql: malformed avg encoding")
+	d := codec.NewDec(b, "gsql: avg")
+	d.Tag(tagCkptAvg)
+	sum, n := d.F64(), int64(d.U64())
+	if err := d.Done(); err != nil {
+		return err
 	}
-	a.sum = math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))
-	a.n = int64(binary.LittleEndian.Uint64(b[9:]))
+	a.sum, a.n = sum, n
 	return nil
 }
 
 func (m *minmaxAgg) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
 
 func (m *minmaxAgg) AppendBinary(b []byte) ([]byte, error) {
-	var flags byte
-	if m.min {
-		flags |= 1
-	}
-	if m.seen {
-		flags |= 2
-	}
-	return appendCkptValue(append(b, tagCkptMinMax, flags), m.best), nil
+	return appendCkptValue(appendFlags(append(b, tagCkptMinMax), m.min, m.seen), m.best), nil
 }
 
 func (m *minmaxAgg) UnmarshalBinary(b []byte) error {
-	if len(b) < 2 || b[0] != tagCkptMinMax || b[1] > 3 {
-		return fmt.Errorf("gsql: malformed min/max encoding")
-	}
-	d := &ckptDec{b: b[2:]}
-	best, err := d.value()
-	if err != nil {
+	d := codec.NewDec(b, "gsql: min/max")
+	d.Tag(tagCkptMinMax)
+	isMin, seen := readFlags(&d)
+	best := readCkptValue(&d)
+	if err := d.Done(); err != nil {
 		return err
 	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("gsql: malformed min/max encoding")
-	}
-	m.min = b[1]&1 != 0
-	m.seen = b[1]&2 != 0
-	m.best = best
+	m.min, m.seen, m.best = isMin, seen, best
 	return nil
 }

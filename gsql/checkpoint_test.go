@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"forwarddecay/gsql"
+	"forwarddecay/internal/codec/codectest"
 	"forwarddecay/internal/faultinject"
 	"forwarddecay/sketch"
 )
@@ -49,7 +50,7 @@ func killRecoverSerial(t *testing.T, st *gsql.Statement, tuples []gsql.Tuple, cu
 	}
 	rows = rows[:mark]
 
-	restored, err := gsql.RestoreStatement(st, ckpt, func(row gsql.Tuple) error { rows = append(rows, row); return nil }, opts)
+	restored, err := st.Restore(ckpt, func(row gsql.Tuple) error { rows = append(rows, row); return nil }, opts)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -413,4 +414,30 @@ func registerCkptUDAFs(t *testing.T, e *gsql.Engine) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRestoreKeepsNoInput: a restored run holds nothing of the checkpoint
+// bytes — overwriting them after the restore leaves its state, string group
+// keys and string partials included, as it was.
+func TestRestoreKeepsNoInput(t *testing.T) {
+	st, err := flowEngine(t).Prepare(`select host, count(*), min(host), max(len) from FLOW group by host`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nop := func(gsql.Tuple) error { return nil }
+	run := st.Start(nop, gsql.Options{})
+	for _, tp := range positiveX(flowTuples(500, 3)) {
+		if err := run.Push(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckpt, err := run.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored *gsql.Run
+	codectest.NoRetain(t, ckpt, func(b []byte) (err error) {
+		restored, err = st.Restore(b, nop, gsql.Options{})
+		return err
+	}, func() ([]byte, error) { return restored.Checkpoint() })
 }

@@ -9,6 +9,7 @@ import (
 
 	"forwarddecay/agg"
 	"forwarddecay/decay"
+	"forwarddecay/internal/codec"
 )
 
 // tcount is a minimal epoch-aware UDAF used by the in-package tests: a
@@ -533,14 +534,14 @@ func TestCheckpointLandmarkMismatchRefused(t *testing.T) {
 	}
 	tampered := append([]byte(nil), body...)
 	binary.LittleEndian.PutUint64(tampered[lmOff:], math.Float64bits(3600.0))
-	if _, err := st.Restore(sealCkpt(tampered), func(Tuple) error { return nil }, opts); err == nil ||
+	if _, err := st.Restore(codec.Seal(tampered), func(Tuple) error { return nil }, opts); err == nil ||
 		!strings.Contains(err.Error(), "landmark mismatch") {
 		t.Fatalf("tampered restore error = %v, want landmark mismatch", err)
 	}
 	// A non-finite stamped landmark is refused before any entry is read.
 	tampered = append([]byte(nil), body...)
 	binary.LittleEndian.PutUint64(tampered[lmOff:], math.Float64bits(math.NaN()))
-	if _, err := st.Restore(sealCkpt(tampered), func(Tuple) error { return nil }, opts); err == nil ||
+	if _, err := st.Restore(codec.Seal(tampered), func(Tuple) error { return nil }, opts); err == nil ||
 		!strings.Contains(err.Error(), "non-finite landmark") {
 		t.Fatalf("NaN-landmark restore error = %v, want non-finite landmark", err)
 	}

@@ -1,21 +1,28 @@
 package gsql_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"forwarddecay/decay"
 	"forwarddecay/gsql"
+	"forwarddecay/internal/codec"
+	"forwarddecay/internal/codec/codectest"
+	"forwarddecay/udaf"
 )
 
 // FuzzCheckpointDecode drives the checkpoint decoder with arbitrary bytes.
 // Contract: corrupt input returns an error — never a panic, never a partial
-// run — and input that does decode yields a run that can push tuples and
-// close. Seeded with real checkpoints (empty, mid-window, sketch-bearing)
-// so the mutator reaches the group-entry and aggregate-blob paths behind
-// the integrity hash.
+// run, never an allocation past the codectest bound — and input that does
+// decode yields a run that can push tuples and close. Almost every mutation
+// of a sealed checkpoint fails the integrity hash, so each input is also
+// restored re-sealed: the mutator then reaches the header, group-entry and
+// aggregate-blob parsers behind the hash. Seeded with real checkpoints
+// (empty, mid-window, fdpct) and their bodies.
 func FuzzCheckpointDecode(f *testing.F) {
 	e := gsql.NewEngine()
 	if err := e.RegisterStream(gsql.PacketSchema("TCP")); err != nil {
@@ -33,7 +40,6 @@ func FuzzCheckpointDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(ckpt0)
 	for _, tp := range trace(3_000, 0, 41) {
 		if err := run.Push(tp); err != nil {
 			f.Fatal(err)
@@ -43,28 +49,88 @@ func FuzzCheckpointDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(ckpt1)
+	pct, pctBody, mixed := quantileCheckpoints(f)
+	for _, ck := range [][]byte{ckpt0, ckpt1, codec.Seal(pctBody)} {
+		f.Add(ck)
+		f.Add(ck[:len(ck)-8])
+	}
+	f.Add(mixed)
 	f.Add([]byte{})
 	f.Add([]byte("FDC"))
 
+	// fdpct's restored partials may carry a decay model or a domain of their
+	// own: Restore refuses them only where it merges two (duplicate
+	// entries), and otherwise the flush's merge with a partial born after
+	// the restore reports them. Closing such a run may fail — never panic.
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if r, err := st.Restore(data, nop, gsql.Options{}); err == nil {
-			if err := r.Push(pkt2(100, 1, 80, 50)); err != nil {
-				t.Fatalf("restored run rejects a valid tuple: %v", err)
-			}
-			if err := r.Close(); err != nil {
-				t.Fatalf("restored run fails to close: %v", err)
-			}
-		}
-		if pr, err := st.RestoreParallel(data, nop, gsql.ParallelOptions{Shards: 2, BatchSize: 4}); err == nil {
-			if err := pr.Push(pkt2(100, 1, 80, 50)); err != nil {
-				t.Fatalf("parallel restored run rejects a valid tuple: %v", err)
-			}
-			if err := pr.Close(); err != nil {
-				t.Fatalf("parallel restored run fails to close: %v", err)
+		for _, in := range [][]byte{data, codec.Seal(bytes.Clone(data))} {
+			for _, st := range []*gsql.Statement{st, pct} {
+				var r *gsql.Run
+				codectest.Allocs(t, len(in), func() { r, err = st.Restore(in, nop, gsql.Options{}) })
+				if err == nil {
+					if err := r.Push(pkt2(100, 1, 80, 50)); err != nil {
+						t.Fatalf("restored run rejects a valid tuple: %v", err)
+					}
+					if err := r.Close(); err != nil && st != pct {
+						t.Fatalf("restored run fails to close: %v", err)
+					}
+				}
+				if pr, err := st.RestoreParallel(in, nop, gsql.ParallelOptions{Shards: 2, BatchSize: 4}); err == nil {
+					if err := pr.Push(pkt2(100, 1, 80, 50)); err != nil {
+						t.Fatalf("parallel restored run rejects a valid tuple: %v", err)
+					}
+					if err := pr.Close(); err != nil && st != pct {
+						t.Fatalf("parallel restored run fails to close: %v", err)
+					}
+				}
 			}
 		}
 	})
+}
+
+// quantileCheckpoints prepares fdpct over a 2^16 value domain and returns
+// it with two checkpoint bodies (unsealed): one of a run over a one-group
+// tape, and one that holds two partials of that group — that run's, and the
+// same tape's over a 2^10 domain. Restore folds the two through Merge,
+// which must refuse the mismatch.
+func quantileCheckpoints(tb testing.TB) (st *gsql.Statement, body, mixed []byte) {
+	prepare := func(u uint64) *gsql.Statement {
+		e := gsql.NewEngine()
+		if err := e.RegisterStream(gsql.PacketSchema("TCP")); err != nil {
+			tb.Fatal(err)
+		}
+		cfg := udaf.Config{Decay: decay.NewForward(decay.NewExp(0.01), 0), QuantileU: u}
+		if err := udaf.RegisterAll(e, cfg); err != nil {
+			tb.Fatal(err)
+		}
+		st, err := e.Prepare(`select dstIP, fdpct(len, ftime) from TCP group by dstIP`)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return st
+	}
+	bodyOf := func(st *gsql.Statement, tape []gsql.Tuple) []byte {
+		run := st.Start(func(gsql.Tuple) error { return nil }, gsql.Options{})
+		for _, tp := range tape {
+			if err := run.Push(tp); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		ck, err := run.Checkpoint()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return ck[:len(ck)-8]
+	}
+	st = prepare(1 << 16)
+	var tape []gsql.Tuple
+	for sec := int64(0); sec < 200; sec++ {
+		tape = append(tape, pkt2(sec, 1, 80, sec*37%1500))
+	}
+	body, narrow := bodyOf(st, tape), bodyOf(prepare(1<<10), tape)
+	at := len(bodyOf(st, nil)) // the entries start after the header and their count
+	mixed = append(codec.AppendU64(bytes.Clone(body[:at-8]), 2), body[at:]...)
+	return st, body, append(mixed, narrow[at:]...)
 }
 
 // FuzzQuery drives the lexer, parser and planner with arbitrary query

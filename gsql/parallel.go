@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/debug"
 
+	"forwarddecay/internal/codec"
 	"forwarddecay/internal/core"
 	"forwarddecay/internal/faultinject"
 )
@@ -778,9 +779,9 @@ func (pr *ParallelRun) flushAll() error {
 						if en.shard != i {
 							continue
 						}
-						d := &ckptDec{b: en.data}
-						g, err := readGroupEntry(d, pr.p)
-						if err != nil {
+						d := codec.NewDec(en.data, "gsql: checkpoint")
+						g := readGroupEntry(&d, pr.p)
+						if err := d.Done(); err != nil {
 							if firstErr == nil {
 								firstErr = err
 							}
@@ -856,13 +857,13 @@ func (pr *ParallelRun) Checkpoint() ([]byte, error) {
 		return nil, firstErr
 	}
 	b := appendCkptHeader(nil, pr.p, pr.bucketSet, pr.bucket, pr.tuples, pr.ep)
-	b = ckU64(b, uint64(len(entries)))
+	b = codec.AppendU64(b, uint64(len(entries)))
 	for _, en := range entries {
 		b = append(b, en.data...)
 	}
 	pr.ckptEntries, pr.ckptGen, pr.hasCkpt = entries, pr.gen, true
 	pr.stats.checkpoints.Add(1)
-	return sealCkpt(b), nil
+	return codec.Seal(b), nil
 }
 
 // RestoreParallel resumes a run from a checkpoint taken by Run.Checkpoint
@@ -881,45 +882,25 @@ func (s *Statement) RestoreParallel(ckpt []byte, sink func(Tuple) error, opts Pa
 	if err != nil {
 		return nil, err
 	}
-	d := &ckptDec{b: body}
-	h, err := readCkptHeader(d, s.p)
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
-	if min := uint64(len(s.p.groupFns) + 8*len(s.p.aggSpecs)); min > 0 && n > uint64(len(d.b))/min {
-		return nil, fmt.Errorf("gsql: checkpoint claims %d groups but only %d bytes remain", n, len(d.b))
-	}
 	var entries []ckptEntry
 	var keyBuf []byte
-	for i := uint64(0); i < n; i++ {
-		before := d.b
-		g, err := readGroupEntry(d, s.p)
-		if err != nil {
-			return nil, err
-		}
-		if err := verifyLandmark(g.aggs, h.epochSet, h.landmark); err != nil {
-			return nil, err
-		}
-		raw := before[:len(before)-len(d.b)]
+	h, err := readCkpt(body, s.p, func(g *group, raw []byte) error {
 		shard := pr.routeGroup(g.gv)
 		w := pr.workers[shard]
 		keyBuf = keyBuf[:0]
 		for _, v := range g.gv {
 			keyBuf = v.appendKey(keyBuf)
 		}
-		if dst := w.groups[string(keyBuf)]; dst == nil {
-			w.groups[string(keyBuf)] = g
-		} else if err := mergeAggs(dst.aggs, g.aggs); err != nil {
-			return nil, err
+		// Kept for PanicRestart refills: a copy, not the caller's bytes.
+		entries = append(entries, ckptEntry{shard: shard, data: append([]byte(nil), raw...)})
+		if dst := w.groups[string(keyBuf)]; dst != nil {
+			return mergeAggs(dst.aggs, g.aggs)
 		}
-		entries = append(entries, ckptEntry{shard: shard, data: raw})
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("gsql: %d trailing bytes in checkpoint", len(d.b))
+		w.groups[string(keyBuf)] = g
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	pr.bucketSet, pr.bucket, pr.tuples = h.bucketSet, h.bucket, h.tuples
 	if h.epochSet {

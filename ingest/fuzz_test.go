@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"forwarddecay/ingest"
+	"forwarddecay/internal/codec/codectest"
 	"forwarddecay/netgen"
 )
 
@@ -27,7 +28,10 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(append(ingest.AppendHello(nil, 1), ingest.AppendBye(nil)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, err := ingest.DecodeFrame(data, 1<<16)
+		var fr ingest.Frame
+		var n int
+		var err error
+		codectest.Allocs(t, len(data), func() { fr, n, err = ingest.DecodeFrame(data, 1<<16) })
 		if err != nil {
 			if err == ingest.ErrIncomplete {
 				return

@@ -21,6 +21,7 @@ import (
 
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
+	"forwarddecay/internal/codec"
 	"forwarddecay/internal/faultinject"
 	"forwarddecay/netgen"
 )
@@ -748,7 +749,7 @@ func TestOpensParentLayoutDirectory(t *testing.T) {
 		ring.restore(st.queries[i].base, st.queries[i].rows)
 		b = appendQueryState(b, &st.queries[i], ring)
 	}
-	if err := writeState(dir, sealState(finishState(b, st.sessions))); err != nil {
+	if err := writeState(dir, codec.Seal(finishState(b, st.sessions))); err != nil {
 		t.Fatal(err)
 	}
 

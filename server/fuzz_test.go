@@ -1,15 +1,18 @@
 package server
 
-// Fuzzing for the control-protocol codec and the server WAL record
-// decoder: arbitrary bytes must never panic, and anything that decodes
-// must re-encode canonically (round-trip stability is what the resume
-// contract leans on).
+// Fuzzing for the control-protocol codec, the catalog journal, the server
+// WAL record decoder and the state file: arbitrary bytes must never panic
+// or allocate past the codectest bound, and anything that decodes must
+// re-encode canonically (round-trip stability is what the resume contract
+// leans on).
 
 import (
 	"bytes"
 	"testing"
 
 	"forwarddecay/gsql"
+	"forwarddecay/internal/codec"
+	"forwarddecay/internal/codec/codectest"
 )
 
 func FuzzControlFrameDecode(f *testing.F) {
@@ -45,7 +48,9 @@ func FuzzControlFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{255, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeMsg(data)
+		var m *Msg
+		var err error
+		codectest.Allocs(t, len(data), func() { m, err = DecodeMsg(data) })
 		if err != nil {
 			return
 		}
@@ -79,7 +84,9 @@ func FuzzJournalEntryDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{99, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := decodeJournalEntry(data)
+		var e journalEntry
+		var err error
+		codectest.Allocs(t, len(data), func() { e, err = decodeJournalEntry(data) })
 		if err != nil {
 			return
 		}
@@ -95,6 +102,27 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add([]byte{recHeartbeat, hbFloat, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = decodeWALRecord(data)
+		codectest.Allocs(t, len(data), func() { _, _ = decodeWALRecord(data) })
+	})
+}
+
+// FuzzStateDecode covers the state file the same way. Almost every mutation
+// of a sealed image fails its checksum, so each input is also decoded
+// re-sealed: the mutator then reaches the parser behind it.
+func FuzzStateDecode(f *testing.F) {
+	ring := newResultLog(8)
+	ring.restore(4, []gsql.Tuple{{gsql.Int(10), gsql.Float(2.5)}, {{T: gsql.TNull}, gsql.Str("x")}})
+	b := beginState(nil, 3, 17, 9, 2)
+	b = appendQueryState(b, &queryState{id: 1, text: testQuery, ckpt: []byte{1, 2, 3, 4}, startAt: 6}, ring)
+	b = appendQueryState(b, &queryState{id: 2, text: "select count(*) from TCP group by time as tb",
+		quarantined: true, qreason: "breaker"}, newResultLog(8))
+	body := finishState(b, map[uint64]uint64{7: 42})
+	f.Add(body)
+	f.Add(codec.Seal(bytes.Clone(body)))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, codec.Seal(bytes.Clone(data))} {
+			codectest.Allocs(t, len(in), func() { _, _ = decodeState(in) })
+		}
 	})
 }

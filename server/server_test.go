@@ -23,6 +23,8 @@ import (
 
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
+	"forwarddecay/internal/codec"
+	"forwarddecay/internal/codec/codectest"
 	"forwarddecay/internal/core"
 	"forwarddecay/internal/faultinject"
 	"forwarddecay/metrics"
@@ -712,7 +714,7 @@ func TestStateRoundTrip(t *testing.T) {
 		ring.restore(q.base, q.rows)
 		b = appendQueryState(b, q, ring)
 	}
-	if err := writeState(dir, sealState(finishState(b, st.sessions))); err != nil {
+	if err := writeState(dir, codec.Seal(finishState(b, st.sessions))); err != nil {
 		t.Fatal(err)
 	}
 	got, err := loadState(dir)
@@ -764,12 +766,12 @@ func TestPersistedShardsRefused(t *testing.T) {
 	q := &queryState{id: 7, text: testQuery, ckpt: []byte{1, 2, 3}, end: 2}
 	b := beginState(nil, 3, 17, 9, 1)
 	b = finishState(appendQueryState(b, q, newResultLog(8)), nil)
-	if _, err := decodeState(sealState(b)); err != nil {
+	if _, err := decodeState(codec.Seal(b)); err != nil {
 		t.Fatalf("state image with shards=0: %v", err)
 	}
 	binary.LittleEndian.PutUint32(b[8+8+8+4+4+4+4+len(testQuery):], 2)
 	dir := t.TempDir()
-	if err := writeState(dir, sealState(b)); err != nil {
+	if err := writeState(dir, codec.Seal(b)); err != nil {
 		t.Fatal(err)
 	}
 	_, err := loadState(dir)
@@ -788,6 +790,37 @@ func TestPersistedShardsRefused(t *testing.T) {
 	}
 	_, err = (&journal{dir: dir}).load()
 	refused("journal file", err)
+}
+
+// TestDecodersKeepNoInput: nothing a journal entry, a control frame or a
+// state file decodes into refers to the input — overwriting the input
+// afterwards changes nothing that re-encodes.
+func TestDecodersKeepNoInput(t *testing.T) {
+	var e journalEntry
+	codectest.NoRetain(t, encodeJournalBody(journalEntry{op: jQuarantine, id: 2, reason: "breaker", ckpt: []byte{1, 2, 3}}),
+		func(b []byte) (err error) { e, err = decodeJournalEntry(b); return err },
+		func() ([]byte, error) { return encodeJournalBody(e), nil })
+
+	var m *Msg
+	rows := []gsql.Tuple{{gsql.Str("a"), gsql.Int(1)}, {gsql.Str("bc"), gsql.Int(2)}}
+	codectest.NoRetain(t, appendMsgBody(nil, &Msg{Type: StRow, Query: 3, Cursor: 7, Rows: rows}),
+		func(b []byte) (err error) { m, err = DecodeMsg(b); return err },
+		func() ([]byte, error) { return appendMsgBody(nil, m), nil })
+
+	image := func(st *serverState) []byte {
+		b := beginState(nil, st.walEpoch, st.walApplied, st.nextQueryID, len(st.queries))
+		for i := range st.queries {
+			ring := newResultLog(4)
+			ring.restore(st.queries[i].base, st.queries[i].rows)
+			b = appendQueryState(b, &st.queries[i], ring)
+		}
+		return codec.Seal(finishState(b, st.sessions))
+	}
+	st := &serverState{walEpoch: 1, walApplied: 2, nextQueryID: 3, queries: []queryState{{
+		id: 1, text: testQuery, ckpt: []byte{9, 8}, base: 1, rows: []gsql.Tuple{{gsql.Str("row")}},
+		quarantined: true, qreason: "poison"}}}
+	codectest.NoRetain(t, image(st), func(b []byte) (err error) { st, err = decodeState(b); return err },
+		func() ([]byte, error) { return image(st), nil })
 }
 
 func TestJournalRoundTrip(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
+	"forwarddecay/internal/codec"
 	"forwarddecay/internal/core"
 	"forwarddecay/internal/durable"
 	"forwarddecay/internal/faultinject"
@@ -1047,7 +1048,7 @@ func (s *Service) checkpoint(rt *runtime) (err error) {
 		b = appendQueryState(b, &qs, q.log)
 	}
 	b = finishState(b, rt.listener.Sessions())
-	s.stateSize = len(b) + 8 // sealState's trailer
+	s.stateSize = len(b) + 8 // codec.Seal's trailer
 	old, err := rt.wal.rotate()
 	if err != nil {
 		return err
@@ -1094,7 +1095,7 @@ func (s *Service) persist(rt *runtime, job persistJob) error {
 	if err := durable.SyncDir(s.cfg.Dir); err != nil {
 		return err
 	}
-	if err := writeState(s.cfg.Dir, sealState(job.image)); err != nil {
+	if err := writeState(s.cfg.Dir, codec.Seal(job.image)); err != nil {
 		return err
 	}
 	if err := rt.wal.retire(job.epoch); err != nil {

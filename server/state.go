@@ -21,7 +21,6 @@ package server
 // only when it holds nothing newer than the state.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -30,7 +29,7 @@ import (
 
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
-	"forwarddecay/internal/core"
+	"forwarddecay/internal/codec"
 	"forwarddecay/internal/durable"
 )
 
@@ -81,113 +80,84 @@ type serverState struct {
 // A state file image is assembled in steps, so a checkpoint can encode each
 // query as it visits it, its ring included, into one buffer: beginState,
 // appendQueryState once per query, finishState — and, off the pump,
-// sealState.
+// codec.Seal.
 
 // beginState starts an image on b for the given number of queries.
 func beginState(b []byte, walEpoch, walApplied uint64, nextQueryID uint32, queries int) []byte {
-	b = append(b, stateMagic[:]...)
-	b = binary.LittleEndian.AppendUint64(b, walEpoch)
-	b = binary.LittleEndian.AppendUint64(b, walApplied)
-	b = binary.LittleEndian.AppendUint32(b, nextQueryID)
-	return binary.LittleEndian.AppendUint32(b, uint32(queries))
+	b = codec.AppendU64(append(b, stateMagic[:]...), walEpoch)
+	b = codec.AppendU32(codec.AppendU64(b, walApplied), nextQueryID)
+	return codec.AppendU32(b, uint32(queries))
 }
 
 // appendQueryState appends one query: q's catalog fields and engine
 // checkpoint, and the ring image read from ring.
 func appendQueryState(b []byte, q *queryState, ring *resultLog) []byte {
-	b = binary.LittleEndian.AppendUint32(b, q.id)
-	b = appendString(b, q.text)
-	b = binary.LittleEndian.AppendUint32(b, 0) // shard count of older binaries
-	b = binary.LittleEndian.AppendUint64(b, q.startAt)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(q.ckpt)))
-	b = append(b, q.ckpt...)
-	b = ring.appendSnapshot(b)
+	b = codec.AppendBytes32(codec.AppendU32(b, q.id), q.text)
+	b = codec.AppendU32(b, 0) // shard count of older binaries
+	b = codec.AppendBytes32(codec.AppendU64(b, q.startAt), q.ckpt)
+	b = codec.AppendBool(ring.appendSnapshot(b), q.quarantined)
 	if q.quarantined {
-		b = append(b, 1)
-		return appendString(b, q.qreason)
-	}
-	return append(b, 0)
-}
-
-// finishState appends the session table, the last part of the payload.
-func finishState(b []byte, sessions map[uint64]uint64) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(sessions)))
-	for id, applied := range sessions {
-		b = binary.LittleEndian.AppendUint64(b, id)
-		b = binary.LittleEndian.AppendUint64(b, applied)
+		b = codec.AppendBytes32(b, q.qreason)
 	}
 	return b
 }
 
-// sealState appends the checksum trailer over a finished payload.
-func sealState(b []byte) []byte {
-	return binary.LittleEndian.AppendUint64(b, core.HashBytes(b))
+// finishState appends the session table, the last part of the payload.
+func finishState(b []byte, sessions map[uint64]uint64) []byte {
+	b = codec.AppendU32(b, uint32(len(sessions)))
+	for id, applied := range sessions {
+		b = codec.AppendU64(codec.AppendU64(b, id), applied)
+	}
+	return b
 }
+
+// stateQueryBytes is the least a query takes in a state file: its fixed
+// fields and the length prefixes of the variable ones.
+const stateQueryBytes = 4 + 4 + 4 + 8 + 4 + 8 + 8 + 4
 
 // decodeState parses and verifies a state file image.
 func decodeState(b []byte) (*serverState, error) {
 	if len(b) < len(stateMagic)+8 {
 		return nil, errors.New("server: state file too short")
 	}
-	version := int(b[7])
-	if [7]byte(b[:7]) != [7]byte(stateMagic[:7]) || (version != stateVersionV1 && version != int(stateMagic[7])) {
+	version := b[7]
+	if [7]byte(b[:7]) != [7]byte(stateMagic[:7]) || (version != stateVersionV1 && version != stateMagic[7]) {
 		return nil, errors.New("server: state file: bad magic")
 	}
-	payload, trailer := b[:len(b)-8], binary.LittleEndian.Uint64(b[len(b)-8:])
-	if core.HashBytes(payload) != trailer {
+	payload, ok := codec.Unseal(b)
+	if !ok {
 		return nil, errors.New("server: state file: checksum mismatch")
 	}
-	d := decoder{b: payload, off: 8}
-	st := &serverState{sessions: map[uint64]uint64{}}
-	st.walEpoch = d.u64()
-	st.walApplied = d.u64()
-	st.nextQueryID = d.u32()
-	nq := d.u32()
-	if d.err == "" && int64(nq) > int64(len(payload)) {
-		return nil, errors.New("server: state file: forged query count")
-	}
-	for i := uint32(0); i < nq && d.err == ""; i++ {
-		var q queryState
-		q.id = d.u32()
-		q.text = d.str()
-		if shards := d.u32(); d.err == "" && shards != 0 {
+	d := codec.NewDec(payload, "server: state file")
+	d.Bytes(uint64(len(stateMagic)))
+	st := &serverState{walEpoch: d.U64(), walApplied: d.U64(), nextQueryID: d.U32()}
+	for range d.Count(uint64(d.U32()), stateQueryBytes) {
+		q := queryState{id: d.U32(), text: string(d.Bytes32())}
+		if shards := d.U32(); shards != 0 {
 			// Written under -shards n: resuming the query on the serial
 			// runtime would be a silent downgrade, so the load fails.
 			return nil, fmt.Errorf("server: state file: query %d: %w", q.id,
 				&gsql.ShardedUnsupportedError{Query: q.text, Shards: int(shards)})
 		}
-		q.startAt = d.u64()
-		cl := d.u32()
-		if d.err == "" {
-			q.ckpt = append([]byte(nil), d.take(int(cl))...)
+		q.startAt = d.U64()
+		q.ckpt = append([]byte(nil), d.Bytes32()...)
+		q.base, q.end = d.U64(), d.U64()
+		for range d.Count(uint64(d.U32()), 2) {
+			q.rows = append(q.rows, readRow(&d))
 		}
-		q.base = d.u64()
-		q.end = d.u64()
-		nr := d.u32()
-		if d.err == "" && int64(nr) > int64(len(payload)) {
-			return nil, errors.New("server: state file: forged row count")
-		}
-		for r := uint32(0); r < nr && d.err == ""; r++ {
-			q.rows = append(q.rows, d.row())
-		}
-		if version >= 2 {
-			if d.u8() != 0 {
-				q.quarantined = true
-				q.qreason = d.str()
-			}
+		if version >= 2 && d.Bool() {
+			q.quarantined, q.qreason = true, string(d.Bytes32())
 		}
 		st.queries = append(st.queries, q)
 	}
-	ns := d.u32()
-	for i := uint32(0); i < ns && d.err == ""; i++ {
-		id := d.u64()
-		st.sessions[id] = d.u64()
+	ns := d.Count(uint64(d.U32()), 16)
+	st.sessions = make(map[uint64]uint64, ns)
+	for range ns {
+		id := d.U64()
+		st.sessions[id] = d.U64()
 	}
-	if d.err != "" {
-		return nil, fmt.Errorf("server: state file: offset %d: %s", d.off, d.err)
-	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("server: state file: %d trailing bytes", len(payload)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -233,57 +203,36 @@ func encodeJournalEntry(e journalEntry) []byte {
 }
 
 func encodeJournalBody(e journalEntry) []byte {
-	body := []byte{e.op}
-	body = binary.LittleEndian.AppendUint32(body, e.id)
-	body = binary.LittleEndian.AppendUint64(body, e.epoch)
-	body = binary.LittleEndian.AppendUint64(body, e.at)
+	body := codec.AppendU32([]byte{e.op}, e.id)
+	body = codec.AppendU64(codec.AppendU64(body, e.epoch), e.at)
 	switch e.op {
 	case jAttach:
-		body = binary.LittleEndian.AppendUint32(body, 0) // shard count of older binaries
-		body = appendString(body, e.text)
+		body = codec.AppendBytes32(codec.AppendU32(body, 0), e.text) // 0: shard count of older binaries
 	case jQuarantine:
-		body = appendString(body, e.reason)
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(e.ckpt)))
-		body = append(body, e.ckpt...)
+		body = codec.AppendBytes32(codec.AppendBytes32(body, e.reason), e.ckpt)
 	}
 	return body
 }
 
 func decodeJournalEntry(body []byte) (journalEntry, error) {
-	d := decoder{b: body}
-	var e journalEntry
-	e.op = d.u8()
-	e.id = d.u32()
-	e.epoch = d.u64()
-	e.at = d.u64()
+	d := codec.NewDec(body, "entry")
+	e := journalEntry{op: d.U8(), id: d.U32(), epoch: d.U64(), at: d.U64()}
 	switch e.op {
 	case jAttach:
-		shards := d.u32()
-		e.text = d.str()
-		if d.err == "" && shards != 0 {
+		shards := d.U32()
+		e.text = string(d.Bytes32())
+		if shards != 0 && d.Err() == nil {
 			return e, fmt.Errorf("query %d: %w", e.id,
 				&gsql.ShardedUnsupportedError{Query: e.text, Shards: int(shards)})
 		}
 	case jDetach, jRevive:
 	case jQuarantine:
-		e.reason = d.str()
-		cl := d.u32()
-		if d.err == "" {
-			if int(cl) > len(body) {
-				return e, errors.New("forged quarantine checkpoint length")
-			}
-			e.ckpt = append([]byte(nil), d.take(int(cl))...)
-		}
+		e.reason = string(d.Bytes32())
+		e.ckpt = append([]byte(nil), d.Bytes32()...)
 	default:
 		return e, fmt.Errorf("unknown journal op %d", e.op)
 	}
-	if d.err != "" {
-		return e, errors.New(d.err)
-	}
-	if d.off != len(body) {
-		return e, fmt.Errorf("%d trailing bytes", len(body)-d.off)
-	}
-	return e, nil
+	return e, d.Done()
 }
 
 // journal is the catalog journal of a state directory. Its mutex orders

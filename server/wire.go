@@ -13,12 +13,12 @@
 package server
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"slices"
 
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
+	"forwarddecay/internal/codec"
 )
 
 // Control frame types. Client→server types are small, server→client types
@@ -169,28 +169,21 @@ func AppendMsg(dst []byte, m *Msg) []byte {
 }
 
 func appendMsgBody(b []byte, m *Msg) []byte {
-	b = append(b, m.Type)
-	b = binary.LittleEndian.AppendUint32(b, m.Req)
+	b = codec.AppendU32(append(b, m.Type), m.Req)
 	switch m.Type {
 	case CtHello:
-		b = binary.LittleEndian.AppendUint64(b, m.Sess)
-		b = appendString(b, m.Text)
-	case CtAttach:
-		b = appendString(b, m.Text)
-	case CtDetach, CtUnsubscribe, CtRevive:
-		b = binary.LittleEndian.AppendUint32(b, m.Query)
+		b = codec.AppendBytes32(codec.AppendU64(b, m.Sess), m.Text)
+	case CtAttach, StStats:
+		b = codec.AppendBytes32(b, m.Text)
+	case CtDetach, CtUnsubscribe, CtRevive, StAttached:
+		b = codec.AppendU32(b, m.Query)
 	case CtSubscribe:
-		b = binary.LittleEndian.AppendUint32(b, m.Query)
-		b = binary.LittleEndian.AppendUint64(b, m.Cursor)
-		b = append(b, uint8(m.Policy))
-		b = binary.LittleEndian.AppendUint32(b, m.Deadline)
+		b = codec.AppendU64(codec.AppendU32(b, m.Query), m.Cursor)
+		b = codec.AppendU32(append(b, uint8(m.Policy)), m.Deadline)
 	case CtStats, CtBye, StOK, StBye:
 		// header only
 	case StErr:
-		b = binary.LittleEndian.AppendUint16(b, m.Code)
-		b = appendString(b, m.Text)
-	case StAttached:
-		b = binary.LittleEndian.AppendUint32(b, m.Query)
+		b = codec.AppendBytes32(codec.AppendU16(b, m.Code), m.Text)
 	case StRow:
 		if len(m.Rows) == 0 {
 			panic("server: encoding an empty row batch")
@@ -205,11 +198,7 @@ func appendMsgBody(b []byte, m *Msg) []byte {
 			}
 		}
 	case StGap:
-		b = binary.LittleEndian.AppendUint32(b, m.Query)
-		b = binary.LittleEndian.AppendUint64(b, m.GapFrom)
-		b = binary.LittleEndian.AppendUint64(b, m.Cursor)
-	case StStats:
-		b = appendString(b, m.Text)
+		b = codec.AppendU64(codec.AppendU64(codec.AppendU32(b, m.Query), m.GapFrom), m.Cursor)
 	default:
 		panic(fmt.Sprintf("server: encoding unknown control frame type %d", m.Type))
 	}
@@ -232,50 +221,34 @@ func DecodeMsg(body []byte) (*Msg, error) {
 // rows themselves are always cut from a new allocation, so a row taken from
 // one frame's Msg survives the next decode. On error m is unspecified.
 func decodeMsgInto(m *Msg, body []byte) error {
-	d := decoder{b: body}
+	d := codec.NewDec(body, "")
 	*m = Msg{Rows: m.Rows[:0]}
-	m.Type = d.u8()
-	m.Req = d.u32()
+	m.Type, m.Req = d.U8(), d.U32()
 	switch m.Type {
 	case CtHello:
-		m.Sess = d.u64()
-		m.Text = d.str()
-	case CtAttach:
-		m.Text = d.str()
-	case CtDetach, CtUnsubscribe, CtRevive:
-		m.Query = d.u32()
+		m.Sess, m.Text = d.U64(), string(d.Bytes32())
+	case CtAttach, StStats:
+		m.Text = string(d.Bytes32())
+	case CtDetach, CtUnsubscribe, CtRevive, StAttached:
+		m.Query = d.U32()
 	case CtSubscribe:
-		m.Query = d.u32()
-		m.Cursor = d.u64()
-		m.Policy = Policy(d.u8())
-		m.Deadline = d.u32()
-		if d.err == "" && !m.Policy.valid() {
-			return &MsgError{Type: m.Type, Off: d.off, Why: fmt.Sprintf("unknown policy %d", uint8(m.Policy))}
+		m.Query, m.Cursor, m.Policy, m.Deadline = d.U32(), d.U64(), Policy(d.U8()), d.U32()
+		if !m.Policy.valid() {
+			d.Failf("unknown policy %d", uint8(m.Policy))
 		}
 	case CtStats, CtBye, StOK, StBye:
 	case StErr:
-		m.Code = d.u16()
-		m.Text = d.str()
-	case StAttached:
-		m.Query = d.u32()
+		m.Code, m.Text = d.U16(), string(d.Bytes32())
 	case StRow:
-		m.Query = d.u32()
-		m.Cursor = d.u64()
-		m.Rows = d.rowBatch(m.Rows)
+		m.Query, m.Cursor = d.U32(), d.U64()
+		m.Rows = readRowBatch(&d, m.Rows)
 	case StGap:
-		m.Query = d.u32()
-		m.GapFrom = d.u64()
-		m.Cursor = d.u64()
-	case StStats:
-		m.Text = d.str()
+		m.Query, m.GapFrom, m.Cursor = d.U32(), d.U64(), d.U64()
 	default:
 		return &MsgError{Type: m.Type, Off: 0, Why: "unknown frame type"}
 	}
-	if d.err != "" {
-		return &MsgError{Type: m.Type, Off: d.off, Why: d.err}
-	}
-	if d.off != len(d.b) {
-		return &MsgError{Type: m.Type, Off: d.off, Why: fmt.Sprintf("%d trailing bytes", len(d.b)-d.off)}
+	if e, ok := d.Done().(*codec.Error); ok {
+		return &MsgError{Type: m.Type, Off: e.Off, Why: e.Err.Error()}
 	}
 	return nil
 }
@@ -284,33 +257,28 @@ func decodeMsgInto(m *Msg, body []byte) error {
 // anything near it, and it keeps a forged count from allocating wildly.
 const maxRowCols = 1 << 10
 
-// appendString writes a u32-length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
 // appendRow writes u16 column count then each value (the state file's row
 // layout).
 func appendRow(b []byte, row gsql.Tuple) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(row)))
+	b = codec.AppendU16(b, uint16(len(row)))
 	for _, v := range row {
 		b = appendValue(b, v)
 	}
 	return b
 }
 
-// appendValue writes a type tag and the value's payload.
+// appendValue writes a type tag and the value's payload; a string is
+// u32-length-prefixed.
 func appendValue(b []byte, v gsql.Value) []byte {
 	b = append(b, uint8(v.T))
 	switch v.T {
 	case gsql.TNull:
 	case gsql.TInt, gsql.TBool:
-		b = binary.LittleEndian.AppendUint64(b, uint64(v.I))
+		b = codec.AppendU64(b, uint64(v.I))
 	case gsql.TFloat:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
+		b = codec.AppendF64(b, v.F)
 	case gsql.TString:
-		b = appendString(b, v.S)
+		b = codec.AppendBytes32(b, v.S)
 	default:
 		panic(fmt.Sprintf("server: encoding unknown value type %d", v.T))
 	}
@@ -322,140 +290,53 @@ func appendValue(b []byte, v gsql.Value) []byte {
 // u32 row count. The n×width values follow, row after row; a writer that
 // does not know n yet patches the last four bytes.
 func appendRowBatchHeader(b []byte, query uint32, cursor uint64, width, n int) []byte {
-	b = binary.LittleEndian.AppendUint32(b, query)
-	b = binary.LittleEndian.AppendUint64(b, cursor)
-	b = binary.LittleEndian.AppendUint16(b, uint16(width))
-	return binary.LittleEndian.AppendUint32(b, uint32(n))
+	b = codec.AppendU64(codec.AppendU32(b, query), cursor)
+	return codec.AppendU32(codec.AppendU16(b, uint16(width)), uint32(n))
 }
 
-// decoder is a bounds-checked little-endian reader; the first failure
-// sticks and every later read returns zero.
-type decoder struct {
-	b   []byte
-	off int
-	err string
-}
-
-func (d *decoder) fail(why string) {
-	if d.err == "" {
-		d.err = why
+// readRow reads what appendRow appended.
+func readRow(d *codec.Dec) gsql.Tuple {
+	n := d.U16()
+	if n > maxRowCols {
+		d.Failf("row claims %d columns (max %d)", n, maxRowCols)
 	}
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != "" {
-		return nil
-	}
-	if len(d.b)-d.off < n {
-		d.fail(fmt.Sprintf("truncated: need %d bytes, have %d", n, len(d.b)-d.off))
-		return nil
-	}
-	s := d.b[d.off : d.off+n]
-	d.off += n
-	return s
-}
-
-func (d *decoder) u8() uint8 {
-	s := d.take(1)
-	if s == nil {
-		return 0
-	}
-	return s[0]
-}
-
-func (d *decoder) u16() uint16 {
-	s := d.take(2)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(s)
-}
-
-func (d *decoder) u32() uint32 {
-	s := d.take(4)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(s)
-}
-
-func (d *decoder) u64() uint64 {
-	s := d.take(8)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(s)
-}
-
-func (d *decoder) str() string {
-	n := d.u32()
-	if d.err != "" {
-		return ""
-	}
-	if int64(n) > int64(len(d.b)-d.off) {
-		d.fail(fmt.Sprintf("string length %d exceeds remaining %d bytes", n, len(d.b)-d.off))
-		return ""
-	}
-	return string(d.take(int(n)))
-}
-
-func (d *decoder) row() gsql.Tuple {
-	n := d.u16()
-	if d.err != "" {
-		return nil
-	}
-	if int(n) > maxRowCols {
-		d.fail(fmt.Sprintf("row claims %d columns (max %d)", n, maxRowCols))
-		return nil
-	}
-	row := make(gsql.Tuple, n)
-	if !d.values(row) {
-		return nil
-	}
+	row := make(gsql.Tuple, d.Count(uint64(n), 1))
+	readValues(d, row)
 	return row
 }
 
-// values decodes len(dst) values into dst, reporting whether all were there.
-func (d *decoder) values(dst []gsql.Value) bool {
+// readValues fills dst with values appendValue appended.
+func readValues(d *codec.Dec, dst []gsql.Value) {
 	for i := range dst {
-		t := gsql.Type(d.u8())
-		switch t {
+		switch t := gsql.Type(d.U8()); t {
 		case gsql.TNull:
 			dst[i] = gsql.Value{}
 		case gsql.TInt, gsql.TBool:
-			dst[i] = gsql.Value{T: t, I: int64(d.u64())}
+			dst[i] = gsql.Value{T: t, I: int64(d.U64())}
 		case gsql.TFloat:
-			dst[i] = gsql.Value{T: t, F: math.Float64frombits(d.u64())}
+			dst[i] = gsql.Value{T: t, F: d.F64()}
 		case gsql.TString:
-			dst[i] = gsql.Value{T: t, S: d.str()}
+			dst[i] = gsql.Value{T: t, S: string(d.Bytes32())}
 		default:
-			d.fail(fmt.Sprintf("unknown value type %d in value %d", uint8(t), i))
-		}
-		if d.err != "" {
-			return false
+			d.Failf("unknown value type %d in value %d", uint8(t), i)
 		}
 	}
-	return true
 }
 
-// rowBatch decodes an StRow batch (see appendRowBatchHeader) into rows cut
+// readRowBatch reads an StRow batch (see appendRowBatchHeader) into rows cut
 // from one new value slab, appended to the caller's recycled rows[:0].
-func (d *decoder) rowBatch(rows []gsql.Tuple) []gsql.Tuple {
-	width, n := int(d.u16()), int(d.u32())
-	if d.err != "" {
-		return rows
-	}
-	// Every value is at least its type tag, so the remaining bytes bound the
-	// slab; an empty batch or zero-width rows are never sent and would not
+func readRowBatch(d *codec.Dec, rows []gsql.Tuple) []gsql.Tuple {
+	width, n := int(d.U16()), d.U32()
+	// An empty batch or zero-width rows are never sent and would not
 	// re-encode to the same bytes.
-	if width == 0 || n == 0 || width > maxRowCols || n > (len(d.b)-d.off)/width {
-		d.fail(fmt.Sprintf("row batch claims %d rows of %d columns in %d bytes", n, width, len(d.b)-d.off))
+	if width == 0 || n == 0 || width > maxRowCols {
+		d.Failf("row batch claims %d rows of %d columns", n, width)
 		return rows
 	}
-	slab := make([]gsql.Value, n*width)
-	if !d.values(slab) {
-		return rows
-	}
+	// Every value is at least its type tag.
+	slab := make([]gsql.Value, d.Count(uint64(n)*uint64(width), 1))
+	readValues(d, slab)
+	rows = slices.Grow(rows, len(slab)/width)
 	for ; len(slab) > 0; slab = slab[width:] {
 		rows = append(rows, slab[:width:width])
 	}

@@ -1,10 +1,9 @@
 package sketch
 
 import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
 	"math"
+
+	"forwarddecay/internal/codec"
 )
 
 // Binary encodings for the mergeable summaries, used when shipping partial
@@ -19,132 +18,40 @@ const (
 	tagDominance   byte = 0x55
 )
 
-// enc is a little-endian append-style writer.
-type enc struct{ b []byte }
-
-func (e *enc) u8(v byte)     { e.b = append(e.b, v) }
-func (e *enc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int64)   { e.u64(uint64(v)) }
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
-
-// dec is the matching reader.
-type dec struct{ b []byte }
-
-func (d *dec) u8() (byte, error) {
-	if len(d.b) < 1 {
-		return 0, fmt.Errorf("sketch: truncated encoding")
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v, nil
-}
-
-func (d *dec) u64() (uint64, error) {
-	if len(d.b) < 8 {
-		return 0, fmt.Errorf("sketch: truncated encoding")
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v, nil
-}
-
-func (d *dec) i64() (int64, error) { v, err := d.u64(); return int64(v), err }
-
-func (d *dec) f64() (float64, error) {
-	v, err := d.u64()
-	return math.Float64frombits(v), err
-}
-
-func (d *dec) done() error {
-	if len(d.b) != 0 {
-		return fmt.Errorf("sketch: %d trailing bytes in encoding", len(d.b))
-	}
-	return nil
-}
-
-func expectTag(d *dec, want byte) error {
-	got, err := d.u8()
-	if err != nil {
-		return err
-	}
-	if got != want {
-		return fmt.Errorf("sketch: wrong encoding tag 0x%02x, want 0x%02x", got, want)
-	}
-	return nil
-}
-
-// fits guards element counts against the bytes actually remaining: a
-// decoder must never allocate for more elements than the input could hold,
-// or a short corrupt prefix claiming 2³⁰ entries would over-allocate
-// gigabytes before any per-element read fails.
-func (d *dec) fits(n uint64, itemBytes int) error {
-	if n > uint64(len(d.b))/uint64(itemBytes) {
-		return fmt.Errorf("sketch: encoding claims %d elements but only %d bytes remain", n, len(d.b))
-	}
-	return nil
-}
-
 // MarshalBinary encodes the summary.
 func (s *SpaceSaving) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	e.u8(tagSpaceSaving)
-	e.u64(uint64(s.k))
-	e.f64(s.total)
-	e.u64(uint64(len(s.entries)))
+	b := codec.AppendU64([]byte{tagSpaceSaving}, uint64(s.k))
+	b = codec.AppendF64(b, s.total)
+	b = codec.AppendU64(b, uint64(len(s.entries)))
 	for _, en := range s.entries {
-		e.u64(en.key)
-		e.f64(en.count)
-		e.f64(en.err)
+		b = codec.AppendU64(b, en.key)
+		b = codec.AppendF64(b, en.count)
+		b = codec.AppendF64(b, en.err)
 	}
-	return e.b, nil
+	return b, nil
 }
 
 // UnmarshalBinary decodes a summary produced by MarshalBinary, replacing
 // the receiver's state.
 func (s *SpaceSaving) UnmarshalBinary(b []byte) error {
-	d := &dec{bytes.Clone(b)}
-	if err := expectTag(d, tagSpaceSaving); err != nil {
-		return err
-	}
-	k, err := d.u64()
-	if err != nil {
-		return err
-	}
+	d := codec.NewDec(b, "sketch")
+	d.Tag(tagSpaceSaving)
+	k := d.U64()
 	if k == 0 || k > 1<<30 {
-		return fmt.Errorf("sketch: implausible SpaceSaving k %d", k)
+		d.Failf("implausible SpaceSaving k %d", k)
 	}
-	total, err := d.f64()
-	if err != nil {
-		return err
-	}
-	n, err := d.u64()
-	if err != nil {
-		return err
-	}
+	total, n := d.F64(), d.U64()
 	if n > k {
-		return fmt.Errorf("sketch: SpaceSaving encoding has %d entries for k=%d", n, k)
+		d.Failf("SpaceSaving encoding has %d entries for k=%d", n, k)
 	}
-	if err := d.fits(n, 24); err != nil {
-		return err
-	}
-	entries := make([]ssEntry, n)
+	entries := make([]ssEntry, d.Count(n, 24))
 	for i := range entries {
-		if entries[i].key, err = d.u64(); err != nil {
-			return err
-		}
-		if entries[i].count, err = d.f64(); err != nil {
-			return err
-		}
-		if entries[i].err, err = d.f64(); err != nil {
-			return err
-		}
+		entries[i] = ssEntry{key: d.U64(), count: d.F64(), err: d.F64()}
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
-	s.k = int(k)
-	s.total = total
-	s.entries = entries
+	s.k, s.total, s.entries = int(k), total, entries
 	s.rebuildIndex()
 	return nil
 }
@@ -152,123 +59,74 @@ func (s *SpaceSaving) UnmarshalBinary(b []byte) error {
 // MarshalBinary encodes the digest (compressing first).
 func (q *QDigest) MarshalBinary() ([]byte, error) {
 	q.Compress()
-	e := &enc{}
-	e.u8(tagQDigest)
-	e.u64(uint64(q.logU))
-	e.u64(uint64(q.k))
-	e.f64(q.total)
-	e.u64(uint64(len(q.nodes)))
+	b := codec.AppendU64([]byte{tagQDigest}, uint64(q.logU))
+	b = codec.AppendU64(b, uint64(q.k))
+	b = codec.AppendF64(b, q.total)
+	b = codec.AppendU64(b, uint64(len(q.nodes)))
 	for id, w := range q.nodes {
-		e.u64(id)
-		e.f64(w)
+		b = codec.AppendU64(b, id)
+		b = codec.AppendF64(b, w)
 	}
-	return e.b, nil
+	return b, nil
 }
 
 // UnmarshalBinary decodes a digest produced by MarshalBinary.
 func (q *QDigest) UnmarshalBinary(b []byte) error {
-	d := &dec{bytes.Clone(b)}
-	if err := expectTag(d, tagQDigest); err != nil {
-		return err
-	}
-	logU, err := d.u64()
-	if err != nil {
-		return err
-	}
+	d := codec.NewDec(b, "sketch")
+	d.Tag(tagQDigest)
+	logU := d.U64()
 	if logU == 0 || logU > 63 {
-		return fmt.Errorf("sketch: implausible QDigest domain 2^%d", logU)
+		d.Failf("implausible QDigest domain 2^%d", logU)
 	}
-	k, err := d.u64()
-	if err != nil {
-		return err
-	}
-	total, err := d.f64()
-	if err != nil {
-		return err
-	}
-	n, err := d.u64()
-	if err != nil {
-		return err
-	}
+	k, total, n := d.U64(), d.F64(), d.U64()
 	if n > 1<<28 {
-		return fmt.Errorf("sketch: implausible QDigest node count %d", n)
+		d.Failf("implausible QDigest node count %d", n)
 	}
-	if err := d.fits(n, 16); err != nil {
-		return err
-	}
-	nodes := make(map[uint64]float64, n)
+	count := d.Count(n, 16)
+	nodes := make(map[uint64]float64, count)
 	maxID := uint64(2) << logU
-	for i := uint64(0); i < n; i++ {
-		id, err := d.u64()
-		if err != nil {
-			return err
-		}
+	for range count {
+		id, w := d.U64(), d.F64()
 		if id == 0 || id >= maxID {
-			return fmt.Errorf("sketch: QDigest node id %d out of range", id)
-		}
-		w, err := d.f64()
-		if err != nil {
-			return err
+			d.Failf("QDigest node id %d out of range", id)
 		}
 		nodes[id] = w
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
-	q.logU = uint(logU)
-	q.k = int(k)
-	q.total = total
-	q.dirty = 0
-	q.nodes = nodes
+	q.logU, q.k, q.total, q.dirty, q.nodes = uint(logU), int(k), total, 0, nodes
 	return nil
 }
 
 // MarshalBinary encodes the sketch.
 func (s *KMV) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	e.u8(tagKMV)
-	e.u64(uint64(s.k))
-	e.u64(uint64(len(s.h)))
+	b := codec.AppendU64([]byte{tagKMV}, uint64(s.k))
+	b = codec.AppendU64(b, uint64(len(s.h)))
 	for _, h := range s.h {
-		e.u64(h)
+		b = codec.AppendU64(b, h)
 	}
-	return e.b, nil
+	return b, nil
 }
 
 // UnmarshalBinary decodes a sketch produced by MarshalBinary.
 func (s *KMV) UnmarshalBinary(b []byte) error {
-	d := &dec{bytes.Clone(b)}
-	if err := expectTag(d, tagKMV); err != nil {
-		return err
-	}
-	k, err := d.u64()
-	if err != nil {
-		return err
-	}
+	d := codec.NewDec(b, "sketch")
+	d.Tag(tagKMV)
+	k := d.U64()
 	if k == 0 || k > 1<<30 {
-		return fmt.Errorf("sketch: implausible KMV k %d", k)
+		d.Failf("implausible KMV k %d", k)
 	}
-	n, err := d.u64()
-	if err != nil {
-		return err
-	}
+	n := d.U64()
 	if n > k {
-		return fmt.Errorf("sketch: KMV encoding holds %d hashes for k=%d", n, k)
+		d.Failf("KMV encoding holds %d hashes for k=%d", n, k)
 	}
-	if err := d.fits(n, 8); err != nil {
-		return err
+	count := d.Count(n, 8)
+	fresh := &KMV{k: int(k), mem: make(map[uint64]struct{}, count)}
+	for range count {
+		fresh.InsertHash(d.U64())
 	}
-	// Presize by n (bounded by the input length), not k: a forged k within
-	// the plausibility bound could still demand a gigabyte map hint.
-	fresh := &KMV{k: int(k), mem: make(map[uint64]struct{}, n)}
-	for i := uint64(0); i < n; i++ {
-		h, err := d.u64()
-		if err != nil {
-			return err
-		}
-		fresh.InsertHash(h)
-	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
 	*s = *fresh
@@ -277,177 +135,102 @@ func (s *KMV) UnmarshalBinary(b []byte) error {
 
 // MarshalBinary encodes the summary.
 func (m *MisraGries) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	e.u8(tagMisraGries)
-	e.u64(uint64(m.k))
-	e.f64(m.total)
-	e.u64(uint64(len(m.counters)))
+	b := codec.AppendU64([]byte{tagMisraGries}, uint64(m.k))
+	b = codec.AppendF64(b, m.total)
+	b = codec.AppendU64(b, uint64(len(m.counters)))
 	for k2, c := range m.counters {
-		e.u64(k2)
-		e.f64(c)
+		b = codec.AppendU64(b, k2)
+		b = codec.AppendF64(b, c)
 	}
-	return e.b, nil
+	return b, nil
 }
 
 // UnmarshalBinary decodes a summary produced by MarshalBinary.
 func (m *MisraGries) UnmarshalBinary(b []byte) error {
-	d := &dec{bytes.Clone(b)}
-	if err := expectTag(d, tagMisraGries); err != nil {
-		return err
-	}
-	k, err := d.u64()
-	if err != nil {
-		return err
-	}
+	d := codec.NewDec(b, "sketch")
+	d.Tag(tagMisraGries)
+	k := d.U64()
 	if k == 0 || k > 1<<30 {
-		return fmt.Errorf("sketch: implausible MisraGries k %d", k)
+		d.Failf("implausible MisraGries k %d", k)
 	}
-	total, err := d.f64()
-	if err != nil {
-		return err
-	}
-	n, err := d.u64()
-	if err != nil {
-		return err
-	}
+	total, n := d.F64(), d.U64()
 	if n > k {
-		return fmt.Errorf("sketch: MisraGries encoding has %d counters for k=%d", n, k)
+		d.Failf("MisraGries encoding has %d counters for k=%d", n, k)
 	}
-	if err := d.fits(n, 16); err != nil {
+	count := d.Count(n, 16)
+	counters := make(map[uint64]float64, count)
+	for range count {
+		key := d.U64()
+		counters[key] = d.F64()
+	}
+	if err := d.Done(); err != nil {
 		return err
 	}
-	counters := make(map[uint64]float64, n)
-	for i := uint64(0); i < n; i++ {
-		key, err := d.u64()
-		if err != nil {
-			return err
-		}
-		c, err := d.f64()
-		if err != nil {
-			return err
-		}
-		counters[key] = c
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	m.k = int(k)
-	m.total = total
-	m.counters = counters
+	m.k, m.total, m.counters = int(k), total, counters
 	return nil
 }
 
 // MarshalBinary encodes the estimator.
 func (d *Dominance) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	e.u8(tagDominance)
-	e.f64(d.logBase)
-	e.u64(uint64(d.k))
-	e.u64(uint64(d.maxLevels))
-	e.f64(d.logShift)
+	b := codec.AppendF64([]byte{tagDominance}, d.logBase)
+	b = codec.AppendU64(b, uint64(d.k))
+	b = codec.AppendU64(b, uint64(d.maxLevels))
+	b = codec.AppendF64(b, d.logShift)
+	b = codec.AppendBool(b, !d.empty)
 	if d.empty {
-		e.u8(0)
-		return e.b, nil
+		return b, nil
 	}
-	e.u8(1)
-	e.i64(int64(d.lo))
-	e.i64(int64(d.hi))
-	e.u64(uint64(len(d.levels)))
+	b = codec.AppendU64(b, uint64(d.lo))
+	b = codec.AppendU64(b, uint64(d.hi))
+	b = codec.AppendU64(b, uint64(len(d.levels)))
 	for l, kmv := range d.levels {
-		e.i64(int64(l))
 		kb, err := kmv.MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
-		e.u64(uint64(len(kb)))
-		e.b = append(e.b, kb...)
+		b = codec.AppendBytes64(codec.AppendU64(b, uint64(l)), kb)
 	}
-	return e.b, nil
+	return b, nil
 }
 
 // UnmarshalBinary decodes an estimator produced by MarshalBinary.
 func (d *Dominance) UnmarshalBinary(b []byte) error {
-	r := &dec{bytes.Clone(b)}
-	if err := expectTag(r, tagDominance); err != nil {
-		return err
-	}
-	logBase, err := r.f64()
-	if err != nil {
-		return err
-	}
+	r := codec.NewDec(b, "sketch")
+	r.Tag(tagDominance)
+	logBase := r.F64()
 	if !(logBase > 0) {
-		return fmt.Errorf("sketch: implausible Dominance base")
+		r.Failf("implausible Dominance base")
 	}
-	k, err := r.u64()
-	if err != nil {
-		return err
-	}
-	maxLevels, err := r.u64()
-	if err != nil {
-		return err
-	}
+	k, maxLevels := r.U64(), r.U64()
 	if k < 3 || maxLevels < 2 || k > 1<<30 || maxLevels > 1<<24 {
-		return fmt.Errorf("sketch: implausible Dominance parameters")
+		r.Failf("implausible Dominance parameters")
 	}
-	logShift, err := r.f64()
-	if err != nil {
-		return err
-	}
+	logShift := r.F64()
 	if math.IsNaN(logShift) || math.IsInf(logShift, 0) {
-		return fmt.Errorf("sketch: non-finite Dominance frame offset")
-	}
-	nonEmpty, err := r.u8()
-	if err != nil {
-		return err
+		r.Failf("non-finite Dominance frame offset")
 	}
 	out := &Dominance{logBase: logBase, k: int(k), maxLevels: int(maxLevels),
 		levels: make(map[int]*KMV), empty: true, logShift: logShift}
-	if nonEmpty == 1 {
-		lo, err := r.i64()
-		if err != nil {
-			return err
-		}
-		hi, err := r.i64()
-		if err != nil {
-			return err
-		}
-		n, err := r.u64()
-		if err != nil {
-			return err
-		}
+	if r.Bool() {
+		lo, hi, n := int64(r.U64()), int64(r.U64()), r.U64()
 		// Update prunes so that hi-lo+1 ≤ maxLevels; a forged wider span
 		// would make the LogEstimate level scan run for ~2^63 iterations.
-		if hi < lo || uint64(hi-lo)+1 > maxLevels || n > maxLevels {
-			return fmt.Errorf("sketch: inconsistent Dominance encoding")
-		}
-		if err := r.fits(n, 16); err != nil {
-			return err
+		// uint64(hi-lo) is the span even where the int64 difference wraps.
+		if hi < lo || uint64(hi-lo) >= maxLevels || n > maxLevels {
+			r.Failf("inconsistent Dominance encoding")
 		}
 		out.lo, out.hi, out.empty = int(lo), int(hi), false
-		for i := uint64(0); i < n; i++ {
-			l, err := r.i64()
-			if err != nil {
-				return err
-			}
+		for range r.Count(n, 16) {
+			l := int64(r.U64())
 			if l < lo || l > hi {
-				return fmt.Errorf("sketch: Dominance level %d out of range", l)
-			}
-			ln, err := r.u64()
-			if err != nil {
-				return err
-			}
-			if uint64(len(r.b)) < ln {
-				return fmt.Errorf("sketch: truncated encoding")
+				r.Failf("Dominance level %d out of range", l)
 			}
 			kmv := &KMV{}
-			if err := kmv.UnmarshalBinary(r.b[:ln]); err != nil {
-				return err
-			}
-			r.b = r.b[ln:]
+			r.Unmarshal(kmv, r.Bytes64())
 			out.levels[int(l)] = kmv
 		}
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return err
 	}
 	*d = *out

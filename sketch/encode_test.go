@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"forwarddecay/internal/codec"
+	"forwarddecay/internal/codec/codectest"
 	"forwarddecay/internal/core"
 )
 
@@ -92,12 +94,8 @@ func TestSpaceSavingDecodeSizesIndexFromEntries(t *testing.T) {
 
 // ssHeader encodes a SpaceSaving header declaring k counters and n entries.
 func ssHeader(k, n uint64) []byte {
-	e := &enc{}
-	e.u8(tagSpaceSaving)
-	e.u64(k)
-	e.f64(0)
-	e.u64(n)
-	return e.b
+	b := codec.AppendU64([]byte{tagSpaceSaving}, k)
+	return codec.AppendU64(codec.AppendF64(b, 0), n)
 }
 
 func TestQDigestRoundTrip(t *testing.T) {
@@ -242,11 +240,44 @@ func TestEncodingsRejectGarbage(t *testing.T) {
 	if err := (&SpaceSaving{}).UnmarshalBinary(kb); err == nil {
 		t.Error("SpaceSaving accepted a KMV encoding")
 	}
+	// A Dominance span whose int64 difference wraps: were it accepted, the
+	// first Update would prune ~2^64 levels.
+	wide := codec.AppendF64([]byte{tagDominance}, math.Log(1.05))
+	wide = codec.AppendF64(codec.AppendU64(codec.AppendU64(wide, 16), 64), 0)
+	wide = codec.AppendU64(codec.AppendU64(append(wide, 1), 1<<63), 1<<63-1)
+	if err := (&Dominance{}).UnmarshalBinary(codec.AppendU64(wide, 0)); err == nil {
+		t.Error("Dominance accepted a span of 2^64 levels")
+	}
 	// Trailing bytes rejected.
 	s := NewSpaceSavingK(4)
 	s.Update(1, 1)
 	sb, _ := s.MarshalBinary()
 	if err := (&SpaceSaving{}).UnmarshalBinary(append(sb, 0)); err == nil {
 		t.Error("trailing byte accepted")
+	}
+}
+
+// TestDecodersKeepNoInput: every summary decodes into state of its own —
+// overwriting the input afterwards changes nothing the summary encodes.
+func TestDecodersKeepNoInput(t *testing.T) {
+	ss, kmv, dom := NewSpaceSavingK(8), NewKMV(16), NewDominance(16, 2, 8)
+	for i := uint64(0); i < 40; i++ {
+		ss.Update(i%11, float64(1+i%3))
+		kmv.Insert(i * 2654435761)
+	}
+	dom.Update(5, 1) // one level: the level map's order cannot vary
+	for name, pair := range map[string][2]interface {
+		MarshalBinary() ([]byte, error)
+		UnmarshalBinary([]byte) error
+	}{
+		"spacesaving": {ss, &SpaceSaving{}}, "kmv": {kmv, &KMV{}}, "dominance": {dom, &Dominance{}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			enc, err := pair[0].MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			codectest.NoRetain(t, enc, pair[1].UnmarshalBinary, pair[1].MarshalBinary)
+		})
 	}
 }

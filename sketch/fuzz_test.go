@@ -4,6 +4,7 @@ import (
 	"encoding"
 	"testing"
 
+	"forwarddecay/internal/codec/codectest"
 	"forwarddecay/sketch"
 )
 
@@ -74,7 +75,9 @@ func FuzzSketchDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for name, dec := range sketchDecoders() {
-			if err := dec.UnmarshalBinary(data); err != nil {
+			var err error
+			codectest.Allocs(t, len(data), func() { err = dec.UnmarshalBinary(data) })
+			if err != nil {
 				continue // rejected cleanly: that is the contract
 			}
 			// Accepted input must leave a usable sketch: exercise a few

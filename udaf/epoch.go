@@ -1,13 +1,14 @@
 package udaf
 
 import (
-	"encoding/binary"
+	"encoding"
 	"fmt"
 	"math"
 	"strings"
 
 	"forwarddecay/agg"
 	"forwarddecay/gsql"
+	"forwarddecay/internal/codec"
 	"forwarddecay/sample"
 )
 
@@ -98,21 +99,23 @@ func (l *lastTS) appendLast(b []byte, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(l.last)), nil
+	return codec.AppendF64(b, l.last), nil
 }
 
-// splitLast strips and loads the timestamp suffix, returning the wrapped
-// aggregate's bytes.
-func (l *lastTS) splitLast(name string, b []byte) ([]byte, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("udaf: %s: truncated encoding", name)
-	}
-	last := math.Float64frombits(binary.LittleEndian.Uint64(b[len(b)-8:]))
+// unmarshalLast decodes the wrapped aggregate's encoding into u, then the
+// timestamp suffix.
+func (l *lastTS) unmarshalLast(name string, u encoding.BinaryUnmarshaler, b []byte) error {
+	d := codec.NewDec(b, "udaf: "+name)
+	d.Unmarshal(u, d.Bytes(uint64(max(len(b)-8, 0))))
+	last := d.F64()
 	if math.IsNaN(last) || math.IsInf(last, 0) {
-		return nil, fmt.Errorf("udaf: %s: non-finite timestamp in encoding", name)
+		d.Failf("non-finite timestamp in encoding")
+	}
+	if err := d.Done(); err != nil {
+		return err
 	}
 	l.last = last
-	return b[:len(b)-8], nil
+	return nil
 }
 
 // mergeAs asserts a merge partner's type, with the uniform error message.
@@ -172,13 +175,7 @@ func (a *fdcountAgg) ShiftLandmark(newL float64) error { return a.s.ShiftLandmar
 func (a *fdcountAgg) Landmark() float64                { return a.s.Model().Landmark }
 
 func (a *fdcountAgg) MarshalBinary() ([]byte, error) { return a.appendLast(a.s.MarshalBinary()) }
-func (a *fdcountAgg) UnmarshalBinary(b []byte) error {
-	rest, err := a.splitLast("fdcount", b)
-	if err != nil {
-		return err
-	}
-	return a.s.UnmarshalBinary(rest)
-}
+func (a *fdcountAgg) UnmarshalBinary(b []byte) error { return a.unmarshalLast("fdcount", a.s, b) }
 
 // --- fdsum / fdavg / fdvar ----------------------------------------------
 
@@ -239,13 +236,7 @@ func (a *fdsumAgg) ShiftLandmark(newL float64) error { return a.s.ShiftLandmark(
 func (a *fdsumAgg) Landmark() float64                { return a.s.Model().Landmark }
 
 func (a *fdsumAgg) MarshalBinary() ([]byte, error) { return a.appendLast(a.s.MarshalBinary()) }
-func (a *fdsumAgg) UnmarshalBinary(b []byte) error {
-	rest, err := a.splitLast("fdsum", b)
-	if err != nil {
-		return err
-	}
-	return a.s.UnmarshalBinary(rest)
-}
+func (a *fdsumAgg) UnmarshalBinary(b []byte) error { return a.unmarshalLast("fdsum", a.s, b) }
 
 // --- fdmin / fdmax ------------------------------------------------------
 
@@ -276,13 +267,7 @@ func (a *fdminAgg) ShiftLandmark(newL float64) error { return a.s.ShiftLandmark(
 func (a *fdminAgg) Landmark() float64                { return a.s.Model().Landmark }
 
 func (a *fdminAgg) MarshalBinary() ([]byte, error) { return a.appendLast(a.s.MarshalBinary()) }
-func (a *fdminAgg) UnmarshalBinary(b []byte) error {
-	rest, err := a.splitLast("fdmin", b)
-	if err != nil {
-		return err
-	}
-	return a.s.UnmarshalBinary(rest)
-}
+func (a *fdminAgg) UnmarshalBinary(b []byte) error { return a.unmarshalLast("fdmin", a.s, b) }
 
 type fdmaxAgg struct {
 	s *agg.Max
@@ -311,13 +296,7 @@ func (a *fdmaxAgg) ShiftLandmark(newL float64) error { return a.s.ShiftLandmark(
 func (a *fdmaxAgg) Landmark() float64                { return a.s.Model().Landmark }
 
 func (a *fdmaxAgg) MarshalBinary() ([]byte, error) { return a.appendLast(a.s.MarshalBinary()) }
-func (a *fdmaxAgg) UnmarshalBinary(b []byte) error {
-	rest, err := a.splitLast("fdmax", b)
-	if err != nil {
-		return err
-	}
-	return a.s.UnmarshalBinary(rest)
-}
+func (a *fdmaxAgg) UnmarshalBinary(b []byte) error { return a.unmarshalLast("fdmax", a.s, b) }
 
 // --- fdhh ---------------------------------------------------------------
 
@@ -349,13 +328,7 @@ func (a *fdhhAgg) ShiftLandmark(newL float64) error { return a.s.ShiftLandmark(n
 func (a *fdhhAgg) Landmark() float64                { return a.s.Model().Landmark }
 
 func (a *fdhhAgg) MarshalBinary() ([]byte, error) { return a.appendLast(a.s.MarshalBinary()) }
-func (a *fdhhAgg) UnmarshalBinary(b []byte) error {
-	rest, err := a.splitLast("fdhh", b)
-	if err != nil {
-		return err
-	}
-	return a.s.UnmarshalBinary(rest)
-}
+func (a *fdhhAgg) UnmarshalBinary(b []byte) error { return a.unmarshalLast("fdhh", a.s, b) }
 
 // renderAggHH renders decayed heavy hitters like renderHH does for the raw
 // sketches: "key:count" in decreasing count order.
@@ -424,13 +397,7 @@ func (a *fdcardAgg) ShiftLandmark(newL float64) error { return a.s.ShiftLandmark
 func (a *fdcardAgg) Landmark() float64                { return a.s.Model().Landmark }
 
 func (a *fdcardAgg) MarshalBinary() ([]byte, error) { return a.appendLast(a.s.MarshalBinary()) }
-func (a *fdcardAgg) UnmarshalBinary(b []byte) error {
-	rest, err := a.splitLast("fdcard", b)
-	if err != nil {
-		return err
-	}
-	return a.s.UnmarshalBinary(rest)
-}
+func (a *fdcardAgg) UnmarshalBinary(b []byte) error { return a.unmarshalLast("fdcard", a.s, b) }
 
 // --- samplers -----------------------------------------------------------
 
