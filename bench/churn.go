@@ -21,10 +21,9 @@ import (
 
 // ChurnPoint is one measured point of the churn sweep.
 type ChurnPoint struct {
-	Catalog  int     `json:"catalog"`
-	Pairs    int     `json:"pairs"`
-	AttachNs float64 `json:"attach_ns"`
-	DetachNs float64 `json:"detach_ns"`
+	Catalog  int
+	AttachNs float64
+	DetachNs float64
 }
 
 // RunChurn measures attach/detach latency at each catalog size, min-of-two
@@ -99,7 +98,6 @@ func measureChurn(n, pairs int, trace []gsql.Tuple) (ChurnPoint, error) {
 	}
 	return ChurnPoint{
 		Catalog:  n,
-		Pairs:    pairs,
 		AttachNs: float64(attachNs) / float64(pairs),
 		DetachNs: float64(detachNs) / float64(pairs),
 	}, nil

@@ -21,12 +21,10 @@ import (
 
 // MultiScalePoint is one measured point of the scaling sweep.
 type MultiScalePoint struct {
-	Queries        int     `json:"queries"`
-	Tuples         int     `json:"tuples"`
-	NsPerTuple     float64 `json:"ns_per_tuple"`
-	Classes        int     `json:"classes"`
-	DistinctExprs  int     `json:"distinct_exprs"`
-	SharedHitRatio float64 `json:"shared_hit_ratio"`
+	Queries       int
+	NsPerTuple    float64
+	Classes       int
+	DistinctExprs int
 }
 
 // multiScaleWheres are the predicate classes of the scaling workload. Each
@@ -70,8 +68,7 @@ func multiScaleTrace(n int, seed uint64) []gsql.Tuple {
 // count, pushing the same trace through a freshly built MultiRun per point.
 // Each point is measured twice and keeps the faster lap — min-of-N
 // estimates the code's true cost, and a GC barrier before each timed lap
-// keeps attach-time garbage from being billed to the push path (the same
-// philosophy as the micro gate's regression retries).
+// keeps attach-time garbage from being billed to the push path.
 func RunMultiScale(counts []int, tuples int, seed uint64) ([]MultiScalePoint, error) {
 	trace := multiScaleTrace(tuples, seed)
 	out := make([]MultiScalePoint, 0, len(counts))
@@ -131,11 +128,9 @@ func measureMultiScale(n int, trace []gsql.Tuple) (MultiScalePoint, error) {
 		return MultiScalePoint{}, err
 	}
 	return MultiScalePoint{
-		Queries:        n,
-		Tuples:         len(trace),
-		NsPerTuple:     float64(elapsed.Nanoseconds()) / float64(len(trace)),
-		Classes:        st.Classes,
-		DistinctExprs:  st.DistinctExprs,
-		SharedHitRatio: st.SharedHitRatio(),
+		Queries:       n,
+		NsPerTuple:    float64(elapsed.Nanoseconds()) / float64(len(trace)),
+		Classes:       st.Classes,
+		DistinctExprs: st.DistinctExprs,
 	}, nil
 }

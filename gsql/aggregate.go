@@ -24,8 +24,9 @@ type Aggregator interface {
 //
 // If a mid-run Step would error, StepBatch must return that same error; the
 // aggregator's state after the error may reflect more or fewer of the run's
-// rows than the scalar sequence would (an erroring run poisons its query
-// either way — the error surfaces identically, which is the contract).
+// rows than the scalar sequence would. The error surfaces identically,
+// which is the contract, and the run fails as a unit: a standalone run stops
+// there, and a catalog member is charged once and resumes after the run.
 type BatchStepper interface {
 	Aggregator
 	StepBatch(args []Value, n, stride int) error

@@ -9,6 +9,7 @@ import (
 
 	"forwarddecay/decay"
 	"forwarddecay/gsql"
+	"forwarddecay/internal/core"
 	"forwarddecay/udaf"
 )
 
@@ -435,9 +436,8 @@ func TestPushBatchBuiltinKernels(t *testing.T) {
 // TestMultiBatchBuiltinKernels: two members of one MultiRun sharing a
 // builtin (one predicate class, the same argument expression) fold through
 // MultiRun.PushBatch exactly as standalone runs fold through scalar Push —
-// rows and checkpoint bytes. A domain error on the tape's last row is
-// charged once to each member, with the same rows and state as the scalar
-// shared pass.
+// rows and checkpoint bytes — and on a poisoned tape every member's failed
+// rows cost it only themselves, whatever the frame size.
 func TestMultiBatchBuiltinKernels(t *testing.T) {
 	e := flowEngine(t)
 	tuples := flowTuples(4_000, 19)
@@ -500,36 +500,172 @@ func TestMultiBatchBuiltinKernels(t *testing.T) {
 		}
 	}
 
+	// The frame-size differential. Seeded poison rows at random positions —
+	// a negative x for ln, log2 and sqrt, in WHERE and in aggregate arguments; a
+	// len of 100 for a division by zero, with one burst that trips the
+	// breaker, and one whose failures only the WHERE member's rejected rows
+	// separate, which trips it too — and a sink that refuses seeded calls.
+	// At every frame size,
+	// Push's one-row frames included, each member must match a standalone
+	// Run.Push run that goes on past its errors: rows, checkpoint, tuple
+	// count and error counters, and the breaker's trip row.
+	const breaker = 3
 	poisoned := positiveX(tuples)
-	poisoned[len(poisoned)-1][5] = gsql.Float(-2.5)
-	for _, call := range []string{"ln(x)", "log2(x)", "sqrt(x)"} {
-		qs := members(kernelCase{call: call})
-		ms, hss, srows := attach(qs)
-		for _, tp := range poisoned {
-			if err := ms.Push(tp); err != nil {
-				t.Fatal(err)
+	for r, tp := range poisoned { // a bucket every 100 rows: 40 flushes
+		tp[0], tp[1] = gsql.Int(int64(r/100)), gsql.Float(float64(r)/100)
+	}
+	rng := core.NewRNG(23)
+	for i := 0; i < len(poisoned)/50; i++ {
+		if r := rng.Intn(len(poisoned)); i%2 == 0 {
+			poisoned[r][5] = gsql.Float(-2.5)
+		} else {
+			poisoned[r][4] = gsql.Int(100)
+		}
+	}
+	for r := len(poisoned) * 3 / 4; r < len(poisoned)*3/4+breaker; r++ {
+		poisoned[r][4] = gsql.Int(100)
+	}
+	for r := 0; r < 2*breaker-1; r++ {
+		poisoned[len(poisoned)/4+r][5] = gsql.Float([]float64{-2.5, 0.5}[r%2])
+	}
+	refused := map[int]bool{}
+	for len(refused) < 6 {
+		refused[1+rng.Intn(200)] = true
+	}
+	poisonQs := []string{
+		"select tb, host, sum(ln(x)) from FLOW group by time/1 as tb, host",
+		"select tb, up, count(*), max(sqrt(x)), min(log2(x)) from FLOW group by time/1 as tb, up",
+		"select tb, host, count(*) from FLOW where ln(x) > 0 group by time/1 as tb, host",
+		"select tb, sum(len / (len - 100)) from FLOW group by time/1 as tb",
+		"select tb, host, count(*), sum(len) from FLOW group by time/1 as tb, host",
+	}
+	sinkFor := func(i int, rows *[]gsql.Tuple) func(gsql.Tuple) error {
+		calls := 0
+		return func(r gsql.Tuple) error {
+			calls++
+			if i == len(poisonQs)-1 && refused[calls] {
+				return errors.New("sink refused the row")
+			}
+			*rows = append(*rows, r)
+			return nil
+		}
+	}
+	want := make([]memberOutcome, len(poisonQs))
+	for i, q := range poisonQs {
+		want[i] = memberOracle(t, e, q, poisoned, breaker, func(rows *[]gsql.Tuple) func(gsql.Tuple) error { return sinkFor(i, rows) })
+		if want[i].errs == 0 {
+			t.Fatalf("member %d: the tape never fails it", i)
+		}
+	}
+	if !want[3].fenced || !want[2].fenced || want[0].fenced || want[1].fenced {
+		t.Fatal("the bursts do not trip exactly the breakers they aim at")
+	}
+	for _, size := range []int{1, 7, 64, 4096} {
+		m, err := gsql.NewMultiRun(e, "FLOW", gsql.Options{Isolate: &gsql.IsolateConfig{BreakerErrors: breaker}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := make([]*gsql.MultiHandle, len(poisonQs))
+		rows := make([][]gsql.Tuple, len(poisonQs))
+		for i, q := range poisonQs {
+			if hs[i], err = m.Attach(q, 0, sinkFor(i, &rows[i])); err != nil {
+				t.Fatalf("attach %q: %v", q, err)
 			}
 		}
-		sCkpts := finish(ms, hss)
-		mb, hsb, brows := attach(qs)
-		for _, b := range flowBatches(t, poisoned, 64) {
-			if _, err := mb.PushBatch(b); err != nil {
-				t.Fatal(err)
+		if size == 1 {
+			for _, tp := range poisoned {
+				if err := m.Push(tp); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else {
+			for _, b := range flowBatches(t, poisoned, size) {
+				if _, err := m.PushBatch(b); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		bCkpts := finish(mb, hsb)
-		for i := range qs {
-			l := fmt.Sprintf("%s member %d", call, i)
-			requireSameBits(t, *srows[i], *brows[i], l)
-			if !bytes.Equal(sCkpts[i], bCkpts[i]) {
-				t.Errorf("%s: batch checkpoint differs from the scalar shared pass", l)
+		for i, h := range hs {
+			l := fmt.Sprintf("frame %d member %d", size, i)
+			w := want[i]
+			ckpt, err := h.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
 			}
-			ss, bs := hss[i].QueryStats(), hsb[i].QueryStats()
-			if ss.Errors != 1 || bs.Errors != 1 || ss.Tuples != bs.Tuples {
-				t.Errorf("%s: scalar %d errors over %d tuples, batch %d over %d", l, ss.Errors, ss.Tuples, bs.Errors, bs.Tuples)
+			closeErr := h.Close()
+			requireSameBits(t, w.rows, rows[i], l)
+			if !bytes.Equal(w.ckpt, ckpt) {
+				t.Errorf("%s: checkpoint differs from the standalone run", l)
+			}
+			qs := h.QueryStats()
+			if qs.Errors != w.errs || qs.ConsecErrors != w.consec || qs.Tuples != w.tuples || qs.Quarantined != w.fenced {
+				t.Errorf("%s: %d errors (streak %d) over %d tuples, fenced %v; standalone %d (streak %d) over %d, fenced %v",
+					l, qs.Errors, qs.ConsecErrors, qs.Tuples, qs.Quarantined, w.errs, w.consec, w.tuples, w.fenced)
+			}
+			if fmt.Sprint(closeErr) != fmt.Sprint(w.closeErr) {
+				t.Errorf("%s: close error %v, standalone %v", l, closeErr, w.closeErr)
 			}
 		}
 	}
+}
+
+// memberOutcome is what a catalog member shows after a tape: its rows,
+// checkpoint, error counters and tuple count, and whether it was fenced.
+type memberOutcome struct {
+	rows     []gsql.Tuple
+	ckpt     []byte
+	errs     uint64
+	consec   int
+	tuples   uint64
+	fenced   bool
+	closeErr error
+}
+
+// memberOracle runs q alone through Run.Push the way the catalog runs a
+// member: a failed row is counted and the run goes on with the next one, a
+// row that folds ends the streak (one its WHERE rejects folds nothing and
+// leaves it), and breaker consecutive failures fence the run at that row.
+// Non-finite rows are skipped, as every scalar caller does.
+func memberOracle(t *testing.T, e *gsql.Engine, q string, tape []gsql.Tuple, breaker int,
+	sink func(*[]gsql.Tuple) func(gsql.Tuple) error) memberOutcome {
+	t.Helper()
+	st, err := e.Prepare(q)
+	if err != nil {
+		t.Fatalf("prepare %q: %v", q, err)
+	}
+	var o memberOutcome
+	run := st.Start(sink(&o.rows), gsql.Options{})
+	where := st.WherePredicate()
+	var nfe *gsql.NonFiniteValueError
+	for _, tp := range tape {
+		err := run.Push(tp)
+		switch {
+		case err == nil:
+			if where != nil {
+				if v, _ := where(tp); !v.Truthy() {
+					continue
+				}
+			}
+			o.consec = 0
+			continue
+		case errors.As(err, &nfe):
+			continue
+		}
+		o.errs++
+		o.consec++
+		if o.consec >= breaker {
+			o.fenced = true
+			break
+		}
+	}
+	if o.ckpt, err = run.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	o.tuples, _ = run.Stats()
+	if !o.fenced {
+		o.closeErr = run.Close()
+	}
+	return o
 }
 
 // flowStandalone runs one FLOW query through scalar Push, skipping the

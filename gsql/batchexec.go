@@ -200,7 +200,7 @@ func (bx *batchExec) scanEpoch(ep *epochState, b *Batch, lo int, skipFirst bool)
 // the plan compiled and the kernels run clean, otherwise replayed through
 // the scalar fold path row by row.
 func (r *Run) processSegment(b *Batch, lo, hi int) error {
-	return r.processSegmentBase(b, lo, hi, r.bx.valid)
+	return r.processSegmentBase(b, lo, hi, r.bx.valid, nil)
 }
 
 // processSegmentBase is processSegment over an explicit base bitmap: rows
@@ -208,14 +208,24 @@ func (r *Run) processSegment(b *Batch, lo, hi int) error {
 // bitmap; the multi-query runtime passes finite ∧ class-WHERE, with the
 // plan's own WHERE stripped — the pre-applied filter must therefore reach
 // the scalar replay path too, which is why base threads all the way down.
-func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64) error {
+//
+// cat is the catalog folding this run as one of its members, nil for a
+// standalone run. Without it the segment stops at its first error, which the
+// caller gets back. With it a failed row costs only itself: cat.rowFailed
+// books the row against the member (and reports whether the member is still
+// linked), cat.rowsFolded ends its error streak, and the fold goes on — a
+// flush or probe error at the next row, an aggregate step error at the row
+// after its key run (the granularity BatchStepper documents). The kernels
+// still run once per segment, so a failure never re-evaluates its
+// neighbours.
+func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64, cat *MultiRun) error {
 	if lo >= hi {
 		return nil
 	}
 	bx := r.bx
 	vp := r.p.vec
 	if vp == nil {
-		return r.replaySegmentBase(b, lo, hi, base)
+		return r.replaySegmentBase(b, lo, hi, base, cat)
 	}
 
 	ctx := &bx.ctx
@@ -248,7 +258,7 @@ func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64) error {
 	if ctx.err != nil {
 		// A kernel failed somewhere in the segment; no run state has been
 		// touched, so the scalar replay reproduces the exact scalar outcome.
-		return r.replaySegmentBase(b, lo, hi, base)
+		return r.replaySegmentBase(b, lo, hi, base, cat)
 	}
 
 	// Kernels clean: every row of the segment is now accounted for (invalid
@@ -286,8 +296,7 @@ func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64) error {
 				continue
 			}
 			if runLen > 0 {
-				if err := r.stepRun(curAggs); err != nil {
-					r.tuples = segBase + uint64(int(bx.rows[runLen-1])-lo+1)
+				if stop, err := r.endRun(curAggs, cat, segBase, lo); stop {
 					return err
 				}
 			}
@@ -298,16 +307,20 @@ func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64) error {
 					r.bucket, r.bucketSet = bv, true
 				} else if r.p.bucketAfter(bv, r.bucket) {
 					if err := r.flush(); err != nil {
-						r.tuples = segBase + uint64(i-lo+1)
-						return err
+						if stop, err := r.segFailed(cat, segBase, lo, i, err); stop {
+							return err
+						}
+						continue
 					}
 					r.bucket = bv
 				}
 			}
 			g, born, err := r.probeGroup(bx.curKey)
 			if err != nil {
-				r.tuples = segBase + uint64(i-lo+1)
-				return err
+				if stop, err := r.segFailed(cat, segBase, lo, i, err); stop {
+					return err
+				}
+				continue
 			}
 			if born {
 				for gi, gn := range vp.groups {
@@ -321,12 +334,35 @@ func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64) error {
 		}
 	}
 	if runLen > 0 {
-		if err := r.stepRun(curAggs); err != nil {
-			r.tuples = segBase + uint64(int(bx.rows[runLen-1])-lo+1)
+		if _, err := r.endRun(curAggs, cat, segBase, lo); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// endRun steps the pending key run into aggs. A step error fails the run's
+// last row (see segFailed); a clean step reports the run's rows folded.
+func (r *Run) endRun(aggs []Aggregator, cat *MultiRun, segBase uint64, lo int) (stop bool, err error) {
+	if err := r.stepRun(aggs); err != nil {
+		return r.segFailed(cat, segBase, lo, int(r.bx.rows[len(r.bx.rows)-1]), err)
+	}
+	if cat != nil {
+		cat.rowsFolded()
+	}
+	return false, nil
+}
+
+// segFailed handles a fold error at row i of a vectorized segment that began
+// at tuple count segBase. A standalone run stops there, counted through row
+// i as scalar Push counts, and returns the error; a catalog member books the
+// row and stops only when it is fenced.
+func (r *Run) segFailed(cat *MultiRun, segBase uint64, lo, i int, err error) (stop bool, _ error) {
+	if cat == nil {
+		r.tuples = segBase + uint64(i-lo+1)
+		return true, err
+	}
+	return !cat.rowFailed(i, err), nil
 }
 
 // stepRun feeds the pending run (rows in bx.rows) to each aggregate slot:
@@ -411,18 +447,13 @@ func (r *Run) probeGroup(key []byte) (g *group, born bool, err error) {
 	return g, true, nil
 }
 
-// replaySegment is the scalar fallback: each row of the segment materializes
-// and folds through the exact per-tuple path (epoch observation has already
-// run for the segment). Invalid rows count and skip, as every scalar caller
-// does on a NonFiniteValueError.
-func (r *Run) replaySegment(b *Batch, lo, hi int) error {
-	return r.replaySegmentBase(b, lo, hi, r.bx.valid)
-}
-
-// replaySegmentBase replays against an explicit base bitmap. Rows outside
-// base still count (a standalone run counts WHERE-rejected rows too) but do
-// not fold, so a pre-applied class filter survives the scalar fallback.
-func (r *Run) replaySegmentBase(b *Batch, lo, hi int, base []uint64) error {
+// replaySegmentBase is the scalar fallback: each row of the segment in base
+// materializes and folds through the exact per-tuple path (epoch observation
+// has already run for the segment). Rows outside base still count (a
+// standalone run counts rejected rows too) but do not fold, so a pre-applied
+// class filter survives the fallback. A catalog member books a failed row
+// and goes on with the next one.
+func (r *Run) replaySegmentBase(b *Batch, lo, hi int, base []uint64, cat *MultiRun) error {
 	bx := r.bx
 	for i := lo; i < hi; i++ {
 		r.tuples++
@@ -431,7 +462,16 @@ func (r *Run) replaySegmentBase(b *Batch, lo, hi int, base []uint64) error {
 		}
 		b.row(i, bx.row)
 		if err := r.foldTuple(bx.row); err != nil {
-			return err
+			if cat == nil {
+				return err
+			}
+			if !cat.rowFailed(i, err) {
+				return nil
+			}
+			continue
+		}
+		if cat != nil {
+			cat.rowsFolded()
 		}
 	}
 	return nil

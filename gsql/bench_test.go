@@ -5,8 +5,7 @@ import (
 )
 
 // Benchmarks for the per-tuple execution hot path: expression evaluation
-// (WHERE, group-by, aggregate arguments) and the full Push cycle. These are
-// the numbers the ci.sh regression gate watches via fdbench -bench-json.
+// (WHERE, group-by, aggregate arguments) and the full Push cycle.
 
 // benchStatement prepares the canonical benchmark query: a filter, an
 // arithmetic temporal bucket, a key column, and three aggregates — the shape

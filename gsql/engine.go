@@ -57,9 +57,8 @@ type Statement struct {
 }
 
 // WherePredicate returns the statement's compiled WHERE evaluator, or nil
-// when the query has no filter. The perf-regression gate (fdbench
-// -bench-json) uses it to time predicate evaluation in isolation from the
-// rest of the Push cycle.
+// when the query has no filter. Benchmarks use it to time predicate
+// evaluation in isolation from the rest of the Push cycle.
 func (st *Statement) WherePredicate() func(Tuple) (Value, error) {
 	if st.p.where == nil {
 		return nil
@@ -72,8 +71,7 @@ func (st *Statement) WherePredicate() func(Tuple) (Value, error) {
 // pass the filter and returns how many survived. Nil when the query has no
 // filter (or it did not compile to kernels — fallback-heavy filters still
 // vectorize, so this is rare). The closure owns its scratch state; use one
-// instance per goroutine. It is the batch-side counterpart of WherePredicate
-// for the perf-regression gate.
+// instance per goroutine. It is the batch-side counterpart of WherePredicate.
 func (st *Statement) BatchPredicate() func(*Batch) (int, error) {
 	vp := st.p.vec
 	if vp == nil || vp.where == nil {

@@ -12,19 +12,19 @@ import (
 // Multi-query runtime: one pass over the stream for many standing queries.
 //
 // A MultiRun registers any number of prepared statements against a single
-// ingest feed and evaluates the shared parts of their plans once per tuple
-// (once per batch segment in the columnar path) instead of once per query:
+// ingest feed and evaluates the shared parts of their plans once per batch
+// segment instead of once per query. There is one row path: PushBatch, and
+// Push is a one-row PushBatch.
 //
 //   - Plan-time CSE: every non-trivial tuple-level subexpression (WHERE,
 //     group-by, aggregate arguments) is hash-consed by its canonical AST
 //     string into a shared slot. Two queries writing the same subexpression
-//     — in any formatting — compile to the same slot, and the slot's value
-//     is computed once per tuple and memoized for every later reader.
+//     — in any formatting — compile to the same slot and reuse its compiled
+//     closure. The sharing is compile-time only: there is no runtime memo.
 //   - Predicate classes: queries are grouped by canonical WHERE clause. The
-//     class predicate runs once per tuple; when it rejects, every member is
-//     skipped in one branch. In the batch path the class evaluates its
-//     filter as one vectorized selection bitmap shared by all members, and
-//     a segment with no surviving rows skips the members outright.
+//     class evaluates its filter as one vectorized selection bitmap shared
+//     by all members, and a segment with no surviving rows skips the members
+//     outright.
 //   - Statement dedup: attaching the same query text twice shares one
 //     compiled plan (see analyzer.Catalog); each attach still owns an
 //     independent Run, so results, cursors and checkpoints stay per-query.
@@ -43,8 +43,9 @@ import (
 //     reference drops — so attach/detach latency is O(query), independent
 //     of the catalog size.
 //   - Fault isolation: there is one fold/shift/heartbeat/segment loop, and
-//     it contains every member's faults. A failed fold is charged to its
-//     query and the tuple continues for the neighbours; a query whose
+//     it contains every member's faults. A failed row is charged to its
+//     query, which goes on with its next row, and the row continues for the
+//     neighbours, so the outcome does not depend on frame size; a query whose
 //     private expressions panic, whose error streak trips the breaker, or
 //     whose group table exceeds the cardinality cap (Options.Isolate sets
 //     the limits) is fenced into a Quarantined state. Its shared slots and
@@ -56,17 +57,15 @@ import (
 //     against a catalog-wide budget and rejects with a typed
 //     *AdmissionError before touching any catalog state.
 //
-// Sharing safety invariants (the reasons the memo is correct):
+// Sharing safety invariants:
 //
 //   - Single producer. A MultiRun, like a Run, is driven by one goroutine;
-//     the memo generation counter and slot values are unsynchronized.
-//   - The memo is only live during the shared scalar pass (m.share). The
-//     per-query scalar fallback of a batch segment evaluates slots
-//     plainly, which is always correct, just unshared.
-//   - Slots are value-transparent: a slot evaluator produces exactly what
-//     structural compilation of the subtree would, errors included. The
-//     memo stores the error too, so every member of a tuple observes the
-//     same failure the first evaluator hit.
+//     its scratch state is unsynchronized, and its members borrow one batch
+//     scratch in turn.
+//   - Slots are value-transparent: a slot's closure is exactly what
+//     structural compilation of the subtree would produce, errors included,
+//     so the scalar fallbacks (a class predicate or a member replay after a
+//     kernel error) read the same values as a standalone run.
 //   - Epoch rollovers are runtime-wide: one shared supervisor observes the
 //     stream clock once per tuple and shifts every member's landmark at the
 //     same point of the sequence, so decay state never straddles landmarks
@@ -81,31 +80,23 @@ type MultiRun struct {
 	eng    *Engine
 	schema *Schema
 	opts   Options
-	iso    IsolateConfig // opts.Isolate (nil = the zero config) with defaults filled
+	iso    IsolateConfig // opts.Isolate, or the zero config when it is nil
 
 	// Plan-time identity: expression interner and statement catalog.
 	in  *analyzer.Interner
 	cat *analyzer.Catalog // statements by exact text
 	env *compileEnv       // slot compiler; env.shared is self-referential
 
-	// Shared slot table, indexed by interner slot id. A nil entry is a slot
+	// Shared slot table: the compiled closure of each hash-consed
+	// subexpression, indexed by interner slot id. A nil entry is a slot
 	// whose compilation is in flight or failed; the hook declines those and
 	// structural compilation takes over (reproducing the compile error).
-	slots []*sharedSlot
+	slots []evalFn
 
 	// recording, when non-nil, collects the slot ids retained by the shared
 	// hook during one compile scope; the scope owner stores the list with
 	// the compiled artifact and releases it with the artifact.
 	recording *[]int
-
-	// Memo protocol: gen advances once per shared tuple and never moves
-	// backwards (a reset could collide with a stale slot generation); share
-	// gates memoization so unshared evaluation paths need no generation
-	// discipline at all.
-	gen   uint64
-	share bool
-
-	memoHits, memoMisses uint64
 
 	classes    []*predClass
 	classByKey map[string]*predClass
@@ -127,11 +118,17 @@ type MultiRun struct {
 	curL        float64
 	landmarkSet bool
 
-	// Batch scratch: the finite bitmap, epoch segmentation state, and a row
-	// buffer for scalar class fallback.
+	// Batch scratch: the finite bitmap, Push's one-row batch, and mbx — the
+	// epoch scan's state, the row buffer of the scalar class fallback, and
+	// the fold scratch every member borrows in turn.
 	valid []uint64
 	mbx   *batchExec
-	row   Tuple
+	one   *Batch
+
+	// The member being folded and the first row of its segment: a failed
+	// row is charged to cur at feed position m.tuples + row - segLo + 1.
+	cur   *multiEntry
+	segLo int
 }
 
 // IsolateConfig sets the limits of per-query fault isolation and admission
@@ -141,10 +138,12 @@ type MultiRun struct {
 // QueryStats.Errors while the tuple continues for its neighbours; the fields
 // add a breaker, a cardinality cap and an admission budget on top.
 type IsolateConfig struct {
-	// BreakerErrors quarantines a query after this many consecutive
-	// failed folds (its private expressions, aggregate steps or sink
-	// erroring tuple after tuple). 0 disables the breaker; transient
-	// errors then only count toward QueryStats.Errors.
+	// BreakerErrors quarantines a query after this many consecutive failed
+	// rows (its WHERE, private expressions, aggregate steps or sink erroring
+	// row after row; a row that folds cleanly resets the streak, a row the
+	// WHERE rejects leaves it). 0 disables the breaker; transient errors
+	// then only count toward QueryStats.Errors. The count is per row
+	// whatever the frame size.
 	BreakerErrors int
 	// MaxGroups quarantines a query whose live group population (current
 	// bucket) exceeds the cap — the group-key cardinality bomb. 0 disables
@@ -155,16 +154,20 @@ type IsolateConfig struct {
 	// reports). Attach rejects with *AdmissionError when the candidate's
 	// estimate would push the catalog over. 0 disables admission control.
 	AdmitBudget float64
-	// EWMAAlpha is the smoothing factor of the measured ns/tuple EWMA
-	// (default 0.2); SampleEvery is the fold sampling stride of the scalar
-	// path (default 32 — timing every fold would dominate cheap queries).
-	EWMAAlpha   float64
-	SampleEvery int
 	// OnQuarantine, when set, is called synchronously (on the producer
 	// goroutine, mid-Push) each time a query is fenced. It must not call
 	// back into the MultiRun.
 	OnQuarantine func(QuarantineEvent)
 }
+
+// ewmaAlpha smooths each member's measured ns/tuple. sampleRows spaces the
+// samples: a clock read costs about as much as folding a row, so a member's
+// segment is timed only once this many of its rows have folded untimed —
+// every segment of a 32-row frame, one row in 32 of Push's one-row frames.
+const (
+	ewmaAlpha  = 0.2
+	sampleRows = 32
+)
 
 // Quarantine reasons, as reported by QueryStats.Reason and QuarantineEvent.
 const (
@@ -216,37 +219,8 @@ func (e *ShardedUnsupportedError) Error() string {
 	return fmt.Sprintf("gsql: sharded execution is not supported (shards=%d): %s", e.Shards, e.Query)
 }
 
-// sharedSlot is one hash-consed subexpression: its compiled evaluator and
-// the single-tuple memo.
-type sharedSlot struct {
-	m   *MultiRun
-	fn  evalFn
-	gen uint64
-	val Value
-	err error
-}
-
-// read is the slot's evalFn. During the shared pass it computes once per
-// tuple generation and serves every later reader from the memo; outside it
-// (the batch path's scalar fallback) it evaluates plainly.
-func (s *sharedSlot) read(rec Tuple) (Value, error) {
-	m := s.m
-	if !m.share {
-		return s.fn(rec)
-	}
-	if s.gen == m.gen {
-		m.memoHits++
-		return s.val, s.err
-	}
-	v, err := s.fn(rec)
-	s.val, s.err, s.gen = v, err, m.gen
-	m.memoMisses++
-	return v, err
-}
-
 // predClass is one WHERE-clause equivalence class: the queries whose filter
-// is canonically identical, sharing one predicate evaluation per tuple and
-// one selection bitmap per batch segment.
+// is canonically identical, sharing one selection bitmap per batch segment.
 type predClass struct {
 	key  string // canonical WHERE key; "" for unfiltered queries
 	pred evalFn // nil for unfiltered
@@ -257,12 +231,20 @@ type predClass struct {
 	slots []int
 
 	// vp is the vectorized where-only plan (nil when it did not compile);
-	// ctx and sel are its per-class scratch.
-	vp  *vecPlan
-	ctx vctx
-	sel []uint64
+	// ctx and sel are its per-class scratch, fails the rows of the current
+	// segment whose predicate errored.
+	vp    *vecPlan
+	ctx   vctx
+	sel   []uint64
+	fails []classFail
 
 	members []*multiEntry // order changes under churn (swap-remove)
+}
+
+// classFail is one row whose class predicate errored.
+type classFail struct {
+	row int
+	err error
 }
 
 // multiEntry is one attached query.
@@ -282,7 +264,7 @@ type multiEntry struct {
 
 	// Admission and attribution.
 	estCost    float64
-	folds      uint64
+	untimed    int // rows to fold before the next timed segment
 	errs       uint64
 	consecErrs int
 	nsEWMA     float64
@@ -335,16 +317,9 @@ func NewMultiRun(e *Engine, stream string, opts Options) (*MultiRun, error) {
 		classByKey: map[string]*predClass{},
 		entries:    map[uint64]*multiEntry{},
 		ep:         ep,
-		row:        make(Tuple, len(schema.Cols)),
 	}
 	if opts.Isolate != nil {
 		m.iso = *opts.Isolate
-	}
-	if m.iso.EWMAAlpha <= 0 {
-		m.iso.EWMAAlpha = 0.2
-	}
-	if m.iso.SampleEvery <= 0 {
-		m.iso.SampleEvery = 32
 	}
 	m.env = &compileEnv{
 		resolve: func(name string) int { return schema.ColumnIndex(name) },
@@ -357,9 +332,7 @@ func NewMultiRun(e *Engine, stream string, opts Options) (*MultiRun, error) {
 		shared: m.sharedHook,
 		funcs:  builtinFuncs,
 	}
-	if ep != nil {
-		m.mbx = newBatchExec(&plan{schema: schema}, ep)
-	}
+	m.mbx = newBatchExec(&plan{schema: schema}, ep)
 	return m, nil
 }
 
@@ -379,15 +352,15 @@ func (m *MultiRun) sharedHook(e expr) evalFn {
 	}
 	key := exprKey(e)
 	if id, ok := m.in.Lookup(key); ok {
-		s := m.slots[id]
-		if s == nil {
+		fn := m.slots[id]
+		if fn == nil {
 			// In flight (self-reference during its own compilation) or
 			// failed: decline, structural compilation handles both.
 			return nil
 		}
 		m.in.Intern(key) // count the reuse
 		m.recordSlot(id)
-		return s.read
+		return fn
 	}
 	id, _ := m.in.Intern(key)
 	for len(m.slots) <= id {
@@ -403,10 +376,9 @@ func (m *MultiRun) sharedHook(e expr) evalFn {
 		}
 		return nil
 	}
-	s := &sharedSlot{m: m, fn: fn}
-	m.slots[id] = s
+	m.slots[id] = fn
 	m.recordSlot(id)
-	return s.read
+	return fn
 }
 
 // recordSlot retains a slot into the active compile scope.
@@ -830,119 +802,44 @@ func (m *MultiRun) chargeMember(e *multiEntry, cause error, reason string) {
 // class predicate is each member's own WHERE clause, so a standalone run of
 // any of them would have hit the same error on this tuple.
 func (m *MultiRun) chargeClass(cls *predClass, cause error, reason string) {
-	for i := 0; i < len(cls.members); {
-		e := cls.members[i]
-		m.chargeMember(e, cause, reason)
-		if i < len(cls.members) && cls.members[i] == e {
-			i++
-		}
-	}
+	eachIn(cls, func(e *multiEntry) { m.chargeMember(e, cause, reason) })
 }
 
-// Push feeds one tuple to every attached query: one finite check, one epoch
-// observation, one predicate evaluation per class, one fold per member whose
-// class passes. Shared subexpression slots are memoized for the duration of
-// the call. The only error is the tuple's own (a non-finite value): member
-// errors are charged to their query and Push keeps feeding everyone else.
+// contained runs f, turning a panic into an error that fences the query
+// (reason QuarantinePanic); what names the step in the error text.
+func contained(id uint64, what string, f func() error) (err error, reason string) {
+	defer func() {
+		if p := recover(); p != nil {
+			err, reason = fmt.Errorf("gsql: panic %s query %d: %v", what, id, p), QuarantinePanic
+		}
+	}()
+	return f(), ""
+}
+
+// Push feeds one tuple to every attached query: a one-row PushBatch. The
+// tuple must match the stream's column types, as Batch.Append requires;
+// dynamically typed tuples go through Run.Push only. The only errors are the
+// tuple's own: a non-finite value (*NonFiniteValueError, counted as a tuple
+// as Run.Push counts it) or a type mismatch. Member errors are charged to
+// their query and Push keeps feeding everyone else.
 func (m *MultiRun) Push(t Tuple) error {
-	m.tuples++
 	if err := checkTupleFinite(m.schema, t); err != nil {
+		m.tuples++
 		return err
 	}
-	if m.ep != nil {
-		if ts, ok := m.ep.time(t); ok {
-			if newL, roll := m.ep.observe(ts); roll {
-				m.shiftAll(newL)
-			}
+	if m.one == nil {
+		b, err := NewBatch(m.schema)
+		if err != nil {
+			return err
 		}
+		m.one = b
 	}
-	m.gen++
-	m.share = true
-	m.foldAll(t)
-	m.share = false
-	return nil
-}
-
-// foldAll is the post-epoch body of Push: per-member recover, error
-// charging, breaker and cardinality enforcement. Quarantine swap-removes
-// from the very lists being walked, so every loop re-checks its cursor.
-// Membership lists are swap-remove maintained, so iteration order is attach
-// order only until the first detach.
-func (m *MultiRun) foldAll(t Tuple) {
-	for ci := 0; ci < len(m.classes); {
-		cls := m.classes[ci]
-		if cls.pred != nil {
-			ok, err, reason := m.evalPredSafe(cls, t)
-			if err != nil {
-				m.chargeClass(cls, err, reason)
-				if ci < len(m.classes) && m.classes[ci] == cls {
-					ci++
-				}
-				continue
-			}
-			if !ok {
-				ci++
-				continue
-			}
-		}
-		for i := 0; i < len(cls.members); {
-			e := cls.members[i]
-			m.foldMember(e, t)
-			if i < len(cls.members) && cls.members[i] == e {
-				i++
-			}
-		}
-		if ci < len(m.classes) && m.classes[ci] == cls {
-			ci++
-		}
+	m.one.Reset()
+	if err := m.one.Append(t); err != nil {
+		return err
 	}
-}
-
-// evalPredSafe evaluates a class predicate with panic containment. reason
-// is QuarantinePanic when the predicate panicked, "" otherwise.
-func (m *MultiRun) evalPredSafe(cls *predClass, t Tuple) (ok bool, err error, reason string) {
-	defer func() {
-		if p := recover(); p != nil {
-			ok, err, reason = false, fmt.Errorf("gsql: panic in class predicate: %v", p), QuarantinePanic
-		}
-	}()
-	v, perr := cls.pred(t)
-	if perr != nil {
-		return false, perr, ""
-	}
-	return v.Truthy(), nil, ""
-}
-
-// foldMember folds one tuple into a member: recover,
-// sampled timing into the ns/tuple EWMA, error charging, cardinality cap.
-func (m *MultiRun) foldMember(e *multiEntry, t Tuple) {
-	err, reason := m.foldMemberSafe(e, t)
-	if err != nil {
-		m.chargeMember(e, err, reason)
-		return
-	}
-	e.consecErrs = 0
-	if mg := m.iso.MaxGroups; mg > 0 && e.run.liveGroups() > mg {
-		m.quarantine(e, QuarantineCardinality,
-			fmt.Errorf("gsql: query %d exceeded the %d live-group cap", e.id, mg))
-	}
-}
-
-func (m *MultiRun) foldMemberSafe(e *multiEntry, t Tuple) (err error, reason string) {
-	defer func() {
-		if p := recover(); p != nil {
-			err, reason = fmt.Errorf("gsql: panic folding query %d: %v", e.id, p), QuarantinePanic
-		}
-	}()
-	e.folds++
-	if e.folds%uint64(m.iso.SampleEvery) == 0 {
-		t0 := time.Now()
-		err = e.run.foldTuple(t)
-		dt := float64(time.Since(t0).Nanoseconds())
-		e.nsEWMA += m.iso.EWMAAlpha * (dt - e.nsEWMA)
-		return err, ""
-	}
-	return e.run.foldTuple(t), ""
+	_, err := m.PushBatch(m.one)
+	return err
 }
 
 // eachMember calls f for every linked member. f may quarantine the member
@@ -951,15 +848,20 @@ func (m *MultiRun) foldMemberSafe(e *multiEntry, t Tuple) (err error, reason str
 func (m *MultiRun) eachMember(f func(*multiEntry)) {
 	for ci := 0; ci < len(m.classes); {
 		cls := m.classes[ci]
-		for i := 0; i < len(cls.members); {
-			e := cls.members[i]
-			f(e)
-			if i < len(cls.members) && cls.members[i] == e {
-				i++
-			}
-		}
+		eachIn(cls, f)
 		if ci < len(m.classes) && m.classes[ci] == cls {
 			ci++
+		}
+	}
+}
+
+// eachIn calls f for every member of cls, with eachMember's cursor rule.
+func eachIn(cls *predClass, f func(*multiEntry)) {
+	for i := 0; i < len(cls.members); {
+		e := cls.members[i]
+		f(e)
+		if i < len(cls.members) && cls.members[i] == e {
+			i++
 		}
 	}
 }
@@ -970,7 +872,7 @@ func (m *MultiRun) eachMember(f func(*multiEntry)) {
 // frame — and the roll continues for the rest.
 func (m *MultiRun) shiftAll(newL float64) {
 	m.eachMember(func(e *multiEntry) {
-		err, reason := m.shiftMemberSafe(e, newL)
+		err, reason := contained(e.id, "shifting", func() error { return e.run.ShiftLandmark(newL) })
 		if err != nil {
 			if reason == "" {
 				reason = QuarantineEpoch
@@ -980,15 +882,6 @@ func (m *MultiRun) shiftAll(newL float64) {
 	})
 	m.ep.advanced(newL)
 	m.curL, m.landmarkSet = newL, true
-}
-
-func (m *MultiRun) shiftMemberSafe(e *multiEntry, newL float64) (err error, reason string) {
-	defer func() {
-		if p := recover(); p != nil {
-			err, reason = fmt.Errorf("gsql: panic shifting query %d: %v", e.id, p), QuarantinePanic
-		}
-	}()
-	return e.run.ShiftLandmark(newL), ""
 }
 
 // Heartbeat advances the epoch supervisor and every member's temporal bucket
@@ -1001,20 +894,11 @@ func (m *MultiRun) Heartbeat(ts Value) error {
 		}
 	}
 	m.eachMember(func(e *multiEntry) {
-		if err, reason := m.heartbeatMemberSafe(e, ts); err != nil {
+		if err, reason := contained(e.id, "in the heartbeat of", func() error { return e.run.heartbeatBucket(ts) }); err != nil {
 			m.chargeMember(e, err, reason)
 		}
 	})
 	return nil
-}
-
-func (m *MultiRun) heartbeatMemberSafe(e *multiEntry, ts Value) (err error, reason string) {
-	defer func() {
-		if p := recover(); p != nil {
-			err, reason = fmt.Errorf("gsql: panic in heartbeat of query %d: %v", e.id, p), QuarantinePanic
-		}
-	}()
-	return e.run.heartbeatBucket(ts), ""
 }
 
 // PushBatch folds a columnar batch into every attached query: one finite
@@ -1022,8 +906,10 @@ func (m *MultiRun) heartbeatMemberSafe(e *multiEntry, ts Value) (err error, reas
 // predicate class shared by its members. A class with no surviving rows in
 // a segment skips its members entirely. The batch's selection bitmap is
 // consumed as working state. rejected counts non-finite rows, as
-// Run.PushBatch does. Member errors are charged as in Push; the error
-// returned is the batch's own (a schema the stream cannot take).
+// Run.PushBatch does. A member's failed row (its WHERE, expressions,
+// aggregate steps or sink) is charged to that query alone, which goes on
+// with its next row; the error returned is the batch's own (a schema the
+// stream cannot take).
 func (m *MultiRun) PushBatch(b *Batch) (rejected int, err error) {
 	if b == nil || b.Len() == 0 {
 		return 0, nil
@@ -1054,31 +940,19 @@ func (m *MultiRun) PushBatch(b *Batch) (rejected int, err error) {
 }
 
 // processSegmentAll folds rows [lo,hi) — a fixed-landmark segment — into
-// every member, one class selection per class.
+// every member, one class selection per class. Quarantine swap-removes from
+// the very lists being walked, so every loop re-checks its cursor.
 func (m *MultiRun) processSegmentAll(b *Batch, lo, hi int) {
 	if lo >= hi {
 		return
 	}
+	m.segLo = lo
 	for ci := 0; ci < len(m.classes); {
 		cls := m.classes[ci]
-		n, err, reason := m.classSelectSafe(cls, b, lo, hi)
-		if err != nil {
-			m.chargeClass(cls, err, reason)
-			if ci < len(m.classes) && m.classes[ci] == cls {
-				ci++
-			}
-			continue
-		}
-		if n == 0 {
-			ci++
-			continue
-		}
-		for i := 0; i < len(cls.members); {
-			e := cls.members[i]
-			m.batchMember(e, b, lo, hi, cls.sel, n)
-			if i < len(cls.members) && cls.members[i] == e {
-				i++
-			}
+		if err := m.classSelectSafe(cls, b, lo, hi); err != nil {
+			m.chargeClass(cls, err, QuarantinePanic)
+		} else {
+			m.foldClass(cls, b, lo, hi)
 		}
 		if ci < len(m.classes) && m.classes[ci] == cls {
 			ci++
@@ -1086,55 +960,100 @@ func (m *MultiRun) processSegmentAll(b *Batch, lo, hi int) {
 	}
 }
 
-func (m *MultiRun) classSelectSafe(cls *predClass, b *Batch, lo, hi int) (n int, err error, reason string) {
-	defer func() {
-		if p := recover(); p != nil {
-			n, err, reason = 0, fmt.Errorf("gsql: panic in class predicate: %v", p), QuarantinePanic
+// foldClass folds the class's selected rows of [lo,hi) into its members. A
+// row whose predicate failed is charged to every member at its place in the
+// sequence: the members fold the rows before it, take the charge at the
+// row's feed position, and go on after it.
+func (m *MultiRun) foldClass(cls *predClass, b *Batch, lo, hi int) {
+	for _, f := range cls.fails {
+		m.foldMembers(cls, b, lo, f.row)
+		m.atRow(f.row, func() { m.chargeClass(cls, f.err, "") })
+		if len(cls.members) == 0 {
+			return // every member fenced, the class pruned
 		}
-	}()
-	n, err = m.classSelect(cls, b, lo, hi)
-	return n, err, ""
+		lo = f.row + 1
+	}
+	m.foldMembers(cls, b, lo, hi)
 }
 
-// batchMember folds one selected segment into a member, timing the whole
-// segment into the ns/tuple EWMA (n is the surviving row count).
-func (m *MultiRun) batchMember(e *multiEntry, b *Batch, lo, hi int, sel []uint64, n int) {
-	err, reason := func() (err error, reason string) {
-		defer func() {
-			if p := recover(); p != nil {
-				err, reason = fmt.Errorf("gsql: panic folding query %d: %v", e.id, p), QuarantinePanic
-			}
-		}()
-		r := e.run
-		if r.bx == nil {
-			r.bx = newBatchExec(r.p, r.ep)
+// foldMembers folds the class's selected rows of [lo,hi) into every member;
+// a range with none skips the members outright.
+func (m *MultiRun) foldMembers(cls *predClass, b *Batch, lo, hi int) {
+	if n := popRange(cls.sel, hi) - popRange(cls.sel, lo); n > 0 {
+		eachIn(cls, func(e *multiEntry) { m.batchMember(e, b, lo, hi, cls.sel, n) })
+	}
+}
+
+// classSelectSafe is classSelect with panic containment: the error it
+// returns is a panic's, which fences the whole class.
+func (m *MultiRun) classSelectSafe(cls *predClass, b *Batch, lo, hi int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("gsql: panic in class predicate: %v", p)
 		}
-		e.folds += uint64(n)
-		t0 := time.Now()
-		err = r.processSegmentBase(b, lo, hi, sel)
-		dt := float64(time.Since(t0).Nanoseconds()) / float64(n)
-		e.nsEWMA += m.iso.EWMAAlpha * (dt - e.nsEWMA)
-		return err, ""
 	}()
-	if err != nil {
+	m.classSelect(cls, b, lo, hi)
+	return nil
+}
+
+// batchMember folds one selected segment into a member (n is the surviving
+// row count), timing it into the ns/tuple EWMA when at least sampleRows of
+// the member's rows have folded since the last timed segment. The member is
+// m.cur for the fold, so its failed rows are charged through rowFailed, and
+// it folds with the runtime's batch scratch: members fold one at a time.
+func (m *MultiRun) batchMember(e *multiEntry, b *Batch, lo, hi int, sel []uint64, n int) {
+	m.cur = e
+	var t0 time.Time
+	if e.untimed <= 0 {
+		e.untimed, t0 = sampleRows, time.Now()
+	}
+	e.untimed -= n
+	if err, reason := contained(e.id, "folding", func() error {
+		e.run.bx = m.mbx
+		return e.run.processSegmentBase(b, lo, hi, sel, m) // nil: rowFailed books every error
+	}); err != nil {
 		m.chargeMember(e, err, reason)
 		return
 	}
-	e.consecErrs = 0
-	if mg := m.iso.MaxGroups; mg > 0 && e.run.liveGroups() > mg {
+	if !t0.IsZero() {
+		e.nsEWMA += ewmaAlpha * (float64(time.Since(t0).Nanoseconds())/float64(n) - e.nsEWMA)
+	}
+	if mg := m.iso.MaxGroups; mg > 0 && !e.quarantined && e.run.liveGroups() > mg {
 		m.quarantine(e, QuarantineCardinality,
 			fmt.Errorf("gsql: query %d exceeded the %d live-group cap", e.id, mg))
 	}
 }
 
-// classSelect fills cls.sel with finite ∧ class-WHERE over [lo,hi) and
-// returns the surviving row count: vectorized when the class filter
-// compiled to kernels, row-by-row otherwise.
-func (m *MultiRun) classSelect(cls *predClass, b *Batch, lo, hi int) (int, error) {
+// rowFailed books row i's fold error against the member being folded
+// (processSegmentBase) and reports whether the member is still linked.
+func (m *MultiRun) rowFailed(i int, err error) bool {
+	e := m.cur
+	m.atRow(i, func() { m.chargeMember(e, err, "") })
+	return !e.quarantined
+}
+
+// atRow runs charge with the feed position advanced through row i of the
+// segment being folded, so a fence it causes records the row it tripped on.
+func (m *MultiRun) atRow(i int, charge func()) {
+	at := m.tuples
+	m.tuples += uint64(i - m.segLo + 1)
+	charge()
+	m.tuples = at
+}
+
+// rowsFolded ends the error streak of the member being folded.
+func (m *MultiRun) rowsFolded() { m.cur.consecErrs = 0 }
+
+// classSelect fills cls.sel with finite ∧ class-WHERE over [lo,hi):
+// vectorized when the class filter compiled to kernels, row-by-row
+// otherwise. The rows whose predicate errored leave the selection and go to
+// cls.fails, in row order.
+func (m *MultiRun) classSelect(cls *predClass, b *Batch, lo, hi int) {
 	cls.sel = growBits(cls.sel, b.n)
 	maskRange(cls.sel, m.valid, lo, hi)
+	cls.fails = cls.fails[:0]
 	if cls.pred == nil {
-		return popRange(cls.sel, b.n), nil
+		return
 	}
 	if cls.vp != nil && cls.vp.where != nil {
 		cls.ctx.reset(b, cls.vp)
@@ -1144,28 +1063,23 @@ func (m *MultiRun) classSelect(cls *predClass, b *Batch, lo, hi int) (int, error
 			for w := range cls.sel {
 				cls.sel[w] &= wb[w]
 			}
-			return popRange(cls.sel, b.n), nil
+			return
 		}
 		// Kernel error: fall through to the scalar evaluation, which
 		// reproduces the row-level outcome.
 	}
-	count := 0
 	for i := lo; i < hi; i++ {
 		if !bitGet(cls.sel, i) {
 			continue
 		}
-		b.row(i, m.row)
-		v, err := cls.pred(m.row)
-		if err != nil {
-			return 0, err
-		}
-		if v.Truthy() {
-			count++
-		} else {
+		b.row(i, m.mbx.row)
+		if v, err := cls.pred(m.mbx.row); err != nil {
+			cls.sel[i>>6] &^= 1 << uint(i&63)
+			cls.fails = append(cls.fails, classFail{i, err})
+		} else if !v.Truthy() {
 			cls.sel[i>>6] &^= 1 << uint(i&63)
 		}
 	}
-	return count, nil
 }
 
 // Queries returns the number of attached queries (quarantined included).
@@ -1190,10 +1104,6 @@ type MultiStats struct {
 	// plan-time reuse counters.
 	DistinctExprs        int
 	ExprHits, ExprMisses uint64
-	// MemoHits/MemoMisses count the scalar Push pass's shared-slot reads
-	// served from (resp. filled into) the per-tuple memo; PushBatch
-	// evaluates columns and never touches the memo.
-	MemoHits, MemoMisses uint64
 	// PlanHits/PlanMisses count statement-catalog acquisitions.
 	PlanHits, PlanMisses uint64
 	Tuples               uint64
@@ -1202,16 +1112,10 @@ type MultiStats struct {
 	AdmitUsed float64
 }
 
-// SharedHitRatio is MemoHits/(MemoHits+MemoMisses) — the fraction of the
-// scalar Push pass's shared slot reads served without re-evaluation. It
-// measures that pass only: a runtime fed by PushBatch alone reads zero.
-func (s MultiStats) SharedHitRatio() float64 {
-	total := s.MemoHits + s.MemoMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.MemoHits) / float64(total)
-}
+// SharedHitRatio always reads 0: slots share compiled closures at plan
+// time, and no runtime memo serves a read (ExprHits counts the sharing).
+// It stays for callers that report the ratio.
+func (MultiStats) SharedHitRatio() float64 { return 0 }
 
 // MultiStats snapshots the runtime's sharing counters.
 func (m *MultiRun) MultiStats() MultiStats {
@@ -1231,8 +1135,6 @@ func (m *MultiRun) MultiStats() MultiStats {
 		DistinctExprs: es.Distinct,
 		ExprHits:      es.Hits,
 		ExprMisses:    es.Misses,
-		MemoHits:      m.memoHits,
-		MemoMisses:    m.memoMisses,
 		PlanHits:      ss.Hits,
 		PlanMisses:    ss.Misses,
 		Tuples:        m.tuples,
@@ -1250,7 +1152,7 @@ type QueryStats struct {
 	// for fenced queries); Groups its live group population.
 	Tuples uint64
 	Groups int
-	// Errors counts failed folds; ConsecErrors the current breaker streak.
+	// Errors counts failed rows; ConsecErrors the current breaker streak.
 	Errors       uint64
 	ConsecErrors int
 	// Quarantined/Reason/Cause describe the fence, when applied.

@@ -108,9 +108,10 @@ func TestMultiSharedPushAllocs(t *testing.T) {
 	}
 }
 
-// TestMultiSharedSlotMemo pins the memo protocol: within one shared tuple,
-// a slot evaluates once no matter how many plans read it; across tuples it
-// re-evaluates.
+// TestMultiSharedSlotMemo pins what a shared slot is: one compiled closure
+// per distinct subexpression, hash-consed at plan time and read directly by
+// every plan that names it. No runtime memo stands behind the slots, so the
+// hit ratio reads 0 however many tuples pass.
 func TestMultiSharedSlotMemo(t *testing.T) {
 	e := mkEngine(t)
 	m, err := NewMultiRun(e, "TCP", Options{})
@@ -132,20 +133,22 @@ func TestMultiSharedSlotMemo(t *testing.T) {
 	if st.ExprHits == 0 {
 		t.Fatalf("no plan-time sharing: %+v", st)
 	}
+	live := 0
+	for _, fn := range m.slots {
+		if fn != nil {
+			live++
+		}
+	}
+	if live != st.DistinctExprs {
+		t.Fatalf("%d compiled slots for %d distinct expressions", live, st.DistinctExprs)
+	}
 	for i := 0; i < 10; i++ {
 		if err := m.Push(pkt(int64(10*i), 1, 80, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st = m.MultiStats()
-	if st.MemoHits == 0 {
-		t.Fatalf("no runtime sharing: %+v", st)
-	}
-	// time/60 and len*8 are read by two plans each; len>10 once per tuple
-	// (the class gate) — so misses are bounded by distinct slots × tuples,
-	// and hits must cover the second plan's reads.
-	if st.MemoMisses == 0 || st.MemoHits < 10 {
-		t.Fatalf("memo counters off: %+v", st)
+	if r := m.MultiStats().SharedHitRatio(); r != 0 {
+		t.Fatalf("SharedHitRatio = %v with no runtime memo, want 0", r)
 	}
 }
 

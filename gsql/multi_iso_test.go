@@ -545,7 +545,7 @@ func TestMultiDetachUnderLoad(t *testing.T) {
 // top-N ordering.
 func TestMultiQueryStatsAttribution(t *testing.T) {
 	e := parallelEngine(t)
-	m, handles, _ := multiAttach(t, e, isoOpts(gsql.IsolateConfig{SampleEvery: 2}), multiQueries[:3])
+	m, handles, _ := multiAttach(t, e, gsql.Options{}, multiQueries[:3])
 	tuples := trace(2_000, 0, 101)
 	for _, tp := range tuples {
 		if err := m.Push(tp); err != nil {

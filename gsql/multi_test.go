@@ -16,7 +16,7 @@ import (
 // tuples — same emitted rows, same order, same float payloads, same
 // checkpoint bytes. The fixture queries deliberately overlap (shared WHERE
 // clauses, shared group expressions, shared aggregate arguments, one exact
-// duplicate) so the shared-slot memo and predicate classes are actually
+// duplicate) so the shared slots and predicate classes are actually
 // exercised, not just bypassed.
 
 var multiQueries = []string{
@@ -105,9 +105,6 @@ func TestMultiDifferentialScalar(t *testing.T) {
 			t.Errorf("query %d: multi checkpoint differs from standalone", i)
 		}
 	}
-	if s := m.MultiStats(); s.MemoHits == 0 {
-		t.Error("shared pass recorded no memo hits over overlapping queries")
-	}
 }
 
 func TestMultiDifferentialBatch(t *testing.T) {
@@ -180,7 +177,7 @@ func TestMultiDifferentialBatch(t *testing.T) {
 
 // TestMultiDifferentialStringKeyExp: the exponential-decay weight of the
 // paper's Fig. 2 query, exp(float(time%60)/10), under string, bool and float
-// group keys. Both shared passes (Push, and PushBatch at every batch size)
+// group keys. Push (one-row frames) and PushBatch at every batch size
 // must match standalone scalar runs — rows and checkpoint bytes.
 func TestMultiDifferentialStringKeyExp(t *testing.T) {
 	e := flowEngine(t)
@@ -243,34 +240,50 @@ func TestMultiDifferentialStringKeyExp(t *testing.T) {
 	}
 }
 
-// TestMultiBatchMatchesScalar: the columnar shared pass and the scalar
-// shared pass of the same MultiRun fixture must agree with each other.
+// TestMultiBatchMatchesScalar: the shared pass is frame-size invariant.
+// Push (one-row frames) and PushBatch at 7, 64 and 4096 rows give every
+// member the same rows and checkpoint bytes.
 func TestMultiBatchMatchesScalar(t *testing.T) {
 	e := parallelEngine(t)
 	tuples := trace(15_000, 0, 43)
 
-	ms, _, scalarRows := multiAttach(t, e, gsql.Options{}, multiQueries)
-	for _, tp := range tuples {
-		if err := ms.Push(tp); err != nil {
+	var wantRows []*[]gsql.Tuple
+	var wantCkpts [][]byte
+	for _, size := range []int{1, 7, 64, 4096} {
+		m, handles, rows := multiAttach(t, e, gsql.Options{}, multiQueries)
+		if size == 1 {
+			for _, tp := range tuples {
+				if err := m.Push(tp); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else {
+			for _, b := range toBatches(t, tuples, size) {
+				if _, err := m.PushBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ckpts := make([][]byte, len(handles))
+		for i, h := range handles {
+			var err error
+			if ckpts[i], err = h.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.CloseAll(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := ms.CloseAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	mb, _, batchRows := multiAttach(t, e, gsql.Options{}, multiQueries)
-	for _, b := range toBatches(t, tuples, 512) {
-		if _, err := mb.PushBatch(b); err != nil {
-			t.Fatal(err)
+		if wantRows == nil {
+			wantRows, wantCkpts = rows, ckpts
+			continue
 		}
-	}
-	if err := mb.CloseAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range multiQueries {
-		requireIdentical(t, *scalarRows[i], *batchRows[i], fmt.Sprintf("query %d batch-vs-scalar", i))
+		for i := range multiQueries {
+			requireIdentical(t, *wantRows[i], *rows[i], fmt.Sprintf("query %d, frames of %d vs 1", i, size))
+			if !bytes.Equal(wantCkpts[i], ckpts[i]) {
+				t.Errorf("query %d: checkpoint with frames of %d differs from one-row frames", i, size)
+			}
+		}
 	}
 }
 
@@ -654,12 +667,6 @@ func TestMultiDedupAndStats(t *testing.T) {
 	requireIdentical(t, *rows[0], *rows[4], "duplicate attaches")
 
 	s = m.MultiStats()
-	if s.MemoHits == 0 {
-		t.Error("MemoHits = 0 after shared pass")
-	}
-	if r := s.SharedHitRatio(); r <= 0 || r >= 1 {
-		t.Errorf("SharedHitRatio = %v, want in (0,1)", r)
-	}
 	if s.Tuples != uint64(len(tuples)) {
 		t.Errorf("Tuples = %d, want %d", s.Tuples, len(tuples))
 	}
