@@ -1,11 +1,8 @@
 package gsql
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
-
-	"forwarddecay/internal/core"
 )
 
 // Batch execution: Run.PushBatch folds a whole columnar Batch with the
@@ -37,8 +34,8 @@ type batchExec struct {
 	valid    []uint64
 	rows     []int32 // row indices of the pending equal-key run
 	flatArgs []Value
-	curKey   []byte
-	prevKey  []byte
+	curKey   groupKey
+	prevKey  groupKey
 	row      Tuple // scratch for row materialization (epoch closure, replay)
 
 	// tsCol is the resolved EpochConfig.TimeColumn index (reading straight
@@ -268,9 +265,10 @@ func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64, cat *Multi
 	// nothing, and TestPushBatchSteadyStateAllocs holds it there.
 	//
 	// Each row's group key is written straight from the kernel columns, in
-	// the bytes keyAppend would write for the row's group values; the values
-	// themselves are materialized only where a row needs them — the temporal
-	// bucket at a run start, and a group's values at its birth.
+	// the form the run keys by (groupKey): the words, or the bytes keyAppend
+	// would write for the row's group values. The values themselves are
+	// materialized only where a row needs them — the temporal bucket at a run
+	// start, and under byte keys a group's values at its birth.
 	segBase := r.tuples
 	r.tuples += uint64(hi - lo)
 
@@ -283,12 +281,8 @@ func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64, cat *Multi
 		base := w << 6
 		for ; m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros64(m)
-			key := bx.curKey[:0]
-			for _, gn := range vp.groups {
-				key = ctx.appendKeyAt(key, gn, i)
-			}
-			bx.curKey = key
-			if runLen > 0 && bytes.Equal(bx.curKey, bx.prevKey) {
+			ctx.keyAt(&bx.curKey, vp.groups, i, r.words)
+			if runLen > 0 && bx.curKey.equal(&bx.prevKey) {
 				// Same group as the previous row: same group values, same
 				// temporal bucket — extend the run, nothing else to check.
 				bx.rows = append(bx.rows, int32(i))
@@ -315,7 +309,7 @@ func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64, cat *Multi
 					r.bucket = bv
 				}
 			}
-			g, born, err := r.probeGroup(bx.curKey)
+			g, born, err := r.probeGroup(bx.curKey.hash(r.p.keyTypes), &bx.curKey)
 			if err != nil {
 				if stop, err := r.segFailed(cat, segBase, lo, i, err); stop {
 					return err
@@ -323,8 +317,8 @@ func (r *Run) processSegmentBase(b *Batch, lo, hi int, base []uint64, cat *Multi
 				continue
 			}
 			if born {
-				for gi, gn := range vp.groups {
-					g.gv[gi] = ctx.valueAt(gn, i)
+				for gi := range g.gv { // byte keys only
+					g.gv[gi] = ctx.valueAt(vp.groups[gi], i)
 				}
 			}
 			curAggs = g.aggs
@@ -365,9 +359,11 @@ func (r *Run) segFailed(cat *MultiRun, segBase uint64, lo, i int, err error) (st
 	return !cat.rowFailed(i, err), nil
 }
 
-// stepRun feeds the pending run (rows in bx.rows) to each aggregate slot:
-// the argument kernels' outputs are gathered into a stride-k flat buffer and
-// handed to StepBatch (or a scalar Step loop), one call per slot per run.
+// stepRun feeds the pending run (rows in bx.rows) to each aggregate slot: a
+// builtin over a numeric argument steps straight from the argument's column
+// (stepCols); otherwise the argument kernels' outputs are gathered into a
+// stride-k flat buffer and handed to StepBatch (or a scalar Step loop), one
+// call per slot per run.
 func (r *Run) stepRun(aggs []Aggregator) error {
 	bx := r.bx
 	vp := r.p.vec
@@ -376,6 +372,9 @@ func (r *Run) stepRun(aggs []Aggregator) error {
 	for si, a := range aggs {
 		nodes := vp.args[si]
 		k := len(nodes)
+		if k <= 1 && stepCols(a, ctx, nodes, bx.rows) {
+			continue
+		}
 		if k == 0 {
 			if err := stepBatch(a, nil, n, 0); err != nil {
 				return err
@@ -398,12 +397,12 @@ func (r *Run) stepRun(aggs []Aggregator) error {
 	return nil
 }
 
-// probeGroup locates (or creates) the group for key. It is the probe section
-// of the scalar fold, shared verbatim by both paths. A group born by this
-// probe (born == true) has its key but not its values: the caller fills g.gv
-// from the row, so a probe that finds its group never materializes them.
-func (r *Run) probeGroup(key []byte) (g *group, born bool, err error) {
-	h := core.HashBytes(key)
+// probeGroup locates (or creates) the group for key, whose hash is h. It is
+// the probe section of the scalar fold, shared verbatim by both paths. A
+// group born by this probe (born == true) has its key but not its values:
+// under byte keys the caller fills g.gv from the row, so a probe that finds
+// its group never materializes them.
+func (r *Run) probeGroup(h uint64, key *groupKey) (g *group, born bool, err error) {
 	if !r.twoLevel {
 		if g = r.highGet(h, key); g != nil {
 			return g, false, nil
@@ -421,12 +420,12 @@ func (r *Run) probeGroup(key []byte) (g *group, born bool, err error) {
 	// paper's evict-to-high policy kick in. Hot keys that would otherwise
 	// thrash one slot get separated instead of re-allocating aggregators
 	// every tuple.
-	for s.used && !(s.hash == h && bytes.Equal(s.g.key, key)) && len(r.low) < r.lowMax {
+	for s.used && !(s.hash == h && s.g.key.equal(key)) && len(r.low) < r.lowMax {
 		r.growLow()
 		i = h & r.lowMask
 		s = &r.low[i]
 	}
-	if s.used && !(s.hash == h && bytes.Equal(s.g.key, key)) {
+	if s.used && !(s.hash == h && s.g.key.equal(key)) {
 		if err := r.evict(s); err != nil {
 			return nil, false, err
 		}

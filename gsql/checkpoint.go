@@ -168,8 +168,8 @@ func readFlags(d *codec.Dec) (bit0, bit1 bool) {
 // appendGroupEntry serializes one partial group (its group values and each
 // aggregate slot's partial state).
 func appendGroupEntry(b []byte, p *plan, g *group) ([]byte, error) {
-	for _, v := range g.gv {
-		b = appendCkptValue(b, v)
+	for i := range p.groupFns {
+		b = appendCkptValue(b, g.value(i, p.keyTypes))
 	}
 	for i, a := range g.aggs {
 		if ap, ok := a.(binaryAppender); ok {
@@ -315,27 +315,16 @@ func (r *Run) Checkpoint() ([]byte, error) {
 	// Every entry is encoded back to back into one scratch buffer the run
 	// keeps, and the spans index is what gets sorted.
 	buf, spans := r.ckBuf[:0], r.ckSpans[:0]
-	appendOne := func(g *group) (err error) {
+	err := r.eachGroup(func(g *group) (err error) {
 		at := len(buf)
 		if buf, err = appendGroupEntry(buf, r.p, g); err != nil {
 			return err
 		}
 		spans = append(spans, ckSpan{at, len(buf)})
 		return nil
-	}
-	for _, g := range r.high {
-		for ; g != nil; g = g.next {
-			if err := appendOne(g); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, i := range r.lowUsed {
-		if s := &r.low[i]; s.used {
-			if err := appendOne(s.g); err != nil {
-				return nil, err
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	r.ckBuf, r.ckSpans = buf, spans
 	// Sorting the serialized entries (group values encode first, so this is
@@ -376,17 +365,14 @@ func (s *Statement) Restore(ckpt []byte, sink func(Tuple) error, opts Options) (
 	if r.epErr != nil {
 		return nil, r.epErr
 	}
-	var keyBuf []byte
 	h, err := readCkpt(body, s.p, func(g *group, _ []byte) error {
-		keyBuf = keyBuf[:0]
-		for _, v := range g.gv {
-			keyBuf = v.appendKey(keyBuf)
-		}
-		g.hash = core.HashBytes(keyBuf)
-		if dst := r.highGet(g.hash, keyBuf); dst != nil {
+		g.hash = r.keyOf(&g.key, g.gv)
+		if dst := r.highGet(g.hash, &g.key); dst != nil {
 			return mergeAggs(dst.aggs, g.aggs)
 		}
-		g.key = append([]byte(nil), keyBuf...)
+		if r.words {
+			g.gv = nil // the words carry the values
+		}
 		r.highPut(g)
 		return nil
 	})

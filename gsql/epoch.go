@@ -206,19 +206,8 @@ func verifyLandmark(aggs []Aggregator, epochSet bool, landmark float64) error {
 // decay function cannot shift) the run's state may straddle two landmarks
 // and must be abandoned.
 func (r *Run) ShiftLandmark(newL float64) error {
-	for _, g := range r.high {
-		for ; g != nil; g = g.next {
-			if err := shiftAggs(g.aggs, newL); err != nil {
-				return err
-			}
-		}
-	}
-	for _, i := range r.lowUsed {
-		if r.low[i].used {
-			if err := shiftAggs(r.low[i].g.aggs, newL); err != nil {
-				return err
-			}
-		}
+	if err := r.eachGroup(func(g *group) error { return shiftAggs(g.aggs, newL) }); err != nil {
+		return err
 	}
 	r.curL, r.landmarkSet = newL, true
 	if r.ep != nil {
@@ -232,10 +221,10 @@ func (r *Run) ShiftLandmark(newL float64) error {
 // be), else a new one. The aggregators are rebased onto the run's current
 // landmark when a rollover has moved it: a group born mid-epoch must live in
 // the same frame as every shifted group, or checkpoint verification (and
-// cross-frame merges) would see state straddling two landmarks. The group's
-// values (gv, one slot per group expression) are the caller's to fill (see
-// probeGroup).
-func (r *Run) bornGroup(hash uint64, key []byte) (*group, error) {
+// cross-frame merges) would see state straddling two landmarks. The group
+// takes a copy of key; under byte keys its values (gv, one slot per group
+// expression) are the caller's to fill (see probeGroup).
+func (r *Run) bornGroup(hash uint64, key *groupKey) (*group, error) {
 	var g *group
 	if n := len(r.free); n > 0 {
 		g = r.free[n-1]
@@ -248,7 +237,10 @@ func (r *Run) bornGroup(hash uint64, key []byte) (*group, error) {
 			}
 		}
 	} else {
-		g = &group{gv: make(Tuple, len(r.p.groupFns)), aggs: newAggs(r.p)}
+		g = &group{aggs: newAggs(r.p)}
+	}
+	if !r.words && g.gv == nil {
+		g.gv = make(Tuple, len(r.p.groupFns))
 	}
 	if r.landmarkSet {
 		if err := shiftAggs(g.aggs, r.curL); err != nil {
@@ -256,7 +248,7 @@ func (r *Run) bornGroup(hash uint64, key []byte) (*group, error) {
 		}
 	}
 	g.hash = hash
-	g.key = append(g.key[:0], key...)
+	g.key.set(key)
 	return g, nil
 }
 
