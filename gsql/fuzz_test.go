@@ -139,7 +139,9 @@ func quantileCheckpoints(tb testing.TB) (st *gsql.Statement, body, mixed []byte)
 // including invalid UTF-8 and deeply nested expressions. A prepared query is
 // a batch ≡ scalar oracle: one fixed three-batch tape folded through
 // PushBatch and, row by row, through Push must emit the same rows to the
-// bit, fail with the same error text and count the same Stats().
+// bit, fail with the same error text and count the same Stats() — once at
+// the default low-table size and once at 4 slots, where collisions, evictions,
+// high-table lookups and flush merges run on every bucket.
 func FuzzQuery(f *testing.F) {
 	seeds := []string{
 		`select tb, dstIP, count(*) from TCP group by time/60 as tb, dstIP`,
@@ -157,6 +159,12 @@ func FuzzQuery(f *testing.F) {
 		`select tb, -host, count(*) from TCP where host != 'h3' group by time/1 as tb, -host`,
 		`select tb, 'k', count(*), sum(1000 / len) from TCP group by time/1 as tb, 'k'`,
 		`select h, count(*) from TCP where up and exp(len) > 1e300 group by host as h having count(*) > 1`,
+		// Word keys: negative ints, both float zeros, bools, five columns.
+		`select tb, srcPort - destPort, count(*), sum(len) from TCP group by time/1 as tb, srcPort - destPort`,
+		`select fz, count(*), min(ftime), max(len) from TCP group by -(float(len - 500)*0) as fz`,
+		`select up, len > 500, count(*), avg(len), max(ftime) from TCP group by up, len > 500`,
+		`select tb, srcIP, dstIP, srcPort, destPort, count(*), sum(len), min(ftime)
+		   from TCP group by time/1 as tb, srcIP, dstIP, srcPort, destPort`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -181,47 +189,56 @@ func FuzzQuery(f *testing.F) {
 			}
 			return
 		}
-		var sRows, bRows []gsql.Tuple
-		scalar := st.Start(func(r gsql.Tuple) error { sRows = append(sRows, r); return nil }, gsql.Options{})
-		batch := st.Start(func(r gsql.Tuple) error { bRows = append(bRows, r); return nil }, gsql.Options{})
-		sRej, sErr := 0, error(nil)
-		for _, tp := range tape {
-			if err := scalar.Push(tp); err != nil {
-				var nfe *gsql.NonFiniteValueError
-				if errors.As(err, &nfe) {
-					sRej++
-					continue
-				}
-				sErr = err
-				break
-			}
+		for _, opts := range []gsql.Options{{}, {LowLevelSlots: 4}} {
+			fuzzSameFold(t, st, query, tape, batches, opts)
 		}
-		bRej, bErr := 0, error(nil)
-		for _, b := range batches {
-			rej, err := batch.PushBatch(b)
-			bRej += rej
-			if err != nil {
-				bErr = err
-				break
-			}
-		}
-		if sErr == nil {
-			sErr = scalar.Close()
-		}
-		if bErr == nil {
-			bErr = batch.Close()
-		}
-		if (sErr == nil) != (bErr == nil) || sErr != nil && sErr.Error() != bErr.Error() {
-			t.Fatalf("%q: Push err %v, PushBatch err %v", query, sErr, bErr)
-		}
-		sN, sEv := scalar.Stats()
-		bN, bEv := batch.Stats()
-		if sRej != bRej || sN != bN || sEv != bEv {
-			t.Fatalf("%q: Push rejected %d, counted %d, evicted %d; PushBatch %d, %d, %d",
-				query, sRej, sN, sEv, bRej, bN, bEv)
-		}
-		requireSameBits(t, sRows, bRows, fmt.Sprintf("%q: Push vs PushBatch", query))
 	})
+}
+
+// fuzzSameFold folds FuzzQuery's tape through Push and through PushBatch
+// under opts and requires the same rows to the bit, the same error and the
+// same Stats().
+func fuzzSameFold(t *testing.T, st *gsql.Statement, query string, tape []gsql.Tuple, batches []*gsql.Batch, opts gsql.Options) {
+	var sRows, bRows []gsql.Tuple
+	scalar := st.Start(func(r gsql.Tuple) error { sRows = append(sRows, r); return nil }, opts)
+	batch := st.Start(func(r gsql.Tuple) error { bRows = append(bRows, r); return nil }, opts)
+	sRej, sErr := 0, error(nil)
+	for _, tp := range tape {
+		if err := scalar.Push(tp); err != nil {
+			var nfe *gsql.NonFiniteValueError
+			if errors.As(err, &nfe) {
+				sRej++
+				continue
+			}
+			sErr = err
+			break
+		}
+	}
+	bRej, bErr := 0, error(nil)
+	for _, b := range batches {
+		rej, err := batch.PushBatch(b)
+		bRej += rej
+		if err != nil {
+			bErr = err
+			break
+		}
+	}
+	if sErr == nil {
+		sErr = scalar.Close()
+	}
+	if bErr == nil {
+		bErr = batch.Close()
+	}
+	if (sErr == nil) != (bErr == nil) || sErr != nil && sErr.Error() != bErr.Error() {
+		t.Fatalf("%q %+v: Push err %v, PushBatch err %v", query, opts, sErr, bErr)
+	}
+	sN, sEv := scalar.Stats()
+	bN, bEv := batch.Stats()
+	if sRej != bRej || sN != bN || sEv != bEv {
+		t.Fatalf("%q %+v: Push rejected %d, counted %d, evicted %d; PushBatch %d, %d, %d",
+			query, opts, sRej, sN, sEv, bRej, bN, bEv)
+	}
+	requireSameBits(t, sRows, bRows, fmt.Sprintf("%q %+v: Push vs PushBatch", query, opts))
 }
 
 // fuzzSchema is the packet stream with a string and a bool column added, so

@@ -588,6 +588,11 @@ func TestMultiQueryStatsAttribution(t *testing.T) {
 	if top[0].NsPerTuple < top[1].NsPerTuple {
 		t.Error("TopExpensive not sorted descending")
 	}
+	for _, n := range []int{0, -1, -len(all) - 1} {
+		if top := gsql.TopExpensive(all, n); len(top) != 0 {
+			t.Errorf("TopExpensive(n=%d) returned %d queries, want none", n, len(top))
+		}
+	}
 	if err := m.CloseAll(); err != nil {
 		t.Fatal(err)
 	}

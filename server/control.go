@@ -455,6 +455,7 @@ func (s *Service) TopExpensive(n int) []QueryCost {
 	}
 	var out []QueryCost
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, qs := range gsql.TopExpensive(all, n) {
 		id := byMember[qs.ID]
 		qc := QueryCost{ID: id, NsPerTuple: qs.NsPerTuple, Tuples: qs.Tuples, Errors: qs.Errors}
@@ -464,7 +465,6 @@ func (s *Service) TopExpensive(n int) []QueryCost {
 		}
 		out = append(out, qc)
 	}
-	s.mu.Unlock()
 	return out
 }
 

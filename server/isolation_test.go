@@ -311,3 +311,26 @@ func TestFencedIncarnationRefusesApplyAndCheckpoint(t *testing.T) {
 		t.Fatal("checkpoint of a fenced incarnation succeeded")
 	}
 }
+
+// TestTopExpensiveNonPositive: a count of zero or less lists no query and
+// leaves the service mutex free, as every call must.
+func TestTopExpensiveNonPositive(t *testing.T) {
+	s := startService(t, t.TempDir(), nil)
+	for range 2 {
+		if _, err := s.Attach(testQuery); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []int{0, -1, -3} {
+		if top := s.TopExpensive(n); len(top) != 0 {
+			t.Errorf("TopExpensive(%d) = %+v, want none", n, top)
+		}
+	}
+	if top := s.TopExpensive(1); len(top) != 1 {
+		t.Fatalf("TopExpensive(1) listed %d queries", len(top))
+	}
+	if !s.mu.TryLock() {
+		t.Fatal("TopExpensive left the service mutex locked")
+	}
+	s.mu.Unlock()
+}
