@@ -83,6 +83,53 @@ func TestPushSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+	t.Run("shared", func(t *testing.T) {
+		m := sharedTable(t, e, Options{}, 3, func(Tuple) error { return nil })
+		tuples := make([]Tuple, 16)
+		for i := range tuples {
+			tuples[i] = pkt(30, int64(i), 80, int64(100+i))
+			if err := m.Push(tuples[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		avg := testing.AllocsPerRun(1000, func() {
+			if err := m.Push(tuples[i%len(tuples)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if avg != 0 {
+			t.Errorf("steady-state Push into a 3-member shared table allocates %.2f objects/op, want 0", avg)
+		}
+	})
+}
+
+// sharedQueries group alike with different aggregates: one key table folds
+// them all.
+var sharedQueries = []string{
+	`select tb, dstIP, count(*), sum(len), avg(float(len)) from TCP group by time/1 as tb, dstIP`,
+	`select tb, dstIP, min(len), max(len) from TCP group by time/1 as tb, dstIP`,
+	`select tb, dstIP, sum(float(len)*(time%60)) from TCP group by time/1 as tb, dstIP`,
+}
+
+// sharedTable attaches the first n sharedQueries to a MultiRun and checks
+// that they fold through one key table.
+func sharedTable(t *testing.T, e *Engine, opts Options, n int, sink func(Tuple) error) *MultiRun {
+	t.Helper()
+	m, err := NewMultiRun(e, "TCP", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range sharedQueries[:n] {
+		if _, err := m.Attach(q, 0, sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := m.MultiStats(); st.KeyTables != 1 {
+		t.Fatalf("%d queries fold through %d key tables, want 1", n, st.KeyTables)
+	}
+	return m
 }
 
 // bucketTuples builds one second's worth of tuples for the flush guards:
@@ -103,7 +150,8 @@ func bucketTuples(sec int64, groups int) []Tuple {
 // emitted and retired. Once the run has seen its peak bucket, a whole
 // bucket — births, folds, the flush — costs one allocation, the slab its
 // output rows are cut from, whether or not the low table is forced to evict
-// into the high level on the way.
+// into the high level on the way. A 3-member shared key table costs one
+// slab per member.
 func TestFlushSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short harnesses")
@@ -114,7 +162,6 @@ func TestFlushSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const groups = 48
 	for _, tc := range []struct {
 		name string
 		opts Options
@@ -126,44 +173,53 @@ func TestFlushSteadyStateAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rows := 0
 			run := st.Start(func(Tuple) error { rows++; return nil }, tc.opts)
-			sec := int64(0)
-			bucket := func() {
-				for _, tp := range bucketTuples(sec, groups) {
-					if err := run.Push(tp); err != nil {
-						t.Fatal(err)
-					}
-				}
-				sec++
-			}
-			for i := 0; i < 8; i++ { // warm up: tables, free lists and scratch reach their sizes
-				bucket()
-			}
-			// Pre-build the tuples: the guard counts the run's allocations only.
-			var feed [][]Tuple
-			for i := 0; i < 64; i++ {
-				feed = append(feed, bucketTuples(sec+int64(i), groups))
-			}
-			i, before := 0, rows
-			avg := testing.AllocsPerRun(len(feed)-2, func() {
-				for _, tp := range feed[i] {
-					if err := run.Push(tp); err != nil {
-						t.Fatal(err)
-					}
-				}
-				i++
-			})
-			if avg > 1 {
-				t.Errorf("a bucket of %d groups allocates %.2f objects, want <= 1 (the output slab)", groups, avg)
-			}
-			if got := rows - before; got < groups*(len(feed)-3) {
-				t.Fatalf("only %d rows emitted while measuring", got)
-			}
-			if tc.name == "evicting" {
-				if _, ev := run.Stats(); ev == 0 {
-					t.Fatal("the evicting case never evicted")
-				}
+			flushAllocs(t, 1, &rows, run.Push)
+			if _, ev := run.Stats(); tc.name == "evicting" && ev == 0 {
+				t.Fatal("the evicting case never evicted")
 			}
 		})
+		t.Run(tc.name+"/shared", func(t *testing.T) {
+			rows := 0
+			m := sharedTable(t, e, tc.opts, 3, func(Tuple) error { rows++; return nil })
+			flushAllocs(t, 3, &rows, m.Push)
+		})
+	}
+}
+
+// flushAllocs feeds whole buckets of 48 groups through push, warm, and
+// fails if a bucket allocates more than slabs objects (the output slabs of
+// the members) or *rows stops growing.
+func flushAllocs(t *testing.T, slabs int, rows *int, push func(Tuple) error) {
+	t.Helper()
+	const groups = 48
+	sec := int64(0)
+	for i := 0; i < 8; i++ { // warm up: tables, free lists and scratch reach their sizes
+		for _, tp := range bucketTuples(sec, groups) {
+			if err := push(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sec++
+	}
+	// Pre-build the tuples: the guard counts the run's allocations only.
+	var feed [][]Tuple
+	for i := 0; i < 64; i++ {
+		feed = append(feed, bucketTuples(sec+int64(i), groups))
+	}
+	i, before := 0, *rows
+	avg := testing.AllocsPerRun(len(feed)-2, func() {
+		for _, tp := range feed[i] {
+			if err := push(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i++
+	})
+	if avg > float64(slabs) {
+		t.Errorf("a bucket of %d groups allocates %.2f objects, want <= %d (the output slabs)", groups, avg, slabs)
+	}
+	if got := *rows - before; got < slabs*groups*(len(feed)-3) {
+		t.Fatalf("only %d rows emitted while measuring", got)
 	}
 }
 

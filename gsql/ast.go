@@ -26,7 +26,9 @@ type strLit struct {
 	s string
 }
 
-func (s *strLit) String() string { return "'" + s.s + "'" }
+// String quotes the literal as the lexer reads it back: an embedded quote is
+// doubled, so the canonical form is a fixed point of parsing.
+func (s *strLit) String() string { return "'" + strings.ReplaceAll(s.s, "'", "''") + "'" }
 
 // boolLit is a boolean literal.
 type boolLit struct {

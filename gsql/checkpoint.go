@@ -166,12 +166,12 @@ func readFlags(d *codec.Dec) (bit0, bit1 bool) {
 // --- group entries -----------------------------------------------------
 
 // appendGroupEntry serializes one partial group (its group values and each
-// aggregate slot's partial state).
-func appendGroupEntry(b []byte, p *plan, g *group) ([]byte, error) {
+// aggregate slot's partial state, aggs).
+func appendGroupEntry(b []byte, p *plan, g *group, aggs []Aggregator) ([]byte, error) {
 	for i := range p.groupFns {
 		b = appendCkptValue(b, g.value(i, p.keyTypes))
 	}
-	for i, a := range g.aggs {
+	for i, a := range aggs {
 		if ap, ok := a.(binaryAppender); ok {
 			at := len(b)
 			b = codec.AppendU64(b, 0) // length, known once the state is appended
@@ -315,9 +315,9 @@ func (r *Run) Checkpoint() ([]byte, error) {
 	// Every entry is encoded back to back into one scratch buffer the run
 	// keeps, and the spans index is what gets sorted.
 	buf, spans := r.ckBuf[:0], r.ckSpans[:0]
-	err := r.eachGroup(func(g *group) (err error) {
+	err := r.tab.eachGroup(func(g *group) (err error) {
 		at := len(buf)
-		if buf, err = appendGroupEntry(buf, r.p, g); err != nil {
+		if buf, err = appendGroupEntry(buf, r.p, g, r.aggsOf(g)); err != nil {
 			return err
 		}
 		spans = append(spans, ckSpan{at, len(buf)})
@@ -336,7 +336,7 @@ func (r *Run) Checkpoint() ([]byte, error) {
 	// The result is the caller's to keep, so it is a buffer of its own —
 	// sized once: header, count, entries, integrity hash.
 	var hdrBuf [64]byte // fits the header of any numeric bucket value
-	hdr := appendCkptHeader(hdrBuf[:0], r.p, r.bucketSet, r.bucket, r.tuples, r.ep)
+	hdr := appendCkptHeader(hdrBuf[:0], r.p, r.tab.bucketSet, r.tab.bucket, r.tuples, r.ep)
 	b := make([]byte, 0, len(hdr)+8+len(buf)+8)
 	b = codec.AppendU64(append(b, hdr...), uint64(len(spans)))
 	for _, sp := range spans {
@@ -365,25 +365,29 @@ func (s *Statement) Restore(ckpt []byte, sink func(Tuple) error, opts Options) (
 	if r.epErr != nil {
 		return nil, r.epErr
 	}
+	t := r.tab
 	h, err := readCkpt(body, s.p, func(g *group, _ []byte) error {
-		g.hash = r.keyOf(&g.key, g.gv)
-		if dst := r.highGet(g.hash, &g.key); dst != nil {
-			return mergeAggs(dst.aggs, g.aggs)
+		g.hash = t.keyOf(&g.key, g.gv)
+		if dst := t.highGet(g.hash, &g.key); dst != nil {
+			return mergeAggs(r.aggsOf(dst), g.aggs)
 		}
-		if r.words {
+		if t.words {
 			g.gv = nil // the words carry the values
 		}
-		r.highPut(g)
+		g.id, t.ids = t.ids, t.ids+1
+		r.aggs = append(r.aggs, g.aggs...)
+		g.aggs = nil
+		t.highPut(g)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	r.bucketSet, r.bucket, r.tuples = h.bucketSet, h.bucket, h.tuples
+	t.bucketSet, t.bucket, r.tuples = h.bucketSet, h.bucket, h.tuples
 	if h.epochSet {
 		// Groups born after the restore must join the stamped frame, not the
 		// factories' baseline landmark.
-		r.curL, r.landmarkSet = h.landmark, true
+		t.curL, t.landmarkSet = h.landmark, true
 		if r.ep != nil {
 			r.ep.restoreFrom(h.epoch, h.landmark)
 		}

@@ -3,6 +3,7 @@ package gsql
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"forwarddecay/decay"
 )
@@ -206,50 +207,41 @@ func verifyLandmark(aggs []Aggregator, epochSet bool, landmark float64) error {
 // decay function cannot shift) the run's state may straddle two landmarks
 // and must be abandoned.
 func (r *Run) ShiftLandmark(newL float64) error {
-	if err := r.eachGroup(func(g *group) error { return shiftAggs(g.aggs, newL) }); err != nil {
+	if err := r.tab.eachGroup(func(g *group) error { return shiftAggs(r.aggsOf(g), newL) }); err != nil {
 		return err
 	}
-	r.curL, r.landmarkSet = newL, true
+	r.tab.curL, r.tab.landmarkSet = newL, true
 	if r.ep != nil {
 		r.ep.advanced(newL)
 	}
 	return nil
 }
 
-// bornGroup returns the group object for a newborn group: a closed bucket's,
-// when one is free, with each aggregator Reset (or replaced, if it cannot
-// be), else a new one. The aggregators are rebased onto the run's current
-// landmark when a rollover has moved it: a group born mid-epoch must live in
-// the same frame as every shifted group, or checkpoint verification (and
-// cross-frame merges) would see state straddling two landmarks. The group
-// takes a copy of key; under byte keys its values (gv, one slot per group
-// expression) are the caller's to fill (see probeGroup).
-func (r *Run) bornGroup(hash uint64, key *groupKey) (*group, error) {
-	var g *group
-	if n := len(r.free); n > 0 {
-		g = r.free[n-1]
-		r.free = r.free[:n-1]
-		for i, a := range g.aggs {
-			if rs, ok := a.(Resetter); ok {
-				rs.Reset()
-			} else {
-				g.aggs[i] = r.p.aggSpecs[i].New()
-			}
-		}
-	} else {
-		g = &group{aggs: newAggs(r.p)}
+// born readies the run's aggregate slots for a group its table is giving
+// birth to: the ones a closed bucket's group of the same id left, each Reset
+// (or replaced, if it cannot be), else new ones. They are rebased onto the
+// table's current landmark when a rollover has moved it: a group born
+// mid-epoch must live in the same frame as every shifted group, or
+// checkpoint verification (and cross-frame merges) would see state
+// straddling two landmarks.
+func (r *Run) born(g *group) error {
+	k := len(r.p.aggSpecs)
+	at := int(g.id) * k
+	if n := at + k; n > len(r.aggs) {
+		r.aggs = slices.Grow(r.aggs, n-len(r.aggs))[:n]
 	}
-	if !r.words && g.gv == nil {
-		g.gv = make(Tuple, len(r.p.groupFns))
-	}
-	if r.landmarkSet {
-		if err := shiftAggs(g.aggs, r.curL); err != nil {
-			return nil, err
+	aggs := r.aggs[at : at+k]
+	for i, a := range aggs {
+		if rs, ok := a.(Resetter); ok {
+			rs.Reset()
+		} else {
+			aggs[i] = r.p.aggSpecs[i].New()
 		}
 	}
-	g.hash = hash
-	g.key.set(key)
-	return g, nil
+	if r.tab.landmarkSet {
+		return shiftAggs(aggs, r.tab.curL)
+	}
+	return nil
 }
 
 // maybeRoll is the serial per-tuple epoch hook.

@@ -476,7 +476,7 @@ func TestMistypedTupleDemotesWordKeys(t *testing.T) {
 	start := func(words bool) *Run {
 		r := st.Start(func(row Tuple) error { rows = append(rows, row); return nil }, opts)
 		if !words {
-			r.demote() // byte keys from the first tuple
+			r.tab.demote() // byte keys from the first tuple
 		}
 		return r
 	}
@@ -512,8 +512,8 @@ func TestMistypedTupleDemotesWordKeys(t *testing.T) {
 	wordRun := start(true)
 	for i, tu := range tape {
 		fold(wordRun, []Tuple{tu})
-		if wordRun.words != (i < 150) {
-			t.Fatalf("after tuple %d: words %v", i, wordRun.words)
+		if wordRun.tab.words != (i < 150) {
+			t.Fatalf("after tuple %d: words %v", i, wordRun.tab.words)
 		}
 	}
 	if _, ev := wordRun.Stats(); ev == 0 {
@@ -536,7 +536,7 @@ func TestMistypedTupleDemotesWordKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.words {
+	if restored.tab.words {
 		t.Fatal("restoring mistyped keys left the run word-keyed")
 	}
 	fold(restored, tape[350:])

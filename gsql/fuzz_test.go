@@ -141,7 +141,9 @@ func quantileCheckpoints(tb testing.TB) (st *gsql.Statement, body, mixed []byte)
 // PushBatch and, row by row, through Push must emit the same rows to the
 // bit, fail with the same error text and count the same Stats() — once at
 // the default low-table size and once at 4 slots, where collisions, evictions,
-// high-table lookups and flush merges run on every bucket.
+// high-table lookups and flush merges run on every bucket. Each time the
+// query also folds twice, beside a count(*) sibling on its key list, through
+// one MultiRun, where the three share a key table (fuzzShared).
 func FuzzQuery(f *testing.F) {
 	seeds := []string{
 		`select tb, dstIP, count(*) from TCP group by time/60 as tb, dstIP`,
@@ -191,6 +193,7 @@ func FuzzQuery(f *testing.F) {
 		}
 		for _, opts := range []gsql.Options{{}, {LowLevelSlots: 4}} {
 			fuzzSameFold(t, st, query, tape, batches, opts)
+			fuzzShared(t, e, query, tape, batches, opts)
 		}
 	})
 }
@@ -239,6 +242,76 @@ func fuzzSameFold(t *testing.T, st *gsql.Statement, query string, tape []gsql.Tu
 			query, opts, sRej, sN, sEv, bRej, bN, bEv)
 	}
 	requireSameBits(t, sRows, bRows, fmt.Sprintf("%q %+v: Push vs PushBatch", query, opts))
+}
+
+// fuzzShared attaches query twice, beside a count(*) sibling with its WHERE
+// and key list, to one MultiRun fed FuzzQuery's batches: every member's
+// rows, checkpoint, Stats() and close error must be those of a standalone
+// Run.Push that, as a catalog member does, goes on past a failed row.
+func fuzzShared(t *testing.T, e *gsql.Engine, query string, tape []gsql.Tuple, batches []*gsql.Batch, opts gsql.Options) {
+	queries := []string{query, query}
+	if i := indexFold(query, " from "); i >= 0 {
+		rest := query[i:]
+		if j := indexFold(rest, " having "); j >= 0 {
+			rest = rest[:j]
+		}
+		if _, err := e.Prepare("select count(*)" + rest); err == nil {
+			queries = append(queries, "select count(*)"+rest)
+		}
+	}
+	m, err := gsql.NewMultiRun(e, "TCP", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := make([]*gsql.MultiHandle, len(queries))
+	rows := make([][]gsql.Tuple, len(queries))
+	for i, q := range queries {
+		if hs[i], err = m.Attach(q, 0, func(r gsql.Tuple) error { rows[i] = append(rows[i], r); return nil }); err != nil {
+			t.Fatalf("%q: attach: %v", q, err)
+		}
+	}
+	for _, b := range batches {
+		if _, err := m.PushBatch(b); err != nil {
+			t.Fatalf("%q: PushBatch: %v", query, err)
+		}
+	}
+	for i, q := range queries {
+		ckpt, ckErr := hs[i].Checkpoint()
+		n, ev := hs[i].Stats()
+		closeErr := hs[i].Close()
+
+		st, err := e.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []gsql.Tuple
+		run := st.Start(func(r gsql.Tuple) error { want = append(want, r); return nil }, opts)
+		for _, tp := range tape {
+			_ = run.Push(tp) // a failed row costs a member only itself
+		}
+		wantCkpt, wantCkErr := run.Checkpoint()
+		wn, wev := run.Stats()
+		wantClose := run.Close()
+		label := fmt.Sprintf("%q %+v: member %d (%q) vs its standalone run", query, opts, i, q)
+		if fmt.Sprint(ckErr) != fmt.Sprint(wantCkErr) || !bytes.Equal(ckpt, wantCkpt) {
+			t.Fatalf("%s: checkpoints differ (errors %v, %v)", label, ckErr, wantCkErr)
+		}
+		if n != wn || ev != wev || fmt.Sprint(closeErr) != fmt.Sprint(wantClose) {
+			t.Fatalf("%s: Stats %d/%d vs %d/%d, close error %v vs %v", label, n, ev, wn, wev, closeErr, wantClose)
+		}
+		requireSameBits(t, want, rows[i], label)
+	}
+}
+
+// indexFold is strings.Index under ASCII case folding, in s's own byte
+// offsets (strings.ToLower may change the length of invalid UTF-8).
+func indexFold(s, sub string) int {
+	for i := 0; i+len(sub) <= len(s); i++ {
+		if strings.EqualFold(s[i:i+len(sub)], sub) {
+			return i
+		}
+	}
+	return -1
 }
 
 // fuzzSchema is the packet stream with a string and a bool column added, so

@@ -56,6 +56,22 @@ func TestLexStrings(t *testing.T) {
 	}
 }
 
+// TestStrLitCanonical: a string literal renders with its embedded quotes
+// doubled, so a literal holding a quote canonicalizes to itself and re-parses
+// to the same value.
+func TestStrLitCanonical(t *testing.T) {
+	isAgg := func(name string) bool { _, ok := builtinAggs()[name]; return ok }
+	for _, lit := range []string{`'it''s'`, `''''`, `''`, `'plain'`} {
+		ast, err := parseQuery("select tb, count(*) from TCP where "+lit+" group by time/60 as tb", isAgg)
+		if err != nil {
+			t.Fatalf("%s: %v", lit, err)
+		}
+		if got := ast.where.String(); got != lit {
+			t.Errorf("%s canonicalizes to %s", lit, got)
+		}
+	}
+}
+
 func TestLexOperators(t *testing.T) {
 	toks, err := lex("<= >= <> != < > = + - * / % ( ) ,")
 	if err != nil {

@@ -18,6 +18,9 @@ func FuzzCanonicalize(f *testing.F) {
 		`select tb, count(*) from TCP where not (len < 10 or len > 1000) group by time/60 as tb having count(*) > 2`,
 		`select tb, dstIP % 2, min(len), max(len) from TCP group by time/60 as tb, dstIP % 2`,
 		`select t, sum(len + 0) from TCP where proto = 6 and len - 1 >= 0 group by time as t`,
+		// Once canonicalized to where '''' and then to where ''': a string
+		// literal's embedded quotes were not doubled again.
+		`select tb, count(*) from TCP where '''''' group by time/60 as tb`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -257,7 +257,7 @@ func (w *shardWorker) snapshot() (out shardSnap) {
 	}()
 	entries := make([][]byte, 0, len(w.groups))
 	for _, g := range w.groups {
-		eb, err := appendGroupEntry(nil, w.p, g)
+		eb, err := appendGroupEntry(nil, w.p, g, g.aggs)
 		if err != nil {
 			return shardSnap{err: err}
 		}

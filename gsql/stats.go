@@ -98,8 +98,8 @@ func (r *Run) RuntimeStats() RuntimeStats {
 		TuplesIn:      r.tuples,
 		Checkpoints:   r.checkpoints,
 		Restores:      r.restores,
-		WindowsClosed: r.windows,
-		Evictions:     r.evictions,
+		WindowsClosed: r.tab.windows + r.winBase,
+		Evictions:     r.tab.evictions + r.evBase,
 	}
 	if r.ep != nil {
 		st.EpochRollovers = r.ep.rolls

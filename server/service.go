@@ -1123,8 +1123,9 @@ func (rt *runtime) joinPersister() error {
 }
 
 // refreshCatalogGauges snapshots the live incarnation's shared-runtime
-// scoreboard into the gauge registry: attached-query count and how much
-// plan-level sharing the analyzer found. Called at scrape time; a degraded
+// scoreboard into the gauge registry: attached-query count, how much
+// plan-level sharing the analyzer found, and how many key tables the
+// queries fold through. Called at scrape time; a degraded
 // or restarting incarnation
 // leaves the gauges at their last published levels.
 func (s *Service) refreshCatalogGauges() {
@@ -1142,6 +1143,7 @@ func (s *Service) refreshCatalogGauges() {
 	s.gauges.Set("server_catalog_queries", float64(st.Queries))
 	s.gauges.Set("server_catalog_distinct_texts", float64(st.DistinctTexts))
 	s.gauges.Set("server_catalog_predicate_classes", float64(st.Classes))
+	s.gauges.Set("server_catalog_key_tables", float64(st.KeyTables))
 	s.gauges.Set("server_catalog_shared_exprs", float64(st.DistinctExprs))
 	s.gauges.Set("server_catalog_quarantined", float64(st.Quarantined))
 	s.gauges.Set("server_catalog_admit_used", st.AdmitUsed)
