@@ -1,6 +1,6 @@
 // Package codec is the binary codec under every state format of the
 // repository — engine checkpoints, sketch and aggregate encodings, the server
-// state file, journal and control frames, distributed state slices:
+// state file, WAL records and control frames, distributed state slices:
 // append-style little-endian writers, and Dec, a reader over a byte slice.
 //
 // Dec enforces the decoder rules once, for every decoder on it:
@@ -15,7 +15,7 @@
 //     conversion does), so nothing it returns refers to its input.
 //
 // Length-prefixed fields come in two widths, u32 (control frames, the state
-// file, the journal, state slices) and u64 (engine checkpoints, sketch and
+// file, the WAL's catalog records, state slices) and u64 (engine checkpoints, sketch and
 // aggregate encodings). They are different formats: each field keeps its
 // width.
 package codec

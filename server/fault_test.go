@@ -10,11 +10,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -523,8 +525,8 @@ func TestMidStreamClientDisconnect(t *testing.T) {
 // the supervisor rebuilds from whatever that left on disk, the dialer rides
 // through — and the subscriber sees exactly the rows of an uninterrupted run:
 // no acked frame lost, no row repeated, cursors exact. The set-up's attach is
-// still in the journal at the first checkpoint, so its persist goes all the
-// way to the journal reset.
+// a record of the first epoch, which the first persist retires once the state
+// file holds the query.
 func TestPersistCrashPoints(t *testing.T) {
 	defer faultinject.Reset()
 	pkts := genPackets(t, 6000, 50, 47)
@@ -540,8 +542,6 @@ func TestPersistCrashPoints(t *testing.T) {
 		{"after-state-temp-write", "durable.sync", 2},
 		{"after-state-rename", "durable.dirsync", 2},
 		{"after-old-epoch-removal", "durable.dirsync", 3},
-		{"journal-temp-write", "durable.sync", 3},
-		{"after-journal-reset", "durable.dirsync", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer faultinject.Reset()
@@ -594,9 +594,9 @@ func TestPersistCrashPoints(t *testing.T) {
 }
 
 // TestCatalogChangeBetweenCutAndPersist holds a checkpoint's persist back
-// while an Attach and a Detach land: their journal entries are stamped with
-// the epoch the cut opened, so the state file about to be written does not
-// hold them and the journal must survive its persist. The runtime is then
+// while an Attach and a Detach land: their records are in the epoch the cut
+// opened, so the state file about to be written does not hold them and the
+// log after its watermark must. The runtime is then
 // killed — once with that persist aborted, once after it completed — and the
 // rebuilt catalog must have the attached query running from exactly where it
 // was attached and must not have the detached one.
@@ -703,7 +703,9 @@ func TestCatalogChangeBetweenCutAndPersist(t *testing.T) {
 // pipelined — a state file cut in the middle of an epoch, (E, applied > 0),
 // and that epoch's WAL file as the only one — is read by the same recovery
 // rule: the first `applied` records are in the state and must not be replayed,
-// the rest must.
+// the rest must. That layout kept catalog changes in a journal beside the log:
+// an empty one is removed, and one with entries refuses the directory, whose
+// files are then left as they were.
 func TestOpensParentLayoutDirectory(t *testing.T) {
 	dir := t.TempDir()
 	pkts := genPackets(t, 6000, 50, 61)
@@ -752,8 +754,15 @@ func TestOpensParentLayoutDirectory(t *testing.T) {
 	if err := writeState(dir, codec.Seal(finishState(b, st.sessions))); err != nil {
 		t.Fatal(err)
 	}
+	journal := filepath.Join(dir, legacyJournal)
+	if err := os.WriteFile(journal, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	svc2 := startService(t, dir, func(c *Config) { c.ResultLog = 1 << 15 })
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Fatalf("the empty journal was not removed: %v", err)
+	}
 	cl := dialControl(t, svc2)
 	ch, err := cl.Subscribe(id, 1, PolicyBlock, 0)
 	if err != nil {
@@ -770,6 +779,35 @@ func TestOpensParentLayoutDirectory(t *testing.T) {
 	}
 	if got := svc2.rt.Load().listener.Sessions()[5]; got != seq+uint64((logged-cut)/frame) {
 		t.Fatalf("session 5 recovered at seq %d, want %d (state's %d + the logged frames)", got, seq+uint64((logged-cut)/frame), seq)
+	}
+
+	// A journal with entries may hold attaches no state file has (that layout
+	// cut no final checkpoint when no frame was logged since the last).
+	if err := svc2.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journal, []byte{1, 2, 3}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() (out []string) {
+		names, _ := filepath.Glob(filepath.Join(dir, "*"))
+		for _, name := range names {
+			info, err := os.Stat(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprintf("%s %d", filepath.Base(name), info.Size()))
+		}
+		return out
+	}
+	before := listing()
+	_, err = New(Config{Dir: dir, ControlAddr: "127.0.0.1:0", IngestAddr: "127.0.0.1:0"})
+	var lje *LegacyJournalError
+	if !errors.As(err, &lje) || lje.Path != journal || !strings.Contains(err.Error(), journal) {
+		t.Fatalf("opening a directory whose journal holds entries: %v, want *LegacyJournalError naming %s", err, journal)
+	}
+	if after := listing(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("the refused open changed the directory:\n before %v\n after  %v", before, after)
 	}
 }
 
@@ -872,11 +910,12 @@ func TestKillRebuildAdvancesSharedFeed(t *testing.T) {
 
 // TestResumeJoinsAtLogPosition: one log tail, every way a query can stand to
 // it. The catalog below is built against a stream cut once by a checkpoint;
-// the runtime is then killed, and after the rebuild (and one more stretch of
-// stream) every surviving query's ring and engine checkpoint must be
-// bit-identical to those of a service that was fed the same frames and never
-// died. The rebuild walks the tail once through the shared pass, each query
-// joining at the position its attach or revive was journaled at.
+// the runtime is then killed twice, and after the rebuilds (and one more
+// stretch of stream) every surviving query's ring and engine checkpoint must
+// be bit-identical to those of a service that was fed the same frames and
+// never died. A rebuild walks the tail once through the shared pass, applying
+// each catalog record at its position in it; the second reads what the first
+// left, so a rebuild that appended to the log would show.
 func TestResumeJoinsAtLogPosition(t *testing.T) {
 	// Tail positions: 0 is before the cut (the query is in the state file),
 	// 1..3 fall between stretches of the tail, 4 is after its last record.
@@ -892,13 +931,13 @@ func TestResumeJoinsAtLogPosition(t *testing.T) {
 			`select tb, count(*), max(len) from TCP group by time/10 as tb`, 4, never, never},
 		{"detached mid-tail",
 			`select tb, srcIP, count(*) from TCP where proto = 6 group by time/10 as tb, srcIP`, 0, 2, never},
-		// Fenced by the poison frames that open the tail, revived at 3.
+		// Fenced by the poison rows of the tail's first stretch, revived at 3.
 		{"quarantined then revived mid-tail", flakyQuery, 0, never, 3},
 	}
 	const (
 		cut    = 63 * 64 // one checkpoint, after frame 63
-		poison = 4 * 64  // the tail opens with four frames of nothing but faults
-		part   = 10 * 64
+		poison = 4 * 64  // four frames' worth of nothing but faults
+		part   = 12 * 64
 	)
 	pkts := genPackets(t, cut+4*part+600, 50, 67)
 	for i := range pkts {
@@ -906,14 +945,19 @@ func TestResumeJoinsAtLogPosition(t *testing.T) {
 			pkts[i].Len = 41
 		}
 	}
-	for i := cut; i < cut+poison; i++ {
-		pkts[i].Len = 40
+	// The poison starts 8 rows into the bucket after the one the cut fell in:
+	// the clean stretch before it closes a bucket, so the fenced query emits
+	// rows between the cut and its fence, which the rebuild must re-derive.
+	start := cut
+	for int64(pkts[start].Time)/10 == int64(pkts[cut-1].Time)/10 {
+		start++
 	}
-	// A query rejoins from the partials retained at its fence, so what it
-	// emitted between the cut and the fence is not re-derived: keep the fence
-	// inside the bucket the cut fell in.
-	if a, b := int64(pkts[cut-1].Time)/10, int64(pkts[cut+poison-1].Time)/10; a != b {
-		t.Fatalf("fixture: the poison frames span buckets %d..%d", a, b)
+	start += 8
+	if start+poison > cut+part {
+		t.Fatalf("fixture: the poison rows end at %d, past the first stretch's %d", start+poison, cut+part)
+	}
+	for i := start; i < start+poison; i++ {
+		pkts[i].Len = 40
 	}
 
 	type outcome struct {
@@ -961,9 +1005,10 @@ func TestResumeJoinsAtLogPosition(t *testing.T) {
 			at(pos)
 		}
 		if n := svc.Counters().Get("server_checkpoints"); n != 1 {
-			t.Fatalf("%d checkpoints, want 1: the catalog changes must all be in the journal", n)
+			t.Fatalf("%d checkpoints, want 1: the catalog changes must all be in the log tail", n)
 		}
 		if kill {
+			killAndRebuild(t, svc)
 			killAndRebuild(t, svc)
 		}
 		stream(pkts[cut+4*part:])

@@ -8,7 +8,10 @@ package server
 // pump from persisting state whose emissions the fence discarded).
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -120,7 +123,7 @@ func TestServerQuarantineSurvivesRestartDormant(t *testing.T) {
 		if i == len(pkts)/2 {
 			// By now the poison query is long fenced (breaker trips within
 			// the first frame); the crash must rebuild it dormant from the
-			// quarantine journal entry or the state file.
+			// log's quarantine record or the state file.
 			svc.Kill()
 		}
 		if err := d.Send(p); err != nil {
@@ -144,7 +147,7 @@ func TestServerQuarantineSurvivesRestartDormant(t *testing.T) {
 	}
 
 	// Revive the dormant query (the stream is idle, so no re-trip), then
-	// crash again: the journaled revive must rebuild it live.
+	// crash again: the logged revive must rebuild it live.
 	if err := cl.Revive(pid); err != nil {
 		t.Fatalf("revive after restart: %v", err)
 	}
@@ -154,7 +157,53 @@ func TestServerQuarantineSurvivesRestartDormant(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fenced, why := q.Quarantined(); fenced {
-		t.Fatalf("revived query re-fenced (%q) after crash: the jRevive entry did not replay", why)
+		t.Fatalf("revived query re-fenced (%q) after crash: the revive record did not replay", why)
+	}
+}
+
+// TestQuarantineRecordFencesWhatReplayDoesNot: replay re-derives a fence only
+// under the breaker that tripped it. A directory reopened with a higher
+// QueryBreakerErrors replays the poison rows without tripping, and the
+// quarantine record then fences the query with its reason and partials: the
+// query comes back fenced, and revives from them.
+func TestQuarantineRecordFencesWhatReplayDoesNot(t *testing.T) {
+	dir := t.TempDir()
+	svc := startService(t, dir, func(c *Config) { c.QueryBreakerErrors = 3 })
+	pid, err := dialControl(t, svc).Attach(serverPoisonQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamAll(t, dialIngest(t, svc, 5), genPackets(t, 640, 50, 5))
+	qi := mustLookup(t, svc, pid).quar.Load()
+	if qi == nil {
+		t.Fatal("the poison query was not fenced")
+	}
+	// Every frame is acked, so the log is whole: copy the directory as a
+	// crash would leave it.
+	crash := t.TempDir()
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(crash, filepath.Base(name)), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc2 := startService(t, crash, func(c *Config) { c.QueryBreakerErrors = 1 << 20 })
+	q := mustLookup(t, svc2, pid)
+	if fenced, why := q.Quarantined(); !fenced || why != gsql.QuarantineBreaker {
+		t.Fatalf("reopened: fenced=%v (%q), want the recorded breaker fence", fenced, why)
+	}
+	if !bytes.Equal(q.quar.Load().retained, qi.retained) {
+		t.Fatal("the fence's partials differ from the ones recorded")
+	}
+	if err := dialControl(t, svc2).Revive(pid); err != nil {
+		t.Fatalf("revive from the recorded partials: %v", err)
 	}
 }
 
@@ -168,7 +217,7 @@ const flakyQuery = `select tb, dstIP, count(*), sum(len / (len - 40))
 // one checkpoint and revived after it, at WAL position (E, at), is folded
 // into the next checkpoint's state file, cut later. If the process dies once
 // that state file is durable but before the checkpoint's remaining steps, the
-// journal still holds the revive — and recovery must not act on it: the
+// log still holds the revive — and recovery must not act on it: the
 // restored image already has every record up to the cut, and replaying from
 // the revive position would apply the records between the two twice. The
 // crash run must emit exactly what a run without the crash emits.
@@ -218,7 +267,7 @@ func TestReviveNotReappliedAfterCrashInCheckpoint(t *testing.T) {
 		}
 		stream(pkts[3200:3328]) // frames 51-52: revived two records into the epoch, these are the ones at stake
 		if n := svc.Counters().Get("server_checkpoints"); n != 6 {
-			t.Fatalf("%d checkpoints before the fault is armed, want 6: the revive must still be in the journal", n)
+			t.Fatalf("%d checkpoints before the fault is armed, want 6: the revive must still be in the log tail", n)
 		}
 		if crash {
 			faultinject.Set("durable.dirsync", faultinject.Fault{ErrAt: stateRenameSync})

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"net"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,8 +50,8 @@ func (m Mode) String() string {
 // Config parameterizes a Service. Zero values are usable defaults for
 // everything except Dir, ControlAddr and IngestAddr.
 type Config struct {
-	// Dir is the state directory: checkpoint state file, ingest WAL and
-	// catalog journal all live here. Required.
+	// Dir is the state directory: the checkpoint state file and the WAL of
+	// ingest and catalog changes live here. Required.
 	Dir string
 	// ControlAddr is the control-plane listen address ("host:port" or
 	// "unix:/path"). Required.
@@ -219,10 +217,9 @@ type runtime struct {
 	// killed is closed by Kill to simulate an abrupt process death.
 	killed chan struct{}
 	// replaying is true while buildRuntime re-feeds the WAL tail: quarantines
-	// that re-fire there are deterministic re-derivations of events the
-	// journal already records (or will re-derive on every rebuild), so the
-	// OnQuarantine hook skips the journal append. Written before the
-	// listener starts; never raced.
+	// that re-fire there are deterministic re-derivations of fences the log
+	// already records, so the OnQuarantine hook appends nothing. Written
+	// before the listener starts; never raced.
 	replaying bool
 	// fenced is set at teardown. The emit sinks of this incarnation check it
 	// and refuse to append once set: a wedged (zombie) pump that wakes up
@@ -260,7 +257,6 @@ type Service struct {
 	// stateSize is the size of the last checkpoint's state file image: the
 	// next one is assembled in a buffer allocated once, at about that size.
 	stateSize int
-	journal   journal
 
 	rt   atomic.Pointer[runtime]
 	gen  atomic.Uint64
@@ -306,9 +302,11 @@ func New(cfg Config) (*Service, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: state dir: %w", err)
 	}
+	if err := dropLegacyJournal(cfg.Dir); err != nil {
+		return nil, err
+	}
 	s := &Service{
 		cfg:      cfg,
-		journal:  journal{dir: cfg.Dir},
 		queries:  map[uint32]*Query{},
 		nextID:   1,
 		counters: metrics.NewCounterSet(),
@@ -538,12 +536,15 @@ func (s *Service) Shutdown() error {
 		s.rt.Store(nil)
 		if rt != nil {
 			// Drain in-flight frames, then take the final checkpoint — unless
-			// nothing was logged since the last one: state file and catalog
-			// journal are then already the whole truth, and a reopen has
-			// nothing to replay either way.
+			// nothing, frame or catalog change, was logged since the last one:
+			// the state file is then already the whole truth, and a reopen
+			// has nothing to replay either way.
 			drainErr := rt.listener.Shutdown(s.cfg.DrainTimeout)
 			s.shutErr = drainErr
-			if !rt.degraded && rt.wal.applied > 0 {
+			rt.mu.Lock()
+			logged := !rt.degraded && rt.wal.applied > 0
+			rt.mu.Unlock()
+			if logged {
 				if err := s.checkpoint(rt); err != nil && s.shutErr == nil {
 					s.shutErr = err
 				}
@@ -578,10 +579,10 @@ func (s *Service) Shutdown() error {
 // nextGen allocates an incarnation generation.
 func (s *Service) nextGen() uint64 { return s.gen.Add(1) }
 
-// buildRuntime constructs an incarnation from disk truth: state file +
-// catalog journal + the WAL tail, re-fed through the same shared pass the
-// live pump drives (replay). With degraded=true it builds a WAL-only
-// incarnation instead: no engine runs, frames ack straight after logging.
+// buildRuntime constructs an incarnation from disk truth: the state file and
+// the log after its watermark, re-fed through the same shared pass the live
+// pump drives (replay). With degraded=true it builds a WAL-only incarnation
+// instead: no engine runs, frames ack straight after logging.
 func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -590,17 +591,10 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	journal, err := s.journal.load()
-	if err != nil {
-		return nil, err
+	if st == nil {
+		st = &serverState{sessions: map[uint64]uint64{}} // a fresh directory: the whole log replays
 	}
-	// The state file's watermark splits log and journal into what the state
-	// holds and what is replayed on top of it (no state file: everything).
-	var from walPos
-	if st != nil {
-		from = walPos{st.walEpoch, st.walApplied}
-	}
-	wal, recs, err := openWAL(s.cfg.Dir, from)
+	wal, recs, err := openWAL(s.cfg.Dir, walPos{st.walEpoch, st.walApplied})
 	if err != nil {
 		return nil, err
 	}
@@ -622,160 +616,34 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 	// Sessions: checkpointed acks ∪ logged-frame watermarks from the
 	// replayable tail, so a resent frame that was logged (but whose ack
 	// died with the predecessor) is recognized as a duplicate.
-	sessions := map[uint64]uint64{}
-	var specs []buildSpec
-	if st != nil {
-		for id, applied := range st.sessions {
-			sessions[id] = applied
-		}
-		if st.nextQueryID > s.nextID {
-			s.nextID = st.nextQueryID
-		}
-		for i := range st.queries {
-			specs = append(specs, buildSpec{qs: st.queries[i], joinAt: from, fromState: true})
-		}
-	}
-	inState := map[uint32]bool{}
-	for _, sp := range specs {
-		inState[sp.qs.id] = true
-	}
-	for _, e := range journal {
-		pos := walPos{e.epoch, e.at}
-		if e.epoch != 0 && pos.before(from) {
-			continue // folded into the state; the journal was not emptied since
-		}
-		switch e.op {
-		case jAttach:
-			if inState[e.id] {
-				continue // checkpoint already folded this attach
-			}
-			specs = append(specs, buildSpec{
-				qs:     queryState{id: e.id, text: e.text},
-				joinAt: pos,
-			})
-			if e.id >= s.nextID {
-				s.nextID = e.id + 1
-			}
-		case jDetach:
-			for i := range specs {
-				if specs[i].qs.id == e.id {
-					specs = append(specs[:i], specs[i+1:]...)
-					break
-				}
-			}
-		case jQuarantine:
-			// The query was fenced after the last checkpoint: park it
-			// dormant, seeded with the partials retained at the fence.
-			for i := range specs {
-				if specs[i].qs.id == e.id {
-					specs[i].qs.quarantined = true
-					specs[i].qs.qreason = e.reason
-					specs[i].qs.ckpt = e.ckpt
-					break
-				}
-			}
-		case jRevive:
-			// The operator lifted the fence: the query rejoins from its
-			// quarantine-retained partials at the revive WAL position.
-			// Tuples between the fence and the revive are gone for this
-			// query by design — a fenced query sees nothing.
-			for i := range specs {
-				if specs[i].qs.id == e.id {
-					specs[i].qs.quarantined = false
-					specs[i].qs.qreason = ""
-					specs[i].joinAt = pos
-					break
-				}
-			}
-		}
-	}
+	sessions := st.sessions
 	for _, rec := range recs {
 		if rec.kind == recFrame && rec.seq > sessions[rec.sess] {
 			sessions[rec.sess] = rec.seq
 		}
 	}
+	s.nextID = max(s.nextID, st.nextQueryID)
 
-	if degraded {
-		// WAL-only: no engine, no replay; the log alone absorbs the feed.
-		out, err := s.finishBuild(rt, sessions)
-		built = err == nil
-		return out, err
-	}
-
-	// Build the shared runtime and reconcile the service catalog with disk.
-	// One engine, one MultiRun: every query attaches to the same feed — in
-	// replay, at its position in the tail — and a frame is one shared pass.
-	eng := gsql.NewEngine()
-	if err := eng.RegisterStream(gsql.PacketSchema("TCP")); err != nil {
-		return nil, err
-	}
-	multi, err := gsql.NewMultiRun(eng, "TCP", gsql.Options{Isolate: s.isolateConfig(rt)})
-	if err != nil {
-		return nil, err
-	}
-	rt.multi = multi
-
-	live := map[uint32]bool{}
-	joins := specs[:0] // the specs that get a run; dormant ones drop out
-	for _, sp := range specs {
-		live[sp.qs.id] = true
-		q := s.queries[sp.qs.id]
-		if q == nil {
-			q = &Query{ID: sp.qs.id, Text: sp.qs.text, log: s.newRing()}
-			if sp.fromState {
-				q.log.restore(sp.qs.base, sp.qs.rows)
-			}
-			s.queries[q.ID] = q
-		} else {
-			// Surviving ring: rewind to the checkpoint cursor; the replay
-			// below re-emits everything after it bit-identically.
-			q.log.truncateTo(sp.qs.end)
+	if !degraded {
+		// One engine, one MultiRun: every query attaches to the same feed,
+		// and a frame is one shared pass.
+		eng := gsql.NewEngine()
+		if err := eng.RegisterStream(gsql.PacketSchema("TCP")); err != nil {
+			return nil, err
 		}
-		if sp.qs.quarantined {
-			// A fenced query rebuilds dormant: no run, no replay, its ring
-			// and cursors intact, its retained partials parked on the Query
-			// until an operator revives it.
-			q.quar.Store(&quarInfo{reason: sp.qs.qreason, retained: sp.qs.ckpt})
-			continue
+		if rt.multi, err = gsql.NewMultiRun(eng, "TCP", gsql.Options{Isolate: s.isolateConfig(rt)}); err != nil {
+			return nil, err
 		}
-		q.quar.Store(nil)
-		joins = append(joins, sp)
-	}
-	// Drop catalog entries disk does not know (e.g. attach journal lost to
-	// a deliberate state reset).
-	for id, q := range s.queries {
-		if !live[id] {
-			q.log.close()
-			delete(s.queries, id)
+		rt.replaying = true
+		err = s.replay(rt, st.queries, recs)
+		rt.replaying = false
+		if err != nil {
+			return nil, err
 		}
-	}
-	s.publishRingsLocked()
-	for _, rl := range *s.rings.Load() {
-		rl.thaw()
-	}
-
-	// Re-feed the WAL tail, each query joining at its position in it. Rows
-	// emitted here land in the rings at exactly the cursors they held before
-	// the crash. A query that was fenced after the tail began re-quarantines
-	// deterministically (same tuples, same breaker) without failing the build.
-	rt.replaying = true
-	err = s.replay(rt, joins, recs)
-	rt.replaying = false
-	if err != nil {
-		return nil, err
 	}
 	out, err := s.finishBuild(rt, sessions)
 	built = err == nil
 	return out, err
-}
-
-// buildSpec pairs a persisted query with the log position at which it joins
-// the shared feed: the state file's watermark, or where its attach or revive
-// was journaled — the record at that position is the first it sees.
-type buildSpec struct {
-	qs        queryState
-	joinAt    walPos
-	fromState bool
 }
 
 func (s *Service) newRing() *resultLog {
@@ -786,10 +654,10 @@ func (s *Service) newRing() *resultLog {
 }
 
 // startRun attaches (or restores) a query onto the incarnation's shared
-// MultiRun, sinking rows into its result ring. The incarnation's teardown
-// fence gates every emit: once it flips, the sink refuses to append (see
-// runtime.fenced). Identical query texts share one compiled plan inside the
-// MultiRun; each attach still owns its ring, cursor and checkpoints.
+// MultiRun as its run, sinking rows into its result ring. The incarnation's
+// teardown fence gates every emit: once it flips, the sink refuses to append
+// (see runtime.fenced). Identical query texts share one compiled plan inside
+// the MultiRun; each attach still owns its ring, cursor and checkpoints.
 //
 // Callers mutating a live incarnation must hold rt.mu — the attach touches
 // the same shared-pass state the apply path walks.
@@ -822,6 +690,7 @@ func (s *Service) startRun(rt *runtime, q *Query, ckpt []byte) (*queryRun, error
 	}
 	h.SetTag(q)
 	run.h = h
+	rt.runs[q.ID] = run
 	return run, nil
 }
 
@@ -840,19 +709,13 @@ func (s *Service) flushEmits(rt *runtime) {
 	rt.emitted = rt.emitted[:0]
 }
 
-// maxJournalCkpt bounds the retained checkpoint a quarantine journal entry
-// may carry: the journal is framed at MaxControlFrame, and an oversized
-// retained state is droppable (a post-crash revive then falls back to a
-// fresh start; the next state-file checkpoint persists the full partials).
-const maxJournalCkpt = MaxControlFrame - 256
-
 // isolateConfig builds the per-query fault-isolation policy for one
 // incarnation.
 //
 // The OnQuarantine hook fires synchronously on whichever goroutine drove the
 // faulting tuple — the ingest pump under rt.mu, or buildRuntime itself
 // during WAL replay. It must therefore never take s.mu; everything it
-// touches (the Query's atomic quarantine slot, counters, the journal file)
+// touches (the Query's atomic quarantine slot, counters, the WAL appender)
 // is safe under rt.mu.
 func (s *Service) isolateConfig(rt *runtime) *gsql.IsolateConfig {
 	return &gsql.IsolateConfig{
@@ -874,46 +737,54 @@ func (s *Service) isolateConfig(rt *runtime) *gsql.IsolateConfig {
 			s.counters.Add("server_quarantines", 1)
 			s.cfg.Logf("server: query %d quarantined (%s): %v", q.ID, ev.Reason, ev.Err)
 			if rt.replaying {
-				// Replay re-derives quarantines deterministically from the
-				// WAL tail; journaling them again would only duplicate
-				// entries the next rebuild replays anyway.
-				return
+				return // a re-derived fence: its record follows in the log
 			}
-			ckpt := ev.Retained
-			if len(ckpt) > maxJournalCkpt {
-				ckpt = nil
-			}
-			if err := s.journal.append(journalEntry{
-				op: jQuarantine, id: q.ID, reason: ev.Reason, ckpt: ckpt,
-				epoch: rt.wal.epoch, at: rt.wal.applied,
-			}); err != nil {
-				s.cfg.Logf("server: journaling quarantine of query %d: %v", q.ID, err)
+			// A failed append is sticky: the next frame fails the incarnation.
+			rec := walRecord{kind: recQuarantine, id: q.ID, text: ev.Reason, ckpt: ev.Retained}
+			if err := rt.wal.logCatalog(rec); err != nil {
+				s.cfg.Logf("server: logging the quarantine of query %d: %v", q.ID, err)
 			}
 		},
 	}
 }
 
-// replay is recovery's one rule: walk the WAL tail once, and before the
-// record at a position start every query that joins there — Restore from its
-// partials or a fresh Attach, exactly what the live Attach/Revive did under
-// rt.mu at that position — then apply the record as the pump does, one
-// shared pass and one flushEmits. Queries joining past the last record start
-// at the end. joins need not be ordered (a revive moves a spec's position).
-func (s *Service) replay(rt *runtime, joins []buildSpec, recs []walRecord) error {
-	slices.SortStableFunc(joins, func(a, b buildSpec) int {
-		return cmp.Or(cmp.Compare(a.joinAt.epoch, b.joinAt.epoch), cmp.Compare(a.joinAt.at, b.joinAt.at))
-	})
-	// startThrough starts the queries that join at or before pos.
-	startThrough := func(pos walPos) error {
-		for ; len(joins) > 0 && !pos.before(joins[0].joinAt); joins = joins[1:] {
-			q := s.queries[joins[0].qs.id]
-			run, err := s.startRun(rt, q, joins[0].qs.ckpt)
-			if err != nil {
-				return fmt.Errorf("server: rebuilding query %d: %w", q.ID, err)
-			}
-			rt.runs[q.ID] = run
+// replay is recovery's one rule over one log: restore the state file's
+// queries, then walk the records after its watermark in order and apply each
+// as the live path did — a frame or heartbeat through the shared pass, a
+// catalog record through the helper its live change used (replay appends
+// nothing) — with one flushEmits per record. Rows emitted here land in the
+// rings at exactly the cursors they held before the crash. A query the tail
+// fenced runs up to its fence and re-derives it there (same tuples, same
+// breaker), so its quarantine record finds it fenced already.
+func (s *Service) replay(rt *runtime, queries []queryState, recs []walRecord) error {
+	known := map[uint32]bool{}
+	// adopt enters a query into the catalog, keeping the ring (and every
+	// cursor) of the incarnation before, rewound to the image: the replay
+	// re-emits what followed it bit-identically.
+	adopt := func(qs *queryState) *Query {
+		known[qs.id] = true
+		q := s.queries[qs.id]
+		if q == nil {
+			q = &Query{ID: qs.id, Text: qs.text, log: s.newRing()}
+			q.log.restore(qs.base, qs.rows)
+			s.queries[q.ID] = q
+		} else {
+			q.log.truncateTo(qs.end)
+			q.log.thaw()
 		}
-		return nil
+		q.quar.Store(nil)
+		return q
+	}
+	for i := range queries {
+		qs := &queries[i]
+		q := adopt(qs)
+		if qs.quarantined {
+			// A fenced query rebuilds dormant: no run, its retained partials
+			// parked on the Query until an operator revives it.
+			q.quar.Store(&quarInfo{reason: qs.qreason, retained: qs.ckpt})
+		} else if _, err := s.startRun(rt, q, qs.ckpt); err != nil {
+			return fmt.Errorf("server: rebuilding query %d: %w", q.ID, err)
+		}
 	}
 	batch, err := gsql.NewBatch(gsql.PacketSchema("TCP"))
 	if err != nil {
@@ -921,27 +792,54 @@ func (s *Service) replay(rt *runtime, joins []buildSpec, recs []walRecord) error
 	}
 	replayed := false
 	for i, rec := range recs {
-		if err := startThrough(rec.pos); err != nil {
-			return err
-		}
-		switch rec.kind {
-		case recFrame:
+		q := s.queries[rec.id]
+		switch {
+		case rec.kind == recFrame:
 			netgen.FillBatch(batch, rec.pkts)
 			_, err = rt.multi.PushBatch(batch)
 			replayed = replayed || len(rt.runs) > 0
-		case recHeartbeat:
+		case rec.kind == recHeartbeat:
 			err = rt.multi.Heartbeat(rec.hb)
+		case rec.kind == recAttach:
+			s.nextID = max(s.nextID, rec.id+1)
+			_, err = s.startRun(rt, adopt(&queryState{id: rec.id, text: rec.text, base: 1}), nil)
+		case !known[rec.id]:
+			err = fmt.Errorf("no query %d", rec.id)
+		case rec.kind == recDetach:
+			delete(known, rec.id)
+			s.detachLocked(rt, q)
+		case rec.kind == recRevive && q.quar.Load() == nil:
+			err = fmt.Errorf("query %d is not fenced", rec.id)
+		case rec.kind == recRevive:
+			err = s.reviveLocked(rt, q, q.quar.Load())
+		case rec.kind == recQuarantine && q.quar.Load() == nil:
+			// A fence the replay did not re-derive: park the query as the
+			// record left it.
+			if run := rt.runs[q.ID]; run != nil {
+				run.h.Detach()
+				delete(rt.runs, q.ID)
+			}
+			q.quar.Store(&quarInfo{reason: rec.text, retained: rec.ckpt})
 		}
 		s.flushEmits(rt)
 		if err != nil {
 			return fmt.Errorf("server: replaying record %d: %w", i, err)
 		}
 	}
+	// Drop catalog entries the disk does not know (e.g. attaches lost to a
+	// deliberate state reset).
+	for id, q := range s.queries {
+		if !known[id] {
+			q.log.close()
+			delete(s.queries, id)
+		}
+	}
+	s.publishRingsLocked()
 	if replayed {
 		s.counters.Add("server_wal_replays", 1)
 		s.cfg.Logf("server: replayed %d WAL records into %d queries", len(recs), len(rt.runs))
 	}
-	return startThrough(walPos{epoch: ^uint64(0)}) // past every record: the rest join at the end
+	return nil
 }
 
 // finishBuild binds the ingest listener and publishes the incarnation.
@@ -1080,7 +978,7 @@ func (s *Service) persistLoop(rt *runtime) {
 
 // persist makes one cut durable, in the order recovery relies on (DESIGN.md
 // §16): WAL bytes and epoch name before the state file that presumes them;
-// WAL files and journal entries go only once a durable state file covers them.
+// WAL files go only once a durable state file covers them.
 func (s *Service) persist(rt *runtime, job persistJob) error {
 	err := faultinject.Hit("server.persist")
 	if err == nil {
@@ -1098,10 +996,7 @@ func (s *Service) persist(rt *runtime, job persistJob) error {
 	if err := writeState(s.cfg.Dir, codec.Seal(job.image)); err != nil {
 		return err
 	}
-	if err := rt.wal.retire(job.epoch); err != nil {
-		return err
-	}
-	return s.journal.resetBelow(job.epoch + 1)
+	return rt.wal.retire(job.epoch)
 }
 
 // joinPersister waits for the persist in flight, stops the persister and
@@ -1200,8 +1095,8 @@ func (s *Service) publishRingsLocked() {
 	s.rings.Store(&rings)
 }
 
-// Attach registers a query, journals the attach durably, and starts its
-// run on the live incarnation. The returned id is the subscription handle.
+// Attach registers a query, logs the attach durably, and starts its run on
+// the live incarnation. The returned id is the subscription handle.
 func (s *Service) Attach(text string) (uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1211,25 +1106,21 @@ func (s *Service) Attach(text string) (uint32, error) {
 	}
 	id := s.nextID
 	q := &Query{ID: id, Text: text, log: s.newRing()}
-	// The WAL position must be frame-aligned, and the shared-runtime attach
-	// must not race the shared pass: rt.mu excludes the apply path, so
-	// wal.applied cannot move under us and the MultiRun is quiescent.
+	// rt.mu excludes the apply path: the attach record lands between two
+	// frames, and the MultiRun is quiescent for the attach.
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	run, err := s.startRun(rt, q, nil)
 	if err != nil {
 		return 0, attachErr(err)
 	}
-	if err := s.journal.append(journalEntry{
-		op: jAttach, id: id, text: text,
-		epoch: rt.wal.epoch, at: rt.wal.applied,
-	}); err != nil {
+	if err := rt.wal.logCatalog(walRecord{kind: recAttach, id: id, text: text}); err != nil {
+		delete(rt.runs, id)
 		run.close()
 		return 0, err
 	}
 	s.nextID++
 	s.queries[id] = q
-	rt.runs[id] = run
 	s.publishRingsLocked()
 	s.counters.Add("server_attaches", 1)
 	return id, nil
@@ -1248,7 +1139,7 @@ func attachErr(err error) error {
 
 // Revive lifts a quarantined query back into the running catalog: its
 // retained partials rejoin the shared pass at the current WAL position and
-// the revive is journaled durably. Tuples that flowed while the query was
+// the revive is logged durably. Tuples that flowed while the query was
 // fenced are not backfilled — a fenced query sees nothing, by design.
 func (s *Service) Revive(id uint32) error {
 	s.mu.Lock()
@@ -1267,33 +1158,35 @@ func (s *Service) Revive(id uint32) error {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if run := rt.runs[id]; run != nil {
-		// Quarantined in this incarnation: the handle revives in place.
-		if err := run.h.Revive(); err != nil {
-			return attachErr(err)
-		}
-	} else {
-		// Rebuilt dormant: a fresh run seeded from the retained partials.
-		run, err := s.startRun(rt, q, qi.retained)
-		if err != nil {
-			return attachErr(err)
-		}
-		rt.runs[id] = run
+	if err := s.reviveLocked(rt, q, qi); err != nil {
+		return attachErr(err)
 	}
-	q.quar.Store(nil)
-	if err := s.journal.append(journalEntry{
-		op: jRevive, id: id, epoch: rt.wal.epoch, at: rt.wal.applied,
-	}); err != nil {
-		// The revive is live but not durable; a crash before the next
-		// checkpoint re-parks the query dormant. Surface the disk failure.
+	// A failed append leaves the revive live but not durable; it is sticky,
+	// so the next frame fails the incarnation and the rebuild follows the log.
+	if err := rt.wal.logCatalog(walRecord{kind: recRevive, id: id}); err != nil {
 		return err
 	}
 	s.counters.Add("server_revives", 1)
 	return nil
 }
 
-// Detach removes a query: journal the detach, drop its run and ring, and
-// kick every subscriber.
+// reviveLocked lifts q's fence (qi): in place when it was fenced in this
+// incarnation, else as a fresh run seeded from the retained partials. Callers
+// hold s.mu and rt.mu.
+func (s *Service) reviveLocked(rt *runtime, q *Query, qi *quarInfo) error {
+	if run := rt.runs[q.ID]; run != nil {
+		if err := run.h.Revive(); err != nil {
+			return err
+		}
+	} else if _, err := s.startRun(rt, q, qi.retained); err != nil {
+		return err
+	}
+	q.quar.Store(nil)
+	return nil
+}
+
+// Detach removes a query: log the detach, drop its run and ring, and kick
+// every subscriber.
 func (s *Service) Detach(id uint32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1307,23 +1200,27 @@ func (s *Service) Detach(id uint32) error {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if err := s.journal.append(journalEntry{
-		op: jDetach, id: id, epoch: rt.wal.epoch, at: rt.wal.applied,
-	}); err != nil {
+	if err := rt.wal.logCatalog(walRecord{kind: recDetach, id: id}); err != nil {
 		return err
 	}
-	delete(s.queries, id)
-	if run := rt.runs[id]; run != nil {
-		delete(rt.runs, id)
+	s.detachLocked(rt, q)
+	s.dropQueryGauges(id)
+	s.counters.Add("server_detaches", 1)
+	return nil
+}
+
+// detachLocked drops q from the catalog and its run from the shared feed,
+// and closes its ring. Callers hold s.mu and rt.mu.
+func (s *Service) detachLocked(rt *runtime, q *Query) {
+	delete(s.queries, q.ID)
+	if run := rt.runs[q.ID]; run != nil {
+		delete(rt.runs, q.ID)
 		q.log.freeze() // Close()'s partial-bucket flush must not leak rows
 		run.close()
 		s.flushEmits(rt)
 	}
 	q.log.close() // wakes subscribers with fetchClosed→removed semantics
 	s.publishRingsLocked()
-	s.dropQueryGauges(id)
-	s.counters.Add("server_detaches", 1)
-	return nil
 }
 
 // lookup returns a live query.

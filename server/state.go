@@ -1,34 +1,23 @@
 package server
 
-// The checkpoint state file and the catalog journal.
+// The checkpoint state file.
 //
 // The state file is the service's restart anchor: for every attached query
 // it holds the query text, the engine checkpoint (the paper's decayed
 // partials, exact because forward-decay weights are fixed at arrival), and
 // the result ring snapshot with its absolute cursors; plus the ingest
 // session table and the WAL watermark (epoch, applied). Restart = load
-// state + replay WAL past the watermark. The whole file is wrapped in a
-// core.HashBytes trailer and written with durable.WriteFileAtomic.
-//
-// The catalog journal covers the gap BETWEEN checkpoints: attaching or
-// detaching a query must survive a crash even if no checkpoint follows, so
-// each attach/detach appends a sealed record here. An attach record carries
-// the WAL position at which the query began receiving data; replay feeds it
-// only records from that position on, which is what makes a mid-stream
-// attach exact across a restart. Every entry is stamped with the WAL position
-// it took effect at and recovery skips those before the state file's
-// watermark, so the persister empties the journal after the state write, and
-// only when it holds nothing newer than the state.
+// state + replay WAL past the watermark; the catalog changes since the
+// watermark are records of that log too (wal.go). The whole file is wrapped in
+// a core.HashBytes trailer and written with durable.WriteFileAtomic.
 
 import (
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"forwarddecay/gsql"
-	"forwarddecay/ingest"
 	"forwarddecay/internal/codec"
 	"forwarddecay/internal/durable"
 )
@@ -41,26 +30,22 @@ var stateMagic = [8]byte{'F', 'D', 'S', 'T', 'A', 'T', 'E', 2}
 const stateVersionV1 = 1
 
 const (
-	stateFile   = "server.state"
-	journalFile = "catalog.journal"
-
-	jAttach     = 1
-	jDetach     = 2
-	jQuarantine = 3
-	jRevive     = 4
+	stateFile = "server.state"
+	// legacyJournal is where older binaries kept the catalog changes since
+	// the last checkpoint, beside the log instead of in it.
+	legacyJournal = "catalog.journal"
 )
 
 // queryState is one query's persisted slice of the state file. The ring
 // image (base, rows, end) is filled by decoding only: a checkpoint encodes it
 // straight from the live ring (appendQueryState).
 type queryState struct {
-	id      uint32
-	text    string
-	ckpt    []byte // engine checkpoint
-	base    uint64 // result ring snapshot
-	rows    []gsql.Tuple
-	end     uint64 // highest assigned cursor at checkpoint time
-	startAt uint64 // replay start within the checkpoint's WAL epoch
+	id   uint32
+	text string
+	ckpt []byte // engine checkpoint
+	base uint64 // result ring snapshot
+	rows []gsql.Tuple
+	end  uint64 // highest assigned cursor at checkpoint time
 	// Quarantine trailer (state v2): a fenced query is persisted dormant —
 	// ckpt holds the partials retained at the moment it was fenced, and the
 	// rebuilt catalog does not re-attach it until an operator revives it.
@@ -94,7 +79,8 @@ func beginState(b []byte, walEpoch, walApplied uint64, nextQueryID uint32, queri
 func appendQueryState(b []byte, q *queryState, ring *resultLog) []byte {
 	b = codec.AppendBytes32(codec.AppendU32(b, q.id), q.text)
 	b = codec.AppendU32(b, 0) // shard count of older binaries
-	b = codec.AppendBytes32(codec.AppendU64(b, q.startAt), q.ckpt)
+	b = codec.AppendU64(b, 0) // replay start of older binaries
+	b = codec.AppendBytes32(b, q.ckpt)
 	b = codec.AppendBool(ring.appendSnapshot(b), q.quarantined)
 	if q.quarantined {
 		b = codec.AppendBytes32(b, q.qreason)
@@ -139,7 +125,7 @@ func decodeState(b []byte) (*serverState, error) {
 			return nil, fmt.Errorf("server: state file: query %d: %w", q.id,
 				&gsql.ShardedUnsupportedError{Query: q.text, Shards: int(shards)})
 		}
-		q.startAt = d.U64()
+		d.U64() // replay start of older binaries, always 0
 		q.ckpt = append([]byte(nil), d.Bytes32()...)
 		q.base, q.end = d.U64(), d.U64()
 		for range d.Count(uint64(d.U32()), 2) {
@@ -180,140 +166,31 @@ func loadState(dir string) (*serverState, error) {
 	return decodeState(b)
 }
 
-// journalEntry is one catalog mutation since the last checkpoint.
-type journalEntry struct {
-	op   byte
-	id   uint32
-	text string // attach
-	// epoch/at pin where in the WAL the mutation took effect: replay feeds an
-	// attached or revived query only records from there on, and an entry
-	// before the state file's watermark is skipped. Epoch 0 (detach and
-	// quarantine entries of older binaries) is unpositioned: always applied.
-	epoch uint64
-	at    uint64
-	// Quarantine payload: why the query was fenced and the partials
-	// retained at that instant (the revive seed). A fenced query sees
-	// nothing until revived, so this checkpoint needs no WAL alignment.
-	reason string // quarantine
-	ckpt   []byte // quarantine
+// LegacyJournalError refuses a state directory whose catalog journal, left by
+// an older binary, still holds entries: they may be catalog changes that no
+// state file holds, and this version reads no journal.
+type LegacyJournalError struct{ Path string }
+
+func (e *LegacyJournalError) Error() string {
+	return fmt.Sprintf("server: %s holds catalog changes this version does not read "+
+		"(recover the directory with the version that wrote it, or remove the file to drop them)", e.Path)
 }
 
-func encodeJournalEntry(e journalEntry) []byte {
-	return ingest.AppendSealed(nil, encodeJournalBody(e))
-}
-
-func encodeJournalBody(e journalEntry) []byte {
-	body := codec.AppendU32([]byte{e.op}, e.id)
-	body = codec.AppendU64(codec.AppendU64(body, e.epoch), e.at)
-	switch e.op {
-	case jAttach:
-		body = codec.AppendBytes32(codec.AppendU32(body, 0), e.text) // 0: shard count of older binaries
-	case jQuarantine:
-		body = codec.AppendBytes32(codec.AppendBytes32(body, e.reason), e.ckpt)
-	}
-	return body
-}
-
-func decodeJournalEntry(body []byte) (journalEntry, error) {
-	d := codec.NewDec(body, "entry")
-	e := journalEntry{op: d.U8(), id: d.U32(), epoch: d.U64(), at: d.U64()}
-	switch e.op {
-	case jAttach:
-		shards := d.U32()
-		e.text = string(d.Bytes32())
-		if shards != 0 && d.Err() == nil {
-			return e, fmt.Errorf("query %d: %w", e.id,
-				&gsql.ShardedUnsupportedError{Query: e.text, Shards: int(shards)})
-		}
-	case jDetach, jRevive:
-	case jQuarantine:
-		e.reason = string(d.Bytes32())
-		e.ckpt = append([]byte(nil), d.Bytes32()...)
-	default:
-		return e, fmt.Errorf("unknown journal op %d", e.op)
-	}
-	return e, d.Done()
-}
-
-// journal is the catalog journal of a state directory. Its mutex orders
-// appends (under s.mu or rt.mu, which are outer to it) against the persister's
-// reset; held/newest let that reset decide without reading the file.
-type journal struct {
-	mu     sync.Mutex
-	dir    string
-	held   bool   // the file is not empty
-	newest uint64 // highest epoch stamped on an entry it holds
-}
-
-// append appends one sealed entry and syncs the file: an attach the client
-// saw acknowledged must survive a crash.
-func (j *journal) append(e journalEntry) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	f, err := os.OpenFile(filepath.Join(j.dir, journalFile), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: journal: %w", err)
-	}
-	defer f.Close()
-	// Before the write: even a failed one may leave bytes behind.
-	j.held, j.newest = true, max(j.newest, e.epoch)
-	if _, err := f.Write(encodeJournalEntry(e)); err != nil {
-		return fmt.Errorf("server: journal: %w", err)
-	}
-	return durable.SyncFile(f)
-}
-
-// load reads every intact entry. A torn tail (crash mid-append: the client
-// never saw that attach acknowledged) is cut off, so no append lands behind it.
-func (j *journal) load() ([]journalEntry, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.held, j.newest = false, 0
-	path := filepath.Join(j.dir, journalFile)
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("server: journal: %w", err)
-	}
-	var out []journalEntry
-	off := 0
-	for off < len(b) {
-		body, n, derr := ingest.DecodeSealed(b[off:], MaxControlFrame)
-		if errors.Is(derr, ingest.ErrIncomplete) {
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return nil, fmt.Errorf("server: journal: truncating torn tail: %w", err)
-			}
-			break
-		}
-		if derr != nil {
-			return nil, fmt.Errorf("server: journal: offset %d: %w", off, derr)
-		}
-		e, jerr := decodeJournalEntry(body)
-		if jerr != nil {
-			return nil, fmt.Errorf("server: journal: offset %d: %w", off, jerr)
-		}
-		out = append(out, e)
-		j.held, j.newest = true, max(j.newest, e.epoch)
-		off += n
-	}
-	return out, nil
-}
-
-// resetBelow empties the journal once a durable state file with watermark
-// (epoch, 0) has folded its entries in — unless it is empty already, or holds
-// an entry appended since that cut: the stale prefix then stays, which
-// recovery skips, until a later checkpoint finds the journal quiet.
-func (j *journal) resetBelow(epoch uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.held || j.newest >= epoch {
+// dropLegacyJournal removes an empty legacy journal and refuses a non-empty
+// one, deleting nothing.
+func dropLegacyJournal(dir string) error {
+	path := filepath.Join(dir, legacyJournal)
+	fi, err := os.Stat(path)
+	switch {
+	case os.IsNotExist(err):
 		return nil
+	case err != nil:
+		return fmt.Errorf("server: state dir: %w", err)
+	case fi.Size() > 0:
+		return &LegacyJournalError{Path: path}
 	}
-	if err := durable.WriteFileAtomic(filepath.Join(j.dir, journalFile), nil, 0o644); err != nil {
-		return err
+	if err := os.Remove(path); err != nil {
+		return fmt.Errorf("server: state dir: %w", err)
 	}
-	j.held, j.newest = false, 0
 	return nil
 }

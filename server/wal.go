@@ -14,12 +14,22 @@ package server
 // gsql.Value *type* (Int and Float heartbeats take different temporal-
 // bucket paths through the engine).
 //
+// The log also holds the catalog: an attach, detach, quarantine or revive is
+// a record at the position where it changed the live catalog, so recovery
+// walks one log in order and applies each record as the live path did
+// (Service.replay). A catalog record is fsynced before the change is
+// acknowledged (logCatalog).
+//
 // Layout: one file per checkpoint epoch, `ingest-%08d.wal`:
 //
 //	header = 8-byte magic "FDSRV\x01\x00\x00" · u64 epoch
 //	then sealed records (the ingest length+checksum envelope):
-//	  u8 recFrame     · u64 session · u64 seq · u16 n · n×23-byte packets
-//	  u8 recHeartbeat · u8 kind (0=int, 1=float) · f64/i64 payload
+//	  u8 recFrame      · u64 session · u64 seq · u16 n · n×23-byte packets
+//	  u8 recHeartbeat  · u8 kind (0=int, 1=float) · f64/i64 payload
+//	  u8 recAttach     · u32 id · bytes32 text
+//	  u8 recDetach     · u32 id
+//	  u8 recQuarantine · u32 id · bytes32 reason · bytes32 partials
+//	  u8 recRevive     · u32 id
 //
 // Epoch discipline: a checkpoint is a cut on the ingest pump and a persist
 // behind it (Service.checkpoint, Service.persist; DESIGN.md §16). The cut,
@@ -37,10 +47,9 @@ package server
 // corruption and refuse to load. Each record lands in the file (one write
 // syscall) before the ack goes out — durable against a process kill; the
 // power-cut story is the persister's fsyncs and directory syncs, the same
-// stance the distrib WAL takes.
+// stance the distrib WAL takes, plus each catalog record's own fsync.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -50,6 +59,7 @@ import (
 
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
+	"forwarddecay/internal/codec"
 	"forwarddecay/internal/durable"
 	"forwarddecay/netgen"
 )
@@ -57,8 +67,12 @@ import (
 var walMagic = [8]byte{'F', 'D', 'S', 'R', 'V', 1, 0, 0}
 
 const (
-	recFrame     = 1
-	recHeartbeat = 2
+	recFrame      = 1
+	recHeartbeat  = 2
+	recAttach     = 3
+	recDetach     = 4
+	recQuarantine = 5
+	recRevive     = 6
 
 	hbInt   = 0
 	hbFloat = 1
@@ -76,7 +90,8 @@ func (p walPos) before(q walPos) bool {
 	return p.epoch < q.epoch || (p.epoch == q.epoch && p.at < q.at)
 }
 
-// walRecord is one replayable ingest event.
+// walRecord is one replayable event: an ingest frame or heartbeat, or a
+// catalog change.
 type walRecord struct {
 	pos  walPos
 	kind byte
@@ -84,17 +99,85 @@ type walRecord struct {
 	seq  uint64          // recFrame
 	pkts []netgen.Packet // recFrame
 	hb   gsql.Value      // recHeartbeat (TInt or TFloat)
+	id   uint32          // catalog records: the query
+	text string          // recAttach: the query text; recQuarantine: the reason
+	ckpt []byte          // recQuarantine: the partials retained at the fence
 }
+
+// appendBody appends the record's body, the bytes its seal covers.
+func (r *walRecord) appendBody(b []byte) []byte {
+	b = append(b, r.kind)
+	switch r.kind {
+	case recFrame:
+		b = codec.AppendU64(codec.AppendU64(b, r.sess), r.seq)
+		b = codec.AppendU16(b, uint16(len(r.pkts)))
+		for _, p := range r.pkts {
+			b = netgen.AppendPacketRecord(b, p)
+		}
+	case recHeartbeat:
+		if r.hb.T == gsql.TFloat {
+			return codec.AppendF64(append(b, hbFloat), r.hb.F)
+		}
+		b = codec.AppendU64(append(b, hbInt), uint64(r.hb.I))
+	default:
+		b = codec.AppendU32(b, r.id)
+		switch r.kind {
+		case recAttach:
+			b = codec.AppendBytes32(b, r.text)
+		case recQuarantine:
+			b = codec.AppendBytes32(codec.AppendBytes32(b, r.text), r.ckpt)
+		}
+	}
+	return b
+}
+
+func decodeWALRecord(body []byte) (walRecord, error) {
+	d := codec.NewDec(body, "server: wal record")
+	r := walRecord{kind: d.U8()}
+	switch r.kind {
+	case recFrame:
+		r.sess, r.seq = d.U64(), d.U64()
+		r.pkts = make([]netgen.Packet, d.Count(uint64(d.U16()), netgen.PacketRecordSize))
+		for i := range r.pkts {
+			r.pkts[i] = netgen.DecodePacketRecord(d.Bytes(netgen.PacketRecordSize))
+		}
+	case recHeartbeat:
+		switch kind, bits := d.U8(), d.U64(); {
+		case d.Err() != nil:
+		case kind == hbInt:
+			r.hb = gsql.Int(int64(bits))
+		case kind == hbFloat && finite(math.Float64frombits(bits)):
+			r.hb = gsql.Float(math.Float64frombits(bits))
+		default:
+			d.Failf("heartbeat kind %d, bits %#x", kind, bits)
+		}
+	case recAttach, recDetach, recQuarantine, recRevive:
+		r.id = d.U32()
+		switch r.kind {
+		case recAttach:
+			r.text = string(d.Bytes32())
+		case recQuarantine:
+			r.text = string(d.Bytes32())
+			r.ckpt = append([]byte(nil), d.Bytes32()...)
+		}
+	default:
+		d.Failf("unknown record kind %d", r.kind)
+	}
+	return r, d.Done()
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // walName formats the file name for an epoch.
 func walName(dir string, epoch uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("ingest-%08d.wal", epoch))
 }
 
-// ingestWAL is the append side. Not self-locking: the ingest listener's
-// single pump goroutine is the only appender (rotation happens inside the
-// pump's checkpoint hook), with the runtime builder touching it only before
-// the listener exists.
+// ingestWAL is the append side. Not self-locking: every append and the
+// rotation run under rt.mu — the pump's frames, heartbeats and quarantines,
+// the control plane's other catalog records, the pump's checkpoint hook — and
+// a degraded incarnation, which has no catalog, appends only from its pump.
+// The runtime builder touches it before the listener exists.
 type ingestWAL struct {
 	dir     string
 	epoch   uint64
@@ -102,48 +185,65 @@ type ingestWAL struct {
 	applied uint64 // records appended in the current epoch
 	buf     []byte // reused encode buffer
 	oldest  uint64 // lowest epoch that may still have a file; retire's, after openWAL
+	named   bool   // the current epoch's file name is known durable
+	err     error  // sticky: a failed append may leave torn bytes, so none follows it
 }
 
 // LogFrame implements ingest.ApplyLog.
 func (w *ingestWAL) LogFrame(session, seq uint64, pkts []netgen.Packet) error {
-	b := append(ingest.ReserveSealed(w.buf[:0]), recFrame)
-	b = binary.LittleEndian.AppendUint64(b, session)
-	b = binary.LittleEndian.AppendUint64(b, seq)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(pkts)))
-	for _, p := range pkts {
-		b = netgen.AppendPacketRecord(b, p)
-	}
-	return w.writeSealed(b)
+	r := walRecord{kind: recFrame, sess: session, seq: seq, pkts: pkts}
+	return w.write(&r)
 }
 
 // LogHeartbeat implements ingest.ApplyLog.
 func (w *ingestWAL) LogHeartbeat(ts gsql.Value) error {
-	b := append(ingest.ReserveSealed(w.buf[:0]), recHeartbeat)
-	switch ts.T {
-	case gsql.TInt:
-		b = append(b, hbInt)
-		b = binary.LittleEndian.AppendUint64(b, uint64(ts.I))
-	case gsql.TFloat:
-		b = append(b, hbFloat)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ts.F))
-	default:
-		return fmt.Errorf("server: wal: heartbeat value type %v not persistable", ts.T)
+	if !(ts.T == gsql.TInt || ts.T == gsql.TFloat && finite(ts.F)) {
+		return fmt.Errorf("server: wal: heartbeat %v not persistable", ts)
 	}
-	return w.writeSealed(b)
+	return w.write(&walRecord{kind: recHeartbeat, hb: ts})
 }
 
-// writeSealed seals the record body built after the reserved header in b (the
-// reused encode buffer) and writes it. The write syscall lands the bytes in
-// the file before the frame is acked, which is what makes an in-process kill
-// recoverable.
-func (w *ingestWAL) writeSealed(b []byte) error {
-	ingest.SealInPlace(b, 0)
+// write seals the record in the reused encode buffer and writes it. The
+// write syscall lands the bytes in the file before the frame is acked, which
+// is what makes an in-process kill recoverable.
+func (w *ingestWAL) write(r *walRecord) error {
+	if w.err != nil {
+		return w.err
+	}
+	b := r.appendBody(ingest.ReserveSealed(w.buf[:0]))
 	w.buf = b
-	if _, err := w.f.Write(w.buf); err != nil {
-		return fmt.Errorf("server: wal append: %w", err)
+	if len(b)-ingest.SealedHeaderSize > walMaxRecord {
+		return fmt.Errorf("server: wal: a %d-byte record exceeds the %d-byte limit", len(b)-ingest.SealedHeaderSize, walMaxRecord)
+	}
+	ingest.SealInPlace(b, 0)
+	if _, err := w.f.Write(b); err != nil {
+		w.err = fmt.Errorf("server: wal append: %w", err)
+		return w.err
 	}
 	w.applied++
 	return nil
+}
+
+// logCatalog appends a catalog record and makes it durable before the change
+// is acknowledged: the directory is synced first when the epoch file's name
+// may not be durable yet (a rotation creates it unsynced), then the file.
+// A quarantine's partials are left out when they would make the record too
+// large: a revive after a crash then starts the query fresh.
+func (w *ingestWAL) logCatalog(r walRecord) error {
+	if r.kind == recQuarantine && 1+4+4+len(r.text)+4+len(r.ckpt) > walMaxRecord {
+		r.ckpt = nil
+	}
+	if err := w.write(&r); err != nil {
+		return err
+	}
+	if !w.named {
+		if w.err = durable.SyncDir(w.dir); w.err != nil {
+			return w.err
+		}
+		w.named = true
+	}
+	w.err = durable.SyncFile(w.f)
+	return w.err
 }
 
 // rotate switches appends to the next epoch — on the pump, so a plain create
@@ -155,7 +255,7 @@ func (w *ingestWAL) rotate() (old *os.File, err error) {
 		return nil, err
 	}
 	old = w.f
-	w.f, w.epoch, w.applied = f, w.epoch+1, 0
+	w.f, w.epoch, w.applied, w.named = f, w.epoch+1, 0, false
 	return old, nil
 }
 
@@ -190,10 +290,8 @@ func createWAL(dir string, epoch uint64) (*os.File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: wal create: %w", err)
 	}
-	hdr := make([]byte, 16)
-	copy(hdr, walMagic[:])
-	binary.LittleEndian.PutUint64(hdr[8:], epoch)
-	if _, err := f.Write(hdr); err != nil {
+	hdr := append(make([]byte, 0, len(walMagic)+8), walMagic[:]...)
+	if _, err := f.Write(codec.AppendU64(hdr, epoch)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("server: wal create: %w", err)
 	}
@@ -220,10 +318,11 @@ func openWAL(dir string, from walPos) (w *ingestWAL, recs []walRecord, err error
 			return nil, nil, fmt.Errorf("server: wal open: %w", err)
 		}
 		base := filepath.Base(name)
-		if len(data) < 16 || [8]byte(data[:8]) != walMagic {
+		hdr := codec.NewDec(data, base)
+		magic, epoch := hdr.Bytes(8), hdr.U64()
+		if hdr.Err() != nil || [8]byte(magic) != walMagic {
 			return nil, nil, fmt.Errorf("server: wal open: %s: bad header", base)
 		}
-		epoch := binary.LittleEndian.Uint64(data[8:16])
 		if epoch < from.epoch {
 			if err := os.Remove(name); err != nil {
 				return nil, nil, fmt.Errorf("server: wal open: removing superseded %s: %w", base, err)
@@ -273,56 +372,11 @@ func openWAL(dir string, from walPos) (w *ingestWAL, recs []walRecord, err error
 			w.f.Close()
 			return nil, nil, err
 		}
+		w.named = true
 		return w, nil, nil
 	}
 	if w.f, err = os.OpenFile(newest, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return nil, nil, fmt.Errorf("server: wal open: %w", err)
 	}
 	return w, recs, nil
-}
-
-func decodeWALRecord(body []byte) (walRecord, error) {
-	if len(body) < 1 {
-		return walRecord{}, errors.New("empty record body")
-	}
-	switch body[0] {
-	case recFrame:
-		if len(body) < 1+8+8+2 {
-			return walRecord{}, fmt.Errorf("frame record header is %d bytes, want >= 19", len(body))
-		}
-		r := walRecord{
-			kind: recFrame,
-			sess: binary.LittleEndian.Uint64(body[1:]),
-			seq:  binary.LittleEndian.Uint64(body[9:]),
-		}
-		n := int(binary.LittleEndian.Uint16(body[17:]))
-		rest := body[19:]
-		if len(rest) != n*netgen.PacketRecordSize {
-			return walRecord{}, fmt.Errorf("frame record claims %d packets but carries %d bytes", n, len(rest))
-		}
-		r.pkts = make([]netgen.Packet, n)
-		for i := 0; i < n; i++ {
-			r.pkts[i] = netgen.DecodePacketRecord(rest[i*netgen.PacketRecordSize:])
-		}
-		return r, nil
-	case recHeartbeat:
-		if len(body) != 1+1+8 {
-			return walRecord{}, fmt.Errorf("heartbeat record is %d bytes, want 10", len(body))
-		}
-		bits := binary.LittleEndian.Uint64(body[2:])
-		switch body[1] {
-		case hbInt:
-			return walRecord{kind: recHeartbeat, hb: gsql.Int(int64(bits))}, nil
-		case hbFloat:
-			f := math.Float64frombits(bits)
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return walRecord{}, fmt.Errorf("non-finite heartbeat %v", f)
-			}
-			return walRecord{kind: recHeartbeat, hb: gsql.Float(f)}, nil
-		default:
-			return walRecord{}, fmt.Errorf("unknown heartbeat kind %d", body[1])
-		}
-	default:
-		return walRecord{}, fmt.Errorf("unknown record kind %d", body[0])
-	}
 }
