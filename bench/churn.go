@@ -11,13 +11,13 @@ import (
 // Catalog-churn harness: how long does attaching (and detaching) one
 // standing query take as a function of how many queries are already
 // attached? The incremental-rebuild invariant (gated in ci.sh) is that both
-// are O(query) — parse, plan, intern and splice one member — not O(catalog).
-// A runtime that recompiled its predicate classes or re-interned the shared
-// expression slots on every catalog mutation would scale the per-attach
-// cost with the catalog size and fail the ratio gate immediately: the
-// 1000-query catalog must churn at a small constant multiple of the
-// 10-query catalog's cost (map and interner bookkeeping grow slightly with
-// occupancy, so the gate allows that constant; a recompile costs ~100x).
+// are O(query) — parse, plan and splice one member — not O(catalog). A
+// runtime that recompiled its predicate classes on every catalog mutation
+// would scale the per-attach cost with the catalog size and fail the ratio
+// gate immediately: the 1000-query catalog must churn at a small constant
+// multiple of the 10-query catalog's cost (map bookkeeping grows slightly
+// with occupancy, so the gate allows that constant; a recompile costs
+// ~100x).
 
 // ChurnPoint is one measured point of the churn sweep.
 type ChurnPoint struct {
@@ -69,7 +69,7 @@ func measureChurn(n, pairs int, trace []gsql.Tuple) (ChurnPoint, error) {
 			return ChurnPoint{}, fmt.Errorf("attach query %d: %w", i, err)
 		}
 	}
-	// Materialize live groups and interner occupancy before the timed
+	// Materialize live groups and key-table occupancy before the timed
 	// churn: an empty catalog would undersell the detach path.
 	for _, t := range trace {
 		if err := m.Push(t); err != nil {

@@ -21,10 +21,9 @@ import (
 
 // MultiScalePoint is one measured point of the scaling sweep.
 type MultiScalePoint struct {
-	Queries       int
-	NsPerTuple    float64
-	Classes       int
-	DistinctExprs int
+	Queries    int
+	NsPerTuple float64
+	Classes    int
 }
 
 // multiScaleWheres are the predicate classes of the scaling workload. Each
@@ -128,9 +127,8 @@ func measureMultiScale(n int, trace []gsql.Tuple) (MultiScalePoint, error) {
 		return MultiScalePoint{}, err
 	}
 	return MultiScalePoint{
-		Queries:       n,
-		NsPerTuple:    float64(elapsed.Nanoseconds()) / float64(len(trace)),
-		Classes:       st.Classes,
-		DistinctExprs: st.DistinctExprs,
+		Queries:    n,
+		NsPerTuple: float64(elapsed.Nanoseconds()) / float64(len(trace)),
+		Classes:    st.Classes,
 	}, nil
 }

@@ -203,9 +203,9 @@ func checkScaling(points []bench.MultiScalePoint, maxRatio float64) error {
 	if len(points) == 0 {
 		return nil
 	}
-	fmt.Fprintf(os.Stderr, "\n%-10s %14s %10s %14s\n", "queries", "ns/tuple", "classes", "shared exprs")
+	fmt.Fprintf(os.Stderr, "\n%-10s %14s %10s\n", "queries", "ns/tuple", "classes")
 	for _, p := range points {
-		fmt.Fprintf(os.Stderr, "%-10d %14.1f %10d %14d\n", p.Queries, p.NsPerTuple, p.Classes, p.DistinctExprs)
+		fmt.Fprintf(os.Stderr, "%-10d %14.1f %10d\n", p.Queries, p.NsPerTuple, p.Classes)
 	}
 	if maxRatio <= 0 {
 		return nil

@@ -69,12 +69,11 @@ func (st *Statement) WherePredicate() func(Tuple) (Value, error) {
 // BatchPredicate returns a vectorized evaluator of the statement's WHERE
 // clause: it fills the batch's selection bitmap with the finite rows that
 // pass the filter and returns how many survived. Nil when the query has no
-// filter (or it did not compile to kernels — fallback-heavy filters still
-// vectorize, so this is rare). The closure owns its scratch state; use one
-// instance per goroutine. It is the batch-side counterpart of WherePredicate.
+// filter. The closure owns its scratch state; use one instance per
+// goroutine. It is the batch-side counterpart of WherePredicate.
 func (st *Statement) BatchPredicate() func(*Batch) (int, error) {
 	vp := st.p.vec
-	if vp == nil || vp.where == nil {
+	if vp.where == nil {
 		return nil
 	}
 	var ctx vctx
@@ -99,11 +98,7 @@ func (st *Statement) BatchPredicate() func(*Batch) (int, error) {
 
 // Prepare parses, plans and compiles a query.
 func (e *Engine) Prepare(query string) (*Statement, error) {
-	isAgg := func(name string) bool {
-		_, ok := e.aggs[name]
-		return ok
-	}
-	ast, err := parseQuery(query, isAgg)
+	ast, err := e.parse(query)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +106,21 @@ func (e *Engine) Prepare(query string) (*Statement, error) {
 	if !ok {
 		return nil, fmt.Errorf("gsql: unknown stream %q", ast.from)
 	}
-	p, err := buildPlan(ast, schema, e.aggs)
+	return e.compile(query, ast, schema, false)
+}
+
+// parse parses a query against the engine's registered aggregates.
+func (e *Engine) parse(query string) (*queryAST, error) {
+	return parseQuery(query, func(name string) bool {
+		_, ok := e.aggs[name]
+		return ok
+	})
+}
+
+// compile plans a parsed query over schema into a Statement: Prepare's
+// path, and with stripWhere a catalog member's (buildPlan).
+func (e *Engine) compile(query string, ast *queryAST, schema *Schema, stripWhere bool) (*Statement, error) {
+	p, err := buildPlan(ast, schema, e.aggs, stripWhere)
 	if err != nil {
 		return nil, err
 	}

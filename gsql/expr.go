@@ -25,16 +25,23 @@ type compileEnv struct {
 	// subMatch, if non-nil, maps a whole subtree to a record index (used to
 	// match select-list subexpressions against group-by expressions).
 	subMatch func(e expr) int
-	// shared, if non-nil, may replace a whole subtree with a caller-built
-	// evaluator (the multi-query runtime's hash-consed shared slots). It is
-	// consulted after subMatch and before structural compilation; returning
-	// nil declines, and the subtree compiles normally. The hook must be
-	// value-transparent: the evaluator it returns must produce exactly what
-	// the structural compilation of the subtree would. staticType ignores
-	// it for that reason — the static type of a shared subtree is the
-	// subtree's own.
-	shared func(e expr) evalFn
-	funcs  map[string]scalarFunc
+	funcs    map[string]scalarFunc
+}
+
+// tupleEnv is the environment of tuple-level expressions (WHERE, group-by,
+// aggregate arguments) over a stream: names resolve to the schema's columns
+// and their declared types, and aggregates are forbidden.
+func tupleEnv(schema *Schema) *compileEnv {
+	return &compileEnv{
+		resolve: schema.ColumnIndex,
+		colType: func(name string) Type {
+			if i := schema.ColumnIndex(name); i >= 0 {
+				return schema.Cols[i].Type
+			}
+			return TNull
+		},
+		funcs: builtinFuncs,
+	}
 }
 
 // staticType infers the type an expression is guaranteed to produce at
@@ -93,11 +100,6 @@ func (env *compileEnv) compile(e expr) (evalFn, error) {
 	if env.subMatch != nil {
 		if idx := env.subMatch(e); idx >= 0 {
 			return func(rec Tuple) (Value, error) { return rec[idx], nil }, nil
-		}
-	}
-	if env.shared != nil {
-		if fn := env.shared(e); fn != nil {
-			return fn, nil
 		}
 	}
 	switch n := e.(type) {

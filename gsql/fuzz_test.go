@@ -143,7 +143,8 @@ func quantileCheckpoints(tb testing.TB) (st *gsql.Statement, body, mixed []byte)
 // the default low-table size and once at 4 slots, where collisions, evictions,
 // high-table lookups and flush merges run on every bucket. Each time the
 // query also folds twice, beside a count(*) sibling on its key list, through
-// one MultiRun, where the three share a key table (fuzzShared).
+// one MultiRun, where the three share a key table (fuzzShared). Every
+// prepared statement, catalog member and class predicate has a kernel plan.
 func FuzzQuery(f *testing.F) {
 	seeds := []string{
 		`select tb, dstIP, count(*) from TCP group by time/60 as tb, dstIP`,
@@ -190,6 +191,9 @@ func FuzzQuery(f *testing.F) {
 				t.Fatalf("error without package prefix: %v", err)
 			}
 			return
+		}
+		if !gsql.VecPlanned(st) {
+			t.Fatalf("%q: prepared without a kernel plan", query)
 		}
 		for _, opts := range []gsql.Options{{}, {LowLevelSlots: 4}} {
 			fuzzSameFold(t, st, query, tape, batches, opts)
@@ -269,6 +273,9 @@ func fuzzShared(t *testing.T, e *gsql.Engine, query string, tape []gsql.Tuple, b
 		if hs[i], err = m.Attach(q, 0, func(r gsql.Tuple) error { rows[i] = append(rows[i], r); return nil }); err != nil {
 			t.Fatalf("%q: attach: %v", q, err)
 		}
+	}
+	if !gsql.CatalogVecPlanned(m) {
+		t.Fatalf("%q: a catalog member or class predicate has no kernel plan", query)
 	}
 	for _, b := range batches {
 		if _, err := m.PushBatch(b); err != nil {

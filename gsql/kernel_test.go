@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -74,19 +75,6 @@ func parseTupleExpr(t *testing.T, src string) expr {
 	return q.where
 }
 
-func kernelEnv(s *Schema) *compileEnv {
-	return &compileEnv{
-		resolve: s.ColumnIndex,
-		colType: func(name string) Type {
-			if i := s.ColumnIndex(name); i >= 0 {
-				return s.Cols[i].Type
-			}
-			return TNull
-		},
-		funcs: builtinFuncs,
-	}
-}
-
 // sameBits reports whether two values are identical to the bit (NaN
 // payloads and the sign of zero included).
 func sameBits(a, b Value) bool {
@@ -117,40 +105,41 @@ func TestBuiltinKernelsMatchScalar(t *testing.T) {
 	cases = append(cases, "exp(float(i % 60) / 10)", "sqrt(abs(f))", "ln(exp(f))",
 		"pow(abs(i), 0.5)", "floor(-f) + ceil(f)", "abs(-i)", "log2(f * g)")
 
-	scalarEnv := kernelEnv(s)
-	vecEnv := kernelEnv(s)
-	fallbacks := 0
-	// A fallback node compiles its subtree with the scalar compiler, which
-	// consults the shared hook first: counting the calls counts fallbacks.
-	vecEnv.shared = func(expr) evalFn { fallbacks++; return nil }
+	env := tupleEnv(s)
+	// A fallback node evaluates its subtree's scalar closure over the
+	// context's row buffer, which no column kernel touches: a row buffer
+	// left clear after a run means no fallback ran.
+	fellBack := func(ctx *vctx) bool {
+		return slices.ContainsFunc(ctx.rowBuf, func(v Value) bool { return v != Value{} })
+	}
 
 	row := make(Tuple, len(s.Cols))
 	sel := make([]uint64, bitWords(b.Len()))
 	for _, src := range cases {
 		e := parseTupleExpr(t, src)
-		fn, err := scalarEnv.compile(e)
+		fn, err := env.compile(e)
 		if err != nil {
 			t.Fatalf("%s: scalar compile: %v", src, err)
 		}
-		vc := &vecComp{env: vecEnv, schema: s}
-		fallbacks = 0
+		vc := &vecComp{env: env, schema: s}
 		n, err := vc.compile(e)
 		if err != nil {
 			t.Fatalf("%s: vector compile: %v", src, err)
 		}
-		if fallbacks != 0 {
-			t.Errorf("%s: compiled to a fallback node, want a column kernel", src)
-		}
-		if got, want := n.t, scalarEnv.staticType(e); got != want {
+		if got, want := n.t, env.staticType(e); got != want {
 			t.Errorf("%s: kernel type %s, static type %s", src, got, want)
 		}
 		vp := &vecPlan{nslots: vc.nslots}
 		var ctx vctx
 		for r := 0; r < b.Len(); r++ {
 			ctx.reset(b, vp)
+			clear(ctx.rowBuf)
 			clear(sel)
 			putBit(sel, r, true)
 			n.run(&ctx, sel)
+			if fellBack(&ctx) {
+				t.Fatalf("%s: compiled to a fallback node, want a column kernel", src)
+			}
 			b.row(r, row)
 			want, werr := fn(row)
 			switch {
@@ -166,14 +155,21 @@ func TestBuiltinKernelsMatchScalar(t *testing.T) {
 		}
 	}
 
-	// The counter sees a fallback where one is still due: an operand that
-	// is not statically numeric.
-	fallbacks = 0
-	if _, err := (&vecComp{env: vecEnv, schema: s}).compile(parseTupleExpr(t, "exp(s)")); err != nil {
+	// The check sees a fallback where one is still due: an operand that is
+	// not statically numeric.
+	vc := &vecComp{env: env, schema: s}
+	n, err := vc.compile(parseTupleExpr(t, "exp(s)"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if fallbacks == 0 {
-		t.Error("exp(s) did not fall back; the fallback counter is blind")
+	var ctx vctx
+	ctx.reset(b, &vecPlan{nslots: vc.nslots})
+	clear(ctx.rowBuf)
+	clear(sel)
+	putBit(sel, 0, true)
+	n.run(&ctx, sel)
+	if !fellBack(&ctx) {
+		t.Error("exp(s) did not fall back; the fallback check is blind")
 	}
 }
 

@@ -547,9 +547,9 @@ func (t *keyTable) heartbeat(cat *MultiRun, ts Value) error {
 	return err
 }
 
-// fold folds rows [lo,hi) of b in base into every member: vectorized when
-// the plan compiled and the kernels run clean, otherwise replayed through
-// the scalar fold path row by row. Standalone runs pass the finite bitmap;
+// fold folds rows [lo,hi) of b in base into every member: vectorized while
+// the kernels run clean, otherwise replayed through the scalar fold path row
+// by row. Standalone runs pass the finite bitmap;
 // the multi-query runtime passes finite ∧ class-WHERE, with the plan's own
 // WHERE stripped — the pre-applied filter must therefore reach the scalar
 // replay path too, which is why base threads all the way down.
@@ -570,10 +570,6 @@ func (t *keyTable) fold(bx *batchExec, b *Batch, lo, hi int, base []uint64, cat 
 		return nil
 	}
 	vp := t.p.vec
-	if vp == nil {
-		return t.members[0].replay(bx, b, lo, hi, base, cat)
-	}
-
 	ctx := &bx.ctx
 	ctx.reset(b, vp)
 	b.sel = growBits(b.sel, b.n)

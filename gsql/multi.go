@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"forwarddecay/gsql/analyzer"
 )
 
 // Multi-query runtime: one pass over the stream for many standing queries.
@@ -18,19 +16,15 @@ import (
 // run, its keys are built, hashed and probed, and its buckets are sorted and
 // flushed once, while each member steps only its own aggregates over the
 // table's groups (keyTable). Each member runs its own argument kernels.
-// There is one row path: PushBatch, and Push is a one-row PushBatch.
+// There is one row path: PushBatch, and Push is a one-row PushBatch. A
+// member's plan is the one Engine.Prepare compiles, with WHERE stripped.
 //
-//   - Plan-time CSE: every non-trivial tuple-level subexpression (WHERE,
-//     group-by, aggregate arguments) is hash-consed by its canonical AST
-//     string into a shared slot. Two queries writing the same subexpression
-//     — in any formatting — compile to the same slot and reuse its compiled
-//     closure. The sharing is compile-time only: there is no runtime memo.
 //   - Predicate classes: queries are grouped by canonical WHERE clause. The
 //     class evaluates its filter as one vectorized selection bitmap shared
 //     by all members, and a segment with no surviving rows skips the members
 //     outright.
 //   - Statement dedup: attaching the same query text twice shares one
-//     compiled plan (see analyzer.Catalog); each attach still owns an
+//     compiled plan (a refcounted catalog entry); each attach still owns an
 //     independent Run, so results, cursors and checkpoints stay per-query.
 //   - Shared key tables: a member joins a table of its class with the same
 //     canonical key list and table config only while the two are identical
@@ -50,36 +44,35 @@ import (
 //
 // Catalog-scale operations (attach/detach churn, hostile queries):
 //
-//   - Incremental rebuild: every attach and detach updates predicate
-//     classes, shared-slot refcounts and the analyzer's interner in place —
-//     membership lists use swap-remove via stored positions, slot retains
-//     are recorded per compiled artifact and released when its last
-//     reference drops — so attach/detach latency is O(query), independent
-//     of the catalog size.
+//   - Incremental rebuild: every attach and detach updates the statement
+//     catalog, predicate classes and key tables in place — membership lists
+//     use swap-remove via stored positions, and a statement or class goes
+//     with its last reference — so attach/detach latency is O(query),
+//     independent of the catalog size.
 //   - Fault isolation: there is one fold/shift/heartbeat/segment loop, and
 //     it contains every member's faults. A failed row is charged to its
 //     query, which goes on with its next row, and the row continues for the
 //     neighbours, so the outcome does not depend on frame size; a query whose
 //     private expressions panic, whose error streak trips the breaker, or
 //     whose group table exceeds the cardinality cap (Options.Isolate sets
-//     the limits) is fenced into a Quarantined state. Its shared slots and
-//     class membership are released and its last checkpoint retained for an
-//     operator-initiated Revive; every other query continues bit-for-bit
-//     as if the offender were never attached.
+//     the limits) is fenced into a Quarantined state. Its statement
+//     reference, key table and class membership are released and its last
+//     checkpoint retained for an operator-initiated Revive; every other
+//     query continues bit-for-bit as if the offender were never attached.
 //   - Admission control (Options.Isolate.AdmitBudget): Attach estimates the
-//     per-tuple cost of the candidate's private (non-shared) expressions
-//     against a catalog-wide budget and rejects with a typed
-//     *AdmissionError before touching any catalog state.
+//     per-tuple cost of the candidate's expressions (its WHERE at a flat
+//     charge when its predicate class already runs) against a catalog-wide
+//     budget and rejects with a typed *AdmissionError before touching any
+//     catalog state.
 //
 // Sharing safety invariants:
 //
 //   - Single producer. A MultiRun, like a Run, is driven by one goroutine;
 //     its scratch state is unsynchronized, and its members borrow one batch
 //     scratch in turn.
-//   - Slots are value-transparent: a slot's closure is exactly what
-//     structural compilation of the subtree would produce, errors included,
-//     so the scalar fallbacks (a class predicate or a member replay after a
-//     kernel error) read the same values as a standalone run.
+//   - The scalar fallbacks (a class predicate or a member replay after a
+//     kernel error) run the closures a standalone plan of the same text
+//     compiles, so they read the same values, errors included.
 //   - Epoch rollovers are runtime-wide: one shared supervisor observes the
 //     stream clock once per tuple and shifts every member's landmark at the
 //     same point of the sequence, so decay state never straddles landmarks
@@ -96,21 +89,8 @@ type MultiRun struct {
 	opts   Options
 	iso    IsolateConfig // opts.Isolate, or the zero config when it is nil
 
-	// Plan-time identity: expression interner and statement catalog.
-	in  *analyzer.Interner
-	cat *analyzer.Catalog // statements by exact text
-	env *compileEnv       // slot compiler; env.shared is self-referential
-
-	// Shared slot table: the compiled closure of each hash-consed
-	// subexpression, indexed by interner slot id. A nil entry is a slot
-	// whose compilation is in flight or failed; the hook declines those and
-	// structural compilation takes over (reproducing the compile error).
-	slots []evalFn
-
-	// recording, when non-nil, collects the slot ids retained by the shared
-	// hook during one compile scope; the scope owner stores the list with
-	// the compiled artifact and releases it with the artifact.
-	recording *[]int
+	// stmts is the statement catalog, by exact text.
+	stmts map[string]*multiStmt
 
 	classes    []*predClass
 	classByKey map[string]*predClass
@@ -167,10 +147,13 @@ type IsolateConfig struct {
 	// bucket) exceeds the cap — the group-key cardinality bomb. 0 disables
 	// the cap.
 	MaxGroups int
-	// AdmitBudget is the catalog-wide budget for estimated private-
-	// expression cost, in estimated ns/tuple (the same unit QueryStats
-	// reports). Attach rejects with *AdmissionError when the candidate's
-	// estimate would push the catalog over. 0 disables admission control.
+	// AdmitBudget is the catalog-wide budget for the members' estimated
+	// per-tuple cost, in estimated ns/tuple (the same unit QueryStats
+	// reports). A candidate's estimate prices its group expressions and
+	// aggregate steps, and its WHERE — at a flat charge when its predicate
+	// class already runs; it depends on nothing else in the catalog.
+	// Attach rejects with *AdmissionError when the estimate would push the
+	// catalog over. 0 disables admission control.
 	AdmitBudget float64
 	// OnQuarantine, when set, is called synchronously (on the producer
 	// goroutine, mid-Push) each time a query is fenced. It must not call
@@ -242,15 +225,11 @@ func (e *ShardedUnsupportedError) Error() string {
 type predClass struct {
 	key  string // canonical WHERE key; "" for unfiltered queries
 	pred evalFn // nil for unfiltered
-	ast  expr   // the WHERE AST the class was built from
 	pos  int    // index in m.classes, maintained by swap-remove
-	// slots are the shared-slot retains of the class predicate compile,
-	// released when the class is pruned.
-	slots []int
 
-	// vp is the vectorized where-only plan (nil when it did not compile);
-	// ctx and sel are its per-class scratch, fails the rows of the current
-	// segment whose predicate errored.
+	// vp is the vectorized where-only plan (nil for unfiltered); ctx and
+	// sel are its per-class scratch, fails the rows of the current segment
+	// whose predicate errored.
 	vp    *vecPlan
 	ctx   vctx
 	sel   []uint64
@@ -308,17 +287,17 @@ type MultiHandle struct {
 	e *multiEntry
 }
 
-// multiStmt is the catalog artifact: the deduped statement, the pieces the
-// predicate class is built from, the canonical form of its group
-// expressions in order (the key list its members share a key table on), and
-// the shared-slot retains of its compile (released with the last reference
-// to the text).
+// multiStmt is a catalog entry: the statement compiled once per distinct
+// text, the number of entries linked to it (it leaves the catalog with the
+// last), the pieces its predicate class is built from, and the canonical
+// form of its group expressions in order (the key list its members share a
+// key table on).
 type multiStmt struct {
 	st       *Statement
+	refs     int
 	whereKey string
 	whereAST expr
 	keyList  string
-	slots    []int
 }
 
 // NewMultiRun creates an empty multi-query runtime over one registered
@@ -338,8 +317,7 @@ func NewMultiRun(e *Engine, stream string, opts Options) (*MultiRun, error) {
 		eng:        e,
 		schema:     schema,
 		opts:       opts,
-		in:         analyzer.NewInterner(),
-		cat:        analyzer.NewCatalog(),
+		stmts:      map[string]*multiStmt{},
 		classByKey: map[string]*predClass{},
 		entries:    map[uint64]*multiEntry{},
 		ep:         ep,
@@ -347,106 +325,18 @@ func NewMultiRun(e *Engine, stream string, opts Options) (*MultiRun, error) {
 	if opts.Isolate != nil {
 		m.iso = *opts.Isolate
 	}
-	m.env = &compileEnv{
-		resolve: func(name string) int { return schema.ColumnIndex(name) },
-		colType: func(name string) Type {
-			if i := schema.ColumnIndex(name); i >= 0 {
-				return schema.Cols[i].Type
-			}
-			return TNull
-		},
-		shared: m.sharedHook,
-		funcs:  builtinFuncs,
-	}
 	m.mbx = newBatchExec(&plan{schema: schema}, ep)
 	return m, nil
 }
 
-// sharedHook is the compileEnv.shared implementation: hash-cons non-trivial
-// subtrees into shared slots. Literals and bare column references compile
-// plainly (a slot would only add indirection); everything else interns by
-// canonical key, compiles once through this same environment (so nested
-// subexpressions land in their own slots), and thereafter every query
-// referencing the subtree reads the one slot. Every returned slot is
-// retained into the active compile scope, so a detach can give the retains
-// back.
-func (m *MultiRun) sharedHook(e expr) evalFn {
-	switch e.(type) {
-	case *binExpr, *unExpr, *callExpr:
-	default:
-		return nil
-	}
-	key := exprKey(e)
-	if id, ok := m.in.Lookup(key); ok {
-		fn := m.slots[id]
-		if fn == nil {
-			// In flight (self-reference during its own compilation) or
-			// failed: decline, structural compilation handles both.
-			return nil
-		}
-		m.in.Intern(key) // count the reuse
-		m.recordSlot(id)
-		return fn
-	}
-	id, _ := m.in.Intern(key)
-	for len(m.slots) <= id {
-		m.slots = append(m.slots, nil)
-	}
-	fn, err := m.env.compile(e)
+// prepare compiles a parsed query as a catalog statement: Engine.Prepare's
+// plan with WHERE stripped (the predicate class applies it).
+func (m *MultiRun) prepare(text string, ast *queryAST) (*multiStmt, error) {
+	st, err := m.eng.compile(text, ast, m.schema, true)
 	if err != nil {
-		// Drop the placeholder: the caller's structural compilation of the
-		// same subtree reproduces the error, and a failed subtree must not
-		// pin an interner slot.
-		if m.in.Release(id) {
-			m.slots[id] = nil
-		}
-		return nil
-	}
-	m.slots[id] = fn
-	m.recordSlot(id)
-	return fn
-}
-
-// recordSlot retains a slot into the active compile scope.
-func (m *MultiRun) recordSlot(id int) {
-	m.in.Retain(id)
-	if m.recording != nil {
-		*m.recording = append(*m.recording, id)
-	}
-}
-
-// releaseSlots gives back one retain per listed slot, clearing the slot
-// table entry of any slot whose last retain dropped (its id returns to the
-// interner's free list for reuse).
-func (m *MultiRun) releaseSlots(ids []int) {
-	for _, id := range ids {
-		if m.in.Release(id) {
-			m.slots[id] = nil
-		}
-	}
-}
-
-// compileScope runs f with slot recording active and returns the ids of
-// every shared slot retained during it. On error the retained slots are
-// released, so a failed attach leaves the interner exactly as it found it.
-func (m *MultiRun) compileScope(f func() error) ([]int, error) {
-	var rec []int
-	prev := m.recording
-	m.recording = &rec
-	err := f()
-	m.recording = prev
-	if err != nil {
-		m.releaseSlots(rec)
 		return nil, err
 	}
-	return rec, nil
-}
-
-// prepare compiles a parsed query for shared execution: WHERE stripped from
-// the per-query plan (the predicate class applies it), every tuple-level
-// expression routed through the shared slots.
-func (m *MultiRun) prepare(text string, ast *queryAST) (*multiStmt, error) {
-	ss := &multiStmt{whereAST: ast.where}
+	ss := &multiStmt{st: st, whereAST: ast.where}
 	if ast.where != nil {
 		ss.whereKey = exprKey(ast.where)
 	}
@@ -455,25 +345,11 @@ func (m *MultiRun) prepare(text string, ast *queryAST) (*multiStmt, error) {
 		keys[i] = exprKey(g.e)
 	}
 	ss.keyList = fmt.Sprintf("%q", keys)
-	slots, err := m.compileScope(func() error {
-		p, err := buildPlanH(ast, m.schema, m.eng.aggs, planHooks{shared: m.sharedHook, stripWhere: true})
-		if err != nil {
-			return err
-		}
-		p.fp = fingerprint(text, m.schema.Name)
-		ss.st = &Statement{p: p, text: text}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ss.slots = slots
 	return ss, nil
 }
 
 func (m *MultiRun) parse(text string) (*queryAST, error) {
-	isAgg := func(name string) bool { _, ok := m.eng.aggs[name]; return ok }
-	ast, err := parseQuery(text, isAgg)
+	ast, err := m.eng.parse(text)
 	if err != nil {
 		return nil, err
 	}
@@ -489,21 +365,16 @@ func (m *MultiRun) classFor(ss *multiStmt) (*predClass, error) {
 	if cls := m.classByKey[ss.whereKey]; cls != nil {
 		return cls, nil
 	}
-	cls := &predClass{key: ss.whereKey, ast: ss.whereAST, byShare: map[string]*keyTable{}}
+	cls := &predClass{key: ss.whereKey, byShare: map[string]*keyTable{}}
 	if ss.whereAST != nil {
-		slots, err := m.compileScope(func() error {
-			fn, err := m.env.compile(ss.whereAST)
-			if err != nil {
-				return err
-			}
-			cls.pred = fn
-			cls.vp = compileVecPlan(m.env, m.schema, ss.whereAST, nil, nil)
-			return nil
-		})
-		if err != nil {
+		env := tupleEnv(m.schema)
+		var err error
+		if cls.pred, err = env.compile(ss.whereAST); err != nil {
 			return nil, err
 		}
-		cls.slots = slots
+		if cls.vp, err = compileVecPlan(env, m.schema, ss.whereAST, nil, nil); err != nil {
+			return nil, err
+		}
 	}
 	cls.pos = len(m.classes)
 	m.classByKey[ss.whereKey] = cls
@@ -514,47 +385,37 @@ func (m *MultiRun) classFor(ss *multiStmt) (*predClass, error) {
 // Per-tuple cost model weights, in rough nanoseconds on a contemporary
 // core. Absolute accuracy does not matter — admission compares candidates
 // against a budget in the same unit, and the measured EWMA refines the
-// picture once the query runs.
+// picture once the query runs. costClassRead is the flat charge for a WHERE
+// whose predicate class already runs: the member reads its bitmap.
 const (
-	costLit      = 1.0
-	costCol      = 2.0
-	costUnary    = 2.0
-	costBinary   = 4.0
-	costCall     = 24.0
-	costAggStep  = 16.0
-	costSlotRead = 3.0
+	costLit       = 1.0
+	costCol       = 2.0
+	costUnary     = 2.0
+	costBinary    = 4.0
+	costCall      = 24.0
+	costAggStep   = 16.0
+	costClassRead = 3.0
 )
 
-// exprCost estimates the per-tuple cost of evaluating e, charging subtrees
-// already interned as live shared slots a flat slot-read: the catalog pays
-// for those once regardless of this query.
-func (m *MultiRun) exprCost(e expr) float64 {
-	if e == nil {
-		return 0
-	}
-	switch e.(type) {
-	case *binExpr, *unExpr, *callExpr:
-		if id, ok := m.in.Lookup(exprKey(e)); ok && id < len(m.slots) && m.slots[id] != nil {
-			return costSlotRead
-		}
-	}
+// exprCost estimates the per-tuple cost of evaluating e.
+func exprCost(e expr) float64 {
 	switch n := e.(type) {
 	case *colRef:
 		return costCol
 	case *unExpr:
-		return costUnary + m.exprCost(n.e)
+		return costUnary + exprCost(n.e)
 	case *binExpr:
-		return costBinary + m.exprCost(n.l) + m.exprCost(n.r)
+		return costBinary + exprCost(n.l) + exprCost(n.r)
 	case *callExpr:
 		c := costCall
 		for _, a := range n.args {
-			c += m.exprCost(a)
+			c += exprCost(a)
 		}
 		return c
 	case *aggExpr:
 		c := costAggStep
 		for _, a := range n.args {
-			c += m.exprCost(a)
+			c += exprCost(a)
 		}
 		return c
 	default: // literals
@@ -565,18 +426,18 @@ func (m *MultiRun) exprCost(e expr) float64 {
 // aggStepCost sums the per-tuple stepping cost of every aggregate call in
 // an output expression (the rest of the output expression runs per emitted
 // row, not per tuple, and is excluded).
-func (m *MultiRun) aggStepCost(e expr) float64 {
+func aggStepCost(e expr) float64 {
 	switch n := e.(type) {
 	case *aggExpr:
-		return m.exprCost(n)
+		return exprCost(n)
 	case *unExpr:
-		return m.aggStepCost(n.e)
+		return aggStepCost(n.e)
 	case *binExpr:
-		return m.aggStepCost(n.l) + m.aggStepCost(n.r)
+		return aggStepCost(n.l) + aggStepCost(n.r)
 	case *callExpr:
 		var c float64
 		for _, a := range n.args {
-			c += m.aggStepCost(a)
+			c += aggStepCost(a)
 		}
 		return c
 	default:
@@ -585,26 +446,28 @@ func (m *MultiRun) aggStepCost(e expr) float64 {
 }
 
 // privateCost estimates the per-tuple cost a candidate adds to the shared
-// pass: its WHERE (free when an identical predicate class already runs),
-// group expressions, and aggregate stepping. This is the estimate admission
-// control checks and the seed of the query's measured ns/tuple EWMA.
+// pass: its WHERE (costClassRead when an identical predicate class already
+// runs), group expressions, and aggregate stepping. It depends only on the
+// candidate's text and on whether its class exists. This is the estimate
+// admission control checks and the seed of the query's measured ns/tuple
+// EWMA.
 func (m *MultiRun) privateCost(q *queryAST) float64 {
 	var c float64
 	if q.where != nil {
 		if m.classByKey[exprKey(q.where)] == nil {
-			c += m.exprCost(q.where)
+			c += exprCost(q.where)
 		} else {
-			c += costSlotRead
+			c += costClassRead
 		}
 	}
 	for _, g := range q.group {
-		c += m.exprCost(g.e)
+		c += exprCost(g.e)
 	}
 	for _, s := range q.sel {
-		c += m.aggStepCost(s.e)
+		c += aggStepCost(s.e)
 	}
 	if q.having != nil {
-		c += m.aggStepCost(q.having)
+		c += aggStepCost(q.having)
 	}
 	return c
 }
@@ -677,16 +540,15 @@ func (m *MultiRun) add(text string, shards int, ckpt []byte, sink func(Tuple) er
 // Restore and Revive all come through here, and its cost is O(query) — no
 // catalog-wide recompilation happens on any membership change.
 func (m *MultiRun) link(e *multiEntry, ast *queryAST, ckpt []byte) error {
-	ent, fresh := m.cat.Acquire(e.text)
-	if fresh {
-		ss, err := m.prepare(e.text, ast)
-		if err != nil {
-			m.cat.Release(e.text)
+	ss := m.stmts[e.text]
+	if ss == nil {
+		var err error
+		if ss, err = m.prepare(e.text, ast); err != nil {
 			return err
 		}
-		ent.Data = ss
+		m.stmts[e.text] = ss
 	}
-	ss := ent.Data.(*multiStmt)
+	ss.refs++
 	cls, err := m.classFor(ss)
 	if err != nil {
 		m.releaseRef(e.text)
@@ -735,12 +597,10 @@ func (m *MultiRun) link(e *multiEntry, ast *queryAST, ckpt []byte) error {
 // class: into the table of the same sharing identity when the two are
 // identical (one map lookup), else as a table of its own.
 func (m *MultiRun) placeTable(cls *predClass, t *keyTable, keyList string) {
-	if t.p.vec != nil { // a plan that replays every row shares nothing
-		t.share = fmt.Sprintf("%t %d %s", t.twoLevel, t.lowMax, keyList)
-		if p := cls.byShare[t.share]; p != nil && p.joinable(t) {
-			p.absorb(t)
-			return
-		}
+	t.share = fmt.Sprintf("%t %d %s", t.twoLevel, t.lowMax, keyList)
+	if p := cls.byShare[t.share]; p != nil && p.joinable(t) {
+		p.absorb(t)
+		return
 	}
 	m.listTable(cls, t)
 }
@@ -750,7 +610,7 @@ func (m *MultiRun) listTable(cls *predClass, t *keyTable) {
 	m.tableIDs++
 	t.id, t.pos = m.tableIDs, len(cls.tables)
 	cls.tables = append(cls.tables, t)
-	if t.share != "" && cls.byShare[t.share] == nil {
+	if cls.byShare[t.share] == nil {
 		cls.byShare[t.share] = t
 	}
 }
@@ -788,9 +648,6 @@ func (m *MultiRun) split(r *Run, from int) {
 // the table parks there to wait for it. It reports whether the table stops
 // folding.
 func (m *MultiRun) rejoin(t *keyTable, i int) bool {
-	if t.share == "" {
-		return false
-	}
 	cls := t.members[0].ent.cls
 	wait := false
 	for _, p := range cls.tables {
@@ -813,16 +670,12 @@ func (m *MultiRun) rejoin(t *keyTable, i int) bool {
 	return wait
 }
 
-// releaseRef drops one catalog reference to text; the last reference also
-// returns the statement's shared-slot retains.
+// releaseRef drops one reference to the statement of text; the last
+// reference removes it from the catalog.
 func (m *MultiRun) releaseRef(text string) {
-	ent := m.cat.Get(text)
-	if ent == nil {
-		return
-	}
-	ss, _ := ent.Data.(*multiStmt)
-	if m.cat.Release(text) && ss != nil {
-		m.releaseSlots(ss.slots)
+	ss := m.stmts[text]
+	if ss.refs--; ss.refs == 0 {
+		delete(m.stmts, text)
 	}
 }
 
@@ -836,12 +689,12 @@ func swapRemoveAt(s []*multiEntry, i int) []*multiEntry {
 	return s[:last]
 }
 
-// unlink removes an armed entry from every shared structure: class
-// membership (pruning an empty class and releasing its predicate slots),
-// the admission budget, and the catalog reference (releasing the
-// statement's shared slots on the last one). O(1) in the catalog size via
-// the stored positions. The entry itself stays wherever the caller keeps
-// it — Detach drops it, quarantine retains it.
+// unlink removes an armed entry from every shared structure: its key table
+// (dropping an empty one), class membership (pruning an empty class), the
+// admission budget, and the catalog reference (dropping the statement on
+// the last one). O(1) in the catalog size via the stored positions. The
+// entry itself stays wherever the caller keeps it — Detach drops it,
+// quarantine retains it.
 func (m *MultiRun) unlink(e *multiEntry) {
 	m.admitUsed -= e.estCost
 	cls := e.cls
@@ -856,8 +709,7 @@ func (m *MultiRun) unlink(e *multiEntry) {
 	m.releaseRef(e.text)
 }
 
-// dropClass prunes a memberless class (swap-remove from m.classes) and
-// releases the shared slots of its predicate.
+// dropClass prunes a memberless class (swap-remove from m.classes).
 func (m *MultiRun) dropClass(cls *predClass) {
 	delete(m.classByKey, cls.key)
 	last := len(m.classes) - 1
@@ -865,12 +717,10 @@ func (m *MultiRun) dropClass(cls *predClass) {
 	m.classes[cls.pos].pos = cls.pos
 	m.classes[last] = nil
 	m.classes = m.classes[:last]
-	m.releaseSlots(cls.slots)
-	cls.slots = nil
 }
 
 // quarantine fences an armed entry out of the shared feed: best-effort
-// checkpoint, unlink from classes/slots/catalogs, state flip, operator
+// checkpoint, unlink from table, class and catalog, state flip, operator
 // callback. Everything else keeps running as if the query were never
 // attached; the entry stays in m.entries for stats, Detach and Revive.
 func (m *MultiRun) quarantine(e *multiEntry, reason string, cause error) {
@@ -997,9 +847,9 @@ func (m *MultiRun) Heartbeat(ts Value) error {
 	for _, cls := range m.classes {
 		for ti := 0; ti < len(cls.tables); ti++ {
 			t := cls.tables[ti]
-			if p := cls.byShare[t.share]; p == nil && t.share != "" {
+			if p := cls.byShare[t.share]; p == nil {
 				cls.byShare[t.share] = t
-			} else if p != nil && p != t && p.joinable(t) {
+			} else if p != t && p.joinable(t) {
 				p.absorb(t)
 				m.dropTable(cls, t)
 				ti--
@@ -1208,9 +1058,8 @@ func (m *MultiRun) atRow(i int, charge func()) {
 }
 
 // classSelect fills cls.sel with finite ∧ class-WHERE over [lo,hi):
-// vectorized when the class filter compiled to kernels, row-by-row
-// otherwise. The rows whose predicate errored leave the selection and go to
-// cls.fails, in row order.
+// vectorized, or row by row after a kernel error. The rows whose predicate
+// errored leave the selection and go to cls.fails, in row order.
 func (m *MultiRun) classSelect(cls *predClass, b *Batch, lo, hi int) {
 	cls.sel = growBits(cls.sel, b.n)
 	maskRange(cls.sel, m.valid, lo, hi)
@@ -1218,19 +1067,16 @@ func (m *MultiRun) classSelect(cls *predClass, b *Batch, lo, hi int) {
 	if cls.pred == nil {
 		return
 	}
-	if cls.vp != nil && cls.vp.where != nil {
-		cls.ctx.reset(b, cls.vp)
-		cls.vp.where.run(&cls.ctx, cls.sel)
-		if cls.ctx.err == nil {
-			wb := cls.ctx.bits(cls.vp.where)
-			for w := range cls.sel {
-				cls.sel[w] &= wb[w]
-			}
-			return
+	cls.ctx.reset(b, cls.vp)
+	cls.vp.where.run(&cls.ctx, cls.sel)
+	if cls.ctx.err == nil {
+		wb := cls.ctx.bits(cls.vp.where)
+		for w := range cls.sel {
+			cls.sel[w] &= wb[w]
 		}
-		// Kernel error: fall through to the scalar evaluation, which
-		// reproduces the row-level outcome.
+		return
 	}
+	// Kernel error: the scalar evaluation reproduces the row-level outcome.
 	for i := lo; i < hi; i++ {
 		if !bitGet(cls.sel, i) {
 			continue
@@ -1265,28 +1111,21 @@ type MultiStats struct {
 	Classes       int
 	KeyTables     int
 	Quarantined   int
-	// DistinctExprs is the live shared-subexpression slot population
-	// (slots of detached queries are freed); ExprHits/ExprMisses its
-	// plan-time reuse counters.
-	DistinctExprs        int
-	ExprHits, ExprMisses uint64
-	// PlanHits/PlanMisses count statement-catalog acquisitions.
-	PlanHits, PlanMisses uint64
-	Tuples               uint64
+	// DistinctExprs always reads 0: no expression is shared below the
+	// predicate class. It stays for callers that report it.
+	DistinctExprs int
+	Tuples        uint64
 	// AdmitUsed is the summed private-cost estimate of the admitted
 	// catalog, in estimated ns/tuple.
 	AdmitUsed float64
 }
 
-// SharedHitRatio always reads 0: slots share compiled closures at plan
-// time, and no runtime memo serves a read (ExprHits counts the sharing).
-// It stays for callers that report the ratio.
+// SharedHitRatio always reads 0: no runtime memo serves a read. It stays
+// for callers that report the ratio.
 func (MultiStats) SharedHitRatio() float64 { return 0 }
 
 // MultiStats snapshots the runtime's sharing counters.
 func (m *MultiRun) MultiStats() MultiStats {
-	es := m.in.Stats()
-	ss := m.cat.Stats()
 	quar, tables := 0, 0
 	for _, e := range m.entries {
 		if e.quarantined {
@@ -1298,15 +1137,10 @@ func (m *MultiRun) MultiStats() MultiStats {
 	}
 	return MultiStats{
 		Queries:       len(m.entries),
-		DistinctTexts: m.cat.Len(),
+		DistinctTexts: len(m.stmts),
 		Classes:       len(m.classes),
 		KeyTables:     tables,
 		Quarantined:   quar,
-		DistinctExprs: es.Distinct,
-		ExprHits:      es.Hits,
-		ExprMisses:    es.Misses,
-		PlanHits:      ss.Hits,
-		PlanMisses:    ss.Misses,
 		Tuples:        m.tuples,
 		AdmitUsed:     m.admitUsed,
 	}
@@ -1468,9 +1302,9 @@ func (h *MultiHandle) Close() error {
 
 // Detach removes the query from the shared feed without flushing (call
 // Close first for final results), releasing its compiled-plan reference,
-// its predicate-class membership (an empty class is pruned) and its shared
-// expression slots — the interner stays sized to the live catalog under
-// churn. O(query): no other member is touched. Detaching a quarantined
+// its key table and its predicate-class membership (an empty table, class
+// or statement is dropped), so the catalog stays sized to the live queries
+// under churn. O(query): no other member is touched. Detaching a quarantined
 // query just forgets it (quarantine already unlinked everything).
 func (h *MultiHandle) Detach() {
 	m, e := h.m, h.e
@@ -1487,9 +1321,9 @@ func (h *MultiHandle) Detach() {
 
 // Revive re-admits a quarantined query: the plan is recompiled (or
 // re-acquired from the catalog), the retained quarantine-time checkpoint
-// restored, class membership and shared slots re-established, and the
-// breaker reset. If the retained checkpoint no longer restores (a panic can
-// fence a run mid-write), the query restarts fresh at the current feed
+// restored, class membership re-established, and the breaker reset. If the
+// retained checkpoint no longer restores (a panic can fence a run
+// mid-write), the query restarts fresh at the current feed
 // position. Admission control applies as on Attach.
 func (h *MultiHandle) Revive() error {
 	m, e := h.m, h.e

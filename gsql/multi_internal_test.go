@@ -4,12 +4,14 @@ import (
 	"testing"
 )
 
-// FuzzCanonicalize guards the property the multi-query runtime's CSE rests
-// on: the canonical form (the AST's lowercased, fully parenthesized
-// String()) is a fixed point of parsing. Any text that parses must
-// re-parse from its canonical form to the same canonical form — otherwise
-// two spellings of one expression could intern to different shared slots,
-// or worse, two different expressions to the same slot.
+// FuzzCanonicalize guards the property the multi-query runtime's sharing
+// rests on: the canonical form (the AST's lowercased, fully parenthesized
+// String()) is a fixed point of parsing. Canonical keys name predicate
+// classes (the WHERE) and key-table identities (the group key list). Any
+// text that parses must re-parse from its canonical form to the same
+// canonical form — otherwise two spellings of one filter or key list could
+// land in different classes or tables, or worse, two different ones in the
+// same.
 func FuzzCanonicalize(f *testing.F) {
 	seeds := []string{
 		`select tb, count(*) from TCP group by time/60 as tb`,
@@ -41,7 +43,12 @@ func FuzzCanonicalize(f *testing.F) {
 		}
 		if ast.where != nil {
 			if k1, k2 := exprKey(ast.where), exprKey(ast2.where); k1 != k2 {
-				t.Fatalf("WHERE slot keys diverge across a round trip: %q vs %q", k1, k2)
+				t.Fatalf("WHERE class keys diverge across a round trip: %q vs %q", k1, k2)
+			}
+		}
+		for i, g := range ast.group {
+			if k1, k2 := exprKey(g.e), exprKey(ast2.group[i].e); k1 != k2 {
+				t.Fatalf("group keys diverge across a round trip: %q vs %q", k1, k2)
 			}
 		}
 	})
@@ -111,54 +118,10 @@ func TestMultiSharedPushAllocs(t *testing.T) {
 	}
 }
 
-// TestMultiSharedSlotMemo pins what a shared slot is: one compiled closure
-// per distinct subexpression, hash-consed at plan time and read directly by
-// every plan that names it. No runtime memo stands behind the slots, so the
-// hit ratio reads 0 however many tuples pass.
-func TestMultiSharedSlotMemo(t *testing.T) {
-	e := mkEngine(t)
-	m, err := NewMultiRun(e, "TCP", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nop := func(Tuple) error { return nil }
-	// Both queries share WHERE and the sum argument; the group expression
-	// time/60 is shared three ways (two plans + nothing else).
-	for _, q := range []string{
-		`select tb, sum(len*8) from TCP where len > 10 group by time/60 as tb`,
-		`select tb, count(*), sum(len*8), min(len*8) from TCP where len > 10 group by time/60 as tb`,
-	} {
-		if _, err := m.Attach(q, 0, nop); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := m.MultiStats()
-	if st.ExprHits == 0 {
-		t.Fatalf("no plan-time sharing: %+v", st)
-	}
-	live := 0
-	for _, fn := range m.slots {
-		if fn != nil {
-			live++
-		}
-	}
-	if live != st.DistinctExprs {
-		t.Fatalf("%d compiled slots for %d distinct expressions", live, st.DistinctExprs)
-	}
-	for i := 0; i < 10; i++ {
-		if err := m.Push(pkt(int64(10*i), 1, 80, 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r := m.MultiStats().SharedHitRatio(); r != 0 {
-		t.Fatalf("SharedHitRatio = %v with no runtime memo, want 0", r)
-	}
-}
-
 // TestMultiFailedRestoreLeavesNoClass: a Restore (or a Revive's restore
 // attempt) that fails on a query whose WHERE is new to the catalog must take
-// the predicate class it created back out — no memberless class, no retained
-// predicate slots.
+// the predicate class it created back out — no memberless class or key
+// table.
 func TestMultiFailedRestoreLeavesNoClass(t *testing.T) {
 	e := mkEngine(t)
 	m, err := NewMultiRun(e, "TCP", Options{Isolate: &IsolateConfig{BreakerErrors: 2}})
@@ -175,10 +138,10 @@ func TestMultiFailedRestoreLeavesNoClass(t *testing.T) {
 		}
 	}
 	// shape is the catalog's population: what a failed attach must not move.
-	type shape struct{ queries, texts, classes, keyed, listed, exprs int }
+	type shape struct{ queries, texts, classes, keyed, listed, tables int }
 	shapeOf := func() shape {
 		s := m.MultiStats()
-		return shape{s.Queries, s.DistinctTexts, s.Classes, len(m.classByKey), len(m.classes), s.DistinctExprs}
+		return shape{s.Queries, s.DistinctTexts, s.Classes, len(m.classByKey), len(m.classes), s.KeyTables}
 	}
 	base := shapeOf()
 
@@ -215,5 +178,45 @@ func TestMultiFailedRestoreLeavesNoClass(t *testing.T) {
 	h.Detach()
 	if got := shapeOf(); got != base {
 		t.Fatalf("failed restore inside Revive, then Detach: catalog %+v, want %+v", got, base)
+	}
+}
+
+// TestAdmitEstimateIsPrivate: an attach's admission estimate depends only on
+// its own text and on whether its predicate class exists. Beside a query
+// that shares its group and argument subtrees but not its WHERE it costs
+// what it costs in an empty catalog; beside one with the same WHERE it is
+// cheaper by exactly that WHERE's cost less the flat class-read charge.
+func TestAdmitEstimateIsPrivate(t *testing.T) {
+	e := mkEngine(t)
+	nop := func(Tuple) error { return nil }
+	q := `select tb, sum(len*8), max(float(len)/3) from TCP where len*2 > 100 group by time/60 as tb`
+	estBeside := func(others ...string) float64 {
+		t.Helper()
+		m, err := NewMultiRun(e, "TCP", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range others {
+			if _, err := m.Attach(o, 0, nop); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h, err := m.Attach(q, 0, nop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.QueryStats().EstCostNs
+	}
+	alone := estBeside()
+	if got := estBeside(`select tb, sum(len*8), min(float(len)/3) from TCP where destPort*3 > 100 group by time/60 as tb`); got != alone {
+		t.Errorf("beside shared group and argument subtrees: estimate %v, want %v as in an empty catalog", got, alone)
+	}
+	ast, err := e.parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := alone - (exprCost(ast.where) - costClassRead)
+	if got := estBeside(`select tb, count(*) from TCP where len*2 > 100 group by time/60 as tb`); got != want {
+		t.Errorf("in an existing predicate class: estimate %v, want %v", got, want)
 	}
 }

@@ -265,7 +265,7 @@ func TestMultiAdmissionControl(t *testing.T) {
 	}
 	after := m.MultiStats()
 	if after.Queries != before.Queries || after.DistinctTexts != before.DistinctTexts ||
-		after.Classes != before.Classes || after.DistinctExprs != before.DistinctExprs ||
+		after.Classes != before.Classes || after.KeyTables != before.KeyTables ||
 		after.AdmitUsed != before.AdmitUsed {
 		t.Errorf("rejected attach perturbed the catalog: %+v -> %+v", before, after)
 	}
@@ -293,7 +293,7 @@ func TestMultiAdmissionControl(t *testing.T) {
 }
 
 // TestMultiReviveAfterQuarantine: an operator revive re-links a fenced
-// query from its retained checkpoint — class membership, shared slots and
+// query from its retained checkpoint — class membership, key table and
 // admission budget come back, the breaker resets, and folding resumes.
 func TestMultiReviveAfterQuarantine(t *testing.T) {
 	e := parallelEngine(t)
@@ -412,8 +412,10 @@ func TestMultiQuarantineDetach(t *testing.T) {
 }
 
 // TestMultiInternerChurnRuntime: 10k attach/detach of distinct queries must
-// return the runtime's interner, statement catalogs and predicate classes
-// to their pre-churn size — the leak regression at the MultiRun level.
+// return the runtime's statement catalog, predicate classes and key tables
+// to their pre-churn size — the leak regression at the MultiRun level. The
+// churn's `len > 200` queries join a resident class on a key list of their
+// own, so each lists a key table there that its detach must drop.
 func TestMultiInternerChurnRuntime(t *testing.T) {
 	n := 10_000
 	if testing.Short() {
@@ -434,9 +436,9 @@ func TestMultiInternerChurnRuntime(t *testing.T) {
 	}
 
 	s := m.MultiStats()
-	if s.DistinctExprs != base.DistinctExprs {
-		t.Errorf("DistinctExprs = %d after churn, want baseline %d (interner leak)",
-			s.DistinctExprs, base.DistinctExprs)
+	if s.KeyTables != base.KeyTables {
+		t.Errorf("KeyTables = %d after churn, want baseline %d (key-table leak)",
+			s.KeyTables, base.KeyTables)
 	}
 	if s.DistinctTexts != base.DistinctTexts || s.Classes != base.Classes || s.Queries != base.Queries {
 		t.Errorf("catalog after churn: %+v, want baseline %+v", s, base)

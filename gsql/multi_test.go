@@ -16,8 +16,8 @@ import (
 // tuples — same emitted rows, same order, same float payloads, same
 // checkpoint bytes. The fixture queries deliberately overlap (shared WHERE
 // clauses, shared group expressions, shared aggregate arguments, one exact
-// duplicate) so the shared slots and predicate classes are actually
-// exercised, not just bypassed.
+// duplicate) so the predicate classes, shared key tables and statement
+// dedup are actually exercised, not just bypassed.
 
 var multiQueries = []string{
 	`select tb, dstIP, count(*), sum(len) from TCP where len > 200 group by time/60 as tb, dstIP`,
@@ -644,12 +644,6 @@ func TestMultiDedupAndStats(t *testing.T) {
 	// multiQueries holds one exact duplicate pair.
 	if s.DistinctTexts != len(multiQueries)-1 {
 		t.Errorf("DistinctTexts = %d, want %d", s.DistinctTexts, len(multiQueries)-1)
-	}
-	if s.PlanHits != 1 {
-		t.Errorf("PlanHits = %d, want 1 (one duplicate attach)", s.PlanHits)
-	}
-	if s.ExprHits == 0 {
-		t.Error("no plan-time expression sharing across overlapping queries")
 	}
 	// Three distinct WHERE clauses plus the unfiltered class.
 	if s.Classes != 4 {

@@ -63,19 +63,15 @@ func (pr *ParallelRun) PushBatch(b *Batch) (rejected int, err error) {
 	return countRejected(bx.valid, tuples0, pr.tuples), nil
 }
 
-// processSegment routes rows [lo,hi) under a fixed landmark: vectorized when
-// the plan compiled and the kernels run clean, otherwise replayed through
-// the scalar routing path row by row.
+// processSegment routes rows [lo,hi) under a fixed landmark: vectorized
+// while the kernels run clean, otherwise replayed through the scalar routing
+// path row by row.
 func (pr *ParallelRun) processSegment(b *Batch, lo, hi int) error {
 	if lo >= hi {
 		return nil
 	}
 	bx := pr.bx
 	vp := pr.p.vec
-	if vp == nil {
-		return pr.replaySegment(b, lo, hi)
-	}
-
 	ctx := &bx.ctx
 	ctx.reset(b, vp)
 	b.sel = growBits(b.sel, b.n)

@@ -48,8 +48,7 @@ type plan struct {
 	outDirect []int
 
 	// vec is the batch-compiled form of the tuple-level expressions (WHERE,
-	// group-by, aggregate arguments), or nil when vectorization failed —
-	// PushBatch then replays batches through the scalar path row by row.
+	// group-by, aggregate arguments); every plan has one.
 	vec *vecPlan
 
 	// fp fingerprints the (query text, schema) pair for checkpoint
@@ -57,49 +56,24 @@ type plan struct {
 	fp uint64
 }
 
-// planHooks parameterize buildPlan for the multi-query runtime. The zero
-// value compiles a standalone plan exactly as before.
-type planHooks struct {
-	// shared is installed as the tuple-level compileEnv's shared hook: the
-	// MultiRun's hash-consed slot compiler (see multi.go).
-	shared func(e expr) evalFn
-	// stripWhere validates and compiles the WHERE clause (so its slots are
-	// interned and its errors surface at plan time) but leaves p.where nil
-	// and keeps it out of the vectorized plan: the MultiRun applies the
-	// filter once per predicate class, before fanning into per-query folds.
-	stripWhere bool
-}
-
-// buildPlan analyzes and compiles a standalone query.
-func buildPlan(q *queryAST, schema *Schema, aggs map[string]AggSpec) (*plan, error) {
-	return buildPlanH(q, schema, aggs, planHooks{})
-}
-
-// buildPlanH analyzes and compiles a parsed query under the given hooks.
-func buildPlanH(q *queryAST, schema *Schema, aggs map[string]AggSpec, hooks planHooks) (*plan, error) {
+// buildPlan analyzes and compiles a parsed query. stripWhere is the
+// multi-query runtime's form: the WHERE clause is validated and compiled (so
+// its errors surface at plan time) but kept out of the plan, scalar and
+// vectorized, because the predicate class applies it once before fanning
+// into the per-query folds.
+func buildPlan(q *queryAST, schema *Schema, aggs map[string]AggSpec, stripWhere bool) (*plan, error) {
 	p := &plan{schema: schema, temporalIdx: -1, temporalCol: -1, mergeable: true}
-
-	tupleEnv := &compileEnv{
-		resolve: func(name string) int { return schema.ColumnIndex(name) },
-		colType: func(name string) Type {
-			if i := schema.ColumnIndex(name); i >= 0 {
-				return schema.Cols[i].Type
-			}
-			return TNull
-		},
-		shared: hooks.shared,
-		funcs:  builtinFuncs,
-	}
+	tenv := tupleEnv(schema)
 	// WHERE clause: tuple-level, no aggregates.
 	if q.where != nil {
 		if hasAgg(q.where) {
 			return nil, fmt.Errorf("gsql: aggregates are not allowed in WHERE")
 		}
-		fn, err := tupleEnv.compile(q.where)
+		fn, err := tenv.compile(q.where)
 		if err != nil {
 			return nil, err
 		}
-		if !hooks.stripWhere {
+		if !stripWhere {
 			p.where = fn
 		}
 	}
@@ -112,12 +86,12 @@ func buildPlanH(q *queryAST, schema *Schema, aggs map[string]AggSpec, hooks plan
 		if hasAgg(g.e) {
 			return nil, fmt.Errorf("gsql: aggregates are not allowed in GROUP BY")
 		}
-		fn, err := tupleEnv.compile(g.e)
+		fn, err := tenv.compile(g.e)
 		if err != nil {
 			return nil, err
 		}
 		p.groupFns = append(p.groupFns, fn)
-		groupTypes = append(groupTypes, tupleEnv.staticType(g.e))
+		groupTypes = append(groupTypes, tenv.staticType(g.e))
 		groupKeyToIdx[exprKey(g.e)] = i
 		if g.alias != "" {
 			groupKeyToIdx[g.alias] = i
@@ -167,7 +141,7 @@ func buildPlanH(q *queryAST, schema *Schema, aggs map[string]AggSpec, hooks plan
 			if hasAgg(arg) {
 				return 0, fmt.Errorf("gsql: nested aggregates are not allowed")
 			}
-			fn, err := tupleEnv.compile(arg)
+			fn, err := tenv.compile(arg)
 			if err != nil {
 				return 0, err
 			}
@@ -255,20 +229,23 @@ func buildPlanH(q *queryAST, schema *Schema, aggs map[string]AggSpec, hooks plan
 	}
 
 	// Batch-compile the tuple-level expressions from the same ASTs the scalar
-	// closures came from. The scalar compile above already validated every
-	// expression, so a nil result here only disables vectorization.
+	// closures came from.
 	groupASTs := make([]expr, len(q.group))
 	for i, g := range q.group {
 		groupASTs[i] = g.e
 	}
 	vecWhere := q.where
-	if hooks.stripWhere {
+	if stripWhere {
 		vecWhere = nil
 	}
-	p.vec = compileVecPlan(tupleEnv, schema, vecWhere, groupASTs, argASTs)
+	vec, err := compileVecPlan(tenv, schema, vecWhere, groupASTs, argASTs)
+	if err != nil {
+		return nil, err
+	}
+	p.vec = vec
 	p.keyTypes = groupTypes
 	for i, t := range groupTypes {
-		if t != TInt && t != TBool && t != TFloat || p.vec != nil && p.vec.groups[i].t != t {
+		if t != TInt && t != TBool && t != TFloat || vec.groups[i].t != t {
 			p.keyTypes = nil
 		}
 	}

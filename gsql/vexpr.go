@@ -377,23 +377,22 @@ func constNode(v Value) *vecNode {
 	return &vecNode{t: v.T, col: -1, constOK: true, constV: v}
 }
 
-// compileVecPlan batch-compiles a plan's tuple-level expressions. It returns
-// nil when anything fails to compile — the executor then replays every batch
-// through the scalar path, trading speed, never correctness.
-func compileVecPlan(env *compileEnv, schema *Schema, where expr, groups []expr, args [][]expr) *vecPlan {
+// compileVecPlan batch-compiles a plan's tuple-level expressions. It fails
+// only on an expression the scalar compiler rejects as well.
+func compileVecPlan(env *compileEnv, schema *Schema, where expr, groups []expr, args [][]expr) (*vecPlan, error) {
 	vc := &vecComp{env: env, schema: schema}
 	vp := &vecPlan{}
 	if where != nil {
 		n, err := vc.compile(where)
 		if err != nil {
-			return nil
+			return nil, err
 		}
 		vp.where = vc.asBits(n)
 	}
 	for _, g := range groups {
 		n, err := vc.compile(g)
 		if err != nil {
-			return nil
+			return nil, err
 		}
 		vp.groups = append(vp.groups, n)
 	}
@@ -402,14 +401,14 @@ func compileVecPlan(env *compileEnv, schema *Schema, where expr, groups []expr, 
 		for _, a := range slotArgs {
 			n, err := vc.compile(a)
 			if err != nil {
-				return nil
+				return nil, err
 			}
 			row = append(row, n)
 		}
 		vp.args = append(vp.args, row)
 	}
 	vp.nslots = vc.nslots
-	return vp
+	return vp, nil
 }
 
 // compile builds a vecNode for e. Errors only surface for expressions the

@@ -97,11 +97,13 @@ type Config struct {
 	// QueryMaxGroups caps one query's live group cardinality; exceeding it
 	// quarantines the query (0 = unlimited).
 	QueryMaxGroups int
-	// AdmitBudget caps the catalog's summed private per-tuple expression
-	// cost (gsql cost units); an attach that would exceed it is rejected
-	// with CodeAdmission and the running catalog is untouched (0 =
-	// unlimited). Lowering it below the running catalog's usage across a
-	// restart makes the rebuild fail — raise it back or detach first.
+	// AdmitBudget caps the catalog's summed estimated per-tuple cost (gsql
+	// cost units: each query's group expressions and aggregate steps, and
+	// its WHERE at a flat charge when its predicate class already runs);
+	// an attach that would exceed it is rejected with CodeAdmission and the
+	// running catalog is untouched (0 = unlimited). Lowering it below the
+	// running catalog's usage across a restart makes the rebuild fail —
+	// raise it back or detach first.
 	AdmitBudget float64
 	// Seed feeds the supervisor's jittered backoff.
 	Seed uint64
@@ -1018,11 +1020,10 @@ func (rt *runtime) joinPersister() error {
 }
 
 // refreshCatalogGauges snapshots the live incarnation's shared-runtime
-// scoreboard into the gauge registry: attached-query count, how much
-// plan-level sharing the analyzer found, and how many key tables the
-// queries fold through. Called at scrape time; a degraded
-// or restarting incarnation
-// leaves the gauges at their last published levels.
+// scoreboard into the gauge registry: attached-query count, distinct texts,
+// predicate classes, and how many key tables the queries fold through.
+// Called at scrape time; a degraded or restarting incarnation leaves the
+// gauges at their last published levels.
 func (s *Service) refreshCatalogGauges() {
 	rt := s.rt.Load()
 	if rt == nil || rt.degraded || rt.multi == nil {
@@ -1039,7 +1040,6 @@ func (s *Service) refreshCatalogGauges() {
 	s.gauges.Set("server_catalog_distinct_texts", float64(st.DistinctTexts))
 	s.gauges.Set("server_catalog_predicate_classes", float64(st.Classes))
 	s.gauges.Set("server_catalog_key_tables", float64(st.KeyTables))
-	s.gauges.Set("server_catalog_shared_exprs", float64(st.DistinctExprs))
 	s.gauges.Set("server_catalog_quarantined", float64(st.Quarantined))
 	s.gauges.Set("server_catalog_admit_used", st.AdmitUsed)
 	// Frames per ack: the ack path's coalescing factor (this incarnation's).
