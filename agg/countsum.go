@@ -14,8 +14,7 @@ type Counter struct {
 	inputGuard
 	model decay.Forward
 	c     core.ScaledSum
-	n     uint64        // raw (undecayed) number of observations
-	memo  logWeightMemo // derived; invalidated on shift/restore, never serialized
+	n     uint64 // raw (undecayed) number of observations
 }
 
 // NewCounter returns a decayed counter under the given forward decay model.
@@ -45,26 +44,6 @@ func (c *Counter) ObserveN(ti, n float64) {
 	}
 	c.c.Add(c.model.LogStaticWeight(ti), n)
 	c.n++
-}
-
-// ObserveRun records k items sharing the timestamp ti, bit-for-bit
-// equivalent to k successive Observe(ti) calls: the accumulation stays
-// sequential (see core.ScaledSum.AddN), but the decay weight and its
-// exponential are computed once for the whole run. Batch executors that
-// detect equal-timestamp runs use this to amortize the per-update cost.
-// Only the batch entry points consult the weight memo — on the scalar path
-// timestamps rarely repeat, so the memo's compare-and-store would be pure
-// overhead (it measurably regressed Observe when tried).
-func (c *Counter) ObserveRun(ti float64, k int) {
-	if k <= 0 {
-		return
-	}
-	if !IsFinite(ti) {
-		c.reject("Counter", "timestamp", ti)
-		return
-	}
-	c.c.AddN(c.memo.weight(c.model, ti), 1, k)
-	c.n += uint64(k)
 }
 
 // Value returns the decayed count evaluated at query time t. Queries should
@@ -97,7 +76,6 @@ func (c *Counter) ShiftLandmark(newL float64) error {
 	}
 	c.model = m
 	c.c.Shift(logShift)
-	c.memo.invalidate()
 	return nil
 }
 
@@ -122,7 +100,6 @@ type Sum struct {
 	s     core.ScaledSum // Σ g·v
 	s2    core.ScaledSum // Σ g·v²
 	n     uint64
-	memo  logWeightMemo // derived; invalidated on shift/restore, never serialized
 }
 
 // NewSum returns a decayed sum aggregate under the given model.
@@ -145,26 +122,6 @@ func (s *Sum) Observe(ti, v float64) {
 		return
 	}
 	lw := s.model.LogStaticWeight(ti)
-	s.c.Add(lw, 1)
-	s.s.Add(lw, v)
-	s.s2.Add(lw, v*v)
-	s.n++
-}
-
-// ObserveMemo is Observe through the per-batch weight memo: bit-identical
-// results, with the log weight computed once per distinct timestamp across
-// consecutive calls. Batch executors stepping rows with shared timestamps
-// use it; the scalar path stays memo-free (see Counter.ObserveRun).
-func (s *Sum) ObserveMemo(ti, v float64) {
-	if !IsFinite(ti) {
-		s.reject("Sum", "timestamp", ti)
-		return
-	}
-	if !IsFinite(v) {
-		s.reject("Sum", "value", v)
-		return
-	}
-	lw := s.memo.weight(s.model, ti)
 	s.c.Add(lw, 1)
 	s.s.Add(lw, v)
 	s.s2.Add(lw, v*v)
@@ -236,7 +193,6 @@ func (s *Sum) ShiftLandmark(newL float64) error {
 	s.c.Shift(logShift)
 	s.s.Shift(logShift)
 	s.s2.Shift(logShift)
-	s.memo.invalidate()
 	return nil
 }
 

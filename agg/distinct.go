@@ -114,8 +114,7 @@ func (d *Distinct) Merge(o *Distinct) error {
 	if !sameModel(d.model, o.model) {
 		return errModelMismatch(d.model, o.model)
 	}
-	d.dom.Merge(o.dom)
-	return nil
+	return d.dom.Merge(o.dom)
 }
 
 // SizeBytes reports the summary's memory footprint.

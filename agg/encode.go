@@ -84,7 +84,6 @@ func (c *Counter) UnmarshalBinary(b []byte) error {
 		return err
 	}
 	c.model, c.c, c.n = m, s, n
-	c.memo.invalidate() // cached weight may belong to a different model
 	return nil
 }
 
@@ -106,7 +105,6 @@ func (s *Sum) UnmarshalBinary(b []byte) error {
 		return err
 	}
 	s.model, s.c, s.s, s.s2, s.n = m, c, sv, s2, n
-	s.memo.invalidate() // cached weight may belong to a different model
 	return nil
 }
 

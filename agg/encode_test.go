@@ -259,7 +259,7 @@ func TestDecodedEmptyAggregates(t *testing.T) {
 
 // TestQuantilesMergeRefusesOtherDomain: a decoded partial carries its own
 // domain, and merging it into a summary over another one is an error, as a
-// model mismatch is — not the digest's "different domains" panic.
+// model mismatch is.
 func TestQuantilesMergeRefusesOtherDomain(t *testing.T) {
 	m := decay.NewForward(decay.NewExp(0.01), 0)
 	wide := NewQuantiles(m, 1<<16, 0.05)

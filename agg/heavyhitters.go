@@ -10,11 +10,7 @@ import (
 
 // Item is one reported heavy hitter: its key, estimated decayed count, and
 // the overestimation bound on that estimate (all normalized by g(t−L)).
-type Item struct {
-	Key   uint64
-	Count float64
-	Err   float64
-}
+type Item = sketch.ItemCount
 
 // HeavyHitters finds the φ-heavy hitters under forward decay (Definition 7,
 // Theorem 2 of the paper): items whose decayed count

@@ -1,7 +1,6 @@
 package agg
 
 import (
-	"fmt"
 	"math"
 
 	"forwarddecay/decay"
@@ -83,8 +82,8 @@ func (q *Quantiles) Merge(o *Quantiles) error {
 	if !sameModel(q.model, o.model) {
 		return errModelMismatch(q.model, o.model)
 	}
-	if q.qd.U() != o.qd.U() {
-		return fmt.Errorf("agg: cannot merge: quantile domains differ ([0, %d) vs [0, %d))", q.qd.U(), o.qd.U())
+	if err := q.qd.Compatible(o.qd); err != nil {
+		return err
 	}
 	if !o.started {
 		return nil
@@ -102,11 +101,9 @@ func (q *Quantiles) Merge(o *Quantiles) error {
 		// shrink, never overflow).
 		cp := o.qd.Clone()
 		mustScale(cp.Scale(posFactor(core.ExpClamped(o.logScale - q.logScale))))
-		q.qd.Merge(cp)
-		return nil
+		return q.qd.Merge(cp)
 	}
-	q.qd.Merge(o.qd)
-	return nil
+	return q.qd.Merge(o.qd)
 }
 
 // SizeBytes reports the summary's steady-state memory footprint (the

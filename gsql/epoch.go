@@ -238,6 +238,7 @@ func (r *Run) born(g *group) error {
 			aggs[i] = r.p.aggSpecs[i].New()
 		}
 	}
+	r.p.link(aggs)
 	if r.tab.landmarkSet {
 		return shiftAggs(aggs, r.tab.curL)
 	}

@@ -255,45 +255,31 @@ func (r *Run) foldTuple(tp Tuple) error {
 	return err
 }
 
-// newAggs instantiates one aggregator per slot of the plan.
+// newAggs instantiates one aggregator per slot of the plan, linked as the
+// plan's Sharer slots are.
 func newAggs(p *plan) []Aggregator {
 	aggs := make([]Aggregator, len(p.aggSpecs))
 	for i, spec := range p.aggSpecs {
 		aggs[i] = spec.New()
 	}
+	p.link(aggs)
 	return aggs
 }
 
 // stepAggs folds tuple t into each aggregator, reusing args as the argument
 // scratch buffer; the (possibly grown) buffer is returned for the caller to
-// keep. The common arities (count(*) with none, sum/avg/udaf with one) skip
-// the general argument loop.
+// keep.
 func stepAggs(p *plan, aggs []Aggregator, t Tuple, args []Value) ([]Value, error) {
 	for i, a := range aggs {
-		fns := p.aggArgFns[i]
-		var err error
-		switch len(fns) {
-		case 0:
-			err = a.Step(nil)
-		case 1:
-			v, e := fns[0](t)
-			if e != nil {
-				return args, e
+		args = args[:0]
+		for _, fn := range p.aggArgFns[i] {
+			v, err := fn(t)
+			if err != nil {
+				return args, err
 			}
-			args = append(args[:0], v)
-			err = a.Step(args)
-		default:
-			args = args[:0]
-			for _, fn := range fns {
-				v, e := fn(t)
-				if e != nil {
-					return args, e
-				}
-				args = append(args, v)
-			}
-			err = a.Step(args)
+			args = append(args, v)
 		}
-		if err != nil {
+		if err := a.Step(args); err != nil {
 			return args, err
 		}
 	}

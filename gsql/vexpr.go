@@ -76,6 +76,7 @@ type vctx struct {
 	err    error
 	slots  []vslot
 	rowBuf Tuple
+	argBuf []Value // one row's aggregate arguments (Cols.stepRows)
 }
 
 type vslot struct {

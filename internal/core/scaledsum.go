@@ -113,41 +113,19 @@ func (s *ScaledSum) Restore(sum, comp, logScale float64, nonEmpty bool) {
 	s.nonEmpty = nonEmpty
 }
 
-// AddN accumulates exp(lw)·x, n times over, bit-for-bit equivalent to n
-// successive Add(lw, x) calls. The Kahan accumulation stays sequential —
-// collapsing the run into one Add(lw, n·x) would round differently — but the
-// exponential is computed once per distinct relative scale instead of once
-// per term, which is the entire per-update cost the forward-decay hot path
-// pays. The rebase and scale-adoption branches are re-checked every
-// iteration exactly as Add would, invalidating the cached term when either
-// fires, so pathological cancellation mid-run still reproduces the scalar
-// sequence.
-func (s *ScaledSum) AddN(lw, x float64, n int) {
-	if n <= 0 || x == 0 || math.IsInf(lw, -1) || math.IsNaN(lw) {
-		return
-	}
-	var w float64
-	haveW := false
-	for ; n > 0; n-- {
-		if !s.nonEmpty {
-			s.logScale = lw
-			s.nonEmpty = true
-			s.sum.Add(x)
-			continue
-		}
-		rel := lw - s.logScale
-		if rel > MaxSafeExp {
-			s.Rebase(lw)
-			rel = 0
-			haveW = false
-		} else if rel < -MaxSafeExp && s.sum.Value() == 0 {
-			s.logScale = lw
-			rel = 0
-			haveW = false
-		}
-		if !haveW {
-			w, haveW = ExpClamped(rel)*x, true
-		}
-		s.sum.Add(w)
+// PlainScale reports the scale an Add(lw, x ≠ 0) would add ExpClamped(lw −
+// scale)·x against with no rebase or scale adoption, or ok false: sums that
+// report one scale for lw can share the exponential (AddExp).
+func (s *ScaledSum) PlainScale(lw float64) (scale float64, ok bool) {
+	rel := lw - s.logScale
+	return s.logScale, s.nonEmpty && !math.IsInf(lw, -1) && rel <= MaxSafeExp &&
+		(rel >= -MaxSafeExp || s.sum.Value() != 0)
+}
+
+// AddExp is Add(lw, x) for an lw PlainScale accepted, given
+// e = ExpClamped(lw − scale).
+func (s *ScaledSum) AddExp(e, x float64) {
+	if x != 0 {
+		s.sum.Add(e * x)
 	}
 }

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -112,15 +113,13 @@ func TestDominanceMergeEmptyBranches(t *testing.T) {
 	if math.IsInf(e2.LogEstimate(), -1) {
 		t.Error("merge into empty produced nothing")
 	}
-	// Base mismatch panics.
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on base mismatch")
-		}
-	}()
+	// A base mismatch is refused with a typed error.
 	other := NewDominance(16, 4, 8)
 	other.Update(1, 1)
-	full.Merge(other)
+	var me *MismatchError
+	if err := full.Merge(other); !errors.As(err, &me) || me.Param != "base" {
+		t.Errorf("merge over another base: %v, want a base *MismatchError", err)
+	}
 }
 
 // TestKMVHeapPop covers the container/heap Pop path (exercised only via

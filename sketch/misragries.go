@@ -111,7 +111,9 @@ func (m *MisraGries) Items() []ItemCount {
 	for k2, c := range m.counters {
 		out = append(out, ItemCount{Key: k2, Count: c})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
+	sort.Slice(out, func(i, j int) bool {
+		return out[i].Count > out[j].Count || out[i].Count == out[j].Count && out[i].Key < out[j].Key
+	})
 	return out
 }
 

@@ -119,14 +119,14 @@ func (q *QDigest) Compress() {
 		if id <= 1 {
 			continue
 		}
-		c, ok := q.nodes[id]
-		if !ok {
+		if _, ok := q.nodes[id]; !ok {
 			continue
 		}
-		sib := q.nodes[id^1]
-		par := q.nodes[id>>1]
-		if c+sib+par <= thresh {
-			q.nodes[id>>1] = par + c + sib
+		// Left, right, parent: one summation order whichever sibling the
+		// map iteration reaches first, so the digest is deterministic.
+		l, r, par := q.nodes[id&^1], q.nodes[id|1], q.nodes[id>>1]
+		if l+r+par <= thresh {
+			q.nodes[id>>1] = par + l + r
 			delete(q.nodes, id)
 			delete(q.nodes, id^1)
 		}
@@ -223,21 +223,31 @@ func (q *QDigest) Scale(f float64) error {
 	return nil
 }
 
-// Merge folds another digest over the same domain into this one by adding
-// node weights and recompressing. It panics if the domains differ. Errors
-// add: the merged digest has additive rank error (log₂U/k)·(W₁+W₂).
-func (q *QDigest) Merge(o *QDigest) {
-	if o == nil {
-		return
-	}
+// Compatible reports, as a *MismatchError, whether o's domain differs.
+func (q *QDigest) Compatible(o *QDigest) error {
 	if o.logU != q.logU {
-		panic("sketch: merging QDigests over different domains")
+		return &MismatchError{Sketch: "QDigest", Param: "domain", A: float64(q.U()), B: float64(o.U())}
+	}
+	return nil
+}
+
+// Merge folds another digest over the same domain into this one by adding
+// node weights and recompressing; a digest over another domain is refused
+// (Compatible). Errors add: the merged digest has additive rank error
+// (log₂U/k)·(W₁+W₂).
+func (q *QDigest) Merge(o *QDigest) error {
+	if o == nil {
+		return nil
+	}
+	if err := q.Compatible(o); err != nil {
+		return err
 	}
 	for id, w := range o.nodes {
 		q.nodes[id] += w
 	}
 	q.total += o.total
 	q.Compress()
+	return nil
 }
 
 // Clone returns a deep copy of the digest.

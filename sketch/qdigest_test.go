@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -184,15 +185,17 @@ func TestQDigestDomainRounding(t *testing.T) {
 	}
 }
 
-func TestQDigestMergePanicsOnDomainMismatch(t *testing.T) {
+func TestQDigestMergeErrorsOnDomainMismatch(t *testing.T) {
 	a := NewQDigest(16, 0.1)
 	b := NewQDigest(32, 0.1)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on domain mismatch")
-		}
-	}()
-	a.Merge(b)
+	b.Update(3, 1)
+	var me *MismatchError
+	if err := a.Merge(b); !errors.As(err, &me) || me.Param != "domain" {
+		t.Fatalf("merge over another domain: %v, want a domain *MismatchError", err)
+	}
+	if a.Total() != 0 {
+		t.Errorf("refused merge changed the digest: total %g", a.Total())
+	}
 }
 
 func TestQDigestOrderInsensitive(t *testing.T) {

@@ -27,6 +27,19 @@
 // SizeBytes for the space experiments.
 package sketch
 
+import "fmt"
+
+// MismatchError reports a merge refused because the two sketches' parameters
+// differ: §VI-B merges only partials built alike.
+type MismatchError struct {
+	Sketch, Param string
+	A, B          float64
+}
+
+func (e *MismatchError) Error() string {
+	return fmt.Sprintf("sketch: cannot merge %s sketches: %s %g vs %g", e.Sketch, e.Param, e.A, e.B)
+}
+
 // ItemCount is one reported item: its key, an estimate of its (weighted)
 // count, and a bound on the overestimation error (true count is within
 // [Count−Err, Count]).
