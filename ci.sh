@@ -89,11 +89,14 @@ go test -race -run 'Multi' -count=1 ./gsql/
 # FuzzQuery is the batch ≡ scalar oracle: every query that prepares folds a
 # fixed three-batch tape through Run.PushBatch and row by row through
 # Run.Push, and the two must emit the same rows to the bit, the same error
-# and the same Stats().
+# and the same Stats(). FuzzStepColumns is the same oracle over every
+# registered aggregate with int, float, bool, string and dynamic arguments:
+# StepCols per key run against Step per row, checkpoint bytes included.
 go test -run='^$' -fuzz='^FuzzSketchDecode$' -fuzztime=10s -fuzzminimizetime=10x ./sketch/
 go test -run='^$' -fuzz='^FuzzAggDecode$' -fuzztime=10s -fuzzminimizetime=10x ./agg/
 go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=10s -fuzzminimizetime=10x ./gsql/
 go test -run='^$' -fuzz='^FuzzQuery$' -fuzztime=10s -fuzzminimizetime=10x ./gsql/
+go test -run='^$' -fuzz='^FuzzStepColumns$' -fuzztime=10s -fuzzminimizetime=10x ./gsql/
 go test -run='^$' -fuzz='^FuzzCanonicalize$' -fuzztime=10s -fuzzminimizetime=10x ./gsql/
 go test -run='^$' -fuzz='^FuzzFrameDecode$' -fuzztime=10s -fuzzminimizetime=10x ./ingest/
 go test -run='^$' -fuzz='^FuzzDecayUnmarshal$' -fuzztime=10s -fuzzminimizetime=10x ./decay/

@@ -837,9 +837,15 @@ func TestPushBatchSteadyStateAllocs(t *testing.T) {
 		   from TCP where len > 0 and destPort = 80 group by time/60 as tb, dstIP`, nil},
 		{"string-key-exp", flowEngine(t), flowSchema(), `select tb, host, up, count(*), sum(float(len)*exp(float(time%60)/10))
 		   from FLOW where len > 0 group by time/60 as tb, host, up`, flowTuples(64, 23)},
+		{"decayed", fdEngine(t, decay.NewForward(decay.NewExp(0.1), 0)), gsql.PacketSchema("TCP"),
+			`select tb, fdcount(ftime), fdsum(ftime, float(len)), fdavg(ftime, float(len)), fdvar(ftime, float(len)),
+			   fdhh(dstIP, ftime) from TCP group by time/60 as tb`, nil},
 	}
 	for i := 0; i < 64; i++ {
 		cases[0].tuples = append(cases[0].tuples, pkt2(30, int64(i%16), 80, 100+int64(i)))
+		fd := pkt2(30, int64(i%16), 80, 100+int64(i))
+		fd[1] = gsql.Float(30 + float64(i/2)/32) // runs of two equal timestamps
+		cases[2].tuples = append(cases[2].tuples, fd)
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -202,6 +202,71 @@ func FuzzQuery(f *testing.F) {
 	})
 }
 
+// stepAggs is every registered aggregate with its arity; stepArgs are
+// argument expressions over fuzzSchema, by static type: int, float (one a
+// run of equal values per bucket, two sometimes ±Inf, one always NaN), bool,
+// string and dynamically typed.
+var (
+	stepAggs = []struct {
+		name string
+		n    int
+	}{
+		{"count", 0}, {"count", 1}, {"sum", 1}, {"avg", 1}, {"min", 1}, {"max", 1},
+		{"prisamp", 2}, {"wrsamp", 2}, {"ressamp", 1}, {"aggsamp", 1}, {"sshh", 2}, {"unaryhh", 1},
+		{"swhh", 3}, {"ehsum", 2}, {"fdquant", 2}, {"fddistinct", 2},
+		{"fdcount", 1}, {"fdsum", 2}, {"fdavg", 2}, {"fdvar", 2}, {"fdmin", 2}, {"fdmax", 2},
+		{"fdhh", 2}, {"fdpct", 2}, {"fdcard", 2}, {"fdprisamp", 2}, {"fdwrsamp", 2},
+	}
+	stepArgs = []string{
+		"len", "srcPort - destPort", "dstIP", "time",
+		"ftime", "float(len)", "float(time)", "float(len)/float(len%7)", "exp(float(len))", "ftime*0.0/0.0",
+		"up", "len > 500", "host", "'k'", "-host", "host + len",
+	}
+)
+
+// FuzzStepColumns is the column-step oracle over every registered
+// aggregate: a query of one aggregate over fuzzed arguments — beside the
+// fd* moments over its first two, which share one frame, when mix is odd —
+// folds FuzzQuery's tape through Run.Push (Step per row) and through
+// PushBatch and a MultiRun (StepCols per key run), which must agree on rows
+// to the bit, errors, Stats() and checkpoint bytes (fuzzSameFold,
+// fuzzShared).
+func FuzzStepColumns(f *testing.F) {
+	for ai := range stepAggs {
+		f.Add(uint8(ai), uint8(ai), uint8(ai+4), uint8(ai+10), uint8(ai))
+	}
+	e := gsql.NewEngine()
+	schema := fuzzSchema()
+	if err := e.RegisterStream(schema); err != nil {
+		f.Fatal(err)
+	}
+	if err := udaf.RegisterAll(e, udaf.Config{Decay: decay.NewForward(decay.NewExp(0.5), 0), SampleSize: 4}); err != nil {
+		f.Fatal(err)
+	}
+	tape, batches := fuzzTape(f, schema)
+	f.Fuzz(func(t *testing.T, ai, a0, a1, a2, mix uint8) {
+		spec := stepAggs[int(ai)%len(stepAggs)]
+		args := []string{stepArgs[int(a0)%len(stepArgs)], stepArgs[int(a1)%len(stepArgs)], stepArgs[int(a2)%len(stepArgs)]}
+		call := spec.name + "(" + strings.Join(args[:spec.n], ", ") + ")"
+		if spec.n == 0 {
+			call = spec.name + "(*)"
+		}
+		if mix%2 == 1 {
+			ts, v := args[0], args[1]
+			call += fmt.Sprintf(", fdcount(%[1]s), fdsum(%[1]s, %[2]s), fdavg(%[1]s, %[2]s), fdvar(%[1]s, %[2]s)", ts, v)
+		}
+		query := "select tb, " + call + " from TCP group by time/1 as tb"
+		st, err := e.Prepare(query)
+		if err != nil {
+			t.Fatalf("%q: %v", query, err)
+		}
+		for _, opts := range []gsql.Options{{}, {LowLevelSlots: 4}} {
+			fuzzSameFold(t, st, query, tape, batches, opts)
+			fuzzShared(t, e, query, tape, batches, opts)
+		}
+	})
+}
+
 // fuzzSameFold folds FuzzQuery's tape through Push and through PushBatch
 // under opts and requires the same rows to the bit, the same error and the
 // same Stats().
