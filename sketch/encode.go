@@ -48,6 +48,11 @@ func (s *SpaceSaving) UnmarshalBinary(b []byte) error {
 	entries := make([]ssEntry, d.Count(n, 24))
 	for i := range entries {
 		entries[i] = ssEntry{key: d.U64(), count: d.F64(), err: d.F64()}
+		// The eviction window orders counts; a NaN or infinite one has no
+		// place in it.
+		if c := entries[i].count; math.IsNaN(c) || math.IsInf(c, 0) {
+			d.Failf("SpaceSaving count %v is not finite", c)
+		}
 	}
 	if err := d.Done(); err != nil {
 		return err
