@@ -96,10 +96,10 @@ func (c *Cols) Value(a, i int) Value {
 
 // stepRows folds the run into a through Step, one row at a time.
 func (c *Cols) stepRows(a Aggregator) error {
-	if cap(c.ctx.argBuf) < len(c.args) {
-		c.ctx.argBuf = make([]Value, len(c.args))
+	if cap(c.ctx.box) < len(c.args) {
+		c.ctx.box = make([]Value, len(c.args))
 	}
-	args := c.ctx.argBuf[:len(c.args)]
+	args := c.ctx.box[:len(c.args)]
 	for i := range c.rows {
 		for ai := range args {
 			args[ai] = c.Value(ai, i)

@@ -135,9 +135,8 @@ func (b *Batch) Strings(col int) []string {
 
 // Append adds one row from a materialized tuple, maintaining the sorted
 // flag by comparing monotone columns against the previous row. Values must
-// match the schema's declared column types exactly. MultiRun.Push appends
-// through here, so the rule is its too; dynamically typed tuples go through
-// Run.Push only.
+// match the schema's declared column types exactly. Run.Push and
+// MultiRun.Push append through here, so the rule is theirs too.
 func (b *Batch) Append(t Tuple) error {
 	if len(t) != len(b.schema.Cols) {
 		return fmt.Errorf("gsql: batch append: tuple has %d values, schema %s has %d columns",

@@ -47,14 +47,15 @@ func schemaBatches(t testing.TB, s *gsql.Schema, tuples []gsql.Tuple, size int) 
 	return out
 }
 
-// scalarPushAll drives a run the way every scalar caller does: non-finite
-// rejects are counted and skipped, any other error surfaces. Returns rows,
-// reject count, tuple count and the first non-reject error.
+// scalarPushAll drives a run through the closure fold (gsql.OraclePush) the
+// way every scalar caller does: non-finite rejects are counted and skipped,
+// any other error surfaces. Returns rows, reject count, tuple count and the
+// first non-reject error.
 func scalarPushAll(t *testing.T, st *gsql.Statement, tuples []gsql.Tuple, opts gsql.Options) (rows []gsql.Tuple, rejected int, pushed uint64, pushErr error) {
 	t.Helper()
 	run := st.Start(func(row gsql.Tuple) error { rows = append(rows, row); return nil }, opts)
 	for _, tp := range tuples {
-		if err := run.Push(tp); err != nil {
+		if err := gsql.OraclePush(run, tp); err != nil {
 			var nfe *gsql.NonFiniteValueError
 			if errors.As(err, &nfe) {
 				rejected++
@@ -373,8 +374,8 @@ func kernelQuery(c kernelCase, where string) string {
 }
 
 // TestPushBatchBuiltinKernels: every builtin's column kernel, on int, bool
-// and float operands through their edge values, folds bit-for-bit like
-// scalar Push — and the domain errors of ln/log2/sqrt surface with the
+// and float operands through their edge values, folds bit-for-bit like the
+// closure fold — and the domain errors of ln/log2/sqrt surface with the
 // scalar message, the scalar tuple count and the scalar rows before the
 // failing row.
 func TestPushBatchBuiltinKernels(t *testing.T) {
@@ -435,7 +436,8 @@ func TestPushBatchBuiltinKernels(t *testing.T) {
 
 // TestMultiBatchBuiltinKernels: two members of one MultiRun sharing a
 // builtin (one predicate class, the same argument expression) fold through
-// MultiRun.PushBatch exactly as standalone runs fold through scalar Push —
+// MultiRun.PushBatch exactly as standalone runs fold through the closure
+// fold —
 // rows and checkpoint bytes — and on a poisoned tape every member's failed
 // rows cost it only themselves, whatever the frame size.
 func TestMultiBatchBuiltinKernels(t *testing.T) {
@@ -507,7 +509,7 @@ func TestMultiBatchBuiltinKernels(t *testing.T) {
 	// separate, which trips it too — and a sink that refuses seeded calls.
 	// At every frame size,
 	// Push's one-row frames included, each member must match a standalone
-	// Run.Push run that goes on past its errors: rows, checkpoint, tuple
+	// closure-fold run that goes on past its errors: rows, checkpoint, tuple
 	// count and error counters, and the breaker's trip row.
 	const breaker = 3
 	poisoned := positiveX(tuples)
@@ -621,8 +623,8 @@ type memberOutcome struct {
 	closeErr error
 }
 
-// memberOracle runs q alone through Run.Push the way the catalog runs a
-// member: a failed row is counted and the run goes on with the next one, a
+// memberOracle runs q alone through the closure fold (gsql.OraclePush) the
+// way the catalog runs a member: a failed row is counted and the run goes on with the next one, a
 // row that folds ends the streak (one its WHERE rejects folds nothing and
 // leaves it), and breaker consecutive failures fence the run at that row.
 // Non-finite rows are skipped, as every scalar caller does.
@@ -635,10 +637,10 @@ func memberOracle(t *testing.T, e *gsql.Engine, q string, tape []gsql.Tuple, bre
 	}
 	var o memberOutcome
 	run := st.Start(sink(&o.rows), gsql.Options{})
-	where := st.WherePredicate()
+	where := gsql.OracleWhere(st)
 	var nfe *gsql.NonFiniteValueError
 	for _, tp := range tape {
-		err := run.Push(tp)
+		err := gsql.OraclePush(run, tp)
 		switch {
 		case err == nil:
 			if where != nil {
@@ -668,7 +670,7 @@ func memberOracle(t *testing.T, e *gsql.Engine, q string, tape []gsql.Tuple, bre
 	return o
 }
 
-// flowStandalone runs one FLOW query through scalar Push, skipping the
+// flowStandalone runs one FLOW query through the closure fold, skipping the
 // non-finite rows as every scalar caller does, and returns its rows and
 // final checkpoint.
 func flowStandalone(t *testing.T, e *gsql.Engine, q string, tuples []gsql.Tuple) ([]gsql.Tuple, []byte) {
@@ -680,7 +682,7 @@ func flowStandalone(t *testing.T, e *gsql.Engine, q string, tuples []gsql.Tuple)
 	var rows []gsql.Tuple
 	run := st.Start(func(r gsql.Tuple) error { rows = append(rows, r); return nil }, gsql.Options{})
 	for _, tp := range tuples {
-		if err := run.Push(tp); err != nil {
+		if err := gsql.OraclePush(run, tp); err != nil {
 			var nfe *gsql.NonFiniteValueError
 			if !errors.As(err, &nfe) {
 				t.Fatalf("standalone push: %v", err)
@@ -698,9 +700,9 @@ func flowStandalone(t *testing.T, e *gsql.Engine, q string, tuples []gsql.Tuple)
 }
 
 // TestPushBatchCheckpointEquivalence: a checkpoint cut at a batch boundary
-// restores into a run whose continuation matches the scalar kill-recover
-// cycle bit-for-bit (checkpoint bytes themselves are map-order dependent,
-// so equivalence is asserted through restore-and-continue).
+// restores into a run whose continuation matches the uninterrupted closure
+// fold bit-for-bit (the query's aggregates are order-insensitive, so a
+// kill-recover cycle emits exactly the uninterrupted rows).
 func TestPushBatchCheckpointEquivalence(t *testing.T) {
 	e := parallelEngine(t)
 	st, err := e.Prepare(ckptQueryExact)
@@ -709,7 +711,10 @@ func TestPushBatchCheckpointEquivalence(t *testing.T) {
 	}
 	tuples := trace(12_000, 0, 7)
 	const cut = 7_936 // 31 × 256: a batch boundary for every size used
-	want := killRecoverSerial(t, st, tuples, cut, gsql.Options{})
+	want, _, _, err := scalarPushAll(t, st, tuples, gsql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, size := range []int{64, 256} {
 		var rows []gsql.Tuple

@@ -9,24 +9,24 @@ import "fmt"
 //     checkTupleFinite); non-finite rows are counted as rejected and
 //     skipped, the policy every scalar caller implements by hand.
 //  2. The epoch scan walks the timestamp column observing stream time
-//     exactly as the scalar per-tuple hook would, and cuts the batch into
+//     exactly as a per-tuple hook would, and cuts the batch into
 //     segments at landmark rolls: within a segment the landmark is fixed,
 //     so the whole segment can be vectorized; the roll applies between
 //     segments, with the rolling row folded into the new frame — the same
-//     order as scalar Push. Runs of equal timestamps observe once
+//     order as Push. Runs of equal timestamps observe once
 //     (observe is idempotent for equal stream times), which on sorted
 //     batches collapses the scan to one call per distinct timestamp.
 //  3. Per segment, the WHERE kernel narrows the selection bitmap, then the
-//     group and aggregate-argument kernels fill their column slots.
+//     group and aggregate-argument kernels fill their column slots; a row a
+//     kernel fails on is recorded, not evaluated further.
 //  4. The fold walks selected rows detecting runs of equal group keys: one
 //     key probe per run for every member of the run's table, and one step
-//     per aggregate slot per member (keyTable.fold).
+//     per aggregate slot per member. A failed row ends the run before it and
+//     is charged its scalar error after the effects scalar order has before
+//     the error (keyTable.fold).
 //
-// Exactness: any kernel error aborts step 3 before run state is touched and
-// the segment is replayed row-by-row through the scalar fold path, which
-// reproduces the scalar error at the exact row with the exact counters. The
-// vectorized path is only ever taken end-to-end on segments that would not
-// have errored, where it is bit-for-bit identical to N scalar Pushes.
+// Exactness: the fold is bit-for-bit identical to N one-tuple Pushes, failed
+// rows included: the same rows, counters and error at the same row.
 type batchExec struct {
 	ctx     vctx
 	valid   []uint64
@@ -34,7 +34,13 @@ type batchExec struct {
 	cols    Cols    // the pending run's view of a member's argument columns
 	curKey  groupKey
 	prevKey groupKey
-	row     Tuple // scratch for row materialization (epoch closure, replay)
+	row     Tuple // scratch for row materialization (epoch closure)
+
+	// fails are the segment's rows that fail every member of the table
+	// (WHERE, class WHERE, group keys), in row order; hold marks them and
+	// every row a member's argument kernels failed on.
+	fails []rowErr
+	hold  []uint64
 
 	// tsCol is the resolved EpochConfig.TimeColumn index (reading straight
 	// from the column vector); tsColOK gates it, tsIsInt picks the vector.
@@ -75,13 +81,15 @@ func bitGet(bm []uint64, i int) bool { return bm[i>>6]&(1<<uint(i&63)) != 0 }
 // PushBatch folds every row of b into the run, equivalently to Pushing the
 // batch's rows one by one under the standard caller policy: rows rejected by
 // the finite check are counted (the rejected return) and skipped, any other
-// error stops processing at the exact row the scalar path would have stopped.
-// The batch's selection bitmap is consumed as working state.
+// error stops processing at the row where one-by-one Pushes stop, after the
+// effects that row has before its error (a bucket close, a group birth, the
+// steps of earlier aggregate slots). The batch's selection bitmap is
+// consumed as working state.
 //
 // On an aggregate step error the poisoned run's RuntimeStats tuple count may
 // sit at the end of the failing key run rather than the failing row (the
 // deferred StepCols cannot name the row); every other error path counts
-// exactly as scalar Push does.
+// exactly as one-by-one Pushes do.
 func (r *Run) PushBatch(b *Batch) (rejected int, err error) {
 	if b == nil || b.Len() == 0 {
 		return 0, nil
@@ -100,7 +108,7 @@ func (r *Run) PushBatch(b *Batch) (rejected int, err error) {
 	b.scanFinite(bx.valid)
 
 	if r.ep == nil && r.epErr != nil {
-		// Scalar Push rejects a non-finite tuple before reporting the epoch
+		// Push rejects a non-finite tuple before reporting the epoch
 		// config error, so invalid rows still count as rejected here.
 		for i := 0; i < b.n; i++ {
 			r.tuples++
@@ -124,7 +132,7 @@ func (r *Run) PushBatch(b *Batch) (rejected int, err error) {
 		}
 		if roll {
 			if err := r.ShiftLandmark(newL); err != nil {
-				// Scalar Push counts the rolling tuple before maybeRoll fails.
+				// Push counts the rolling tuple before its roll fails.
 				r.tuples++
 				return countRejected(bx.valid, tuples0, r.tuples), err
 			}
@@ -157,7 +165,7 @@ func (bx *batchExec) tsOf(ep *epochState, b *Batch, i int) (float64, bool) {
 // scanEpoch advances the epoch supervisor over valid rows from lo until a
 // roll fires, returning the rolling row as the segment end. skipFirst skips
 // the first valid row's observation — it is the row whose observation just
-// triggered the previous roll, and scalar Push does not re-observe it.
+// triggered the previous roll, and Push does not re-observe it.
 // Consecutive equal timestamps observe once: observe is idempotent for an
 // unchanged stream time, so the skip is exact on any input and collapses to
 // one observation per distinct timestamp on sorted batches.
@@ -194,13 +202,21 @@ func (bx *batchExec) scanEpoch(ep *epochState, b *Batch, lo int, skipFirst bool)
 // processSegment folds rows [lo,hi) under a fixed landmark into the run's
 // table (keyTable.fold).
 func (r *Run) processSegment(b *Batch, lo, hi int) error {
-	return r.tab.fold(r.bx, b, lo, hi, r.bx.valid, nil)
+	return r.tab.fold(r.bx, b, lo, hi, r.bx.valid, nil, nil)
 }
 
 // stepRun feeds a key run (rows) to the run's aggregate slots aggs of one
 // group, one StepCols call per slot over the argument columns in r.cctx (or
-// a Step loop for an aggregator without it).
-func (r *Run) stepRun(bx *batchExec, aggs []Aggregator) error {
+// a Step loop for an aggregator without it). A held run is one row: when
+// the run's arguments failed on it, the slots before the failed one step it
+// and the argument's error is returned.
+func (r *Run) stepRun(bx *batchExec, aggs []Aggregator, held bool) error {
+	var argErr error
+	if held {
+		if f := r.failAt(int(bx.rows[0])); f != nil {
+			aggs, argErr = aggs[:f.slot], f.err
+		}
+	}
 	c := &bx.cols
 	c.ctx, c.rows = r.cctx, bx.rows
 	for si, a := range aggs {
@@ -215,34 +231,17 @@ func (r *Run) stepRun(bx *batchExec, aggs []Aggregator) error {
 			return err
 		}
 	}
-	return nil
+	return argErr
 }
 
-// replay is the scalar fallback of a table with one member, r: each row of
-// the segment in base materializes and folds through the exact per-tuple
-// path (epoch observation has already run for the segment). Rows outside
-// base still count (a standalone run counts rejected rows too) but do not
-// fold, so a pre-applied class filter survives the fallback. A catalog
-// member books a failed row and goes on with the next one.
-func (r *Run) replay(bx *batchExec, b *Batch, lo, hi int, base []uint64, cat *MultiRun) error {
-	for i := lo; i < hi; i++ {
-		r.tuples++
-		if !bitGet(base, i) {
-			continue
-		}
-		b.row(i, bx.row)
-		if err := r.foldTuple(bx.row); err != nil {
-			if cat == nil {
-				return err
-			}
-			if !cat.charge(r, i, err) {
-				return nil
-			}
-			continue
-		}
-		if cat != nil {
-			r.ent.consecErrs = 0
-		}
+// failAt returns the run's argument failure on row i of the segment being
+// folded, if any; the fold asks in ascending row order.
+func (r *Run) failAt(i int) *rowErr {
+	for r.failNext < len(r.fails) && r.fails[r.failNext].row < i {
+		r.failNext++
+	}
+	if r.failNext < len(r.fails) && r.fails[r.failNext].row == i {
+		return &r.fails[r.failNext]
 	}
 	return nil
 }

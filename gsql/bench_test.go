@@ -63,8 +63,9 @@ func BenchmarkExecPush(b *testing.B) {
 	}
 }
 
-// BenchmarkExprPredicate measures compiled predicate evaluation alone: a
-// conjunction of comparisons over int columns plus arithmetic.
+// BenchmarkExprPredicate measures the WHERE kernel alone, through
+// BatchPredicate: a conjunction of comparisons over int columns plus
+// arithmetic, one 64-row batch per op.
 func BenchmarkExprPredicate(b *testing.B) {
 	e := NewEngine()
 	if err := e.RegisterStream(PacketSchema("TCP")); err != nil {
@@ -76,13 +77,61 @@ func BenchmarkExprPredicate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	where := st.p.where
-	tuples := benchTuples()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := where(tuples[i&63]); err != nil {
+	pred := st.BatchPredicate()
+	batch, err := NewBatch(st.p.schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, t := range benchTuples() {
+		if err := batch.Append(t); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pred(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.Len()), "ns/row")
+}
+
+// BenchmarkPoisonedMember measures the failure path of a shared key table:
+// two members of one MultiRun group alike, and the argument of one of them
+// (ln of a negative value) fails on every row, in frames of 4096 rows.
+func BenchmarkPoisonedMember(b *testing.B) {
+	e := NewEngine()
+	if err := e.RegisterStream(PacketSchema("TCP")); err != nil {
+		b.Fatal(err)
+	}
+	m, err := NewMultiRun(e, "TCP", Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []string{
+		`select tb, dstIP, count(*), sum(len) from TCP group by time/60 as tb, dstIP`,
+		`select tb, dstIP, count(*), sum(ln(-ftime)) from TCP group by time/60 as tb, dstIP`,
+	} {
+		if _, err := m.Attach(q, 0, func(Tuple) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	batch, err := NewBatch(PacketSchema("TCP"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range 4096 {
+		if err := batch.Append(pkt(30, int64(i%16), 80, int64(100+i%64))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.PushBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.Len()), "ns/row")
 }

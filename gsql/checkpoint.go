@@ -168,7 +168,7 @@ func readFlags(d *codec.Dec) (bit0, bit1 bool) {
 // appendGroupEntry serializes one partial group (its group values and each
 // aggregate slot's partial state, aggs).
 func appendGroupEntry(b []byte, p *plan, g *group, aggs []Aggregator) ([]byte, error) {
-	for i := range p.groupFns {
+	for i := range p.vec.groups {
 		b = appendCkptValue(b, g.value(i, p.keyTypes))
 	}
 	for i, a := range aggs {
@@ -198,7 +198,7 @@ func appendGroupEntry(b []byte, p *plan, g *group, aggs []Aggregator) ([]byte, e
 // readGroupEntry decodes one partial group, instantiating fresh
 // aggregators from the plan and loading their serialized partials.
 func readGroupEntry(d *codec.Dec, p *plan) *group {
-	gv := make(Tuple, len(p.groupFns))
+	gv := make(Tuple, len(p.vec.groups))
 	for i := range gv {
 		gv[i] = readCkptValue(d)
 	}
@@ -231,7 +231,7 @@ type ckptHeader struct {
 // rollover count and current landmark.
 func appendCkptHeader(b []byte, p *plan, bucketSet bool, bucket Value, tuples uint64, ep *epochState) []byte {
 	b = codec.AppendU64(append(b, ckptMagic[:]...), p.fp)
-	b = codec.AppendU64(b, uint64(len(p.groupFns)))
+	b = codec.AppendU64(b, uint64(len(p.vec.groups)))
 	b = codec.AppendBool(codec.AppendU64(b, uint64(len(p.aggSpecs))), bucketSet)
 	if bucketSet {
 		b = appendCkptValue(b, bucket)
@@ -256,9 +256,9 @@ func readCkptHeader(d *codec.Dec, p *plan) (h ckptHeader) {
 	if d.U64() != p.fp {
 		d.Failf("taken by a different statement or schema")
 	}
-	if ng, na := d.U64(), d.U64(); ng != uint64(len(p.groupFns)) || na != uint64(len(p.aggSpecs)) {
+	if ng, na := d.U64(), d.U64(); ng != uint64(len(p.vec.groups)) || na != uint64(len(p.aggSpecs)) {
 		d.Failf("shape (%d groups, %d aggregates) does not match plan (%d, %d)",
-			ng, na, len(p.groupFns), len(p.aggSpecs))
+			ng, na, len(p.vec.groups), len(p.aggSpecs))
 	}
 	if h.bucketSet = d.Bool(); h.bucketSet {
 		h.bucket = readCkptValue(d)
@@ -280,7 +280,7 @@ func readCkpt(body []byte, p *plan, add func(g *group, raw []byte) error) (ckptH
 	h := readCkptHeader(&d, p)
 	// Each entry carries at least one tag byte per group value and one
 	// length prefix per aggregate slot.
-	for range d.Count(d.U64(), len(p.groupFns)+8*len(p.aggSpecs)) {
+	for range d.Count(d.U64(), len(p.vec.groups)+8*len(p.aggSpecs)) {
 		at := d.Off()
 		g := readGroupEntry(&d, p)
 		if err := d.Err(); err != nil {

@@ -245,19 +245,6 @@ func (r *Run) born(g *group) error {
 	return nil
 }
 
-// maybeRoll is the serial per-tuple epoch hook.
-func (r *Run) maybeRoll(t Tuple) error {
-	ts, ok := r.ep.time(t)
-	if !ok {
-		return nil
-	}
-	newL, roll := r.ep.observe(ts)
-	if !roll {
-		return nil
-	}
-	return r.ShiftLandmark(newL)
-}
-
 // epochHeartbeat advances the supervisor from a heartbeat timestamp.
 func (r *Run) epochHeartbeat(ts Value) error {
 	newL, roll := r.ep.observe(ts.AsFloat())

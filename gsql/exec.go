@@ -64,15 +64,19 @@ type Run struct {
 	ep    *epochState
 	epErr error
 
-	args []Value
-	rec  Tuple // scratch combined record
+	rec Tuple // scratch combined record
 
-	// bx is the batch executor's scratch state, allocated on first PushBatch;
-	// scalar-only runs never pay for it. cctx is the context holding the
-	// run's argument columns in the segment being folded: the table's, or
-	// actx when the run shares a table whose plan is another statement's.
+	// bx is the batch executor's scratch state and one Push's one-row batch,
+	// both allocated on first use. cctx is the context holding the run's
+	// argument columns in the segment being folded: the table's, or actx
+	// when the run shares a table whose plan is another statement's. fails
+	// are the rows of that segment whose arguments failed, in row order;
+	// failNext is the first one the fold has not passed.
 	bx         *batchExec
+	one        *Batch
 	actx, cctx *vctx
+	fails      []rowErr
+	failNext   int
 
 	// ckBuf and ckSpans are Checkpoint's scratch: every group entry encoded
 	// back to back, and the index into them that is sorted in their place.
@@ -172,8 +176,7 @@ func newRun(p *plan, sink func(Tuple) error, opts Options) *Run {
 	r := &Run{
 		p:    p,
 		sink: sink,
-		args: make([]Value, 0, 4),
-		rec:  make(Tuple, len(p.groupFns)+len(p.aggSpecs)),
+		rec:  make(Tuple, len(p.vec.groups)+len(p.aggSpecs)),
 	}
 	r.ep, r.epErr = newEpochState(opts.Epoch)
 	newKeyTable(p, opts).add(r)
@@ -187,72 +190,42 @@ func (r *Run) aggsOf(g *group) []Aggregator {
 	return r.aggs[i : i+k : i+k]
 }
 
-// Push processes one input tuple. Tuples carrying NaN or ±Inf floats are
-// rejected with a *NonFiniteValueError before touching any group state.
+// Push processes one input tuple: a one-row PushBatch. The tuple must match
+// the stream's column types, as Batch.Append requires; a tuple that does not
+// is refused with Append's error, uncounted. Tuples carrying NaN or ±Inf
+// floats are counted and rejected with a *NonFiniteValueError before
+// touching any group state.
 func (r *Run) Push(t Tuple) error {
-	r.tuples++
-	if err := checkTupleFinite(r.p.schema, t); err != nil {
-		return err
-	}
-	// The epoch check runs before the tuple is folded in, so the tuple that
-	// crosses a period boundary is already aggregated in the new frame.
-	if r.ep != nil {
-		if err := r.maybeRoll(t); err != nil {
-			return err
-		}
-	} else if r.epErr != nil {
-		return r.epErr
-	}
-	return r.foldTuple(t)
-}
-
-// foldTuple is the post-epoch body of Push: WHERE, group evaluation, bucket
-// advancement, table probe, and aggregate stepping. The batch executor's
-// scalar replay path calls it directly (counting and epoch handling differ
-// there), so it must stay exactly Push minus those preambles. The run is
-// its table's only member.
-func (r *Run) foldTuple(tp Tuple) error {
-	if r.p.where != nil {
-		ok, err := r.p.where(tp)
-		if err != nil {
-			return err
-		}
-		if !ok.Truthy() {
-			return nil
-		}
-	}
-
-	// Evaluate group-by expressions (into the table's reused scratch slice —
-	// the steady-state Push path performs no allocation) and detect bucket
-	// advancement.
-	t := r.tab
-	gv := t.gv
-	for i, fn := range r.p.groupFns {
-		v, err := fn(tp)
-		if err != nil {
-			return err
-		}
-		gv[i] = v
-	}
-	h := t.keyOf(&t.key, gv)
-	if ti := r.p.temporalIdx; ti >= 0 {
-		if _, err := t.advance(nil, gv[ti], -1); err != nil {
-			return err
-		}
-	}
-
-	// Probe the group table (two-level or high-only; the fast path — a
-	// repeated group key hitting its slot — performs no allocation at all)
-	// and fold the tuple in.
-	g, born, err := t.probe(nil, h, &t.key, -1)
+	b, err := loadOne(r.p.schema, &r.one, t, &r.tuples)
 	if err != nil {
 		return err
 	}
-	if born {
-		copy(g.gv, gv) // byte keys only: a word-keyed group has no gv
-	}
-	r.args, err = stepAggs(r.p, r.aggsOf(g), tp, r.args)
+	_, err = r.PushBatch(b)
 	return err
+}
+
+// loadOne readies *one (made on first use) to hold tuple t alone, for a
+// Push: a non-finite tuple is counted in *tuples and refused with its
+// *NonFiniteValueError, and a tuple not typed as schema s with
+// Batch.Append's error.
+func loadOne(s *Schema, one **Batch, t Tuple, tuples *uint64) (*Batch, error) {
+	if err := checkTupleFinite(s, t); err != nil {
+		*tuples++
+		return nil, err
+	}
+	if *one == nil {
+		b, err := NewBatch(s)
+		if err != nil {
+			return nil, err
+		}
+		*one = b
+	}
+	b := *one
+	b.Reset()
+	if err := b.Append(t); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // newAggs instantiates one aggregator per slot of the plan, linked as the
@@ -264,26 +237,6 @@ func newAggs(p *plan) []Aggregator {
 	}
 	p.link(aggs)
 	return aggs
-}
-
-// stepAggs folds tuple t into each aggregator, reusing args as the argument
-// scratch buffer; the (possibly grown) buffer is returned for the caller to
-// keep.
-func stepAggs(p *plan, aggs []Aggregator, t Tuple, args []Value) ([]Value, error) {
-	for i, a := range aggs {
-		args = args[:0]
-		for _, fn := range p.aggArgFns[i] {
-			v, err := fn(t)
-			if err != nil {
-				return args, err
-			}
-			args = append(args, v)
-		}
-		if err := a.Step(args); err != nil {
-			return args, err
-		}
-	}
-	return args, nil
 }
 
 // emitGroup hands sink one group's row (aggs its aggregate slots), cut from the front of slab, which is

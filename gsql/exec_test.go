@@ -451,12 +451,13 @@ func TestSchemaValidation(t *testing.T) {
 }
 
 // TestMistypedTupleDemotesWordKeys: a group value not typed as the schema (a
-// float, NULL or bool in an int column) has no word key. The run turns to
-// byte keys for good, its live groups included, and is from then on the run
-// that keyed by bytes from the start, to the bit: rows, checkpoints and
-// Stats, with evictions forced by a 4-slot low table. A run restored from a
-// checkpoint holding mistyped keys turns too, and finishes the tape as the
-// byte-keyed run does.
+// float, NULL or bool in an int column) has no word key. Folded through the
+// closure fold, which takes such tuples, the run turns to byte keys for
+// good, its live groups included, and is from then on the run that keyed by
+// bytes from the start, to the bit: rows, checkpoints and Stats, with
+// evictions forced by a 4-slot low table. A run restored from a checkpoint
+// holding mistyped keys turns too, and finishes the tape through Push as
+// the byte-keyed run does.
 func TestMistypedTupleDemotesWordKeys(t *testing.T) {
 	e := mkEngine(t)
 	st, err := e.Prepare("select tb, dstIP, count(*), sum(len) from TCP group by time/1 as tb, dstIP")
@@ -480,13 +481,14 @@ func TestMistypedTupleDemotesWordKeys(t *testing.T) {
 		}
 		return r
 	}
-	fold := func(r *Run, tape []Tuple) {
+	fold := func(r *Run, tape []Tuple, push func(*Run, Tuple) error) {
 		for _, tu := range tape {
-			if err := r.Push(tu); err != nil {
+			if err := push(r, tu); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	oracle, push := (*Run).oraclePush, (*Run).Push
 	// finish checkpoints and closes r, and renders what it and the rows
 	// emitted since the last finish show of the run.
 	finish := func(r *Run, stats bool) string {
@@ -507,11 +509,11 @@ func TestMistypedTupleDemotesWordKeys(t *testing.T) {
 	}
 
 	byteRun := start(false)
-	fold(byteRun, tape)
+	fold(byteRun, tape, oracle)
 	want := finish(byteRun, true)
 	wordRun := start(true)
 	for i, tu := range tape {
-		fold(wordRun, []Tuple{tu})
+		fold(wordRun, []Tuple{tu}, oracle)
 		if wordRun.tab.words != (i < 150) {
 			t.Fatalf("after tuple %d: words %v", i, wordRun.tab.words)
 		}
@@ -524,13 +526,13 @@ func TestMistypedTupleDemotesWordKeys(t *testing.T) {
 	}
 
 	byteRun = start(false)
-	fold(byteRun, tape[:350])
+	fold(byteRun, tape[:350], oracle)
 	ck, err := byteRun.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows = rows[:0]
-	fold(byteRun, tape[350:])
+	fold(byteRun, tape[350:], oracle)
 	want = finish(byteRun, false)
 	restored, err := st.Restore(ck, byteRun.sink, opts)
 	if err != nil {
@@ -539,8 +541,70 @@ func TestMistypedTupleDemotesWordKeys(t *testing.T) {
 	if restored.tab.words {
 		t.Fatal("restoring mistyped keys left the run word-keyed")
 	}
-	fold(restored, tape[350:])
+	fold(restored, tape[350:], push)
 	if got := finish(restored, false); got != want {
 		t.Fatalf("restored run:\n%s\nbyte-keyed run:\n%s", got, want)
+	}
+}
+
+// TestPushRefusesMistypedTuples: Run.Push and MultiRun.Push refuse a tuple
+// shorter than the schema, and one with a value not of its column's type,
+// with Batch.Append's error; the refused tuple changes no group state and
+// no counter of either.
+func TestPushRefusesMistypedTuples(t *testing.T) {
+	e := mkEngine(t)
+	q := "select tb, dstIP, count(*), sum(len) from TCP group by time/60 as tb, dstIP"
+	st, err := e.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := st.Start(func(Tuple) error { return nil }, Options{})
+	m, err := NewMultiRun(e, "TCP", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.Attach(q, 0, func(Tuple) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range []Tuple{pkt(1, 2, 80, 100), pkt(1, 3, 80, 200)} {
+		if err := run.Push(tp); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Push(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// state renders everything a push could move: both runs' checkpoints
+	// and counters (Checkpoint's own counter aside).
+	state := func() string {
+		rs := run.RuntimeStats()
+		rs.Checkpoints = 0
+		ck, err := run.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mck, err := h.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%+v %x\n%+v %+v %x", rs, ck, m.MultiStats(), h.QueryStats(), mck)
+	}
+	mistyped := pkt(1, 4, 80, 100)
+	mistyped[7] = Float(100)
+	for _, tp := range []Tuple{{Int(1)}, mistyped} {
+		b, err := NewBatch(PacketSchema("TCP"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := b.Append(tp)
+		before := state()
+		rerr, merr := run.Push(tp), m.Push(tp)
+		if want == nil || fmt.Sprint(rerr) != want.Error() || fmt.Sprint(merr) != want.Error() {
+			t.Fatalf("%v: Run.Push %v, MultiRun.Push %v; want %v", tp, rerr, merr, want)
+		}
+		if after := state(); after != before {
+			t.Fatalf("%v changed state:\n%s\nwas\n%s", tp, after, before)
+		}
 	}
 }

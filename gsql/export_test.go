@@ -12,9 +12,22 @@ func CatalogVecPlanned(m *MultiRun) bool {
 		}
 	}
 	for _, cls := range m.classes {
-		if cls.pred != nil && (cls.vp == nil || cls.vp.where == nil) {
+		if cls.key != "" && (cls.vp == nil || cls.vp.where == nil) {
 			return false
 		}
 	}
 	return true
+}
+
+// OraclePush folds t into standalone run r through the closure fold
+// (oracle_test.go): the reference the row-path suites compare Push,
+// PushBatch and MultiRun with. It takes tuples of any types.
+func OraclePush(r *Run, t Tuple) error { return r.oraclePush(t) }
+
+// OracleWhere returns st's WHERE closure, nil when it has none.
+func OracleWhere(st *Statement) func(Tuple) (Value, error) {
+	if st.p.where == nil {
+		return nil
+	}
+	return st.p.where
 }

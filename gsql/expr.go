@@ -148,10 +148,7 @@ func (env *compileEnv) compile(e expr) (evalFn, error) {
 				if err != nil {
 					return Null, err
 				}
-				if v.T == TInt {
-					return Int(-v.I), nil
-				}
-				return Float(-v.AsFloat()), nil
+				return negValue(v), nil
 			}, nil
 		case "not":
 			return func(rec Tuple) (Value, error) {

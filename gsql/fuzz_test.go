@@ -138,8 +138,9 @@ func quantileCheckpoints(tb testing.TB) (st *gsql.Statement, body, mixed []byte)
 // reject garbage with an error, never panic, for any byte sequence —
 // including invalid UTF-8 and deeply nested expressions. A prepared query is
 // a batch ≡ scalar oracle: one fixed three-batch tape folded through
-// PushBatch and, row by row, through Push must emit the same rows to the
-// bit, fail with the same error text and count the same Stats() — once at
+// PushBatch and, row by row, through the closure fold (gsql.OraclePush) must
+// emit the same rows to the bit, fail with the same error text and count the
+// same Stats() — once at
 // the default low-table size and once at 4 slots, where collisions, evictions,
 // high-table lookups and flush merges run on every bucket. Each time the
 // query also folds twice, beside a count(*) sibling on its key list, through
@@ -168,6 +169,10 @@ func FuzzQuery(f *testing.F) {
 		`select up, len > 500, count(*), avg(len), max(ftime) from TCP group by up, len > 500`,
 		`select tb, srcIP, dstIP, srcPort, destPort, count(*), sum(len), min(ftime)
 		   from TCP group by time/1 as tb, srcIP, dstIP, srcPort, destPort`,
+		// Planted failures: slot 1's argument on the first 80 rows (slot 0
+		// steps them), and a boxed compare in WHERE on the zero-length row.
+		`select tb, host, sum(len), sum(ln(ftime - 2)) from TCP group by time/1 as tb, host`,
+		`select tb, host, count(*) from TCP where (len = 0 and host > len) or len > 0 group by time/1 as tb, host`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -227,7 +232,7 @@ var (
 // FuzzStepColumns is the column-step oracle over every registered
 // aggregate: a query of one aggregate over fuzzed arguments — beside the
 // fd* moments over its first two, which share one frame, when mix is odd —
-// folds FuzzQuery's tape through Run.Push (Step per row) and through
+// folds FuzzQuery's tape through the closure fold (Step per row) and through
 // PushBatch and a MultiRun (StepCols per key run), which must agree on rows
 // to the bit, errors, Stats() and checkpoint bytes (fuzzSameFold,
 // fuzzShared).
@@ -267,16 +272,16 @@ func FuzzStepColumns(f *testing.F) {
 	})
 }
 
-// fuzzSameFold folds FuzzQuery's tape through Push and through PushBatch
-// under opts and requires the same rows to the bit, the same error and the
-// same Stats().
+// fuzzSameFold folds FuzzQuery's tape through the closure fold
+// (gsql.OraclePush) and through PushBatch under opts and requires the same
+// rows to the bit, the same error and the same Stats().
 func fuzzSameFold(t *testing.T, st *gsql.Statement, query string, tape []gsql.Tuple, batches []*gsql.Batch, opts gsql.Options) {
 	var sRows, bRows []gsql.Tuple
 	scalar := st.Start(func(r gsql.Tuple) error { sRows = append(sRows, r); return nil }, opts)
 	batch := st.Start(func(r gsql.Tuple) error { bRows = append(bRows, r); return nil }, opts)
 	sRej, sErr := 0, error(nil)
 	for _, tp := range tape {
-		if err := scalar.Push(tp); err != nil {
+		if err := gsql.OraclePush(scalar, tp); err != nil {
 			var nfe *gsql.NonFiniteValueError
 			if errors.As(err, &nfe) {
 				sRej++
@@ -316,7 +321,8 @@ func fuzzSameFold(t *testing.T, st *gsql.Statement, query string, tape []gsql.Tu
 // fuzzShared attaches query twice, beside a count(*) sibling with its WHERE
 // and key list, to one MultiRun fed FuzzQuery's batches: every member's
 // rows, checkpoint, Stats() and close error must be those of a standalone
-// Run.Push that, as a catalog member does, goes on past a failed row.
+// run through the closure fold that, as a catalog member does, goes on past
+// a failed row.
 func fuzzShared(t *testing.T, e *gsql.Engine, query string, tape []gsql.Tuple, batches []*gsql.Batch, opts gsql.Options) {
 	queries := []string{query, query}
 	if i := indexFold(query, " from "); i >= 0 {
@@ -359,7 +365,7 @@ func fuzzShared(t *testing.T, e *gsql.Engine, query string, tape []gsql.Tuple, b
 		var want []gsql.Tuple
 		run := st.Start(func(r gsql.Tuple) error { want = append(want, r); return nil }, opts)
 		for _, tp := range tape {
-			_ = run.Push(tp) // a failed row costs a member only itself
+			_ = gsql.OraclePush(run, tp) // a failed row costs a member only itself
 		}
 		wantCkpt, wantCkErr := run.Checkpoint()
 		wn, wev := run.Stats()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -106,12 +105,10 @@ func TestBuiltinKernelsMatchScalar(t *testing.T) {
 		"pow(abs(i), 0.5)", "floor(-f) + ceil(f)", "abs(-i)", "log2(f * g)")
 
 	env := tupleEnv(s)
-	// A fallback node evaluates its subtree's scalar closure over the
-	// context's row buffer, which no column kernel touches: a row buffer
-	// left clear after a run means no fallback ran.
-	fellBack := func(ctx *vctx) bool {
-		return slices.ContainsFunc(ctx.rowBuf, func(v Value) bool { return v != Value{} })
-	}
+	// A boxed kernel reads its operands through the context's box, which no
+	// column kernel touches: a box left nil after a run means no boxed
+	// kernel ran.
+	boxed := func(ctx *vctx) bool { return ctx.box != nil }
 
 	row := make(Tuple, len(s.Cols))
 	sel := make([]uint64, bitWords(b.Len()))
@@ -133,19 +130,23 @@ func TestBuiltinKernelsMatchScalar(t *testing.T) {
 		var ctx vctx
 		for r := 0; r < b.Len(); r++ {
 			ctx.reset(b, vp)
-			clear(ctx.rowBuf)
+			ctx.box = nil
 			clear(sel)
 			putBit(sel, r, true)
 			n.run(&ctx, sel)
-			if fellBack(&ctx) {
-				t.Fatalf("%s: compiled to a fallback node, want a column kernel", src)
+			if boxed(&ctx) {
+				t.Fatalf("%s: compiled to a boxed kernel, want a column kernel", src)
 			}
 			b.row(r, row)
 			want, werr := fn(row)
+			var kerr error
+			if fails := ctx.take(nil, nil); len(fails) > 0 {
+				kerr = fails[0].err
+			}
 			switch {
-			case werr != nil || ctx.err != nil:
-				if werr == nil || ctx.err == nil || werr.Error() != ctx.err.Error() {
-					t.Fatalf("%s row %d: scalar err %v, kernel err %v", src, r, werr, ctx.err)
+			case werr != nil || kerr != nil:
+				if werr == nil || kerr == nil || werr.Error() != kerr.Error() {
+					t.Fatalf("%s row %d: scalar err %v, kernel err %v", src, r, werr, kerr)
 				}
 			default:
 				if got := ctx.valueAt(n, r); !sameBits(got, want) {
@@ -155,8 +156,8 @@ func TestBuiltinKernelsMatchScalar(t *testing.T) {
 		}
 	}
 
-	// The check sees a fallback where one is still due: an operand that is
-	// not statically numeric.
+	// The check sees a boxed kernel where one is due: an operand that is not
+	// statically numeric.
 	vc := &vecComp{env: env, schema: s}
 	n, err := vc.compile(parseTupleExpr(t, "exp(s)"))
 	if err != nil {
@@ -164,12 +165,11 @@ func TestBuiltinKernelsMatchScalar(t *testing.T) {
 	}
 	var ctx vctx
 	ctx.reset(b, &vecPlan{nslots: vc.nslots})
-	clear(ctx.rowBuf)
 	clear(sel)
 	putBit(sel, 0, true)
 	n.run(&ctx, sel)
-	if !fellBack(&ctx) {
-		t.Error("exp(s) did not fall back; the fallback check is blind")
+	if !boxed(&ctx) {
+		t.Error("exp(s) compiled to no boxed kernel; the check is blind")
 	}
 }
 
@@ -216,8 +216,8 @@ func TestBatchKeysMatchKeyAppend(t *testing.T) {
 		for _, g := range p.vec.groups {
 			g.run(&ctx, sel)
 		}
-		if ctx.err != nil {
-			t.Fatalf("%q: kernels failed: %v", list, ctx.err)
+		if fails := ctx.take(nil, nil); len(fails) > 0 {
+			t.Fatalf("%q: kernels failed: %v", list, fails[0].err)
 		}
 		gvBatch := make(Tuple, len(p.groupFns))
 		gvScalar := make(Tuple, len(p.groupFns))

@@ -63,10 +63,9 @@ type keyTable struct {
 	landmarkSet bool
 
 	// words keys the groups by word (groupKey) while it holds: from start
-	// when the plan has keyTypes, until a mistyped value demotes the table.
+	// when the plan has keyTypes, until a restored mistyped value demotes
+	// the table.
 	words bool
-	key   groupKey // scratch key of the tuple being folded
-	gv    Tuple    // scratch group values
 
 	// evictions and windows count for the table's lifetime; a member's own
 	// counts are these plus its Run.evBase / winBase.
@@ -108,8 +107,8 @@ type lowSlot struct {
 
 // newKeyTable builds the empty table of a plan under the given options.
 func newKeyTable(p *plan, opts Options) *keyTable {
-	t := &keyTable{p: p, gv: make(Tuple, len(p.groupFns)), words: p.keyTypes != nil}
-	t.twoLevel = p.mergeable && !opts.DisableTwoLevel && len(p.groupFns) > 0
+	t := &keyTable{p: p, words: p.keyTypes != nil}
+	t.twoLevel = p.mergeable && !opts.DisableTwoLevel && len(p.vec.groups) > 0
 	if t.twoLevel {
 		n := opts.LowLevelSlots
 		if n <= 0 {
@@ -151,8 +150,6 @@ func (t *keyTable) remove(r *Run) (empty bool) {
 func (t *keyTable) clone() *keyTable {
 	c := *t
 	c.members, c.failed, c.refs, c.parked, c.id = nil, nil, nil, false, 0
-	c.gv = make(Tuple, len(t.gv))
-	c.key = groupKey{}
 	cp := func(g *group) *group {
 		n := &group{hash: g.hash, id: g.id, gv: slices.Clone(g.gv)}
 		n.key.set(&g.key)
@@ -267,8 +264,8 @@ func (t *keyTable) fail(err error) error {
 
 // keyOf writes the key of group values gv into k and returns its hash. A
 // table keyed by words turns to byte keys for good (demote) at the first
-// value whose type is not its column's static type: a tuple not typed as the
-// schema, which the word form cannot tell apart.
+// value whose type is not its column's static type — a restored group of a
+// tuple not typed as the schema — which the word form cannot tell apart.
 func (t *keyTable) keyOf(k *groupKey, gv Tuple) uint64 {
 	k.w, k.b = k.w[:0], k.b[:0]
 	if t.words {
@@ -446,7 +443,7 @@ func (t *keyTable) born(cat *MultiRun, hash uint64, key *groupKey, row int) (*gr
 		t.ids++
 	}
 	if !t.words && g.gv == nil {
-		g.gv = make(Tuple, len(t.p.groupFns))
+		g.gv = make(Tuple, len(t.p.vec.groups))
 	}
 	if err := t.settle(cat, row, t.each(cat, func(r *Run) error { return r.born(g) })); err != nil {
 		t.free = append(t.free, g)
@@ -547,25 +544,26 @@ func (t *keyTable) heartbeat(cat *MultiRun, ts Value) error {
 	return err
 }
 
-// fold folds rows [lo,hi) of b in base into every member: vectorized while
-// the kernels run clean, otherwise replayed through the scalar fold path row
-// by row. Standalone runs pass the finite bitmap;
-// the multi-query runtime passes finite ∧ class-WHERE, with the plan's own
-// WHERE stripped — the pre-applied filter must therefore reach the scalar
-// replay path too, which is why base threads all the way down.
+// fold folds rows [lo,hi) of b in base into every member. Standalone runs
+// pass the finite bitmap; the multi-query runtime passes finite ∧
+// class-WHERE, with the plan's own WHERE stripped, and pre: the rows whose
+// class WHERE failed, in row order.
+//
+// The kernels run once over the segment. A row they fail is held: the fold
+// steps the rows before it, then charges it the error scalar order gives. A
+// WHERE (or class WHERE) or group-key failure fails the row for every
+// member, before any table effect. A member's argument failure comes after
+// the row's bucket advance and probe and after the member's earlier slots
+// have stepped the row; its neighbours step the row in full.
 //
 // cat is the catalog folding the table's members, nil for a standalone run.
 // Without it the segment stops at its first error, which the caller gets
-// back. With it a failed row costs each member that failed it only itself:
-// the row is booked against the member (cat.charge), a clean run ends its
-// error streak, and the fold goes on — a flush or probe error at the next
-// row, an aggregate step error at the row after its key run (the
-// granularity ColStepper documents). The kernels still run once per
-// segment, so a failure never re-evaluates its neighbours.
-//
-// Only a table with one member replays: a member whose kernels fail is split
-// off first, onto a copy of the table as the segment found it.
-func (t *keyTable) fold(bx *batchExec, b *Batch, lo, hi int, base []uint64, cat *MultiRun) error {
+// back, counted through that row. With it a failed row costs each member
+// that failed it only itself: the row is booked against the member
+// (cat.charge), a clean run ends its error streak, and the fold goes on — an
+// aggregate step error at the row after its key run (the granularity
+// ColStepper documents).
+func (t *keyTable) fold(bx *batchExec, b *Batch, lo, hi int, base []uint64, pre []rowErr, cat *MultiRun) error {
 	if lo >= hi {
 		return nil
 	}
@@ -575,67 +573,69 @@ func (t *keyTable) fold(bx *batchExec, b *Batch, lo, hi int, base []uint64, cat 
 	b.sel = growBits(b.sel, b.n)
 	sel := b.sel
 	maskRange(sel, base, lo, hi)
-
+	for _, f := range pre {
+		if f.row >= lo && f.row < hi {
+			ctx.fail(f.row, f.err)
+		}
+	}
 	if vp.where != nil {
 		vp.where.run(ctx, sel)
-		if ctx.err == nil {
-			wb := ctx.bits(vp.where)
-			for w := range sel {
-				sel[w] &= wb[w]
+		wb := ctx.bits(vp.where)
+		for w := range sel {
+			sel[w] &= wb[w]
+		}
+	}
+	for _, g := range vp.groups {
+		g.run(ctx, sel)
+	}
+	// The rows failed so far fail every member: no argument kernel sees them.
+	bx.fails = ctx.take(bx.fails, sel)
+	// Every member's argument kernels: the members of the table's own plan
+	// in ctx, any other member in a context of its own.
+	t.each(cat, func(r *Run) error {
+		r.cctx = ctx
+		if r.p.vec != vp {
+			if r.actx == nil {
+				r.actx = new(vctx)
+			}
+			r.cctx = r.actx
+			r.cctx.reset(b, r.p.vec)
+		}
+		for si, slotNodes := range r.p.vec.args {
+			r.cctx.slot = si
+			for _, a := range slotNodes {
+				a.run(r.cctx, sel)
 			}
 		}
-	}
-	if ctx.err == nil {
-		for _, g := range vp.groups {
-			g.run(ctx, sel)
-		}
-	}
-	if ctx.err != nil {
-		t.fail(ctx.err)
-	} else {
-		// Every member's argument kernels: the members of the table's own
-		// plan in ctx, any other member in a context of its own.
-		t.each(cat, func(r *Run) error {
-			r.cctx = ctx
-			if r.p.vec != vp {
-				if r.actx == nil {
-					r.actx = new(vctx)
-				}
-				r.cctx = r.actx
-				r.cctx.reset(b, r.p.vec)
-			}
-			for _, slotNodes := range r.p.vec.args {
-				for _, a := range slotNodes {
-					a.run(r.cctx, sel)
-				}
-			}
-			return r.cctx.err
-		})
-	}
-	if n := len(t.failed); n > 0 {
-		// A kernel failed somewhere in the segment; no table state has been
-		// touched, so the scalar replay reproduces the exact scalar outcome.
-		// It takes a table of one: the members that failed go on from copies,
-		// but for the last when every member failed.
-		for _, f := range t.failed[:n-1] {
-			cat.split(f.r, lo)
-		}
-		if r := t.failed[n-1].r; len(t.members) > 1 {
-			cat.split(r, lo)
-		} else {
-			return r.replay(bx, b, lo, hi, base, cat)
-		}
-		t.failed = t.failed[:0]
-	}
+		r.fails, r.failNext = r.cctx.take(r.fails, nil), 0
+		return nil
+	})
 	if len(t.members) == 0 {
 		return nil
 	}
+	held := len(bx.fails) > 0
+	for _, r := range t.members {
+		held = held || len(r.fails) > 0
+	}
+	if held {
+		bx.hold = growBits(bx.hold, b.n)
+		clear(bx.hold)
+		for _, f := range bx.fails {
+			putBit(bx.hold, f.row, true)
+			putBit(sel, f.row, true)
+		}
+		for _, r := range t.members {
+			for _, f := range r.fails {
+				putBit(bx.hold, f.row, true)
+			}
+		}
+	}
 
-	// Kernels clean: every row of the segment is now accounted for (invalid
-	// rows included — scalar Push counts a tuple before rejecting it). The
-	// fold walks the bitmap inline (not through forSel) so its mutable state
-	// stays on the stack: the steady-state batch cycle allocates nothing,
-	// and TestPushBatchSteadyStateAllocs holds it there.
+	// Every row of the segment is now accounted for (invalid rows included —
+	// scalar Push counts a tuple before rejecting it). The fold walks the
+	// bitmap inline (not through forSel) so its mutable state stays on the
+	// stack: the steady-state batch cycle allocates nothing, and
+	// TestPushBatchSteadyStateAllocs holds it there.
 	//
 	// Each row's group key is written straight from the kernel columns, in
 	// the form the table keys by (groupKey): the words, or the bytes
@@ -651,7 +651,7 @@ func (t *keyTable) fold(bx *batchExec, b *Batch, lo, hi int, base []uint64, cat 
 	}
 
 	var cur *group
-	runLen := 0
+	runLen, next := 0, 0
 	for w, m := range sel {
 		if m == 0 {
 			continue
@@ -659,20 +659,32 @@ func (t *keyTable) fold(bx *batchExec, b *Batch, lo, hi int, base []uint64, cat 
 		base := w << 6
 		for ; m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros64(m)
-			ctx.keyAt(&bx.curKey, vp.groups, i, t.words)
-			if runLen > 0 && bx.curKey.equal(&bx.prevKey) {
-				// Same group as the previous row: same group values, same
-				// temporal bucket — extend the run, nothing else to check.
-				bx.rows = append(bx.rows, int32(i))
-				runLen++
-				continue
+			hold := held && bitGet(bx.hold, i)
+			shared := hold && next < len(bx.fails) && bx.fails[next].row == i
+			if !shared {
+				ctx.keyAt(&bx.curKey, vp.groups, i, t.words)
+				if runLen > 0 && !hold && bx.curKey.equal(&bx.prevKey) {
+					// Same group as the previous row: same group values, same
+					// temporal bucket — extend the run, nothing else to check.
+					bx.rows = append(bx.rows, int32(i))
+					runLen++
+					continue
+				}
 			}
 			if runLen > 0 {
-				if stop, err := t.endRun(cat, bx, cur, segBase, lo); stop {
+				if stop, err := t.endRun(cat, bx, cur, segBase, lo, false); stop {
 					return err
 				}
 			}
 			runLen = 0
+			if shared {
+				t.fail(bx.fails[next].err)
+				next++
+				if stop, err := t.rowFailed(cat, segBase, lo, i); stop {
+					return err
+				}
+				continue
+			}
 			if ti := t.p.temporalIdx; ti >= 0 {
 				if bv := ctx.valueAt(vp.groups[ti], i); !t.bucketSet || t.p.bucketAfter(bv, t.bucket) {
 					closed, err := t.advance(cat, bv, i)
@@ -704,12 +716,20 @@ func (t *keyTable) fold(bx *batchExec, b *Batch, lo, hi int, base []uint64, cat 
 			}
 			cur = g
 			bx.rows = append(bx.rows[:0], int32(i))
-			runLen = 1
 			bx.curKey, bx.prevKey = bx.prevKey, bx.curKey
+			if hold {
+				// A member's argument failed on the row: the row is a run of
+				// its own, each member stepping it up to its failed slot.
+				if stop, err := t.endRun(cat, bx, cur, segBase, lo, true); stop {
+					return err
+				}
+				continue
+			}
+			runLen = 1
 		}
 	}
 	if runLen > 0 {
-		if _, err := t.endRun(cat, bx, cur, segBase, lo); err != nil {
+		if _, err := t.endRun(cat, bx, cur, segBase, lo, false); err != nil {
 			return err
 		}
 	}
@@ -717,11 +737,13 @@ func (t *keyTable) fold(bx *batchExec, b *Batch, lo, hi int, base []uint64, cat 
 }
 
 // endRun steps the pending key run (bx.rows) into every member's slots of
-// group g. A member's step error fails the run's last row (rowFailed); a
-// clean step ends the member's error streak.
-func (t *keyTable) endRun(cat *MultiRun, bx *batchExec, g *group, segBase uint64, lo int) (stop bool, err error) {
+// group g; a held run (one row) steps each member only up to the slot whose
+// arguments failed on it (Run.stepRun). A member's step or argument error
+// fails the run's last row (rowFailed); a clean step ends the member's
+// error streak.
+func (t *keyTable) endRun(cat *MultiRun, bx *batchExec, g *group, segBase uint64, lo int, held bool) (stop bool, err error) {
 	t.each(cat, func(r *Run) error {
-		if err := r.stepRun(bx, r.aggsOf(g)); err != nil {
+		if err := r.stepRun(bx, r.aggsOf(g), held); err != nil {
 			return err
 		}
 		if cat != nil {

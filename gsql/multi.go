@@ -31,11 +31,13 @@ import (
 //     — empty, same size, bucket, key form and landmark: at attach, or at a
 //     bucket close right after both flushed (rejoin). A member whose outcome
 //     of a table step differs from its neighbours' (a failed group birth,
-//     eviction merge, flush or sink, a kernel error that sends it to scalar
-//     replay) goes on alone from a copy of the table taken at that point
-//     (split), so every member's rows, checkpoints and counters are those of
-//     a table of its own. Quarantine, detach and the cardinality cap take
-//     only the member's own aggregates with it.
+//     eviction merge, flush or sink) goes on alone from a copy of the table
+//     taken at that point (split), so every member's rows, checkpoints and
+//     counters are those of a table of its own. A row whose WHERE or group
+//     key fails fails every sharer alike, and a failed argument is charged
+//     to its member alone after the shared probe; neither splits the table.
+//     Quarantine, detach and the cardinality cap take only the member's own
+//     aggregates with it.
 //
 // The per-tuple cost of N queries over a shared-heavy workload is therefore
 // one shared pass plus the per-query fold of only the queries whose filter
@@ -70,9 +72,9 @@ import (
 //   - Single producer. A MultiRun, like a Run, is driven by one goroutine;
 //     its scratch state is unsynchronized, and its members borrow one batch
 //     scratch in turn.
-//   - The scalar fallbacks (a class predicate or a member replay after a
-//     kernel error) run the closures a standalone plan of the same text
-//     compiles, so they read the same values, errors included.
+//   - A class predicate and a member's kernels are those a standalone plan
+//     of the same text compiles, so they read the same values, errors
+//     included, row for row.
 //   - Epoch rollovers are runtime-wide: one shared supervisor observes the
 //     stream clock once per tuple and shifts every member's landmark at the
 //     same point of the sequence, so decay state never straddles landmarks
@@ -113,8 +115,7 @@ type MultiRun struct {
 	landmarkSet bool
 
 	// Batch scratch: the finite bitmap, Push's one-row batch, and mbx — the
-	// epoch scan's state, the row buffer of the scalar class fallback, and
-	// the fold scratch every member borrows in turn.
+	// epoch scan's state and the fold scratch every member borrows in turn.
 	valid []uint64
 	mbx   *batchExec
 	one   *Batch
@@ -223,17 +224,16 @@ func (e *ShardedUnsupportedError) Error() string {
 // predClass is one WHERE-clause equivalence class: the queries whose filter
 // is canonically identical, sharing one selection bitmap per batch segment.
 type predClass struct {
-	key  string // canonical WHERE key; "" for unfiltered queries
-	pred evalFn // nil for unfiltered
-	pos  int    // index in m.classes, maintained by swap-remove
+	key string // canonical WHERE key; "" for unfiltered queries
+	pos int    // index in m.classes, maintained by swap-remove
 
 	// vp is the vectorized where-only plan (nil for unfiltered); ctx and
 	// sel are its per-class scratch, fails the rows of the current segment
-	// whose predicate errored.
+	// whose predicate failed, in row order.
 	vp    *vecPlan
 	ctx   vctx
 	sel   []uint64
-	fails []classFail
+	fails []rowErr
 
 	members []*multiEntry // order changes under churn (swap-remove)
 
@@ -242,12 +242,6 @@ type predClass struct {
 	// than one table only while a member that split off has not rejoined).
 	tables  []*keyTable
 	byShare map[string]*keyTable
-}
-
-// classFail is one row whose class predicate errored.
-type classFail struct {
-	row int
-	err error
 }
 
 // multiEntry is one attached query.
@@ -367,12 +361,8 @@ func (m *MultiRun) classFor(ss *multiStmt) (*predClass, error) {
 	}
 	cls := &predClass{key: ss.whereKey, byShare: map[string]*keyTable{}}
 	if ss.whereAST != nil {
-		env := tupleEnv(m.schema)
 		var err error
-		if cls.pred, err = env.compile(ss.whereAST); err != nil {
-			return nil, err
-		}
-		if cls.vp, err = compileVecPlan(env, m.schema, ss.whereAST, nil, nil); err != nil {
+		if cls.vp, err = compileVecPlan(tupleEnv(m.schema), m.schema, ss.whereAST, nil, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -772,29 +762,18 @@ func (m *MultiRun) chargeClass(cls *predClass, cause error, reason string) {
 	eachIn(cls, func(e *multiEntry) { m.chargeMember(e, cause, reason) })
 }
 
-// Push feeds one tuple to every attached query: a one-row PushBatch. The
-// tuple must match the stream's column types, as Batch.Append requires;
-// dynamically typed tuples go through Run.Push only. The only errors are the
-// tuple's own: a non-finite value (*NonFiniteValueError, counted as a tuple
-// as Run.Push counts it) or a type mismatch. Member errors are charged to
-// their query and Push keeps feeding everyone else.
+// Push feeds one tuple to every attached query: a one-row PushBatch, as
+// Run.Push is. The tuple must match the stream's column types, as
+// Batch.Append requires. The only errors are the tuple's own: a non-finite
+// value (*NonFiniteValueError, counted as a tuple) or a type mismatch
+// (uncounted). Member errors are charged to their query and Push keeps
+// feeding everyone else.
 func (m *MultiRun) Push(t Tuple) error {
-	if err := checkTupleFinite(m.schema, t); err != nil {
-		m.tuples++
+	b, err := loadOne(m.schema, &m.one, t, &m.tuples)
+	if err != nil {
 		return err
 	}
-	if m.one == nil {
-		b, err := NewBatch(m.schema)
-		if err != nil {
-			return err
-		}
-		m.one = b
-	}
-	m.one.Reset()
-	if err := m.one.Append(t); err != nil {
-		return err
-	}
-	_, err := m.PushBatch(m.one)
+	_, err = m.PushBatch(b)
 	return err
 }
 
@@ -942,7 +921,7 @@ func (m *MultiRun) processSegmentAll(b *Batch, lo, hi int) {
 		if err := m.classSelectSafe(cls, b, lo, hi); err != nil {
 			m.chargeClass(cls, err, QuarantinePanic)
 		} else {
-			m.foldClass(cls, b, lo, hi)
+			m.foldMembers(cls, b, lo, hi)
 		}
 		if ci < len(m.classes) && m.classes[ci] == cls {
 			ci++
@@ -950,28 +929,13 @@ func (m *MultiRun) processSegmentAll(b *Batch, lo, hi int) {
 	}
 }
 
-// foldClass folds the class's selected rows of [lo,hi) into its members. A
-// row whose predicate failed is charged to every member at its place in the
-// sequence: the members fold the rows before it, take the charge at the
-// row's feed position, and go on after it.
-func (m *MultiRun) foldClass(cls *predClass, b *Batch, lo, hi int) {
-	for _, f := range cls.fails {
-		m.foldMembers(cls, b, lo, f.row)
-		m.atRow(f.row, func() { m.chargeClass(cls, f.err, "") })
-		if len(cls.members) == 0 {
-			return // every member fenced, the class pruned
-		}
-		lo = f.row + 1
-	}
-	m.foldMembers(cls, b, lo, hi)
-}
-
 // foldMembers folds the class's selected rows of [lo,hi) into every key
-// table; a range with none skips the members outright. A table split off
-// mid-range, or parked at a bucket close (rejoin), folds on from its row,
-// until every table has folded the whole range.
+// table, each row whose predicate failed charged to every member at its
+// place in the sequence; a range with neither skips the members outright. A
+// table split off mid-range, or parked at a bucket close (rejoin), folds on
+// from its row, until every table has folded the whole range.
 func (m *MultiRun) foldMembers(cls *predClass, b *Batch, lo, hi int) {
-	if popRange(cls.sel, hi) == popRange(cls.sel, lo) {
+	if len(cls.fails) == 0 && popRange(cls.sel, hi) == popRange(cls.sel, lo) {
 		return
 	}
 	for _, t := range cls.tables {
@@ -982,7 +946,7 @@ func (m *MultiRun) foldMembers(cls *predClass, b *Batch, lo, hi int) {
 		for ti := 0; ti < len(cls.tables); {
 			t := cls.tables[ti]
 			if t.from < hi {
-				m.foldTable(t, b, hi, cls.sel)
+				m.foldTable(t, b, hi, cls)
 				more = true
 			}
 			if ti < len(cls.tables) && cls.tables[ti] == t {
@@ -1004,19 +968,20 @@ func (m *MultiRun) classSelectSafe(cls *predClass, b *Batch, lo, hi int) (err er
 	return nil
 }
 
-// foldTable folds the selected rows of [t.from,hi) into a key table,
-// timing it into its members' ns/tuple EWMA when at least sampleRows rows
-// have folded since the table's last timed fold (each member is charged its
-// share), and fences the members whose table exceeds the cardinality cap.
-// Tables fold one at a time, with the runtime's batch scratch.
-func (m *MultiRun) foldTable(t *keyTable, b *Batch, hi int, sel []uint64) {
-	lo := t.from
+// foldTable folds class cls's selected and failed rows of [t.from,hi) into
+// a key table, timing it into its members' ns/tuple EWMA when at least
+// sampleRows rows have folded since the table's last timed fold (each
+// member is charged its share), and fences the members whose table exceeds
+// the cardinality cap. Tables fold one at a time, with the runtime's batch
+// scratch.
+func (m *MultiRun) foldTable(t *keyTable, b *Batch, hi int, cls *predClass) {
+	lo, sel := t.from, cls.sel
 	t.from, t.parked = hi, false
 	var t0 time.Time
 	if t.untimed <= 0 {
 		t.untimed, t0 = sampleRows, time.Now()
 	}
-	m.tableSafe(t, func() { t.fold(m.mbx, b, lo, hi, sel, m) }) // nil: every error is charged
+	m.tableSafe(t, func() { t.fold(m.mbx, b, lo, hi, sel, cls.fails, m) }) // nil: every error is charged
 	n := popRange(sel, t.from) - popRange(sel, lo)
 	t.untimed -= n
 	if len(t.members) == 0 {
@@ -1037,58 +1002,36 @@ func (m *MultiRun) foldTable(t *keyTable, b *Batch, hi int, sel []uint64) {
 }
 
 // charge books a failed fold of row i (of a heartbeat, with no row, when
-// i < 0) against member r and reports whether r is still linked.
+// i < 0) against member r and reports whether r is still linked. The feed
+// position stands through row i of the segment being folded meanwhile, so
+// a fence the charge causes records the row it tripped on.
 func (m *MultiRun) charge(r *Run, i int, err error) bool {
-	e := r.ent
-	if i < 0 {
-		m.chargeMember(e, err, "")
-	} else {
-		m.atRow(i, func() { m.chargeMember(e, err, "") })
-	}
-	return !e.quarantined
-}
-
-// atRow runs charge with the feed position advanced through row i of the
-// segment being folded, so a fence it causes records the row it tripped on.
-func (m *MultiRun) atRow(i int, charge func()) {
 	at := m.tuples
-	m.tuples += uint64(i - m.segLo + 1)
-	charge()
+	if i >= 0 {
+		m.tuples += uint64(i - m.segLo + 1)
+	}
+	m.chargeMember(r.ent, err, "")
 	m.tuples = at
+	return !r.ent.quarantined
 }
 
-// classSelect fills cls.sel with finite ∧ class-WHERE over [lo,hi):
-// vectorized, or row by row after a kernel error. The rows whose predicate
-// errored leave the selection and go to cls.fails, in row order.
+// classSelect fills cls.sel with finite ∧ class-WHERE over [lo,hi). The
+// rows whose predicate failed leave the selection and go to cls.fails, in
+// row order.
 func (m *MultiRun) classSelect(cls *predClass, b *Batch, lo, hi int) {
 	cls.sel = growBits(cls.sel, b.n)
 	maskRange(cls.sel, m.valid, lo, hi)
 	cls.fails = cls.fails[:0]
-	if cls.pred == nil {
+	if cls.vp == nil {
 		return
 	}
 	cls.ctx.reset(b, cls.vp)
 	cls.vp.where.run(&cls.ctx, cls.sel)
-	if cls.ctx.err == nil {
-		wb := cls.ctx.bits(cls.vp.where)
-		for w := range cls.sel {
-			cls.sel[w] &= wb[w]
-		}
-		return
+	wb := cls.ctx.bits(cls.vp.where)
+	for w := range cls.sel {
+		cls.sel[w] &= wb[w]
 	}
-	// Kernel error: the scalar evaluation reproduces the row-level outcome.
-	for i := lo; i < hi; i++ {
-		if !bitGet(cls.sel, i) {
-			continue
-		}
-		b.row(i, m.mbx.row)
-		if v, err := cls.pred(m.mbx.row); err != nil {
-			cls.sel[i>>6] &^= 1 << uint(i&63)
-			cls.fails = append(cls.fails, classFail{i, err})
-		} else if !v.Truthy() {
-			cls.sel[i>>6] &^= 1 << uint(i&63)
-		}
-	}
+	cls.fails = cls.ctx.take(cls.fails, cls.sel)
 }
 
 // Queries returns the number of attached queries (quarantined included).

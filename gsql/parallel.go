@@ -332,6 +332,26 @@ func (w *shardWorker) step(t Tuple, gv Tuple, haveGV bool) error {
 	return err
 }
 
+// stepAggs folds tuple t into each aggregator through the scalar argument
+// closures, reusing args as the argument scratch buffer; the (possibly
+// grown) buffer is returned for the caller to keep.
+func stepAggs(p *plan, aggs []Aggregator, t Tuple, args []Value) ([]Value, error) {
+	for i, a := range aggs {
+		args = args[:0]
+		for _, fn := range p.aggArgFns[i] {
+			v, err := fn(t)
+			if err != nil {
+				return args, err
+			}
+			args = append(args, v)
+		}
+		if err := a.Step(args); err != nil {
+			return args, err
+		}
+	}
+	return args, nil
+}
+
 // ckptEntry is one serialized partial group retained by the producer for
 // shard restart: the shard that held it and its checkpoint-entry bytes.
 type ckptEntry struct {

@@ -80,19 +80,15 @@ func (pr *ParallelRun) processSegment(b *Batch, lo, hi int) error {
 
 	if vp.where != nil {
 		vp.where.run(ctx, sel)
-		if ctx.err == nil {
-			wb := ctx.bits(vp.where)
-			for w := range sel {
-				sel[w] &= wb[w]
-			}
+		wb := ctx.bits(vp.where)
+		for w := range sel {
+			sel[w] &= wb[w]
 		}
 	}
-	if ctx.err == nil {
-		for _, g := range vp.groups {
-			g.run(ctx, sel)
-		}
+	for _, g := range vp.groups {
+		g.run(ctx, sel)
 	}
-	if ctx.err != nil {
+	if len(ctx.errs) > 0 {
 		// No run state touched yet; the scalar replay reproduces the exact
 		// scalar outcome, error row included.
 		return pr.replaySegment(b, lo, hi)

@@ -6,7 +6,9 @@ import (
 	"strings"
 )
 
-// plan is a fully compiled query.
+// plan is a fully compiled query. Run and MultiRun evaluate its
+// tuple-level expressions through vec alone; their scalar closures (where,
+// groupFns, aggArgFns) serve the sharded runtime and temporalOf.
 type plan struct {
 	schema *Schema
 	where  evalFn // nil if absent
@@ -348,7 +350,7 @@ func (p *plan) Columns() []string {
 func (p *plan) describe() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "groups=%d aggs=%d temporal=%d mergeable=%v",
-		len(p.groupFns), len(p.aggSpecs), p.temporalIdx, p.mergeable)
+		len(p.vec.groups), len(p.aggSpecs), p.temporalIdx, p.mergeable)
 	if p.links != nil {
 		fmt.Fprintf(&sb, " shared=%v", p.links) // [slot, slot it reads]
 	}

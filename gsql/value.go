@@ -247,6 +247,15 @@ func numericBinop(op byte, a, b Value) (Value, error) {
 	return Null, fmt.Errorf("gsql: unknown operator %q", op)
 }
 
+// negValue is unary minus on a value of any type: an int stays an int,
+// everything else promotes to float.
+func negValue(v Value) Value {
+	if v.T == TInt {
+		return Int(-v.I)
+	}
+	return Float(-v.AsFloat())
+}
+
 // compare returns -1, 0 or +1 ordering two values; mixed numeric types
 // compare as floats, strings compare lexically.
 func compare(a, b Value) (int, error) {

@@ -1,43 +1,48 @@
 package gsql
 
 // Vectorized expression compilation: every tuple-level expression of a plan
-// (WHERE, group-by, aggregate arguments) additionally compiles to a vecNode
-// tree whose kernels evaluate a whole Batch column-at-a-time under a
-// selection bitmap, replacing N closure calls (each packing a 40-byte Value
-// and an error) with one call per operator per batch.
+// (WHERE, group-by, aggregate arguments) compiles to a vecNode tree whose
+// kernels evaluate a whole Batch column-at-a-time under a selection bitmap.
+// The kernels are the only evaluator of those expressions in Run and
+// MultiRun; the scalar closures of expr.go serve the output projection,
+// HAVING, heartbeats and the sharded runtime.
 //
-// The scalar closures remain the semantic oracle. Exactness discipline:
+// Exactness discipline:
 //
 //   - Kernels perform the same primitive operation on the same operand
-//     representation as the scalar evaluator they shadow (same int64/float64
-//     ops, the same three-way float compare, and for builtins the very Go
-//     function the scalar closure calls, on the same float promotion), so
-//     results are bit-identical.
+//     representation as the scalar evaluator (same int64/float64 ops, the
+//     same three-way float compare, and for builtins the very Go function the
+//     scalar closure calls, on the same float promotion), so results are
+//     bit-identical.
 //   - and/or kernels evaluate their right side only under the rows the left
 //     side selects, preserving scalar short-circuit semantics.
-//   - Any kernel error (division by zero, a builtin's domain error, a scalar
-//     closure failing inside a fallback node) aborts the batch's vectorized
-//     pass before any run state is touched; the executor then replays the
-//     segment through the scalar per-tuple path, which reproduces the scalar
-//     error at the exact row with the exact message. Errors are rare, so the
-//     replay never costs in steady state — and it collapses all
-//     error-ordering corner cases to "exactly what Push does".
+//   - A kernel that fails on a row (division by zero, a builtin's domain
+//     error, a boxed operation's error) records the row and goes on with the
+//     next (vctx.fail). Kernels run in the scalar evaluator's order — a
+//     node's operands before the node, left before right, WHERE before the
+//     group keys before the arguments slot by slot — so the first failure
+//     recorded for a row is the error scalar evaluation gives it. The fold
+//     charges that error at the row, after the rows before it
+//     (keyTable.fold), and each segment's kernels run once however many of
+//     its rows fail.
 //
-// Fallback nodes, which materialize each selected row and invoke the scalar
-// closure, remain only for operands the static type pass cannot pin to a
-// kernel representation: dynamically typed values, or a string where a
-// number is expected — full generality at scalar speed, never a semantic
-// fork.
+// Boxed kernels cover operands the static type pass cannot pin to a kernel
+// representation — dynamically typed values, or a string where a number is
+// expected: each selected row's operands are read as Values and handed to
+// the operation the scalar closure applies (numericBinop, compare, a
+// builtin's fn1 or fn).
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // vecPlan is the batch-compiled form of a plan's tuple-level expressions.
-// Like the scalar closures it is immutable after compilation and shared
-// across runs and shard workers; all evaluation state lives in a vctx.
+// It is immutable after compilation and shared across runs and shard
+// workers; all evaluation state lives in a vctx.
 type vecPlan struct {
 	where  *vecNode   // selection-bits node, nil when the query has no WHERE
 	groups []*vecNode // one per group-by expression
@@ -59,24 +64,38 @@ type vecNode struct {
 }
 
 // run evaluates the node's subtree for the selected rows. Column and
-// constant nodes have nil eval; a sticky context error short-circuits.
+// constant nodes have nil eval.
 func (n *vecNode) run(ctx *vctx, sel []uint64) {
-	if n.eval != nil && ctx.err == nil {
+	if n.eval != nil {
 		n.eval(ctx, sel)
 	}
 }
 
 // vctx is the per-run evaluation context: scratch slots for kernel outputs
-// plus a row buffer for fallback nodes. Compiled plans are shared across
-// shard workers, so kernels must never capture mutable state — it all lives
-// here, one vctx per Run / ParallelRun / BatchPredicate closure.
+// and the rows the kernels failed on. Compiled plans are shared across shard
+// workers, so kernels must never capture mutable state — it all lives here,
+// one vctx per Run / ParallelRun / BatchPredicate closure.
 type vctx struct {
-	b      *Batch
-	n      int
-	err    error
-	slots  []vslot
-	rowBuf Tuple
-	argBuf []Value // one row's aggregate arguments (Cols.stepRows)
+	b     *Batch
+	n     int
+	slots []vslot
+	// box is one row's boxed values: a boxed kernel's operands, or the
+	// aggregate arguments of Cols.stepRows.
+	box []Value
+	// errs lists the rows a kernel failed on since the last reset, each with
+	// the first failure recorded for it; failed marks their rows. slot is
+	// the aggregate slot whose argument kernels are running, recorded with a
+	// failure.
+	errs   []rowErr
+	failed []uint64
+	slot   int
+}
+
+// rowErr is one row's failure, in a kernel (slot is the aggregate slot of a
+// failed argument) or in a class predicate.
+type rowErr struct {
+	row, slot int
+	err       error
 }
 
 type vslot struct {
@@ -87,23 +106,52 @@ type vslot struct {
 	bits []uint64
 }
 
-// reset points the context at a batch, clearing any sticky error.
+// reset points the context at a batch, forgetting every recorded failure.
 func (ctx *vctx) reset(b *Batch, vp *vecPlan) {
-	ctx.b, ctx.n, ctx.err = b, b.n, nil
+	ctx.b, ctx.n = b, b.n
+	ctx.forget()
 	if len(ctx.slots) < vp.nslots {
 		ctx.slots = make([]vslot, vp.nslots)
 	}
-	if len(ctx.rowBuf) < len(b.schema.Cols) {
-		ctx.rowBuf = make(Tuple, len(b.schema.Cols))
-	}
 }
 
-// fail records the first kernel error; the executor replays the segment
-// through the scalar path to recover exact error semantics.
-func (ctx *vctx) fail(err error) {
-	if ctx.err == nil {
-		ctx.err = err
+// fail records that row r failed with err, unless a kernel that ran before
+// failed it first.
+func (ctx *vctx) fail(r int, err error) {
+	if w := bitWords(ctx.n); len(ctx.failed) < w {
+		ctx.failed = make([]uint64, w)
 	}
+	if bitGet(ctx.failed, r) {
+		return
+	}
+	putBit(ctx.failed, r, true)
+	ctx.errs = append(ctx.errs, rowErr{r, ctx.slot, err})
+}
+
+// take moves the recorded failures onto dst[:0] in row order and returns
+// it; their rows leave sel when sel is not nil.
+func (ctx *vctx) take(dst []rowErr, sel []uint64) []rowErr {
+	if len(ctx.errs) == 0 {
+		return dst[:0]
+	}
+	slices.SortFunc(ctx.errs, func(a, b rowErr) int { return cmp.Compare(a.row, b.row) })
+	dst = append(dst[:0], ctx.errs...)
+	if sel != nil {
+		for _, f := range dst {
+			putBit(sel, f.row, false)
+		}
+	}
+	ctx.forget()
+	return dst
+}
+
+// forget drops every recorded failure.
+func (ctx *vctx) forget() {
+	for _, f := range ctx.errs {
+		putBit(ctx.failed, f.row, false)
+	}
+	clear(ctx.errs)
+	ctx.errs = ctx.errs[:0]
 }
 
 // Slot storage accessors grow lazily to the current batch length and are
@@ -414,7 +462,7 @@ func compileVecPlan(env *compileEnv, schema *Schema, where expr, groups []expr, 
 
 // compile builds a vecNode for e. Errors only surface for expressions the
 // scalar compiler would also reject; everything else vectorizes, worst case
-// as a fallback node wrapping the scalar closure.
+// as a boxed kernel.
 func (vc *vecComp) compile(e expr) (*vecNode, error) {
 	switch n := e.(type) {
 	case *numLit:
@@ -436,40 +484,29 @@ func (vc *vecComp) compile(e expr) (*vecNode, error) {
 	case *callExpr:
 		return vc.compileCall(n)
 	default:
-		return vc.fallback(e)
+		return nil, fmt.Errorf("gsql: cannot compile %T", e)
 	}
 }
 
 func (vc *vecComp) compileUn(n *unExpr) (*vecNode, error) {
+	c, err := vc.compile(n.e)
+	if err != nil {
+		return nil, err
+	}
 	switch n.op {
 	case "-":
 		switch vc.env.staticType(n.e) {
 		case TInt:
-			c, err := vc.compile(n.e)
-			if err != nil {
-				return nil, err
-			}
 			return vc.intUn(c, func(x int64) int64 { return -x }), nil
 		case TFloat:
-			c, err := vc.compile(n.e)
-			if err != nil {
-				return nil, err
-			}
 			return vc.floatUn(c, func(x float64) float64 { return -x }), nil
 		}
-		return vc.fallback(n)
+		return vc.boxed(vc.env.staticType(n), []*vecNode{c}, func(vs []Value) (Value, error) { return negValue(vs[0]), nil }), nil
 	case "not":
-		c, err := vc.compile(n.e)
-		if err != nil {
-			return nil, err
-		}
 		cb := vc.asBits(c)
 		out := vc.node(TBool)
 		out.eval = func(ctx *vctx, sel []uint64) {
 			cb.run(ctx, sel)
-			if ctx.err != nil {
-				return
-			}
 			cbm, om := ctx.bits(cb), ctx.bits(out)
 			for w := range sel {
 				om[w] = sel[w] &^ cbm[w]
@@ -477,25 +514,23 @@ func (vc *vecComp) compileUn(n *unExpr) (*vecNode, error) {
 		}
 		return out, nil
 	}
-	return vc.fallback(n)
+	return nil, fmt.Errorf("gsql: unknown unary operator %q", n.op)
 }
 
 func (vc *vecComp) compileVecBin(n *binExpr) (*vecNode, error) {
+	l, r, err := vc.compile2(n.l, n.r)
+	if err != nil {
+		return nil, err
+	}
+	lt, rt := vc.env.staticType(n.l), vc.env.staticType(n.r)
 	switch n.op {
 	case "+", "-", "*", "/", "%":
-		lt, rt := vc.env.staticType(n.l), vc.env.staticType(n.r)
-		if !staticNumeric(lt) || !staticNumeric(rt) {
-			return vc.fallback(n)
-		}
-		l, err := vc.compile(n.l)
-		if err != nil {
-			return nil, err
-		}
-		r, err := vc.compile(n.r)
-		if err != nil {
-			return nil, err
-		}
 		op := n.op[0]
+		if !staticNumeric(lt) || !staticNumeric(rt) {
+			return vc.boxed(vc.env.staticType(n), []*vecNode{l, r}, func(vs []Value) (Value, error) {
+				return numericBinop(op, vs[0], vs[1])
+			}), nil
+		}
 		if lt == TInt && rt == TInt {
 			switch op {
 			case '+':
@@ -523,42 +558,25 @@ func (vc *vecComp) compileVecBin(n *binExpr) (*vecNode, error) {
 			return vc.floatBin(l, r, func(x, y float64) float64 { return math.Mod(x, y) }), nil
 		}
 	case "=", "!=", "<", "<=", ">", ">=":
-		lt, rt := vc.env.staticType(n.l), vc.env.staticType(n.r)
 		isIntish := func(t Type) bool { return t == TInt || t == TBool }
 		switch {
 		case isIntish(lt) && isIntish(rt):
-			l, r, err := vc.compile2(n.l, n.r)
-			if err != nil {
-				return nil, err
-			}
 			return vc.intPredNode(l, r, intPred(n.op)), nil
 		case staticNumeric(lt) && staticNumeric(rt):
-			l, r, err := vc.compile2(n.l, n.r)
-			if err != nil {
-				return nil, err
-			}
 			return vc.floatPredNode(l, r, floatPred(n.op)), nil
 		case lt == TString && rt == TString:
-			l, r, err := vc.compile2(n.l, n.r)
-			if err != nil {
-				return nil, err
-			}
 			return vc.strPredNode(l, r, stringPred(n.op)), nil
-		default:
-			return vc.fallback(n)
 		}
+		pred := cmpPred(n.op)
+		return vc.boxed(TBool, []*vecNode{l, r}, func(vs []Value) (Value, error) {
+			c, err := compare(vs[0], vs[1])
+			return Bool(pred(c)), err
+		}), nil
 	case "and":
-		l, r, err := vc.compile2(n.l, n.r)
-		if err != nil {
-			return nil, err
-		}
 		lb, rb := vc.asBits(l), vc.asBits(r)
 		out := vc.node(TBool)
 		out.eval = func(ctx *vctx, sel []uint64) {
 			lb.run(ctx, sel)
-			if ctx.err != nil {
-				return
-			}
 			lbm, om := ctx.bits(lb), ctx.bits(out)
 			for w := range sel {
 				om[w] = sel[w] & lbm[w]
@@ -566,9 +584,6 @@ func (vc *vecComp) compileVecBin(n *binExpr) (*vecNode, error) {
 			// Scalar short-circuit: the right side only ever evaluates where
 			// the left side passed.
 			rb.run(ctx, om)
-			if ctx.err != nil {
-				return
-			}
 			rbm := ctx.bits(rb)
 			for w := range sel {
 				om[w] &= rbm[w]
@@ -576,35 +591,24 @@ func (vc *vecComp) compileVecBin(n *binExpr) (*vecNode, error) {
 		}
 		return out, nil
 	case "or":
-		l, r, err := vc.compile2(n.l, n.r)
-		if err != nil {
-			return nil, err
-		}
 		lb, rb := vc.asBits(l), vc.asBits(r)
 		out := vc.node(TBool)
 		out.eval = func(ctx *vctx, sel []uint64) {
 			lb.run(ctx, sel)
-			if ctx.err != nil {
-				return
-			}
 			lbm, om := ctx.bits(lb), ctx.bits(out)
 			for w := range sel {
 				om[w] = sel[w] &^ lbm[w]
 			}
 			// The right side only evaluates where the left side failed.
 			rb.run(ctx, om)
-			if ctx.err != nil {
-				return
-			}
 			rbm := ctx.bits(rb)
 			for w := range sel {
 				om[w] = (sel[w] & lbm[w]) | (om[w] & rbm[w])
 			}
 		}
 		return out, nil
-	default:
-		return vc.fallback(n)
 	}
+	return nil, fmt.Errorf("gsql: unknown operator %q", n.op)
 }
 
 // compileCall gives a builtin whose arguments are all statically numeric a
@@ -612,33 +616,34 @@ func (vc *vecComp) compileVecBin(n *binExpr) (*vecNode, error) {
 // pattern: avg(float(len))), and the numeric functions to kernels calling
 // the very function the scalar closure calls (scalarFunc.f1/f1e/f2/i1) on
 // the same floatAcc promotion, so results — exp's included — are
-// bit-identical, and a domain error aborts the pass with the scalar message.
-// Only an argument without a static numeric type falls back.
+// bit-identical, and a domain error fails the row with the scalar message.
+// A call with an argument of no static numeric type is boxed.
 func (vc *vecComp) compileCall(n *callExpr) (*vecNode, error) {
 	f, ok := vc.env.funcs[n.name]
-	if !ok || len(n.args) != f.nargs {
-		return vc.fallback(n) // reports the scalar compiler's error
+	if !ok {
+		return nil, fmt.Errorf("gsql: unknown function %q", n.name)
 	}
-	at := vc.env.staticType(n.args[0])
-	for _, a := range n.args {
-		if !staticNumeric(vc.env.staticType(a)) {
-			return vc.fallback(n)
+	if len(n.args) != f.nargs {
+		return nil, fmt.Errorf("gsql: %s expects %d argument(s), got %d", n.name, f.nargs, len(n.args))
+	}
+	args := make([]*vecNode, len(n.args))
+	numeric := true
+	for i, a := range n.args {
+		var err error
+		if args[i], err = vc.compile(a); err != nil {
+			return nil, err
 		}
+		numeric = numeric && staticNumeric(vc.env.staticType(a))
 	}
-	c, err := vc.compile(n.args[0])
-	if err != nil {
-		return nil, err
-	}
+	c, at := args[0], vc.env.staticType(n.args[0])
 	switch {
+	case !numeric: // boxed, below
 	case n.name == "float" && at == TFloat:
 		return c, nil // Float(v.F) ≡ identity on a TFloat value
 	case n.name == "float":
 		out := vc.node(TFloat)
 		out.eval = func(ctx *vctx, sel []uint64) {
 			c.run(ctx, sel)
-			if ctx.err != nil {
-				return
-			}
 			cx, o := ctx.accInt(c), ctx.floats(out)
 			forSel(sel, func(i int) bool { o[i] = float64(cx.at(i)); return true })
 		}
@@ -651,9 +656,6 @@ func (vc *vecComp) compileCall(n *callExpr) (*vecNode, error) {
 		out := vc.node(TInt)
 		out.eval = func(ctx *vctx, sel []uint64) {
 			c.run(ctx, sel)
-			if ctx.err != nil {
-				return
-			}
 			cx, o := ctx.accFloat(c), ctx.ints(out)
 			forSel(sel, func(i int) bool { o[i] = int64(cx.at(i)); return true })
 		}
@@ -665,13 +667,13 @@ func (vc *vecComp) compileCall(n *callExpr) (*vecNode, error) {
 	case f.f1e != nil:
 		return vc.floatUnErr(c, f.f1e), nil
 	case f.f2 != nil:
-		r, err := vc.compile(n.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return vc.floatBin(c, r, f.f2), nil
+		return vc.floatBin(c, args[1], f.f2), nil
 	}
-	return vc.fallback(n)
+	fn := f.fn
+	if f.fn1 != nil {
+		fn = func(vs []Value) (Value, error) { return f.fn1(vs[0]) }
+	}
+	return vc.boxed(vc.env.staticType(n), args, fn), nil
 }
 
 // compile2 compiles both sides of a binary node.
@@ -697,36 +699,24 @@ func (vc *vecComp) asBits(n *vecNode) *vecNode {
 	case TBool, TInt:
 		out.eval = func(ctx *vctx, sel []uint64) {
 			c.run(ctx, sel)
-			if ctx.err != nil {
-				return
-			}
 			x := ctx.accInt(c)
 			writeBits(sel, ctx.bits(out), func(i int) bool { return x.at(i) != 0 })
 		}
 	case TFloat:
 		out.eval = func(ctx *vctx, sel []uint64) {
 			c.run(ctx, sel)
-			if ctx.err != nil {
-				return
-			}
 			x := ctx.accFloat(c)
 			writeBits(sel, ctx.bits(out), func(i int) bool { return x.at(i) != 0 })
 		}
 	case TString:
 		out.eval = func(ctx *vctx, sel []uint64) {
 			c.run(ctx, sel)
-			if ctx.err != nil {
-				return
-			}
 			x := ctx.accStr(c)
 			writeBits(sel, ctx.bits(out), func(i int) bool { return x.at(i) != "" })
 		}
 	default: // dynamic
 		out.eval = func(ctx *vctx, sel []uint64) {
 			c.run(ctx, sel)
-			if ctx.err != nil {
-				return
-			}
 			vs := ctx.values(c)
 			writeBits(sel, ctx.bits(out), func(i int) bool { return vs[i].Truthy() })
 		}
@@ -740,9 +730,6 @@ func (vc *vecComp) intUn(c *vecNode, f func(int64) int64) *vecNode {
 	out := vc.node(TInt)
 	out.eval = func(ctx *vctx, sel []uint64) {
 		c.run(ctx, sel)
-		if ctx.err != nil {
-			return
-		}
 		cx, o := ctx.accInt(c), ctx.ints(out)
 		forSel(sel, func(i int) bool { o[i] = f(cx.at(i)); return true })
 	}
@@ -753,30 +740,23 @@ func (vc *vecComp) floatUn(c *vecNode, f func(float64) float64) *vecNode {
 	out := vc.node(TFloat)
 	out.eval = func(ctx *vctx, sel []uint64) {
 		c.run(ctx, sel)
-		if ctx.err != nil {
-			return
-		}
 		cx, o := ctx.accFloat(c), ctx.floats(out)
 		forSel(sel, func(i int) bool { o[i] = f(cx.at(i)); return true })
 	}
 	return out
 }
 
-// floatUnErr is floatUn for a partial function: its first domain error
-// aborts the pass, and the segment replay reproduces it at the exact row.
+// floatUnErr is floatUn for a partial function: a domain error fails its
+// row.
 func (vc *vecComp) floatUnErr(c *vecNode, f func(float64) (float64, error)) *vecNode {
 	out := vc.node(TFloat)
 	out.eval = func(ctx *vctx, sel []uint64) {
 		c.run(ctx, sel)
-		if ctx.err != nil {
-			return
-		}
 		cx, o := ctx.accFloat(c), ctx.floats(out)
 		forSel(sel, func(i int) bool {
 			x, err := f(cx.at(i))
 			if err != nil {
-				ctx.fail(err)
-				return false
+				ctx.fail(i, err)
 			}
 			o[i] = x
 			return true
@@ -790,36 +770,29 @@ func (vc *vecComp) intBin(l, r *vecNode, f func(x, y int64) int64) *vecNode {
 	out.eval = func(ctx *vctx, sel []uint64) {
 		l.run(ctx, sel)
 		r.run(ctx, sel)
-		if ctx.err != nil {
-			return
-		}
 		lx, rx, o := ctx.accInt(l), ctx.accInt(r), ctx.ints(out)
 		forSel(sel, func(i int) bool { o[i] = f(lx.at(i), rx.at(i)); return true })
 	}
 	return out
 }
 
-// intDiv handles '/' and '%' with the scalar path's zero-divisor errors.
-// The recorded error aborts the vectorized pass; the segment replay then
-// reproduces the scalar error at the exact failing row.
+// intDiv handles '/' and '%' with the scalar path's zero-divisor errors,
+// each failing its row.
 func (vc *vecComp) intDiv(l, r *vecNode, op byte) *vecNode {
 	out := vc.node(TInt)
 	out.eval = func(ctx *vctx, sel []uint64) {
 		l.run(ctx, sel)
 		r.run(ctx, sel)
-		if ctx.err != nil {
-			return
-		}
 		lx, rx, o := ctx.accInt(l), ctx.accInt(r), ctx.ints(out)
 		forSel(sel, func(i int) bool {
 			y := rx.at(i)
 			if y == 0 {
 				if op == '/' {
-					ctx.fail(fmt.Errorf("gsql: integer division by zero"))
+					ctx.fail(i, fmt.Errorf("gsql: integer division by zero"))
 				} else {
-					ctx.fail(fmt.Errorf("gsql: integer modulo by zero"))
+					ctx.fail(i, fmt.Errorf("gsql: integer modulo by zero"))
 				}
-				return false
+				return true
 			}
 			if op == '/' {
 				o[i] = lx.at(i) / y
@@ -837,9 +810,6 @@ func (vc *vecComp) floatBin(l, r *vecNode, f func(x, y float64) float64) *vecNod
 	out.eval = func(ctx *vctx, sel []uint64) {
 		l.run(ctx, sel)
 		r.run(ctx, sel)
-		if ctx.err != nil {
-			return
-		}
 		lx, rx, o := ctx.accFloat(l), ctx.accFloat(r), ctx.floats(out)
 		forSel(sel, func(i int) bool { o[i] = f(lx.at(i), rx.at(i)); return true })
 	}
@@ -854,9 +824,6 @@ func (vc *vecComp) intPredNode(l, r *vecNode, p func(x, y int64) bool) *vecNode 
 	out.eval = func(ctx *vctx, sel []uint64) {
 		l.run(ctx, sel)
 		r.run(ctx, sel)
-		if ctx.err != nil {
-			return
-		}
 		lx, rx := ctx.accInt(l), ctx.accInt(r)
 		writeBits(sel, ctx.bits(out), func(i int) bool { return p(lx.at(i), rx.at(i)) })
 	}
@@ -868,9 +835,6 @@ func (vc *vecComp) floatPredNode(l, r *vecNode, p func(x, y float64) bool) *vecN
 	out.eval = func(ctx *vctx, sel []uint64) {
 		l.run(ctx, sel)
 		r.run(ctx, sel)
-		if ctx.err != nil {
-			return
-		}
 		lx, rx := ctx.accFloat(l), ctx.accFloat(r)
 		writeBits(sel, ctx.bits(out), func(i int) bool { return p(lx.at(i), rx.at(i)) })
 	}
@@ -882,91 +846,69 @@ func (vc *vecComp) strPredNode(l, r *vecNode, p func(x, y string) bool) *vecNode
 	out.eval = func(ctx *vctx, sel []uint64) {
 		l.run(ctx, sel)
 		r.run(ctx, sel)
-		if ctx.err != nil {
-			return
-		}
 		lx, rx := ctx.accStr(l), ctx.accStr(r)
 		writeBits(sel, ctx.bits(out), func(i int) bool { return p(lx.at(i), rx.at(i)) })
 	}
 	return out
 }
 
-// fallback wraps e's scalar evaluator: each selected row is materialized
-// into the context's row buffer and evaluated by the exact closure the
-// scalar path runs, so results (and errors) cannot diverge.
-func (vc *vecComp) fallback(e expr) (*vecNode, error) {
-	fn, err := vc.env.compile(e)
-	if err != nil {
-		return nil, err
-	}
-	t := vc.env.staticType(e)
+// boxed is the kernel of an operation whose operands have no static kernel
+// representation: each selected row's operands are read as Values and
+// handed to f, the operation the scalar closure applies, and a row f fails
+// is recorded as failed. The result is stored as t, the operation's static
+// type.
+func (vc *vecComp) boxed(t Type, args []*vecNode, f func(vs []Value) (Value, error)) *vecNode {
 	out := vc.node(t)
 	out.eval = func(ctx *vctx, sel []uint64) {
-		row := ctx.rowBuf
+		for _, a := range args {
+			a.run(ctx, sel)
+		}
+		if cap(ctx.box) < len(args) {
+			ctx.box = make([]Value, len(args))
+		}
+		vs := ctx.box[:len(args)]
+		var (
+			ints []int64
+			fls  []float64
+			bm   []uint64
+			strs []string
+			vals []Value
+		)
 		switch t {
 		case TInt:
-			o := ctx.ints(out)
-			forSel(sel, func(i int) bool {
-				ctx.b.row(i, row)
-				v, err := fn(row)
-				if err != nil {
-					ctx.fail(err)
-					return false
-				}
-				o[i] = v.I
-				return true
-			})
+			ints = ctx.ints(out)
 		case TFloat:
-			o := ctx.floats(out)
-			forSel(sel, func(i int) bool {
-				ctx.b.row(i, row)
-				v, err := fn(row)
-				if err != nil {
-					ctx.fail(err)
-					return false
-				}
-				o[i] = v.F
-				return true
-			})
+			fls = ctx.floats(out)
 		case TBool:
-			o := ctx.bits(out)
-			forSel(sel, func(i int) bool {
-				ctx.b.row(i, row)
-				v, err := fn(row)
-				if err != nil {
-					ctx.fail(err)
-					return false
-				}
-				putBit(o, i, v.I != 0)
-				return true
-			})
+			bm = ctx.bits(out)
 		case TString:
-			o := ctx.strings(out)
-			forSel(sel, func(i int) bool {
-				ctx.b.row(i, row)
-				v, err := fn(row)
-				if err != nil {
-					ctx.fail(err)
-					return false
-				}
-				o[i] = v.S
-				return true
-			})
+			strs = ctx.strings(out)
 		default:
-			o := ctx.values(out)
-			forSel(sel, func(i int) bool {
-				ctx.b.row(i, row)
-				v, err := fn(row)
-				if err != nil {
-					ctx.fail(err)
-					return false
-				}
-				o[i] = v
-				return true
-			})
+			vals = ctx.values(out)
 		}
+		forSel(sel, func(i int) bool {
+			for k, a := range args {
+				vs[k] = ctx.valueAt(a, i)
+			}
+			v, err := f(vs)
+			switch {
+			case err != nil:
+				ctx.fail(i, err)
+			case t == TInt:
+				ints[i] = v.I
+			case t == TFloat:
+				fls[i] = v.F
+			case t == TBool:
+				putBit(bm, i, v.I != 0)
+			case t == TString:
+				strs[i] = v.S
+			default:
+				vals[i] = v
+			}
+			return true
+		})
 	}
-	return out, nil
+	return out
 }
 
 // --- predicate tables ---
