@@ -472,38 +472,59 @@ func BenchmarkHolisticForwardDecay(b *testing.B) {
 
 // Sharded LFTA/HFTA runtime: end-to-end ingest throughput of
 // Statement.StartParallel vs the serial executor on a multi-group
-// forward-decay query. Speedup over serial requires GOMAXPROCS > 1; at
-// GOMAXPROCS=1 the shard variants expose routing + channel overhead.
+// forward-decay query, both fed 256-row frames through PushBatch (ns/op is
+// per tuple). Speedup over serial requires GOMAXPROCS > 1; at GOMAXPROCS=1
+// the shard variants expose routing + channel overhead.
 func BenchmarkParallelIngest(b *testing.B) {
 	tuples := benchTuples(200_000, 200_000)
 	const q = `select tb, dstIP, destPort, count(*), sum(len),
 	             sum(float(len)*(time % 60)*(time % 60))/3600
 	           from TCP group by time/60 as tb, dstIP, destPort`
+	const frame = 256
+	var frames []*gsql.Batch
+	for lo := 0; lo+frame <= len(tuples); lo += frame {
+		fb, err := gsql.NewBatch(gsql.PacketSchema("TCP"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tp := range tuples[lo : lo+frame] {
+			if err := fb.Append(tp); err != nil {
+				b.Fatal(err)
+			}
+		}
+		frames = append(frames, fb)
+	}
+	prepare := func(b *testing.B) *gsql.Statement {
+		st, err := benchEngine(b, 0.1).Prepare(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st
+	}
+	drive := func(b *testing.B, push func(*gsql.Batch) (int, error), close func() error) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i += frame {
+			if _, err := push(frames[(i/frame)%len(frames)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if err := close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	nop := func(gsql.Tuple) error { return nil }
 	b.Run("Serial", func(b *testing.B) {
-		runQueryBench(b, 0.1, q, tuples, gsql.Options{})
+		run := prepare(b).Start(nop, gsql.Options{})
+		drive(b, run.PushBatch, run.Close)
 	})
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("Shards=%d", shards), func(b *testing.B) {
-			e := benchEngine(b, 0.1)
-			st, err := e.Prepare(q)
+			pr, err := prepare(b).StartParallel(nop, gsql.ParallelOptions{Shards: shards})
 			if err != nil {
 				b.Fatal(err)
 			}
-			pr, err := st.StartParallel(func(gsql.Tuple) error { return nil },
-				gsql.ParallelOptions{Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := pr.Push(tuples[i%len(tuples)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if err := pr.Close(); err != nil {
-				b.Fatal(err)
-			}
+			drive(b, pr.PushBatch, pr.Close)
 		})
 	}
 }

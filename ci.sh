@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI check: build, vet, tests, the race detector over the concurrent code
-# (the listener, the query service, the distributed tier, the stand-alone
-# sharded gsql runtime, and the fault-injection suites), a short fuzz smoke
+# (the listener, the query service, the distributed tier, the shard workers
+# and drain barrier of the stand-alone sharded gsql runtime, which has no
+# checkpoint or epoch path, and the fault-injection suites), a short fuzz smoke
 # over every decoder and the query planner and row paths, and two ratio gates
 # over the multi-query runtime (scaling and churn). The gates compare costs
 # measured in one process, never an absolute time against a snapshot.
@@ -23,9 +24,11 @@ e2e_state="$(mktemp -d)"
 go run -C e2ebench forwarddecay/e2ebench/cmd/fde2e -laps 1 -trace 0 -state-dir "$e2e_state"
 rm -rf "$e2e_state"
 
-# Epoch-rollover chaos soak, short mode: a simulated two-day stream with
-# hourly landmark rolls plus injected crashes/corruptions must match the
-# fault-free never-rolling oracle (the full 30-day tape runs without -short).
+# Epoch-rollover chaos soak on the serial runtime, short mode: a simulated
+# two-day stream with hourly landmark rolls plus injected crashes/corruptions
+# must match the fault-free never-rolling oracle (the full 30-day tape runs
+# without -short). The sharded runtime has no soak: it has no epoch or
+# checkpoint path.
 go test -run Soak -short -count=1 ./gsql/
 
 # Site-churn chaos soak over the elastic distributed tier, short mode: a

@@ -155,11 +155,7 @@ func main() {
 				Model:        model,
 				Every:        *epochEvery,
 				MaxLogWeight: *epochMaxLogW,
-				// The packet schema's ftime column carries stream time; the
-				// column name lets the batch path read it straight off the
-				// column vector instead of materializing rows.
-				Time:       func(t gsql.Tuple) (float64, bool) { return t[1].AsFloat(), true },
-				TimeColumn: "ftime",
+				TimeColumn:   "ftime", // the packet schema's stream time
 			}
 		}
 	}

@@ -170,8 +170,7 @@ func fdEngine(t *testing.T, m decay.Forward) *gsql.Engine {
 // TestPushBatchEquivalenceEpoch: decayed aggregates under an epoch
 // supervisor whose period forces mid-batch landmark rolls. The batch path
 // must segment at exactly the scalar roll points — including when the batch
-// is not timestamp-sorted and when the epoch time comes from the TimeColumn
-// fast path — and reproduce the scalar results bit-for-bit.
+// is not timestamp-sorted — and reproduce the scalar results bit-for-bit.
 func TestPushBatchEquivalenceEpoch(t *testing.T) {
 	m := decay.NewForward(decay.NewExp(0.5), 0)
 	e := fdEngine(t, m)
@@ -180,27 +179,23 @@ func TestPushBatchEquivalenceEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	epoch := func() *gsql.EpochConfig {
+		return &gsql.EpochConfig{
+			Model:      m,
+			Every:      0.25, // ~16 rolls across the trace, most mid-batch
+			TimeColumn: "ftime",
+		}
+	}
 	for _, ooo := range []int{0, 32} {
 		tuples := trace(20_000, ooo, 5) // ~4s of stream time at 5000 pkt/s
-		for _, timeCol := range []string{"", "ftime"} {
-			epoch := func() *gsql.EpochConfig {
-				return &gsql.EpochConfig{
-					Model:      m,
-					Every:      0.25, // ~16 rolls across the trace, most mid-batch
-					Time:       func(tp gsql.Tuple) (float64, bool) { return tp[1].AsFloat(), true },
-					TimeColumn: timeCol,
-				}
-			}
-			sRows, sRej, sN, sErr := scalarPushAll(t, st, tuples, gsql.Options{Epoch: epoch()})
-			if len(sRows) == 0 {
-				t.Fatal("epoch workload produced no rows")
-			}
-			for _, size := range batchSizes {
-				bRows, bRej, bN, bErr := batchPushAll(t, st, tuples, size, gsql.Options{Epoch: epoch()})
-				requireSameOutcome(t,
-					fmt.Sprintf("ooo %d, timeCol %q, batch %d", ooo, timeCol, size),
-					sRows, sRej, sN, sErr, bRows, bRej, bN, bErr)
-			}
+		sRows, sRej, sN, sErr := scalarPushAll(t, st, tuples, gsql.Options{Epoch: epoch()})
+		if len(sRows) == 0 {
+			t.Fatal("epoch workload produced no rows")
+		}
+		for _, size := range batchSizes {
+			bRows, bRej, bN, bErr := batchPushAll(t, st, tuples, size, gsql.Options{Epoch: epoch()})
+			requireSameOutcome(t, fmt.Sprintf("ooo %d, batch %d", ooo, size),
+				sRows, sRej, sN, sErr, bRows, bRej, bN, bErr)
 		}
 	}
 }
@@ -746,13 +741,10 @@ func TestPushBatchCheckpointEquivalence(t *testing.T) {
 }
 
 // TestPushBatchEquivalenceParallel: the sharded batch path (coordinator-side
-// vectorized WHERE/group kernels, gv-shipping, epoch quiesce between
-// segments) reproduces the sharded scalar Push output bit-for-bit at every
-// shard count. The baseline is parallel scalar Push, not the serial run:
-// fd* aggregates under epoch shifts are merge-order sensitive at the last
-// ULP between the serial and sharded runtimes (a pre-existing property of
-// the two-level merge, independent of batching), and the batch path's
-// contract is "identical to Pushing the same rows into the same runtime".
+// vectorized WHERE/group kernels, gv-shipping) reproduces the closure fold
+// of a flat serial run (gsql.OraclePush) bit-for-bit at every shard count
+// and frame size. Both queries hash-route on dstIP, so every group steps its
+// rows in arrival order on one shard, as the flat serial table does.
 func TestPushBatchEquivalenceParallel(t *testing.T) {
 	m := decay.NewForward(decay.NewExp(0.5), 0)
 	e := fdEngine(t, m)
@@ -762,60 +754,24 @@ func TestPushBatchEquivalenceParallel(t *testing.T) {
 		`select tb, dstIP, count(*), fdcount(ftime), fdsum(ftime, float(len))
 		   from TCP group by time/2 as tb, dstIP`,
 	}
-	epoch := func() *gsql.EpochConfig {
-		return &gsql.EpochConfig{
-			Model:      m,
-			Every:      0.25,
-			Time:       func(tp gsql.Tuple) (float64, bool) { return tp[1].AsFloat(), true },
-			TimeColumn: "ftime",
-		}
-	}
 	tuples := trace(20_000, 0, 13)
 	for qi, q := range queries {
 		st, err := e.Prepare(q)
 		if err != nil {
 			t.Fatalf("prepare %q: %v", q, err)
 		}
+		want, _, _, err := scalarPushAll(t, st, tuples, gsql.Options{DisableTwoLevel: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("query %d produced no rows", qi)
+		}
 		for _, shards := range []int{1, 2, 4} {
-			popts := func() gsql.ParallelOptions {
-				po := gsql.ParallelOptions{Shards: shards, BatchSize: 64}
-				if qi == 1 {
-					po.Epoch = epoch()
-				}
-				return po
-			}
-			var want []gsql.Tuple
-			pr, err := st.StartParallel(func(row gsql.Tuple) error { want = append(want, row); return nil }, popts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tp := range tuples {
-				if err := pr.Push(tp); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := pr.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if len(want) == 0 {
-				t.Fatalf("query %d produced no rows", qi)
-			}
-			for _, size := range []int{64, 256} {
-				var rows []gsql.Tuple
-				pb, err := st.StartParallel(func(row gsql.Tuple) error { rows = append(rows, row); return nil }, popts())
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, b := range toBatches(t, tuples, size) {
-					if _, err := pb.PushBatch(b); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := pb.Close(); err != nil {
-					t.Fatal(err)
-				}
+			for _, frame := range parallelFrames {
+				rows := parallelRows(t, st, tuples, shards, frame)
 				requireIdentical(t, want, rows,
-					fmt.Sprintf("query %d, %d shards, batch %d", qi, shards, size))
+					fmt.Sprintf("query %d, %d shards, frame %d", qi, shards, frame))
 			}
 		}
 	}

@@ -34,45 +34,12 @@ type batchExec struct {
 	cols    Cols    // the pending run's view of a member's argument columns
 	curKey  groupKey
 	prevKey groupKey
-	row     Tuple // scratch for row materialization (epoch closure)
 
 	// fails are the segment's rows that fail every member of the table
 	// (WHERE, class WHERE, group keys), in row order; hold marks them and
 	// every row a member's argument kernels failed on.
 	fails []rowErr
 	hold  []uint64
-
-	// tsCol is the resolved EpochConfig.TimeColumn index (reading straight
-	// from the column vector); tsColOK gates it, tsIsInt picks the vector.
-	tsCol   int
-	tsColOK bool
-	tsIsInt bool
-}
-
-// newBatchExec resolves the batch executor's per-run state (shared by the
-// serial Run and the ParallelRun coordinator).
-func newBatchExec(p *plan, ep *epochState) *batchExec {
-	bx := &batchExec{row: make(Tuple, len(p.schema.Cols))}
-	if ep != nil {
-		bx.resolveTimeColumn(ep.cfg.TimeColumn, p.schema)
-	}
-	return bx
-}
-
-func (bx *batchExec) resolveTimeColumn(name string, s *Schema) {
-	if name == "" {
-		return
-	}
-	idx := s.ColumnIndex(name)
-	if idx < 0 {
-		return
-	}
-	switch s.Cols[idx].Type {
-	case TFloat:
-		bx.tsCol, bx.tsColOK, bx.tsIsInt = idx, true, false
-	case TInt:
-		bx.tsCol, bx.tsColOK, bx.tsIsInt = idx, true, true
-	}
 }
 
 // bitGet reads bit i.
@@ -99,7 +66,7 @@ func (r *Run) PushBatch(b *Batch) (rejected int, err error) {
 			b.schema.Name, r.p.schema.Name)
 	}
 	if r.bx == nil {
-		r.bx = newBatchExec(r.p, r.ep)
+		r.bx = new(batchExec)
 	}
 	bx := r.bx
 	tuples0 := r.tuples
@@ -149,19 +116,6 @@ func countRejected(valid []uint64, tuples0, tuples uint64) int {
 	return counted - popRange(valid, counted)
 }
 
-// tsOf extracts the epoch stream time of row i: straight off the resolved
-// timestamp column, or through the Time closure on a materialized row.
-func (bx *batchExec) tsOf(ep *epochState, b *Batch, i int) (float64, bool) {
-	if bx.tsColOK {
-		if bx.tsIsInt {
-			return float64(b.cols[bx.tsCol].ints[i]), true
-		}
-		return b.cols[bx.tsCol].fls[i], true
-	}
-	b.row(i, bx.row)
-	return ep.time(bx.row)
-}
-
 // scanEpoch advances the epoch supervisor over valid rows from lo until a
 // roll fires, returning the rolling row as the segment end. skipFirst skips
 // the first valid row's observation — it is the row whose observation just
@@ -170,7 +124,7 @@ func (bx *batchExec) tsOf(ep *epochState, b *Batch, i int) (float64, bool) {
 // unchanged stream time, so the skip is exact on any input and collapses to
 // one observation per distinct timestamp on sorted batches.
 func (bx *batchExec) scanEpoch(ep *epochState, b *Batch, lo int, skipFirst bool) (hi int, newL float64, roll bool) {
-	if ep.cfg.Time == nil && !bx.tsColOK {
+	if ep.tsCol < 0 {
 		return b.n, 0, false // supervisor advances only on heartbeats
 	}
 	var prevTs float64
@@ -179,10 +133,7 @@ func (bx *batchExec) scanEpoch(ep *epochState, b *Batch, lo int, skipFirst bool)
 		if !bitGet(bx.valid, i) {
 			continue
 		}
-		ts, ok := bx.tsOf(ep, b, i)
-		if !ok {
-			continue
-		}
+		ts := ep.tsOf(b, i)
 		if skipFirst {
 			skipFirst = false
 			prevTs, have = ts, true

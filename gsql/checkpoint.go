@@ -39,7 +39,7 @@ import (
 //	u64 integrity hash of everything above
 //
 // Entries are partial states, not final groups: the same group key may
-// appear in several entries (serial low/high tables, or one per shard) and
+// appear in several entries (a run's low and high tables) and
 // restore folds duplicates together with Aggregator.Merge.
 //
 // Version 2 stamps the epoch supervisor's state — rollover count and
@@ -226,9 +226,8 @@ type ckptHeader struct {
 	landmark  float64
 }
 
-// appendCkptHeader writes the checkpoint preamble shared by the serial and
-// sharded paths; ep (nil when the run has no epoch supervisor) stamps the
-// rollover count and current landmark.
+// appendCkptHeader writes the checkpoint preamble; ep (nil when the run has
+// no epoch supervisor) stamps the rollover count and current landmark.
 func appendCkptHeader(b []byte, p *plan, bucketSet bool, bucket Value, tuples uint64, ep *epochState) []byte {
 	b = codec.AppendU64(append(b, ckptMagic[:]...), p.fp)
 	b = codec.AppendU64(b, uint64(len(p.vec.groups)))
@@ -274,14 +273,13 @@ func readCkptHeader(d *codec.Dec, p *plan) (h ckptHeader) {
 }
 
 // readCkpt decodes a verified checkpoint body for p: the header, then every
-// partial group, handed to add with the bytes it was decoded from.
-func readCkpt(body []byte, p *plan, add func(g *group, raw []byte) error) (ckptHeader, error) {
+// partial group, handed to add.
+func readCkpt(body []byte, p *plan, add func(g *group) error) (ckptHeader, error) {
 	d := codec.NewDec(body, "gsql: checkpoint")
 	h := readCkptHeader(&d, p)
 	// Each entry carries at least one tag byte per group value and one
 	// length prefix per aggregate slot.
 	for range d.Count(d.U64(), len(p.vec.groups)+8*len(p.aggSpecs)) {
-		at := d.Off()
 		g := readGroupEntry(&d, p)
 		if err := d.Err(); err != nil {
 			return h, err
@@ -289,7 +287,7 @@ func readCkpt(body []byte, p *plan, add func(g *group, raw []byte) error) (ckptH
 		if err := verifyLandmark(g.aggs, h.epochSet, h.landmark); err != nil {
 			return h, err
 		}
-		if err := add(g, body[at:d.Off()]); err != nil {
+		if err := add(g); err != nil {
 			return h, err
 		}
 	}
@@ -349,8 +347,8 @@ func (r *Run) Checkpoint() ([]byte, error) {
 // ckSpan locates one encoded group entry in Run.ckBuf.
 type ckSpan struct{ lo, hi int }
 
-// Restore resumes a run from a checkpoint taken by Run.Checkpoint or
-// ParallelRun.Checkpoint on the same statement: the open window bucket and
+// Restore resumes a run from a checkpoint taken by Run.Checkpoint on the
+// same statement: the open window bucket and
 // all partial groups are reinstated, and pushing the remainder of the
 // stream yields the same results as an uninterrupted run (exact for the
 // builtin aggregates; within documented error bounds for sketch UDAFs,
@@ -366,7 +364,7 @@ func (s *Statement) Restore(ckpt []byte, sink func(Tuple) error, opts Options) (
 		return nil, r.epErr
 	}
 	t := r.tab
-	h, err := readCkpt(body, s.p, func(g *group, _ []byte) error {
+	h, err := readCkpt(body, s.p, func(g *group) error {
 		g.hash = t.keyOf(&g.key, g.gv)
 		if dst := t.highGet(g.hash, &g.key); dst != nil {
 			return mergeAggs(r.aggsOf(dst), g.aggs)

@@ -104,72 +104,8 @@ func TestCheckpointRestoreSerialFloatFlat(t *testing.T) {
 	requireIdentical(t, want, got, "serial float kill/recover")
 }
 
-// killRecoverParallel is killRecoverSerial through the sharded runtime,
-// restoring at a (possibly different) shard count.
-func killRecoverParallel(t *testing.T, st *gsql.Statement, tuples []gsql.Tuple, cut int, shards, restoreShards int) []gsql.Tuple {
-	t.Helper()
-	var rows []gsql.Tuple
-	pr, err := st.StartParallel(func(row gsql.Tuple) error { rows = append(rows, row); return nil },
-		gsql.ParallelOptions{Shards: shards, BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range tuples[:cut] {
-		if err := pr.Push(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ckpt, err := pr.Checkpoint()
-	if err != nil {
-		t.Fatalf("parallel checkpoint: %v", err)
-	}
-	mark := len(rows)
-	for _, tp := range tuples[cut:min(cut+100, len(tuples))] {
-		if err := pr.Push(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pr.Close(); err != nil { // release the doomed run's workers
-		t.Fatal(err)
-	}
-	rows = rows[:mark]
-
-	restored, err := st.RestoreParallel(ckpt, func(row gsql.Tuple) error { rows = append(rows, row); return nil },
-		gsql.ParallelOptions{Shards: restoreShards, BatchSize: 16})
-	if err != nil {
-		t.Fatalf("parallel restore: %v", err)
-	}
-	for _, tp := range tuples[cut:] {
-		if err := restored.Push(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := restored.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
-// TestCheckpointRestoreParallel: kill-and-recover through the sharded
-// runtime, including restores at a different shard count than the
-// checkpointing run. A keyed query keeps every group on one shard, so even
-// the float aggregates reproduce bit-identically.
-func TestCheckpointRestoreParallel(t *testing.T) {
-	e := parallelEngine(t)
-	st, err := e.Prepare(ckptQueryFloat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuples := trace(12_000, 0, 17)
-	want := serialRows(t, st, tuples, gsql.Options{DisableTwoLevel: true})
-	for _, shape := range []struct{ run, restore int }{{4, 4}, {4, 2}, {2, 7}, {3, 1}} {
-		got := killRecoverParallel(t, st, tuples, 5_000, shape.run, shape.restore)
-		requireIdentical(t, want, got, "parallel kill/recover")
-	}
-}
-
-// TestCheckpointCrossRuntime: a checkpoint taken by the serial runtime
-// restores into the sharded runtime and vice versa — the format is
+// TestCheckpointCrossRuntime: a checkpoint taken by a standalone Run
+// restores into a MultiRun member and vice versa — the format is
 // runtime-independent, as the partial states are (§VI-B mergeability).
 func TestCheckpointCrossRuntime(t *testing.T) {
 	e := parallelEngine(t)
@@ -180,10 +116,11 @@ func TestCheckpointCrossRuntime(t *testing.T) {
 	tuples := trace(10_000, 0, 29)
 	want := serialRows(t, st, tuples, gsql.Options{})
 	cut := 4_000
-
-	// Serial first half → parallel second half.
 	var rows []gsql.Tuple
-	run := st.Start(func(row gsql.Tuple) error { rows = append(rows, row); return nil }, gsql.Options{})
+	sink := func(row gsql.Tuple) error { rows = append(rows, row); return nil }
+
+	// Standalone first half → catalog second half.
+	run := st.Start(sink, gsql.Options{})
 	for _, tp := range tuples[:cut] {
 		if err := run.Push(tp); err != nil {
 			t.Fatal(err)
@@ -193,42 +130,44 @@ func TestCheckpointCrossRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := st.RestoreParallel(ckpt, func(row gsql.Tuple) error { rows = append(rows, row); return nil },
-		gsql.ParallelOptions{Shards: 3, BatchSize: 32})
+	m, err := gsql.NewMultiRun(e, "TCP", gsql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := m.Restore(ckptQueryExact, 0, ckpt, sink); err != nil {
+		t.Fatal(err)
+	}
 	for _, tp := range tuples[cut:] {
-		if err := pr.Push(tp); err != nil {
+		if err := m.Push(tp); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pr.Close(); err != nil {
+	if err := m.CloseAll(); err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, want, rows, "serial→parallel")
+	requireIdentical(t, want, rows, "standalone→catalog")
 
-	// Parallel first half → serial second half.
+	// Catalog first half → standalone second half.
 	rows = nil
-	pr2, err := st.StartParallel(func(row gsql.Tuple) error { rows = append(rows, row); return nil },
-		gsql.ParallelOptions{Shards: 4, BatchSize: 16})
+	m2, err := gsql.NewMultiRun(e, "TCP", gsql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := m2.Attach(ckptQueryExact, 0, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tp := range tuples[:cut] {
-		if err := pr2.Push(tp); err != nil {
+		if err := m2.Push(tp); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ckpt2, err := pr2.Checkpoint()
+	ckpt2, err := h.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pr2.Close(); err != nil {
-		t.Fatal(err)
-	}
 	rows = nil
-	run2, err := st.Restore(ckpt2, func(row gsql.Tuple) error { rows = append(rows, row); return nil }, gsql.Options{})
+	run2, err := st.Restore(ckpt2, sink, gsql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +179,7 @@ func TestCheckpointCrossRuntime(t *testing.T) {
 	if err := run2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, want, rows, "parallel→serial")
+	requireIdentical(t, want, rows, "catalog→standalone")
 }
 
 // TestCheckpointUDAF: mergeable sketch UDAFs ride through checkpoint and
@@ -364,9 +303,6 @@ func TestCorruptCheckpointAlwaysErrors(t *testing.T) {
 		bad := faultinject.CorruptByte(ckpt, seed)
 		if _, err := st.Restore(bad, sink, gsql.Options{}); err == nil {
 			t.Fatalf("corrupt checkpoint (seed %d) restored without error", seed)
-		}
-		if _, err := st.RestoreParallel(bad, sink, gsql.ParallelOptions{Shards: 2}); err == nil {
-			t.Fatalf("corrupt checkpoint (seed %d) parallel-restored without error", seed)
 		}
 	}
 

@@ -17,15 +17,12 @@ import (
 // state under a floating log scale — so a rollover is a uniform, exact,
 // O(groups) translation of log quantities, not a lossy rescaling pass.
 //
-// The supervisor lives in the run (serial and sharded): it watches stream
-// time (from tuples via EpochConfig.Time, and from heartbeats), rolls the
-// landmark forward every EpochConfig.Every stream-time units, and keeps an
-// overflow sentinel that fires when the model's log normalizer — the
+// The supervisor lives in the run (Run and MultiRun): it watches stream
+// time (from tuples via EpochConfig.TimeColumn, and from heartbeats), rolls
+// the landmark forward every EpochConfig.Every stream-time units, and keeps
+// an overflow sentinel that fires when the model's log normalizer — the
 // exponent a linear-domain consumer of decayed weights would have to
-// exponentiate — crosses MaxLogWeight. On the sharded runtime a rollover
-// quiesces the shards: pending batches are shipped, then an epoch request
-// rides the same FIFO work channels, so every shard applies the shift at
-// exactly the same point of its tuple sequence as the serial run would.
+// exponentiate — crosses MaxLogWeight.
 
 // DefaultMaxLogWeight is the sentinel threshold when EpochConfig leaves
 // MaxLogWeight zero. exp(250) ≈ 3.7e108 is far inside float64 range
@@ -51,8 +48,7 @@ type LandmarkReporter interface {
 	Landmark() float64
 }
 
-// EpochConfig enables the epoch supervisor on a run (Options.Epoch /
-// ParallelOptions.Epoch).
+// EpochConfig enables the epoch supervisor on a run (Options.Epoch).
 type EpochConfig struct {
 	// Model is the forward decay model whose landmark the supervisor
 	// advances. Its function must support landmark shifting (exponential
@@ -72,14 +68,10 @@ type EpochConfig struct {
 	// neither periodically nor on overflow pressure. It exists to observe
 	// the failure mode rollover removes.
 	MonitorOnly bool
-	// Time extracts the stream timestamp from an input tuple (ok=false to
-	// skip). When nil, the supervisor advances only on Heartbeat.
-	Time func(Tuple) (ts float64, ok bool)
-	// TimeColumn optionally names the schema column Time reads, letting the
-	// batch executor pull timestamps straight off the column vector instead
-	// of materializing every row for the Time closure. It is a promise, not a
-	// replacement: when set it must agree with Time (which stays authoritative
-	// on the scalar path) for every tuple. Empty is always safe.
+	// TimeColumn names the numeric (int or float) schema column holding
+	// each tuple's stream timestamp. When empty, the supervisor advances
+	// only on Heartbeat. A column the stream does not have, or one that is
+	// not numeric, is a config error.
 	TimeColumn string
 }
 
@@ -92,35 +84,51 @@ type epochState struct {
 	trips   uint64        // sentinel threshold crossings
 	tripped bool          // above threshold since the last roll
 	maxLW   float64       // resolved sentinel threshold
+	tsCol   int           // index of TimeColumn in the stream schema; -1 when unset
+	tsIsInt bool          // tsCol is an int column
 }
 
-// newEpochState validates the config; a nil config yields a nil state (the
-// supervisor disabled) at zero per-tuple cost beyond one pointer test.
-func newEpochState(cfg *EpochConfig) (*epochState, error) {
+// newEpochState validates the config against the stream schema s; a nil
+// config yields a nil state (the supervisor disabled) at zero per-tuple
+// cost beyond one pointer test.
+func newEpochState(cfg *EpochConfig, s *Schema) (*epochState, error) {
 	if cfg == nil {
 		return nil, nil
 	}
 	if cfg.Model.Func == nil {
 		return nil, fmt.Errorf("gsql: epoch config needs a decay model")
 	}
+	ep := &epochState{cfg: *cfg, model: cfg.Model, maxLW: cfg.MaxLogWeight, tsCol: -1}
+	if cfg.TimeColumn != "" {
+		ep.tsCol = s.ColumnIndex(cfg.TimeColumn)
+		if ep.tsCol < 0 {
+			return nil, fmt.Errorf("gsql: epoch time column %q is not in stream %s", cfg.TimeColumn, s.Name)
+		}
+		switch s.Cols[ep.tsCol].Type {
+		case TInt:
+			ep.tsIsInt = true
+		case TFloat:
+		default:
+			return nil, fmt.Errorf("gsql: epoch time column %q of stream %s is not numeric", cfg.TimeColumn, s.Name)
+		}
+	}
 	if !cfg.MonitorOnly {
 		if _, _, ok := cfg.Model.Shifted(cfg.Model.Landmark); !ok {
 			return nil, &decay.NotShiftableError{Func: cfg.Model.Func.String()}
 		}
 	}
-	mlw := cfg.MaxLogWeight
-	if mlw <= 0 {
-		mlw = DefaultMaxLogWeight
+	if ep.maxLW <= 0 {
+		ep.maxLW = DefaultMaxLogWeight
 	}
-	return &epochState{cfg: *cfg, model: cfg.Model, maxLW: mlw}, nil
+	return ep, nil
 }
 
-// time extracts the stream timestamp from a tuple, if configured.
-func (ep *epochState) time(t Tuple) (float64, bool) {
-	if ep.cfg.Time == nil {
-		return 0, false
+// tsOf reads row i's stream time off the TimeColumn vector (tsCol >= 0).
+func (ep *epochState) tsOf(b *Batch, i int) float64 {
+	if ep.tsIsInt {
+		return float64(b.cols[ep.tsCol].ints[i])
 	}
-	return ep.cfg.Time(t)
+	return b.cols[ep.tsCol].fls[i]
 }
 
 // observe advances the supervisor clock to stream time ts and reports

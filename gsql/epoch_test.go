@@ -75,12 +75,9 @@ func epochEngine(t *testing.T, m decay.Forward) *Engine {
 	return e
 }
 
-// tupleTime extracts the ftime column of a packet tuple.
-func tupleTime(t Tuple) (float64, bool) { return t[1].AsFloat(), true }
-
 func TestEpochObservePeriodic(t *testing.T) {
 	m := decay.NewForward(decay.NewExp(0.25), 0)
-	ep, err := newEpochState(&EpochConfig{Model: m, Every: 100, Time: tupleTime})
+	ep, err := newEpochState(&EpochConfig{Model: m, Every: 100, TimeColumn: "ftime"}, PacketSchema("TCP"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +105,7 @@ func TestEpochObservePeriodic(t *testing.T) {
 
 func TestEpochObserveSentinel(t *testing.T) {
 	m := decay.NewForward(decay.NewExp(1), 0)
-	ep, err := newEpochState(&EpochConfig{Model: m, MaxLogWeight: 50, Time: tupleTime})
+	ep, err := newEpochState(&EpochConfig{Model: m, MaxLogWeight: 50, TimeColumn: "ftime"}, PacketSchema("TCP"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +131,7 @@ func TestEpochObserveSentinel(t *testing.T) {
 
 func TestEpochMonitorOnly(t *testing.T) {
 	m := decay.NewForward(decay.NewExp(1), 0)
-	ep, err := newEpochState(&EpochConfig{Model: m, Every: 100, MaxLogWeight: 50, MonitorOnly: true, Time: tupleTime})
+	ep, err := newEpochState(&EpochConfig{Model: m, Every: 100, MaxLogWeight: 50, MonitorOnly: true, TimeColumn: "ftime"}, PacketSchema("TCP"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,39 +145,51 @@ func TestEpochMonitorOnly(t *testing.T) {
 		t.Fatalf("trips = %d, want 1 (latched)", ep.trips)
 	}
 	// Monitor-only accepts non-shiftable models: it never rolls.
-	if _, err := newEpochState(&EpochConfig{Model: decay.NewForward(decay.NewPoly(2), 0), MonitorOnly: true}); err != nil {
+	if _, err := newEpochState(&EpochConfig{Model: decay.NewForward(decay.NewPoly(2), 0), MonitorOnly: true}, PacketSchema("TCP")); err != nil {
 		t.Fatalf("monitor-only rejected a polynomial model: %v", err)
 	}
 }
 
 func TestEpochConfigRejected(t *testing.T) {
-	if _, err := newEpochState(&EpochConfig{}); err == nil {
-		t.Fatal("config without a model accepted")
-	}
-	_, err := newEpochState(&EpochConfig{Model: decay.NewForward(decay.NewPoly(2), 0), Every: 10})
+	exp := decay.NewForward(decay.NewExp(1), 0)
+	poly := decay.NewForward(decay.NewPoly(2), 0)
+	withHost := MustSchema("TCP",
+		Column{Name: "time", Type: TInt}, Column{Name: "ftime", Type: TFloat}, Column{Name: "host", Type: TString})
 	var nse *decay.NotShiftableError
-	if !errors.As(err, &nse) {
-		t.Fatalf("polynomial model error = %v, want *decay.NotShiftableError", err)
-	}
+	for _, tc := range []struct {
+		name string
+		cfg  EpochConfig
+		ok   func(error) bool
+	}{
+		{"no model", EpochConfig{}, func(err error) bool { return strings.Contains(err.Error(), "needs a decay model") }},
+		{"not shiftable", EpochConfig{Model: poly, Every: 10}, func(err error) bool { return errors.As(err, &nse) }},
+		{"unknown time column", EpochConfig{Model: exp, Every: 10, TimeColumn: "nope"},
+			func(err error) bool { return strings.Contains(err.Error(), `"nope" is not in stream`) }},
+		{"non-numeric time column", EpochConfig{Model: exp, Every: 10, TimeColumn: "host"},
+			func(err error) bool { return strings.Contains(err.Error(), `"host" of stream TCP is not numeric`) }},
+	} {
+		_, err := newEpochState(&tc.cfg, withHost)
+		if err == nil || !tc.ok(err) {
+			t.Fatalf("%s: newEpochState error = %v", tc.name, err)
+		}
 
-	// The same rejection surfaces through the runtimes: the serial run
-	// reports it on first use, the parallel run at start.
-	e := epochEngine(t, decay.NewForward(decay.NewPoly(2), 0))
-	st, err := e.Prepare(`select dstIP, tcount(ftime) from TCP group by dstIP`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := Options{Epoch: &EpochConfig{Model: decay.NewForward(decay.NewPoly(2), 0), Every: 10, Time: tupleTime}}
-	r := st.Start(func(Tuple) error { return nil }, bad)
-	if err := r.Push(pkt(1, 1, 80, 10)); !errors.As(err, &nse) {
-		t.Fatalf("serial Push error = %v, want *decay.NotShiftableError", err)
-	}
-	_, err = st.StartParallel(func(Tuple) error { return nil }, ParallelOptions{
-		Shards: 2,
-		Epoch:  &EpochConfig{Model: decay.NewForward(decay.NewPoly(2), 0), Every: 10, Time: tupleTime},
-	})
-	if !errors.As(err, &nse) {
-		t.Fatalf("StartParallel error = %v, want *decay.NotShiftableError", err)
+		// The same rejection surfaces through the serial run on first use,
+		// and at NewMultiRun.
+		e := NewEngine()
+		if err := e.RegisterStream(withHost); err != nil {
+			t.Fatal(err)
+		}
+		st, err := e.Prepare(`select host, count(*) from TCP group by host`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := st.Start(func(Tuple) error { return nil }, Options{Epoch: &tc.cfg})
+		if err := r.Push(Tuple{Int(1), Float(1), Str("h")}); err == nil || !tc.ok(err) {
+			t.Fatalf("%s: serial Push error = %v", tc.name, err)
+		}
+		if _, err := NewMultiRun(e, "TCP", Options{Epoch: &tc.cfg}); err == nil || !tc.ok(err) {
+			t.Fatalf("%s: NewMultiRun error = %v", tc.name, err)
+		}
 	}
 }
 
@@ -244,7 +253,7 @@ func TestSerialRolloverEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	subj := st.Start(func(r Tuple) error { subjRows = append(subjRows, r); return nil },
-		Options{Epoch: &EpochConfig{Model: m, Every: 3600, Time: tupleTime}})
+		Options{Epoch: &EpochConfig{Model: m, Every: 3600, TimeColumn: "ftime"}})
 	orac := st.Start(func(r Tuple) error { oracRows = append(oracRows, r); return nil }, Options{})
 	for _, tp := range tuples {
 		if err := subj.Push(tp); err != nil {
@@ -268,44 +277,6 @@ func TestSerialRolloverEquivalence(t *testing.T) {
 		t.Fatalf("oracle rolled %d times, want 0", got)
 	}
 	compareRowMaps(t, lastRows(subjRows, 1), lastRows(oracRows, 1))
-}
-
-// TestParallelRolloverEquivalence does the same comparison on the sharded
-// runtime: the quiesce barrier must apply every shift at the same point of
-// each shard's tuple sequence, keeping the output bit-identical to a
-// never-rolling parallel run.
-func TestParallelRolloverEquivalence(t *testing.T) {
-	alpha := math.Exp2(-12)
-	m := decay.NewForward(decay.NewExp(alpha), 0)
-	e := epochEngine(t, m)
-	tuples := epochStream(400, 600)
-	st, err := e.Prepare(testQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(epoch *EpochConfig) (map[string]Tuple, RuntimeStats) {
-		var rows []Tuple
-		pr, err := st.StartParallel(func(r Tuple) error { rows = append(rows, r); return nil },
-			ParallelOptions{Shards: 3, BatchSize: 16, Epoch: epoch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tp := range tuples {
-			if err := pr.Push(tp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		stats := pr.RuntimeStats()
-		if err := pr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return lastRows(rows, 1), stats
-	}
-
-	subjRows, _ := run(&EpochConfig{Model: m, Every: 3600, Time: tupleTime})
-	oracRows, _ := run(nil)
-	compareRowMaps(t, subjRows, oracRows)
 }
 
 func compareRowMaps(t *testing.T, subj, orac map[string]Tuple) {
@@ -340,7 +311,7 @@ func TestEpochStatsCounters(t *testing.T) {
 	// Periodic only: tuples at 0,50,...,1000 with Every=100 roll at each
 	// boundary crossing: exactly 10 rolls, no trips (threshold never hit).
 	r := st.Start(func(Tuple) error { return nil },
-		Options{Epoch: &EpochConfig{Model: m, Every: 100, MaxLogWeight: 1e9, Time: tupleTime}})
+		Options{Epoch: &EpochConfig{Model: m, Every: 100, MaxLogWeight: 1e9, TimeColumn: "ftime"}})
 	for sec := int64(0); sec <= 1000; sec += 50 {
 		if err := r.Push(pkt(sec, 1, 80, 1)); err != nil {
 			t.Fatal(err)
@@ -357,7 +328,7 @@ func TestEpochStatsCounters(t *testing.T) {
 	// Sentinel only: alpha=1, threshold 10. Trips at 12 (rolls to 12) and
 	// again at 25 (pressure 13): exactly 2 trips, 2 rolls.
 	r = st.Start(func(Tuple) error { return nil },
-		Options{Epoch: &EpochConfig{Model: m, MaxLogWeight: 10, Time: tupleTime}})
+		Options{Epoch: &EpochConfig{Model: m, MaxLogWeight: 10, TimeColumn: "ftime"}})
 	for _, sec := range []int64{5, 12, 20, 25} {
 		if err := r.Push(pkt(sec, 1, 80, 1)); err != nil {
 			t.Fatal(err)
@@ -373,7 +344,7 @@ func TestEpochStatsCounters(t *testing.T) {
 
 	// Monitor-only: the same stream counts the trip but never rolls.
 	r = st.Start(func(Tuple) error { return nil },
-		Options{Epoch: &EpochConfig{Model: m, MaxLogWeight: 10, MonitorOnly: true, Time: tupleTime}})
+		Options{Epoch: &EpochConfig{Model: m, MaxLogWeight: 10, MonitorOnly: true, TimeColumn: "ftime"}})
 	for _, sec := range []int64{5, 12, 20} {
 		if err := r.Push(pkt(sec, 1, 80, 1)); err != nil {
 			t.Fatal(err)
@@ -389,7 +360,7 @@ func TestEpochStatsCounters(t *testing.T) {
 }
 
 // TestHeartbeatDrivesRollover checks that stream-time heartbeats advance the
-// supervisor on both runtimes even when no tuples arrive.
+// supervisor even when no tuples arrive.
 func TestHeartbeatDrivesRollover(t *testing.T) {
 	m := decay.NewForward(decay.NewExp(math.Exp2(-4)), 0)
 	e := epochEngine(t, m)
@@ -397,7 +368,7 @@ func TestHeartbeatDrivesRollover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := func() *EpochConfig { return &EpochConfig{Model: m, Every: 100, Time: tupleTime} }
+	cfg := func() *EpochConfig { return &EpochConfig{Model: m, Every: 100, TimeColumn: "ftime"} }
 
 	r := st.Start(func(Tuple) error { return nil }, Options{Epoch: cfg()})
 	if err := r.Push(pkt(10, 1, 80, 1)); err != nil {
@@ -410,23 +381,6 @@ func TestHeartbeatDrivesRollover(t *testing.T) {
 		t.Fatalf("serial heartbeat: rolls=%d, want 1", rolls)
 	}
 	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	pr, err := st.StartParallel(func(Tuple) error { return nil }, ParallelOptions{Shards: 2, Epoch: cfg()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Push(pkt(10, 1, 80, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Heartbeat(Int(500)); err != nil {
-		t.Fatal(err)
-	}
-	if rolls := pr.RuntimeStats().EpochRollovers; rolls != 1 {
-		t.Fatalf("parallel heartbeat: rolls=%d, want 1", rolls)
-	}
-	if err := pr.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -444,7 +398,7 @@ func TestCheckpointEpochRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := func() Options {
-		return Options{DisableTwoLevel: true, Epoch: &EpochConfig{Model: m, Every: 3600, Time: tupleTime}}
+		return Options{DisableTwoLevel: true, Epoch: &EpochConfig{Model: m, Every: 3600, TimeColumn: "ftime"}}
 	}
 	tuples := epochStream(200, 300) // ~16.6 hours: several rolls
 
@@ -511,7 +465,7 @@ func TestCheckpointLandmarkMismatchRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Epoch: &EpochConfig{Model: m, Every: 1e12, Time: tupleTime}}
+	opts := Options{Epoch: &EpochConfig{Model: m, Every: 1e12, TimeColumn: "ftime"}}
 	r := st.Start(func(Tuple) error { return nil }, opts)
 	for sec := int64(0); sec < 10; sec++ {
 		if err := r.Push(pkt(sec, 1, 80, 1)); err != nil {

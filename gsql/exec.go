@@ -178,7 +178,7 @@ func newRun(p *plan, sink func(Tuple) error, opts Options) *Run {
 		sink: sink,
 		rec:  make(Tuple, len(p.vec.groups)+len(p.aggSpecs)),
 	}
-	r.ep, r.epErr = newEpochState(opts.Epoch)
+	r.ep, r.epErr = newEpochState(opts.Epoch, p.schema)
 	newKeyTable(p, opts).add(r)
 	return r
 }

@@ -40,23 +40,10 @@ func requireNoGoroutineLeak(t *testing.T, before int) {
 	}
 }
 
-// drainErrors collects everything currently sitting on the errors channel.
-func drainErrors(pr *gsql.ParallelRun) []error {
-	var out []error
-	for {
-		select {
-		case err := <-pr.Errors():
-			out = append(out, err)
-		default:
-			return out
-		}
-	}
-}
-
 // TestShardPanicFail: a panic inside a shard worker must not deadlock the
-// drain barrier. Under the default PanicFail policy the recovered panic
-// surfaces as a typed *ShardPanicError from the window flush, appears on
-// the Errors channel, is counted, and every worker goroutine still exits.
+// drain barrier. The recovered panic surfaces as a typed *ShardPanicError
+// from the window flush (here, Close), and every worker goroutine still
+// exits.
 func TestShardPanicFail(t *testing.T) {
 	defer faultinject.Reset()
 	e := parallelEngine(t)
@@ -67,14 +54,14 @@ func TestShardPanicFail(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var rows []gsql.Tuple
 	pr, err := st.StartParallel(func(row gsql.Tuple) error { rows = append(rows, row); return nil },
-		gsql.ParallelOptions{Shards: 2, BatchSize: 1})
+		gsql.ParallelOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	faultinject.Set("gsql.shard.step", faultinject.Fault{PanicAt: 5})
 	var pushErr error
-	for _, tp := range window1Tuples(50) {
-		if pushErr = pr.Push(tp); pushErr != nil {
+	for _, b := range toBatches(t, window1Tuples(50), 7) {
+		if _, pushErr = pr.PushBatch(b); pushErr != nil {
 			break
 		}
 	}
@@ -90,140 +77,16 @@ func TestShardPanicFail(t *testing.T) {
 	if pe.Shard < 0 || pe.Shard > 1 {
 		t.Fatalf("bad shard index in error: %d", pe.Shard)
 	}
-	found := false
-	for _, e := range drainErrors(pr) {
-		if errors.As(e, &pe) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("ShardPanicError never appeared on the Errors channel")
-	}
-	if s := pr.RuntimeStats(); s.ShardPanics == 0 {
-		t.Fatalf("ShardPanics not counted: %+v", s)
+	if len(rows) != 0 {
+		t.Fatalf("a window with a panicked shard emitted %d rows", len(rows))
 	}
 	requireNoGoroutineLeak(t, before)
 }
 
-// TestShardPanicRestartExactness: under PanicRestart a panicking shard is
-// restarted from the last checkpoint of the current window. With the
-// panic injected on the first tuple after the checkpoint, the closed
-// window's output must be exactly the serial output over the
-// pre-checkpoint tuples — only post-checkpoint data on the failed shard is
-// lost — and the run keeps accepting tuples afterwards.
-func TestShardPanicRestartExactness(t *testing.T) {
-	defer faultinject.Reset()
-	e := parallelEngine(t)
-	st, err := e.Prepare(faultQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuples := window1Tuples(40)
-	want := serialRows(t, st, tuples, gsql.Options{})
-	if len(want) == 0 {
-		t.Fatal("workload produced no rows")
-	}
-
-	var rows []gsql.Tuple
-	pr, err := st.StartParallel(func(row gsql.Tuple) error { rows = append(rows, row); return nil },
-		gsql.ParallelOptions{Shards: 2, BatchSize: 4, OnPanic: gsql.PanicRestart})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range tuples {
-		if err := pr.Push(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := pr.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// The very next stepped tuple panics its shard mid-window.
-	faultinject.Set("gsql.shard.step", faultinject.Fault{PanicAt: 1})
-	if err := pr.Push(pkt2(119, 1, 80, 9_999)); err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Heartbeat(gsql.Int(200)); err != nil {
-		t.Fatalf("window close after restart returned error: %v", err)
-	}
-	requireIdentical(t, want, rows, "restart window")
-
-	s := pr.RuntimeStats()
-	if s.ShardPanics != 1 || s.ShardRestarts != 1 {
-		t.Fatalf("panic/restart counters: %+v", s)
-	}
-	var pe *gsql.ShardPanicError
-	found := false
-	for _, e := range drainErrors(pr) {
-		if errors.As(e, &pe) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("restart did not report the panic on the Errors channel")
-	}
-
-	// The run survives: the restarted shard accepts the next window.
-	faultinject.Reset()
-	mark := len(rows)
-	for i := 0; i < 20; i++ {
-		if err := pr.Push(pkt2(int64(240+i%30), int64(i%3), 80, 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == mark {
-		t.Fatal("no rows emitted after shard restart")
-	}
-}
-
-// TestLoadSheddingDropNewest: with slow shards and OverloadDropNewest the
-// producer never blocks on a full shard queue — full batches are shed and
-// counted, and the run still completes cleanly.
-func TestLoadSheddingDropNewest(t *testing.T) {
-	defer faultinject.Reset()
-	e := parallelEngine(t)
-	st, err := e.Prepare(faultQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.Set("gsql.shard.step", faultinject.Fault{DelayEvery: 1, Delay: 2 * time.Millisecond})
-	var rows []gsql.Tuple
-	pr, err := st.StartParallel(func(row gsql.Tuple) error { rows = append(rows, row); return nil },
-		gsql.ParallelOptions{Shards: 1, BatchSize: 1, BufferedBatches: 1, Overload: gsql.OverloadDropNewest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuples := window1Tuples(300)
-	for _, tp := range tuples {
-		if err := pr.Push(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	faultinject.Reset() // let the drain run at full speed
-	if err := pr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s := pr.RuntimeStats()
-	if s.TuplesShed == 0 || s.BatchesShed == 0 {
-		t.Fatalf("overloaded run shed nothing: %+v", s)
-	}
-	if s.TuplesIn != uint64(len(tuples)) {
-		t.Fatalf("TuplesIn = %d, want %d", s.TuplesIn, len(tuples))
-	}
-	if s.TuplesShed >= uint64(len(tuples)) {
-		t.Fatalf("everything was shed: %+v", s)
-	}
-	if len(rows) == 0 {
-		t.Fatal("shedding run emitted no rows at all")
-	}
-}
-
-// TestLoadSheddingBlock: the default OverloadBlock policy sheds nothing —
-// backpressure stalls the producer instead — so results are exactly the
-// serial results even with slow shards.
+// TestLoadSheddingBlock: a shard that falls behind blocks the producer
+// (backpressure) instead of losing data, so results are exactly the serial
+// results even with slow shards. The tape is long enough to fill every
+// shard's queue many times over.
 func TestLoadSheddingBlock(t *testing.T) {
 	defer faultinject.Reset()
 	e := parallelEngine(t)
@@ -231,27 +94,10 @@ func TestLoadSheddingBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuples := window1Tuples(120)
+	tuples := window1Tuples(8_000)
 	want := serialRows(t, st, tuples, gsql.Options{})
-	faultinject.Set("gsql.shard.step", faultinject.Fault{DelayEvery: 4, Delay: time.Millisecond})
-	var rows []gsql.Tuple
-	pr, err := st.StartParallel(func(row gsql.Tuple) error { rows = append(rows, row); return nil },
-		gsql.ParallelOptions{Shards: 2, BatchSize: 1, BufferedBatches: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range tuples {
-		if err := pr.Push(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s := pr.RuntimeStats()
-	if s.TuplesShed != 0 || s.BatchesShed != 0 {
-		t.Fatalf("blocking policy shed data: %+v", s)
-	}
+	faultinject.Set("gsql.shard.step", faultinject.Fault{DelayEvery: 64, Delay: time.Millisecond})
+	rows := parallelRows(t, st, tuples, 2, 512)
 	requireIdentical(t, want, rows, "blocked backpressure")
 }
 
@@ -277,21 +123,25 @@ func TestPushRejectsNonFinite(t *testing.T) {
 		t.Fatalf("error names column %q, want ftime", nfe.Column)
 	}
 
-	pr, err := st.StartParallel(func(gsql.Tuple) error { return nil }, gsql.ParallelOptions{Shards: 2})
+	var rows []gsql.Tuple
+	pr, err := st.StartParallel(func(row gsql.Tuple) error { rows = append(rows, row); return nil },
+		gsql.ParallelOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var tuples []gsql.Tuple
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		b := pkt2(70, 1, 80, 100)
 		b[1] = gsql.Float(x)
-		if err := pr.Push(b); !errors.As(err, &nfe) {
-			t.Fatalf("parallel Push accepted %v: %v", x, err)
-		}
+		tuples = append(tuples, b)
+	}
+	if rej, err := pr.PushBatch(toBatches(t, tuples, len(tuples))[0]); rej != 3 || err != nil {
+		t.Fatalf("parallel PushBatch of 3 non-finite rows: rejected %d, err %v", rej, err)
 	}
 	if err := pr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s := pr.RuntimeStats(); s.TuplesIn != 3 {
-		t.Fatalf("rejected tuples were counted oddly: %+v", s)
+	if len(rows) != 0 {
+		t.Fatalf("rejected rows were folded: %v", rows)
 	}
 }

@@ -221,7 +221,6 @@ func TestMultiSharedKeyTable(t *testing.T) {
 			steps = 0
 			opts := gsql.Options{LowLevelSlots: slots, Epoch: &gsql.EpochConfig{
 				Model: model, Every: 3, TimeColumn: "ftime",
-				Time: func(t gsql.Tuple) (float64, bool) { return t[1].AsFloat(), true },
 			}}
 			m, err := gsql.NewMultiRun(e, "TCP", opts)
 			if err != nil {

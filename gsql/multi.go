@@ -303,7 +303,7 @@ func NewMultiRun(e *Engine, stream string, opts Options) (*MultiRun, error) {
 	if !ok {
 		return nil, fmt.Errorf("gsql: unknown stream %q", stream)
 	}
-	ep, err := newEpochState(opts.Epoch)
+	ep, err := newEpochState(opts.Epoch, schema)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +319,7 @@ func NewMultiRun(e *Engine, stream string, opts Options) (*MultiRun, error) {
 	if opts.Isolate != nil {
 		m.iso = *opts.Isolate
 	}
-	m.mbx = newBatchExec(&plan{schema: schema}, ep)
+	m.mbx = new(batchExec)
 	return m, nil
 }
 

@@ -394,9 +394,9 @@ func standaloneCkptAfter(t *testing.T, st *gsql.Statement, tuples []gsql.Tuple) 
 func multiEpochOpts() (gsql.Options, decay.Forward) {
 	m := decay.NewForward(decay.NewExp(0.05), 0)
 	opts := gsql.Options{Epoch: &gsql.EpochConfig{
-		Model: m,
-		Every: 100,
-		Time:  func(t gsql.Tuple) (float64, bool) { return t[1].AsFloat(), true },
+		Model:      m,
+		Every:      100,
+		TimeColumn: "ftime",
 	}}
 	return opts, m
 }

@@ -29,11 +29,10 @@ func (r *Run) oraclePush(t Tuple) error {
 
 // oracleRoll is the per-tuple epoch hook.
 func (r *Run) oracleRoll(t Tuple) error {
-	ts, ok := r.ep.time(t)
-	if !ok {
+	if r.ep.tsCol < 0 {
 		return nil
 	}
-	newL, roll := r.ep.observe(ts)
+	newL, roll := r.ep.observe(t[r.ep.tsCol].AsFloat())
 	if !roll {
 		return nil
 	}

@@ -44,12 +44,38 @@ func serialRows(t *testing.T, st *gsql.Statement, tuples []gsql.Tuple, opts gsql
 	return rows
 }
 
-// parallelRows runs the statement under the sharded runtime and collects rows.
-func parallelRows(t *testing.T, st *gsql.Statement, tuples []gsql.Tuple, popts gsql.ParallelOptions) []gsql.Tuple {
+// parallelFrames are the frame sizes the sharded suites push at.
+var parallelFrames = []int{1, 7, 64, 4096}
+
+// parallelRows runs the statement under the sharded runtime, pushing the
+// tuples in frames of the given size through one reused batch, and collects
+// rows.
+func parallelRows(t *testing.T, st *gsql.Statement, tuples []gsql.Tuple, shards, frame int) []gsql.Tuple {
 	t.Helper()
-	rows, err := st.ExecuteParallel(gsql.SliceSource(tuples), popts)
+	var rows []gsql.Tuple
+	pr, err := st.StartParallel(func(row gsql.Tuple) error { rows = append(rows, row); return nil },
+		gsql.ParallelOptions{Shards: shards})
 	if err != nil {
-		t.Fatalf("parallel execute: %v", err)
+		t.Fatal(err)
+	}
+	b, err := gsql.NewBatch(gsql.PacketSchema("TCP"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(tuples); lo += frame {
+		b.Reset()
+		for _, tp := range tuples[lo:min(lo+frame, len(tuples))] {
+			if err := b.Append(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := pr.PushBatch(b); err != nil {
+			pr.Close()
+			t.Fatalf("parallel push: %v", err)
+		}
+	}
+	if err := pr.Close(); err != nil {
+		t.Fatalf("parallel close: %v", err)
 	}
 	return rows
 }
@@ -76,8 +102,8 @@ func requireIdentical(t *testing.T, serial, parallel []gsql.Tuple, label string)
 // TestParallelEquivalenceExact: for every builtin aggregate (count, sum,
 // avg, min, max — integer and float arguments), WHERE and HAVING clauses,
 // the sharded runtime must produce output bit-identical to the serial run at
-// every shard count. Hash routing pins each group to one shard, so even
-// float accumulation order matches.
+// every shard count and frame size. Hash routing pins each group to one
+// shard, so even float accumulation order matches.
 func TestParallelEquivalenceExact(t *testing.T) {
 	queries := []string{
 		`select tb, dstIP, destPort, count(*), sum(len), avg(float(len)), min(len), max(len)
@@ -99,9 +125,11 @@ func TestParallelEquivalenceExact(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("query %d produced no rows; workload too small", qi)
 		}
-		for _, shards := range []int{1, 2, 3, 4, 8} {
-			got := parallelRows(t, st, tuples, gsql.ParallelOptions{Shards: shards, BatchSize: 64})
-			requireIdentical(t, want, got, fmt.Sprintf("query %d, %d shards", qi, shards))
+		for _, shards := range []int{1, 2, 4} {
+			for _, frame := range parallelFrames {
+				got := parallelRows(t, st, tuples, shards, frame)
+				requireIdentical(t, want, got, fmt.Sprintf("query %d, %d shards, frame %d", qi, shards, frame))
+			}
 		}
 	}
 }
@@ -121,73 +149,13 @@ func TestParallelEquivalenceOutOfOrder(t *testing.T) {
 	for _, ooo := range []int{16, 512} {
 		tuples := trace(20_000, ooo, 23)
 		want := serialRows(t, st, tuples, gsql.Options{})
-		got := parallelRows(t, st, tuples, gsql.ParallelOptions{Shards: 4, BatchSize: 32})
-		requireIdentical(t, want, got, fmt.Sprintf("ooo=%d", ooo))
-	}
-}
-
-// TestParallelEquivalenceHeartbeat: identical heartbeat sequences must close
-// identical buckets in both runtimes, including buckets closed purely by
-// heartbeat (no tuples after the lull).
-func TestParallelEquivalenceHeartbeat(t *testing.T) {
-	e := parallelEngine(t)
-	const q = `select tb, dstIP, count(*), sum(len) from TCP group by time/60 as tb, dstIP`
-	st, err := e.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuples := trace(5_000, 0, 31)
-
-	type event struct {
-		t  gsql.Tuple
-		hb gsql.Value // non-null → heartbeat instead of tuple
-	}
-	var events []event
-	for i, tp := range tuples {
-		events = append(events, event{t: tp})
-		if i%997 == 0 {
-			// Heartbeat two buckets past the tuple's own time.
-			events = append(events, event{hb: gsql.Int(tp[0].AsInt() + 120)})
+		for _, shards := range []int{1, 2, 4} {
+			for _, frame := range parallelFrames {
+				got := parallelRows(t, st, tuples, shards, frame)
+				requireIdentical(t, want, got, fmt.Sprintf("ooo=%d, %d shards, frame %d", ooo, shards, frame))
+			}
 		}
 	}
-
-	var want []gsql.Tuple
-	run := st.Start(func(row gsql.Tuple) error { want = append(want, row); return nil }, gsql.Options{})
-	for _, ev := range events {
-		var err error
-		if ev.hb.IsNull() {
-			err = run.Push(ev.t)
-		} else {
-			err = run.Heartbeat(ev.hb)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := run.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var got []gsql.Tuple
-	pr, err := st.StartParallel(func(row gsql.Tuple) error { got = append(got, row); return nil },
-		gsql.ParallelOptions{Shards: 3, BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range events {
-		if ev.hb.IsNull() {
-			err = pr.Push(ev.t)
-		} else {
-			err = pr.Heartbeat(ev.hb)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, want, got, "heartbeat sequence")
 }
 
 // ssTopAgg is a mergeable heavy-hitter UDAF over a SpaceSaving summary,
@@ -260,7 +228,7 @@ func TestParallelSketchUDAFGrouped(t *testing.T) {
 	}
 	tuples := trace(20_000, 0, 47)
 	want := serialRows(t, st, tuples, gsql.Options{})
-	got := parallelRows(t, st, tuples, gsql.ParallelOptions{Shards: 4})
+	got := parallelRows(t, st, tuples, 4, 256)
 	requireIdentical(t, want, got, "grouped sketch UDAFs")
 }
 
@@ -279,7 +247,7 @@ func TestParallelSketchUDAFGlobal(t *testing.T) {
 	}
 	tuples := trace(30_000, 0, 53)
 	want := serialRows(t, st, tuples, gsql.Options{})
-	got := parallelRows(t, st, tuples, gsql.ParallelOptions{Shards: 4, BatchSize: 64})
+	got := parallelRows(t, st, tuples, 4, 64)
 	if len(want) != len(got) {
 		t.Fatalf("row counts differ: %d vs %d", len(want), len(got))
 	}
@@ -332,7 +300,8 @@ func (a *lastValAgg) Step(args []gsql.Value) error { a.v = args[0]; return nil }
 func (a *lastValAgg) Final() gsql.Value            { return a.v }
 
 // TestParallelLifecycleErrors: use after Close fails, double Close is safe,
-// and sink errors (SinkStop) propagate out of the flush that raised them.
+// sink errors (SinkStop) propagate out of the flush that raised them, and a
+// batch of another stream is refused.
 func TestParallelLifecycleErrors(t *testing.T) {
 	e := parallelEngine(t)
 	st, err := e.Prepare(`select tb, count(*) from TCP group by time/60 as tb`)
@@ -343,7 +312,7 @@ func TestParallelLifecycleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pr.Push(pkt2(10, 1, 80, 100)); err != nil {
+	if _, err := pr.PushBatch(oneRow(t, pkt2(10, 1, 80, 100))); err != nil {
 		t.Fatal(err)
 	}
 	if err := pr.Close(); err != nil {
@@ -352,11 +321,8 @@ func TestParallelLifecycleErrors(t *testing.T) {
 	if err := pr.Close(); err != nil {
 		t.Fatalf("double Close: %v", err)
 	}
-	if err := pr.Push(pkt2(20, 1, 80, 100)); err == nil {
-		t.Fatal("Push after Close succeeded")
-	}
-	if err := pr.Heartbeat(gsql.Int(100)); err == nil {
-		t.Fatal("Heartbeat after Close succeeded")
+	if _, err := pr.PushBatch(oneRow(t, pkt2(20, 1, 80, 100))); err == nil {
+		t.Fatal("PushBatch after Close succeeded")
 	}
 
 	// A sink that stops: the error surfaces from the flush (here, Close).
@@ -364,22 +330,40 @@ func TestParallelLifecycleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pr2.Push(pkt2(10, 1, 80, 100)); err != nil {
+	if _, err := pr2.PushBatch(oneRow(t, pkt2(10, 1, 80, 100))); err != nil {
 		t.Fatal(err)
 	}
 	if err := pr2.Close(); err == nil {
 		t.Fatal("sink stop did not propagate")
 	}
 
-	// A malformed tuple is rejected immediately.
+	// A batch of another stream is refused, and poisons the run.
 	pr3, err := st.StartParallel(func(gsql.Tuple) error { return nil }, gsql.ParallelOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pr3.Push(gsql.Tuple{gsql.Int(1)}); err == nil {
-		t.Fatal("short tuple accepted")
+	other, err := gsql.NewBatch(gsql.MustSchema("UDP", gsql.Column{Name: "time", Type: gsql.TInt}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	pr3.Close()
+	if err := other.Append(gsql.Tuple{gsql.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pr3.PushBatch(other); err == nil {
+		t.Fatal("batch of another stream accepted")
+	}
+	if _, err := pr3.PushBatch(oneRow(t, pkt2(10, 1, 80, 100))); err == nil {
+		t.Fatal("poisoned run accepted a batch")
+	}
+	if err := pr3.Close(); err == nil {
+		t.Fatal("Close of a poisoned run returned nil")
+	}
+}
+
+// oneRow returns a packet batch holding tp alone.
+func oneRow(t *testing.T, tp gsql.Tuple) *gsql.Batch {
+	t.Helper()
+	return toBatches(t, []gsql.Tuple{tp}, 1)[0]
 }
 
 // TestParallelShardErrorSurfaces: an error raised inside a shard worker (an
@@ -391,16 +375,20 @@ func TestParallelShardErrorSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := st.StartParallel(func(gsql.Tuple) error { return nil }, gsql.ParallelOptions{Shards: 2, BatchSize: 4})
+	pr, err := st.StartParallel(func(gsql.Tuple) error { return nil }, gsql.ParallelOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var tuples []gsql.Tuple
 	for i := 0; i < 32; i++ {
 		ln := int64(100 + i)
 		if i == 17 {
 			ln = 64 // divides by zero inside the shard
 		}
-		if err := pr.Push(pkt2(int64(10+i), int64(i%4), 80, ln)); err != nil {
+		tuples = append(tuples, pkt2(int64(10+i), int64(i%4), 80, ln))
+	}
+	for _, b := range toBatches(t, tuples, 4) {
+		if _, err := pr.PushBatch(b); err != nil {
 			break // surfaced early via a flush — also acceptable
 		}
 	}

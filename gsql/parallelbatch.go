@@ -6,19 +6,16 @@ import (
 )
 
 // ParallelRun.PushBatch: the sharded counterpart of Run.PushBatch. The
-// coordinator runs the batched finite scan, the epoch segmentation, and the
-// vectorized WHERE and group kernels, then routes surviving rows to their
-// shards with the evaluated group values attached (the shards never re-run
-// the group closures). Epoch rolls quiesce the shards between segments via
-// the same rollTo barrier scalar Push uses, and checkpoints keep their
-// batch-boundary cut: Checkpoint is a producer call, so it can only land
-// between PushBatch calls.
+// coordinator runs the batched finite scan and the vectorized WHERE and
+// group kernels, then routes surviving rows to their shards with the
+// evaluated group values attached (the shards never re-run the group
+// expressions).
 
-// PushBatch routes every row of b to its shard, equivalently to Pushing the
-// batch's rows one by one under the standard caller policy: rows rejected by
-// the finite check are counted (the rejected return) and skipped, any other
-// error stops processing where the scalar path would have stopped. The
-// batch's selection bitmap is consumed as working state.
+// PushBatch routes every row of b to its shard, equivalently to routing the
+// batch's rows one by one: rows rejected by the finite check are counted
+// (the rejected return) and skipped, any other error stops processing at
+// the row that raised it and poisons the run. The batch's selection bitmap
+// is consumed as working state.
 func (pr *ParallelRun) PushBatch(b *Batch) (rejected int, err error) {
 	if pr.err != nil {
 		return 0, pr.err
@@ -34,49 +31,27 @@ func (pr *ParallelRun) PushBatch(b *Batch) (rejected int, err error) {
 			b.schema.Name, pr.p.schema.Name))
 	}
 	if pr.bx == nil {
-		pr.bx = newBatchExec(pr.p, pr.ep)
+		pr.bx = new(batchExec)
 	}
 	bx := pr.bx
 	tuples0 := pr.tuples
 
 	bx.valid = growBits(bx.valid, b.n)
 	b.scanFinite(bx.valid)
-
-	lo, skipObserve := 0, false
-	for lo < b.n {
-		hi, newL, roll := b.n, 0.0, false
-		if pr.ep != nil {
-			hi, newL, roll = bx.scanEpoch(pr.ep, b, lo, skipObserve)
-		}
-		if err := pr.processSegment(b, lo, hi); err != nil {
-			return countRejected(bx.valid, tuples0, pr.tuples), err
-		}
-		if roll {
-			if err := pr.rollTo(newL); err != nil {
-				// Scalar Push counts the rolling tuple before the roll fails.
-				pr.tuples++
-				return countRejected(bx.valid, tuples0, pr.tuples), pr.fail(err)
-			}
-		}
-		lo, skipObserve = hi, roll
-	}
-	return countRejected(bx.valid, tuples0, pr.tuples), nil
+	err = pr.route(b)
+	return countRejected(bx.valid, tuples0, pr.tuples), err
 }
 
-// processSegment routes rows [lo,hi) under a fixed landmark: vectorized
-// while the kernels run clean, otherwise replayed through the scalar routing
-// path row by row.
-func (pr *ParallelRun) processSegment(b *Batch, lo, hi int) error {
-	if lo >= hi {
-		return nil
-	}
+// route routes the batch's rows: vectorized while the kernels run clean,
+// otherwise replayed through the scalar routing path row by row.
+func (pr *ParallelRun) route(b *Batch) error {
 	bx := pr.bx
 	vp := pr.p.vec
 	ctx := &bx.ctx
 	ctx.reset(b, vp)
 	b.sel = growBits(b.sel, b.n)
 	sel := b.sel
-	maskRange(sel, bx.valid, lo, hi)
+	maskRange(sel, bx.valid, 0, b.n)
 
 	if vp.where != nil {
 		vp.where.run(ctx, sel)
@@ -91,13 +66,13 @@ func (pr *ParallelRun) processSegment(b *Batch, lo, hi int) error {
 	if len(ctx.errs) > 0 {
 		// No run state touched yet; the scalar replay reproduces the exact
 		// scalar outcome, error row included.
-		return pr.replaySegment(b, lo, hi)
+		return pr.replay(b)
 	}
 
 	// Inline bitmap walk (not forSel) so the routing state stays on the
 	// stack — the coordinator's steady-state batch cycle allocates nothing.
-	segBase := pr.tuples
-	pr.tuples += uint64(hi - lo)
+	tuples0 := pr.tuples
+	pr.tuples += uint64(b.n)
 	gv := pr.gv
 	for w, m := range sel {
 		if m == 0 {
@@ -115,7 +90,7 @@ func (pr *ParallelRun) processSegment(b *Batch, lo, hi int) error {
 						pr.bucket, pr.bucketSet = v, true
 					} else if pr.p.bucketAfter(v, pr.bucket) {
 						if err := pr.flushAll(); err != nil {
-							pr.tuples = segBase + uint64(i-lo+1)
+							pr.tuples = tuples0 + uint64(i+1)
 							return pr.fail(err)
 						}
 						pr.bucket = v
@@ -156,19 +131,18 @@ func (pr *ParallelRun) enqueueRow(b *Batch, shard, row int, gv Tuple) {
 	pr.shipIfFull(shard)
 }
 
-// replaySegment is the scalar fallback: each row materializes and routes
-// through the exact per-tuple path (epoch observation has already run for
-// the segment). Invalid rows count and skip, as every scalar caller does on
-// a NonFiniteValueError.
-func (pr *ParallelRun) replaySegment(b *Batch, lo, hi int) error {
+// replay is the scalar fallback: each row materializes and routes through
+// the exact per-tuple path. Invalid rows count and skip, as every scalar
+// caller does on a NonFiniteValueError.
+func (pr *ParallelRun) replay(b *Batch) error {
 	bx := pr.bx
-	for i := lo; i < hi; i++ {
+	for i := 0; i < b.n; i++ {
 		pr.tuples++
 		if !bitGet(bx.valid, i) {
 			continue
 		}
-		b.row(i, bx.row)
-		if err := pr.routeTuple(bx.row); err != nil {
+		b.row(i, pr.row)
+		if err := pr.routeTuple(pr.row); err != nil {
 			return err
 		}
 	}

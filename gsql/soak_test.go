@@ -11,10 +11,9 @@ package gsql_test
 // tight epsilons. The tapes come from internal/faultinject.SoakSchedule and
 // are pure functions of the seed: a failure replays exactly.
 //
-// Both runs use DisableTwoLevel (and the sharded runtime its single-level
-// shard tables): low-level eviction merges reorder float additions across a
-// crash-restore, which would blur the bit-exact comparison the soak is
-// after without exercising anything epoch-related.
+// Both runs use DisableTwoLevel: low-level eviction merges reorder float
+// additions across a crash-restore, which would blur the bit-exact
+// comparison the soak is after without exercising anything epoch-related.
 
 import (
 	"math"
@@ -64,26 +63,11 @@ func soakTuple(e faultinject.SoakEvent) gsql.Tuple {
 	}
 }
 
-// soakTime is the EpochConfig.Time extractor: the ftime column.
-func soakTime(t gsql.Tuple) (float64, bool) { return t[1].AsFloat(), true }
-
-// soakRun abstracts the serial and sharded runtimes for the harness.
-type soakRun interface {
-	Push(gsql.Tuple) error
-	Heartbeat(gsql.Value) error
-	Checkpoint() ([]byte, error)
-	RuntimeStats() gsql.RuntimeStats
-	Close() error
-}
-
-// soakHarness starts, restores and abandons runs of one runtime flavor.
+// soakHarness starts and restores runs; a crash drops the run without a
+// clean close.
 type soakHarness struct {
-	start   func() (soakRun, error)
-	restore func(ck []byte) (soakRun, error)
-	// abandon models a crash: the run is dropped without a clean close. The
-	// sharded runtime still needs its workers released, and any rows its
-	// teardown emits are overwritten by the restored run's replay.
-	abandon func(r soakRun)
+	start   func() *gsql.Run
+	restore func(ck []byte) (*gsql.Run, error)
 }
 
 // soakOutcome aggregates what the harness observed across run instances.
@@ -100,10 +84,7 @@ type soakOutcome struct {
 // restore-and-replay from the latest snapshot.
 func driveSoak(t *testing.T, events []faultinject.SoakEvent, h soakHarness) soakOutcome {
 	t.Helper()
-	run, err := h.start()
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := h.start()
 	var out soakOutcome
 	var lastCk []byte
 	var replay []faultinject.SoakEvent
@@ -144,7 +125,7 @@ func driveSoak(t *testing.T, events []faultinject.SoakEvent, h soakHarness) soak
 				continue
 			}
 			collect()
-			h.abandon(run)
+			var err error
 			if run, err = h.restore(lastCk); err != nil {
 				t.Fatalf("event %d: restore after crash: %v", i, err)
 			}
@@ -170,7 +151,7 @@ func driveSoak(t *testing.T, events []faultinject.SoakEvent, h soakHarness) soak
 
 // soakFeed drives the tuple and heartbeat events of a tape into a fault-free
 // run, ignoring the fault events.
-func soakFeed(t *testing.T, events []faultinject.SoakEvent, run soakRun) {
+func soakFeed(t *testing.T, events []faultinject.SoakEvent, run *gsql.Run) {
 	t.Helper()
 	for i, e := range events {
 		var err error
@@ -329,13 +310,12 @@ func TestSoakChaosSerial(t *testing.T) {
 	opts := func() gsql.Options {
 		return gsql.Options{
 			DisableTwoLevel: true,
-			Epoch:           &gsql.EpochConfig{Model: m, Every: 3600, Time: soakTime},
+			Epoch:           &gsql.EpochConfig{Model: m, Every: 3600, TimeColumn: "ftime"},
 		}
 	}
 	out := driveSoak(t, events, soakHarness{
-		start:   func() (soakRun, error) { return st.Start(subjSink, opts()), nil },
-		restore: func(ck []byte) (soakRun, error) { return st.Restore(ck, subjSink, opts()) },
-		abandon: func(soakRun) {},
+		start:   func() *gsql.Run { return st.Start(subjSink, opts()) },
+		restore: func(ck []byte) (*gsql.Run, error) { return st.Restore(ck, subjSink, opts()) },
 	})
 
 	var oracRows []gsql.Tuple
@@ -358,48 +338,6 @@ func TestSoakChaosSerial(t *testing.T) {
 		t.Fatalf("only %d groups emitted; soak too small to be meaningful", len(subj))
 	}
 	soakCompare(t, subj, orc)
-}
-
-func TestSoakChaosParallel(t *testing.T) {
-	cfg := soakScheduleA(testing.Short())
-	cfg.Seed = 2
-	events := faultinject.SoakSchedule(cfg)
-	m := decay.NewForward(decay.NewExp(math.Exp2(-12)), 0)
-	e := soakEngine(t, m)
-	st, err := e.Prepare(soakQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var subjRows []gsql.Tuple
-	subjSink := func(r gsql.Tuple) error { subjRows = append(subjRows, r); return nil }
-	popts := func(epoch bool) gsql.ParallelOptions {
-		o := gsql.ParallelOptions{Shards: 3, BatchSize: 8, BufferedBatches: 2}
-		if epoch {
-			o.Epoch = &gsql.EpochConfig{Model: m, Every: 3600, Time: soakTime}
-		}
-		return o
-	}
-	out := driveSoak(t, events, soakHarness{
-		start:   func() (soakRun, error) { return st.StartParallel(subjSink, popts(true)) },
-		restore: func(ck []byte) (soakRun, error) { return st.RestoreParallel(ck, subjSink, popts(true)) },
-		abandon: func(r soakRun) { _ = r.Close() },
-	})
-
-	var oracRows []gsql.Tuple
-	orac, err := st.StartParallel(func(r gsql.Tuple) error { oracRows = append(oracRows, r); return nil }, popts(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	soakFeed(t, events, orac)
-
-	if wantRolls := uint64(cfg.Duration/3600) - 2; out.rolls < wantRolls {
-		t.Fatalf("subject rolled %d times, want >= %d", out.rolls, wantRolls)
-	}
-	if out.crashes == 0 {
-		t.Fatal("chaos tape exercised no crashes")
-	}
-	soakCompare(t, soakLastRows(subjRows, soakAggCols), soakLastRows(oracRows, soakAggCols))
 }
 
 // --- subtest B: the overflow the rollover exists to prevent --------------
@@ -453,7 +391,7 @@ func TestSoakOverflowPin(t *testing.T) {
 
 	// Monitor-only: the sentinel observes the overflow pressure but must not
 	// intervene, and the linear-domain sketch demonstrably degrades.
-	rows, stats := run(&gsql.EpochConfig{Model: m, MonitorOnly: true, Time: soakTime})
+	rows, stats := run(&gsql.EpochConfig{Model: m, MonitorOnly: true, TimeColumn: "ftime"})
 	if stats.SentinelTrips == 0 || stats.EpochRollovers != 0 {
 		t.Fatalf("monitor-only: trips=%d rolls=%d, want trips>0 rolls=0", stats.SentinelTrips, stats.EpochRollovers)
 	}
@@ -474,7 +412,7 @@ func TestSoakOverflowPin(t *testing.T) {
 
 	// Supervisor enabled: hourly rolls keep the pressure far below the
 	// sentinel, and the fd* surface stays finite and healthy.
-	rows, stats = run(&gsql.EpochConfig{Model: m, Every: 3600, Time: soakTime})
+	rows, stats = run(&gsql.EpochConfig{Model: m, Every: 3600, TimeColumn: "ftime"})
 	if stats.EpochRollovers == 0 || stats.SentinelTrips != 0 {
 		t.Fatalf("rolling: trips=%d rolls=%d, want trips=0 rolls>0", stats.SentinelTrips, stats.EpochRollovers)
 	}
@@ -490,7 +428,7 @@ func TestSoakOverflowPin(t *testing.T) {
 
 // TestSoakMidEpochRestore interrupts a rolling run strictly inside an epoch
 // and verifies the restored run finishes in exactly the state of an
-// uninterrupted one, on both runtimes.
+// uninterrupted one.
 func TestSoakMidEpochRestore(t *testing.T) {
 	events := faultinject.SoakSchedule(faultinject.SoakConfig{
 		Seed: 4, Duration: 6 * 3600, MeanGap: 60, Keys: 16,
@@ -506,7 +444,7 @@ func TestSoakMidEpochRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch := func() *gsql.EpochConfig {
-		return &gsql.EpochConfig{Model: m, Every: 3600, Time: soakTime}
+		return &gsql.EpochConfig{Model: m, Every: 3600, TimeColumn: "ftime"}
 	}
 
 	t.Run("serial", func(t *testing.T) {
@@ -544,52 +482,10 @@ func TestSoakMidEpochRestore(t *testing.T) {
 		}
 		soakCompareExact(t, soakLastRows(rows, soakAggCols), soakLastRows(fullRows, soakAggCols))
 	})
-
-	t.Run("parallel", func(t *testing.T) {
-		popts := func() gsql.ParallelOptions {
-			return gsql.ParallelOptions{Shards: 3, BatchSize: 8, Epoch: epoch()}
-		}
-		var fullRows []gsql.Tuple
-		full, err := st.StartParallel(func(r gsql.Tuple) error { fullRows = append(fullRows, r); return nil }, popts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		soakFeed(t, events, full)
-
-		var rows []gsql.Tuple
-		sink := func(r gsql.Tuple) error { rows = append(rows, r); return nil }
-		p1, err := st.StartParallel(sink, popts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range events[:cut] {
-			if ev.Op == faultinject.SoakTuple {
-				if err := p1.Push(soakTuple(ev)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		ck, err := p1.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p1.Close(); err != nil {
-			t.Fatal(err)
-		}
-		p2, err := st.RestoreParallel(ck, sink, popts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		soakFeed(t, events[cut:], p2)
-		if p2.RuntimeStats().EpochRollovers == 0 {
-			t.Fatal("restored parallel run never rolled")
-		}
-		soakCompareExact(t, soakLastRows(rows, soakAggCols), soakLastRows(fullRows, soakAggCols))
-	})
 }
 
-// soakCompareExact demands bit-identity on every column: within one runtime
-// flavor, checkpoint-restore must be perfectly transparent.
+// soakCompareExact demands bit-identity on every column: checkpoint-restore
+// must be perfectly transparent.
 func soakCompareExact(t *testing.T, subj, orac map[string]gsql.Tuple) {
 	t.Helper()
 	if len(subj) != len(orac) {
@@ -605,50 +501,6 @@ func soakCompareExact(t *testing.T, subj, orac map[string]gsql.Tuple) {
 				t.Fatalf("group %q column %d: subject %v, oracle %v", k, i, sr[i], or[i])
 			}
 		}
-	}
-}
-
-// --- subtest D: rollover under load shedding -----------------------------
-
-// TestSoakRolloverUnderShedding verifies liveness: with drop-newest
-// shedding, tiny buffers and frequent rollovers, the run neither deadlocks
-// nor errors, and the supervisor keeps rolling.
-func TestSoakRolloverUnderShedding(t *testing.T) {
-	events := faultinject.SoakSchedule(faultinject.SoakConfig{
-		Seed: 5, Duration: 4 * 3600, MeanGap: 2, Keys: 16,
-	})
-	m := decay.NewForward(decay.NewExp(math.Exp2(-8)), 0)
-	e := soakEngine(t, m)
-	st, err := e.Prepare(soakQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []gsql.Tuple
-	pr, err := st.StartParallel(func(r gsql.Tuple) error { rows = append(rows, r); return nil },
-		gsql.ParallelOptions{
-			Shards: 2, BatchSize: 4, BufferedBatches: 1, Overload: gsql.OverloadDropNewest,
-			Epoch: &gsql.EpochConfig{Model: m, Every: 600, Time: soakTime},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ev := range events {
-		if ev.Op != faultinject.SoakTuple {
-			continue
-		}
-		if err := pr.Push(soakTuple(ev)); err != nil {
-			t.Fatalf("event %d: %v", i, err)
-		}
-	}
-	stats := pr.RuntimeStats()
-	if err := pr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if stats.EpochRollovers < 10 {
-		t.Fatalf("rolled %d times over 4 h at 10-minute periods, want >= 10", stats.EpochRollovers)
-	}
-	if len(rows) == 0 {
-		t.Fatal("no output rows emitted")
 	}
 }
 
@@ -677,7 +529,7 @@ func TestSoakSamplersRollExactly(t *testing.T) {
 		soakFeed(t, events, r)
 		return soakLastRows(rows, 2)
 	}
-	subj := run(&gsql.EpochConfig{Model: m, Every: 3600, Time: soakTime})
+	subj := run(&gsql.EpochConfig{Model: m, Every: 3600, TimeColumn: "ftime"})
 	orac := run(nil)
 	soakCompareExact(t, subj, orac)
 }

@@ -3,29 +3,18 @@ package gsql
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
-// RuntimeStats is a point-in-time snapshot of a run's fault-tolerance and
-// throughput counters — the observability surface for load shedding, panic
-// isolation and checkpointing. Serial runs populate the ingest and
-// checkpoint fields; the shard fields are only meaningful for ParallelRun.
+// RuntimeStats is a point-in-time snapshot of a serial run's throughput,
+// checkpoint and epoch counters (Run.RuntimeStats), plus the ingest
+// counters a network front-end adds (ingest.Listener.RuntimeStats).
 type RuntimeStats struct {
 	// TuplesIn counts tuples offered to Push (before WHERE filtering).
 	TuplesIn uint64
-	// TuplesShed and BatchesShed count data dropped by the overload
-	// policy (OverloadDropNewest) instead of blocking the producer.
-	TuplesShed  uint64
-	BatchesShed uint64
 	// Checkpoints and Restores count successful Checkpoint calls and
 	// restored runs.
 	Checkpoints uint64
 	Restores    uint64
-	// ShardPanics counts panics recovered inside shard workers;
-	// ShardRestarts counts shards whose window state was reset (and, when
-	// a current-window checkpoint existed, refilled from it).
-	ShardPanics   uint64
-	ShardRestarts uint64
 	// WindowsClosed counts emitted time buckets.
 	WindowsClosed uint64
 	// Evictions counts low-level table evictions (serial two-level path).
@@ -61,35 +50,6 @@ type RuntimeStats struct {
 	// TuplesRejected counts tuples inside accepted frames that the run
 	// refused (e.g. non-finite values); the rest of the frame still applies.
 	TuplesRejected uint64
-}
-
-// runtimeCounters is the mutable, concurrency-safe backing store for
-// RuntimeStats. Producer-side counters could be plain fields, but shard
-// workers bump ShardPanics from their own goroutines, so everything is
-// atomic for uniformity (these are all off the per-tuple hot path).
-type runtimeCounters struct {
-	tuplesIn      atomic.Uint64
-	tuplesShed    atomic.Uint64
-	batchesShed   atomic.Uint64
-	checkpoints   atomic.Uint64
-	restores      atomic.Uint64
-	shardPanics   atomic.Uint64
-	shardRestarts atomic.Uint64
-	windowsClosed atomic.Uint64
-}
-
-// snapshot materializes the counters.
-func (c *runtimeCounters) snapshot() RuntimeStats {
-	return RuntimeStats{
-		TuplesIn:      c.tuplesIn.Load(),
-		TuplesShed:    c.tuplesShed.Load(),
-		BatchesShed:   c.batchesShed.Load(),
-		Checkpoints:   c.checkpoints.Load(),
-		Restores:      c.restores.Load(),
-		ShardPanics:   c.shardPanics.Load(),
-		ShardRestarts: c.shardRestarts.Load(),
-		WindowsClosed: c.windowsClosed.Load(),
-	}
 }
 
 // RuntimeStats snapshots the serial run's counters.
@@ -140,8 +100,8 @@ func checkTupleFinite(s *Schema, t Tuple) error {
 
 // ShardPanicError reports a panic recovered inside a shard worker (or a
 // UDAF merge/final on the coordinator). The drain barrier still completes
-// when a shard panics; the error surfaces through ParallelRun.Errors and —
-// under PanicFail — from the window flush.
+// when a shard panics; the error surfaces from the window flush, or from
+// Close, and poisons the run.
 type ShardPanicError struct {
 	// Shard is the worker index, or -1 for a coordinator-side panic.
 	Shard int

@@ -28,9 +28,9 @@ func TestHeartbeatDrivesEpochRollover(t *testing.T) {
 	var rc rowCollector
 	run := st.Start(rc.sink, gsql.Options{
 		Epoch: &gsql.EpochConfig{
-			Model: model,
-			Every: 100,
-			Time:  func(tp gsql.Tuple) (float64, bool) { return tp[1].AsFloat(), true },
+			Model:      model,
+			Every:      100,
+			TimeColumn: "ftime",
 		},
 	})
 	l, err := ingest.Listen("tcp", "127.0.0.1:0", ingest.Config{Sink: run})

@@ -1,6 +1,7 @@
 package ingest_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -98,6 +99,14 @@ func TestReconnectResumeExactSerial(t *testing.T) {
 	assertFaultStats(t, l.RuntimeStats(), len(pkts))
 }
 
+// shardedSink feeds the sharded runtime from a listener. ParallelRun takes
+// no heartbeats; the gauntlet sends none, so one arriving fails the pump.
+type shardedSink struct{ *gsql.ParallelRun }
+
+func (shardedSink) Heartbeat(gsql.Value) error {
+	return errors.New("the sharded runtime takes no heartbeats")
+}
+
 // TestReconnectResumeExactParallel: the same gauntlet feeding the sharded
 // runtime — the single pump goroutine satisfies its single-producer
 // contract, and keyed grouping keeps rows bit-identical to serial.
@@ -111,7 +120,7 @@ func TestReconnectResumeExactParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := runFaultGauntlet(t, pr, pkts)
+	l := runFaultGauntlet(t, shardedSink{pr}, pkts)
 	if err := pr.Close(); err != nil {
 		t.Fatal(err)
 	}

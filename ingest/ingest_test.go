@@ -248,50 +248,6 @@ func TestHeartbeatSynthesisClosesWindows(t *testing.T) {
 	d.Close()
 }
 
-// slowSink delays every push, letting the intake queue fill.
-type slowSink struct {
-	run   *gsql.Run
-	delay time.Duration
-}
-
-func (s *slowSink) PushBatch(b *gsql.Batch) (int, error) {
-	time.Sleep(s.delay)
-	return s.run.PushBatch(b)
-}
-func (s *slowSink) Heartbeat(ts gsql.Value) error { return s.run.Heartbeat(ts) }
-
-// TestOverloadDropNewestSheds: with a saturated intake queue and the drop
-// policy, frames are shed (and acknowledged!) instead of stalling the
-// client, and the listener still drains cleanly.
-func TestOverloadDropNewestSheds(t *testing.T) {
-	st := prepare(t)
-	var rc rowCollector
-	run := st.Start(rc.sink, gsql.Options{})
-	l, err := ingest.Listen("tcp", "127.0.0.1:0", ingest.Config{
-		Sink:     &slowSink{run: run, delay: 2 * time.Millisecond},
-		Queue:    1,
-		Overload: gsql.OverloadDropNewest,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts := genPackets(4000, 21)
-	d := ingest.Dial("tcp", l.Addr().String(), ingest.DialerConfig{
-		BatchSize: 16, Session: 13, Window: 64,
-	})
-	streamAll(t, d, pkts) // Close returns: shed frames were acked too
-	if err := l.Shutdown(time.Minute); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	rs := l.RuntimeStats()
-	if rs.BatchesShed == 0 {
-		t.Fatal("expected shed batches under OverloadDropNewest with a slow sink")
-	}
-	if rs.TuplesIn+rs.TuplesShed != uint64(len(pkts)) {
-		t.Fatalf("accounting: %d applied + %d shed != %d sent", rs.TuplesIn, rs.TuplesShed, len(pkts))
-	}
-}
-
 // TestDialerGivesUpAfterMaxDials: a dead endpoint exhausts the dial budget
 // with a typed failure instead of blocking forever.
 func TestDialerGivesUpAfterMaxDials(t *testing.T) {

@@ -9,25 +9,23 @@ import (
 	"time"
 
 	"forwarddecay/gsql"
-	"forwarddecay/metrics"
 	"forwarddecay/netgen"
 )
 
-// Sink is the run a Listener feeds. Both *gsql.Run and *gsql.ParallelRun
-// satisfy it; all calls are made from the listener's single pump goroutine,
-// matching the runs' single-producer contract. The pump loads each data
-// frame straight into a reused gsql.Batch — no per-tuple Value
-// materialization — and applies it in one PushBatch call; rejected counts
-// the rows refused for a non-finite float, which do not fail the frame.
-// Checkpoints cut at frame boundaries.
+// Sink is the run a Listener feeds: a *gsql.Run satisfies it. All calls are
+// made from the listener's single pump goroutine, matching the runtimes'
+// single-producer contract. The pump loads each data frame straight into a
+// reused gsql.Batch — no per-tuple Value materialization — and applies it
+// in one PushBatch call; rejected counts the rows refused for a non-finite
+// float, which do not fail the frame. Checkpoints cut at frame boundaries.
 type Sink interface {
 	PushBatch(*gsql.Batch) (rejected int, err error)
 	Heartbeat(gsql.Value) error
 }
 
-// runtimeStatser is optionally implemented by sinks (both gsql runtimes
-// implement it); after the pump stops, the listener folds the sink's
-// counters into its own snapshot.
+// runtimeStatser is optionally implemented by sinks (*gsql.Run implements
+// it); after the pump stops, the listener folds the sink's counters into
+// its own snapshot.
 type runtimeStatser interface {
 	RuntimeStats() gsql.RuntimeStats
 }
@@ -38,14 +36,10 @@ type Config struct {
 	// Sink receives frames (as batches) and heartbeats. Required.
 	Sink Sink
 	// Queue is the intake queue capacity in frames (default 64). Readers
-	// enqueue decoded frames here; the pump applies them to the sink.
+	// enqueue decoded frames here; the pump applies them to the sink. A
+	// reader finding it full blocks: backpressure through TCP flow control
+	// all the way to the client.
 	Queue int
-	// Overload selects what a reader does when the intake queue is full:
-	// OverloadBlock (default) blocks the reader — backpressure through TCP
-	// flow control all the way to the client; OverloadDropNewest sheds the
-	// frame, counts it in TuplesShed/BatchesShed, and acknowledges it so
-	// the client does not stall or resend intentionally-dropped data.
-	Overload gsql.OverloadPolicy
 	// MaxFrame bounds accepted frame bodies (default DefaultMaxFrame).
 	MaxFrame int
 	// DeadLetters is the capacity of the quarantine ring (default 32).
@@ -110,7 +104,7 @@ type DeadLetter struct {
 type session struct {
 	id      uint64
 	nextSeq atomic.Uint64 // next sequence number a reader will accept
-	applied atomic.Uint64 // highest sequence applied (or shed) by the pump
+	applied atomic.Uint64 // highest sequence applied by the pump
 }
 
 // item is one unit of intake-queue work.
@@ -209,17 +203,8 @@ type Listener struct {
 	heartbeatsSynth atomic.Uint64
 	tuplesIn        atomic.Uint64
 	tuplesRejected  atomic.Uint64
-	tuplesShed      atomic.Uint64
-	batchesShed     atomic.Uint64
 	pumpStopped     atomic.Bool
 	failed          atomic.Bool // set with err; the pump's stop signal
-
-	// frameGaps tracks the decayed distribution of wall-clock gaps between
-	// applied data frames — a forward-decay reservoir watching the feed's
-	// own health.
-	frameGaps *metrics.Reservoir
-	lastFrame time.Time
-	gapMu     sync.Mutex
 }
 
 // SplitAddr parses "unix:/path" or "[tcp:]host:port" into a (network,
@@ -257,13 +242,12 @@ func Listen(network, address string, cfg Config) (*Listener, error) {
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
 	l := &Listener{
-		cfg:       cfg,
-		nl:        nl,
-		queue:     make(chan item, cfg.Queue),
-		pumped:    make(chan struct{}),
-		conns:     make(map[*serverConn]struct{}),
-		sessions:  make(map[uint64]*session),
-		frameGaps: metrics.NewReservoir(256, 30*time.Second),
+		cfg:      cfg,
+		nl:       nl,
+		queue:    make(chan item, cfg.Queue),
+		pumped:   make(chan struct{}),
+		conns:    make(map[*serverConn]struct{}),
+		sessions: make(map[uint64]*session),
 	}
 	for id, applied := range cfg.Sessions {
 		s := &session{id: id}
@@ -349,8 +333,6 @@ func (l *Listener) RuntimeStats() gsql.RuntimeStats {
 	s.Reconnects = l.reconnects.Load()
 	s.HeartbeatsSynthesized = l.heartbeatsSynth.Load()
 	s.TuplesRejected = l.tuplesRejected.Load()
-	s.TuplesShed += l.tuplesShed.Load()
-	s.BatchesShed += l.batchesShed.Load()
 	if s.TuplesIn == 0 {
 		s.TuplesIn = l.tuplesIn.Load()
 	}
@@ -361,25 +343,6 @@ func (l *Listener) deadTotal() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.deadN
-}
-
-// FrameGapSnapshot returns the decayed distribution of wall-clock gaps (in
-// seconds) between applied data frames — recent silence dominates, old
-// silence fades, per the paper's own decay model.
-func (l *Listener) FrameGapSnapshot() metrics.Snapshot { return l.frameGaps.Snapshot() }
-
-// observeGap feeds the inter-frame gap reservoir.
-func (l *Listener) observeGap() {
-	now := time.Now()
-	l.gapMu.Lock()
-	if !l.lastFrame.IsZero() {
-		gap := now.Sub(l.lastFrame).Seconds()
-		l.gapMu.Unlock()
-		l.frameGaps.Update(gap)
-		l.gapMu.Lock()
-	}
-	l.lastFrame = now
-	l.gapMu.Unlock()
 }
 
 // acceptLoop admits connections until the net listener closes.
@@ -475,7 +438,7 @@ func (l *Listener) serveConn(sc *serverConn) {
 				return
 			}
 		case FrameHeartbeat:
-			l.enqueue(item{conn: sc, isHB: true, hb: f.TS})
+			l.queue <- item{conn: sc, isHB: true, hb: f.TS}
 		case FrameBye:
 			return
 		case FrameAck:
@@ -517,31 +480,10 @@ func (l *Listener) admitData(sc *serverConn, sess *session, f Frame, remote stri
 			if !sess.nextSeq.CompareAndSwap(next, f.Seq+1) {
 				continue // lost a race; re-evaluate
 			}
-			l.enqueue(item{conn: sc, sess: sess, seq: f.Seq, pkts: f.Packets, sorted: f.Sorted})
+			l.queue <- item{conn: sc, sess: sess, seq: f.Seq, pkts: f.Packets, sorted: f.Sorted}
 			return true
 		}
 	}
-}
-
-// enqueue applies the overload policy at the intake boundary.
-func (l *Listener) enqueue(it item) {
-	if l.cfg.Overload == gsql.OverloadDropNewest && !it.isHB {
-		select {
-		case l.queue <- it:
-		default:
-			// Shed: count it, and ack it so the client neither stalls nor
-			// resends data the policy chose to drop.
-			l.batchesShed.Add(1)
-			l.tuplesShed.Add(uint64(len(it.pkts)))
-			if it.sess != nil {
-				advanceApplied(it.sess, it.seq)
-				it.conn.nudgeAck()
-			}
-			recyclePackets(it.pkts)
-		}
-		return
-	}
-	l.queue <- it
 }
 
 // advanceApplied raises sess.applied to seq (monotonically).
@@ -609,7 +551,6 @@ func (l *Listener) pump() {
 			}
 			return
 		}
-		l.observeGap()
 		if l.cfg.WAL != nil {
 			// Log-before-apply: once this frame is acked the client prunes
 			// it, so the log entry (which carries session and sequence for

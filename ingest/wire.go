@@ -62,7 +62,7 @@ const (
 	FrameHeartbeat FrameType = 3
 	// FrameAck (server→client) acknowledges application: u64 cumulative
 	// sequence number — every data frame up to and including it is durably
-	// applied (or intentionally shed under a drop policy).
+	// applied.
 	FrameAck FrameType = 4
 	// FrameBye announces a clean end of session; no payload.
 	FrameBye FrameType = 5

@@ -234,9 +234,6 @@ func (d *Dec) Unmarshal(u encoding.BinaryUnmarshaler, p []byte) {
 	}
 }
 
-// Off returns the offset of the next read.
-func (d *Dec) Off() int { return d.off }
-
 // Err returns the first failure, or nil.
 func (d *Dec) Err() error {
 	if d.err == nil && d.need != 0 {

@@ -2,8 +2,10 @@ package netgen
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -240,6 +242,25 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
 		t.Error("expected error for empty input")
+	}
+}
+
+// TestReadTraceForgedCountAllocatesNothing: a 12-byte header claiming a
+// million packets, followed by no records, must fail without first
+// allocating room for the records it claims.
+func TestReadTraceForgedCountAllocatesNothing(t *testing.T) {
+	var hdr [12]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], traceMagic)
+	binary.LittleEndian.PutUint64(hdr[4:12], 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadTrace(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("ReadTrace accepted a header with no records")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("ReadTrace allocated %d bytes for a forged count", d)
 	}
 }
 

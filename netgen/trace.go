@@ -63,27 +63,17 @@ func WriteTrace(w io.Writer, pkts []Packet) error {
 	return bw.Flush()
 }
 
-// ReadTrace reads a trace written by WriteTrace.
+// ReadTrace reads a trace written by WriteTrace. It collects through
+// StreamTrace, so the slice grows with the records actually read, never
+// with the count the header claims.
 func ReadTrace(r io.Reader) ([]Packet, error) {
-	br := bufio.NewReader(r)
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("netgen: reading trace header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != traceMagic {
-		return nil, fmt.Errorf("netgen: not a trace file (bad magic)")
-	}
-	n := binary.LittleEndian.Uint64(hdr[4:12])
-	if n > 1<<32 {
-		return nil, fmt.Errorf("netgen: implausible trace length %d", n)
-	}
-	pkts := make([]Packet, 0, n)
-	var rec [PacketRecordSize]byte
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("netgen: reading trace record %d: %w", i, err)
-		}
-		pkts = append(pkts, DecodePacketRecord(rec[:]))
+	var pkts []Packet
+	err := StreamTrace(r, func(p Packet) error {
+		pkts = append(pkts, p)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return pkts, nil
 }

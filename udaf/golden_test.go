@@ -106,8 +106,7 @@ func TestFDGoldenDigest(t *testing.T) {
 	for _, epoch := range []bool{false, true} {
 		var opts gsql.Options
 		if epoch {
-			opts.Epoch = &gsql.EpochConfig{Model: model, Every: 25, TimeColumn: "ftime",
-				Time: func(t gsql.Tuple) (float64, bool) { return t[1].F, true }}
+			opts.Epoch = &gsql.EpochConfig{Model: model, Every: 25, TimeColumn: "ftime"}
 		}
 		for qi, q := range fdGoldenQueries {
 			st, err := e.Prepare(q)
