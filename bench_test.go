@@ -209,6 +209,7 @@ func BenchmarkFig45HeavyHitters(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("SlidingWindow/eps=%g", eps), func(b *testing.B) {
 			h := window.NewHeavyHitters(60, eps)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := pkts[i%len(pkts)]
@@ -238,6 +239,7 @@ func BenchmarkFig4cdSpace(b *testing.B) {
 			b.ReportMetric(float64(size), "bytes")
 		})
 		b.Run(fmt.Sprintf("SlidingWindow/eps=%g", eps), func(b *testing.B) {
+			b.ReportAllocs()
 			var size int
 			for i := 0; i < b.N; i++ {
 				h := window.NewHeavyHitters(60, eps)

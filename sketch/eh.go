@@ -75,6 +75,15 @@ func NewExpHistogram(epsilon float64, window float64) *ExpHistogram {
 	return &ExpHistogram{maxPerClass: int32(m), window: window, nodes: make([]ehNode, 1)}
 }
 
+// Reset empties the histogram, keeping its node pool and class table: it
+// afterwards answers exactly as a new one would.
+func (h *ExpHistogram) Reset() {
+	h.last, h.seq, h.free, h.live = 0, 0, 0, 0
+	h.nodes = h.nodes[:1]
+	h.nodes[0] = ehNode{}
+	h.classes, h.classLo = h.classes[:0], 0
+}
+
 // Window returns the expiry horizon (0 for unbounded).
 func (h *ExpHistogram) Window() float64 { return h.window }
 
@@ -125,8 +134,16 @@ func (h *ExpHistogram) classAt(c int) *ehClass {
 		h.classLo = c
 	}
 	if c < h.classLo {
-		grown := make([]ehClass, len(h.classes)+h.classLo-c)
-		copy(grown[h.classLo-c:], h.classes)
+		// Shift the table up to make room below, in place when its
+		// capacity allows (a Reset table keeps it).
+		n, grown := len(h.classes), h.classes
+		if want := n + h.classLo - c; want <= cap(grown) {
+			grown = grown[:want]
+		} else {
+			grown = make([]ehClass, want)
+		}
+		copy(grown[h.classLo-c:], h.classes[:n])
+		clear(grown[:h.classLo-c])
 		h.classes, h.classLo = grown, c
 	}
 	for c-h.classLo >= len(h.classes) {

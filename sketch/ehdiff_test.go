@@ -355,3 +355,52 @@ func TestExpHistogramInsertCostIndependentOfSize(t *testing.T) {
 		t.Errorf("insert with %d buckets costs %.1f ns, %.1fx the %.1f ns with %d: not O(1)", nLarge, large, large/small, small, nSmall)
 	}
 }
+
+// TestExpHistogramResetIsFresh: a histogram reset after one tape and fed a
+// second answers bit for bit as a new one fed the second — window and
+// decayed sums, counts and Len at sampled points, structure intact — and
+// a reset histogram fed a tape it has held before never allocates: the
+// node pool and the class table (grown downwards in place) are kept.
+func TestExpHistogramResetIsFresh(t *testing.T) {
+	f := decay.NewAgeExp(0.05)
+	for wi, wk := range ehWeightKinds {
+		first := ehTape(uint64(200+wi), 20_000, 400, 0, wk.draw)
+		second := ehTape(uint64(300+wi), 20_000, 400, 21, wk.draw)
+		used := NewExpHistogram(0.05, 10)
+		for _, it := range first {
+			used.Insert(it.ts, it.v)
+		}
+		used.Reset()
+		fresh := NewExpHistogram(0.05, 10)
+		for i, it := range second {
+			used.Insert(it.ts, it.v)
+			fresh.Insert(it.ts, it.v)
+			if i%997 != 0 {
+				continue
+			}
+			checkEHStructure(t, used)
+			now := it.ts + 0.5
+			for _, pair := range [][2]float64{
+				{used.WindowSum(now), fresh.WindowSum(now)},
+				{used.WindowCount(now), fresh.WindowCount(now)},
+				{used.DecayedSum(f, now), fresh.DecayedSum(f, now)},
+				{float64(used.Len()), float64(fresh.Len())},
+			} {
+				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+					t.Fatalf("%s: insert %d: reset histogram reads %v, fresh %v", wk.name, i, pair[0], pair[1])
+				}
+			}
+		}
+		if testing.Short() {
+			continue
+		}
+		if avg := testing.AllocsPerRun(3, func() {
+			used.Reset()
+			for _, it := range second {
+				used.Insert(it.ts, it.v)
+			}
+		}); avg != 0 {
+			t.Errorf("%s: a reset histogram allocates %.1f objects refilling a tape it held", wk.name, avg)
+		}
+	}
+}

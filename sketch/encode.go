@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -144,19 +145,27 @@ func (s *KMV) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the summary.
+// MarshalBinary encodes the summary, counters in ascending key order so
+// that equal summaries encode alike.
 func (m *MisraGries) MarshalBinary() ([]byte, error) {
 	b := codec.AppendU64([]byte{tagMisraGries}, uint64(m.k))
 	b = codec.AppendF64(b, m.total)
-	b = codec.AppendU64(b, uint64(len(m.counters)))
-	for k2, c := range m.counters {
-		b = codec.AppendU64(b, k2)
-		b = codec.AppendF64(b, c)
+	b = codec.AppendU64(b, uint64(len(m.keys)))
+	order := make([]int32, len(m.keys))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int { return cmp.Compare(m.keys[i], m.keys[j]) })
+	for _, i := range order {
+		b = codec.AppendU64(b, m.keys[i])
+		b = codec.AppendF64(b, m.counts[i])
 	}
 	return b, nil
 }
 
-// UnmarshalBinary decodes a summary produced by MarshalBinary.
+// UnmarshalBinary decodes a summary produced by MarshalBinary. It accepts
+// only what MarshalBinary writes: strictly ascending keys, finite positive
+// counts and a finite total.
 func (m *MisraGries) UnmarshalBinary(b []byte) error {
 	d := codec.NewDec(b, "sketch")
 	d.Tag(tagMisraGries)
@@ -165,19 +174,31 @@ func (m *MisraGries) UnmarshalBinary(b []byte) error {
 		d.Failf("implausible MisraGries k %d", k)
 	}
 	total, n := d.F64(), d.U64()
+	if math.IsNaN(total) || math.IsInf(total, 0) {
+		d.Failf("MisraGries total %v is not finite", total)
+	}
 	if n > k {
 		d.Failf("MisraGries encoding has %d counters for k=%d", n, k)
 	}
 	count := d.Count(n, 16)
-	counters := make(map[uint64]float64, count)
-	for range count {
-		key := d.U64()
-		counters[key] = d.F64()
+	keys, counts := make([]uint64, count), make([]float64, count)
+	for i := range count {
+		keys[i], counts[i] = d.U64(), d.F64()
+		if i > 0 && keys[i] <= keys[i-1] {
+			d.Failf("MisraGries keys out of order at counter %d", i)
+		}
+		// A counter is a positive remainder: Update and Merge drop the
+		// ones they exhaust.
+		if c := counts[i]; !(c > 0) || math.IsInf(c, 0) {
+			d.Failf("MisraGries count %v is not finite and positive", c)
+		}
 	}
 	if err := d.Done(); err != nil {
 		return err
 	}
-	m.k, m.total, m.counters = int(k), total, counters
+	m.k, m.total, m.keys, m.counts = int(k), total, keys, counts
+	m.idx.init(len(keys)) // sized from the counters present, never from k
+	m.reindex()
 	return nil
 }
 

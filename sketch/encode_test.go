@@ -176,6 +176,78 @@ func TestMisraGriesRoundTrip(t *testing.T) {
 	}
 }
 
+// mgEncoding builds a MisraGries encoding by hand: k, total, then the
+// given key/count pairs in the order given.
+func mgEncoding(k uint64, total float64, pairs ...[2]float64) []byte {
+	b := codec.AppendU64([]byte{tagMisraGries}, k)
+	b = codec.AppendU64(codec.AppendF64(b, total), uint64(len(pairs)))
+	for _, p := range pairs {
+		b = codec.AppendF64(codec.AppendU64(b, uint64(p[0])), p[1])
+	}
+	return b
+}
+
+// TestMisraGriesEncodingCanonical: the encoding lists counters in ascending
+// key order, so summaries holding the same counters encode to the same
+// bytes whatever order they were built in, and a decode re-encodes exactly.
+func TestMisraGriesEncodingCanonical(t *testing.T) {
+	a, b := NewMisraGries(64), NewMisraGries(64)
+	for i := uint64(0); i < 50; i++ {
+		a.Update(i*2654435761, float64(1+i%7))
+	}
+	for i := uint64(50); i > 0; i-- {
+		b.Update((i-1)*2654435761, float64(1+(i-1)%7))
+	}
+	ea, _ := a.MarshalBinary()
+	eb, _ := b.MarshalBinary()
+	if string(ea) != string(eb) {
+		t.Fatal("equal summaries built in different orders encode differently")
+	}
+	var d MisraGries
+	if err := d.UnmarshalBinary(ea); err != nil {
+		t.Fatal(err)
+	}
+	if ed, _ := d.MarshalBinary(); string(ed) != string(ea) {
+		t.Fatal("decoded summary re-encodes differently")
+	}
+	m := NewMisraGries(3)
+	m.Update(7, 3)
+	m.Update(2, 2)
+	m.Update(1, 1)
+	want := mgEncoding(3, 6, [2]float64{1, 1}, [2]float64{2, 2}, [2]float64{7, 3})
+	if got, _ := m.MarshalBinary(); string(got) != string(want) {
+		t.Errorf("encoding %x, want %x", got, want)
+	}
+}
+
+// TestMisraGriesDecodeRejects: the decoder takes only what MarshalBinary
+// writes — strictly ascending keys, finite positive counts, a finite total.
+func TestMisraGriesDecodeRejects(t *testing.T) {
+	for name, b := range map[string][]byte{
+		"duplicate key":  mgEncoding(4, 3, [2]float64{5, 1}, [2]float64{5, 2}),
+		"descending key": mgEncoding(4, 3, [2]float64{6, 1}, [2]float64{5, 2}),
+		"NaN count":      mgEncoding(4, 3, [2]float64{5, math.NaN()}),
+		"+Inf count":     mgEncoding(4, 3, [2]float64{5, math.Inf(1)}),
+		"-Inf count":     mgEncoding(4, 3, [2]float64{5, math.Inf(-1)}),
+		"zero count":     mgEncoding(4, 3, [2]float64{5, 0}),
+		"negative count": mgEncoding(4, 3, [2]float64{5, -1}),
+		"NaN total":      mgEncoding(4, math.NaN(), [2]float64{5, 1}),
+		"+Inf total":     mgEncoding(4, math.Inf(1)),
+		"too many":       mgEncoding(1, 3, [2]float64{5, 1}, [2]float64{6, 2}),
+	} {
+		var m MisraGries
+		if err := m.UnmarshalBinary(b); err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if _, ok := err.(*codec.Error); !ok {
+			t.Errorf("%s: error %T, want *codec.Error", name, err)
+		}
+	}
+	var m MisraGries
+	if err := m.UnmarshalBinary(mgEncoding(4, 3, [2]float64{5, 1}, [2]float64{6, 2})); err != nil {
+		t.Errorf("well-formed encoding refused: %v", err)
+	}
+}
+
 func TestDominanceRoundTrip(t *testing.T) {
 	rng := core.NewRNG(104)
 	s := NewDominance(128, 1.1, 256)
@@ -260,10 +332,11 @@ func TestEncodingsRejectGarbage(t *testing.T) {
 // TestDecodersKeepNoInput: every summary decodes into state of its own —
 // overwriting the input afterwards changes nothing the summary encodes.
 func TestDecodersKeepNoInput(t *testing.T) {
-	ss, kmv, dom := NewSpaceSavingK(8), NewKMV(16), NewDominance(16, 2, 8)
+	ss, kmv, dom, mg := NewSpaceSavingK(8), NewKMV(16), NewDominance(16, 2, 8), NewMisraGries(8)
 	for i := uint64(0); i < 40; i++ {
 		ss.Update(i%11, float64(1+i%3))
 		kmv.Insert(i * 2654435761)
+		mg.Update(i%11, float64(1+i%3))
 	}
 	dom.Update(5, 1) // one level: the level map's order cannot vary
 	for name, pair := range map[string][2]interface {
@@ -271,6 +344,7 @@ func TestDecodersKeepNoInput(t *testing.T) {
 		UnmarshalBinary([]byte) error
 	}{
 		"spacesaving": {ss, &SpaceSaving{}}, "kmv": {kmv, &KMV{}}, "dominance": {dom, &Dominance{}},
+		"misragries": {mg, &MisraGries{}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			enc, err := pair[0].MarshalBinary()

@@ -1,9 +1,12 @@
 package sketch_test
 
 import (
+	"bytes"
 	"encoding"
+	"math"
 	"testing"
 
+	"forwarddecay/internal/codec"
 	"forwarddecay/internal/codec/codectest"
 	"forwarddecay/sketch"
 )
@@ -24,7 +27,8 @@ func sketchDecoders() map[string]encoding.BinaryUnmarshaler {
 // FuzzSketchDecode drives every sketch decoder with arbitrary bytes. The
 // contract under test: malformed input returns an error — it never panics
 // (slice bounds, division by zero) and never allocates proportionally to a
-// forged length field rather than to the actual input size.
+// forged length field rather than to the actual input size — and an
+// accepted Misra–Gries input re-encodes to the identical bytes.
 func FuzzSketchDecode(f *testing.F) {
 	f.Add([]byte{})
 	// Seed with valid encodings of populated sketches so the mutator
@@ -73,6 +77,20 @@ func FuzzSketchDecode(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// Misra–Gries encodings the decoder must refuse: a duplicate key, a NaN
+	// count, a negative count.
+	for _, pairs := range [][][2]float64{
+		{{3, 1}, {3, 2}},
+		{{3, math.NaN()}},
+		{{3, -1}},
+	} {
+		b := codec.AppendU64([]byte{0x54}, 16)
+		b = codec.AppendU64(codec.AppendF64(b, 3), uint64(len(pairs)))
+		for _, p := range pairs {
+			b = codec.AppendF64(codec.AppendU64(b, uint64(p[0])), p[1])
+		}
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for name, dec := range sketchDecoders() {
 			var err error
@@ -93,6 +111,11 @@ func FuzzSketchDecode(f *testing.F) {
 				s.Estimate()
 			case *sketch.MisraGries:
 				s.Estimate(1)
+				// The codec is canonical: what it accepts re-encodes to
+				// the same bytes.
+				if b, err := s.MarshalBinary(); err != nil || !bytes.Equal(b, data) {
+					t.Fatalf("misragries: accepted %x re-encodes as %x (%v)", data, b, err)
+				}
 			case *sketch.Dominance:
 				s.Estimate()
 			default:

@@ -459,10 +459,11 @@ func (s *SpaceSaving) rebuildIndex() {
 // with backward-shift deletion so probe chains stay dense without
 // tombstones. At four slots per counter the load factor never exceeds ~1/4,
 // keeping probes short on the eviction-heavy path where every miss costs a
-// delete plus an insert.
+// delete plus an insert. A slot holds its entry index plus one, so a zeroed
+// table is an empty one and clear is a memory clear.
 type ssIndex struct {
 	keys []uint64
-	vals []int32 // entry index, or -1 for an empty slot
+	vals []int32 // entry index + 1, or 0 for an empty slot
 	mask uint64
 }
 
@@ -479,7 +480,6 @@ func (t *ssIndex) init(k int) {
 	t.keys = make([]uint64, n)
 	t.vals = make([]int32, n)
 	t.mask = uint64(n - 1)
-	t.clear()
 }
 
 // grow doubles the table and reinserts every key.
@@ -488,19 +488,32 @@ func (t *ssIndex) grow() {
 	t.keys = make([]uint64, 2*len(keys))
 	t.vals = make([]int32, 2*len(vals))
 	t.mask = uint64(len(t.vals) - 1)
-	t.clear()
 	for i, v := range vals {
-		if v >= 0 {
-			t.put(keys[i], v)
+		if v != 0 {
+			t.put(keys[i], v-1)
 		}
 	}
 }
 
-func (t *ssIndex) clear() {
-	for i := range t.vals {
-		t.vals[i] = -1
+func (t *ssIndex) clear() { clear(t.vals) }
+
+// slot returns the slot holding key, or else the empty slot where put
+// would place it; at reads a found slot's entry index, set fills an empty
+// one.
+func (t *ssIndex) slot(key uint64) (i uint64, found bool) {
+	i = ssHash(key) & t.mask
+	for t.vals[i] != 0 {
+		if t.keys[i] == key {
+			return i, true
+		}
+		i = (i + 1) & t.mask
 	}
+	return i, false
 }
+
+func (t *ssIndex) at(i uint64) int32 { return t.vals[i] - 1 }
+
+func (t *ssIndex) set(i uint64, key uint64, val int32) { t.keys[i], t.vals[i] = key, val+1 }
 
 func (t *ssIndex) clone(o *ssIndex) {
 	t.keys = append([]uint64(nil), o.keys...)
@@ -520,11 +533,11 @@ func (t *ssIndex) get(key uint64) (int32, bool) {
 	i := ssHash(key) & t.mask
 	for {
 		v := t.vals[i]
-		if v < 0 {
+		if v == 0 {
 			return 0, false
 		}
 		if t.keys[i] == key {
-			return v, true
+			return v - 1, true
 		}
 		i = (i + 1) & t.mask
 	}
@@ -532,21 +545,21 @@ func (t *ssIndex) get(key uint64) (int32, bool) {
 
 func (t *ssIndex) put(key uint64, val int32) {
 	i := ssHash(key) & t.mask
-	for t.vals[i] >= 0 {
+	for t.vals[i] != 0 {
 		if t.keys[i] == key {
-			t.vals[i] = val
+			t.vals[i] = val + 1
 			return
 		}
 		i = (i + 1) & t.mask
 	}
 	t.keys[i] = key
-	t.vals[i] = val
+	t.vals[i] = val + 1
 }
 
 func (t *ssIndex) del(key uint64) {
 	i := ssHash(key) & t.mask
 	for {
-		if t.vals[i] < 0 {
+		if t.vals[i] == 0 {
 			return
 		}
 		if t.keys[i] == key {
@@ -559,7 +572,7 @@ func (t *ssIndex) del(key uint64) {
 	j := i
 	for {
 		j = (j + 1) & t.mask
-		if t.vals[j] < 0 {
+		if t.vals[j] == 0 {
 			break
 		}
 		h := ssHash(t.keys[j]) & t.mask
@@ -568,5 +581,5 @@ func (t *ssIndex) del(key uint64) {
 			i = j
 		}
 	}
-	t.vals[i] = -1
+	t.vals[i] = 0
 }

@@ -33,9 +33,11 @@
 package udaf
 
 import (
+	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"forwarddecay/decay"
@@ -169,14 +171,40 @@ func eachRow(n int, f func(i int)) error {
 	return nil
 }
 
-// renderSample joins sampled values compactly.
+// renderSample joins the sampled values' renderings, in ascending string
+// order, into one string.
 func renderSample(items []gsql.Value) gsql.Value {
-	parts := make([]string, len(items))
+	b := make([]byte, 0, 8*len(items))
+	spans := make([][2]int, len(items))
 	for i, v := range items {
-		parts[i] = v.String()
+		spans[i][0] = len(b)
+		b = appendValue(b, v)
+		spans[i][1] = len(b)
 	}
-	sort.Strings(parts)
-	return gsql.Str(strings.Join(parts, ","))
+	slices.SortFunc(spans, func(x, y [2]int) int { return bytes.Compare(b[x[0]:x[1]], b[y[0]:y[1]]) })
+	var sb strings.Builder
+	sb.Grow(len(b) + len(items))
+	for i, sp := range spans {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.Write(b[sp[0]:sp[1]])
+	}
+	return gsql.Str(sb.String())
+}
+
+// appendValue appends v's String rendering.
+func appendValue(b []byte, v gsql.Value) []byte {
+	switch v.T {
+	case gsql.TInt:
+		return strconv.AppendInt(b, v.I, 10)
+	case gsql.TFloat:
+		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
+	case gsql.TString:
+		return append(b, v.S...)
+	default:
+		return append(b, v.String()...)
+	}
 }
 
 // renderWeighted renders a weighted sample's items.
@@ -188,14 +216,19 @@ func renderWeighted(ws []sample.Weighted[gsql.Value]) gsql.Value {
 	return renderSample(items)
 }
 
-// renderHH renders heavy hitters as "key:count" pairs in decreasing count
-// order.
+// renderHH renders heavy hitters as "key:count" pairs (the count as
+// fmt's %.6g writes it) in the given order, into one string.
 func renderHH(items []sketch.ItemCount) gsql.Value {
-	parts := make([]string, len(items))
+	b := make([]byte, 0, 20*len(items))
 	for i, ic := range items {
-		parts[i] = fmt.Sprintf("%d:%.6g", ic.Key, ic.Count)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, ic.Key, 10)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, ic.Count, 'g', 6, 64)
 	}
-	return gsql.Str(strings.Join(parts, ","))
+	return gsql.Str(string(b))
 }
 
 type prisampAgg struct {
@@ -290,6 +323,10 @@ func (a *swhhAgg) StepCols(c *gsql.Cols) error {
 
 func (a *swhhAgg) Final() gsql.Value { return renderHH(a.s.Query(a.last, a.phi)) }
 
+// Reset empties the aggregator for the run to recycle, keeping the
+// structure's arenas and tables.
+func (a *swhhAgg) Reset() { a.s.Reset(); a.lastTS = lastTS{} }
+
 type ehsumAgg struct {
 	s *sketch.ExpHistogram
 	f decay.AgeFunc
@@ -302,6 +339,10 @@ func (a *ehsumAgg) StepCols(c *gsql.Cols) error {
 }
 
 func (a *ehsumAgg) Final() gsql.Value { return gsql.Float(a.s.DecayedSum(a.f, a.last)) }
+
+// Reset empties the aggregator for the run to recycle, keeping the
+// histogram's node pool and class table.
+func (a *ehsumAgg) Reset() { a.s.Reset(); a.lastTS = lastTS{} }
 
 type fdquantAgg struct {
 	s   *sketch.QDigest

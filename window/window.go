@@ -13,9 +13,10 @@
 //   - HeavyHitters: sliding-window heavy hitters over a hierarchy of dyadic
 //     time blocks, each summarized by a Misra–Gries sketch (in the style of
 //     Arasu and Manku; see DESIGN.md for the substitution note). Every
-//     arrival updates one block per level — ⌈log₂ 1/ε⌉+1 Misra–Gries map
-//     updates, which is where its time goes, against a single SpaceSaving
-//     update — and queries combine blocks, reproducing the cost gap of
+//     arrival updates the newest block of each level — ⌈log₂ 1/ε⌉+1
+//     Misra–Gries updates, which is where its time goes, against a single
+//     SpaceSaving update — closed blocks are frozen into flat per-level
+//     arenas, and queries combine blocks, reproducing the cost gap of
 //     Figures 4 and 5.
 //
 //   - HeavyHitters.DecayedQuery: heavy hitters under an arbitrary backward
