@@ -52,9 +52,6 @@ func (c *Counter) Value(t float64) float64 {
 	return c.c.Value(c.model.LogNormalizer(t))
 }
 
-// N returns the raw number of Observe calls (undecayed), for diagnostics.
-func (c *Counter) N() uint64 { return c.n }
-
 // Merge folds another counter over the same decay model into this one.
 func (c *Counter) Merge(o *Counter) error {
 	if !sameModel(c.model, o.model) {

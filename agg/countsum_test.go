@@ -43,8 +43,8 @@ func TestExample2CountSumAverage(t *testing.T) {
 	if got, want := s.Mean(), 9.67/1.63; !almostEq(got, want, 1e-12) {
 		t.Errorf("A = %v, want %v", got, want)
 	}
-	if s.N() != 5 {
-		t.Errorf("N = %d", s.N())
+	if s.n != 5 {
+		t.Errorf("N = %d", s.n)
 	}
 }
 
@@ -198,8 +198,8 @@ func TestMergeEqualsSingleStream(t *testing.T) {
 	if !almostEq(whole.Mean(), merged.Mean(), 1e-9) {
 		t.Errorf("merged mean %v != %v", merged.Mean(), whole.Mean())
 	}
-	if whole.N() != merged.N() {
-		t.Errorf("merged N %d != %d", merged.N(), whole.N())
+	if whole.n != merged.n {
+		t.Errorf("merged N %d != %d", merged.n, whole.n)
 	}
 }
 
@@ -291,7 +291,7 @@ func TestEmptyAggregates(t *testing.T) {
 	}
 	c.ObserveN(5, 0)  // ignored
 	c.ObserveN(5, -1) // ignored
-	if c.Value(10) != 0 || c.N() != 0 {
+	if c.Value(10) != 0 || c.n != 0 {
 		t.Errorf("non-positive ObserveN must be ignored")
 	}
 }

@@ -15,7 +15,7 @@ func TestModelAccessors(t *testing.T) {
 	if NewHeavyHittersK(m, 4).Model() != m || NewQuantiles(m, 16, 0.1).Model() != m {
 		t.Error("HeavyHitters/Quantiles Model() mismatch")
 	}
-	if NewDistinctExact(m).Model() != m || NewDistinct(m, 8, 2, 4).Model() != m {
+	if NewDistinctExact(m).Model() != m || NewDistinct(m, 8, 2, 4).model != m {
 		t.Error("Distinct Model() mismatch")
 	}
 }

@@ -55,9 +55,6 @@ func (d *DistinctExact) Value(t float64) float64 {
 	return s.Value()
 }
 
-// Keys returns the number of distinct keys seen (with non-zero weight).
-func (d *DistinctExact) Keys() int { return len(d.maxLW) }
-
 // Merge folds another exact counter over the same model into this one.
 func (d *DistinctExact) Merge(o *DistinctExact) error {
 	if !sameModel(d.model, o.model) {
@@ -91,9 +88,6 @@ func NewDistinct(m decay.Forward, kmvSize int, base float64, maxLevels int) *Dis
 	return &Distinct{model: m, dom: sketch.NewDominance(kmvSize, base, maxLevels)}
 }
 
-// Model returns the decay model.
-func (d *Distinct) Model() decay.Forward { return d.model }
-
 // Observe records one occurrence of key at timestamp ti. Non-finite
 // timestamps are rejected (see Err).
 func (d *Distinct) Observe(key uint64, ti float64) {
@@ -116,6 +110,3 @@ func (d *Distinct) Merge(o *Distinct) error {
 	}
 	return d.dom.Merge(o.dom)
 }
-
-// SizeBytes reports the summary's memory footprint.
-func (d *Distinct) SizeBytes() int { return 16 + d.dom.SizeBytes() }

@@ -34,8 +34,8 @@ func TestCounterRoundTrip(t *testing.T) {
 		if !almostEq(d.Value(tq), c.Value(tq), 1e-12) {
 			t.Errorf("%v: decoded %v, want %v", m.Func, d.Value(tq), c.Value(tq))
 		}
-		if d.N() != c.N() {
-			t.Errorf("%v: N %d != %d", m.Func, d.N(), c.N())
+		if d.n != c.n {
+			t.Errorf("%v: N %d != %d", m.Func, d.n, c.n)
 		}
 		// Decoded aggregates keep working and merging.
 		d.Observe(tq)
@@ -173,7 +173,7 @@ func TestMinMaxRoundTrip(t *testing.T) {
 	if err := emptyMax.UnmarshalBinary(eb); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := emptyMax.Arg(); ok {
+	if emptyMax.e.set {
 		t.Error("decoded empty Max claims a value")
 	}
 }
@@ -197,8 +197,8 @@ func TestDistinctExactRoundTrip(t *testing.T) {
 	if !almostEq(dd.Value(tq), d.Value(tq), 1e-12) {
 		t.Errorf("decoded D %v, want %v", dd.Value(tq), d.Value(tq))
 	}
-	if dd.Keys() != d.Keys() {
-		t.Errorf("decoded keys %d, want %d", dd.Keys(), d.Keys())
+	if len(dd.maxLW) != len(d.maxLW) {
+		t.Errorf("decoded keys %d, want %d", len(dd.maxLW), len(d.maxLW))
 	}
 	if err := dd.Merge(d); err != nil {
 		t.Errorf("merge after decode: %v", err)
@@ -243,8 +243,8 @@ func TestDecodedEmptyAggregates(t *testing.T) {
 	if err := d.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}
-	if d.Value(10) != 0 || d.N() != 0 {
-		t.Errorf("decoded empty counter: %v, %d", d.Value(10), d.N())
+	if d.Value(10) != 0 || d.n != 0 {
+		t.Errorf("decoded empty counter: %v, %d", d.Value(10), d.n)
 	}
 	s := NewSum(m)
 	sb, _ := s.MarshalBinary()

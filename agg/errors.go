@@ -27,21 +27,6 @@ func (e *NonFiniteError) Error() string {
 // predicate applied to every value and timestamp at the ingest boundaries.
 func IsFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// CheckFinite returns a *NonFiniteError for the first non-finite input, or
-// nil. It is the shared boundary check used by gsql tuple posting and
-// distrib observation routing; agg's own Observe paths apply it internally.
-func CheckFinite(aggName string, ti float64, vals ...float64) error {
-	if !IsFinite(ti) {
-		return &NonFiniteError{Agg: aggName, Field: "timestamp", X: ti}
-	}
-	for _, v := range vals {
-		if !IsFinite(v) {
-			return &NonFiniteError{Agg: aggName, Field: "value", X: v}
-		}
-	}
-	return nil
-}
-
 // inputGuard records the first rejected observation. It is embedded by each
 // aggregate; the promoted Err method exposes the sticky error.
 type inputGuard struct{ rejErr error }

@@ -333,8 +333,8 @@ func TestDistinctExactMerge(t *testing.T) {
 	if !almostEq(a.Value(tq), whole.Value(tq), 1e-9) {
 		t.Errorf("merged D %v != single-stream %v", a.Value(tq), whole.Value(tq))
 	}
-	if a.Keys() != whole.Keys() {
-		t.Errorf("merged keys %d != %d", a.Keys(), whole.Keys())
+	if len(a.maxLW) != len(whole.maxLW) {
+		t.Errorf("merged keys %d != %d", len(a.maxLW), len(whole.maxLW))
 	}
 }
 
@@ -358,9 +358,6 @@ func TestDistinctApproxTracksExact(t *testing.T) {
 	e, a := exact.Value(tq), approx.Value(tq)
 	if math.Abs(a-e) > 0.2*e {
 		t.Errorf("approx D = %v, exact %v (off by %v%%)", a, e, 100*math.Abs(a-e)/e)
-	}
-	if approx.SizeBytes() <= 0 {
-		t.Error("SizeBytes must be positive")
 	}
 }
 

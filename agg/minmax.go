@@ -133,10 +133,6 @@ func (m *Max) Observe(ti, v float64) { m.e.observe(ti, v) }
 // Value returns the decayed maximum at query time t, or NaN if empty.
 func (m *Max) Value(t float64) float64 { return m.e.value(t) }
 
-// Arg returns the timestamp and value of the maximizing item; ok is false
-// for an empty aggregate.
-func (m *Max) Arg() (ti, v float64, ok bool) { return m.e.ti, m.e.v, m.e.set }
-
 // Merge folds another Max over the same model into this one.
 func (m *Max) Merge(o *Max) error { return m.e.merge(&o.e) }
 
@@ -151,10 +147,6 @@ func (m *Min) Observe(ti, v float64) { m.e.observe(ti, v) }
 
 // Value returns the decayed minimum at query time t, or NaN if empty.
 func (m *Min) Value(t float64) float64 { return m.e.value(t) }
-
-// Arg returns the timestamp and value of the minimizing item; ok is false
-// for an empty aggregate.
-func (m *Min) Arg() (ti, v float64, ok bool) { return m.e.ti, m.e.v, m.e.set }
 
 // Merge folds another Min over the same model into this one.
 func (m *Min) Merge(o *Min) error { return m.e.merge(&o.e) }

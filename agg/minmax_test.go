@@ -58,13 +58,13 @@ func TestMinMaxSignHandling(t *testing.T) {
 	if got := mx.Value(tq); !almostEq(got, 1.5, 1e-12) {
 		t.Errorf("max = %v, want 1.5 (item (5,3))", got)
 	}
-	if ti, v, ok := mx.Arg(); !ok || ti != 5 || v != 3 {
+	if ti, v, ok := mx.e.ti, mx.e.v, mx.e.set; !ok || ti != 5 || v != 3 {
 		t.Errorf("argmax = (%v,%v,%v), want (5,3,true)", ti, v, ok)
 	}
 	if got := mn.Value(tq); !almostEq(got, -2, 1e-12) {
 		t.Errorf("min = %v, want -2 (item (10,-2))", got)
 	}
-	if ti, v, ok := mn.Arg(); !ok || ti != 10 || v != -2 {
+	if ti, v, ok := mn.e.ti, mn.e.v, mn.e.set; !ok || ti != 10 || v != -2 {
 		t.Errorf("argmin = (%v,%v,%v), want (10,-2,true)", ti, v, ok)
 	}
 }
@@ -103,7 +103,7 @@ func TestMinMaxEmpty(t *testing.T) {
 	if !math.IsNaN(NewMax(m).Value(10)) || !math.IsNaN(NewMin(m).Value(10)) {
 		t.Error("empty min/max must be NaN")
 	}
-	if _, _, ok := NewMax(m).Arg(); ok {
+	if NewMax(m).e.set {
 		t.Error("empty Arg must report ok=false")
 	}
 }
@@ -138,7 +138,7 @@ func TestMinMaxMerge(t *testing.T) {
 	if err := mn.Merge(mn2); err != nil {
 		t.Fatal(err)
 	}
-	if _, v, _ := mn.Arg(); v != -1 {
+	if v := mn.e.v; v != -1 {
 		t.Errorf("merged min arg v = %v, want -1", v)
 	}
 }
@@ -159,7 +159,7 @@ func TestMinMaxNoOverflowLongExpStream(t *testing.T) {
 	if got < math.Exp(-2) || got > 2 {
 		t.Errorf("max = %v, expected within [e^-2, 2]", got)
 	}
-	if ti, _, _ := mx.Arg(); ti < 4990 {
+	if ti := mx.e.ti; ti < 4990 {
 		t.Errorf("argmax at ti=%v, expected a recent item", ti)
 	}
 }

@@ -31,9 +31,6 @@ type RunConfig struct {
 	Seed uint64
 }
 
-// DefaultConfig is the full-scale deterministic configuration.
-func DefaultConfig() RunConfig { return RunConfig{Scale: 1, Seed: 20090329} }
-
 // packets returns n scaled by the config, with a floor to keep tiny scales
 // meaningful.
 func (c RunConfig) packets(n int) int {

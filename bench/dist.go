@@ -46,9 +46,12 @@ func runDist(cfg RunConfig) []Table {
 			panic(err)
 		}
 		for _, p := range pkts {
-			cl.Observe(int(p.FlowKey()), distrib.Observation{
+			site := int(p.FlowKey() % uint64(sites))
+			if err := cl.Observe(site, distrib.Observation{
 				Key: p.DestKey(), Value: float64(p.Len), Time: p.Time,
-			})
+			}); err != nil {
+				panic(err)
+			}
 		}
 		start := time.Now()
 		snap, err := cl.Snapshot()

@@ -1,11 +1,14 @@
 #!/bin/sh
-# CI check: build, vet, tests, the race detector over the concurrent code
-# (the listener, the query service, the distributed tier, the shard workers
-# and drain barrier of the stand-alone sharded gsql runtime, which has no
-# checkpoint or epoch path, and the fault-injection suites), a short fuzz smoke
-# over every decoder and the query planner and row paths, and two ratio gates
-# over the multi-query runtime (scaling and churn). The gates compare costs
-# measured in one process, never an absolute time against a snapshot.
+# CI check: build, vet, tests (among them the link census,
+# internal/linkcensus: every non-test function is linked into a program or
+# allowlisted with the test that checks it), the race detector over the
+# concurrent code (the listener, the query service, the distributed tier,
+# the shard workers and drain barrier of the stand-alone sharded gsql
+# runtime, which has no checkpoint or epoch path, and the fault-injection
+# suites), a short fuzz smoke over every decoder and the query planner and
+# row paths, and two ratio gates over the multi-query runtime (scaling and
+# churn). The gates compare costs measured in one process, never an absolute
+# time against a snapshot.
 set -eux
 
 go build ./...
@@ -33,12 +36,12 @@ go test -run Soak -short -count=1 ./gsql/
 
 # Site-churn chaos soak over the elastic distributed tier, short mode: a
 # simulated two-day keyed stream with crashes, rejoins-from-log, joins,
-# retirements and mid-handoff/mid-roll faults must stay bit-for-bit with a
+# retirements and mid-handoff faults must stay bit-for-bit with a
 # fault-free static-roster oracle (the four-day tape runs without -short).
 # The churn and fault suites also get a dedicated -race pass because the
-# handoff/roll protocols are where the locking is subtle.
+# handoff protocol is where the locking is subtle.
 go test -run Soak -short -count=1 ./distrib/
-go test -race -run 'Churn|Crash|Handoff|Roll|Fault' -short -count=1 ./distrib/
+go test -race -run 'Churn|Crash|Handoff|Fault' -short -count=1 ./distrib/
 
 # Supervised query service: the crash/resume, shedding, breaker and wedge
 # drills get a dedicated -race pass — the supervisor's lock-passing pump
@@ -118,8 +121,8 @@ go run ./cmd/fdbench -queries 1,10,100,1000 -scale-tuples 100000 -max-ratio 2.0 
 # Incremental-rebuild gate: attaching or detaching one query while 1000 are
 # standing must cost a small constant multiple of the same mutation on a
 # 10-query catalog — O(query), never O(catalog). A runtime that recompiled
-# its predicate classes or re-interned the shared expression slots per
-# mutation would cost ~100x at the 1000-query point (sweeps read 0.8-0.95x).
+# its predicate classes or rebuilt its shared key tables per mutation would
+# cost ~100x at the 1000-query point (sweeps read 0.8-0.95x).
 # 3x absorbs map-occupancy noise on a small shared machine while staying far
 # below any recompile.
 go run ./cmd/fdbench -churn 10,1000 -churn-pairs 200 -churn-max-ratio 3.0 > /dev/null

@@ -11,20 +11,16 @@
 // assigns partitions to sites, and every site keeps its aggregates per
 // partition — so when the roster changes, only the partitions whose owner
 // moved are handed off: the source quiesces, cuts a versioned, integrity-
-// hashed state slice per partition, and the destination installs it,
-// rebasing with an exact ShiftLandmark when the slice was cut in an older
-// epoch. Because forward-decay state is mergeable and (for exponential
-// decay) landmark-shiftable without approximation, a handoff is
-// bit-identical to never having moved the partition at all.
+// hashed state slice per partition, and the destination installs it.
+// Because forward-decay state is mergeable, a handoff is bit-identical to
+// never having moved the partition at all. The landmark is fixed at
+// Config.Model for the cluster's life.
 //
 // Ring-routed observations are appended to a segmented, checksummed
 // write-ahead log before delivery, with per-partition sequence numbers. A
 // crashed site therefore loses nothing acknowledged: its replacement
 // rebuilds from the last checkpoint slice plus a replay of the records
-// after the slice's watermark. Epoch rollovers run the same two-phase
-// propose/commit protocol as before, but tolerate mid-roll churn: a site
-// that fails its proposal is quarantined and the round re-proposed to the
-// survivors, so the cluster always converges to a single landmark.
+// after the slice's watermark.
 //
 // Each site runs in its own goroutine, owns its aggregates exclusively, and
 // ships *serialized* partial state to the coordinator on demand, modelling
@@ -76,6 +72,20 @@ func (e *BadObservationError) Error() string {
 	return fmt.Sprintf("distrib: non-finite observation %s %v rejected", e.Field, e.X)
 }
 
+// LandmarkError reports a state slice stamped with a landmark other than
+// the cluster's. Every slice is cut in-process under Config.Model, whose
+// landmark never moves, so this is a corrupt slice.
+type LandmarkError struct {
+	// Part is the slice's partition.
+	Part uint32
+	// Slice and Cluster are the slice's and the cluster's landmarks.
+	Slice, Cluster float64
+}
+
+func (e *LandmarkError) Error() string {
+	return fmt.Sprintf("distrib: partition %d slice is in the landmark-%v frame, cluster is at %v", e.Part, e.Slice, e.Cluster)
+}
+
 // RouteError reports an observation that could not be routed: an explicit
 // site target that is not in the live roster, or a keyed route to a downed
 // site with no write-ahead log to absorb it. (Explicit out-of-range targets
@@ -98,7 +108,8 @@ type Config struct {
 	// Sites join and leave the live cluster through AddSite / RemoveSite.
 	Sites int
 	// Model is the shared forward decay model; all sites must agree on the
-	// function and landmark for their summaries to merge.
+	// function and landmark for their summaries to merge. The landmark stays
+	// fixed for the cluster's life.
 	Model decay.Forward
 	// HHK enables per-partition heavy-hitter summaries with HHK counters
 	// when positive.
@@ -132,7 +143,7 @@ type Config struct {
 
 	// SnapshotTimeout bounds how long Snapshot waits for any single site's
 	// reply (per attempt) before treating the site as failed; default 2s.
-	// The same budget bounds epoch proposals and handoff cuts.
+	// The same budget bounds handoff cuts and installs.
 	SnapshotTimeout time.Duration
 	// SnapshotRetries is how many additional attempts a failed site gets
 	// before Snapshot gives up on it; default 1.
@@ -173,19 +184,6 @@ type siteAnswer struct {
 	err   error
 }
 
-// siteEpochReq is one leg of the two-phase epoch rollover. The site drains
-// its queue, validates the shift, and answers prepared; it then pauses —
-// ingesting nothing — until the coordinator's commit/abort decision, so no
-// observation is ever aggregated while the cluster's sites straddle two
-// landmarks. All three channels are buffered so neither side can deadlock
-// the other on a timeout.
-type siteEpochReq struct {
-	newL     float64
-	prepared chan error
-	commit   chan bool
-	done     chan error
-}
-
 // handoffReq asks a site to quiesce and cut the named partitions (nil =
 // everything it holds) out of its state.
 type handoffReq struct {
@@ -194,7 +192,7 @@ type handoffReq struct {
 }
 
 // installReq ships serialized partition slices into a running site, which
-// decodes, rebases onto its own epoch if needed, and merges-or-installs.
+// decodes and merges-or-installs.
 type installReq struct {
 	slices map[uint32][]byte
 	reply  chan error
@@ -202,14 +200,13 @@ type installReq struct {
 
 // site is one ingestion worker.
 type site struct {
-	id    int
-	in    chan route
-	snap  chan chan siteAnswer
-	epoch chan *siteEpochReq
-	cut   chan *handoffReq
-	inst  chan *installReq
-	kill  chan struct{}
-	done  chan struct{}
+	id   int
+	in   chan route
+	snap chan chan siteAnswer
+	cut  chan *handoffReq
+	inst chan *installReq
+	kill chan struct{}
+	done chan struct{}
 }
 
 // ckptEntry is one partition's latest checkpointed slice and its log
@@ -229,12 +226,11 @@ type Cluster struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// opMu serializes coordinator operations (Snapshot, RollEpoch,
-	// Checkpoint, membership changes) and guards model and ckpt: a snapshot
-	// can never observe the cluster mid-rollover or mid-handoff.
-	opMu  sync.Mutex
-	model decay.Forward
-	ckpt  map[uint32]ckptEntry
+	// opMu serializes coordinator operations (Snapshot, Checkpoint,
+	// membership changes) and guards ckpt: a snapshot can never observe the
+	// cluster mid-handoff.
+	opMu sync.Mutex
+	ckpt map[uint32]ckptEntry
 
 	// routeMu guards the ring, the roster, and the write-ahead log, and —
 	// critically — is held across append+deliver, so per-partition log
@@ -282,7 +278,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:     cfg,
-		model:   cfg.Model,
 		ckpt:    map[uint32]ckptEntry{},
 		ring:    NewRing(cfg.RingSeed, cfg.VNodes),
 		roster:  map[int]*site{},
@@ -300,47 +295,46 @@ func New(cfg Config) (*Cluster, error) {
 		id := c.nextID
 		c.nextID++
 		c.ring.Add(id)
-		c.roster[id] = c.startSite(id, c.model, nil)
+		c.roster[id] = c.startSite(id, nil)
 	}
 	return c, nil
 }
 
 // startSite spawns a site goroutine with initial per-partition state.
-func (c *Cluster) startSite(id int, m decay.Forward, init map[uint32]*partState) *site {
+func (c *Cluster) startSite(id int, init map[uint32]*partState) *site {
 	s := &site{
-		id:    id,
-		in:    make(chan route, c.cfg.Buffer),
-		snap:  make(chan chan siteAnswer),
-		epoch: make(chan *siteEpochReq),
-		cut:   make(chan *handoffReq),
-		inst:  make(chan *installReq),
-		kill:  make(chan struct{}),
-		done:  make(chan struct{}),
+		id:   id,
+		in:   make(chan route, c.cfg.Buffer),
+		snap: make(chan chan siteAnswer),
+		cut:  make(chan *handoffReq),
+		inst: make(chan *installReq),
+		kill: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	if init == nil {
 		init = map[uint32]*partState{}
 	}
 	c.wg.Add(1)
-	go c.runSite(s, m, init)
+	go c.runSite(s, init)
 	return s
 }
 
 // runSite is the per-site event loop: it owns its per-partition aggregates
 // exclusively, so no locking is needed on the hot path.
-func (c *Cluster) runSite(s *site, model decay.Forward, parts map[uint32]*partState) {
+func (c *Cluster) runSite(s *site, parts map[uint32]*partState) {
 	defer c.wg.Done()
 	defer close(s.done)
 
 	apply := func(rt route) {
 		ps := parts[rt.part]
 		if ps == nil {
-			ps = c.newPartState(model)
+			ps = c.newPartState()
 			parts[rt.part] = ps
 		}
 		ps.observe(rt.ob, rt.seq)
 	}
-	// drain consumes everything already queued, so snapshots, handoffs and
-	// epoch proposals observe every delivered observation. It reports false
+	// drain consumes everything already queued, so snapshots and handoffs
+	// observe every delivered observation. It reports false
 	// when the input channel closed.
 	drain := func() bool {
 		for {
@@ -392,9 +386,9 @@ func (c *Cluster) runSite(s *site, model decay.Forward, parts map[uint32]*partSt
 		}
 		return marshalParts(nil, false)
 	}
-	// zombie services the site's channels with errors after a failed epoch
-	// commit left its frame indeterminate: it keeps consuming (so no sender
-	// ever wedges on a full queue) but contributes nothing, until the
+	// zombie services the site's channels with errors after a failed
+	// handoff cut left its state indeterminate: it keeps consuming (so no
+	// sender ever wedges on a full queue) but contributes nothing, until the
 	// coordinator reaps it.
 	zombie := func(siteErr error) {
 		for {
@@ -405,8 +399,6 @@ func (c *Cluster) runSite(s *site, model decay.Forward, parts map[uint32]*partSt
 				}
 			case reply := <-s.snap:
 				reply <- siteAnswer{err: siteErr}
-			case req := <-s.epoch:
-				req.prepared <- siteErr
 			case req := <-s.cut:
 				req.reply <- siteAnswer{err: siteErr}
 			case req := <-s.inst:
@@ -448,69 +440,21 @@ func (c *Cluster) runSite(s *site, model decay.Forward, parts map[uint32]*partSt
 			}
 			req.reply <- marshalParts(req.parts, true)
 		case req := <-s.inst:
-			// Shard handoff, destination leg: decode, rebase onto the local
-			// epoch if the slice is older, merge-or-install.
+			// Shard handoff, destination leg: decode, merge-or-install.
 			if !drain() {
 				req.reply <- fmt.Errorf("distrib: site closed during install")
 				return
 			}
-			req.reply <- installSlices(parts, req.slices, model, c)
-		case req := <-s.epoch:
-			// Phase 1: quiesce and validate, then pause for the decision.
-			if !drain() {
-				req.prepared <- fmt.Errorf("distrib: site closed during epoch prepare")
-				return
-			}
-			if err := faultinject.Hit("distrib.site.epoch.prepare"); err != nil {
-				req.prepared <- err
-				break
-			}
-			if _, _, ok := model.Shifted(req.newL); !ok {
-				req.prepared <- &decay.NotShiftableError{Func: model.Func.String()}
-				break
-			}
-			req.prepared <- nil
-			var doCommit bool
-			select {
-			case doCommit = <-req.commit:
-			case <-s.kill:
-				return
-			}
-			if !doCommit {
-				break
-			}
-			// Phase 2: apply. A fault or shift failure here leaves the
-			// site's frame indeterminate: report it and turn zombie until
-			// the coordinator quarantines us.
-			if err := faultinject.Hit("distrib.site.epoch.commit"); err != nil {
-				err = fmt.Errorf("distrib: epoch commit fault: %w", err)
-				req.done <- err
-				zombie(err)
-				return
-			}
-			var shiftErr error
-			for _, ps := range parts {
-				if shiftErr = ps.shift(req.newL); shiftErr != nil {
-					break
-				}
-			}
-			if shiftErr != nil {
-				req.done <- shiftErr
-				zombie(shiftErr)
-				return
-			}
-			if m, _, ok := model.Shifted(req.newL); ok {
-				model = m
-			}
-			req.done <- nil
+			req.reply <- installSlices(parts, req.slices, c.cfg.Model.Landmark)
 		}
 	}
 }
 
 // installSlices decodes serialized partition slices into a site's state,
-// rebasing slices cut under an older landmark and merging into any state
-// already present (exact for all the summaries here).
-func installSlices(parts map[uint32]*partState, slices map[uint32][]byte, model decay.Forward, c *Cluster) error {
+// merging into any state already present (exact for all the summaries
+// here). A slice stamped with a landmark other than the cluster's is
+// refused with a *LandmarkError.
+func installSlices(parts map[uint32]*partState, slices map[uint32][]byte, landmark float64) error {
 	for p, blob := range slices {
 		hdr, ps, err := decodeSlice(blob)
 		if err != nil {
@@ -519,10 +463,8 @@ func installSlices(parts map[uint32]*partState, slices map[uint32][]byte, model 
 		if hdr.part != p {
 			return fmt.Errorf("distrib: installing partition %d: slice is for partition %d", p, hdr.part)
 		}
-		if hdr.landmark != model.Landmark {
-			if err := ps.shift(model.Landmark); err != nil {
-				return fmt.Errorf("distrib: rebasing partition %d onto landmark %v: %w", p, model.Landmark, err)
-			}
+		if err := hdr.frameErr(landmark); err != nil {
+			return err
 		}
 		if cur := parts[p]; cur != nil {
 			if err := cur.merge(ps); err != nil {
@@ -539,9 +481,6 @@ func installSlices(parts map[uint32]*partState, slices map[uint32][]byte, model 
 func (c *Cluster) partitionOf(key uint64) uint32 {
 	return uint32(core.Mix64(key) % uint64(c.cfg.Partitions))
 }
-
-// Partitions returns the configured partition count.
-func (c *Cluster) Partitions() int { return c.cfg.Partitions }
 
 // checkOb validates an observation at the ingest boundary.
 func checkOb(ob Observation) error {
@@ -645,14 +584,6 @@ func (c *Cluster) DownSites() []int {
 	return out
 }
 
-// Owner reports which site currently owns a key's partition.
-func (c *Cluster) Owner(key uint64) (site int, ok bool) {
-	part := c.partitionOf(key)
-	c.routeMu.Lock()
-	defer c.routeMu.Unlock()
-	return c.ring.Owner(part)
-}
-
 func sortedIDs(m map[int]*site) []int {
 	out := make([]int, 0, len(m))
 	for id := range m {
@@ -697,23 +628,17 @@ func (c *Cluster) snapshotSite(s *site) siteAnswer {
 	return last
 }
 
-// newSummary allocates the coordinator-side merge target in the cluster's
-// current decay frame (the caller holds opMu).
+// newSummary allocates the coordinator-side merge target.
 func (c *Cluster) newSummary() *Summary {
-	out := &Summary{Sum: agg.NewSum(c.model)}
-	if c.cfg.HHK > 0 {
-		out.HH = agg.NewHeavyHittersK(c.model, c.cfg.HHK)
-	}
-	if c.cfg.QuantileU > 0 {
-		out.Quantiles = agg.NewQuantiles(c.model, c.cfg.QuantileU, c.cfg.QuantileEps)
-	}
-	return out
+	ps := c.newPartState()
+	return &Summary{Sum: ps.sum, HH: ps.hh, Quantiles: ps.qd}
 }
 
 // decodeAnswer decodes every slice of a site's answer before any of it is
 // merged, validating each slice's frame against the cluster's — so a failed
 // (skippable) site never leaves a partial contribution behind, and state
-// from a different landmark is rejected naming the site, not blended in.
+// from a different landmark is refused with a *LandmarkError, not blended
+// in.
 func (c *Cluster) decodeAnswer(siteID int, ans siteAnswer) (map[uint32]*partState, error) {
 	out := make(map[uint32]*partState, len(ans.parts))
 	for p, blob := range ans.parts {
@@ -724,9 +649,8 @@ func (c *Cluster) decodeAnswer(siteID int, ans siteAnswer) (map[uint32]*partStat
 		if hdr.part != p {
 			return nil, fmt.Errorf("distrib: site %d shipped partition %d labelled %d", siteID, p, hdr.part)
 		}
-		if hdr.landmark != c.model.Landmark {
-			return nil, fmt.Errorf("distrib: site %d partition %d is in landmark-%v frame, cluster is at %v",
-				siteID, p, hdr.landmark, c.model.Landmark)
+		if err := hdr.frameErr(c.cfg.Model.Landmark); err != nil {
+			return nil, fmt.Errorf("distrib: site %d: %w", siteID, err)
 		}
 		out[p] = ps
 	}
@@ -863,8 +787,9 @@ func (c *Cluster) ownedBy(id int) []uint32 {
 }
 
 // rebuildParts reconstructs partitions from the last checkpoint slice plus
-// a write-ahead-log replay past each slice's watermark, rebased onto the
-// cluster's current landmark. Caller holds opMu and routeMu.
+// a write-ahead-log replay past each slice's watermark. A checkpoint slice
+// stamped with another landmark is refused with a *LandmarkError. Caller
+// holds opMu and routeMu.
 func (c *Cluster) rebuildParts(parts []uint32) (map[uint32]*partState, error) {
 	states := make(map[uint32]*partState, len(parts))
 	after := make(map[uint32]uint64, len(parts))
@@ -876,15 +801,13 @@ func (c *Cluster) rebuildParts(parts []uint32) (map[uint32]*partState, error) {
 			if err != nil {
 				return nil, fmt.Errorf("distrib: checkpoint slice for partition %d: %w", p, err)
 			}
-			if hdr.landmark != c.model.Landmark {
-				if err := ps.shift(c.model.Landmark); err != nil {
-					return nil, fmt.Errorf("distrib: rebasing checkpoint partition %d: %w", p, err)
-				}
+			if err := hdr.frameErr(c.cfg.Model.Landmark); err != nil {
+				return nil, fmt.Errorf("distrib: checkpoint slice: %w", err)
 			}
 			states[p] = ps
 			after[p] = hdr.lastSeq
 		} else {
-			states[p] = c.newPartState(c.model)
+			states[p] = c.newPartState()
 		}
 	}
 	if c.wal != nil && len(parts) > 0 {
@@ -950,14 +873,6 @@ func (c *Cluster) Checkpoint() error {
 		}
 	}
 	return firstErr
-}
-
-// Model returns the cluster's current decay model: the configured function
-// on the landmark most recently committed by RollEpoch.
-func (c *Cluster) Model() decay.Forward {
-	c.opMu.Lock()
-	defer c.opMu.Unlock()
-	return c.model
 }
 
 // cutParts asks a live site to quiesce and hand over partitions (nil = all
@@ -1040,9 +955,7 @@ func (c *Cluster) CrashSite(id int) error {
 
 // RecoverSite rebuilds a downed site from the last checkpoint plus a
 // write-ahead-log replay and returns it to the live roster — the
-// rejoin-from-log leg of crash recovery. The rebuilt state is rebased onto
-// the cluster's current landmark, so a site that missed epoch rolls while
-// down rejoins in the right frame.
+// rejoin-from-log leg of crash recovery.
 func (c *Cluster) RecoverSite(id int) error {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
@@ -1054,7 +967,7 @@ func (c *Cluster) RecoverSite(id int) error {
 	if c.wal == nil && len(c.ckpt) == 0 {
 		// Nothing to rebuild from; the site rejoins empty (its window is
 		// lost, which is the best a log-less cluster can do).
-		c.roster[id] = c.startSite(id, c.model, nil)
+		c.roster[id] = c.startSite(id, nil)
 		delete(c.downSet, id)
 		c.health.bump(&c.health.rejoins, cntSiteRejoins, 1)
 		return nil
@@ -1063,7 +976,7 @@ func (c *Cluster) RecoverSite(id int) error {
 	if err != nil {
 		return err
 	}
-	c.roster[id] = c.startSite(id, c.model, states)
+	c.roster[id] = c.startSite(id, states)
 	delete(c.downSet, id)
 	c.health.bump(&c.health.rejoins, cntSiteRejoins, 1)
 	return nil
@@ -1111,7 +1024,7 @@ func (c *Cluster) AddSite() (int, error) {
 		if s != nil {
 			ans := c.cutParts(s, parts)
 			if ans.err == nil {
-				if err := installSlices(states, ans.parts, c.model, c); err == nil {
+				if err := installSlices(states, ans.parts, c.cfg.Model.Landmark); err == nil {
 					continue
 				} else if firstErr == nil {
 					firstErr = err
@@ -1137,7 +1050,7 @@ func (c *Cluster) AddSite() (int, error) {
 		}
 	}
 
-	c.roster[id] = c.startSite(id, c.model, states)
+	c.roster[id] = c.startSite(id, states)
 	c.ring = newRing
 	c.health.bump(&c.health.handoffs, cntHandoffs, 1)
 	c.health.bump(&c.health.handoffParts, cntHandoffPartitions, uint64(len(moved)))
@@ -1250,154 +1163,6 @@ func (c *Cluster) RemoveSite(id int) error {
 	c.ring = newRing
 	c.health.bump(&c.health.handoffs, cntHandoffs, 1)
 	c.health.bump(&c.health.handoffParts, cntHandoffPartitions, uint64(moved))
-	return firstErr
-}
-
-// RollEpoch advances every live site's landmark to newL with the two-phase
-// propose/commit protocol, tolerating mid-roll churn. Phase one (propose)
-// asks each site to quiesce — drain its queued observations, validate the
-// shift, and pause awaiting a decision; phase two (commit) applies the
-// exact landmark shift at every site. A site that refuses or times out
-// during the proposal is quarantined (treated as crashed) and the round is
-// re-proposed to the survivors, so a joining or crashing site can never
-// leave the cluster straddling two landmarks. A failure during commit
-// quarantines that site while the rest of the cluster completes the roll;
-// the error is returned (the landmark still advances, and the quarantined
-// site rebuilds in the new frame from the log when it rejoins). Downed
-// sites are skipped: their recovery rebases onto the current landmark.
-//
-// Safe to call concurrently with ObserveKeyed/Observe; serialized against
-// Snapshot and membership changes.
-func (c *Cluster) RollEpoch(newL float64) error {
-	if math.IsNaN(newL) || math.IsInf(newL, 0) {
-		return fmt.Errorf("distrib: non-finite landmark %v rejected", newL)
-	}
-	c.opMu.Lock()
-	defer c.opMu.Unlock()
-	if _, _, ok := c.model.Shifted(newL); !ok {
-		return &decay.NotShiftableError{Func: c.model.Func.String()}
-	}
-
-	c.routeMu.Lock()
-	maxRounds := len(c.roster) + 1
-	c.routeMu.Unlock()
-
-	var reqs map[int]*siteEpochReq
-	var ids []int
-	for round := 0; ; round++ {
-		c.routeMu.Lock()
-		ids = sortedIDs(c.roster)
-		sites := make(map[int]*site, len(ids))
-		for _, id := range ids {
-			sites[id] = c.roster[id]
-		}
-		c.routeMu.Unlock()
-		if len(ids) == 0 {
-			// Every site is down or removed: the coordinator's frame still
-			// advances; recoveries rebase onto it. Drop any previous round's
-			// requests — those sites were already aborted.
-			reqs, ids = nil, nil
-			break
-		}
-
-		reqs = map[int]*siteEpochReq{}
-		badSite := -1
-		var badErr error
-		for _, id := range ids {
-			req := &siteEpochReq{
-				newL:     newL,
-				prepared: make(chan error, 1),
-				commit:   make(chan bool, 1),
-				done:     make(chan error, 1),
-			}
-			s := sites[id]
-			timer := time.NewTimer(c.cfg.SnapshotTimeout)
-			select {
-			case s.epoch <- req:
-			case <-s.done:
-				timer.Stop()
-				badSite, badErr = id, fmt.Errorf("distrib: site %d already closed", id)
-			case <-timer.C:
-				badSite, badErr = id, fmt.Errorf("distrib: site %d epoch proposal timed out after %v", id, c.cfg.SnapshotTimeout)
-			}
-			if badSite >= 0 {
-				break
-			}
-			select {
-			case err := <-req.prepared:
-				timer.Stop()
-				if err != nil {
-					badSite, badErr = id, fmt.Errorf("distrib: site %d refused epoch: %w", id, err)
-				} else {
-					reqs[id] = req // prepared and paused, awaiting commit
-				}
-			case <-timer.C:
-				badSite, badErr = id, fmt.Errorf("distrib: site %d epoch prepare timed out after %v", id, c.cfg.SnapshotTimeout)
-			}
-			if badSite >= 0 {
-				break
-			}
-		}
-		if badSite < 0 {
-			break // every live site is prepared
-		}
-		// Release the prepared sites first (so any ingest blocked on their
-		// queues drains), then quarantine the refuser and re-propose.
-		for _, req := range reqs {
-			req.commit <- false
-		}
-		c.routeMu.Lock()
-		c.crashSiteRouted(badSite)
-		c.routeMu.Unlock()
-		if round+1 >= maxRounds {
-			return fmt.Errorf("distrib: epoch roll gave up after %d rounds: %w", round+1, badErr)
-		}
-		c.health.bump(&c.health.reproposals, cntEpochReproposals, 1)
-	}
-
-	// Phase 2: commit everywhere. Every prepared site is paused at a
-	// quiesced state, so the shifts apply to frozen frames.
-	for _, req := range reqs {
-		req.commit <- true
-	}
-	var firstErr error
-	var casualties []int
-	for _, id := range ids {
-		req := reqs[id]
-		if req == nil {
-			continue
-		}
-		timer := time.NewTimer(c.cfg.SnapshotTimeout)
-		select {
-		case err := <-req.done:
-			timer.Stop()
-			if err != nil {
-				casualties = append(casualties, id)
-				if firstErr == nil {
-					firstErr = fmt.Errorf("distrib: site %d epoch commit failed (site quarantined): %w", id, err)
-				}
-			}
-		case <-timer.C:
-			casualties = append(casualties, id)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("distrib: site %d epoch commit timed out after %v", id, c.cfg.SnapshotTimeout)
-			}
-		}
-	}
-	// Reap commit casualties: they are zombies (consuming, contributing
-	// nothing) until quarantined here.
-	if len(casualties) > 0 {
-		c.routeMu.Lock()
-		for _, id := range casualties {
-			c.crashSiteRouted(id)
-		}
-		c.routeMu.Unlock()
-	}
-	// The coordinator's frame advances with the committed sites; a failed
-	// site is quarantined rather than left silently mergeable.
-	if m, _, ok := c.model.Shifted(newL); ok {
-		c.model = m
-	}
 	return firstErr
 }
 

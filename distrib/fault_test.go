@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"forwarddecay/decay"
+	"forwarddecay/internal/codec"
 	"forwarddecay/internal/faultinject"
 )
 
@@ -60,10 +62,24 @@ func TestObserveRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestMergeRejectsMismatchedModel: a site shipping state cut under a
-// different landmark must be rejected before anything is merged, with an
-// error naming the offending site — silently blending incompatible decayed
-// weights would corrupt the summary.
+// restampSlice re-seals a slice with its envelope's landmark stamp
+// changed, as a corrupt writer would: the hash is valid, the frame is not.
+func restampSlice(t testing.TB, blob []byte, landmark float64) []byte {
+	t.Helper()
+	payload, ok := codec.Unseal(blob)
+	if !ok {
+		t.Fatal("slice does not unseal")
+	}
+	payload = bytes.Clone(payload)
+	codec.PutU64(payload[1+4+8:], math.Float64bits(landmark)) // version, partition, lastSeq
+	return codec.Seal(payload)
+}
+
+// TestMergeRejectsMismatchedModel: a slice whose landmark stamp is not the
+// cluster's is refused with a *LandmarkError wherever a slice is trusted —
+// a snapshot answer (before anything is merged, naming the site), a
+// handoff install, and a checkpoint rebuild. Silently blending
+// incompatible decayed weights would corrupt the summary.
 func TestMergeRejectsMismatchedModel(t *testing.T) {
 	cfg := faultCfg(1)
 	c, err := New(cfg)
@@ -72,33 +88,62 @@ func TestMergeRejectsMismatchedModel(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Forge a partition slice cut under a different landmark.
-	forger := &Cluster{cfg: cfg}
-	ps := forger.newPartState(decay.NewForward(decay.NewExp(0.01), 500))
+	// Forge a partition slice cut under a different landmark, and one
+	// re-sealed with a different stamp over state cut in the cluster's.
+	forgerCfg := cfg
+	forgerCfg.Model = decay.NewForward(decay.NewExp(0.01), 500)
+	forger := &Cluster{cfg: forgerCfg}
+	ps := forger.newPartState()
 	ps.observe(Observation{Key: 1, Value: 3, Time: 510}, 0)
 	blob, err := encodeSlice(7, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A good slice riding along must not be merged either: the whole site is
-	// rejected atomically.
-	good := c.newPartState(cfg.Model)
+	good := c.newPartState()
 	good.observe(Observation{Key: 2, Value: 5, Time: 10}, 0)
 	goodBlob, err := encodeSlice(3, good)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ownBlob, err := encodeSlice(7, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restamped := restampSlice(t, ownBlob, 500)
 
-	parts, mergeErr := c.decodeAnswer(3, siteAnswer{parts: map[uint32][]byte{7: blob, 3: goodBlob}})
-	if mergeErr == nil {
-		t.Fatal("mismatched landmark decoded silently")
-	}
-	if !strings.Contains(mergeErr.Error(), "site 3") {
-		t.Fatalf("error does not name the offending site: %v", mergeErr)
-	}
-	if parts != nil {
-		t.Fatalf("rejected site still returned %d partitions", len(parts))
+	for name, bad := range map[string][]byte{"foreign": blob, "restamped": restamped} {
+		var le *LandmarkError
+		// A good slice riding along must not be merged either: the whole
+		// site is rejected atomically.
+		parts, mergeErr := c.decodeAnswer(3, siteAnswer{parts: map[uint32][]byte{7: bad, 3: goodBlob}})
+		if !errors.As(mergeErr, &le) || le.Part != 7 || le.Slice != 500 || le.Cluster != 0 {
+			t.Fatalf("%s: snapshot decode = %v, want *LandmarkError for partition 7", name, mergeErr)
+		}
+		if !strings.Contains(mergeErr.Error(), "site 3") {
+			t.Fatalf("%s: error does not name the offending site: %v", name, mergeErr)
+		}
+		if parts != nil {
+			t.Fatalf("%s: rejected site still returned %d partitions", name, len(parts))
+		}
+
+		held := map[uint32]*partState{}
+		if err := installSlices(held, map[uint32][]byte{7: bad}, cfg.Model.Landmark); !errors.As(err, &le) || le.Part != 7 {
+			t.Fatalf("%s: install = %v, want *LandmarkError", name, err)
+		}
+		if len(held) != 0 {
+			t.Fatalf("%s: refused slice was installed", name)
+		}
+
+		c.opMu.Lock()
+		c.ckpt[7] = ckptEntry{blob: bad}
+		c.routeMu.Lock()
+		_, err := c.rebuildParts([]uint32{7})
+		c.routeMu.Unlock()
+		delete(c.ckpt, 7)
+		c.opMu.Unlock()
+		if !errors.As(err, &le) || le.Part != 7 {
+			t.Fatalf("%s: rebuild = %v, want *LandmarkError", name, err)
+		}
 	}
 }
 

@@ -95,8 +95,8 @@ func FuzzLogSegmentDecode(f *testing.F) {
 // accepted slice re-encodes faithfully. Each input is also decoded
 // re-sealed, so mutations reach the parser behind the integrity hash.
 func FuzzSliceDecode(f *testing.F) {
-	c := &Cluster{cfg: Config{HHK: 8, QuantileU: 256, QuantileEps: 0.1}}
-	ps := c.newPartState(elasticCfg(1).Model)
+	c := &Cluster{cfg: Config{Model: elasticCfg(1).Model, HHK: 8, QuantileU: 256, QuantileEps: 0.1}}
+	ps := c.newPartState()
 	ps.observe(Observation{Key: 3, Value: 5, Time: 7}, 1)
 	blob, err := encodeSlice(9, ps)
 	if err != nil {
@@ -107,6 +107,7 @@ func FuzzSliceDecode(f *testing.F) {
 	f.Add(faultinject.CorruptByte(blob, 7))
 	f.Add(blob[:len(blob)-9])
 	f.Add([]byte{})
+	f.Add(restampSlice(f, blob, 1024)) // decodes; a cluster refuses its frame
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, codec.Seal(bytes.Clone(data))} {
@@ -130,8 +131,8 @@ func FuzzSliceDecode(f *testing.F) {
 // TestSliceKeepsNoInput: a decoded slice holds nothing of its input —
 // overwriting the input afterwards changes nothing that re-encodes.
 func TestSliceKeepsNoInput(t *testing.T) {
-	c := &Cluster{cfg: Config{HHK: 8}}
-	ps := c.newPartState(elasticCfg(1).Model)
+	c := &Cluster{cfg: Config{Model: elasticCfg(1).Model, HHK: 8}}
+	ps := c.newPartState()
 	ps.observe(Observation{Key: 3, Value: 5, Time: 7}, 1)
 	blob, err := encodeSlice(9, ps)
 	if err != nil {

@@ -2,7 +2,7 @@ package distrib
 
 // Cluster health counters. Every robustness event the elastic tier absorbs
 // — a retried snapshot, a skipped site, a shard handoff, a replayed log
-// record, a re-proposed epoch roll — increments a counter here, readable
+// record — increments a counter here, readable
 // in-process via Cluster.Health and mirrored into an optional
 // metrics.CounterSet (Config.Metrics) so operators scrape them alongside
 // the runtimes' RuntimeStats.
@@ -27,11 +27,8 @@ type Health struct {
 	// ReplayedRecords counts write-ahead-log records re-applied during
 	// rebuilds (site recovery, handoff fallback, down-site snapshots).
 	ReplayedRecords uint64
-	// EpochReproposals counts RollEpoch rounds restarted after quarantining
-	// a site that failed its proposal.
-	EpochReproposals uint64
 	// SiteCrashes counts sites torn down by CrashSite or quarantined by a
-	// mid-roll or mid-handoff failure.
+	// mid-handoff failure.
 	SiteCrashes uint64
 	// SiteRejoins counts sites rebuilt from checkpoint + log replay.
 	SiteRejoins uint64
@@ -49,7 +46,6 @@ const (
 	cntHandoffs          = "distrib.handoffs"
 	cntHandoffPartitions = "distrib.handoff_partitions"
 	cntReplayedRecords   = "distrib.replayed_records"
-	cntEpochReproposals  = "distrib.epoch_reproposals"
 	cntSiteCrashes       = "distrib.site_crashes"
 	cntSiteRejoins       = "distrib.site_rejoins"
 	cntLoggedRecords     = "distrib.logged_records"
@@ -63,7 +59,6 @@ type health struct {
 	handoffs        atomic.Uint64
 	handoffParts    atomic.Uint64
 	replayed        atomic.Uint64
-	reproposals     atomic.Uint64
 	crashes         atomic.Uint64
 	rejoins         atomic.Uint64
 	logged          atomic.Uint64
@@ -91,7 +86,6 @@ func (c *Cluster) Health() Health {
 		Handoffs:          h.handoffs.Load(),
 		HandoffPartitions: h.handoffParts.Load(),
 		ReplayedRecords:   h.replayed.Load(),
-		EpochReproposals:  h.reproposals.Load(),
 		SiteCrashes:       h.crashes.Load(),
 		SiteRejoins:       h.rejoins.Load(),
 		LoggedRecords:     h.logged.Load(),

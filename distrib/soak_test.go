@@ -9,38 +9,53 @@ import (
 	"forwarddecay/metrics"
 )
 
-// TestDistribChurnSoak replays a simulated multi-day tape against an
-// elastic, write-ahead-logged cluster while churning its roster — crashes,
-// rejoins-from-log, adds, removes, crashes mid-handoff and mid-roll — and
-// requires the result to match a fault-free static-roster oracle
-// bit-for-bit on the decayed sum/count/mean/variance, with zero lost
-// acknowledged observations and the sketch summaries within their ε
-// bounds. The decay rate is dyadic and every timestamp and landmark is an
-// integer, so landmark shifts, checkpoint rebases and log replays are
-// exact in float64: any single misrouted, double-applied, lost or
-// frame-blended observation shows up as a float-level mismatch.
-func TestDistribChurnSoak(t *testing.T) {
-	days := 4.0
-	if testing.Short() {
-		days = 2
-	}
-	tape := faultinject.SoakSchedule(faultinject.SoakConfig{
+// siteChurnTape is the site-churn soak's schedule over a number of days.
+func siteChurnTape(days float64) faultinject.SoakConfig {
+	return faultinject.SoakConfig{
 		Seed:     0xd15c0,
 		Duration: days * 86400,
 		MeanGap:  25,
 		Keys:     64,
 
 		CheckpointEvery: 10800, // 3 h
-		RollEvery:       21600, // 6 h
 
 		SiteCrashEvery:    7200, // 2 h
 		SiteRejoinAfter:   3600,
 		SiteAddEvery:      28800, // 8 h
 		SiteRemoveEvery:   43200, // 12 h
 		HandoffCrashEvery: 86400, // daily
-		RollCrashEvery:    46800, // 13 h: off-phase with RollEvery, so the
-		// crashing roll is not pre-empted by a plain roll at the same instant
-	})
+	}
+}
+
+// TestSiteChurnTapePinned pins the soak's tapes: their digests were taken
+// when the tapes still held landmark-roll events, over every other event,
+// so the soak replays the same tuples and churn it always did.
+func TestSiteChurnTapePinned(t *testing.T) {
+	for days, want := range map[float64]string{
+		2: "c92c6ea53e124bf1ed05188bf6f4e70f98a3fdec1e338b1bd1e694b3195db9f2",
+		4: "f5ce3a460aa13d626e8919fbd2970a7724e42b086e93cd0ab1765c1648758908",
+	} {
+		if got := faultinject.SoakDigest(faultinject.SoakSchedule(siteChurnTape(days))); got != want {
+			t.Errorf("%v-day site-churn tape digest %s, want %s", days, got, want)
+		}
+	}
+}
+
+// TestDistribChurnSoak replays a simulated multi-day tape against an
+// elastic, write-ahead-logged cluster while churning its roster — crashes,
+// rejoins-from-log, adds, removes, crashes mid-handoff — and requires the
+// result to match a fault-free static-roster oracle bit-for-bit on the
+// decayed sum/count/mean/variance, with zero lost acknowledged
+// observations and the sketch summaries within their ε bounds. The decay
+// rate is dyadic and every timestamp is an integer, so checkpoint restores
+// and log replays are exact in float64: any single misrouted,
+// double-applied or lost observation shows up as a float-level mismatch.
+func TestDistribChurnSoak(t *testing.T) {
+	days := 4.0
+	if testing.Short() {
+		days = 2
+	}
+	tape := faultinject.SoakSchedule(siteChurnTape(days))
 
 	ms := metrics.NewCounterSet()
 	cfg := Config{
@@ -70,22 +85,9 @@ func TestDistribChurnSoak(t *testing.T) {
 	var (
 		churn       int // executed churn events
 		fed         uint64
-		lastL       float64
 		now         float64
 		checkpoints int
 	)
-	rollBoth := func(newL float64) {
-		if newL <= lastL {
-			return
-		}
-		if err := subject.RollEpoch(newL); err != nil {
-			t.Fatalf("t=%v subject roll to %v: %v", now, newL, err)
-		}
-		if err := oracle.RollEpoch(newL); err != nil {
-			t.Fatalf("t=%v oracle roll to %v: %v", now, newL, err)
-		}
-		lastL = newL
-	}
 
 	for idx, ev := range tape {
 		now = ev.T
@@ -112,8 +114,6 @@ func TestDistribChurnSoak(t *testing.T) {
 			if checkpoints%4 == 0 {
 				requireBitIdentical(t, subject, oracle, now)
 			}
-		case faultinject.SoakRoll:
-			rollBoth(ev.T - 3600)
 		case faultinject.SoakSiteCrash:
 			if len(live) < 2 {
 				continue
@@ -169,22 +169,6 @@ func TestDistribChurnSoak(t *testing.T) {
 				t.Fatalf("t=%v handoff fault did not surface", now)
 			}
 			churn++
-		case faultinject.SoakRollCrash:
-			newL := ev.T - 3600
-			if newL <= lastL {
-				continue
-			}
-			faultinject.Set("distrib.site.epoch.prepare", faultinject.Fault{ErrAt: 1})
-			err := subject.RollEpoch(newL)
-			faultinject.Reset()
-			if err != nil {
-				t.Fatalf("t=%v roll with mid-roll crash did not converge: %v", now, err)
-			}
-			if err := oracle.RollEpoch(newL); err != nil {
-				t.Fatalf("t=%v oracle roll: %v", now, err)
-			}
-			lastL = newL
-			churn++
 		}
 	}
 
@@ -239,9 +223,6 @@ func TestDistribChurnSoak(t *testing.T) {
 	}
 	if h.ReplayedRecords == 0 {
 		t.Error("no log records were replayed during recovery")
-	}
-	if h.EpochReproposals == 0 {
-		t.Error("mid-roll crashes did not trigger a re-propose")
 	}
 	if h.TrimmedSegments == 0 {
 		t.Error("checkpoints never trimmed the log")

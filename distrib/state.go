@@ -6,15 +6,14 @@ package distrib
 // carries the partition id, the write-ahead-log sequence watermark the
 // state covers, and a trailing integrity hash, mirroring the checkpoint-v2
 // discipline of the gsql runtimes: state is verified before it is trusted,
-// and a slice cut under an older landmark is rebased with an exact
-// ShiftLandmark instead of being blended across frames.
+// and a slice stamped with another landmark is refused instead of being
+// blended across frames.
 
 import (
 	"errors"
 	"math"
 
 	"forwarddecay/agg"
-	"forwarddecay/decay"
 	"forwarddecay/internal/codec"
 )
 
@@ -31,8 +30,9 @@ type partState struct {
 	lastSeq uint64
 }
 
-// newPartState allocates empty aggregates for one partition under a model.
-func (c *Cluster) newPartState(m decay.Forward) *partState {
+// newPartState allocates empty aggregates for one partition.
+func (c *Cluster) newPartState() *partState {
+	m := c.cfg.Model
 	ps := &partState{sum: agg.NewSum(m)}
 	if c.cfg.HHK > 0 {
 		ps.hh = agg.NewHeavyHittersK(m, c.cfg.HHK)
@@ -65,25 +65,6 @@ func (ps *partState) observe(ob Observation, seq uint64) bool {
 		ps.qd.Observe(v, ob.Time)
 	}
 	return true
-}
-
-// shift rebases the partition onto a new landmark (exact; exponential decay
-// only).
-func (ps *partState) shift(newL float64) error {
-	if err := ps.sum.ShiftLandmark(newL); err != nil {
-		return err
-	}
-	if ps.hh != nil {
-		if err := ps.hh.ShiftLandmark(newL); err != nil {
-			return err
-		}
-	}
-	if ps.qd != nil {
-		if err := ps.qd.ShiftLandmark(newL); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // merge folds another partition state (same partition, same frame) in.
@@ -146,10 +127,19 @@ type sliceHeader struct {
 	landmark float64
 }
 
+// frameErr refuses a slice stamped with a landmark other than the
+// cluster's, with a *LandmarkError.
+func (h sliceHeader) frameErr(landmark float64) error {
+	if h.landmark == landmark {
+		return nil
+	}
+	return &LandmarkError{Part: h.part, Slice: h.landmark, Cluster: landmark}
+}
+
 // decodeSlice verifies and decodes a state slice. The aggregates come back
 // under the landmark the slice was cut at (stamped both in the envelope and
-// inside every aggregate's own model); callers rebase with shift when the
-// cluster has rolled past it.
+// inside every aggregate's own model); callers refuse a slice whose stamp is
+// not the cluster's.
 func decodeSlice(b []byte) (sliceHeader, *partState, error) {
 	payload, ok := codec.Unseal(b)
 	if !ok {

@@ -343,9 +343,6 @@ func (l *Log) Append(part uint32, key uint64, val, ts float64) (uint64, error) {
 	return seq, nil
 }
 
-// LastSeq returns the highest assigned sequence for a partition (0 if none).
-func (l *Log) LastSeq(part uint32) uint64 { return l.seqs[part] }
-
 // Replay streams the retained records for the selected partitions, in
 // segment and record order, to fn — skipping records at or below the
 // per-partition `after` watermark and deduplicating repeated sequence
@@ -434,10 +431,6 @@ func (l *Log) Trim(watermark map[uint32]uint64) (int, error) {
 	}
 	return removed, nil
 }
-
-// Segments returns the number of retained segments (including the active
-// one).
-func (l *Log) Segments() int { return len(l.segs) }
 
 // Close flushes (fsync) and closes the active segment.
 func (l *Log) Close() error {

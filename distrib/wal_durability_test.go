@@ -57,8 +57,8 @@ func TestLogTrimDirSyncFailureSurfaced(t *testing.T) {
 	}
 	defer l.Close()
 	walAppendN(t, l, 12) // forces several rotations at 64-byte segments
-	if l.Segments() < 2 {
-		t.Fatalf("expected multiple segments, have %d", l.Segments())
+	if len(l.segs) < 2 {
+		t.Fatalf("expected multiple segments, have %d", len(l.segs))
 	}
 	injected := errors.New("simulated device failure at dir fsync")
 	faultinject.Set("durable.dirsync", faultinject.Fault{ErrEvery: 1, Err: injected})

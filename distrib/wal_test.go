@@ -54,8 +54,8 @@ func TestLogRoundtrip(t *testing.T) {
 		}
 	}
 	for p := uint32(0); p < 3; p++ {
-		if l.LastSeq(p) != 10 {
-			t.Errorf("partition %d LastSeq = %d, want 10", p, l.LastSeq(p))
+		if l.seqs[p] != 10 {
+			t.Errorf("partition %d LastSeq = %d, want 10", p, l.seqs[p])
 		}
 	}
 }
@@ -70,8 +70,8 @@ func TestLogRotationAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	walAppendN(t, l, 40)
-	if l.Segments() < 2 {
-		t.Fatalf("128-byte segments held 40 records in %d segment(s)", l.Segments())
+	if len(l.segs) < 2 {
+		t.Fatalf("128-byte segments held 40 records in %d segment(s)", len(l.segs))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestLogRotationAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got := l2.LastSeq(0); got != 14 {
+	if got := l2.seqs[0]; got != 14 {
 		t.Fatalf("reopened LastSeq(0) = %d, want 14", got)
 	}
 	seq, err := l2.Append(0, 1, 2, 3)
@@ -137,7 +137,7 @@ func TestLogTrim(t *testing.T) {
 	}
 	defer l.Close()
 	walAppendN(t, l, 40)
-	before := l.Segments()
+	before := len(l.segs)
 	if before < 3 {
 		t.Fatalf("need ≥3 segments for a meaningful trim, got %d", before)
 	}
@@ -148,8 +148,8 @@ func TestLogTrim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != before-1 || l.Segments() != 1 {
-		t.Fatalf("trim removed %d of %d segments, %d left", removed, before, l.Segments())
+	if removed != before-1 || len(l.segs) != 1 {
+		t.Fatalf("trim removed %d of %d segments, %d left", removed, before, len(l.segs))
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	if len(files) != 1 {
@@ -212,7 +212,7 @@ func TestLogTornTailRecovery(t *testing.T) {
 	}
 	// The torn record's sequence was never durable, so it is reassigned.
 	part := got[len(got)-1].Part
-	if seq, err := l2.Append(part, 1, 1, 1); err != nil || seq != l2.LastSeq(part) {
+	if seq, err := l2.Append(part, 1, 1, 1); err != nil || seq != l2.seqs[part] {
 		t.Fatalf("append after torn-tail recovery: seq %d err %v", seq, err)
 	}
 }
@@ -260,8 +260,8 @@ func TestLogTruncatedMiddleSegmentRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	walAppendN(t, l, 40)
-	if l.Segments() < 2 {
-		t.Fatalf("need multiple segments, got %d", l.Segments())
+	if len(l.segs) < 2 {
+		t.Fatalf("need multiple segments, got %d", len(l.segs))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

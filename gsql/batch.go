@@ -57,9 +57,6 @@ func NewBatch(s *Schema) (*Batch, error) {
 	return &Batch{schema: s, cols: make([]batchCol, len(s.Cols)), sorted: true}, nil
 }
 
-// Schema returns the batch's schema.
-func (b *Batch) Schema() *Schema { return b.schema }
-
 // Len returns the number of rows.
 func (b *Batch) Len() int { return b.n }
 
@@ -123,14 +120,6 @@ func (b *Batch) Floats(col int) []float64 {
 		panic(fmt.Sprintf("gsql: batch column %d is %s, not float", col, t))
 	}
 	return b.cols[col].fls
-}
-
-// Strings returns the column's string vector (TString columns only).
-func (b *Batch) Strings(col int) []string {
-	if t := b.schema.Cols[col].Type; t != TString {
-		panic(fmt.Sprintf("gsql: batch column %d is %s, not string", col, t))
-	}
-	return b.cols[col].strs
 }
 
 // Append adds one row from a materialized tuple, maintaining the sorted

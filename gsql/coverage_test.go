@@ -196,14 +196,14 @@ func TestScalarFunctionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Execute(SliceSource([]Tuple{pkt(1, 1, 80, 50)}), Options{}); err == nil {
+	if _, err := execute(st, []Tuple{pkt(1, 1, 80, 50)}, Options{}); err == nil {
 		t.Error("ln of negative must error at runtime")
 	}
 	st, err = e.Prepare(`select dstIP, max(sqrt(len - 100)) from TCP group by dstIP`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Execute(SliceSource([]Tuple{pkt(1, 1, 80, 50)}), Options{}); err == nil {
+	if _, err := execute(st, []Tuple{pkt(1, 1, 80, 50)}, Options{}); err == nil {
 		t.Error("sqrt of negative must error at runtime")
 	}
 	if _, err := e.Prepare(`select max(pow(len)) from TCP`); err == nil {
@@ -219,7 +219,7 @@ func TestHavingRuntimeErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One tuple per group → count=1 → division by zero in HAVING.
-	if _, err := st.Execute(SliceSource([]Tuple{pkt(1, 1, 80, 1)}), Options{}); err == nil {
+	if _, err := execute(st, []Tuple{pkt(1, 1, 80, 1)}, Options{}); err == nil {
 		t.Error("expected runtime error from HAVING")
 	}
 }

@@ -122,19 +122,8 @@ func (e *Engine) compile(query string, ast *queryAST, schema *Schema, stripWhere
 // Columns returns the output column names.
 func (s *Statement) Columns() []string { return s.p.Columns() }
 
-// Mergeable reports whether all of the statement's aggregates support
-// partial merging (the precondition for the two-level split).
-func (s *Statement) Mergeable() bool { return s.p.mergeable }
-
-// Temporal reports whether the statement has a tumbling time-bucket
-// group-by expression.
-func (s *Statement) Temporal() bool { return s.p.temporalIdx >= 0 }
-
 // Describe returns a terse plan summary for diagnostics.
 func (s *Statement) Describe() string { return s.p.describe() }
-
-// Text returns the original query text.
-func (s *Statement) Text() string { return s.text }
 
 // Start begins an execution run delivering output rows to sink. Each row
 // handed to sink is the sink's to keep: the run never writes to it or reuses
@@ -142,41 +131,4 @@ func (s *Statement) Text() string { return s.text }
 // allocation, so retaining a single row keeps that flush's rows alive.)
 func (s *Statement) Start(sink func(Tuple) error, opts Options) *Run {
 	return newRun(s.p, sink, opts)
-}
-
-// Execute runs the statement over a finite tuple source, collecting all
-// output rows — a convenience for tests and examples. next returns the next
-// tuple and false when exhausted.
-func (s *Statement) Execute(next func() (Tuple, bool), opts Options) ([]Tuple, error) {
-	var out []Tuple
-	run := s.Start(func(row Tuple) error {
-		out = append(out, row)
-		return nil
-	}, opts)
-	for {
-		t, ok := next()
-		if !ok {
-			break
-		}
-		if err := run.Push(t); err != nil {
-			return out, err
-		}
-	}
-	if err := run.Close(); err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-// SliceSource adapts a slice of tuples to an Execute source.
-func SliceSource(tuples []Tuple) func() (Tuple, bool) {
-	i := 0
-	return func() (Tuple, bool) {
-		if i >= len(tuples) {
-			return nil, false
-		}
-		t := tuples[i]
-		i++
-		return t, true
-	}
 }

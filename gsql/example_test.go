@@ -34,8 +34,17 @@ func Example() {
 	tuples := []gsql.Tuple{
 		pkt(605, 4), pkt(607, 8), pkt(603, 3), pkt(608, 6), pkt(604, 4),
 	}
-	rows, err := st.Execute(gsql.SliceSource(tuples), gsql.Options{})
-	if err != nil {
+	var rows []gsql.Tuple
+	run := st.Start(func(r gsql.Tuple) error { rows = append(rows, r); return nil }, gsql.Options{})
+	b, _ := gsql.NewBatch(gsql.PacketSchema("TCP"))
+	for _, t := range tuples {
+		b.Append(t)
+	}
+	if _, err := run.PushBatch(b); err != nil {
+		fmt.Println(err)
+		return
+	}
+	if err := run.Close(); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -72,7 +81,14 @@ func ExampleEngine_RegisterUDAF() {
 		tuples = append(tuples, gsql.Tuple{gsql.Int(0), gsql.Float(0), gsql.Int(0),
 			gsql.Int(0), gsql.Int(0), gsql.Int(0), gsql.Int(6), gsql.Int(ln)})
 	}
-	rows, _ := st.Execute(gsql.SliceSource(tuples), gsql.Options{})
+	var rows []gsql.Tuple
+	run := st.Start(func(r gsql.Tuple) error { rows = append(rows, r); return nil }, gsql.Options{})
+	b, _ := gsql.NewBatch(gsql.PacketSchema("TCP"))
+	for _, t := range tuples {
+		b.Append(t)
+	}
+	run.PushBatch(b)
+	run.Close()
 	fmt.Println(rows[0][0])
 	// Output: 500
 }

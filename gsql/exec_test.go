@@ -22,13 +22,32 @@ func pkt(sec int64, dst int64, dport int64, ln int64) Tuple {
 	return Tuple{Int(sec), Float(float64(sec)), Int(100), Int(dst), Int(4242), Int(dport), Int(6), Int(ln)}
 }
 
+// execute runs st over tuples pushed as one batch and collects its rows.
+func execute(st *Statement, tuples []Tuple, opts Options) ([]Tuple, error) {
+	var out []Tuple
+	run := st.Start(func(row Tuple) error { out = append(out, row); return nil }, opts)
+	b, err := NewBatch(st.p.schema)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range tuples {
+		if err := b.Append(t); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := run.PushBatch(b); err != nil {
+		return out, err
+	}
+	return out, run.Close()
+}
+
 func execAll(t *testing.T, e *Engine, query string, tuples []Tuple, opts Options) []Tuple {
 	t.Helper()
 	st, err := e.Prepare(query)
 	if err != nil {
 		t.Fatalf("prepare %q: %v", query, err)
 	}
-	rows, err := st.Execute(SliceSource(tuples), opts)
+	rows, err := execute(st, tuples, opts)
 	if err != nil {
 		t.Fatalf("execute %q: %v", query, err)
 	}
@@ -248,7 +267,7 @@ func TestRuntimeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = st.Execute(SliceSource([]Tuple{pkt(1, 1, 80, 10)}), Options{})
+	_, err = execute(st, []Tuple{pkt(1, 1, 80, 10)}, Options{})
 	if err == nil {
 		t.Error("expected division-by-zero error")
 	}
@@ -272,13 +291,13 @@ func TestUDAFIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Mergeable() {
+	if st.p.mergeable {
 		t.Error("query with non-mergeable UDAF must not be mergeable")
 	}
 	tuples := []Tuple{
 		pkt(1, 1, 80, 1), pkt(2, 2, 80, 1), pkt(3, 1, 80, 1), pkt(4, 3, 80, 1),
 	}
-	rows, err := st.Execute(SliceSource(tuples), Options{})
+	rows, err := execute(st, tuples, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,18 +371,18 @@ func TestStatementMetadata(t *testing.T) {
 	if len(cols) != 3 || cols[2] != "pkts" {
 		t.Errorf("columns = %v", cols)
 	}
-	if !st.Temporal() || !st.Mergeable() {
-		t.Errorf("temporal=%v mergeable=%v", st.Temporal(), st.Mergeable())
+	if st.p.temporalIdx < 0 || !st.p.mergeable {
+		t.Errorf("temporal=%v mergeable=%v", st.p.temporalIdx, st.p.mergeable)
 	}
-	if st.Describe() == "" || st.Text() == "" {
-		t.Error("empty Describe/Text")
+	if st.Describe() == "" || st.text == "" {
+		t.Error("empty Describe/text")
 	}
 	// A non-temporal grouping (no monotone column) is detected.
 	st2, err := e.Prepare(`select dstIP, count(*) from TCP group by dstIP`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Temporal() {
+	if st2.p.temporalIdx >= 0 {
 		t.Error("dstIP grouping must not be temporal")
 	}
 	// time % 60 is not monotone and must not define buckets.
@@ -371,7 +390,7 @@ func TestStatementMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.Temporal() {
+	if st3.p.temporalIdx >= 0 {
 		t.Error("time%60 must not be temporal")
 	}
 }
@@ -415,12 +434,12 @@ func TestDirectEmitMatchesProjection(t *testing.T) {
 		if got := st.p.outDirect != nil; got != c.direct {
 			t.Errorf("%q: direct emit %v, want %v", c.query, got, c.direct)
 		}
-		rows, err := st.Execute(SliceSource(tuples), Options{LowLevelSlots: 4})
+		rows, err := execute(st, tuples, Options{LowLevelSlots: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		st.p.outDirect = nil
-		want, err := st.Execute(SliceSource(tuples), Options{LowLevelSlots: 4})
+		want, err := execute(st, tuples, Options{LowLevelSlots: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

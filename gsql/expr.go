@@ -670,9 +670,6 @@ func monotoneCol(e expr, s *Schema) int {
 	return -1
 }
 
-// isMonotoneExpr reports whether monotoneCol finds a source column.
-func isMonotoneExpr(e expr, s *Schema) bool { return monotoneCol(e, s) >= 0 }
-
 // exprKey returns the canonical form used to match select-list expressions
 // against group-by expressions.
 func exprKey(e expr) string { return strings.ToLower(e.String()) }

@@ -122,7 +122,7 @@ func TestHeartbeatWithScaledBucketExpr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Temporal() {
+	if st.p.temporalIdx < 0 {
 		t.Fatal("(time+30)/10 must be temporal")
 	}
 	var rows []Tuple

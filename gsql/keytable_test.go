@@ -266,7 +266,7 @@ func TestMultiSharedKeyTable(t *testing.T) {
 					}
 				}
 			}
-			if q, reason := hs[6].Quarantined(); !q || reason != gsql.QuarantinePanic {
+			if q, reason := hs[6].QueryStats().Quarantined, hs[6].QueryStats().Reason; !q || reason != gsql.QuarantinePanic {
 				t.Fatalf("boom member quarantined=%v reason=%q", q, reason)
 			}
 			if qs := hs[7].QueryStats(); qs.Errors != 1 || qs.Quarantined {

@@ -473,10 +473,6 @@ func (m *MultiRun) admit(text string, q *queryAST) (float64, error) {
 	return est, nil
 }
 
-// AdmitUsed returns the summed private-cost estimate of the admitted
-// catalog (the quantity admission control compares against the budget).
-func (m *MultiRun) AdmitUsed() float64 { return m.admitUsed }
-
 // Attach registers a query against the shared feed and starts its run.
 // shards must be 0: every member is a serial Run, and anything else is
 // refused with *ShardedUnsupportedError before the catalog is touched.
@@ -1034,13 +1030,6 @@ func (m *MultiRun) classSelect(cls *predClass, b *Batch, lo, hi int) {
 	cls.fails = cls.ctx.take(cls.fails, cls.sel)
 }
 
-// Queries returns the number of attached queries (quarantined included).
-func (m *MultiRun) Queries() int { return len(m.entries) }
-
-// Tuples returns the shared feed position (tuples pushed through the
-// runtime, including rejected ones — the same policy as Run.Stats).
-func (m *MultiRun) Tuples() uint64 { return m.tuples }
-
 // MultiStats is the runtime's sharing scoreboard, exported by the service
 // as catalog gauges.
 type MultiStats struct {
@@ -1134,16 +1123,6 @@ func (m *MultiRun) queryStats(e *multiEntry) QueryStats {
 	return qs
 }
 
-// QueryStatsAll snapshots every attached query, ordered by id.
-func (m *MultiRun) QueryStatsAll() []QueryStats {
-	out := make([]QueryStats, 0, len(m.entries))
-	for _, e := range m.entries {
-		out = append(out, m.queryStats(e))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // TopExpensive returns the n most expensive queries of a snapshot by
 // measured ns/tuple (ties by id), without mutating the input; none for
 // n <= 0.
@@ -1187,18 +1166,9 @@ func (m *MultiRun) syncTuples(e *multiEntry) {
 	e.run.tuples = uint64(int64(m.tuples) + e.off)
 }
 
-// ID returns the query's runtime-assigned id (stable across quarantine and
-// revive, unique within this MultiRun).
-func (h *MultiHandle) ID() uint64 { return h.e.id }
-
 // SetTag attaches an opaque caller tag to the query; it rides along on
 // QuarantineEvent so callers can map events back to their own bookkeeping.
 func (h *MultiHandle) SetTag(tag any) { h.e.tag = tag }
-
-// Quarantined reports whether the query is fenced, and why.
-func (h *MultiHandle) Quarantined() (bool, string) {
-	return h.e.quarantined, h.e.qreason
-}
 
 // QueryStats snapshots this query's attribution counters.
 func (h *MultiHandle) QueryStats() QueryStats { return h.m.queryStats(h.e) }

@@ -90,7 +90,7 @@ func runChurnSoak(t *testing.T, tape []faultinject.SoakEvent, base []string, poi
 				continue
 			}
 			h := fenced[0]
-			if q, _ := h.Quarantined(); !q {
+			if q := h.QueryStats().Quarantined; !q {
 				t.Fatal("revive fired before its poison was fenced")
 			}
 			fenced = fenced[1:]
@@ -113,8 +113,9 @@ func runChurnSoak(t *testing.T, tape []faultinject.SoakEvent, base []string, poi
 	return rows, finals
 }
 
-func TestMultiChurnSoak(t *testing.T) {
-	cfg := faultinject.SoakConfig{
+// churnSoakConfig is the catalog-churn soak's schedule.
+func churnSoakConfig() faultinject.SoakConfig {
+	return faultinject.SoakConfig{
 		Seed:           7,
 		Duration:       3000,
 		MeanGap:        1,
@@ -125,7 +126,10 @@ func TestMultiChurnSoak(t *testing.T) {
 		PoisonEvery:    500,
 		ReviveAfter:    120,
 	}
-	tape := faultinject.SoakSchedule(cfg)
+}
+
+func TestMultiChurnSoak(t *testing.T) {
+	tape := faultinject.SoakSchedule(churnSoakConfig())
 
 	base := make([]string, 12)
 	for i := range base {

@@ -165,7 +165,7 @@ func TestMultiFailedRestoreLeavesNoClass(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if q, _ := h.Quarantined(); !q {
+	if q := h.QueryStats().Quarantined; !q {
 		t.Fatal("poison not quarantined")
 	}
 	h.e.retained = []byte("torn mid-write")

@@ -85,14 +85,14 @@ func runIsoDifferential(t *testing.T, e *gsql.Engine, cfg *gsql.IsolateConfig, p
 	qs := ph.QueryStats()
 	if wantReason == "" {
 		// No breaker: every failed fold is counted, the streak never fences.
-		if q, _ := ph.Quarantined(); q || len(events) != 0 || m.MultiStats().Quarantined != 0 {
+		if q := ph.QueryStats().Quarantined; q || len(events) != 0 || m.MultiStats().Quarantined != 0 {
 			t.Fatalf("poison fenced with no breaker set: %+v, events %+v", qs, events)
 		}
 		if qs.Errors < 16 || qs.ConsecErrors != int(qs.Errors) {
 			t.Fatalf("poison QueryStats = %+v, want every failed fold counted", qs)
 		}
 	} else {
-		if q, reason := ph.Quarantined(); !q || reason != wantReason {
+		if q, reason := ph.QueryStats().Quarantined, ph.QueryStats().Reason; !q || reason != wantReason {
 			t.Fatalf("poison quarantined=%v reason=%q, want true/%q", q, reason, wantReason)
 		}
 		if cfg != nil && (len(events) != 1 || events[0].Reason != wantReason || events[0].Tag != "poison") {
@@ -225,14 +225,14 @@ func TestMultiAdmissionControl(t *testing.T) {
 	if _, err := probe.Attach(cheapQ, 0, func(gsql.Tuple) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	usedA := probe.AdmitUsed()
+	usedA := probe.MultiStats().AdmitUsed
 	if usedA <= 0 {
 		t.Fatalf("AdmitUsed = %v after one attach, want > 0", usedA)
 	}
 	if _, err := probe.Attach(richQ, 0, func(gsql.Tuple) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	usedAB := probe.AdmitUsed()
+	usedAB := probe.MultiStats().AdmitUsed
 	if usedAB <= usedA {
 		t.Fatalf("AdmitUsed did not grow: %v -> %v", usedA, usedAB)
 	}
@@ -284,7 +284,7 @@ func TestMultiAdmissionControl(t *testing.T) {
 
 	// Detach releases the budget; the previously rejected query now fits.
 	ha.Detach()
-	if u := m.AdmitUsed(); u != 0 {
+	if u := m.MultiStats().AdmitUsed; u != 0 {
 		t.Fatalf("AdmitUsed = %v after detach, want 0", u)
 	}
 	if _, err := m.Attach(richQ, 0, func(gsql.Tuple) error { return nil }); err != nil {
@@ -334,13 +334,13 @@ func TestMultiReviveAfterQuarantine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if q, reason := h.Quarantined(); !q || reason != gsql.QuarantineBreaker {
+	if q, reason := h.QueryStats().Quarantined, h.QueryStats().Reason; !q || reason != gsql.QuarantineBreaker {
 		t.Fatalf("quarantined=%v reason=%q", q, reason)
 	}
 	if len(events) != 1 || events[0].Retained == nil {
 		t.Fatalf("expected one quarantine event with a retained checkpoint, got %+v", events)
 	}
-	baseUsed := m.AdmitUsed()
+	baseUsed := m.MultiStats().AdmitUsed
 	if baseUsed != 0 {
 		t.Fatalf("AdmitUsed = %v while the only query is quarantined, want 0", baseUsed)
 	}
@@ -348,10 +348,10 @@ func TestMultiReviveAfterQuarantine(t *testing.T) {
 	if err := h.Revive(); err != nil {
 		t.Fatalf("revive: %v", err)
 	}
-	if q, _ := h.Quarantined(); q {
+	if q := h.QueryStats().Quarantined; q {
 		t.Fatal("still quarantined after revive")
 	}
-	if m.AdmitUsed() <= 0 {
+	if m.MultiStats().AdmitUsed <= 0 {
 		t.Error("revive did not restore the admission budget charge")
 	}
 	phase2 := clean(70, 50) // next bucket: flushes the retained phase-1 state
@@ -390,15 +390,15 @@ func TestMultiQuarantineDetach(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if q, _ := ph.Quarantined(); !q {
+	if q := ph.QueryStats().Quarantined; !q {
 		t.Fatal("poison not quarantined")
 	}
-	used := m.AdmitUsed()
+	used := m.MultiStats().AdmitUsed
 	ph.Detach()
 	if s := m.MultiStats(); s.Queries != len(multiQueries) || s.Quarantined != 0 {
 		t.Errorf("stats after detaching quarantined query: %+v", s)
 	}
-	if m.AdmitUsed() != used {
+	if m.MultiStats().AdmitUsed != used {
 		t.Error("detach of a quarantined query double-released its budget")
 	}
 	if err := ph.Revive(); err == nil {
@@ -508,7 +508,7 @@ func TestMultiDetachUnderLoad(t *testing.T) {
 			}
 			h.SetTag(bi)
 			defer func(h *gsql.MultiHandle) {
-				if q, _ := h.Quarantined(); !q {
+				if q := h.QueryStats().Quarantined; !q {
 					t.Error("poison churn query was not quarantined")
 				}
 				h.Detach()
@@ -554,13 +554,13 @@ func TestMultiQueryStatsAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all := m.QueryStatsAll()
-	if len(all) != 3 {
-		t.Fatalf("QueryStatsAll returned %d entries, want 3", len(all))
+	var all []gsql.QueryStats
+	for _, h := range handles {
+		all = append(all, h.QueryStats())
 	}
 	for i, qs := range all {
 		if qs.ID != uint64(i) {
-			t.Errorf("stats not ordered by id: %+v", qs)
+			t.Errorf("handle %d reports id %d", i, qs.ID)
 		}
 		if qs.Tuples != uint64(len(tuples)) {
 			t.Errorf("query %d Tuples = %d, want %d", i, qs.Tuples, len(tuples))

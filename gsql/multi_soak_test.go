@@ -114,7 +114,7 @@ func runSoakCatalog(t *testing.T, queries []string, tuples []gsql.Tuple, cutAt i
 		}
 	}
 	for i, h := range poisonHandles {
-		if q, _ := h.Quarantined(); !q {
+		if q := h.QueryStats().Quarantined; !q {
 			t.Fatalf("poison %d was not quarantined before the cut", i)
 		}
 	}

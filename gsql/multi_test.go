@@ -580,16 +580,16 @@ func TestMultiShardedRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			queries, used, stats := m.Queries(), m.AdmitUsed(), m.MultiStats()
+			queries, used, stats := m.MultiStats().Queries, m.MultiStats().AdmitUsed, m.MultiStats()
 			refused := func(what string, err error) {
 				t.Helper()
 				var sue *gsql.ShardedUnsupportedError
 				if !errors.As(err, &sue) || sue.Shards != 2 {
 					t.Fatalf("%s with shards=2: error = %v, want *ShardedUnsupportedError{Shards: 2}", what, err)
 				}
-				if m.Queries() != queries || m.AdmitUsed() != used || m.MultiStats() != stats {
+				if m.MultiStats().Queries != queries || m.MultiStats().AdmitUsed != used || m.MultiStats() != stats {
 					t.Fatalf("refused %s changed the catalog: %d queries, %v admitted, %+v (was %d, %v, %+v)",
-						what, m.Queries(), m.AdmitUsed(), m.MultiStats(), queries, used, stats)
+						what, m.MultiStats().Queries, m.MultiStats().AdmitUsed, m.MultiStats(), queries, used, stats)
 				}
 			}
 			nop := func(gsql.Tuple) error { return nil }

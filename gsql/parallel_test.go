@@ -37,9 +37,22 @@ func trace(n, ooo int, seed uint64) []gsql.Tuple {
 // serialRows runs the statement serially and collects rows.
 func serialRows(t *testing.T, st *gsql.Statement, tuples []gsql.Tuple, opts gsql.Options) []gsql.Tuple {
 	t.Helper()
-	rows, err := st.Execute(gsql.SliceSource(tuples), opts)
+	var rows []gsql.Tuple
+	run := st.Start(func(row gsql.Tuple) error { rows = append(rows, row); return nil }, opts)
+	b, err := gsql.NewBatch(gsql.PacketSchema("TCP"))
 	if err != nil {
-		t.Fatalf("serial execute: %v", err)
+		t.Fatal(err)
+	}
+	for _, tp := range tuples {
+		if err := b.Append(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := run.PushBatch(b); err != nil {
+		t.Fatalf("serial run: %v", err)
+	}
+	if err := run.Close(); err != nil {
+		t.Fatalf("serial close: %v", err)
 	}
 	return rows
 }
@@ -277,7 +290,7 @@ func TestParallelRejectsNonMergeable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Mergeable() {
+	if strings.Contains(st.Describe(), "mergeable=true") {
 		t.Fatal("statement with non-mergeable UDAF reported Mergeable")
 	}
 	if _, err := st.StartParallel(func(gsql.Tuple) error { return nil }, gsql.ParallelOptions{}); err == nil {

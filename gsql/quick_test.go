@@ -38,7 +38,7 @@ func TestQuickIntegerArithmeticMatchesGo(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rows, err := st.Execute(SliceSource([]Tuple{{Int(int64(a)), Int(int64(b))}}), Options{})
+		rows, err := execute(st, []Tuple{{Int(int64(a)), Int(int64(b))}}, Options{})
 		if err != nil || len(rows) != 1 {
 			return false
 		}
@@ -112,11 +112,11 @@ func TestQuickTwoLevelEquivalence(t *testing.T) {
 			tuples[i] = pkt(int64(i/20), int64(rng.Intn(40)), 80, int64(40+rng.Intn(1400)))
 		}
 		slots := 1 << (2 + uint(slotsRaw)%6) // 4..128 slots, forcing evictions
-		split, err := st.Execute(SliceSource(tuples), Options{LowLevelSlots: slots})
+		split, err := execute(st, tuples, Options{LowLevelSlots: slots})
 		if err != nil {
 			return false
 		}
-		single, err := st.Execute(SliceSource(tuples), Options{DisableTwoLevel: true})
+		single, err := execute(st, tuples, Options{DisableTwoLevel: true})
 		if err != nil {
 			return false
 		}
@@ -162,7 +162,7 @@ func TestQuickGroupKeyUniqueness(t *testing.T) {
 		for i := range tuples {
 			tuples[i] = pkt(int64(i/10), int64(rng.Intn(20)), 80, 100)
 		}
-		rows, err := st.Execute(SliceSource(tuples), Options{LowLevelSlots: 8})
+		rows, err := execute(st, tuples, Options{LowLevelSlots: 8})
 		if err != nil {
 			return false
 		}

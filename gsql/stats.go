@@ -36,8 +36,8 @@ type RuntimeStats struct {
 	// cover many frames, so FramesAccepted/AcksWritten is the coalescing
 	// factor of the ack path (1 when the socket keeps up with the pump).
 	AcksWritten uint64
-	// FramesQuarantined counts malformed frames diverted to the dead-letter
-	// ring instead of being applied (or crashing the server).
+	// FramesQuarantined counts malformed frames quarantined (counted and
+	// logged) instead of being applied (or crashing the server).
 	FramesQuarantined uint64
 	// DuplicatesDropped counts frames discarded because their sequence
 	// number was already applied (reconnect replays, duplicated deliveries).

@@ -141,9 +141,6 @@ func Dial(network, address string, cfg DialerConfig) *Dialer {
 	}
 }
 
-// Session returns the session id in use (useful when Dial generated one).
-func (d *Dialer) Session() uint64 { return d.cfg.Session }
-
 // Stats snapshots the dialer's counters.
 func (d *Dialer) Stats() DialerStats {
 	d.mu.Lock()
@@ -192,23 +189,6 @@ func (d *Dialer) Flush() error {
 	if err != nil {
 		// The frame is retained in unacked; the next operation reconnects
 		// and resends it.
-		return d.ensureConn()
-	}
-	return nil
-}
-
-// Heartbeat flushes any buffered packets, then sends a heartbeat frame
-// advancing the server's stream clock to ts. Heartbeats are idempotent and
-// unacknowledged: one lost to a connection drop is simply not resent.
-func (d *Dialer) Heartbeat(ts float64) error {
-	if err := d.Flush(); err != nil {
-		return err
-	}
-	buf := AppendHeartbeat(nil, ts)
-	d.mu.Lock()
-	err := d.writeLocked(buf)
-	d.mu.Unlock()
-	if err != nil {
 		return d.ensureConn()
 	}
 	return nil

@@ -1,6 +1,7 @@
 package ingest_test
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -40,28 +41,34 @@ func TestHeartbeatDrivesEpochRollover(t *testing.T) {
 
 	// A few real packets early in stream time (well inside the first
 	// period), then pure heartbeats far past several period boundaries.
-	pkts := genPackets(50, 11)
-	d := ingest.Dial("tcp", l.Addr().String(), ingest.DialerConfig{Session: 21})
-	for _, p := range pkts {
-		if err := d.Send(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, hb := range []float64{250, 520, 990} {
-		if err := d.Heartbeat(hb); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// Heartbeats are not acknowledged, and Shutdown closes connections
 	// without reading what is still in flight on them. A trailing data frame
-	// is the fence: Close waits for its ack, and the listener acks it only
-	// after applying everything that preceded it on the connection. (Its
-	// early timestamp neither rolls the landmark nor trips the sentinel.)
-	if err := d.Send(pkts[0]); err != nil {
+	// is the fence: the listener acks it only after applying everything that
+	// preceded it on the connection. (Its early timestamp neither rolls the
+	// landmark nor trips the sentinel.)
+	pkts := genPackets(50, 11)
+	out := ingest.AppendData(ingest.AppendHello(nil, 21), 1, pkts)
+	for _, hb := range []float64{250, 520, 990} {
+		out = ingest.AppendHeartbeat(out, hb)
+	}
+	out = ingest.AppendData(out, 2, pkts[:1])
+	c, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Close(); err != nil {
+	defer c.Close()
+	if _, err := c.Write(out); err != nil {
 		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for fr := ingest.NewFrameReader(c, 0); ; {
+		f, err := fr.ReadFrame()
+		if err != nil {
+			t.Fatalf("waiting for the fence's ack: %v", err)
+		}
+		if f.Type == ingest.FrameAck && f.Seq == 2 {
+			break
+		}
 	}
 	if err := l.Shutdown(5 * time.Second); err != nil {
 		t.Fatal(err)

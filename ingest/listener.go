@@ -42,8 +42,6 @@ type Config struct {
 	Queue int
 	// MaxFrame bounds accepted frame bodies (default DefaultMaxFrame).
 	MaxFrame int
-	// DeadLetters is the capacity of the quarantine ring (default 32).
-	DeadLetters int
 	// HeartbeatInterval, when positive, synthesizes a heartbeat whenever no
 	// frame has arrived for that long: stream time is advanced by the idle
 	// wall-clock duration so open windows still close during silence.
@@ -84,16 +82,6 @@ type Config struct {
 type ApplyLog interface {
 	LogFrame(session, seq uint64, pkts []netgen.Packet) error
 	LogHeartbeat(ts gsql.Value) error
-}
-
-// DeadLetter is one quarantined frame.
-type DeadLetter struct {
-	// Err is the typed decode error.
-	Err *FrameError
-	// Remote is the peer address the frame arrived from.
-	Remote string
-	// When is the wall-clock quarantine time.
-	When time.Time
 }
 
 // session is the per-client-session dedup and ack state. Both fields are
@@ -189,15 +177,13 @@ type Listener struct {
 	mu       sync.Mutex
 	conns    map[*serverConn]struct{}
 	sessions map[uint64]*session
-	dead     []DeadLetter // quarantine ring
-	deadNext int          // ring cursor
-	deadN    uint64       // total quarantined (may exceed ring size)
 	closing  bool
 	err      error
 
 	// counters (atomics: bumped from readers and pump, read from anywhere)
 	framesAccepted  atomic.Uint64
 	acksWritten     atomic.Uint64
+	quarantined     atomic.Uint64
 	duplicates      atomic.Uint64
 	reconnects      atomic.Uint64
 	heartbeatsSynth atomic.Uint64
@@ -231,9 +217,6 @@ func Listen(network, address string, cfg Config) (*Listener, error) {
 	if cfg.MaxFrame <= 0 {
 		cfg.MaxFrame = DefaultMaxFrame
 	}
-	if cfg.DeadLetters <= 0 {
-		cfg.DeadLetters = 32
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -264,8 +247,8 @@ func Listen(network, address string, cfg Config) (*Listener, error) {
 func (l *Listener) Addr() net.Addr { return l.nl.Addr() }
 
 // Err returns the listener's sticky error: a sink or checkpoint failure
-// that stopped the pump. Frame-level problems are never sticky — they land
-// in the dead-letter ring instead.
+// that stopped the pump. Frame-level problems are never sticky — they are
+// quarantined instead.
 func (l *Listener) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -286,32 +269,9 @@ func (l *Listener) Fail(err error) {
 	l.cfg.Logf("ingest: pump failed: %v", err)
 }
 
-// DeadLetters returns the quarantined frames currently in the ring
-// (oldest first) and the total number quarantined since start.
-func (l *Listener) DeadLetters() ([]DeadLetter, uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]DeadLetter, 0, len(l.dead))
-	if len(l.dead) == l.cfg.DeadLetters {
-		out = append(out, l.dead[l.deadNext:]...)
-	}
-	out = append(out, l.dead[:l.deadNext]...)
-	return out, l.deadN
-}
-
-// quarantine records a malformed frame in the bounded dead-letter ring.
+// quarantine counts and logs a malformed frame.
 func (l *Listener) quarantine(fe *FrameError, remote string) {
-	l.mu.Lock()
-	dl := DeadLetter{Err: fe, Remote: remote, When: time.Now()}
-	if len(l.dead) < l.cfg.DeadLetters {
-		l.dead = append(l.dead, dl)
-		l.deadNext = len(l.dead) % l.cfg.DeadLetters
-	} else {
-		l.dead[l.deadNext] = dl
-		l.deadNext = (l.deadNext + 1) % l.cfg.DeadLetters
-	}
-	l.deadN++
-	l.mu.Unlock()
+	l.quarantined.Add(1)
 	l.cfg.Logf("ingest: quarantined frame from %s: %v", remote, fe)
 }
 
@@ -328,7 +288,7 @@ func (l *Listener) RuntimeStats() gsql.RuntimeStats {
 	}
 	s.FramesAccepted = l.framesAccepted.Load()
 	s.AcksWritten = l.acksWritten.Load()
-	s.FramesQuarantined = l.deadTotal()
+	s.FramesQuarantined = l.quarantined.Load()
 	s.DuplicatesDropped = l.duplicates.Load()
 	s.Reconnects = l.reconnects.Load()
 	s.HeartbeatsSynthesized = l.heartbeatsSynth.Load()
@@ -337,12 +297,6 @@ func (l *Listener) RuntimeStats() gsql.RuntimeStats {
 		s.TuplesIn = l.tuplesIn.Load()
 	}
 	return s
-}
-
-func (l *Listener) deadTotal() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.deadN
 }
 
 // acceptLoop admits connections until the net listener closes.

@@ -2,7 +2,10 @@ package ingest_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,16 +39,22 @@ func waitQuarantined(t *testing.T, l *ingest.Listener, want uint64) {
 	}
 }
 
-// TestDeadLetterRing: every class of malformed frame lands in the bounded
-// quarantine ring as a typed FrameError — the listener never crashes and
-// never grows the ring past its capacity.
-func TestDeadLetterRing(t *testing.T) {
+// TestMalformedFramesQuarantined: every class of malformed frame is
+// quarantined as a typed FrameError — counted, and logged with the peer's
+// address — and the listener never crashes.
+func TestMalformedFramesQuarantined(t *testing.T) {
 	st := prepare(t)
 	run := st.Start(func(gsql.Tuple) error { return nil }, gsql.Options{})
+	var mu sync.Mutex
+	var logged []string
 	l, err := ingest.Listen("tcp", "127.0.0.1:0", ingest.Config{
-		Sink:        run,
-		DeadLetters: 3, // smaller than the number of faults below
-		MaxFrame:    1 << 16,
+		Sink:     run,
+		MaxFrame: 1 << 16,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,21 +87,24 @@ func TestDeadLetterRing(t *testing.T) {
 	sendRaw(t, addr, orphan)
 	waitQuarantined(t, l, 4)
 
-	letters, total := l.DeadLetters()
-	if total != 4 {
-		t.Fatalf("total quarantined = %d, want 4", total)
+	if got := l.RuntimeStats().FramesQuarantined; got != 4 {
+		t.Fatalf("FramesQuarantined = %d, want 4", got)
 	}
-	if len(letters) != 3 {
-		t.Fatalf("ring holds %d letters, want its capacity 3", len(letters))
-	}
-	// The ring keeps the newest three: truncated, too-large, no-session.
-	wantKinds := []ingest.FrameErrorKind{ingest.FrameTruncated, ingest.FrameTooLarge, ingest.FrameNoSession}
-	for i, dl := range letters {
-		if dl.Err == nil || dl.Err.Kind != wantKinds[i] {
-			t.Fatalf("letter %d = %v, want kind %v", i, dl.Err, wantKinds[i])
+	mu.Lock()
+	var quarantined []string
+	for _, line := range logged {
+		if strings.HasPrefix(line, "ingest: quarantined frame from 127.0.0.1:") {
+			quarantined = append(quarantined, line)
 		}
-		if dl.Remote == "" || dl.When.IsZero() {
-			t.Fatalf("letter %d missing provenance: %+v", i, dl)
+	}
+	mu.Unlock()
+	kinds := []ingest.FrameErrorKind{ingest.FrameBadChecksum, ingest.FrameTruncated, ingest.FrameTooLarge, ingest.FrameNoSession}
+	if len(quarantined) != len(kinds) {
+		t.Fatalf("logged %d quarantines, want %d: %q", len(quarantined), len(kinds), quarantined)
+	}
+	for i, k := range kinds {
+		if !strings.Contains(quarantined[i], "ingest: "+k.String()) {
+			t.Fatalf("quarantine %d logged %q, want kind %v", i, quarantined[i], k)
 		}
 	}
 	if err := run.Close(); err != nil {

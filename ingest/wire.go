@@ -16,7 +16,7 @@
 //     duplicates; the client retains unacknowledged frames and resends them
 //     after reconnecting, so a frame lost to corruption or a dropped
 //     connection is redelivered, exactly once in application order.
-//   - Malformed frames are diverted to a bounded dead-letter ring as typed
+//   - Malformed frames are quarantined (counted and logged) as typed
 //     *FrameError values and the offending connection is closed (stream
 //     framing cannot be trusted after a bad frame); the client's resend
 //     path turns that into a retry.

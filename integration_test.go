@@ -64,20 +64,7 @@ func TestEndToEndDecayedSumThroughEngine(t *testing.T) {
 		truth[k] += float64(p.Len) * n * n / 3600
 	}
 
-	rows, err := st.Execute(func() func() (gsql.Tuple, bool) {
-		i := 0
-		return func() (gsql.Tuple, bool) {
-			if i >= len(pkts) {
-				return nil, false
-			}
-			tu := netgen.Tuple(pkts[i])
-			i++
-			return tu, true
-		}
-	}(), gsql.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runPackets(t, st, pkts)
 	if len(rows) != len(truth) {
 		t.Fatalf("engine produced %d groups, truth has %d", len(rows), len(truth))
 	}
@@ -200,22 +187,7 @@ func TestEndToEndTraceReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOnce := func() []gsql.Tuple {
-		i := 0
-		rows, err := st.Execute(func() (gsql.Tuple, bool) {
-			if i >= len(pkts) {
-				return nil, false
-			}
-			tu := netgen.Tuple(pkts[i])
-			i++
-			return tu, true
-		}, gsql.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	a, b := runOnce(), runOnce()
+	a, b := runPackets(t, st, pkts), runPackets(t, st, pkts)
 	if len(a) != len(b) {
 		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
 	}
@@ -298,4 +270,23 @@ func TestEndToEndBackwardUDAFResultsPinned(t *testing.T) {
 			t.Errorf("seed %d: %s, pinned %s", seed, got, want[seed])
 		}
 	}
+}
+
+// runPackets runs st over pkts pushed as one batch and collects its rows.
+func runPackets(t *testing.T, st *gsql.Statement, pkts []netgen.Packet) []gsql.Tuple {
+	t.Helper()
+	var rows []gsql.Tuple
+	run := st.Start(func(r gsql.Tuple) error { rows = append(rows, r); return nil }, gsql.Options{})
+	b, err := gsql.NewBatch(gsql.PacketSchema("TCP"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	netgen.FillBatch(b, pkts)
+	if _, err := run.PushBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }

@@ -46,9 +46,3 @@ func (k *KahanSum) State() (sum, comp float64) { return k.sum, k.c }
 
 // SetState restores an accumulator captured with State.
 func (k *KahanSum) SetState(sum, comp float64) { k.sum, k.c = sum, comp }
-
-// Merge folds another compensated sum into this one.
-func (k *KahanSum) Merge(o *KahanSum) {
-	k.Add(o.sum)
-	k.Add(o.c)
-}

@@ -60,16 +60,6 @@ func (s *ScaledSum) Value(logNorm float64) float64 {
 // (Σ wᵢxᵢ = sum·exp(logScale)).
 func (s *ScaledSum) Raw() (sum, logScale float64) { return s.sum.Value(), s.logScale }
 
-// Log returns ln(Σ wᵢxᵢ) for a sum of positive terms, or −Inf when empty
-// or zero.
-func (s *ScaledSum) Log() float64 {
-	v := s.sum.Value()
-	if !s.nonEmpty || v <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(v) + s.logScale
-}
-
 // Merge folds another accumulator into this one.
 func (s *ScaledSum) Merge(o *ScaledSum) {
 	if !o.nonEmpty {
@@ -93,9 +83,6 @@ func (s *ScaledSum) Shift(delta float64) {
 		s.logScale += delta
 	}
 }
-
-// Empty reports whether nothing has been accumulated.
-func (s *ScaledSum) Empty() bool { return !s.nonEmpty }
 
 // State exposes the full representation — raw sum, Kahan compensation and
 // log scale — so checkpoint codecs can round-trip the accumulator

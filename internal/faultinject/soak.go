@@ -11,7 +11,12 @@ package faultinject
 // runtime, and the distributed coordinator without import cycles:
 // faultinject imports nothing from this repository.
 
-import "sort"
+import (
+	"crypto/sha256"
+	"fmt"
+	"sort"
+	"strconv"
+)
 
 // SoakOp is the kind of one scheduled soak event.
 type SoakOp uint8
@@ -34,8 +39,6 @@ const (
 	// id: the harness picks the victim deterministically from its own roster
 	// state, so one tape drives clusters of any shape.
 
-	// SoakRoll advances the subject's decay landmark (an epoch rollover).
-	SoakRoll
 	// SoakSiteAdd grows the cluster by one site (live shard handoff).
 	SoakSiteAdd
 	// SoakSiteRemove retires one site (live shard handoff to survivors).
@@ -47,9 +50,6 @@ const (
 	// SoakHandoffCrash performs a membership change with the handoff fault
 	// point armed, so the source site dies mid-transfer.
 	SoakHandoffCrash
-	// SoakRollCrash performs an epoch rollover with the prepare fault point
-	// armed, so one site fails mid-roll and must be quarantined.
-	SoakRollCrash
 
 	// Catalog-churn events for standing-query soaks. As with site churn,
 	// the events carry no query id: the harness picks attach texts and
@@ -79,8 +79,6 @@ func (op SoakOp) String() string {
 		return "crash"
 	case SoakCorrupt:
 		return "corrupt"
-	case SoakRoll:
-		return "roll"
 	case SoakSiteAdd:
 		return "site-add"
 	case SoakSiteRemove:
@@ -91,8 +89,6 @@ func (op SoakOp) String() string {
 		return "site-rejoin"
 	case SoakHandoffCrash:
 		return "handoff-crash"
-	case SoakRollCrash:
-		return "roll-crash"
 	case SoakAttach:
 		return "attach"
 	case SoakDetach:
@@ -143,8 +139,6 @@ type SoakConfig struct {
 	// CorruptEvery inserts a corrupt-checkpoint probe at this period.
 	CorruptEvery float64
 
-	// RollEvery inserts an epoch rollover at this period.
-	RollEvery float64
 	// SiteAddEvery / SiteRemoveEvery / SiteCrashEvery insert the matching
 	// site-churn event at their period.
 	SiteAddEvery    float64
@@ -156,9 +150,6 @@ type SoakConfig struct {
 	// HandoffCrashEvery inserts a membership change whose handoff is made to
 	// fail mid-transfer at this period.
 	HandoffCrashEvery float64
-	// RollCrashEvery inserts an epoch rollover with one site made to fail
-	// its proposal at this period.
-	RollCrashEvery float64
 
 	// AttachEvery / DetachEvery insert catalog-churn events at their
 	// period; PoisonEvery attaches a per-tuple-faulting query instead.
@@ -210,12 +201,10 @@ func SoakSchedule(cfg SoakConfig) []SoakEvent {
 		{SoakCrash, cfg.CrashEvery},
 		// Churn kinds come after the original four, so tapes generated by
 		// older configurations are unchanged byte-for-byte.
-		{SoakRoll, cfg.RollEvery},
 		{SoakSiteAdd, cfg.SiteAddEvery},
 		{SoakSiteRemove, cfg.SiteRemoveEvery},
 		{SoakSiteCrash, cfg.SiteCrashEvery},
 		{SoakHandoffCrash, cfg.HandoffCrashEvery},
-		{SoakRollCrash, cfg.RollCrashEvery},
 		// Catalog churn comes last of all, for the same reason.
 		{SoakAttach, cfg.AttachEvery},
 		{SoakDetach, cfg.DetachEvery},
@@ -264,4 +253,14 @@ func SoakSchedule(cfg SoakConfig) []SoakEvent {
 	// instant.
 	sort.SliceStable(events, func(i, j int) bool { return events[i].T < events[j].T })
 	return events
+}
+
+// SoakDigest is a SHA-256 over a tape's events, one "op time key value" line
+// each, so a test can pin the tape a soak replays.
+func SoakDigest(events []SoakEvent) string {
+	h := sha256.New()
+	for _, ev := range events {
+		fmt.Fprintf(h, "%s %s %d %s\n", ev.Op, strconv.FormatFloat(ev.T, 'g', -1, 64), ev.Key, strconv.FormatFloat(ev.Val, 'g', -1, 64))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }

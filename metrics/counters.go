@@ -22,9 +22,6 @@ type Counter struct {
 // Add increments the counter by delta.
 func (c *Counter) Add(delta uint64) { c.v.Add(delta) }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 

@@ -11,7 +11,7 @@ func TestCounterSetBasics(t *testing.T) {
 		t.Fatalf("Get on unknown counter = %d", got)
 	}
 	cs.Add("a", 3)
-	cs.Counter("b").Inc()
+	cs.Counter("b").Add(1)
 	cs.Add("a", 2)
 	if got := cs.Get("a"); got != 5 {
 		t.Errorf("a = %d, want 5", got)
@@ -47,7 +47,7 @@ func TestCounterSetConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				cs.Add("shared", 1)
-				cs.Counter("own").Inc()
+				cs.Counter("own").Add(1)
 			}
 		}()
 	}

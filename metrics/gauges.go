@@ -67,16 +67,6 @@ func (gs *GaugeSet) Delete(name string) {
 	gs.mu.Unlock()
 }
 
-// Get returns a named gauge's level (0 for names never interned).
-func (gs *GaugeSet) Get(name string) float64 {
-	gs.mu.RLock()
-	defer gs.mu.RUnlock()
-	if g := gs.m[name]; g != nil {
-		return g.Value()
-	}
-	return 0
-}
-
 // Snapshot returns every gauge's current level.
 func (gs *GaugeSet) Snapshot() map[string]float64 {
 	gs.mu.RLock()

@@ -7,13 +7,10 @@ import (
 
 func TestGaugeSetBasics(t *testing.T) {
 	gs := NewGaugeSet()
-	if gs.Get("missing") != 0 {
-		t.Fatal("unseen gauge must read 0")
-	}
 	gs.Set("ratio", 0.75)
 	gs.Set("queries", 1000)
 	gs.Set("ratio", 0.5) // gauges move both ways
-	if v := gs.Get("ratio"); v != 0.5 {
+	if v := gs.Gauge("ratio").Value(); v != 0.5 {
 		t.Fatalf("ratio = %v, want 0.5", v)
 	}
 	if v := gs.Gauge("queries").Value(); v != 1000 {
@@ -38,13 +35,12 @@ func TestGaugeSetConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				gs.Set("shared", float64(i))
-				_ = gs.Get("shared")
 				_ = gs.Snapshot()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if v := gs.Get("shared"); v != 999 {
+	if v := gs.Snapshot()["shared"]; v != 999 {
 		t.Fatalf("final level = %v, want 999", v)
 	}
 }

@@ -30,8 +30,6 @@ type Reservoir struct {
 	s     *sample.WRS[float64]
 	now   func() time.Time
 	start time.Time
-	count uint64
-	seed  uint64
 }
 
 // Option configures a Reservoir.
@@ -40,13 +38,6 @@ type Option func(*Reservoir)
 // WithClock substitutes the time source (for tests and simulations).
 func WithClock(now func() time.Time) Option {
 	return func(r *Reservoir) { r.now = now }
-}
-
-// WithSeed fixes the sampling seed (defaults to 1; the sample distribution
-// is the same for any seed, so a fixed default keeps behaviour
-// reproducible).
-func WithSeed(seed uint64) Option {
-	return func(r *Reservoir) { r.seed = seed }
 }
 
 // NewReservoir returns a decaying reservoir holding up to size
@@ -60,62 +51,44 @@ func NewReservoir(size int, halfLife time.Duration, opts ...Option) *Reservoir {
 	if halfLife <= 0 {
 		panic("metrics: half-life must be positive")
 	}
-	r := &Reservoir{now: time.Now, seed: 1}
+	r := &Reservoir{now: time.Now}
 	for _, o := range opts {
 		o(r)
 	}
 	r.start = r.now()
 	alpha := math.Ln2 / halfLife.Seconds()
 	r.model = decay.NewForward(decay.Exp{Alpha: alpha}, 0)
-	r.s = sample.NewWRS[float64](size, r.seed)
+	// The sample distribution is the same for any seed; a fixed one keeps
+	// behaviour reproducible.
+	r.s = sample.NewWRS[float64](size, 1)
 	return r
 }
 
 // Update records an observation at the current time.
 func (r *Reservoir) Update(v float64) { r.UpdateAt(v, r.now()) }
 
-// Model exposes the underlying forward decay model, letting advanced
-// callers inspect the decay rate.
-func (r *Reservoir) Model() decay.Forward { return r.model }
-
 // UpdateAt records an observation with an explicit timestamp. Out-of-order
 // timestamps are fine (§VI-B of the paper).
 func (r *Reservoir) UpdateAt(v float64, t time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.count++
 	r.s.Add(v, r.model.LogStaticWeight(t.Sub(r.start).Seconds()))
 }
 
-// Count returns the total number of observations recorded.
-func (r *Reservoir) Count() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
-}
-
 // Snapshot returns an immutable view of the current sample for quantile
-// and moment queries.
+// queries.
 func (r *Reservoir) Snapshot() Snapshot {
 	r.mu.Lock()
 	vals := r.s.Sample() // copies
-	count := r.count
 	r.mu.Unlock()
 	sort.Float64s(vals)
-	return Snapshot{values: vals, count: count}
+	return Snapshot{values: vals}
 }
 
 // Snapshot is a point-in-time view of a Reservoir's sample.
 type Snapshot struct {
 	values []float64 // sorted
-	count  uint64
 }
-
-// Size returns the number of sampled observations in the snapshot.
-func (s Snapshot) Size() int { return len(s.values) }
-
-// Count returns the total observations recorded by the reservoir.
-func (s Snapshot) Count() uint64 { return s.count }
 
 // Quantile returns the φ-quantile of the sample (0 ≤ φ ≤ 1), or NaN when
 // empty.
@@ -140,56 +113,3 @@ func (s Snapshot) Quantile(phi float64) float64 {
 
 // Median returns the 50th percentile.
 func (s Snapshot) Median() float64 { return s.Quantile(0.5) }
-
-// Min returns the smallest sampled value, or NaN when empty.
-func (s Snapshot) Min() float64 {
-	if len(s.values) == 0 {
-		return math.NaN()
-	}
-	return s.values[0]
-}
-
-// Max returns the largest sampled value, or NaN when empty.
-func (s Snapshot) Max() float64 {
-	if len(s.values) == 0 {
-		return math.NaN()
-	}
-	return s.values[len(s.values)-1]
-}
-
-// Mean returns the sample mean, or NaN when empty.
-func (s Snapshot) Mean() float64 {
-	if len(s.values) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum / float64(len(s.values))
-}
-
-// StdDev returns the sample standard deviation, or NaN when empty.
-func (s Snapshot) StdDev() float64 {
-	n := len(s.values)
-	if n == 0 {
-		return math.NaN()
-	}
-	if n == 1 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.values {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// Values returns a copy of the sorted sampled values.
-func (s Snapshot) Values() []float64 {
-	out := make([]float64, len(s.values))
-	copy(out, s.values)
-	return out
-}

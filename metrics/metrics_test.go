@@ -31,7 +31,7 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func TestReservoirTracksRecentRegime(t *testing.T) {
 	clk := newFakeClock()
-	r := NewReservoir(200, 30*time.Second, WithClock(clk.now), WithSeed(7))
+	r := NewReservoir(200, 30*time.Second, WithClock(clk.now))
 	// Old regime: values near 10 for two minutes.
 	for i := 0; i < 2000; i++ {
 		r.Update(10 + float64(i%3))
@@ -43,9 +43,6 @@ func TestReservoirTracksRecentRegime(t *testing.T) {
 		clk.advance(60 * time.Millisecond)
 	}
 	s := r.Snapshot()
-	if s.Count() != 4000 {
-		t.Fatalf("count = %d", s.Count())
-	}
 	if med := s.Median(); med < 900 {
 		t.Errorf("median %v still dominated by the old regime", med)
 	}
@@ -53,8 +50,8 @@ func TestReservoirTracksRecentRegime(t *testing.T) {
 	if q := s.Quantile(0.25); q < 900 {
 		t.Errorf("p25 %v too old", q)
 	}
-	if s.Max() < 1000 || s.Min() > 1002 && s.Min() < 10 {
-		t.Errorf("min/max bracket wrong: %v/%v", s.Min(), s.Max())
+	if s.Quantile(1) < 1000 || s.Quantile(0) > 1002 && s.Quantile(0) < 10 {
+		t.Errorf("min/max bracket wrong: %v/%v", s.Quantile(0), s.Quantile(1))
 	}
 }
 
@@ -65,35 +62,23 @@ func TestReservoirUndersizedStreamExact(t *testing.T) {
 		r.Update(v)
 		clk.advance(time.Second)
 	}
+	// All four values are kept: sorted 1 3 5 9.
 	s := r.Snapshot()
-	if s.Size() != 4 {
-		t.Fatalf("size = %d", s.Size())
-	}
-	if s.Min() != 1 || s.Max() != 9 {
-		t.Errorf("min/max = %v/%v", s.Min(), s.Max())
-	}
-	if got := s.Mean(); math.Abs(got-4.5) > 1e-12 {
-		t.Errorf("mean = %v", got)
+	if s.Quantile(0) != 1 || s.Quantile(1) != 9 {
+		t.Errorf("min/max = %v/%v", s.Quantile(0), s.Quantile(1))
 	}
 	if got := s.Median(); math.Abs(got-4) > 1e-12 {
 		t.Errorf("median = %v (interpolated)", got)
 	}
-	if got := s.StdDev(); math.Abs(got-math.Sqrt((0.25+12.25+20.25+2.25)/3*4/4)) > 1 {
-		t.Errorf("stddev = %v", got)
-	}
-	vals := s.Values()
-	if len(vals) != 4 || vals[0] != 1 || vals[3] != 9 {
-		t.Errorf("values = %v", vals)
+	if got := s.Quantile(1.0 / 3); got != 3 {
+		t.Errorf("p33 = %v, want the second value 3", got)
 	}
 }
 
 func TestReservoirEmptySnapshot(t *testing.T) {
 	r := NewReservoir(10, time.Second)
 	s := r.Snapshot()
-	if s.Size() != 0 || s.Count() != 0 {
-		t.Fatal("empty reservoir has content")
-	}
-	for _, v := range []float64{s.Median(), s.Min(), s.Max(), s.Mean(), s.StdDev(), s.Quantile(0.9)} {
+	for _, v := range []float64{s.Median(), s.Quantile(0), s.Quantile(1), s.Quantile(0.9)} {
 		if !math.IsNaN(v) {
 			t.Errorf("empty snapshot stat = %v, want NaN", v)
 		}
@@ -111,9 +96,6 @@ func TestReservoirLongRunNoOverflow(t *testing.T) {
 		clk.advance(time.Second)
 	}
 	s := r.Snapshot()
-	if s.Size() != 50 {
-		t.Fatalf("size = %d", s.Size())
-	}
 	if math.IsNaN(s.Median()) || math.IsInf(s.Median(), 0) {
 		t.Errorf("median = %v", s.Median())
 	}
@@ -140,14 +122,14 @@ func TestReservoirConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if r.Count() != 40000 {
-		t.Errorf("count = %d", r.Count())
+	if med := r.Snapshot().Median(); !(med >= 0 && med < 5000) {
+		t.Errorf("median %v outside the values recorded", med)
 	}
 }
 
 func TestReservoirOutOfOrderUpdates(t *testing.T) {
 	clk := newFakeClock()
-	r := NewReservoir(100, 10*time.Second, WithClock(clk.now), WithSeed(3))
+	r := NewReservoir(100, 10*time.Second, WithClock(clk.now))
 	base := clk.now()
 	// Deliver timestamps shuffled: recent values (800+) must dominate.
 	for i := 0; i < 3000; i++ {
@@ -194,12 +176,8 @@ func TestReservoirConstructorPanics(t *testing.T) {
 
 func TestReservoirModelAccessor(t *testing.T) {
 	r := NewReservoir(10, 10*time.Second)
-	m := r.Model()
-	if m.Func == nil {
-		t.Fatal("no model")
-	}
 	// α = ln2 / 10s.
-	if got := m.Weight(0, 10); math.Abs(got-0.5) > 1e-12 {
+	if got := r.model.Weight(0, 10); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("weight after one half-life = %v", got)
 	}
 }

@@ -2,8 +2,7 @@
 // characteristics the forward-decay paper's evaluation depends on: Zipfian
 // destination popularity (tens of thousands of active groups per minute),
 // realistic packet-size mixtures, a TCP/UDP split, flow structure, Poisson
-// arrivals at a configurable rate, NIC-style flow sampling to vary the
-// effective stream rate, and optional out-of-order delivery.
+// arrivals at a configurable rate, and optional out-of-order delivery.
 //
 // It stands in for the live 400,000 packet/s (≈1.8 Gbit/s) tap of the
 // paper's §VIII (see DESIGN.md, substitution 1). Generation is
@@ -245,28 +244,3 @@ func (g *Generator) N() uint64 { return g.n }
 
 // Now returns the timestamp of the most recently generated packet.
 func (g *Generator) Now() float64 { return g.now }
-
-// FlowSampler deterministically samples whole flows, the hardware
-// flow-sampling mechanism the paper used to vary the effective stream rate:
-// a packet passes iff its flow key hashes below the sampling threshold, so
-// either every packet of a flow is observed or none is.
-type FlowSampler struct {
-	thresh uint64
-}
-
-// NewFlowSampler returns a sampler passing approximately the given fraction
-// of flows. It panics unless 0 < fraction <= 1.
-func NewFlowSampler(fraction float64) *FlowSampler {
-	if !(fraction > 0 && fraction <= 1) {
-		panic("netgen: flow sampling fraction must be in (0,1]")
-	}
-	if fraction == 1 {
-		return &FlowSampler{thresh: math.MaxUint64}
-	}
-	return &FlowSampler{thresh: uint64(fraction * float64(math.MaxUint64))}
-}
-
-// Keep reports whether the packet's flow is in the sample.
-func (s *FlowSampler) Keep(p Packet) bool {
-	return core.Mix64(p.FlowKey()^0x9e3779b97f4a7c15) <= s.thresh
-}

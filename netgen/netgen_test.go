@@ -147,33 +147,6 @@ func TestOutOfOrderDelivery(t *testing.T) {
 	}
 }
 
-func TestFlowSamplerFractionAndFlowCoherence(t *testing.T) {
-	g := New(DefaultConfig(10000, 6))
-	s := NewFlowSampler(0.25)
-	const n = 200000
-	kept := 0
-	decisions := map[uint64]bool{}
-	for i := 0; i < n; i++ {
-		p := g.Next()
-		k := s.Keep(p)
-		if k {
-			kept++
-		}
-		if prev, seen := decisions[p.FlowKey()]; seen && prev != k {
-			t.Fatal("flow sampling split a flow")
-		}
-		decisions[p.FlowKey()] = k
-	}
-	frac := float64(kept) / n
-	if math.Abs(frac-0.25) > 0.05 {
-		t.Errorf("kept fraction %v, want ≈ 0.25", frac)
-	}
-	full := NewFlowSampler(1)
-	if !full.Keep(g.Next()) {
-		t.Error("fraction 1 must keep everything")
-	}
-}
-
 func TestTraceRoundTrip(t *testing.T) {
 	g := New(DefaultConfig(1000, 7))
 	pkts := g.Take(nil, 5000)

@@ -11,31 +11,18 @@ import (
 func TestAccessorsAcrossSamplers(t *testing.T) {
 	r := NewReservoir[int](3, 1)
 	r.Add(1)
-	if r.Len() != 1 || r.N() != 1 {
+	if r.Len() != 1 {
 		t.Error("Reservoir accessors")
 	}
-	sk := NewSkipReservoir[int](3, 1)
-	for i := 0; i < 10; i++ {
-		sk.Add(i)
-	}
-	if sk.N() != 10 {
-		t.Error("SkipReservoir N")
-	}
-	_ = sk.Skip() // exercised; value depends on random draws
 	ag := NewAggarwal[int](3, 1)
 	ag.Add(1)
-	if ag.N() != 1 || ag.Len() != 1 {
+	if ag.Len() != 1 {
 		t.Error("Aggarwal accessors")
 	}
 	p := NewPriority[int](3, 1)
 	p.Add(1, 0)
-	if p.N() != 1 {
-		t.Error("Priority N")
-	}
-	ch := NewChain[int](5, 1)
-	ch.Add(1)
-	if ch.N() != 1 {
-		t.Error("Chain N")
+	if p.Len() != 1 {
+		t.Error("Priority Len")
 	}
 }
 
@@ -43,11 +30,6 @@ func TestAccessorsAcrossSamplers(t *testing.T) {
 // methods not exercised elsewhere.
 func TestForwardWrapperAccessorsAndMerge(t *testing.T) {
 	m := decay.NewForward(decay.NewExp(0.1), 0)
-	wr := NewForwardWR[int](m, 4, 1)
-	wr.Observe(1, 5)
-	if wr.Model() != m {
-		t.Error("ForwardWR Model")
-	}
 	wrs := NewForwardWRS[int](m, 4, 2)
 	wrs2 := NewForwardWRS[int](m, 4, 3)
 	wrs.Observe(1, 5)
@@ -75,40 +57,6 @@ func TestForwardWrapperAccessorsAndMerge(t *testing.T) {
 	}
 }
 
-// TestReservoirMergePartialFills covers merging when one side is unfilled.
-func TestReservoirMergePartialFills(t *testing.T) {
-	a := NewReservoir[int](5, 1)
-	b := NewReservoir[int](5, 2)
-	a.Add(1)
-	a.Add(2)
-	for i := 10; i < 13; i++ {
-		b.Add(i)
-	}
-	a.Merge(b)
-	if a.N() != 5 || a.Len() != 5 {
-		t.Errorf("merged N=%d Len=%d", a.N(), a.Len())
-	}
-	// Merge into empty adopts the other side.
-	c := NewReservoir[int](5, 3)
-	c.Merge(a)
-	if c.N() != 5 || c.Len() != 5 {
-		t.Errorf("empty merge N=%d Len=%d", c.N(), c.Len())
-	}
-	// Merge of empty is a no-op.
-	d := NewReservoir[int](5, 4)
-	a.Merge(d)
-	if a.N() != 5 {
-		t.Error("empty other changed N")
-	}
-	// Size mismatch panics.
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for size mismatch")
-		}
-	}()
-	a.Merge(NewReservoir[int](4, 5))
-}
-
 // TestWRMergeEmptyBranches covers WR merge with empty sides and mismatch.
 func TestWRMergeEmptyBranches(t *testing.T) {
 	a := NewWR[int](3, 1)
@@ -122,8 +70,10 @@ func TestWRMergeEmptyBranches(t *testing.T) {
 	}
 	c := NewWR[int](3, 3)
 	a.Merge(c) // nonempty ← empty: no-op
-	if a.N() != 1 {
-		t.Errorf("N = %d", a.N())
+	for _, it := range a.Sample() {
+		if it != 7 {
+			t.Errorf("sample after empty merge = %v", a.Sample())
+		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -141,12 +91,4 @@ func TestPriorityMergeSizeMismatchPanics(t *testing.T) {
 		}
 	}()
 	NewPriority[int](2, 1).Merge(NewPriority[int](3, 2))
-}
-
-// TestChainEmptySample covers the no-sample path.
-func TestChainEmptySample(t *testing.T) {
-	ch := NewChain[int](5, 1)
-	if _, ok := ch.Sample(); ok {
-		t.Error("empty chain claims a sample")
-	}
 }

@@ -43,6 +43,6 @@ func ExampleReservoir() {
 	for _, w := range []string{"a", "b", "c", "d", "e"} {
 		s.Add(w)
 	}
-	fmt.Println(len(s.Sample()), s.N())
-	// Output: 2 5
+	fmt.Println(len(s.Sample()))
+	// Output: 2
 }

@@ -24,9 +24,6 @@ func (f *ForwardWR[T]) Observe(item T, ti float64) {
 // Sample returns the current samples (with replacement).
 func (f *ForwardWR[T]) Sample() []T { return f.s.Sample() }
 
-// Model returns the decay model.
-func (f *ForwardWR[T]) Model() decay.Forward { return f.model }
-
 // ForwardWRS samples k items without replacement under a forward decay
 // model using weighted reservoir sampling (Theorem 6). Because forward and
 // backward exponential decay coincide, ForwardWRS with an exponential

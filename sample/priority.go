@@ -28,7 +28,6 @@ type Priority[T any] struct {
 	// Min-heap on logQ holding up to k+1 entries; the root is the
 	// threshold entry.
 	h []priEntry[T]
-	n uint64
 }
 
 type priEntry[T any] struct {
@@ -47,7 +46,6 @@ func NewPriority[T any](k int, seed uint64) *Priority[T] {
 
 // Add offers an item with the given log-domain weight (ln w).
 func (s *Priority[T]) Add(item T, logW float64) {
-	s.n++
 	if math.IsInf(logW, -1) || math.IsNaN(logW) {
 		return
 	}
@@ -113,9 +111,6 @@ func (s *Priority[T]) Len() int {
 	return len(s.h)
 }
 
-// N returns the number of items offered.
-func (s *Priority[T]) N() uint64 { return s.n }
-
 // Merge folds another priority sampler (same k) into this one: priorities
 // are independent uniforms, so the union's k+1 highest priorities are
 // distributed exactly as a single-stream sampler's (§VI-B). It panics if
@@ -135,7 +130,6 @@ func (s *Priority[T]) Merge(o *Priority[T]) {
 			s.down(0)
 		}
 	}
-	s.n += o.n
 }
 
 func (s *Priority[T]) up(i int) {

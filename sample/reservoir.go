@@ -39,117 +39,8 @@ func (s *Reservoir[T]) Add(item T) {
 // Sample returns the current uniform sample (aliases internal state).
 func (s *Reservoir[T]) Sample() []T { return s.items }
 
-// N returns the number of items offered.
-func (s *Reservoir[T]) N() uint64 { return s.n }
-
 // Len returns the current sample size.
 func (s *Reservoir[T]) Len() int { return len(s.items) }
-
-// Merge folds another reservoir (same k) into this one, preserving
-// uniformity over the union: each slot of the result comes from the other
-// reservoir with probability n₂/(n₁+n₂). It panics if the sizes differ.
-func (s *Reservoir[T]) Merge(o *Reservoir[T]) {
-	if o.k != s.k {
-		panic("sample: merging Reservoirs of different sizes")
-	}
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		s.items = append(s.items[:0], o.items...)
-		s.n = o.n
-		return
-	}
-	if len(s.items) < s.k || len(o.items) < o.k {
-		// One side has not filled: offer its items individually.
-		for _, it := range o.items {
-			s.Add(it)
-		}
-		s.n += o.n - uint64(len(o.items))
-		return
-	}
-	pOther := float64(o.n) / float64(s.n+o.n)
-	for j := range s.items {
-		if s.rng.Float64() < pOther {
-			s.items[j] = o.items[j]
-		}
-	}
-	s.n += o.n
-}
-
-// SkipReservoir is reservoir sampling with Vitter's Algorithm X skip
-// optimization: instead of a coin flip per item it draws, once per
-// replacement, the number of subsequent items to skip, making the cost per
-// *accepted* item O(1) and the amortized per-item cost o(1) for k ≪ n.
-// Offers arrive through Offer, which reports whether the item was examined;
-// callers that can cheaply skip items (e.g. readers) may use Skip() to know
-// how many upcoming items are irrelevant.
-//
-// SkipReservoir is not safe for concurrent use.
-type SkipReservoir[T any] struct {
-	k     int
-	rng   *core.RNG
-	items []T
-	n     uint64
-	skip  uint64 // items still to skip before the next candidate
-}
-
-// NewSkipReservoir returns a skip-optimized uniform reservoir of size k.
-// It panics if k < 1.
-func NewSkipReservoir[T any](k int, seed uint64) *SkipReservoir[T] {
-	if k < 1 {
-		panic("sample: SkipReservoir needs k >= 1")
-	}
-	return &SkipReservoir[T]{k: k, rng: core.NewRNG(seed), items: make([]T, 0, k)}
-}
-
-// Add offers one item.
-func (s *SkipReservoir[T]) Add(item T) {
-	s.n++
-	if len(s.items) < s.k {
-		s.items = append(s.items, item)
-		if len(s.items) == s.k {
-			s.drawSkip()
-		}
-		return
-	}
-	if s.skip > 0 {
-		s.skip--
-		return
-	}
-	s.items[s.rng.Intn(s.k)] = item
-	s.drawSkip()
-}
-
-// drawSkip draws the gap until the next accepted item using the exact
-// Algorithm X distribution: P(skip ≥ s) = Π_{j=1..s} (n+j−k)/(n+j).
-func (s *SkipReservoir[T]) drawSkip() {
-	u := s.rng.Float64()
-	// Sequential search: find the smallest sk with P(skip ≥ sk+1) < u.
-	prod := 1.0
-	sk := uint64(0)
-	n := float64(s.n)
-	for {
-		prod *= (n + float64(sk) + 1 - float64(s.k)) / (n + float64(sk) + 1)
-		if prod < u {
-			break
-		}
-		sk++
-		if sk > 1<<40 { // safety valve; astronomically unlikely
-			break
-		}
-	}
-	s.skip = sk
-}
-
-// Skip returns how many upcoming items would be ignored without inspection.
-func (s *SkipReservoir[T]) Skip() uint64 { return s.skip }
-
-// Sample returns the current uniform sample (aliases internal state).
-func (s *SkipReservoir[T]) Sample() []T { return s.items }
-
-// N returns the number of items offered.
-func (s *SkipReservoir[T]) N() uint64 { return s.n }
 
 // Aggarwal is the biased reservoir sampler of Aggarwal (VLDB 2006) for
 // exponential decay, the prior-art baseline of Figure 3: with reservoir
@@ -176,7 +67,6 @@ type Aggarwal[T any] struct {
 	c     int
 	rng   *core.RNG
 	items []T
-	n     uint64
 }
 
 // NewAggarwal returns a biased reservoir with capacity c (bias rate ≈ 1/c
@@ -190,7 +80,6 @@ func NewAggarwal[T any](c int, seed uint64) *Aggarwal[T] {
 
 // Add offers one item (arrival order defines the bias).
 func (s *Aggarwal[T]) Add(item T) {
-	s.n++
 	fill := float64(len(s.items)) / float64(s.c)
 	if s.rng.Float64() < fill {
 		s.items[s.rng.Intn(len(s.items))] = item
@@ -202,79 +91,5 @@ func (s *Aggarwal[T]) Add(item T) {
 // Sample returns the current biased sample (aliases internal state).
 func (s *Aggarwal[T]) Sample() []T { return s.items }
 
-// N returns the number of items offered.
-func (s *Aggarwal[T]) N() uint64 { return s.n }
-
 // Len returns the current sample size.
 func (s *Aggarwal[T]) Len() int { return len(s.items) }
-
-// Chain is the chain-sampling algorithm of Babcock, Datar and Motwani for
-// uniform sampling from a count-based sliding window of the last w items,
-// in O(1) expected space per sample: when an item is chosen, a replacement
-// index is pre-drawn from its successor window, building a chain that is
-// followed when the sample expires. It is the sliding-window sampling
-// baseline discussed in §VII of the paper.
-//
-// Chain maintains one sample; run k instances for a sample of size k.
-// It is not safe for concurrent use.
-type Chain[T any] struct {
-	w   int
-	rng *core.RNG
-	n   uint64 // index of the last arrival (1-based)
-	// chain[0] is the current sample; subsequent entries are pre-selected
-	// successors at increasing indices.
-	idx   []uint64
-	items []T
-	next  uint64 // index at which the head of the chain must be replaced
-}
-
-// NewChain returns a chain sampler over a window of the last w items.
-// It panics if w < 1.
-func NewChain[T any](w int, seed uint64) *Chain[T] {
-	if w < 1 {
-		panic("sample: Chain needs window >= 1")
-	}
-	return &Chain[T]{w: w, rng: core.NewRNG(seed)}
-}
-
-// Add offers one item.
-func (s *Chain[T]) Add(item T) {
-	s.n++
-	// Every arrival first gets its chance to become the new sample with
-	// probability 1/min(n, w), discarding any existing chain; only
-	// otherwise is it considered as the pre-drawn successor of the tail.
-	m := int(s.n)
-	if m > s.w {
-		m = s.w
-	}
-	switch {
-	case s.rng.Intn(m) == 0:
-		s.idx = append(s.idx[:0], s.n)
-		s.items = append(s.items[:0], item)
-		s.next = s.n + 1 + uint64(s.rng.Intn(s.w))
-	case len(s.idx) > 0 && s.n == s.next:
-		s.idx = append(s.idx, s.n)
-		s.items = append(s.items, item)
-		s.next = s.n + 1 + uint64(s.rng.Intn(s.w))
-	}
-	// Expire chain entries that have left the window of the last w items.
-	for len(s.idx) > 0 && s.idx[0]+uint64(s.w) <= s.n {
-		s.idx = s.idx[1:]
-		s.items = s.items[1:]
-	}
-}
-
-// Sample returns the current in-window sample and whether one exists.
-func (s *Chain[T]) Sample() (T, bool) {
-	if len(s.items) == 0 {
-		var zero T
-		return zero, false
-	}
-	return s.items[0], true
-}
-
-// ChainLen returns the length of the stored successor chain (diagnostics).
-func (s *Chain[T]) ChainLen() int { return len(s.items) }
-
-// N returns the number of items offered.
-func (s *Chain[T]) N() uint64 { return s.n }

@@ -9,13 +9,10 @@
 //   - Priority: priority sampling of Alon, Duffield, Lund and Thorup, with
 //     the near-optimal unbiased subset-sum estimator (Theorem 6).
 //   - Reservoir: classical unweighted reservoir sampling, Vitter's
-//     Algorithm R, plus the skip-based Algorithm X variant — the undecayed
-//     baseline of Figure 3.
+//     Algorithm R — the undecayed baseline of Figure 3.
 //   - Aggarwal: biased reservoir sampling for exponential decay (Aggarwal,
 //     VLDB 2006) — the prior-art baseline of Figure 3, which requires
 //     sequential arrivals and supports only exponential decay.
-//   - Chain: chain sampling from a count-based sliding window (Babcock,
-//     Datar and Motwani), the sliding-window baseline of §VII.
 //
 // Weights are supplied in the log domain (ln g(tᵢ−L)): all selection logic
 // depends only on ratios, so exponential decay over unbounded streams never

@@ -47,9 +47,6 @@ func (s *WR[T]) Add(item T, logW float64) {
 // least one item has been added.
 func (s *WR[T]) Sample() []T { return s.slots }
 
-// N returns the number of items offered.
-func (s *WR[T]) N() uint64 { return s.n }
-
 // Merge folds another with-replacement sampler into this one: slot j of the
 // result holds this sampler's item with probability W₁/(W₁+W₂), which
 // preserves the with-replacement distribution over the union of the inputs

@@ -22,7 +22,6 @@ type WRS[T any] struct {
 	// Max-heap on logKey: the root is the worst (largest logKey) retained
 	// item, evicted first.
 	h []wrsEntry[T]
-	n uint64
 }
 
 type wrsEntry[T any] struct {
@@ -43,7 +42,6 @@ func NewWRS[T any](k int, seed uint64) *WRS[T] {
 // Add offers an item with the given log-domain weight (ln w). Zero-weight
 // items (logW = −Inf) are never selected.
 func (s *WRS[T]) Add(item T, logW float64) {
-	s.n++
 	if math.IsInf(logW, -1) || math.IsNaN(logW) {
 		return
 	}
@@ -74,9 +72,6 @@ func (s *WRS[T]) Sample() []T {
 // Len returns the current sample size.
 func (s *WRS[T]) Len() int { return len(s.h) }
 
-// N returns the number of items offered.
-func (s *WRS[T]) N() uint64 { return s.n }
-
 // Merge folds another WRS (same k) into this one: because every item keeps
 // an independent key, the union's k smallest keys are exactly the sample of
 // the combined stream, so merging distributed samplers is exact (§VI-B).
@@ -96,7 +91,6 @@ func (s *WRS[T]) Merge(o *WRS[T]) {
 			s.down(0)
 		}
 	}
-	s.n += o.n
 }
 
 func (s *WRS[T]) up(i int) {

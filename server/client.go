@@ -10,7 +10,6 @@ package server
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -43,12 +42,6 @@ type ClientError struct {
 
 func (e *ClientError) Error() string {
 	return fmt.Sprintf("server error %d: %s", e.Code, e.Msg)
-}
-
-// IsDegraded reports whether err is the typed Degraded rejection.
-func IsDegraded(err error) bool {
-	var ce *ClientError
-	return errors.As(err, &ce) && ce.Code == CodeDegraded
 }
 
 // Client is one authenticated control connection.

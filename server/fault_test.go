@@ -369,7 +369,8 @@ func TestBreakerDegradesAndHeals(t *testing.T) {
 
 	// Degraded semantics: query plane refuses with the typed code, health
 	// endpoint says 503, but ingest still accepts and acks frames.
-	if _, err := cl.Attach(testQuery); !IsDegraded(err) {
+	var ce *ClientError
+	if _, err := cl.Attach(testQuery); !asClientError(err, &ce) || ce.Code != CodeDegraded {
 		t.Fatalf("attach while degraded: %v, want Degraded", err)
 	}
 	if code, _ := httpGet(t, "http://"+svc.HTTPAddr()+"/healthz"); code != http.StatusServiceUnavailable {
@@ -897,7 +898,7 @@ func TestKillRebuildAdvancesSharedFeed(t *testing.T) {
 	}
 	rt := svc.rt.Load()
 	rt.mu.Lock()
-	fed := rt.multi.Tuples()
+	fed := rt.multi.MultiStats().Tuples
 	seen, _ := rt.runs[id].h.Stats()
 	rt.mu.Unlock()
 	if fed != tail {

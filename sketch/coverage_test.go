@@ -11,12 +11,12 @@ import (
 func TestAccessorsAndSizes(t *testing.T) {
 	ss := NewSpaceSavingK(4)
 	ss.Update(1, 2)
-	if ss.K() != 4 || ss.SizeBytes() <= 0 {
+	if ss.SizeBytes() <= 0 {
 		t.Error("SpaceSaving accessors")
 	}
 	st := NewStreamSummary(4)
 	st.Update(1)
-	if st.K() != 4 || st.Len() != 1 || st.SizeBytes() <= 0 {
+	if st.Len() != 1 || st.SizeBytes() <= 0 {
 		t.Error("StreamSummary accessors")
 	}
 	mg := NewMisraGries(4)
@@ -24,23 +24,13 @@ func TestAccessorsAndSizes(t *testing.T) {
 	if mg.K() != 4 || mg.SizeBytes() <= 0 {
 		t.Error("MisraGries accessors")
 	}
-	kmv := NewKMV(4)
-	kmv.Insert(1)
-	if kmv.SizeBytes() <= 0 {
-		t.Error("KMV size")
-	}
 	q := NewQDigest(16, 0.1)
 	q.Update(3, 1)
 	if q.SizeBytes() <= 0 {
 		t.Error("QDigest size")
 	}
-	d := NewDominance(4, 2, 4)
-	d.Update(1, 1)
-	if d.SizeBytes() <= 0 {
-		t.Error("Dominance size")
-	}
 	eh := NewExpHistogram(0.1, 30)
-	if eh.Window() != 30 || eh.SizeBytes() <= 0 {
+	if eh.SizeBytes() <= 0 {
 		t.Error("ExpHistogram accessors")
 	}
 }

@@ -58,8 +58,8 @@ func TestKMVSmall(t *testing.T) {
 	if got := kmv.Estimate(); got != 2 {
 		t.Errorf("below-k estimate = %v, want exact 2", got)
 	}
-	if kmv.K() != 8 || kmv.Len() != 2 {
-		t.Errorf("K=%d Len=%d", kmv.K(), kmv.Len())
+	if kmv.k != 8 || kmv.Len() != 2 {
+		t.Errorf("K=%d Len=%d", kmv.k, kmv.Len())
 	}
 }
 
@@ -147,9 +147,6 @@ func TestDominanceHugeLogWeightsNoOverflow(t *testing.T) {
 	if math.Abs(lg-want) > 5 {
 		t.Errorf("log estimate %v, want ≈ %v", lg, want)
 	}
-	if math.IsInf(d.Estimate(), 1) == false {
-		t.Errorf("linear-domain estimate should overflow to +Inf here")
-	}
 }
 
 // TestDominanceDescendingWeights is a regression test: when the heaviest
@@ -205,8 +202,8 @@ func TestDominanceLevelPruning(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		d.Update(uint64(i), float64(i)) // levels keep climbing
 	}
-	if d.Levels() > 8 {
-		t.Errorf("retained %d levels, cap is 8", d.Levels())
+	if len(d.levels) > 8 {
+		t.Errorf("retained %d levels, cap is 8", len(d.levels))
 	}
 }
 

@@ -166,11 +166,6 @@ func (d *Dominance) ShiftLog(delta float64) {
 	d.logShift += delta
 }
 
-// Estimate returns the estimated dominance norm in the linear domain.
-// It may overflow to +Inf if weights were supplied with very large log
-// values; prefer LogEstimate in that case.
-func (d *Dominance) Estimate() float64 { return math.Exp(d.LogEstimate()) }
-
 // Merge folds another estimator (with identical parameters) into this one.
 // A non-empty estimator over another level ratio is refused with a
 // *MismatchError.
@@ -233,16 +228,4 @@ func (d *Dominance) Merge(o *Dominance) error {
 		dst.Merge(src)
 	}
 	return nil
-}
-
-// Levels returns the number of retained levels (for tests and size probes).
-func (d *Dominance) Levels() int { return len(d.levels) }
-
-// SizeBytes estimates the in-memory footprint.
-func (d *Dominance) SizeBytes() int {
-	s := 96
-	for _, kmv := range d.levels {
-		s += 48 + kmv.SizeBytes()
-	}
-	return s
 }

@@ -84,9 +84,6 @@ func (h *ExpHistogram) Reset() {
 	h.classes, h.classLo = h.classes[:0], 0
 }
 
-// Window returns the expiry horizon (0 for unbounded).
-func (h *ExpHistogram) Window() float64 { return h.window }
-
 // Len returns the current number of buckets.
 func (h *ExpHistogram) Len() int { return int(h.live) }
 
@@ -292,18 +289,6 @@ func (h *ExpHistogram) DecayedSum(f decay.AgeFunc, t float64) float64 {
 	for i := h.nodes[0].next; i != 0; i = h.nodes[i].next {
 		b := &h.nodes[i]
 		s += b.sum * ageWeight(f, f0, t, b)
-	}
-	return s
-}
-
-// DecayedCount is DecayedSum over unit values.
-func (h *ExpHistogram) DecayedCount(f decay.AgeFunc, t float64) float64 {
-	h.expire(t)
-	f0 := f.Eval(0)
-	var s float64
-	for i := h.nodes[0].next; i != 0; i = h.nodes[i].next {
-		b := &h.nodes[i]
-		s += b.count * ageWeight(f, f0, t, b)
 	}
 	return s
 }

@@ -197,22 +197,3 @@ func (h *scanExpHistogram) DecayedSum(f decay.AgeFunc, t float64) float64 {
 	}
 	return s
 }
-
-// DecayedCount is DecayedSum over unit values.
-func (h *scanExpHistogram) DecayedCount(f decay.AgeFunc, t float64) float64 {
-	h.expire(t)
-	f0 := f.Eval(0)
-	var s float64
-	for _, b := range h.buckets {
-		aNew, aOld := t-b.newest, t-b.oldest
-		if aNew < 0 {
-			aNew = 0
-		}
-		if aOld < 0 {
-			aOld = 0
-		}
-		w := (f.Eval(aNew) + f.Eval(aOld)) / 2 / f0
-		s += b.count * w
-	}
-	return s
-}

@@ -142,9 +142,6 @@ func TestExpHistogramMatchesScanOracle(t *testing.T) {
 						if g, w := h.DecayedSum(f, tq), o.DecayedSum(f, tq); g != w {
 							t.Fatalf("insert %d: DecayedSum(%v) = %v, oracle %v", i, tq, g, w)
 						}
-						if g, w := h.DecayedCount(f, tq), o.DecayedCount(f, tq); g != w {
-							t.Fatalf("insert %d: DecayedCount(%v) = %v, oracle %v", i, tq, g, w)
-						}
 						if g, w := h.WindowSum(tq), o.WindowSum(tq); g != w {
 							t.Fatalf("insert %d: WindowSum(%v) = %v, oracle %v", i, tq, g, w)
 						}

@@ -24,9 +24,9 @@ func TestSpaceSavingRoundTrip(t *testing.T) {
 	if err := d.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}
-	if d.Total() != s.Total() || d.K() != s.K() || d.Len() != s.Len() {
+	if d.Total() != s.Total() || d.k != s.k || d.Len() != s.Len() {
 		t.Fatalf("header mismatch: %v/%v/%v vs %v/%v/%v",
-			d.Total(), d.K(), d.Len(), s.Total(), s.K(), s.Len())
+			d.Total(), d.k, d.Len(), s.Total(), s.k, s.Len())
 	}
 	for _, ic := range s.HeavyHitters(0) {
 		est, errB := d.Estimate(ic.Key)
@@ -141,7 +141,7 @@ func TestKMVRoundTrip(t *testing.T) {
 	if err := d.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}
-	if d.Estimate() != s.Estimate() || d.Len() != s.Len() || d.K() != s.K() {
+	if d.Estimate() != s.Estimate() || d.Len() != s.Len() || d.k != s.k {
 		t.Fatalf("decoded KMV differs: %v/%d vs %v/%d", d.Estimate(), d.Len(), s.Estimate(), s.Len())
 	}
 	// Continues to dedupe correctly after decoding.

@@ -117,7 +117,7 @@ func FuzzSketchDecode(f *testing.F) {
 					t.Fatalf("misragries: accepted %x re-encodes as %x (%v)", data, b, err)
 				}
 			case *sketch.Dominance:
-				s.Estimate()
+				s.LogEstimate()
 			default:
 				t.Fatalf("unhandled decoder %s", name)
 			}

@@ -42,9 +42,6 @@ func NewKMV(k int) *KMV {
 	return &KMV{k: k, mem: make(map[uint64]struct{}, k)}
 }
 
-// K returns the sketch size parameter.
-func (s *KMV) K() int { return s.k }
-
 // Insert adds a key (hashed internally).
 func (s *KMV) Insert(key uint64) { s.InsertHash(core.Mix64(key ^ 0x5bf03635ea3eddcb)) }
 
@@ -98,6 +95,3 @@ func (s *KMV) Clone() *KMV {
 
 // Len returns the number of retained hashes.
 func (s *KMV) Len() int { return len(s.h) }
-
-// SizeBytes estimates the in-memory footprint.
-func (s *KMV) SizeBytes() int { return 48 + cap(s.h)*8 + len(s.mem)*40 }

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"math"
 	"slices"
 	"sort"
 )
@@ -49,9 +50,10 @@ func (m *MisraGries) Total() float64 { return m.total }
 // Len returns the number of live counters.
 func (m *MisraGries) Len() int { return len(m.keys) }
 
-// Update adds weight w for key. Non-positive weights are ignored.
+// Update adds weight w for key. Weights that are not positive and finite
+// (NaN, ±Inf, ≤ 0) are ignored.
 func (m *MisraGries) Update(key uint64, w float64) {
-	if w <= 0 {
+	if !(w > 0) || math.IsInf(w, 1) {
 		return
 	}
 	m.total += w

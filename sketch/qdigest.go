@@ -57,9 +57,9 @@ func (q *QDigest) Total() float64 { return q.total }
 func (q *QDigest) Len() int { return len(q.nodes) }
 
 // Update adds weight w for value v. Values ≥ U are clamped to U−1;
-// non-positive weights are ignored.
+// weights that are not positive and finite (NaN, ±Inf, ≤ 0) are ignored.
 func (q *QDigest) Update(v uint64, w float64) {
-	if w <= 0 {
+	if !(w > 0) || math.IsInf(w, 1) {
 		return
 	}
 	if v >= q.U() {

@@ -87,18 +87,16 @@ func NewSpaceSavingK(k int) *SpaceSaving {
 	return s
 }
 
-// K returns the number of counters.
-func (s *SpaceSaving) K() int { return s.k }
-
 // Total returns the total weight of all updates observed.
 func (s *SpaceSaving) Total() float64 { return s.total }
 
 // Len returns the number of monitored items.
 func (s *SpaceSaving) Len() int { return len(s.entries) }
 
-// Update adds weight w for the given key. Non-positive weights are ignored.
+// Update adds weight w for the given key. Weights that are not positive
+// and finite (NaN, ±Inf, ≤ 0) are ignored.
 func (s *SpaceSaving) Update(key uint64, w float64) {
-	if w <= 0 {
+	if !(w > 0) || math.IsInf(w, 1) {
 		return
 	}
 	s.total += w

@@ -253,8 +253,8 @@ func TestStreamSummaryMatchesExactOnSkewedStream(t *testing.T) {
 	for _, k := range keys {
 		s.Update(k)
 	}
-	if s.Total() != 60000 {
-		t.Fatalf("Total = %d", s.Total())
+	if s.total != 60000 {
+		t.Fatalf("Total = %d", s.total)
 	}
 	bound := uint64(60000 / 150)
 	for k, c := range exact {

@@ -39,12 +39,6 @@ func NewStreamSummary(k int) *StreamSummary {
 	return &StreamSummary{k: k, items: make(map[uint64]*ssNode, k)}
 }
 
-// K returns the number of counters.
-func (s *StreamSummary) K() int { return s.k }
-
-// Total returns the number of updates observed.
-func (s *StreamSummary) Total() uint64 { return s.total }
-
 // Len returns the number of monitored items.
 func (s *StreamSummary) Len() int { return len(s.items) }
 

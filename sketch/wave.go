@@ -123,9 +123,6 @@ func (w *Wave) WindowCount(t float64) float64 {
 	return w.CountSince(t - w.window)
 }
 
-// N returns the total number of arrivals observed.
-func (w *Wave) N() uint64 { return w.n }
-
 // SizeBytes estimates the in-memory footprint: 16 bytes per entry.
 func (w *Wave) SizeBytes() int {
 	s := 64
@@ -134,6 +131,3 @@ func (w *Wave) SizeBytes() int {
 	}
 	return s
 }
-
-// MaxLevels returns the number of levels currently maintained (for tests).
-func (w *Wave) MaxLevels() int { return len(w.levels) }

@@ -37,8 +37,17 @@ func ExampleRegisterAll() {
 	tuples := []gsql.Tuple{
 		pkt(605, 4), pkt(607, 8), pkt(603, 3), pkt(608, 6), pkt(604, 4),
 	}
-	rows, err := st.Execute(gsql.SliceSource(tuples), gsql.Options{})
-	if err != nil {
+	var rows []gsql.Tuple
+	run := st.Start(func(r gsql.Tuple) error { rows = append(rows, r); return nil }, gsql.Options{})
+	b, _ := gsql.NewBatch(gsql.PacketSchema("TCP"))
+	for _, t := range tuples {
+		b.Append(t)
+	}
+	if _, err := run.PushBatch(b); err != nil {
+		fmt.Println(err)
+		return
+	}
+	if err := run.Close(); err != nil {
 		fmt.Println(err)
 		return
 	}

@@ -1,6 +1,7 @@
 package udaf
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -38,8 +39,28 @@ func runQuery(t *testing.T, e *gsql.Engine, q string, tuples []gsql.Tuple) []gsq
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	rows, err := st.Execute(gsql.SliceSource(tuples), gsql.Options{})
+	return execute(t, st, tuples, gsql.Options{})
+}
+
+// execute runs st over packet tuples pushed as one batch and collects its
+// rows.
+func execute(t *testing.T, st *gsql.Statement, tuples []gsql.Tuple, opts gsql.Options) []gsql.Tuple {
+	t.Helper()
+	var rows []gsql.Tuple
+	run := st.Start(func(r gsql.Tuple) error { rows = append(rows, r); return nil }, opts)
+	b, err := gsql.NewBatch(gsql.PacketSchema("TCP"))
 	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range tuples {
+		if err := b.Append(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := run.PushBatch(b); err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	if err := run.Close(); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
 	return rows
@@ -151,13 +172,10 @@ func TestSSHHMergeableTwoLevel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.Mergeable() {
+		if !strings.Contains(st.Describe(), "mergeable=true") {
 			t.Fatal("sshh must be mergeable")
 		}
-		rows, err := st.Execute(gsql.SliceSource(tuples), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows := execute(t, st, tuples, opts)
 		// Compare top-3 keys only: merge order may perturb deep ties.
 		parts := strings.Split(rows[0][1].S, ",")
 		if len(parts) > 3 {
@@ -214,5 +232,30 @@ func TestConfigDefaults(t *testing.T) {
 		c.EHDecay == nil || c.Phi != 0.01 || c.Seed != 1 ||
 		c.QuantileU != 65536 || c.QuantilePhi != 0.5 {
 		t.Errorf("defaults wrong: %+v", c)
+	}
+}
+
+// TestHeavyHitterUDAFsIgnoreNaNWeight: a row whose weight evaluates to NaN
+// (exp(800) − exp(800) = +Inf − +Inf) leaves sshh and fdhh exactly as the
+// tape without that row leaves them.
+func TestHeavyHitterUDAFsIgnoreNaNWeight(t *testing.T) {
+	var tape []gsql.Tuple
+	for i := int64(0); i < 400; i++ {
+		tape = append(tape, gsql.Tuple{gsql.Int(i / 4), gsql.Float(float64(i) / 4), gsql.Int(1),
+			gsql.Int(i*i%7 + 1), gsql.Int(4242), gsql.Int(80), gsql.Int(6), gsql.Int(40 + i%600)})
+	}
+	poisoned := append(append(append([]gsql.Tuple(nil), tape[:201]...), gsql.Tuple{gsql.Int(50), gsql.Float(50.1),
+		gsql.Int(1), gsql.Int(3), gsql.Int(4242), gsql.Int(80), gsql.Int(6), gsql.Int(800)}), tape[201:]...)
+	const nan = `(exp(float(len)) - exp(float(len)))`
+	q := `select tb, sshh(dstIP, float(len) + ` + nan + `), fdhh(dstIP, ftime + ` + nan + `)
+	      from TCP group by time/60 as tb`
+	e := newEngine(t, Config{Epsilon: 0.01, Phi: 0.05, Decay: decay.NewForward(decay.NewExp(0.01), 0)})
+	st, err := e.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := execute(t, st, tape, gsql.Options{}), execute(t, st, poisoned, gsql.Options{})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("NaN-weight row changed the output:\n got %v\nwant %v", got, want)
 	}
 }

@@ -44,47 +44,6 @@ func (b *BackwardSum) Value(f decay.AgeFunc, t float64) float64 {
 	return b.eh.DecayedSum(f, t)
 }
 
-// WindowValue returns the sharp sliding-window sum over (t−w, t] for any
-// w within the horizon, using the histogram's native window estimate when
-// w equals the horizon and the Cohen–Strauss weighting otherwise.
-func (b *BackwardSum) WindowValue(w, t float64) float64 {
-	return b.eh.DecayedSum(decay.NewSlidingWindow(w), t)
-}
-
-// Buckets returns the number of histogram buckets currently held.
-func (b *BackwardSum) Buckets() int { return b.eh.Len() }
-
 // SizeBytes reports the memory footprint — the kilobytes-per-group cost of
 // query-time decay flexibility (Figure 2(d) of the paper).
 func (b *BackwardSum) SizeBytes() int { return b.eh.SizeBytes() }
-
-// BackwardCount is BackwardSum over unit values.
-type BackwardCount struct {
-	eh *sketch.ExpHistogram
-}
-
-// NewBackwardCount returns a decayable count with relative accuracy
-// epsilon over the given horizon (0 keeps everything).
-func NewBackwardCount(epsilon, horizon float64) *BackwardCount {
-	return &BackwardCount{eh: sketch.NewExpHistogram(epsilon, horizon)}
-}
-
-// Observe records an item with timestamp ts (non-decreasing). Non-finite
-// timestamps are rejected (dropped).
-func (b *BackwardCount) Observe(ts float64) {
-	if math.IsNaN(ts) || math.IsInf(ts, 0) {
-		return
-	}
-	b.eh.Insert(ts, 1)
-}
-
-// Value returns the count decayed by f at query time t.
-func (b *BackwardCount) Value(f decay.AgeFunc, t float64) float64 {
-	return b.eh.DecayedCount(f, t)
-}
-
-// Buckets returns the number of histogram buckets currently held.
-func (b *BackwardCount) Buckets() int { return b.eh.Len() }
-
-// SizeBytes reports the memory footprint.
-func (b *BackwardCount) SizeBytes() int { return b.eh.SizeBytes() }

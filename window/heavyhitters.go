@@ -95,9 +95,6 @@ func NewHeavyHitters(window, epsilon float64) *HeavyHitters {
 	}
 }
 
-// Levels returns the number of block levels.
-func (h *HeavyHitters) Levels() int { return h.levels }
-
 // Reset empties the structure, keeping its arenas, summaries and buffers:
 // afterwards it answers exactly as a new one would.
 func (h *HeavyHitters) Reset() {

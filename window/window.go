@@ -1,7 +1,7 @@
 // Package window implements the backward-decay competitors that the
 // forward-decay paper evaluates against (Section VIII):
 //
-//   - BackwardSum / BackwardCount: sums and counts decayed by an arbitrary
+//   - BackwardSum: sums (counts, over unit values) decayed by an arbitrary
 //     backward (age-based) function, maintained over an Exponential
 //     Histogram following Cohen and Strauss — the "EH" series of Figure 2.
 //     The decay function is chosen at query time, which is exactly the

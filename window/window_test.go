@@ -54,11 +54,13 @@ func TestBackwardSumMatchesExact(t *testing.T) {
 	}
 }
 
+// TestBackwardCountWindowed: a windowed count is a BackwardSum over unit
+// values.
 func TestBackwardCountWindowed(t *testing.T) {
 	evs := genStream(2, 30000, 200, 500)
-	bc := NewBackwardCount(0.05, 120)
+	bc := NewBackwardSum(0.05, 120)
 	for _, e := range evs {
-		bc.Observe(e.ts)
+		bc.Observe(e.ts, 1)
 	}
 	now := evs[len(evs)-1].ts
 	w := decay.NewSlidingWindow(60)
@@ -72,7 +74,7 @@ func TestBackwardCountWindowed(t *testing.T) {
 	if math.Abs(got-want) > 0.15*want {
 		t.Errorf("window count %v, want %v", got, want)
 	}
-	if bc.Buckets() == 0 || bc.SizeBytes() <= 0 {
+	if bc.eh.Len() == 0 || bc.SizeBytes() <= 0 {
 		t.Error("bucket/size accounting broken")
 	}
 }
@@ -202,8 +204,8 @@ func TestWindowHHSpaceAndUpdateCost(t *testing.T) {
 	if h.SizeBytes() < 50_000 {
 		t.Errorf("window HH uses %d bytes; expected a large multi-block structure", h.SizeBytes())
 	}
-	if h.Blocks() == 0 || h.Levels() < 2 {
-		t.Errorf("blocks=%d levels=%d", h.Blocks(), h.Levels())
+	if h.Blocks() == 0 || h.levels < 2 {
+		t.Errorf("blocks=%d levels=%d", h.Blocks(), h.levels)
 	}
 }
 
