@@ -285,7 +285,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.health.set = cfg.Metrics
 	if cfg.WALDir != "" {
-		wal, err := OpenLog(cfg.WALDir, LogConfig{SegmentBytes: cfg.WALSegmentBytes})
+		wal, err := OpenLog(cfg.WALDir, cfg.WALSegmentBytes)
 		if err != nil {
 			return nil, err
 		}

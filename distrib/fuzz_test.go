@@ -4,64 +4,84 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"forwarddecay/ingest"
 	"forwarddecay/internal/codec"
 	"forwarddecay/internal/codec/codectest"
+	"forwarddecay/internal/durable"
 	"forwarddecay/internal/faultinject"
 )
 
-// FuzzLogSegmentDecode is the write-ahead-log reader's robustness contract:
-// an arbitrary segment image either scans cleanly, ends in a tolerable torn
-// tail, or fails with a typed *LogError — never a panic, never an
-// over-read, and never a record whose invariants (non-zero sequence, finite
-// value and time) are violated. Seeds cover a valid multi-record segment,
-// forged checksums, truncations at every interesting boundary, duplicate
-// sequence numbers, and oversized length prefixes.
-func FuzzLogSegmentDecode(f *testing.F) {
-	valid := append([]byte(nil), walMagic[:]...)
-	for i := 0; i < 5; i++ {
-		valid = encodeRecord(valid, Record{Part: uint32(i % 2), Seq: uint64(i + 1), Key: uint64(i), Val: float64(i), Time: float64(i)})
+// segmentImage is the file of segment seg holding recs.
+func segmentImage(seg uint64, recs ...Record) []byte {
+	b := binary.LittleEndian.AppendUint64(append([]byte(nil), walFormat.Magic[:]...), seg)
+	for _, r := range recs {
+		at := len(b)
+		b = appendRecord(ingest.ReserveSealed(b), r)
+		ingest.SealInPlace(b, at)
 	}
+	return b
+}
+
+// FuzzLogSegmentDecode is the write-ahead-log reader's robustness contract:
+// a log directory holding an arbitrary segment image either opens, with a
+// torn tail repaired, or fails with a typed *LogError — never a panic, never
+// an over-read, and never a record whose invariants (non-zero sequence,
+// finite value and time) are violated. Seeds cover a valid multi-record
+// segment, forged checksums, truncations at every interesting boundary,
+// duplicate sequence numbers, and oversized length prefixes.
+func FuzzLogSegmentDecode(f *testing.F) {
+	var recs []Record
+	for i := 0; i < 5; i++ {
+		recs = append(recs, Record{Part: uint32(i % 2), Seq: uint64(i + 1), Key: uint64(i), Val: float64(i), Time: float64(i)})
+	}
+	valid := segmentImage(1, recs...)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-7])               // torn tail
-	f.Add(valid[:len(walMagic)])              // header only
+	f.Add(valid[:durable.LogHeaderSize])      // header only
 	f.Add(valid[:3])                          // torn header
+	f.Add(valid[:11])                         // torn segment number
 	f.Add([]byte{})                           // empty image
+	f.Add(segmentImage(2, recs...))           // a header naming another segment
 	f.Add(faultinject.CorruptByte(valid, 1))  // forged checksum / bent body
 	f.Add(faultinject.CorruptByte(valid, 99)) // another deterministic flip
 
 	// Duplicate sequence numbers: structurally valid, dedup is replay's job.
-	dup := append([]byte(nil), walMagic[:]...)
-	dup = encodeRecord(dup, Record{Part: 1, Seq: 5, Key: 1, Val: 1, Time: 1})
-	dup = encodeRecord(dup, Record{Part: 1, Seq: 5, Key: 2, Val: 2, Time: 2})
-	f.Add(dup)
+	f.Add(segmentImage(1, Record{Part: 1, Seq: 5, Key: 1, Val: 1, Time: 1}, Record{Part: 1, Seq: 5, Key: 2, Val: 2, Time: 2}))
 
 	// A sealed frame claiming a giant body: must be rejected, not allocated.
-	huge := append([]byte(nil), walMagic[:]...)
-	huge = binary.LittleEndian.AppendUint32(huge, 1<<30)
-	huge = append(huge, make([]byte, 64)...)
-	f.Add(huge)
+	huge := binary.LittleEndian.AppendUint32(segmentImage(1), 1<<30)
+	f.Add(append(huge, make([]byte, 64)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var recs []Record
-		var clean bool
+		dir := t.TempDir()
+		path := filepath.Join(dir, "wal-00000001.seg")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var l *Log
 		var err error
-		codectest.Allocs(t, len(data), func() {
-			clean, err = scanSegment(data, func(r Record) error {
-				recs = append(recs, r)
-				return nil
-			})
-		})
+		codectest.Allocs(t, len(data), func() { l, err = OpenLog(dir, 0) })
 		if err != nil {
 			var le *LogError
 			if !errors.As(err, &le) {
-				t.Fatalf("scan error is %T (%v), want *LogError", err, err)
-			}
-			if clean {
-				t.Fatal("clean=true alongside an error")
+				t.Fatalf("open error is %T (%v), want *LogError", err, err)
 			}
 			return
+		}
+		var recs []Record // every record, duplicates too
+		if err := l.log.Scan(func(_ uint64, body []byte) error {
+			r, err := decodeRecordBody(body)
+			recs = append(recs, r)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
 		for i, r := range recs {
 			if r.Seq == 0 {
@@ -71,21 +91,18 @@ func FuzzLogSegmentDecode(f *testing.F) {
 				t.Fatalf("record %d with NaN payload survived the scan", i)
 			}
 		}
-		// A clean scan must account for every byte: re-encoding the records
-		// after the magic reproduces the image exactly.
-		if clean {
-			re := append([]byte(nil), walMagic[:]...)
-			for _, r := range recs {
-				re = encodeRecord(re, r)
-			}
-			if len(re) != len(data) {
-				t.Fatalf("clean scan of %d bytes re-encodes to %d", len(data), len(re))
-			}
-			for i := range re {
-				if re[i] != data[i] {
-					t.Fatalf("clean scan not byte-faithful at offset %d", i)
-				}
-			}
+		// An opened segment accounts for every byte it keeps: it re-encodes
+		// exactly from its records, and a repair only cut a torn tail off (or
+		// replaced a torn header).
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(kept, segmentImage(1, recs...)) {
+			t.Fatalf("the opened segment is not its records re-encoded:\n %x", kept)
+		}
+		if len(data) >= durable.LogHeaderSize && !bytes.Equal(kept, data[:len(kept)]) {
+			t.Fatal("the repair changed more than a torn tail")
 		}
 	})
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // TestLogRotateSyncFailureSurfaced: a failed fsync while sealing the outgoing
-// segment must abort the rotation with the injected error — the seal is what
+// segment must fail the append with the injected error — the seal is what
 // makes "this segment's records are durable" true before a checkpoint can
 // ever cover (and Trim can ever delete) them.
 func TestLogRotateSyncFailureSurfaced(t *testing.T) {
 	defer faultinject.Reset()
-	l, err := OpenLog(t.TempDir(), LogConfig{SegmentBytes: 64})
+	l, err := OpenLog(t.TempDir(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,8 @@ func TestLogRotateSyncFailureSurfaced(t *testing.T) {
 	if !strings.Contains(err.Error(), "sealing segment") {
 		t.Errorf("error does not name the seal step: %v", err)
 	}
-	// Healing the device lets the log resume: the deferred rotation happens
-	// and the record lands in the fresh segment.
+	// Healing the device lets the log resume: the record lands in the fresh
+	// segment the rotation started.
 	faultinject.Reset()
 	seq, err := l.Append(0, 3, 3, 3)
 	if err != nil {
@@ -51,7 +51,7 @@ func TestLogRotateSyncFailureSurfaced(t *testing.T) {
 // instead of silently claiming the removals are durable.
 func TestLogTrimDirSyncFailureSurfaced(t *testing.T) {
 	defer faultinject.Reset()
-	l, err := OpenLog(t.TempDir(), LogConfig{SegmentBytes: 64})
+	l, err := OpenLog(t.TempDir(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestLogTrimDirSyncFailureSurfaced(t *testing.T) {
 // reports a failure rather than losing the tail silently.
 func TestLogCloseSyncFailureSurfaced(t *testing.T) {
 	defer faultinject.Reset()
-	l, err := OpenLog(t.TempDir(), LogConfig{})
+	l, err := OpenLog(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,11 @@ import (
 	"testing"
 
 	"forwarddecay/ingest"
+	"forwarddecay/internal/durable"
 )
+
+// walRecordLen is the encoded body length of one record.
+const walRecordLen = 1 + 4 + 8 + 8 + 8 + 8
 
 func walAppendN(t *testing.T, l *Log, n int) []Record {
 	t.Helper()
@@ -38,7 +42,7 @@ func walReplayAll(t *testing.T, l *Log) []Record {
 // TestLogRoundtrip: appended records replay identically, in order, with
 // dense per-partition sequence numbers.
 func TestLogRoundtrip(t *testing.T) {
-	l, err := OpenLog(t.TempDir(), LogConfig{})
+	l, err := OpenLog(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +69,7 @@ func TestLogRoundtrip(t *testing.T) {
 // appends continue the sequence instead of restarting it.
 func TestLogRotationAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogConfig{SegmentBytes: 128})
+	l, err := OpenLog(dir, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +81,7 @@ func TestLogRotationAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := OpenLog(dir, LogConfig{SegmentBytes: 128})
+	l2, err := OpenLog(dir, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +105,7 @@ func TestLogRotationAndReopen(t *testing.T) {
 // checkpoint-covered records, the partition filter selects, and repeated
 // sequences apply once.
 func TestLogReplayWatermarksAndDedup(t *testing.T) {
-	l, err := OpenLog(t.TempDir(), LogConfig{})
+	l, err := OpenLog(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +135,7 @@ func TestLogReplayWatermarksAndDedup(t *testing.T) {
 // the watermarks still works.
 func TestLogTrim(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogConfig{SegmentBytes: 128})
+	l, err := OpenLog(dir, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +183,7 @@ func TestLogTrim(t *testing.T) {
 // record was never acknowledged, so dropping it is correct.
 func TestLogTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogConfig{})
+	l, err := OpenLog(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +201,11 @@ func TestLogTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tear the last record in half.
-	if err := os.Truncate(files[0], st.Size()-(frameOverhead+walRecordLen)/2); err != nil {
+	if err := os.Truncate(files[0], st.Size()-(ingest.SealedHeaderSize+walRecordLen)/2); err != nil {
 		t.Fatal(err)
 	}
 
-	l2, err := OpenLog(dir, LogConfig{})
+	l2, err := OpenLog(dir, 0)
 	if err != nil {
 		t.Fatalf("torn tail not tolerated: %v", err)
 	}
@@ -222,7 +226,7 @@ func TestLogTornTailRecovery(t *testing.T) {
 // checksum failure — corruption is never silently replayed.
 func TestLogForgedChecksumRefused(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogConfig{})
+	l, err := OpenLog(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +239,12 @@ func TestLogForgedChecksumRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(walMagic)+frameOverhead+3] ^= 0x40 // inside the first record body
+	data[durable.LogHeaderSize+ingest.SealedHeaderSize+3] ^= 0x40 // inside the first record body
 	if err := os.WriteFile(files[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = OpenLog(dir, LogConfig{})
+	_, err = OpenLog(dir, 0)
 	var le *LogError
 	if !errors.As(err, &le) {
 		t.Fatalf("forged checksum loaded: %v", err)
@@ -255,7 +259,7 @@ func TestLogForgedChecksumRefused(t *testing.T) {
 // the newest segment; the same damage in an older segment is corruption.
 func TestLogTruncatedMiddleSegmentRefused(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, LogConfig{SegmentBytes: 128})
+	l, err := OpenLog(dir, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +279,28 @@ func TestLogTruncatedMiddleSegmentRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	var le *LogError
-	if _, err := OpenLog(dir, LogConfig{}); !errors.As(err, &le) {
+	if _, err := OpenLog(dir, 0); !errors.As(err, &le) {
 		t.Fatalf("truncated middle segment loaded: %v", err)
+	}
+}
+
+// TestLogAppendAllocs: an append encodes and seals in the log's reused
+// buffer, so the routing path's log step allocates nothing once every
+// partition has been seen.
+func TestLogAppendAllocs(t *testing.T) {
+	l, err := OpenLog(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	walAppendN(t, l, 3)
+	i := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		i++
+		if _, err := l.Append(uint32(i%3), uint64(i), float64(i), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("Append allocates %.2f objects per record, want 0", avg)
 	}
 }

@@ -98,6 +98,8 @@ func main() {
 			b.Observe(i, float64(i))
 		}
 	}
-	a.Merge(b)
+	if err := a.Merge(b); err != nil {
+		panic(err)
+	}
 	fmt.Printf("\nmerged two-site WRS sample (k=10): %v\n", a.Sample())
 }

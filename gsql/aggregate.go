@@ -224,7 +224,9 @@ func (c *countAgg) Merge(o Aggregator) error {
 }
 
 // sumAgg implements sum(expr), preserving integer typing for all-integer
-// inputs (GS/C semantics).
+// inputs (GS/C semantics). Like the other value aggregates it skips a NaN or
+// ±Inf argument as it skips NULL: batches refuse non-finite columns, so only
+// a computed argument (x/0.0) can be one.
 type sumAgg struct {
 	i       int64
 	f       float64
@@ -234,8 +236,8 @@ type sumAgg struct {
 
 func (s *sumAgg) Step(args []Value) error {
 	v := args[0]
-	if v.IsNull() {
-		return nil
+	if v.IsNull() || v.T == TFloat && v.F-v.F != 0 {
+		return nil // NULL or non-finite: as if absent
 	}
 	s.seen = true
 	if v.T == TFloat {
@@ -258,19 +260,23 @@ func (s *sumAgg) StepCols(c *Cols) error {
 	if !c.numeric() {
 		return c.stepRows(s)
 	}
-	s.seen = true
-	isInt := c.args[0].t != TFloat
-	if !isInt && !s.isFloat {
-		s.f, s.isFloat = float64(s.i), true
+	if c.args[0].t == TFloat {
+		for i := range c.rows {
+			if x := c.Float(0, i); x-x == 0 {
+				if !s.isFloat {
+					s.f, s.isFloat = float64(s.i), true
+				}
+				s.f, s.seen = s.f+x, true
+			}
+		}
+		return nil
 	}
+	s.seen = true
 	for i := range c.rows {
-		switch {
-		case !s.isFloat:
-			s.i += c.Int(0, i)
-		case isInt:
+		if s.isFloat {
 			s.f += float64(c.Int(0, i))
-		default:
-			s.f += c.Float(0, i)
+		} else {
+			s.i += c.Int(0, i)
 		}
 	}
 	return nil
@@ -304,18 +310,17 @@ func (s *sumAgg) Merge(o Aggregator) error {
 	return nil
 }
 
-// avgAgg implements avg(expr) as a float mean.
+// avgAgg implements avg(expr) as a float mean of the finite values.
 type avgAgg struct {
 	sum float64
 	n   int64
 }
 
 func (a *avgAgg) Step(args []Value) error {
-	if args[0].IsNull() {
-		return nil
+	if x := args[0].AsFloat(); !args[0].IsNull() && x-x == 0 {
+		a.sum += x
+		a.n++
 	}
-	a.sum += args[0].AsFloat()
-	a.n++
 	return nil
 }
 
@@ -324,9 +329,11 @@ func (a *avgAgg) StepCols(c *Cols) error {
 		return c.stepRows(a)
 	}
 	for i := range c.rows {
-		a.sum += c.Float(0, i)
+		if x := c.Float(0, i); x-x == 0 {
+			a.sum += x
+			a.n++
+		}
 	}
-	a.n += int64(c.Len())
 	return nil
 }
 
@@ -350,7 +357,7 @@ func (a *avgAgg) Merge(o Aggregator) error {
 }
 
 // minmaxAgg implements min(expr) and max(expr) over numeric or string
-// values.
+// values, skipping non-finite floats.
 type minmaxAgg struct {
 	min  bool
 	best Value
@@ -359,7 +366,7 @@ type minmaxAgg struct {
 
 func (m *minmaxAgg) Step(args []Value) error {
 	v := args[0]
-	if v.IsNull() {
+	if v.IsNull() || v.T == TFloat && v.F-v.F != 0 {
 		return nil
 	}
 	if !m.seen {
@@ -379,6 +386,9 @@ func (m *minmaxAgg) Step(args []Value) error {
 // stepNum is Step for a numeric v while best is not a string: the compare
 // cannot fail, and mixed numerics compare as floats.
 func (m *minmaxAgg) stepNum(v Value) {
+	if v.T == TFloat && v.F-v.F != 0 {
+		return
+	}
 	if !m.seen {
 		m.best, m.seen = v, true
 		return

@@ -31,3 +31,6 @@ func OracleWhere(st *Statement) func(Tuple) (Value, error) {
 	}
 	return st.p.where
 }
+
+// AggSpecs returns every aggregate e knows, the builtins included.
+func (e *Engine) AggSpecs() map[string]AggSpec { return e.aggs }

@@ -8,8 +8,16 @@ import (
 	"forwarddecay/ingest"
 )
 
+// seal appends body to dst in the exported length+checksum envelope.
+func seal(dst, body []byte) []byte {
+	at := len(dst)
+	dst = append(ingest.ReserveSealed(dst), body...)
+	ingest.SealInPlace(dst, at)
+	return dst
+}
+
 // TestSealedRoundtrip: the exported length+checksum envelope (which the
-// distrib write-ahead log rides) round-trips arbitrary bodies, streams
+// write-ahead logs ride) round-trips arbitrary bodies, streams
 // back-to-back records, and reports exactly how many bytes it consumed.
 func TestSealedRoundtrip(t *testing.T) {
 	bodies := [][]byte{
@@ -19,7 +27,7 @@ func TestSealedRoundtrip(t *testing.T) {
 	}
 	var stream []byte
 	for _, b := range bodies {
-		stream = ingest.AppendSealed(stream, b)
+		stream = seal(stream, b)
 	}
 	off := 0
 	for i, want := range bodies {
@@ -41,7 +49,7 @@ func TestSealedRoundtrip(t *testing.T) {
 // byte as a typed checksum failure, and an oversized claim as too-large —
 // before any allocation the length prefix could trigger.
 func TestSealedErrors(t *testing.T) {
-	rec := ingest.AppendSealed(nil, []byte("payload"))
+	rec := seal(nil, []byte("payload"))
 
 	for cut := 1; cut < len(rec); cut++ {
 		if _, _, err := ingest.DecodeSealed(rec[:len(rec)-cut], 0); !errors.Is(err, ingest.ErrIncomplete) {

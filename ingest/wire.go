@@ -175,18 +175,15 @@ func sealFrame(dst, body []byte) []byte {
 	return dst
 }
 
-// AppendSealed wraps an arbitrary body in the protocol's length+checksum
-// header — the same integrity envelope every wire frame travels in. It is
-// exported so other durable byte streams (the distrib write-ahead log's
-// segment records) reuse this codec instead of inventing a second framing.
-func AppendSealed(dst, body []byte) []byte { return sealFrame(dst, body) }
-
-// SealedHeaderSize is the size of the header AppendSealed prepends.
+// SealedHeaderSize is the size of the length+checksum header every wire
+// frame travels in. ReserveSealed, SealInPlace and DecodeSealed export that
+// envelope, so the write-ahead logs reuse it instead of inventing a second
+// framing.
 const SealedHeaderSize = frameHeaderSize
 
 // ReserveSealed appends SealedHeaderSize placeholder bytes to dst. A caller
-// that encodes a body straight after them and then calls SealInPlace gets the
-// record AppendSealed would have built, without a second buffer for the body.
+// that encodes a body straight after them and then calls SealInPlace gets a
+// sealed record without a second buffer for the body.
 func ReserveSealed(dst []byte) []byte {
 	var hdr [frameHeaderSize]byte
 	return append(dst, hdr[:]...)

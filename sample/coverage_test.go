@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -34,7 +35,9 @@ func TestForwardWrapperAccessorsAndMerge(t *testing.T) {
 	wrs2 := NewForwardWRS[int](m, 4, 3)
 	wrs.Observe(1, 5)
 	wrs2.Observe(2, 6)
-	wrs.Merge(wrs2)
+	if err := wrs.Merge(wrs2); err != nil {
+		t.Fatal(err)
+	}
 	if wrs.Model() != m || len(wrs.Sample()) != 2 {
 		t.Errorf("ForwardWRS merge: %v", wrs.Sample())
 	}
@@ -42,7 +45,16 @@ func TestForwardWrapperAccessorsAndMerge(t *testing.T) {
 	pr2 := NewForwardPriority[int](m, 4, 5)
 	pr.Observe(1, 5)
 	pr2.Observe(2, 6)
-	pr.Merge(pr2)
+	if err := pr.Merge(pr2); err != nil {
+		t.Fatal(err)
+	}
+	var se *SizeError
+	if err := pr.Merge(NewForwardPriority[int](m, 3, 6)); !errors.As(err, &se) {
+		t.Errorf("ForwardPriority size-mismatch merge: %v, want a *SizeError", err)
+	}
+	if err := wrs.Merge(NewForwardWRS[int](m, 3, 6)); !errors.As(err, &se) {
+		t.Errorf("ForwardWRS size-mismatch merge: %v, want a *SizeError", err)
+	}
 	if pr.Model() != m {
 		t.Error("ForwardPriority Model")
 	}
@@ -62,33 +74,47 @@ func TestWRMergeEmptyBranches(t *testing.T) {
 	a := NewWR[int](3, 1)
 	b := NewWR[int](3, 2)
 	b.Add(7, 0)
-	a.Merge(b) // empty ← nonempty: adopt
+	if err := a.Merge(b); err != nil { // empty ← nonempty: adopt
+		t.Fatal(err)
+	}
 	for _, it := range a.Sample() {
 		if it != 7 {
 			t.Errorf("adopted sample = %v", a.Sample())
 		}
 	}
 	c := NewWR[int](3, 3)
-	a.Merge(c) // nonempty ← empty: no-op
+	if err := a.Merge(c); err != nil { // nonempty ← empty: no-op
+		t.Fatal(err)
+	}
 	for _, it := range a.Sample() {
 		if it != 7 {
 			t.Errorf("sample after empty merge = %v", a.Sample())
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for size mismatch")
+	other := NewWR[int](2, 4)
+	other.Add(8, 0)
+	var se *SizeError
+	if err := a.Merge(other); !errors.As(err, &se) || se.Sampler != "WR" || se.A != 3 || se.B != 2 {
+		t.Errorf("WR size-mismatch merge: %v, want a *SizeError", err)
+	}
+	for _, it := range a.Sample() {
+		if it != 7 {
+			t.Errorf("refused merge changed the receiver: %v", a.Sample())
 		}
-	}()
-	a.Merge(NewWR[int](2, 4))
+	}
 }
 
-// TestPriorityMergeSizeMismatchPanics completes merge error coverage.
-func TestPriorityMergeSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewPriority[int](2, 1).Merge(NewPriority[int](3, 2))
+// TestPriorityMergeSizeMismatchRefused completes merge error coverage: a
+// size mismatch is a typed error and leaves the receiver unchanged.
+func TestPriorityMergeSizeMismatchRefused(t *testing.T) {
+	a, b := NewPriority[int](2, 1), NewPriority[int](3, 2)
+	a.Add(1, 0)
+	b.Add(2, 0)
+	var se *SizeError
+	if err := a.Merge(b); !errors.As(err, &se) || se.Sampler != "Priority" || se.A != 2 || se.B != 3 {
+		t.Errorf("Priority size-mismatch merge: %v, want a *SizeError", err)
+	}
+	if s := a.Sample(0); len(s) != 1 || s[0].Item != 1 {
+		t.Errorf("refused merge changed the receiver: %v", s)
+	}
 }

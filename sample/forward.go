@@ -49,8 +49,8 @@ func (f *ForwardWRS[T]) Observe(item T, ti float64) {
 func (f *ForwardWRS[T]) Sample() []T { return f.s.Sample() }
 
 // Merge folds another sampler over the same model into this one (exact,
-// §VI-B). It panics if the sizes differ.
-func (f *ForwardWRS[T]) Merge(o *ForwardWRS[T]) { f.s.Merge(o.s) }
+// §VI-B), or refuses one of another size with a *SizeError.
+func (f *ForwardWRS[T]) Merge(o *ForwardWRS[T]) error { return f.s.Merge(o.s) }
 
 // Model returns the decay model.
 func (f *ForwardWRS[T]) Model() decay.Forward { return f.model }
@@ -88,8 +88,8 @@ func (f *ForwardPriority[T]) EstimateDecayedCount(t float64) float64 {
 }
 
 // Merge folds another sampler over the same model into this one (exact,
-// §VI-B). It panics if the sizes differ.
-func (f *ForwardPriority[T]) Merge(o *ForwardPriority[T]) { f.s.Merge(o.s) }
+// §VI-B), or refuses one of another size with a *SizeError.
+func (f *ForwardPriority[T]) Merge(o *ForwardPriority[T]) error { return f.s.Merge(o.s) }
 
 // Model returns the decay model.
 func (f *ForwardPriority[T]) Model() decay.Forward { return f.model }

@@ -44,9 +44,10 @@ func NewPriority[T any](k int, seed uint64) *Priority[T] {
 	return &Priority[T]{k: k, rng: core.NewRNG(seed), h: make([]priEntry[T], 0, k+1)}
 }
 
-// Add offers an item with the given log-domain weight (ln w).
+// Add offers an item with the given log-domain weight (ln w). Items whose
+// weight is zero or not finite (logW = ±Inf or NaN) are ignored.
 func (s *Priority[T]) Add(item T, logW float64) {
-	if math.IsInf(logW, -1) || math.IsNaN(logW) {
+	if math.IsInf(logW, 0) || math.IsNaN(logW) {
 		return
 	}
 	logQ := logW - logUniform(s.rng) // ln u < 0, so logQ ≥ logW
@@ -113,11 +114,11 @@ func (s *Priority[T]) Len() int {
 
 // Merge folds another priority sampler (same k) into this one: priorities
 // are independent uniforms, so the union's k+1 highest priorities are
-// distributed exactly as a single-stream sampler's (§VI-B). It panics if
-// the sizes differ.
-func (s *Priority[T]) Merge(o *Priority[T]) {
+// distributed exactly as a single-stream sampler's (§VI-B). Samplers of
+// different sizes are refused with a *SizeError.
+func (s *Priority[T]) Merge(o *Priority[T]) error {
 	if o.k != s.k {
-		panic("sample: merging Priority samplers of different sizes")
+		return &SizeError{Sampler: "Priority", A: s.k, B: o.k}
 	}
 	for _, e := range o.h {
 		if len(s.h) < s.k+1 {
@@ -130,6 +131,7 @@ func (s *Priority[T]) Merge(o *Priority[T]) {
 			s.down(0)
 		}
 	}
+	return nil
 }
 
 func (s *Priority[T]) up(i int) {

@@ -160,7 +160,9 @@ func TestQuickWRSMergeInvariants(t *testing.T) {
 		for i := 100; i < 100+nb; i++ {
 			b.Add(i, 0.5)
 		}
-		a.Merge(b)
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
 		want := k
 		if na+nb < k {
 			want = na + nb

@@ -27,10 +27,22 @@
 package sample
 
 import (
+	"fmt"
 	"math"
 
 	"forwarddecay/internal/core"
 )
+
+// SizeError reports a merge refused because the two samplers' sizes differ:
+// §VI-B merges only samplers built alike. The receiver is left unchanged.
+type SizeError struct {
+	Sampler string
+	A, B    int
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("sample: cannot merge %s samplers of sizes %d and %d", e.Sampler, e.A, e.B)
+}
 
 // logUniform returns ln u for u uniform in (0,1), i.e. a draw of −Exp(1).
 func logUniform(rng *core.RNG) float64 { return math.Log(rng.Float64()) }

@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -78,7 +79,9 @@ func TestWRMergePreservesDistribution(t *testing.T) {
 	a.Add(1, math.Log(wA[1]))
 	b.Add(2, math.Log(wB[0]))
 	b.Add(3, math.Log(wB[1]))
-	a.Merge(b)
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
 	counts := make([]int, 4)
 	for _, it := range a.Sample() {
 		counts[it]++
@@ -195,7 +198,9 @@ func TestWRSMergeEquivalentToSingleStream(t *testing.T) {
 		a.Add(1, math.Log(weights[1]))
 		b.Add(2, math.Log(weights[2]))
 		b.Add(3, math.Log(weights[3]))
-		a.Merge(b)
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
 		for _, it := range a.Sample() {
 			merged[it]++
 		}
@@ -296,7 +301,9 @@ func TestPriorityMergeUnbiased(t *testing.T) {
 				b.Add(i, math.Log(w))
 			}
 		}
-		a.Merge(b)
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
 		sum += a.EstimateTotal(0)
 	}
 	mean := sum / trials
@@ -395,15 +402,18 @@ func TestConstructorPanics(t *testing.T) {
 			fn()
 		}()
 	}
-	// Size-mismatch merges panic too.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("WRS size-mismatch merge: expected panic")
-			}
-		}()
-		NewWRS[int](2, 1).Merge(NewWRS[int](3, 2))
-	}()
+	// A size-mismatch merge is refused with a typed error and changes
+	// nothing.
+	a, b := NewWRS[int](2, 1), NewWRS[int](3, 2)
+	a.Add(1, 0)
+	b.Add(2, 0)
+	var se *SizeError
+	if err := a.Merge(b); !errors.As(err, &se) || se.Sampler != "WRS" || se.A != 2 || se.B != 3 {
+		t.Errorf("WRS size-mismatch merge: %v, want a *SizeError", err)
+	}
+	if s := a.Sample(); len(s) != 1 || s[0] != 1 {
+		t.Errorf("WRS refused merge changed the receiver: %v", s)
+	}
 }
 
 // TestForwardWRSExponentialDecay verifies Corollary 1: under exponential

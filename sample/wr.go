@@ -50,20 +50,20 @@ func (s *WR[T]) Sample() []T { return s.slots }
 // Merge folds another with-replacement sampler into this one: slot j of the
 // result holds this sampler's item with probability W₁/(W₁+W₂), which
 // preserves the with-replacement distribution over the union of the inputs
-// (distributed sampling, §VI-B). Both samplers must have the same slot
-// count; it panics otherwise.
-func (s *WR[T]) Merge(o *WR[T]) {
+// (distributed sampling, §VI-B). Samplers of different slot counts are
+// refused with a *SizeError.
+func (s *WR[T]) Merge(o *WR[T]) error {
 	if len(o.slots) != len(s.slots) {
-		panic("sample: merging WR samplers of different sizes")
+		return &SizeError{Sampler: "WR", A: len(s.slots), B: len(o.slots)}
 	}
 	if o.n == 0 {
-		return
+		return nil
 	}
 	if s.n == 0 {
 		copy(s.slots, o.slots)
 		s.w.Merge(&o.w)
 		s.n = o.n
-		return
+		return nil
 	}
 	s1, l1 := s.w.Raw()
 	s2, l2 := o.w.Raw()
@@ -83,4 +83,5 @@ func (s *WR[T]) Merge(o *WR[T]) {
 	}
 	s.w.Merge(&o.w)
 	s.n += o.n
+	return nil
 }

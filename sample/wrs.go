@@ -39,10 +39,10 @@ func NewWRS[T any](k int, seed uint64) *WRS[T] {
 	return &WRS[T]{k: k, rng: core.NewRNG(seed), h: make([]wrsEntry[T], 0, k)}
 }
 
-// Add offers an item with the given log-domain weight (ln w). Zero-weight
-// items (logW = −Inf) are never selected.
+// Add offers an item with the given log-domain weight (ln w). Items whose
+// weight is zero or not finite (logW = ±Inf or NaN) are ignored.
 func (s *WRS[T]) Add(item T, logW float64) {
-	if math.IsInf(logW, -1) || math.IsNaN(logW) {
+	if math.IsInf(logW, 0) || math.IsNaN(logW) {
 		return
 	}
 	// −ln u is Exp(1); its log is finite with probability 1.
@@ -75,10 +75,10 @@ func (s *WRS[T]) Len() int { return len(s.h) }
 // Merge folds another WRS (same k) into this one: because every item keeps
 // an independent key, the union's k smallest keys are exactly the sample of
 // the combined stream, so merging distributed samplers is exact (§VI-B).
-// It panics if the sizes differ.
-func (s *WRS[T]) Merge(o *WRS[T]) {
+// Samplers of different sizes are refused with a *SizeError.
+func (s *WRS[T]) Merge(o *WRS[T]) error {
 	if o.k != s.k {
-		panic("sample: merging WRS samplers of different sizes")
+		return &SizeError{Sampler: "WRS", A: s.k, B: o.k}
 	}
 	for _, e := range o.h {
 		if len(s.h) < s.k {
@@ -91,6 +91,7 @@ func (s *WRS[T]) Merge(o *WRS[T]) {
 			s.down(0)
 		}
 	}
+	return nil
 }
 
 func (s *WRS[T]) up(i int) {

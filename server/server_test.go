@@ -519,12 +519,7 @@ func TestWALRoundTripAndTornTail(t *testing.T) {
 	w2.close()
 
 	// A torn tail (crash mid-append) is truncated away and appends resume.
-	f, err := os.OpenFile(walName(dir, 1), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{9, 9, 9})
-	f.Close()
+	tear(t, walName(dir, 1))
 	w3, recs, err := openWAL(dir, walPos{})
 	if err != nil {
 		t.Fatalf("torn tail not repaired: %v", err)
@@ -695,8 +690,8 @@ func TestWALRotation(t *testing.T) {
 		if got := positions(recs); !reflect.DeepEqual(got, tc.want) {
 			t.Fatalf("replay from %v: positions %v, want %v", tc.from, got, tc.want)
 		}
-		if w2.epoch != 2 || w2.applied != 1 || w2.oldest != 1 {
-			t.Fatalf("replay from %v: appender at epoch=%d applied=%d oldest=%d, want 2, 1, 1", tc.from, w2.epoch, w2.applied, w2.oldest)
+		if w2.epoch != 2 || w2.applied != 1 || !reflect.DeepEqual(walFiles(t, dir), []uint64{1, 2}) {
+			t.Fatalf("replay from %v: appender at epoch=%d applied=%d files %v, want 2, 1, [1 2]", tc.from, w2.epoch, w2.applied, walFiles(t, dir))
 		}
 		w2.close()
 	}
@@ -707,8 +702,8 @@ func TestWALRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].hb.I != 3 || w3.oldest != 2 {
-		t.Fatalf("replay from (2,0): recs=%+v oldest=%d", recs, w3.oldest)
+	if len(recs) != 1 || recs[0].hb.I != 3 || !reflect.DeepEqual(walFiles(t, dir), []uint64{2}) {
+		t.Fatalf("replay from (2,0): recs=%+v files %v", recs, walFiles(t, dir))
 	}
 	if _, err := os.Stat(walName(dir, 1)); !os.IsNotExist(err) {
 		t.Fatalf("superseded epoch not removed: %v", err)
@@ -742,7 +737,7 @@ func TestWALRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	w5.LogHeartbeat(gsql.Value{T: gsql.TInt, I: 1})
-	w5.f.Write([]byte{9, 9, 9})
+	tear(t, walName(dir2, 1))
 	old, err = w5.rotate()
 	if err != nil {
 		t.Fatal(err)
@@ -756,12 +751,7 @@ func TestWALRotation(t *testing.T) {
 	// ... and corruption once a later epoch continues the log past them.
 	w6.LogHeartbeat(gsql.Value{T: gsql.TInt, I: 2})
 	w6.close()
-	f, err := os.OpenFile(walName(dir2, 1), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{9, 9, 9})
-	f.Close()
+	tear(t, walName(dir2, 1))
 	if _, _, err := openWAL(dir2, walPos{}); err == nil {
 		t.Fatal("a torn record in the middle of the log loaded without error")
 	}

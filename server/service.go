@@ -13,7 +13,6 @@ import (
 	"forwarddecay/ingest"
 	"forwarddecay/internal/codec"
 	"forwarddecay/internal/core"
-	"forwarddecay/internal/durable"
 	"forwarddecay/internal/faultinject"
 	"forwarddecay/metrics"
 	"forwarddecay/netgen"
@@ -984,16 +983,12 @@ func (s *Service) persistLoop(rt *runtime) {
 func (s *Service) persist(rt *runtime, job persistJob) error {
 	err := faultinject.Hit("server.persist")
 	if err == nil {
-		err = durable.SyncFile(job.wal)
-	}
-	if cerr := job.wal.Close(); err == nil {
-		err = cerr
+		err = rt.wal.log.Seal(job.wal)
+	} else {
+		job.wal.Close()
 	}
 	if err != nil {
 		return fmt.Errorf("server: sealing wal epoch %d: %w", job.epoch, err)
-	}
-	if err := durable.SyncDir(s.cfg.Dir); err != nil {
-		return err
 	}
 	if err := writeState(s.cfg.Dir, codec.Seal(job.image)); err != nil {
 		return err

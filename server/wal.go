@@ -1,61 +1,32 @@
 package server
 
 // The service's ingest write-ahead log: the listener logs every data frame
-// and heartbeat here BEFORE applying it (ingest.Config.WAL), so the ingest
-// ack — sent after apply — implies the data is recoverable. A supervised
-// restart replays the records past the last checkpoint's watermark into the
-// rebuilt runs, and — because forward decay fixes each arrival's weight at
-// arrival time — reproduces the uninterrupted output bit-exactly.
+// and heartbeat here BEFORE applying it (ingest.Config.WAL), so the ack,
+// sent after apply, implies the data is recoverable, and because forward
+// decay fixes each arrival's weight at arrival time, replaying the records
+// past the last checkpoint reproduces the uninterrupted output bit-exactly.
+// Catalog changes are records too, at the position where they changed the
+// live catalog (Service.replay), each synced before it is acknowledged.
 //
-// Frame records carry their session and sequence number, so recovery also
-// rebuilds the duplicate-detection table: a frame that was logged but whose
-// ack was lost to the crash will be resent by the client and recognized as
-// a duplicate instead of double-counted. Heartbeat records preserve the
-// gsql.Value *type* (Int and Float heartbeats take different temporal-
-// bucket paths through the engine).
+// One file per checkpoint epoch, `ingest-%08d.wal`, on the shared segment
+// log (internal/durable), headed by "FDSRV\x01\x00\x00" · u64 epoch:
 //
-// The log also holds the catalog: an attach, detach, quarantine or revive is
-// a record at the position where it changed the live catalog, so recovery
-// walks one log in order and applies each record as the live path did
-// (Service.replay). A catalog record is fsynced before the change is
-// acknowledged (logCatalog).
+//	u8 recFrame      · u64 session · u64 seq · u16 n · n×23-byte packets
+//	u8 recHeartbeat  · u8 kind (0=int, 1=float) · f64/i64 payload
+//	u8 recAttach     · u32 id · bytes32 text
+//	u8 recDetach     · u32 id
+//	u8 recQuarantine · u32 id · bytes32 reason · bytes32 partials
+//	u8 recRevive     · u32 id
 //
-// Layout: one file per checkpoint epoch, `ingest-%08d.wal`:
-//
-//	header = 8-byte magic "FDSRV\x01\x00\x00" · u64 epoch
-//	then sealed records (the ingest length+checksum envelope):
-//	  u8 recFrame      · u64 session · u64 seq · u16 n · n×23-byte packets
-//	  u8 recHeartbeat  · u8 kind (0=int, 1=float) · f64/i64 payload
-//	  u8 recAttach     · u32 id · bytes32 text
-//	  u8 recDetach     · u32 id
-//	  u8 recQuarantine · u32 id · bytes32 reason · bytes32 partials
-//	  u8 recRevive     · u32 id
-//
-// Epoch discipline: a checkpoint is a cut on the ingest pump and a persist
-// behind it (Service.checkpoint, Service.persist; DESIGN.md §16). The cut,
-// taken with every record of epoch E applied, stamps its state image with the
-// watermark (E+1, 0) and switches appends to a new file E+1; the persister
-// fsyncs file E, writes the state file, and only then removes the files older
-// than E+1. A log position is thus a pair (epoch, index in that epoch's
-// file), several epochs can be on disk at once, and recovery is one rule
-// (openWAL): with S the state file's watermark (none: the start of the log),
-// delete the files of epochs before S's and replay every record at or after S.
-//
-// A torn final record (crash mid-append) is truncated away: its frame was
-// never acked, so the client will resend it. It is tolerated only at the end
-// of the newest file that has records; torn bytes anywhere else are
-// corruption and refuse to load. Each record lands in the file (one write
-// syscall) before the ack goes out — durable against a process kill; the
-// power-cut story is the persister's fsyncs and directory syncs, the same
-// stance the distrib WAL takes, plus each catalog record's own fsync.
+// A checkpoint's cut (DESIGN.md §16) stamps its image with the watermark
+// (E+1, 0) and rotates to epoch E+1; the persister seals file E, writes the
+// state file, then retires the files up to E. Recovery (openWAL) deletes the
+// files before the state file's epoch and replays from its watermark.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
@@ -63,8 +34,6 @@ import (
 	"forwarddecay/internal/durable"
 	"forwarddecay/netgen"
 )
-
-var walMagic = [8]byte{'F', 'D', 'S', 'R', 'V', 1, 0, 0}
 
 const (
 	recFrame      = 1
@@ -81,6 +50,8 @@ const (
 	// ingest listener accepts, plus the record header.
 	walMaxRecord = ingest.DefaultMaxFrame + 32
 )
+
+var walFormat = durable.LogFormat{Name: "ingest-%08d.wal", Magic: [8]byte{'F', 'D', 'S', 'R', 'V', 1, 0, 0}, MaxRecord: walMaxRecord}
 
 // walPos is a position in the log: index at in the file of an epoch. The
 // zero value is before everything (epochs start at 1).
@@ -168,31 +139,19 @@ func decodeWALRecord(body []byte) (walRecord, error) {
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// walName formats the file name for an epoch.
-func walName(dir string, epoch uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("ingest-%08d.wal", epoch))
-}
-
-// ingestWAL is the append side. Not self-locking: every append and the
-// rotation run under rt.mu — the pump's frames, heartbeats and quarantines,
-// the control plane's other catalog records, the pump's checkpoint hook — and
-// a degraded incarnation, which has no catalog, appends only from its pump.
-// The runtime builder touches it before the listener exists.
+// ingestWAL is the append side. Not self-locking: appends and the rotation
+// run under rt.mu (a degraded incarnation appends only from its pump), and
+// the persister's seal and retire follow the rotation they complete, in
+// persistMu's order.
 type ingestWAL struct {
-	dir     string
-	epoch   uint64
-	f       *os.File
+	log     *durable.Log
+	epoch   uint64 // the log's active segment
 	applied uint64 // records appended in the current epoch
-	buf     []byte // reused encode buffer
-	oldest  uint64 // lowest epoch that may still have a file; retire's, after openWAL
-	named   bool   // the current epoch's file name is known durable
-	err     error  // sticky: a failed append may leave torn bytes, so none follows it
 }
 
 // LogFrame implements ingest.ApplyLog.
 func (w *ingestWAL) LogFrame(session, seq uint64, pkts []netgen.Packet) error {
-	r := walRecord{kind: recFrame, sess: session, seq: seq, pkts: pkts}
-	return w.write(&r)
+	return w.write(&walRecord{kind: recFrame, sess: session, seq: seq, pkts: pkts})
 }
 
 // LogHeartbeat implements ingest.ApplyLog.
@@ -203,32 +162,19 @@ func (w *ingestWAL) LogHeartbeat(ts gsql.Value) error {
 	return w.write(&walRecord{kind: recHeartbeat, hb: ts})
 }
 
-// write seals the record in the reused encode buffer and writes it. The
-// write syscall lands the bytes in the file before the frame is acked, which
-// is what makes an in-process kill recoverable.
+// write appends the record: its bytes are in the file, one write syscall,
+// before the frame is acked, so an in-process kill loses nothing acked.
 func (w *ingestWAL) write(r *walRecord) error {
-	if w.err != nil {
-		return w.err
+	err := w.log.Commit(r.appendBody(w.log.Begin()))
+	if err == nil {
+		w.applied++
 	}
-	b := r.appendBody(ingest.ReserveSealed(w.buf[:0]))
-	w.buf = b
-	if len(b)-ingest.SealedHeaderSize > walMaxRecord {
-		return fmt.Errorf("server: wal: a %d-byte record exceeds the %d-byte limit", len(b)-ingest.SealedHeaderSize, walMaxRecord)
-	}
-	ingest.SealInPlace(b, 0)
-	if _, err := w.f.Write(b); err != nil {
-		w.err = fmt.Errorf("server: wal append: %w", err)
-		return w.err
-	}
-	w.applied++
-	return nil
+	return err
 }
 
 // logCatalog appends a catalog record and makes it durable before the change
-// is acknowledged: the directory is synced first when the epoch file's name
-// may not be durable yet (a rotation creates it unsynced), then the file.
-// A quarantine's partials are left out when they would make the record too
-// large: a revive after a crash then starts the query fresh.
+// is acknowledged. A quarantine's partials are left out when they would make
+// the record too large: a revive after a crash then starts the query fresh.
 func (w *ingestWAL) logCatalog(r walRecord) error {
 	if r.kind == recQuarantine && 1+4+4+len(r.text)+4+len(r.ckpt) > walMaxRecord {
 		r.ckpt = nil
@@ -236,147 +182,53 @@ func (w *ingestWAL) logCatalog(r walRecord) error {
 	if err := w.write(&r); err != nil {
 		return err
 	}
-	if !w.named {
-		if w.err = durable.SyncDir(w.dir); w.err != nil {
-			return w.err
-		}
-		w.named = true
-	}
-	w.err = durable.SyncFile(w.f)
-	return w.err
+	return w.log.Sync()
 }
 
-// rotate switches appends to the next epoch — on the pump, so a plain create
-// and nothing that waits on the disk — and returns the previous epoch's file,
-// still open, for the persister to fsync.
+// rotate switches appends to the next epoch, on the pump and without waiting
+// on the disk, and returns the previous epoch's file for the persister to
+// seal.
 func (w *ingestWAL) rotate() (old *os.File, err error) {
-	f, err := createWAL(w.dir, w.epoch+1)
-	if err != nil {
-		return nil, err
+	if old, err = w.log.Rotate(); err == nil {
+		w.epoch, w.applied = w.log.Seg(), 0
 	}
-	old = w.f
-	w.f, w.epoch, w.applied, w.named = f, w.epoch+1, 0, false
-	return old, nil
+	return old, err
 }
 
 // retire removes the files of the epochs up to through, which a durable
-// state file now covers, and syncs the directory. Persister only.
+// state file now covers. Persister only.
 func (w *ingestWAL) retire(through uint64) error {
-	for ; w.oldest <= through; w.oldest++ {
-		if err := os.Remove(walName(w.dir, w.oldest)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("server: wal retire: %w", err)
-		}
-	}
-	return durable.SyncDir(w.dir)
+	_, err := w.log.Remove(func(epoch uint64) bool { return epoch <= through })
+	return err
 }
 
-// close closes the epoch file. w.f is deliberately left non-nil: the
-// supervisor closes an abandoned incarnation's WAL to fence a wedged pump,
-// which may concurrently attempt an append — File.Write and File.Close are
-// synchronized by the runtime, but storing nil here would be a data race
-// with that append's field read. A post-close append simply errors.
-func (w *ingestWAL) close() error {
-	if w.f == nil {
-		return nil
-	}
-	return w.f.Close()
-}
+// close closes the epoch file, also to fence a wedged pump's append.
+func (w *ingestWAL) close() error { return w.log.Close() }
 
-// createWAL creates (exclusively) and headers the file for an epoch. The
-// name is not synced here: the persister's directory sync makes it durable
-// before any state file that refers to the epoch.
-func createWAL(dir string, epoch uint64) (*os.File, error) {
-	f, err := os.OpenFile(walName(dir, epoch), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("server: wal create: %w", err)
-	}
-	hdr := append(make([]byte, 0, len(walMagic)+8), walMagic[:]...)
-	if _, err := f.Write(codec.AppendU64(hdr, epoch)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("server: wal create: %w", err)
-	}
-	return f, nil
-}
-
-// openWAL applies the recovery rule to dir: files of epochs before from's
-// are deleted, the others read in epoch order, and the records at or after
-// from returned with their positions; a torn tail is repaired where one can
-// occur (see the header). The appender continues the newest epoch, or starts
-// epoch max(from.epoch, 1) in a directory with no file left.
+// openWAL applies the recovery rule to dir and returns the records at or
+// after from with their positions. The appender continues the newest epoch,
+// or starts epoch max(from.epoch, 1).
 func openWAL(dir string, from walPos) (w *ingestWAL, recs []walRecord, err error) {
-	names, err := filepath.Glob(filepath.Join(dir, "ingest-*.wal"))
+	w = &ingestWAL{}
+	w.log, err = durable.OpenLog(dir, walFormat, from.epoch, func(epoch uint64, body []byte) error {
+		if epoch != w.epoch {
+			w.epoch, w.applied = epoch, 0
+		}
+		rec, err := decodeWALRecord(body)
+		if err != nil {
+			return err
+		}
+		if rec.pos = (walPos{epoch, w.applied}); !rec.pos.before(from) {
+			recs = append(recs, rec)
+		}
+		w.applied++
+		return nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: wal open: %w", err)
 	}
-	sort.Strings(names)
-	w = &ingestWAL{dir: dir}
-	var newest string          // the newest kept file
-	torn := map[string]int64{} // files ending in a torn record, and its offset
-	for _, name := range names {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return nil, nil, fmt.Errorf("server: wal open: %w", err)
-		}
-		base := filepath.Base(name)
-		hdr := codec.NewDec(data, base)
-		magic, epoch := hdr.Bytes(8), hdr.U64()
-		if hdr.Err() != nil || [8]byte(magic) != walMagic {
-			return nil, nil, fmt.Errorf("server: wal open: %s: bad header", base)
-		}
-		if epoch < from.epoch {
-			if err := os.Remove(name); err != nil {
-				return nil, nil, fmt.Errorf("server: wal open: removing superseded %s: %w", base, err)
-			}
-			continue
-		}
-		if newest == "" {
-			w.oldest = epoch
-		}
-		newest, w.epoch, w.applied = name, epoch, 0
-		for off := 16; off < len(data); {
-			body, n, derr := ingest.DecodeSealed(data[off:], walMaxRecord)
-			if errors.Is(derr, ingest.ErrIncomplete) {
-				torn[name] = int64(off) // crash mid-append; the frame was never acked
-				break
-			}
-			if derr != nil {
-				return nil, nil, fmt.Errorf("server: wal open: %s: offset %d: %w", base, off, derr)
-			}
-			rec, rerr := decodeWALRecord(body)
-			if rerr != nil {
-				return nil, nil, fmt.Errorf("server: wal open: %s: offset %d: %w", base, off, rerr)
-			}
-			if len(torn) > 0 {
-				return nil, nil, fmt.Errorf("server: wal open: %s continues the log past a torn record", base)
-			}
-			rec.pos = walPos{epoch, w.applied}
-			if !rec.pos.before(from) {
-				recs = append(recs, rec)
-			}
-			w.applied++
-			off += n
-		}
-	}
-	for name, at := range torn {
-		if err := os.Truncate(name, at); err != nil {
-			return nil, nil, fmt.Errorf("server: wal open: truncating torn tail: %w", err)
-		}
-	}
-	if newest == "" {
-		w.epoch = max(from.epoch, 1)
-		w.oldest = w.epoch
-		if w.f, err = createWAL(dir, w.epoch); err != nil {
-			return nil, nil, err
-		}
-		if err := durable.SyncDir(dir); err != nil {
-			w.f.Close()
-			return nil, nil, err
-		}
-		w.named = true
-		return w, nil, nil
-	}
-	if w.f, err = os.OpenFile(newest, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-		return nil, nil, fmt.Errorf("server: wal open: %w", err)
+	if w.log.Seg() != w.epoch {
+		w.epoch, w.applied = w.log.Seg(), 0
 	}
 	return w, recs, nil
 }

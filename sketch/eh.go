@@ -88,9 +88,10 @@ func (h *ExpHistogram) Reset() {
 func (h *ExpHistogram) Len() int { return int(h.live) }
 
 // Insert adds an item with the given timestamp and positive value (use 1
-// for counting). Non-positive values are ignored.
+// for counting). Values that are not positive and finite, and non-finite
+// timestamps, are ignored.
 func (h *ExpHistogram) Insert(ts float64, value float64) {
-	if value <= 0 {
+	if !(value > 0) || math.IsInf(value, 1) || math.IsNaN(ts) || math.IsInf(ts, 0) {
 		return
 	}
 	if ts < h.last {

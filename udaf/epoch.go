@@ -80,9 +80,9 @@ func epochSpecs(cfg Config) []gsql.AggSpec {
 }
 
 // lastTS tracks a group's maximum observed timestamp — the query time of
-// time-dependent finals. The first finite timestamp sets it, so a group
-// whose timestamps are all negative finalises at its latest one; until then
-// it reads 0. It merges with other partials and rides checkpoint encodings
+// time-dependent finals. Only finite timestamps count, and the first sets
+// it, so a group whose timestamps are all negative finalises at its latest
+// one; until then it reads 0. It merges with other partials and rides checkpoint encodings
 // as an 8-byte suffix after the wrapped aggregate's bytes, −0 while unset.
 type lastTS struct {
 	last float64
@@ -90,7 +90,7 @@ type lastTS struct {
 }
 
 func (l *lastTS) see(ts float64) {
-	if ts > l.last || !l.set && agg.IsFinite(ts) {
+	if agg.IsFinite(ts) && (ts > l.last || !l.set) {
 		l.last, l.set = ts+0, true // +0 turns −0 into 0: −0 encodes "unset"
 	}
 }
@@ -345,7 +345,11 @@ type fdpctAgg struct {
 
 func (a *fdpctAgg) Step(args []gsql.Value) error { c := gsql.RowCols(args); return a.StepCols(&c) }
 func (a *fdpctAgg) StepCols(c *gsql.Cols) error {
-	return eachRow(c.Len(), func(i int) { a.s.Observe(uint64(c.Int(0, i)), c.Float(1, i)) })
+	return eachRow(c.Len(), func(i int) {
+		if agg.IsFinite(c.Float(0, i)) {
+			a.s.Observe(uint64(c.Int(0, i)), c.Float(1, i))
+		}
+	})
 }
 
 func (a *fdpctAgg) Final() gsql.Value { return gsql.Int(int64(a.s.Quantile(a.phi))) }

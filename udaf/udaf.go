@@ -40,6 +40,7 @@ import (
 	"strconv"
 	"strings"
 
+	"forwarddecay/agg"
 	"forwarddecay/decay"
 	"forwarddecay/gsql"
 	"forwarddecay/sample"
@@ -359,7 +360,9 @@ func (a *fdquantAgg) StepCols(c *gsql.Cols) error {
 		if lw := c.Float(1, i); lw != 0 {
 			w = expSafe(lw)
 		}
-		a.s.Update(uint64(c.Int(0, i)), w)
+		if agg.IsFinite(c.Float(0, i)) {
+			a.s.Update(uint64(c.Int(0, i)), w)
+		}
 	})
 }
 
