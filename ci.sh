@@ -98,6 +98,10 @@ go test -race -run 'Multi' -count=1 ./gsql/
 # and the same Stats(). FuzzStepColumns is the same oracle over every
 # registered aggregate with int, float, bool, string and dynamic arguments:
 # StepCols per key run against Step per row, checkpoint bytes included.
+# FuzzResultLogOps decodes its input into a tape of result-ring operations
+# (flushes, fetches, advances, evictions under every policy, truncations,
+# restores, snapshots) and checks every frame, gap and snapshot against a
+# reference ring of tuples, byte for byte.
 go test -run='^$' -fuzz='^FuzzSketchDecode$' -fuzztime=10s -fuzzminimizetime=10x ./sketch/
 go test -run='^$' -fuzz='^FuzzAggDecode$' -fuzztime=10s -fuzzminimizetime=10x ./agg/
 go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=10s -fuzzminimizetime=10x ./gsql/
@@ -112,6 +116,7 @@ go test -run='^$' -fuzz='^FuzzControlFrameDecode$' -fuzztime=10s -fuzzminimizeti
 go test -run='^$' -fuzz='^FuzzWALRecordDecode$' -fuzztime=10s -fuzzminimizetime=10x ./server/
 go test -run='^$' -fuzz='^FuzzJournalEntryDecode$' -fuzztime=10s -fuzzminimizetime=10x ./server/
 go test -run='^$' -fuzz='^FuzzStateDecode$' -fuzztime=10s -fuzzminimizetime=10x ./server/
+go test -run='^$' -fuzz='^FuzzResultLogOps$' -fuzztime=10s -fuzzminimizetime=10x ./server/
 
 # Multi-query scaling gate: 1000 standing queries must cost <2x the
 # per-tuple cost of 10 on the shared-heavy workload (a runtime degraded to

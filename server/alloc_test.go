@@ -23,9 +23,10 @@ func flushRows(first, n int) []gsql.Tuple {
 }
 
 // TestResultLogSteadyStateAllocs guards the ring on the emit path's steady
-// state: full and wrapped, a flush appended under a blocking subscriber that
-// then fetches it as sealed frames and advances. Rows are copied into the
-// circular store and encoded out of it into the subscription's own buffer;
+// state: full and wrapped, a flush encoded as the emit sink does into a
+// reused buffer, appended under a blocking subscriber that then fetches it
+// as sealed frames and advances. The encoded rows are copied into the
+// circular byte store and out of it into the subscription's own buffer;
 // with nobody parked no wake channel is made. Nothing allocates.
 func TestResultLogSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
@@ -34,12 +35,21 @@ func TestResultLogSteadyStateAllocs(t *testing.T) {
 	const ringCap, flush = 256, 48
 	rl := newResultLog(ringCap)
 	sub := rl.subscribe(0, PolicyBlock, 0)
-	var frame []byte
+	var (
+		frame   []byte
+		pending rowBuf
+	)
+	appendFlush := func(rows []gsql.Tuple) {
+		pending.reset()
+		for _, row := range rows {
+			pending.add(row)
+		}
+		rl.appendRows(&pending, nil)
+	}
 	next := 0
 	cycle := func() {
-		rows := flushRows(next, flush)
+		appendFlush(flushRows(next, flush))
 		next += flush
-		rl.appendRows(rows, nil)
 		for got := 0; got < flush; {
 			var n int
 			var st fetchStatus
@@ -57,15 +67,15 @@ func TestResultLogSteadyStateAllocs(t *testing.T) {
 	if rl.n != ringCap || rl.head == 0 {
 		t.Fatalf("ring not full and wrapped after warm-up: n=%d head=%d", rl.n, rl.head)
 	}
-	// The rows are the emitter's, not the ring's: build them outside the
-	// measured function.
+	// The rows are the engine's, not the ring's: build them outside the
+	// measured function, and encode them inside it.
 	feeds := make([][]gsql.Tuple, 200)
 	for i := range feeds {
 		feeds[i] = flushRows(next+i*flush, flush)
 	}
 	i := 0
 	avg := testing.AllocsPerRun(len(feeds)-2, func() {
-		rl.appendRows(feeds[i], nil)
+		appendFlush(feeds[i])
 		i++
 		for got := 0; got < flush; {
 			var n int
@@ -89,7 +99,8 @@ func TestRowFrameSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counting is noisy under -short harnesses")
 	}
 	rl := newResultLog(64)
-	rl.appendRows(flushRows(1, 64), nil)
+	rows := encodeRows(flushRows(1, 64))
+	rl.appendRows(&rows, nil)
 	sub := rl.subscribe(0, PolicyBlock, 0)
 	var (
 		frame []byte
@@ -205,7 +216,8 @@ func TestResultLogConcurrentBatches(t *testing.T) {
 		}
 	}()
 	for first := 1; first <= total; first += flush {
-		rl.appendRows(flushRows(first, min(flush, total-first+1)), nil)
+		rows := encodeRows(flushRows(first, min(flush, total-first+1)))
+		rl.appendRows(&rows, nil)
 	}
 	if _, end := rl.bounds(); end != total {
 		t.Fatalf("appended through cursor %d, want %d", end, total)

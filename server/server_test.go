@@ -332,7 +332,10 @@ func TestControlWireRoundTrip(t *testing.T) {
 // --- result ring policies ---
 
 // append adds one row the way the emit path adds a flush.
-func (rl *resultLog) append(row gsql.Tuple) { rl.appendRows([]gsql.Tuple{row}, nil) }
+func (rl *resultLog) append(row gsql.Tuple) {
+	rows := encodeRows([]gsql.Tuple{row})
+	rl.appendRows(&rows, nil)
+}
 
 // fetchDecoded is fetch with the sealed StRow frame decoded back into rows,
 // checking the frame against what fetch reported about it.
@@ -770,7 +773,7 @@ func TestStateRoundTrip(t *testing.T) {
 			text: testQuery,
 			ckpt: []byte{1, 2, 3, 4},
 			base: 4,
-			rows: []gsql.Tuple{{{T: gsql.TInt, I: 10}, {T: gsql.TFloat, F: 2.5}}, {{T: gsql.TNull}, {T: gsql.TString, S: "x"}}},
+			rows: encodeRows([]gsql.Tuple{{{T: gsql.TInt, I: 10}, {T: gsql.TFloat, F: 2.5}}, {{T: gsql.TNull}, {T: gsql.TString, S: "x"}}}),
 			end:  5,
 		}, {
 			id:          2,
@@ -886,7 +889,7 @@ func TestDecodersKeepNoInput(t *testing.T) {
 		return codec.Seal(finishState(b, st.sessions))
 	}
 	st := &serverState{walEpoch: 1, walApplied: 2, nextQueryID: 3, queries: []queryState{{
-		id: 1, text: testQuery, ckpt: []byte{9, 8}, base: 1, rows: []gsql.Tuple{{gsql.Str("row")}},
+		id: 1, text: testQuery, ckpt: []byte{9, 8}, base: 1, rows: encodeRows([]gsql.Tuple{{gsql.Str("row")}}),
 		quarantined: true, qreason: "poison"}}}
 	codectest.NoRetain(t, image(st), func(b []byte) (err error) { st, err = decodeState(b); return err },
 		func() ([]byte, error) { return image(st), nil })
@@ -1311,7 +1314,7 @@ func TestShutdownReleasesEverything(t *testing.T) {
 	if len(st.queries) != 1 || st.queries[0].id != id || st.queries[0].end != uint64(len(want)) {
 		t.Fatalf("final checkpoint holds %+v, want query %d through cursor %d", st.queries, id, len(want))
 	}
-	requireIdentical(t, want, st.queries[0].rows, "ring image of the final checkpoint")
+	requireIdentical(t, want, st.queries[0].rows.tuples(t), "ring image of the final checkpoint")
 
 	waitFor(t, 5*time.Second, "the service's goroutines to exit", func() bool {
 		return goruntime.NumGoroutine() <= goroutines

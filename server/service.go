@@ -176,8 +176,9 @@ func (q *Query) Quarantined() (bool, string) {
 type queryRun struct {
 	q *Query
 	// pending holds the rows the run emitted during the apply in progress,
-	// as the engine handed them over; flushEmits moves them into the ring.
-	pending []gsql.Tuple
+	// encoded as the engine handed them over; flushEmits copies them into
+	// the ring.
+	pending rowBuf
 	h       *gsql.MultiHandle
 }
 
@@ -665,16 +666,16 @@ func (s *Service) newRing() *resultLog {
 func (s *Service) startRun(rt *runtime, q *Query, ckpt []byte) (*queryRun, error) {
 	fence := &rt.fenced
 	run := &queryRun{q: q}
-	// The engine hands over rows it will never touch again, so they are
-	// parked as they come and copied into the ring by flushEmits.
+	// Each row is encoded once, here on the pump and outside the ring lock,
+	// and the bytes are copied into the ring by flushEmits.
 	sink := func(row gsql.Tuple) error {
 		if fence.Load() {
 			return errFenced
 		}
-		if len(run.pending) == 0 {
+		if run.pending.n == 0 {
 			rt.emitted = append(rt.emitted, run)
 		}
-		run.pending = append(run.pending, row)
+		run.pending.add(row)
 		return nil
 	}
 	var (
@@ -701,10 +702,9 @@ func (s *Service) startRun(rt *runtime, q *Query, ckpt []byte) (*queryRun, error
 // the pump under rt.mu, or buildRuntime before the listener exists.
 func (s *Service) flushEmits(rt *runtime) {
 	for i, run := range rt.emitted {
-		run.q.log.appendRows(run.pending, &rt.fenced)
-		s.counters.Add("server_rows_emitted", uint64(len(run.pending)))
-		clear(run.pending)
-		run.pending = run.pending[:0]
+		run.q.log.appendRows(&run.pending, &rt.fenced)
+		s.counters.Add("server_rows_emitted", uint64(run.pending.n))
+		run.pending.reset()
 		rt.emitted[i] = nil
 	}
 	rt.emitted = rt.emitted[:0]

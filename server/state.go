@@ -44,7 +44,7 @@ type queryState struct {
 	text string
 	ckpt []byte // engine checkpoint
 	base uint64 // result ring snapshot
-	rows []gsql.Tuple
+	rows rowBuf
 	end  uint64 // highest assigned cursor at checkpoint time
 	// Quarantine trailer (state v2): a fenced query is persisted dormant —
 	// ckpt holds the partials retained at the moment it was fenced, and the
@@ -128,9 +128,7 @@ func decodeState(b []byte) (*serverState, error) {
 		d.U64() // replay start of older binaries, always 0
 		q.ckpt = append([]byte(nil), d.Bytes32()...)
 		q.base, q.end = d.U64(), d.U64()
-		for range d.Count(uint64(d.U32()), 2) {
-			q.rows = append(q.rows, readRow(&d))
-		}
+		readRingRows(&d, &q.rows)
 		if version >= 2 && d.Bool() {
 			q.quarantined, q.qreason = true, string(d.Bytes32())
 		}

@@ -25,22 +25,27 @@ package server
 // re-appends the identical rows, so attached subscribers keep their cursors
 // and notice nothing but a pause.
 //
-// Storage is one flat, circular slice of values, rows of one fixed width
-// side by side. It starts empty and grows geometrically as rows arrive
-// until it holds cap rows, then wraps: a catalog of a thousand mostly quiet
-// queries must not pay for a thousand full rings. Rows are copied in by value and encoded
-// straight out of the ring (a subscriber's batch frame, a checkpoint's ring
-// image) under the ring lock, so the ring never hands out its storage.
+// Storage holds each row in its wire encoding — the bytes appendValue writes
+// for its values — back to back in one circular byte buffer, with one u32
+// offset per row slot to find a cursor without scanning. Nothing in it is a
+// pointer, so the garbage collector never scans a ring. It starts empty and
+// grows by a quarter as rows arrive until it holds cap rows, then wraps: a
+// catalog of a thousand mostly quiet queries must not pay for a thousand
+// full rings. The emit path encodes each row once, outside the ring lock
+// (rowBuf); a subscriber's batch frame and a checkpoint's ring image copy
+// the bytes out under the lock, so the ring never hands out its storage.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
+	"forwarddecay/internal/codec"
 )
 
 // fetchStatus tells a subscription goroutine why fetch returned.
@@ -71,6 +76,60 @@ type subscriber struct {
 	shed     bool
 }
 
+// rowBuf is a run of rows in their wire encoding: each row's values as
+// appendValue writes them, rows back to back. A query run's emit sink
+// encodes into one, and a state file's ring image decodes into one; the
+// ring copies rows in from either.
+type rowBuf struct {
+	width int // values per row; 0 until the first row
+	n     int // rows
+	data  []byte
+}
+
+// rowEnd returns where the row that starts at data[at] ends.
+func (rb *rowBuf) rowEnd(at int) int {
+	for range rb.width {
+		switch gsql.Type(rb.data[at]) {
+		case gsql.TNull:
+			at++
+		case gsql.TString:
+			at += 5 + int(binary.LittleEndian.Uint32(rb.data[at+1:]))
+		default:
+			at += 9
+		}
+	}
+	return at
+}
+
+// add encodes one row.
+func (rb *rowBuf) add(row gsql.Tuple) {
+	if rb.width == 0 {
+		rb.width = len(row)
+	}
+	if len(row) != rb.width || rb.width == 0 {
+		// One query, one projection: only a bug can change the width.
+		panic(fmt.Sprintf("server: result row of %d columns among %d-column rows", len(row), rb.width))
+	}
+	// Every emitted value is encoded here, on the pump: the fixed-width
+	// types skip the call into appendValue.
+	b := rb.data
+	for _, v := range row {
+		switch v.T {
+		case gsql.TInt, gsql.TBool:
+			b = codec.AppendU64(append(b, uint8(v.T)), uint64(v.I))
+		case gsql.TFloat:
+			b = codec.AppendF64(append(b, uint8(v.T)), v.F)
+		default:
+			b = appendValue(b, v)
+		}
+	}
+	rb.data = b
+	rb.n++
+}
+
+// reset empties rb, keeping its buffer and width.
+func (rb *rowBuf) reset() { rb.n, rb.data = 0, rb.data[:0] }
+
 // resultLog is the bounded result ring for one query.
 type resultLog struct {
 	mu sync.Mutex
@@ -80,12 +139,18 @@ type resultLog struct {
 
 	cap  int    // most rows retained
 	base uint64 // cursor of the oldest retained row; the next assigned is base+n
-	// The rows: vals holds len(vals)/width slots of width values each, row
-	// base+i in slot (head+i) mod slots.
+	// The rows, in their wire encoding. store is one allocation: slots u32
+	// offsets (little-endian), then the data, a circular byte buffer. Row
+	// base+i sits in slot (head+i) mod slots, whose offset is where its bytes
+	// start in the data; rows lie back to back, so a row ends where the next
+	// one starts, and the newest ends used bytes after the oldest's start,
+	// each wrapping at the end of the data.
 	width int
-	vals  []gsql.Value
+	store []byte
+	slots int
 	head  int
 	n     int
+	used  int
 
 	subs   map[*subscriber]struct{}
 	closed bool // service shutdown: every waiter drains out
@@ -139,143 +204,238 @@ func (rl *resultLog) bounds() (base, end uint64) {
 	return rl.base, rl.endLocked()
 }
 
-// rowLocked returns row base+i as a view into the ring, valid only while
-// rl.mu is held.
-func (rl *resultLog) rowLocked(i int) gsql.Tuple {
-	at := (rl.head + i) % (len(rl.vals) / rl.width) * rl.width
-	return rl.vals[at : at+rl.width]
+// dataLocked returns the circular byte buffer.
+func (rl *resultLog) dataLocked() []byte { return rl.store[4*rl.slots:] }
+
+// offLocked returns where row base+i starts in the data; for i = n, where
+// the next row goes.
+func (rl *resultLog) offLocked(i int) int {
+	if i == rl.n {
+		if i == 0 {
+			return 0
+		}
+		return (rl.offLocked(0) + rl.used) % len(rl.dataLocked())
+	}
+	return int(binary.LittleEndian.Uint32(rl.store[4*((rl.head+i)%rl.slots):]))
 }
 
-// putLocked copies one row into the slot after the newest; the caller has
-// made sure rl.n < rl.cap. A full store grows by a quarter (re-linearized)
-// until it holds cap rows: a thousand rings filling in lockstep carry a
-// thousand times the slack, so the step is small.
-func (rl *resultLog) putLocked(row gsql.Tuple) {
+// spanLocked returns the bytes rows base+i..base+j-1 take (i ≤ j ≤ n).
+// Rows are never empty, so a span that comes out 0 or less has wrapped.
+func (rl *resultLog) spanLocked(i, j int) int {
+	if i == j {
+		return 0
+	}
+	d := rl.offLocked(j) - rl.offLocked(i)
+	if d <= 0 {
+		d += len(rl.dataLocked())
+	}
+	return d
+}
+
+// appendSpanLocked appends the bytes of rows base+i..base+j-1 to b.
+func (rl *resultLog) appendSpanLocked(b []byte, i, j int) []byte {
+	data := rl.dataLocked()
+	from, k := rl.offLocked(i), rl.spanLocked(i, j)
+	if tail := len(data) - from; k > tail {
+		b = append(b, data[from:]...)
+		from, k = 0, k-tail
+	}
+	return append(b, data[from:from+k]...)
+}
+
+// setWidthLocked takes the row width of the first rows and refuses any
+// other later.
+func (rl *resultLog) setWidthLocked(width int) {
 	if rl.width == 0 {
-		rl.width = len(row)
+		rl.width = width
 	}
-	if len(row) != rl.width || rl.width == 0 {
+	if width != rl.width || rl.width == 0 {
 		// One query, one projection: only a bug can change the width.
-		panic(fmt.Sprintf("server: result row of %d columns in a ring of %d-column rows", len(row), rl.width))
+		panic(fmt.Sprintf("server: result rows of %d columns in a ring of %d-column rows", width, rl.width))
 	}
-	slots := len(rl.vals) / rl.width
-	if rl.n == slots {
-		grown := min(slots+max(slots/4, 16), rl.cap)
-		vals := make([]gsql.Value, grown*rl.width)
-		for i := 0; i < rl.n; i++ {
-			copy(vals[i*rl.width:], rl.rowLocked(i))
-		}
-		rl.vals, rl.head, slots = vals, 0, grown
+}
+
+// putLocked copies one encoded row in after the newest; the caller has made
+// sure rl.n < rl.cap.
+func (rl *resultLog) putLocked(row []byte) {
+	if rl.n == rl.slots || rl.used+len(row) > len(rl.dataLocked()) {
+		rl.growLocked(len(row))
 	}
-	copy(rl.vals[(rl.head+rl.n)%slots*rl.width:], row)
+	at := rl.offLocked(rl.n)
+	binary.LittleEndian.PutUint32(rl.store[4*((rl.head+rl.n)%rl.slots):], uint32(at))
+	data := rl.dataLocked()
+	if k := copy(data[at:], row); k < len(row) {
+		copy(data, row[k:])
+	}
 	rl.n++
+	rl.used += len(row)
+}
+
+// growLocked re-linearizes the rows into a larger store with room for one
+// more row of need bytes. When every slot is taken the slots grow by a
+// quarter, up to cap — a thousand rings filling in lockstep carry a thousand
+// times the slack, so the step is small — with bytes for as many rows of the
+// mean size so far; when only the bytes ran out (rows carrying strings
+// vary), the bytes grow by a quarter. Slots and bytes are one allocation, so
+// a growth step allocates once.
+func (rl *resultLog) growLocked(need int) {
+	slots, size := rl.slots, len(rl.dataLocked())
+	if rl.n == slots {
+		slots = min(slots+max(slots/4, 16), rl.cap)
+		mean := (rl.used + need + rl.n) / (rl.n + 1) // rounded up
+		size = max(size, slots*mean)
+	}
+	if rl.used+need > size {
+		size = max(rl.used+need, size+size/4)
+	}
+	if uint64(size) > math.MaxUint32 {
+		panic("server: a result ring of more than 4 GiB")
+	}
+	store := make([]byte, 4*slots+size)
+	for i := 0; i < rl.n; i++ {
+		binary.LittleEndian.PutUint32(store[4*i:], uint32(rl.spanLocked(0, i)))
+	}
+	rl.appendSpanLocked(store[4*slots:4*slots], 0, rl.n)
+	rl.store, rl.slots, rl.head = store, slots, 0
+}
+
+// dropLocked forgets the k oldest rows.
+func (rl *resultLog) dropLocked(k int) {
+	rl.used -= rl.spanLocked(0, k)
+	rl.head = (rl.head + k) % rl.slots
+	rl.n -= k
+	rl.base += uint64(k)
 }
 
 // appendRows adds the rows one apply of the runtime emitted — a bucket
 // flush, usually — under one lock acquisition and wakes the waiters once,
-// enforcing the slow-consumer policies whenever the ring is full. Values are
-// copied in; the rows stay the caller's.
+// enforcing the slow-consumer policies whenever the ring is full. The bytes
+// are copied in; rows stays the caller's.
 //
 // fence, when non-nil, is the owning incarnation's teardown fence. A writer
 // parked here while its incarnation is torn down must drop the rest of its
 // rows when it wakes — even if a successor has already thawed the ring —
 // because the successor's WAL replay re-derives those rows itself.
-func (rl *resultLog) appendRows(rows []gsql.Tuple, fence *atomic.Bool) {
+func (rl *resultLog) appendRows(rows *rowBuf, fence *atomic.Bool) {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	if rl.frozen || rl.closed {
+	if rl.frozen || rl.closed || rows.n == 0 {
 		return
 	}
-	for _, row := range rows {
-		for rl.n >= rl.cap {
-			if rl.evictOneLocked() {
+	rl.setWidthLocked(rows.width)
+	var now time.Time // read when an eviction first needs it, and after each wait
+	for i, at := 0, 0; i < rows.n; {
+		if rl.n >= rl.cap {
+			if now.IsZero() {
+				now = time.Now()
+			}
+			if rl.evictLocked(min(rows.n-i, rl.n), now) == 0 {
+				// A holder refused the eviction; wait for it to advance, be
+				// removed, or run out of stall budget. What this call
+				// appended or evicted so far is announced first.
+				rl.broadcast()
+				wake := rl.park()
+				wait := rl.minBudgetLocked(now)
+				rl.mu.Unlock()
+				if wait > 0 {
+					t := time.NewTimer(wait)
+					select {
+					case <-wake:
+					case <-t.C:
+					}
+					t.Stop()
+				} else {
+					<-wake
+				}
+				rl.mu.Lock()
+				if rl.frozen || rl.closed || (fence != nil && fence.Load()) {
+					return
+				}
+				now = time.Now()
 				continue
 			}
-			// A holder refused the eviction; wait for it to advance, be
-			// removed, or run out of stall budget. What this call appended
-			// or evicted so far is announced first.
-			rl.broadcast()
-			wake := rl.park()
-			wait := rl.minBudgetLocked()
-			rl.mu.Unlock()
-			if wait > 0 {
-				t := time.NewTimer(wait)
-				select {
-				case <-wake:
-				case <-t.C:
-				}
-				t.Stop()
-			} else {
-				<-wake
-			}
-			rl.mu.Lock()
-			if rl.frozen || rl.closed || (fence != nil && fence.Load()) {
-				return
-			}
 		}
-		rl.putLocked(row)
+		for ; i < rows.n && rl.n < rl.cap; i++ {
+			end := rows.rowEnd(at)
+			rl.putLocked(rows.data[at:end])
+			at = end
+		}
 	}
 	rl.broadcast()
 }
 
-// evictOneLocked tries to drop the oldest row. It returns false when a
-// PolicyBlock / PolicyDisconnect subscriber still needs that row and has
-// stall budget left; expired PolicyDisconnect holders are force-removed.
-// Only appendRows evicts, and it broadcasts before parking and when done.
-func (rl *resultLog) evictOneLocked() bool {
-	now := time.Now()
-	blocked := false
+// evictLocked drops up to want (≥ 1) of the oldest rows in one pass and
+// returns how many it dropped: the rows below the lowest cursor held by a
+// PolicyBlock subscriber or by a PolicyDisconnect one with stall budget
+// left. It books what dropping them one at a time would: a holder the
+// eviction reaches is stamped stalled (and an expired PolicyDisconnect one
+// force-removed), and each PolicyDropOldest subscriber it passes sheds the
+// rows at or above its cursor, in one count. Only appendRows evicts, and it
+// broadcasts before parking and when done.
+func (rl *resultLog) evictLocked(want int, now time.Time) int {
+	expired := func(s *subscriber) bool {
+		stalled := s.stalled
+		if stalled.IsZero() {
+			stalled = now
+		}
+		return now.Sub(stalled) >= s.budget
+	}
+	k := uint64(want)
 	for s := range rl.subs {
-		if s.removed || s.cursor > rl.base {
+		if s.removed || s.policy == PolicyDropOldest || (s.policy == PolicyDisconnect && expired(s)) {
+			continue
+		}
+		if held := max(s.cursor, rl.base) - rl.base; held < k {
+			k = held
+		}
+	}
+	// Evicting row by row, each row's eviction looks at the subscribers at
+	// or below it; the refused one (when k < want) looks too.
+	reach := rl.base + k
+	if k == uint64(want) {
+		reach--
+	}
+	for s := range rl.subs {
+		if s.removed || s.cursor > reach {
 			continue
 		}
 		switch s.policy {
 		case PolicyDropOldest:
-			// Does not hold; it will observe the gap at its next fetch.
+			// Shed [max(cursor, base), base+k); it will observe the gap at
+			// its next fetch.
+			if from := max(s.cursor, rl.base); from < rl.base+k {
+				if !s.shed {
+					s.shed, s.shedFrom = true, s.cursor
+				}
+				if rl.onShed != nil {
+					rl.onShed(rl.base + k - from)
+				}
+			}
 		case PolicyBlock:
 			if s.stalled.IsZero() {
 				s.stalled = now
 			}
-			blocked = true
 		case PolicyDisconnect:
-			if s.stalled.IsZero() {
-				s.stalled = now
-			}
-			if now.Sub(s.stalled) >= s.budget {
+			if expired(s) {
 				s.removed = true
 				if rl.onDisconnect != nil {
 					rl.onDisconnect()
 				}
-				continue
-			}
-			blocked = true
-		}
-	}
-	if blocked {
-		return false
-	}
-	// Evict: drop-oldest subscribers at or below base fall into a gap.
-	for s := range rl.subs {
-		if !s.removed && s.policy == PolicyDropOldest && s.cursor <= rl.base {
-			if !s.shed {
-				s.shed, s.shedFrom = true, s.cursor
-			}
-			if rl.onShed != nil {
-				rl.onShed(1)
+			} else if s.stalled.IsZero() {
+				s.stalled = now
 			}
 		}
 	}
-	rl.head = (rl.head + 1) % (len(rl.vals) / rl.width)
-	rl.n--
-	rl.base++
-	return true
+	if k > 0 {
+		rl.dropLocked(int(k))
+	}
+	return int(k)
 }
 
 // minBudgetLocked returns the shortest remaining stall budget among
 // blocking PolicyDisconnect holders, or 0 when only PolicyBlock holders
 // remain (wait without a deadline).
-func (rl *resultLog) minBudgetLocked() time.Duration {
-	now := time.Now()
+func (rl *resultLog) minBudgetLocked(now time.Time) time.Duration {
 	min := time.Duration(0)
 	for s := range rl.subs {
 		if s.removed || s.policy != PolicyDisconnect || s.cursor > rl.base {
@@ -367,7 +527,8 @@ func (rl *resultLog) fetch(s *subscriber, query uint32, max int, dst []byte) (fr
 
 // appendRowFrameLocked seals the retained rows from cursor start on — at most
 // max, and no more than keep the body within MaxControlFrame, but always one
-// — onto b as an StRow frame.
+// — onto b as an StRow frame. The rows are in their wire encoding already:
+// the offsets give the cut, and the bytes are copied behind the header.
 func (rl *resultLog) appendRowFrameLocked(b []byte, query uint32, start uint64, max int) ([]byte, int) {
 	i := int(start - rl.base)
 	max = min(max, rl.n-i)
@@ -375,19 +536,13 @@ func (rl *resultLog) appendRowFrameLocked(b []byte, query uint32, start uint64, 
 	b = ingest.ReserveSealed(b)
 	b = append(b, StRow, 0, 0, 0, 0) // request id 0: rows answer no request
 	b = appendRowBatchHeader(b, query, start, rl.width, 0)
-	countAt := len(b) - 4
-	n := 0
-	for ; n < max; n++ {
-		rowAt := len(b)
-		for _, v := range rl.rowLocked(i + n) {
-			b = appendValue(b, v)
-		}
-		if n > 0 && len(b)-at-ingest.SealedHeaderSize > MaxControlFrame {
-			b = b[:rowAt]
-			break
-		}
+	room := MaxControlFrame - (len(b) - at - ingest.SealedHeaderSize)
+	n := 1
+	for n < max && rl.spanLocked(i, i+n+1) <= room {
+		n++
 	}
-	binary.LittleEndian.PutUint32(b[countAt:], uint32(n))
+	binary.LittleEndian.PutUint32(b[len(b)-4:], uint32(n))
+	b = rl.appendSpanLocked(b, i, i+n)
 	ingest.SealInPlace(b, at)
 	return b, n
 }
@@ -426,30 +581,37 @@ func (rl *resultLog) truncateTo(k uint64) {
 	if k+1 < rl.base {
 		// The ring evicted past the checkpoint: nothing retained survives,
 		// and the next replayed row is cursor k+1.
-		rl.base, rl.head, rl.n = k+1, 0, 0
+		rl.base, rl.head, rl.n, rl.used = k+1, 0, 0, 0
 	} else if k < rl.endLocked() {
-		rl.n = int(k - rl.base + 1)
+		n := int(k - rl.base + 1)
+		rl.n, rl.used = n, rl.spanLocked(0, n)
 	}
 	rl.broadcast()
 }
 
-// restore replaces the ring contents from a checkpoint snapshot (cold
+// restore replaces the ring contents with a state file's ring image (cold
 // start); of more rows than the ring retains, the newest are kept.
-func (rl *resultLog) restore(base uint64, rows []gsql.Tuple) {
+func (rl *resultLog) restore(base uint64, rows rowBuf) {
 	rl.mu.Lock()
-	if drop := len(rows) - rl.cap; drop > 0 {
-		base, rows = base+uint64(drop), rows[drop:]
+	defer rl.mu.Unlock()
+	first := max(rows.n-rl.cap, 0)
+	rl.base, rl.head, rl.n, rl.used = base+uint64(first), 0, 0, 0
+	if first < rows.n {
+		rl.setWidthLocked(rows.width)
 	}
-	rl.base, rl.head, rl.n = base, 0, 0
-	for _, row := range rows {
-		rl.putLocked(row)
+	for i, at := 0, 0; i < rows.n; i++ {
+		end := rows.rowEnd(at)
+		if i >= first {
+			rl.putLocked(rows.data[at:end])
+		}
+		at = end
 	}
 	rl.broadcast()
-	rl.mu.Unlock()
 }
 
 // appendSnapshot appends the ring's image to a state file under
-// construction, in queryState's layout: base, end, row count, rows.
+// construction, in queryState's layout: base, end, row count, rows (each its
+// u16 width, then its values).
 func (rl *resultLog) appendSnapshot(b []byte) []byte {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
@@ -457,7 +619,7 @@ func (rl *resultLog) appendSnapshot(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(b, rl.endLocked())
 	b = binary.LittleEndian.AppendUint32(b, uint32(rl.n))
 	for i := 0; i < rl.n; i++ {
-		b = appendRow(b, rl.rowLocked(i))
+		b = rl.appendSpanLocked(codec.AppendU16(b, uint16(rl.width)), i, i+1)
 	}
 	return b
 }

@@ -257,16 +257,6 @@ func decodeMsgInto(m *Msg, body []byte) error {
 // anything near it, and it keeps a forged count from allocating wildly.
 const maxRowCols = 1 << 10
 
-// appendRow writes u16 column count then each value (the state file's row
-// layout).
-func appendRow(b []byte, row gsql.Tuple) []byte {
-	b = codec.AppendU16(b, uint16(len(row)))
-	for _, v := range row {
-		b = appendValue(b, v)
-	}
-	return b
-}
-
 // appendValue writes a type tag and the value's payload; a string is
 // u32-length-prefixed.
 func appendValue(b []byte, v gsql.Value) []byte {
@@ -294,15 +284,33 @@ func appendRowBatchHeader(b []byte, query uint32, cursor uint64, width, n int) [
 	return codec.AppendU32(codec.AppendU16(b, uint16(width)), uint32(n))
 }
 
-// readRow reads what appendRow appended.
-func readRow(d *codec.Dec) gsql.Tuple {
-	n := d.U16()
-	if n > maxRowCols {
-		d.Failf("row claims %d columns (max %d)", n, maxRowCols)
+// readRingRows reads a state file's ring rows — a u32 count, then per row
+// its u16 width and its values — into rows without building tuples: each
+// value's tag is checked and its bytes kept as they are. A ring's rows are
+// all of one width.
+func readRingRows(d *codec.Dec, rows *rowBuf) {
+	for range d.Count(uint64(d.U32()), 3) {
+		width := d.U16()
+		if width == 0 || width > maxRowCols || (rows.width != 0 && int(width) != rows.width) {
+			d.Failf("ring row of %d columns (ring of %d, max %d)", width, rows.width, maxRowCols)
+			return
+		}
+		rows.width = int(width)
+		for i := range d.Count(uint64(width), 1) {
+			switch t := gsql.Type(d.U8()); t {
+			case gsql.TNull:
+				rows.data = append(rows.data, uint8(t))
+			case gsql.TInt, gsql.TBool, gsql.TFloat:
+				rows.data = codec.AppendU64(append(rows.data, uint8(t)), d.U64())
+			case gsql.TString:
+				rows.data = codec.AppendBytes32(append(rows.data, uint8(t)), d.Bytes32())
+			default:
+				d.Failf("unknown value type %d in value %d", uint8(t), i)
+				return
+			}
+		}
+		rows.n++
 	}
-	row := make(gsql.Tuple, d.Count(uint64(n), 1))
-	readValues(d, row)
-	return row
 }
 
 // readValues fills dst with values appendValue appended.

@@ -86,3 +86,26 @@ func TestQDigestCompressWarmAllocs(t *testing.T) {
 		t.Errorf("warm QDigest.Compress allocates %.2f objects/op, want 0", avg)
 	}
 }
+
+// TestQDigestQuantileWarmAllocs: a quantile query sorts the node ids in the
+// compaction scratch, so a warm digest answers without allocating.
+func TestQDigestQuantileWarmAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is noisy under -short harnesses")
+	}
+	rng := core.NewRNG(17)
+	q := NewQDigest(1<<12, 0.1)
+	for i := 0; i < 2048; i++ {
+		q.Update(uint64(rng.Intn(1<<12)), 0.5+rng.Float64())
+	}
+	q.Quantile(0.5) // warm the scratch buffer
+	phis := []float64{0.5, 0.01, 0.99, 0.25}
+	i := 0
+	avg := testing.AllocsPerRun(200, func() {
+		q.Quantile(phis[i%len(phis)])
+		i++
+	})
+	if avg != 0 {
+		t.Errorf("warm QDigest.Quantile allocates %.2f objects/op, want 0", avg)
+	}
+}

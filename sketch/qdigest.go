@@ -1,9 +1,10 @@
 package sketch
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // QDigest is the quantile summary of Shrivastava, Buragohain, Agrawal and
@@ -23,7 +24,7 @@ type QDigest struct {
 	total float64
 	dirty float64 // weight added since the last compression
 
-	scratch []uint64 // reusable id buffer for Compress
+	scratch []uint64 // reusable id buffer for Compress and Quantile
 }
 
 // NewQDigest returns a digest over the value domain [0, u) with target rank
@@ -162,41 +163,59 @@ func (q *QDigest) Quantile(phi float64) uint64 {
 		phi = 1
 	}
 	target := phi * q.total
-	nodes := q.sortedNodes()
+	ids := q.sortedIDs()
 	var cum float64
-	for _, n := range nodes {
-		cum += n.w
+	for _, id := range ids {
+		cum += q.nodes[id]
 		if cum >= target {
-			return n.hi
+			_, hi := q.span(id)
+			return hi
 		}
 	}
-	if len(nodes) == 0 {
+	if len(ids) == 0 {
 		return 0
 	}
-	return nodes[len(nodes)-1].hi
+	_, hi := q.span(ids[len(ids)-1])
+	return hi
 }
 
-type qdNode struct {
-	lo, hi uint64
-	w      float64
-}
-
-// sortedNodes returns the stored nodes in q-digest query order: increasing
+// sortedIDs returns the stored node ids in q-digest query order: increasing
 // upper endpoint, ties broken by smaller range (larger lower endpoint)
-// first.
-func (q *QDigest) sortedNodes() []qdNode {
-	out := make([]qdNode, 0, len(q.nodes))
-	for id, w := range q.nodes {
-		lo, hi := q.span(id)
-		out = append(out, qdNode{lo, hi, w})
+// first. It sorts in the scratch buffer, so a warm digest allocates
+// nothing; the result is valid until the next Compress or sortedIDs. Up to
+// 2^58 values an id's order fits in one word — its upper endpoint, then 63
+// minus its bit length — and the words sort without a comparison function,
+// about twice as fast; wider domains compare spans.
+func (q *QDigest) sortedIDs() []uint64 {
+	if cap(q.scratch) < len(q.nodes) {
+		q.scratch = make([]uint64, 0, 2*len(q.nodes))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].hi != out[j].hi {
-			return out[i].hi < out[j].hi
+	ids := q.scratch[:0]
+	if q.logU > 58 {
+		for id := range q.nodes {
+			ids = append(ids, id)
 		}
-		return out[i].lo > out[j].lo
-	})
-	return out
+		slices.SortFunc(ids, func(a, b uint64) int {
+			la, ha := q.span(a)
+			lb, hb := q.span(b)
+			if ha != hb {
+				return cmp.Compare(ha, hb)
+			}
+			return cmp.Compare(lb, la)
+		})
+		return ids
+	}
+	for id := range q.nodes {
+		_, hi := q.span(id)
+		ids = append(ids, hi<<6|uint64(63-bits.Len64(id)))
+	}
+	slices.Sort(ids)
+	for i, key := range ids {
+		hi, n := key>>6, 63-uint(key&63) // n = the id's bit length
+		below := q.logU + 1 - n
+		ids[i] = 1<<(n-1) + (hi+1)>>below - 1
+	}
+	return ids
 }
 
 // span returns the value interval [lo, hi] covered by heap node id.

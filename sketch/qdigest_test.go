@@ -3,6 +3,7 @@ package sketch
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"forwarddecay/internal/core"
@@ -228,21 +229,103 @@ func TestQDigestSortedNodesOrdering(t *testing.T) {
 		q.Update(v, float64(v+1))
 	}
 	q.Compress()
-	ns := q.sortedNodes()
-	for i := 1; i < len(ns); i++ {
-		if ns[i].hi < ns[i-1].hi {
-			t.Fatalf("nodes not sorted by hi: %+v", ns)
+	// Leaves below merged nodes: each shares its upper endpoint with the
+	// ancestors on its right edge.
+	q.Update(1, 1)
+	q.Update(3, 1)
+	ids := q.sortedIDs()
+	ties := 0
+	for i := 1; i < len(ids); i++ {
+		lo0, hi0 := q.span(ids[i-1])
+		lo, hi := q.span(ids[i])
+		if hi < hi0 {
+			t.Fatalf("nodes not sorted by hi: %v", ids)
 		}
-		if ns[i].hi == ns[i-1].hi && ns[i].lo > ns[i-1].lo {
-			t.Fatalf("ties not broken by smaller range first: %+v", ns)
+		if hi == hi0 {
+			ties++
+			if lo > lo0 {
+				t.Fatalf("ties not broken by smaller range first: %v", ids)
+			}
 		}
+	}
+	if ties == 0 {
+		t.Fatalf("no two nodes share an upper endpoint: the tie order is untested (%v)", ids)
 	}
 	// Node weights must sum to the total.
 	var s float64
-	for _, n := range ns {
-		s += n.w
+	for _, id := range ids {
+		s += q.nodes[id]
 	}
 	if math.Abs(s-q.Total()) > 1e-9 {
 		t.Errorf("node weights sum to %v, total is %v", s, q.Total())
+	}
+}
+
+// TestQDigestQuantileMatchesNodeSort: Quantile, sorting node ids in the
+// scratch buffer, answers bit for bit what walking a freshly sorted copy of
+// every (lo, hi, weight) node answers.
+func TestQDigestQuantileMatchesNodeSort(t *testing.T) {
+	type node struct {
+		lo, hi uint64
+		w      float64
+	}
+	reference := func(q *QDigest, phi float64) uint64 {
+		var ns []node
+		for id, w := range q.nodes {
+			lo, hi := q.span(id)
+			ns = append(ns, node{lo, hi, w})
+		}
+		sort.Slice(ns, func(i, j int) bool {
+			if ns[i].hi != ns[j].hi {
+				return ns[i].hi < ns[j].hi
+			}
+			return ns[i].lo > ns[j].lo
+		})
+		target := min(max(phi, 0), 1) * q.total
+		var cum float64
+		for _, n := range ns {
+			cum += n.w
+			if cum >= target {
+				return n.hi
+			}
+		}
+		if len(ns) == 0 {
+			return 0
+		}
+		return ns[len(ns)-1].hi
+	}
+	rng := core.NewRNG(23)
+	for trial := 0; trial < 24; trial++ {
+		// Trials 20–23 take domains of 2^58, 2^59, 2^62 and 2^63 values:
+		// the packed sort keys fit a word up to 2^58.
+		u := uint64(1) << uint(4+trial%12)
+		if trial >= 20 {
+			u = 1 << []uint{58, 59, 62, 63}[trial-20]
+		}
+		q := NewQDigest(u, 0.02+0.01*float64(trial%5))
+		for i := 0; i < 50*trial; i++ {
+			q.Update(rng.Uint64()>>(64-q.logU+uint(trial%3)), 0.1+rng.ExpFloat64())
+		}
+		var want []node
+		for id, w := range q.nodes {
+			lo, hi := q.span(id)
+			want = append(want, node{lo, hi, w})
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].hi != want[j].hi {
+				return want[i].hi < want[j].hi
+			}
+			return want[i].lo > want[j].lo
+		})
+		for i, id := range q.sortedIDs() {
+			if lo, hi := q.span(id); lo != want[i].lo || hi != want[i].hi {
+				t.Fatalf("trial %d: node %d of the query order spans [%d, %d], want [%d, %d]", trial, i, lo, hi, want[i].lo, want[i].hi)
+			}
+		}
+		for _, phi := range []float64{-1, 0, 0.001, 0.1, 0.5, 0.9, 0.999, 1, 2} {
+			if got, want := q.Quantile(phi), reference(q, phi); got != want {
+				t.Fatalf("trial %d: Quantile(%v) = %d, node sort gives %d", trial, phi, got, want)
+			}
+		}
 	}
 }
