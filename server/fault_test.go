@@ -749,7 +749,7 @@ func TestOpensParentLayoutDirectory(t *testing.T) {
 	b := beginState(nil, st.walEpoch, folded, st.nextQueryID, len(st.queries))
 	for i := range st.queries {
 		ring := newResultLog(1 << 15)
-		ring.restore(st.queries[i].base, st.queries[i].rows)
+		ring.restoreRows(st.queries[i].base, st.queries[i].rows)
 		b = appendQueryState(b, &st.queries[i], ring)
 	}
 	if err := writeState(dir, codec.Seal(finishState(b, st.sessions))); err != nil {

@@ -116,7 +116,7 @@ func checkWALRecord(t *testing.T, data []byte) {
 // re-sealed: the mutator then reaches the parser behind it.
 func FuzzStateDecode(f *testing.F) {
 	ring := newResultLog(8)
-	ring.restore(4, encodeRows([]gsql.Tuple{{gsql.Int(10), gsql.Float(2.5)}, {{T: gsql.TNull}, gsql.Str("x")}}))
+	ring.restore(4, []gsql.Tuple{{gsql.Int(10), gsql.Float(2.5)}, {{T: gsql.TNull}, gsql.Str("x")}})
 	b := beginState(nil, 3, 17, 9, 2)
 	b = appendQueryState(b, &queryState{id: 1, text: testQuery, ckpt: []byte{1, 2, 3, 4}}, ring)
 	b = appendQueryState(b, &queryState{id: 2, text: "select count(*) from TCP group by time as tb",

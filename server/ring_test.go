@@ -28,6 +28,9 @@ func encodeRows(rows []gsql.Tuple) rowBuf {
 	return rb
 }
 
+// restore loads rows as a state file's ring image starting at cursor base.
+func (rl *resultLog) restore(base uint64, rows []gsql.Tuple) { rl.restoreRows(base, encodeRows(rows)) }
+
 // tuples decodes rb's rows.
 func (rb *rowBuf) tuples(t *testing.T) []gsql.Tuple {
 	t.Helper()
@@ -365,7 +368,7 @@ func runRingTape(t *testing.T, tape []byte) {
 			if err := d.Done(); err != nil {
 				t.Fatalf("op %d: ring image: %v", op, err)
 			}
-			rl.restore(base, rb)
+			rl.restoreRows(base, rb)
 			m.restore(base, rows)
 		case 9: // snapshot
 			if got, want := rl.appendSnapshot(nil), m.snapshot(); !bytes.Equal(got, want) {
@@ -526,6 +529,50 @@ func TestResultLogBytesPerRow(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Fatal("the first frame out of a full ring is not the rows' encoding")
 	}
+}
+
+// TestResultLogShrinksAfterLongRows: the bytes a burst of long strings grew
+// come back once short rows have evicted it, and the ring keeps the model's
+// rows and frames throughout.
+func TestResultLogShrinksAfterLongRows(t *testing.T) {
+	const capacity = 64
+	rl := newResultLog(capacity)
+	m := &modelRing{cap: capacity, base: 1}
+	sub := rl.subscribe(0, PolicyDropOldest, 0)
+	ms := &modelSub{policy: PolicyDropOldest, cursor: 1}
+	m.subs = append(m.subs, ms)
+	flush := func(first, n int, s string) {
+		t.Helper()
+		rows := make([]gsql.Tuple, n)
+		for i := range rows {
+			rows[i] = gsql.Tuple{gsql.Int(int64(first + i)), gsql.Str(s)}
+		}
+		rb := encodeRows(rows)
+		rl.appendRows(&rb, nil)
+		m.append(rows)
+		if got, want := rl.appendSnapshot(nil), m.snapshot(); !bytes.Equal(got, want) {
+			t.Fatalf("after rows %d..%d: snapshot differs from the model's (%d vs %d bytes)", first, first+n-1, len(got), len(want))
+		}
+		wantFrame, wantN, wantStart, wantGap, wantSt := m.fetch(ms, 9, capacity)
+		frame, n, start, gapFrom, st := rl.fetch(sub, 9, capacity, nil)
+		if st != wantSt || n != wantN || start != wantStart || gapFrom != wantGap || !bytes.Equal(frame, wantFrame) {
+			t.Fatalf("after rows %d..%d: fetch differs from the model's", first, first+n-1)
+		}
+	}
+	long := string(bytes.Repeat([]byte{'x'}, 4096))
+	for first := 1; first <= capacity; first += 16 {
+		flush(first, 16, long)
+	}
+	if high := len(rl.store); high < capacity*len(long) {
+		t.Fatalf("a ring of %d long rows takes %d bytes", capacity, high)
+	}
+	for first := capacity + 1; first <= 5*capacity; first += capacity {
+		flush(first, capacity, "s")
+	}
+	if got, most := len(rl.store), 4*rl.slots+2*rl.used; got > most {
+		t.Fatalf("after short rows evicted the long ones the ring keeps %d bytes for %d in use, want <= %d", got, rl.used, most)
+	}
+	flush(5*capacity+1, 8, long) // and grows again
 }
 
 // TestResultLogRefusedEvictionMidFlush: a flush that a blocking subscriber

@@ -791,7 +791,7 @@ func TestStateRoundTrip(t *testing.T) {
 	for i := range st.queries {
 		q := &st.queries[i]
 		ring := newResultLog(8)
-		ring.restore(q.base, q.rows)
+		ring.restoreRows(q.base, q.rows)
 		b = appendQueryState(b, q, ring)
 	}
 	if err := writeState(dir, codec.Seal(finishState(b, st.sessions))); err != nil {
@@ -883,7 +883,7 @@ func TestDecodersKeepNoInput(t *testing.T) {
 		b := beginState(nil, st.walEpoch, st.walApplied, st.nextQueryID, len(st.queries))
 		for i := range st.queries {
 			ring := newResultLog(4)
-			ring.restore(st.queries[i].base, st.queries[i].rows)
+			ring.restoreRows(st.queries[i].base, st.queries[i].rows)
 			b = appendQueryState(b, &st.queries[i], ring)
 		}
 		return codec.Seal(finishState(b, st.sessions))

@@ -767,7 +767,7 @@ func (s *Service) replay(rt *runtime, queries []queryState, recs []walRecord) er
 		q := s.queries[qs.id]
 		if q == nil {
 			q = &Query{ID: qs.id, Text: qs.text, log: s.newRing()}
-			q.log.restore(qs.base, qs.rows)
+			q.log.restoreRows(qs.base, qs.rows)
 			s.queries[q.ID] = q
 		} else {
 			q.log.truncateTo(qs.end)

@@ -110,18 +110,9 @@ func (rb *rowBuf) add(row gsql.Tuple) {
 		// One query, one projection: only a bug can change the width.
 		panic(fmt.Sprintf("server: result row of %d columns among %d-column rows", len(row), rb.width))
 	}
-	// Every emitted value is encoded here, on the pump: the fixed-width
-	// types skip the call into appendValue.
 	b := rb.data
 	for _, v := range row {
-		switch v.T {
-		case gsql.TInt, gsql.TBool:
-			b = codec.AppendU64(append(b, uint8(v.T)), uint64(v.I))
-		case gsql.TFloat:
-			b = codec.AppendF64(append(b, uint8(v.T)), v.F)
-		default:
-			b = appendValue(b, v)
-		}
+		b = appendValue(b, v)
 	}
 	rb.data = b
 	rb.n++
@@ -276,8 +267,7 @@ func (rl *resultLog) putLocked(row []byte) {
 // quarter, up to cap — a thousand rings filling in lockstep carry a thousand
 // times the slack, so the step is small — with bytes for as many rows of the
 // mean size so far; when only the bytes ran out (rows carrying strings
-// vary), the bytes grow by a quarter. Slots and bytes are one allocation, so
-// a growth step allocates once.
+// vary), the bytes grow by a quarter.
 func (rl *resultLog) growLocked(need int) {
 	slots, size := rl.slots, len(rl.dataLocked())
 	if rl.n == slots {
@@ -288,6 +278,13 @@ func (rl *resultLog) growLocked(need int) {
 	if rl.used+need > size {
 		size = max(rl.used+need, size+size/4)
 	}
+	rl.resizeLocked(slots, size)
+}
+
+// resizeLocked re-linearizes the rows into a store of slots offsets and size
+// bytes. Slots and bytes are one allocation, so a resize allocates once.
+// Offsets are u32, so a ring's rows may take at most 4 GiB.
+func (rl *resultLog) resizeLocked(slots, size int) {
 	if uint64(size) > math.MaxUint32 {
 		panic("server: a result ring of more than 4 GiB")
 	}
@@ -297,6 +294,20 @@ func (rl *resultLog) growLocked(need int) {
 	}
 	rl.appendSpanLocked(store[4*slots:4*slots], 0, rl.n)
 	rl.store, rl.slots, rl.head = store, slots, 0
+}
+
+// shrinkLocked shrinks the bytes when the rows fill under a quarter of them
+// — a burst of long strings, evicted by short rows — to twice what the rows
+// use, or to every slot at their mean size if that is more, so a burst does
+// not keep its bytes for the life of the ring. The rows must double before
+// the bytes grow again.
+func (rl *resultLog) shrinkLocked() {
+	if size := len(rl.dataLocked()); rl.n > 0 && 4*rl.used < size {
+		mean := (rl.used + rl.n - 1) / rl.n // rounded up
+		if fit := max(2*rl.used, rl.slots*mean); fit <= size/2 {
+			rl.resizeLocked(rl.slots, fit)
+		}
+	}
 }
 
 // dropLocked forgets the k oldest rows.
@@ -361,6 +372,7 @@ func (rl *resultLog) appendRows(rows *rowBuf, fence *atomic.Bool) {
 			at = end
 		}
 	}
+	rl.shrinkLocked()
 	rl.broadcast()
 }
 
@@ -589,9 +601,9 @@ func (rl *resultLog) truncateTo(k uint64) {
 	rl.broadcast()
 }
 
-// restore replaces the ring contents with a state file's ring image (cold
+// restoreRows replaces the ring contents with a state file's ring image (cold
 // start); of more rows than the ring retains, the newest are kept.
-func (rl *resultLog) restore(base uint64, rows rowBuf) {
+func (rl *resultLog) restoreRows(base uint64, rows rowBuf) {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	first := max(rows.n-rl.cap, 0)
@@ -606,6 +618,7 @@ func (rl *resultLog) restore(base uint64, rows rowBuf) {
 		}
 		at = end
 	}
+	rl.shrinkLocked()
 	rl.broadcast()
 }
 

@@ -182,39 +182,23 @@ func (q *QDigest) Quantile(phi float64) uint64 {
 // sortedIDs returns the stored node ids in q-digest query order: increasing
 // upper endpoint, ties broken by smaller range (larger lower endpoint)
 // first. It sorts in the scratch buffer, so a warm digest allocates
-// nothing; the result is valid until the next Compress or sortedIDs. Up to
-// 2^58 values an id's order fits in one word — its upper endpoint, then 63
-// minus its bit length — and the words sort without a comparison function,
-// about twice as fast; wider domains compare spans.
+// nothing; the result is valid until the next Compress or sortedIDs.
 func (q *QDigest) sortedIDs() []uint64 {
 	if cap(q.scratch) < len(q.nodes) {
 		q.scratch = make([]uint64, 0, 2*len(q.nodes))
 	}
 	ids := q.scratch[:0]
-	if q.logU > 58 {
-		for id := range q.nodes {
-			ids = append(ids, id)
-		}
-		slices.SortFunc(ids, func(a, b uint64) int {
-			la, ha := q.span(a)
-			lb, hb := q.span(b)
-			if ha != hb {
-				return cmp.Compare(ha, hb)
-			}
-			return cmp.Compare(lb, la)
-		})
-		return ids
-	}
 	for id := range q.nodes {
-		_, hi := q.span(id)
-		ids = append(ids, hi<<6|uint64(63-bits.Len64(id)))
+		ids = append(ids, id)
 	}
-	slices.Sort(ids)
-	for i, key := range ids {
-		hi, n := key>>6, 63-uint(key&63) // n = the id's bit length
-		below := q.logU + 1 - n
-		ids[i] = 1<<(n-1) + (hi+1)>>below - 1
-	}
+	slices.SortFunc(ids, func(a, b uint64) int {
+		la, ha := q.span(a)
+		lb, hb := q.span(b)
+		if ha != hb {
+			return cmp.Compare(ha, hb)
+		}
+		return cmp.Compare(lb, la)
+	})
 	return ids
 }
 

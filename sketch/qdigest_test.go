@@ -296,8 +296,7 @@ func TestQDigestQuantileMatchesNodeSort(t *testing.T) {
 	}
 	rng := core.NewRNG(23)
 	for trial := 0; trial < 24; trial++ {
-		// Trials 20–23 take domains of 2^58, 2^59, 2^62 and 2^63 values:
-		// the packed sort keys fit a word up to 2^58.
+		// Trials 20–23 take domains of 2^58, 2^59, 2^62 and 2^63 values.
 		u := uint64(1) << uint(4+trial%12)
 		if trial >= 20 {
 			u = 1 << []uint{58, 59, 62, 63}[trial-20]
