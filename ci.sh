@@ -93,11 +93,14 @@ go test -race -run 'Multi' -count=1 ./gsql/
 # state targets also decode each input re-sealed, to reach the parsers
 # behind their integrity hashes.
 # FuzzQuery is the batch ≡ scalar oracle: every query that prepares folds a
-# fixed three-batch tape through Run.PushBatch and row by row through
-# Run.Push, and the two must emit the same rows to the bit, the same error
-# and the same Stats(). FuzzStepColumns is the same oracle over every
-# registered aggregate with int, float, bool, string and dynamic arguments:
-# StepCols per key run against Step per row, checkpoint bytes included.
+# fixed three-batch tape through Run.PushBatch and row by row through the
+# closure fold (gsql/oracle_test.go: WHERE, group keys, arguments, HAVING and
+# select items each evaluated by the closure compiler the kernels replaced),
+# and the two must emit the same rows to the bit, the same error and the
+# same Stats(), also into sinks that stop mid-flush. FuzzStepColumns is the
+# same oracle over every registered aggregate with int, float, bool, string
+# and dynamic arguments: StepCols per key run against Step per row,
+# checkpoint bytes included.
 # FuzzResultLogOps decodes its input into a tape of result-ring operations
 # (flushes, fetches, advances, evictions under every policy, truncations,
 # restores, snapshots) and checks every frame, gap and snapshot against a

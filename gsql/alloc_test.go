@@ -16,7 +16,7 @@ func TestCompiledExprSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	where := st.p.where
+	where := oracleOf(st.p).where
 	tuples := make([]Tuple, 16)
 	for i := range tuples {
 		tuples[i] = pkt(30, int64(i), 80, int64(100+i))
@@ -150,17 +150,32 @@ func bucketTuples(sec int64, groups int) []Tuple {
 // emitted and retired. Once the run has seen its peak bucket, a whole
 // bucket — births, folds, the flush — costs one allocation, the slab its
 // output rows are cut from, whether or not the low table is forced to evict
-// into the high level on the way. A 3-member shared key table costs one
-// slab per member.
+// into the high level on the way, and whether the plan writes its rows
+// straight from the groups or projects them through the output kernels (a
+// computed item, serve_fwd's quadratic decay; HAVING). A 3-member shared key
+// table costs one slab per member.
 func TestFlushSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short harnesses")
 	}
 	e := mkEngine(t)
-	st, err := e.Prepare(`select tb, dstIP, count(*), sum(len), min(len), max(len), avg(float(len))
-	                        from TCP group by time/1 as tb, dstIP`)
-	if err != nil {
-		t.Fatal(err)
+	plans := []struct {
+		prefix string // of the subtest names
+		query  string
+		st     *Statement
+	}{
+		{"", `select tb, dstIP, count(*), sum(len), min(len), max(len), avg(float(len)) from TCP group by time/1 as tb, dstIP`, nil},
+		{"projection/", `select tb, dstIP, sum(float(len)*(time%60)*(time%60))/3600 from TCP group by time/1 as tb, dstIP`, nil},
+		{"having/", `select tb, dstIP, count(*) from TCP group by time/1 as tb, dstIP having count(*) > 1 and max(len) > 0`, nil},
+	}
+	for i := range plans {
+		var err error
+		if plans[i].st, err = e.Prepare(plans[i].query); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := plans[i].st.p.outDirect == nil, plans[i].prefix != ""; got != want {
+			t.Fatalf("%q projects: %v, want %v", plans[i].query, got, want)
+		}
 	}
 	for _, tc := range []struct {
 		name string
@@ -170,14 +185,16 @@ func TestFlushSteadyStateAllocs(t *testing.T) {
 		{"evicting", Options{LowLevelSlots: 16}},
 		{"high-only", Options{DisableTwoLevel: true}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rows := 0
-			run := st.Start(func(Tuple) error { rows++; return nil }, tc.opts)
-			flushAllocs(t, 1, &rows, run.Push)
-			if _, ev := run.Stats(); tc.name == "evicting" && ev == 0 {
-				t.Fatal("the evicting case never evicted")
-			}
-		})
+		for _, pl := range plans {
+			t.Run(pl.prefix+tc.name, func(t *testing.T) {
+				rows := 0
+				run := pl.st.Start(func(Tuple) error { rows++; return nil }, tc.opts)
+				flushAllocs(t, 1, &rows, run.Push)
+				if _, ev := run.Stats(); tc.name == "evicting" && ev == 0 {
+					t.Fatal("the evicting case never evicted")
+				}
+			})
+		}
 		t.Run(tc.name+"/shared", func(t *testing.T) {
 			rows := 0
 			m := sharedTable(t, e, tc.opts, 3, func(Tuple) error { rows++; return nil })

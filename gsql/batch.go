@@ -34,11 +34,13 @@ type Batch struct {
 
 // batchCol is one column vector. Exactly one of the slices is active,
 // matching the schema column's type: ints for TInt and TBool (0/1),
-// fls for TFloat, strs for TString.
+// fls for TFloat, strs for TString, and vals for TNull — the dynamically
+// typed columns of a record batch (recordBatch), which no stream has.
 type batchCol struct {
 	ints []int64
 	fls  []float64
 	strs []string
+	vals []Value
 }
 
 // NewBatch returns an empty batch for the schema. Every column must have a
@@ -55,6 +57,12 @@ func NewBatch(s *Schema) (*Batch, error) {
 		}
 	}
 	return &Batch{schema: s, cols: make([]batchCol, len(s.Cols)), sorted: true}, nil
+}
+
+// recordBatch returns an empty batch of n dynamically typed columns: the
+// records of flushed groups, which HAVING and the select items run over.
+func recordBatch(n int) *Batch {
+	return &Batch{schema: &Schema{Name: "record", Cols: make([]Column, n)}, cols: make([]batchCol, n)}
 }
 
 // Len returns the number of rows.
@@ -101,6 +109,11 @@ func (b *Batch) Resize(n int) {
 				c.strs = append(c.strs, make([]string, n-len(c.strs))...)
 			}
 			c.strs = c.strs[:n]
+		default: // TNull
+			if cap(c.vals) < n {
+				c.vals = append(c.vals, make([]Value, n-len(c.vals))...)
+			}
+			c.vals = c.vals[:n]
 		}
 	}
 }
@@ -161,14 +174,6 @@ func (b *Batch) Append(t Tuple) error {
 	return nil
 }
 
-// row materializes row i into dst (len == column count), with Values
-// bit-identical to the tuple the row was built from.
-func (b *Batch) row(i int, dst Tuple) {
-	for ci := range b.cols {
-		dst[ci] = b.colValue(ci, i)
-	}
-}
-
 // colValue materializes one cell as a Value.
 func (b *Batch) colValue(col, row int) Value {
 	c := &b.cols[col]
@@ -216,7 +221,17 @@ func growBits(dst []uint64, n int) []uint64 {
 	return dst[:w]
 }
 
-// markValid sets bits [lo,hi) of dst from src and zeroes the rest. Both
+// fillBits sets the bits of rows [0,n) of an n-row bitmap.
+func fillBits(bm []uint64, n int) {
+	for w := range bm {
+		bm[w] = ^uint64(0)
+	}
+	if tail := n & 63; tail != 0 {
+		bm[len(bm)-1] = (1 << uint(tail)) - 1
+	}
+}
+
+// maskRange sets bits [lo,hi) of dst from src and zeroes the rest. Both
 // bitmaps span n rows.
 func maskRange(dst, src []uint64, lo, hi int) {
 	for w := range dst {
@@ -254,12 +269,7 @@ func popRange(sel []uint64, limit int) int {
 // Integer and string columns can never be non-finite, so only TFloat
 // columns are scanned.
 func (b *Batch) scanFinite(valid []uint64) int {
-	for w := range valid {
-		valid[w] = ^uint64(0)
-	}
-	if tail := b.n & 63; tail != 0 {
-		valid[len(valid)-1] = (1 << uint(tail)) - 1
-	}
+	fillBits(valid, b.n)
 	rejected := 0
 	for ci := range b.cols {
 		if b.schema.Cols[ci].Type != TFloat {

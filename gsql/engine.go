@@ -52,8 +52,7 @@ func (e *Engine) RegisterUDAF(spec AggSpec) error {
 // Statement is a prepared query. Prepare once, then create any number of
 // independent Runs.
 type Statement struct {
-	p    *plan
-	text string
+	p *plan
 }
 
 // BatchPredicate returns a vectorized evaluator of the statement's WHERE
@@ -70,7 +69,7 @@ func (st *Statement) BatchPredicate() func(*Batch) (int, error) {
 	var ctx vctx
 	var valid []uint64
 	return func(b *Batch) (int, error) {
-		ctx.reset(b, vp)
+		ctx.reset(b, vp.nslots)
 		valid = growBits(valid, b.n)
 		b.scanFinite(valid)
 		b.sel = growBits(b.sel, b.n)
@@ -115,8 +114,8 @@ func (e *Engine) compile(query string, ast *queryAST, schema *Schema, stripWhere
 	if err != nil {
 		return nil, err
 	}
-	p.fp = fingerprint(query, schema.Name)
-	return &Statement{p: p, text: query}, nil
+	p.text, p.fp = query, fingerprint(query, schema.Name)
+	return &Statement{p: p}, nil
 }
 
 // Columns returns the output column names.

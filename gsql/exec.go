@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"forwarddecay/internal/core"
 )
@@ -64,7 +63,7 @@ type Run struct {
 	ep    *epochState
 	epErr error
 
-	rec Tuple // scratch combined record
+	em *emitter // the projection's output stage, made at its first flush
 
 	// bx is the batch executor's scratch state and one Push's one-row batch,
 	// both allocated on first use. cctx is the context holding the run's
@@ -173,11 +172,7 @@ func (k *groupKey) set(o *groupKey) {
 // newRun wires a plan to a sink under the given options, on a table of its
 // own.
 func newRun(p *plan, sink func(Tuple) error, opts Options) *Run {
-	r := &Run{
-		p:    p,
-		sink: sink,
-		rec:  make(Tuple, len(p.vec.groups)+len(p.aggSpecs)),
-	}
+	r := &Run{p: p, sink: sink}
 	r.ep, r.epErr = newEpochState(opts.Epoch, p.schema)
 	newKeyTable(p, opts).add(r)
 	return r
@@ -239,81 +234,130 @@ func newAggs(p *plan) []Aggregator {
 	return aggs
 }
 
-// emitGroup hands sink one group's row (aggs its aggregate slots), cut from the front of slab, which is
-// returned advanced. The row is the sink's to keep: slab is allocated per
-// flush and never written again. A plan with outDirect writes the row
-// straight from the group; any other finalizes the group into rec
-// (groupVals ++ aggFinals) and applies HAVING and the output projection.
-func emitGroup(p *plan, g *group, aggs []Aggregator, rec Tuple, slab []Value, sink func(Tuple) error) ([]Value, error) {
-	w := len(p.outFns)
-	out := Tuple(slab[:w:w])
-	ng := len(p.groupFns)
+// emitter is the output stage of a run whose plan projects (no outDirect):
+// it finalizes a flush's groups into rec, up to recRows at a time, one row
+// each — the group values, then each slot's Final — and runs the out
+// kernels over it: HAVING, then every select item under the rows HAVING
+// kept.
+type emitter struct {
+	rec   *Batch
+	ctx   vctx
+	keep  []uint64
+	fails []rowErr
+	items [][]Value // each item's Values where they are a slice (valueSlice)
+}
+
+// recRows bounds the record batch, so its scratch stays small however many
+// groups a bucket holds.
+const recRows = 256
+
+// emitRows hands sink the row of every group of refs, in order; aggsOf
+// gives a group's aggregate slots. A plan with outDirect writes each row
+// straight from the group; any other projects through *em, made on first
+// use. Each row is the sink's to keep: the rows are cut from one slab
+// allocated for the flush and never written again. Emission stops at the
+// first group a kernel failed on, with its error, or at the first sink
+// error — the rows and the error scalar evaluation of one group after
+// another gives.
+func emitRows(p *plan, em **emitter, refs []*group, aggsOf func(*group) []Aggregator, sink func(Tuple) error) error {
+	if len(refs) == 0 {
+		return nil
+	}
+	ng := len(p.vec.groups)
 	if p.outDirect != nil {
-		for i, src := range p.outDirect {
-			if src < ng {
-				out[i] = g.value(src, p.keyTypes)
-			} else {
-				out[i] = aggs[src-ng].Final()
+		w := len(p.outDirect)
+		slab := make([]Value, len(refs)*w)
+		for gi, g := range refs {
+			aggs := aggsOf(g)
+			out := Tuple(slab[gi*w : (gi+1)*w : (gi+1)*w])
+			for i, src := range p.outDirect {
+				if src < ng {
+					out[i] = g.value(src, p.keyTypes)
+				} else {
+					out[i] = aggs[src-ng].Final()
+				}
+			}
+			if err := sink(out); err != nil {
+				return err
 			}
 		}
-		return slab[w:], sink(out)
+		return nil
 	}
-	for i := range ng {
-		rec[i] = g.value(i, p.keyTypes)
+	if *em == nil {
+		*em = &emitter{rec: recordBatch(ng + len(p.aggSpecs))}
 	}
-	for i, a := range aggs {
-		rec[ng+i] = a.Final()
-	}
-	if p.having != nil {
-		ok, err := p.having(rec)
-		if err != nil {
-			return slab, err
-		}
-		if !ok.Truthy() {
-			return slab, nil
-		}
-	}
-	for i, fn := range p.outFns {
-		v, err := fn(rec)
-		if err != nil {
-			return slab, err
-		}
-		out[i] = v
-	}
-	return slab[w:], sink(out)
-}
-
-// emitGroups emits every group of high in deterministic (key-sorted) order
-// through sink, applying HAVING and the output projection. rec is the
-// caller's scratch combined record (groupVals ++ aggFinals).
-func emitGroups(p *plan, high map[string]*group, rec Tuple, sink func(Tuple) error) error {
-	keys := make([]string, 0, len(high))
-	for k := range high {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	slab := make([]Value, len(keys)*len(p.outFns))
-	for _, k := range keys {
+	slab := make([]Value, len(refs)*len(p.out.items))
+	for lo := 0; lo < len(refs); lo += recRows {
 		var err error
-		if slab, err = emitGroup(p, high[k], high[k].aggs, rec, slab, sink); err != nil {
+		if slab, err = (*em).project(p, refs[lo:min(lo+recRows, len(refs))], aggsOf, slab, sink); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// emit hands the sink the run's row of every group of refs, in order, cut
-// from one slab allocated for the flush.
-func (r *Run) emit(refs []*group) error {
-	slab := make([]Value, len(refs)*len(r.p.outFns))
-	for _, g := range refs {
-		var err error
-		if slab, err = emitGroup(r.p, g, r.aggsOf(g), r.rec, slab, r.sink); err != nil {
-			return err
+// project emits the rows of groups refs through the out kernels, cut from
+// the front of slab, which is returned advanced.
+func (em *emitter) project(p *plan, refs []*group, aggsOf func(*group) []Aggregator, slab []Value, sink func(Tuple) error) ([]Value, error) {
+	n, ng, rec := len(refs), len(p.vec.groups), em.rec
+	rec.Resize(n)
+	for r, g := range refs {
+		for i := range ng {
+			rec.cols[i].vals[r] = g.value(i, p.keyTypes)
+		}
+		for i, a := range aggsOf(g) {
+			rec.cols[ng+i].vals[r] = a.Final()
 		}
 	}
-	return nil
+	op, ctx := p.out, &em.ctx
+	ctx.reset(rec, op.nslots)
+	em.keep = growBits(em.keep, n)
+	keep := em.keep
+	fillBits(keep, n)
+	if op.having != nil {
+		op.having.run(ctx, keep)
+		hb := ctx.bits(op.having)
+		for w := range keep {
+			keep[w] &= hb[w]
+		}
+	}
+	for _, it := range op.items {
+		it.run(ctx, keep)
+	}
+	stop := n
+	if em.fails = ctx.take(em.fails, nil); len(em.fails) > 0 {
+		stop = em.fails[0].row
+	}
+	em.items = em.items[:0]
+	for _, it := range op.items {
+		em.items = append(em.items, ctx.valueSlice(it))
+	}
+	w := len(op.items)
+	for r := range stop {
+		if !bitGet(keep, r) {
+			continue
+		}
+		out := Tuple(slab[:w:w])
+		slab = slab[w:]
+		for i, vs := range em.items {
+			if vs != nil {
+				out[i] = vs[r]
+			} else {
+				out[i] = ctx.valueAt(op.items[i], r)
+			}
+		}
+		if err := sink(out); err != nil {
+			return slab, err
+		}
+	}
+	if stop < n {
+		return slab, em.fails[0].err
+	}
+	return slab, nil
 }
+
+// emit hands the sink the run's row of every group of refs, in order.
+func (r *Run) emit(refs []*group) error { return emitRows(r.p, &r.em, refs, r.aggsOf, r.sink) }
 
 // Heartbeat advances the temporal bucket without carrying data, closing
 // (and emitting) any buckets older than the one containing ts. It mirrors

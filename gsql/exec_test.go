@@ -3,6 +3,7 @@ package gsql
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -374,7 +375,7 @@ func TestStatementMetadata(t *testing.T) {
 	if st.p.temporalIdx < 0 || !st.p.mergeable {
 		t.Errorf("temporal=%v mergeable=%v", st.p.temporalIdx, st.p.mergeable)
 	}
-	if st.Describe() == "" || st.text == "" {
+	if st.Describe() == "" || st.p.text == "" {
 		t.Error("empty Describe/text")
 	}
 	// A non-temporal grouping (no monotone column) is detected.
@@ -624,6 +625,83 @@ func TestPushRefusesMistypedTuples(t *testing.T) {
 		}
 		if after := state(); after != before {
 			t.Fatalf("%v changed state:\n%s\nwas\n%s", tp, after, before)
+		}
+	}
+}
+
+// TestEmitAcrossRecordBatches: a flush of more groups than one record batch
+// holds (recRows) emits the rows and the error of the closure fold: HAVING
+// dropping groups in every batch, a select item failing on one group past
+// the first batch, and a sink stopping in the second batch.
+func TestEmitAcrossRecordBatches(t *testing.T) {
+	e := mkEngine(t)
+	var tuples []Tuple
+	for i := range 3*recRows + 17 {
+		tuples = append(tuples, pkt(1, int64(i), 80, 100+int64(i%7)), pkt(2, int64(i), 80, int64(i)))
+	}
+	for _, c := range []struct {
+		q         string
+		stopAt    int
+		wantRows  int // at least
+		wantError string
+	}{
+		{`select dstIP, count(*), sum(len) * 2, min(len) < 50 from TCP group by dstIP having sum(len) % 3 != 0`, 0, 2 * recRows, ""},
+		{`select dstIP, count(*), 1000 / (dstIP - 600) from TCP group by dstIP`, 0, recRows + 1, "division by zero"},
+		{`select dstIP, count(*), sum(len) / 2 from TCP group by dstIP`, recRows + 10, recRows + 10, "stop"},
+	} {
+		st, err := e.Prepare(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold := func(push func(*Run) error) ([]Tuple, error) {
+			var rows []Tuple
+			run := st.Start(func(r Tuple) error {
+				if rows = append(rows, r); len(rows) == c.stopAt {
+					return SinkStop()
+				}
+				return nil
+			}, Options{})
+			if err := push(run); err != nil {
+				return rows, err
+			}
+			return rows, run.Close()
+		}
+		want, wantErr := fold(func(r *Run) error {
+			for _, tp := range tuples {
+				if err := r.oraclePush(tp); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		got, gotErr := fold(func(r *Run) error {
+			b, err := NewBatch(r.p.schema)
+			if err != nil {
+				return err
+			}
+			for _, tp := range tuples {
+				if err := b.Append(tp); err != nil {
+					return err
+				}
+			}
+			_, err = r.PushBatch(b)
+			return err
+		})
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !strings.Contains(fmt.Sprint(wantErr), c.wantError) {
+			t.Fatalf("%q: error %v, closure fold %v, want one naming %q", c.q, gotErr, wantErr, c.wantError)
+		}
+		if len(want) < c.wantRows {
+			t.Fatalf("%q: %d rows before the end, want at least %d", c.q, len(want), c.wantRows)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d rows, closure fold %d", c.q, len(got), len(want))
+		}
+		for i := range want {
+			for j := range want[i] {
+				if !sameBits(got[i][j], want[i][j]) {
+					t.Fatalf("%q row %d col %d: %v, closure fold %v", c.q, i, j, got[i][j], want[i][j])
+				}
+			}
 		}
 	}
 }

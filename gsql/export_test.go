@@ -26,11 +26,16 @@ func OraclePush(r *Run, t Tuple) error { return r.oraclePush(t) }
 
 // OracleWhere returns st's WHERE closure, nil when it has none.
 func OracleWhere(st *Statement) func(Tuple) (Value, error) {
-	if st.p.where == nil {
-		return nil
-	}
-	return st.p.where
+	return oracleOf(st.p).where
 }
 
 // AggSpecs returns every aggregate e knows, the builtins included.
 func (e *Engine) AggSpecs() map[string]AggSpec { return e.aggs }
+
+// row materializes row i of b into dst (len == column count), with Values
+// bit-identical to the tuple the row was built from.
+func (b *Batch) row(i int, dst Tuple) {
+	for ci := range b.cols {
+		dst[ci] = b.colValue(ci, i)
+	}
+}

@@ -166,6 +166,8 @@ func requirePlanted(t *testing.T, want, got *plantedOutcome, label string) {
 // TestPlantedFailures: on both tapes, each query's Run.Push and
 // Run.PushBatch at frames of 1, 7, 64 and 4096 fail the oracle's rows with
 // its errors and end with its rows, checkpoint bytes and runtime counters.
+// The sharded runtime, which stops at a run's first failed row, fails it
+// as a serial Run does (plantedParallel).
 // In a MultiRun beside its sibling, at the same frames, each member ends
 // with its own oracle's rows, checkpoint, tuple and eviction counts, and its
 // error count; the two share one key table throughout, however their rows
@@ -195,7 +197,60 @@ func TestPlantedFailures(t *testing.T) {
 				plantedMulti(t, e, queries, want, tape, frame, label)
 			}
 			plantedFence(t, e, queries, want, tape, pq.name)
+			if !every {
+				plantedParallel(t, st, tape, pq.name)
+			}
 		}
+	}
+}
+
+// plantedParallel folds the tape, with its planted rows before row 200 made
+// clean, through a ParallelRun of two shards and through Run.PushBatch, in
+// frames of 1, 7 and 64. The first planted failure (row 200, the first of a
+// bucket, or row 201), mid-frame at 7 and 64, must stop both with the same
+// error after the same rows — among them the bucket that an argument
+// failure's row closes before it fails — and the same rejected rows.
+func plantedParallel(t *testing.T, st *gsql.Statement, tape []gsql.Tuple, label string) {
+	t.Helper()
+	late := make([]gsql.Tuple, len(tape))
+	for r, tp := range tape {
+		late[r] = slices.Clone(tp)
+		if r < 200 {
+			late[r][4], late[r][5] = gsql.Int(int64(101+r*37%900)), gsql.Float(float64(1+r%17))
+		}
+	}
+	for _, frame := range []int{1, 7, 64} {
+		l := fmt.Sprintf("%s sharded frame %d", label, frame)
+		var want, got []gsql.Tuple
+		run := st.Start(func(r gsql.Tuple) error { want = append(want, r); return nil }, gsql.Options{})
+		pr, err := st.StartParallel(func(r gsql.Tuple) error { got = append(got, r); return nil }, gsql.ParallelOptions{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runErr, prErr error
+		runRej, prRej := 0, 0
+		for _, b := range flowBatches(t, late, frame) {
+			var rej int
+			if runErr == nil {
+				rej, runErr = run.PushBatch(b)
+				runRej += rej
+			}
+			if prErr == nil {
+				rej, prErr = pr.PushBatch(b)
+				prRej += rej
+			}
+		}
+		closeErr := pr.Close()
+		if runErr == nil || prErr == nil || runErr.Error() != prErr.Error() || fmt.Sprint(closeErr) != fmt.Sprint(prErr) {
+			t.Fatalf("%s: Run failed with %v, ParallelRun with %v (Close %v)", l, runErr, prErr, closeErr)
+		}
+		if runRej != prRej {
+			t.Fatalf("%s: Run rejected %d rows, ParallelRun %d", l, runRej, prRej)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: no row before the failure", l)
+		}
+		requireSameBits(t, want, got, l)
 	}
 }
 

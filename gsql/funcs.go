@@ -5,25 +5,20 @@ import (
 	"math"
 )
 
-// scalarFunc is a builtin scalar function. Unary functions are expressed as
-// fn1 so the compiler can call them without materializing an argument slice
-// (the hot aggregation path evaluates these per tuple); fn covers every
-// other arity. ret declares the statically known result type (TNull when it
-// depends on the inputs), which the compiler uses to specialize enclosing
-// expressions.
+// scalarFunc is a builtin scalar function. fn1 (unary) or fn (any other
+// arity) applies it to boxed values, as a boxed kernel does on operands of
+// no static numeric type. ret declares the statically known result type
+// (TNull when it depends on the inputs), which the compiler uses to
+// specialize enclosing expressions.
 type scalarFunc struct {
 	nargs int
 	fn    func(args []Value) (Value, error)
 	fn1   func(a Value) (Value, error)
 	ret   Type
-	// spec, if non-nil, builds an evaluator specialized to a statically
-	// known argument type, bypassing the fn1 indirection and any runtime
-	// type switch; returning nil declines the specialization.
-	spec func(argType Type, arg evalFn) evalFn
 
-	// The numeric core the scalar closure applies to its promoted argument,
-	// exposed so the batch compiler's column kernels call the very same
-	// function (vexpr.go compileCall): at most one of f1, f1e, f2 is set.
+	// The numeric core fn1/fn apply to their promoted arguments, which the
+	// column kernels call on typed operands (vexpr.go compileCall): at most
+	// one of f1, f1e, f2 is set.
 	f1  func(float64) float64          // total unary: exp, floor, ceil
 	f1e func(float64) (float64, error) // partial unary: ln, log2, sqrt
 	f2  func(x, y float64) float64     // binary: pow
@@ -63,55 +58,10 @@ var builtinFuncs = map[string]scalarFunc{
 	// float(x) forces float arithmetic where integer semantics would
 	// otherwise truncate.
 	"float": {nargs: 1, ret: TFloat,
-		fn1:  func(a Value) (Value, error) { return Float(a.AsFloat()), nil },
-		spec: specConvert(TFloat)},
+		fn1: func(a Value) (Value, error) { return Float(a.AsFloat()), nil }},
 	// int(x) truncates to integer.
 	"int": {nargs: 1, ret: TInt,
-		fn1:  func(a Value) (Value, error) { return Int(a.AsInt()), nil },
-		spec: specConvert(TInt)},
-}
-
-// specConvert builds the static specializer for the float()/int() numeric
-// conversions: when the argument type is known the conversion compiles to a
-// direct field load, with semantics identical to AsFloat/AsInt.
-func specConvert(to Type) func(argType Type, arg evalFn) evalFn {
-	return func(argType Type, arg evalFn) evalFn {
-		switch {
-		case to == TFloat && argType == TFloat:
-			return func(rec Tuple) (Value, error) {
-				v, err := arg(rec)
-				if err != nil {
-					return Null, err
-				}
-				return Float(v.F), nil
-			}
-		case to == TFloat && (argType == TInt || argType == TBool):
-			return func(rec Tuple) (Value, error) {
-				v, err := arg(rec)
-				if err != nil {
-					return Null, err
-				}
-				return Float(float64(v.I)), nil
-			}
-		case to == TInt && (argType == TInt || argType == TBool):
-			return func(rec Tuple) (Value, error) {
-				v, err := arg(rec)
-				if err != nil {
-					return Null, err
-				}
-				return Int(v.I), nil
-			}
-		case to == TInt && argType == TFloat:
-			return func(rec Tuple) (Value, error) {
-				v, err := arg(rec)
-				if err != nil {
-					return Null, err
-				}
-				return Int(int64(v.F)), nil
-			}
-		}
-		return nil
-	}
+		fn1: func(a Value) (Value, error) { return Int(a.AsInt()), nil }},
 }
 
 // argRet is the result type of an i1 function (abs) on a statically typed

@@ -130,14 +130,16 @@ func quantileCheckpoints(tb testing.TB) (st *gsql.Statement, body, mixed []byte)
 // reject garbage with an error, never panic, for any byte sequence —
 // including invalid UTF-8 and deeply nested expressions. A prepared query is
 // a batch ≡ scalar oracle: one fixed three-batch tape folded through
-// PushBatch and, row by row, through the closure fold (gsql.OraclePush) must
-// emit the same rows to the bit, fail with the same error text and count the
-// same Stats() — once at
-// the default low-table size and once at 4 slots, where collisions, evictions,
-// high-table lookups and flush merges run on every bucket. Each time the
-// query also folds twice, beside a count(*) sibling on its key list, through
-// one MultiRun, where the three share a key table (fuzzShared). Every
-// prepared statement, catalog member and class predicate has a kernel plan.
+// PushBatch and, row by row, through the closure fold (gsql.OraclePush,
+// whose rows go through the HAVING and select-item closures) must emit the
+// same rows to the bit, fail with the same error text and count the same
+// Stats() — once at the default low-table size and once at 4 slots, where
+// collisions, evictions, high-table lookups and flush merges run on every
+// bucket, and once more into sinks that stop at their second row, mid-flush
+// wherever a flush emits two rows or more. Each time the query also folds
+// twice, beside a count(*) sibling on its key list, through one MultiRun,
+// where the three share a key table (fuzzShared). Every prepared statement,
+// catalog member and class predicate has a kernel plan.
 func FuzzQuery(f *testing.F) {
 	seeds := []string{
 		`select tb, dstIP, count(*) from TCP group by time/60 as tb, dstIP`,
@@ -165,6 +167,15 @@ func FuzzQuery(f *testing.F) {
 		// steps them), and a boxed compare in WHERE on the zero-length row.
 		`select tb, host, sum(len), sum(ln(ftime - 2)) from TCP group by time/1 as tb, host`,
 		`select tb, host, count(*) from TCP where (len = 0 and host > len) or len > 0 group by time/1 as tb, host`,
+		// The projection: HAVING failing on a bucket's first group of three
+		// rows, after groups it emits and groups it drops; computed outputs
+		// over string and NULL finals; a select item failing on the first
+		// group of four rows HAVING keeps.
+		`select tb, dstIP, count(*) from TCP group by time/1 as tb, dstIP having 1/(count(*) - 3) >= 0`,
+		`select tb, up, min(host) < 'h2', max(host) = min(host), -max(host), sum(ftime*0.0/0.0) + 1,
+		   not avg(ftime*0.0/0.0), min(host) from TCP group by time/1 as tb, up`,
+		`select tb, dstIP, count(*), count(*) > 4 or max(host) > count(*)
+		   from TCP group by time/1 as tb, dstIP having count(*) > 1`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -193,9 +204,10 @@ func FuzzQuery(f *testing.F) {
 			t.Fatalf("%q: prepared without a kernel plan", query)
 		}
 		for _, opts := range []gsql.Options{{}, {LowLevelSlots: 4}} {
-			fuzzSameFold(t, st, query, tape, batches, opts)
+			fuzzSameFold(t, st, query, tape, batches, opts, 0)
 			fuzzShared(t, e, query, tape, batches, opts)
 		}
+		fuzzSameFold(t, st, query, tape, batches, gsql.Options{}, 2)
 	})
 }
 
@@ -258,7 +270,7 @@ func FuzzStepColumns(f *testing.F) {
 			t.Fatalf("%q: %v", query, err)
 		}
 		for _, opts := range []gsql.Options{{}, {LowLevelSlots: 4}} {
-			fuzzSameFold(t, st, query, tape, batches, opts)
+			fuzzSameFold(t, st, query, tape, batches, opts, 0)
 			fuzzShared(t, e, query, tape, batches, opts)
 		}
 	})
@@ -266,11 +278,20 @@ func FuzzStepColumns(f *testing.F) {
 
 // fuzzSameFold folds FuzzQuery's tape through the closure fold
 // (gsql.OraclePush) and through PushBatch under opts and requires the same
-// rows to the bit, the same error and the same Stats().
-func fuzzSameFold(t *testing.T, st *gsql.Statement, query string, tape []gsql.Tuple, batches []*gsql.Batch, opts gsql.Options) {
+// rows to the bit, the same error and the same Stats(). With stopAt > 0 both
+// sinks return SinkStop on their stopAt-th row.
+func fuzzSameFold(t *testing.T, st *gsql.Statement, query string, tape []gsql.Tuple, batches []*gsql.Batch, opts gsql.Options, stopAt int) {
 	var sRows, bRows []gsql.Tuple
-	scalar := st.Start(func(r gsql.Tuple) error { sRows = append(sRows, r); return nil }, opts)
-	batch := st.Start(func(r gsql.Tuple) error { bRows = append(bRows, r); return nil }, opts)
+	collect := func(rows *[]gsql.Tuple) func(gsql.Tuple) error {
+		return func(r gsql.Tuple) error {
+			if *rows = append(*rows, r); len(*rows) == stopAt {
+				return gsql.SinkStop()
+			}
+			return nil
+		}
+	}
+	scalar := st.Start(collect(&sRows), opts)
+	batch := st.Start(collect(&bRows), opts)
 	sRej, sErr := 0, error(nil)
 	for _, tp := range tape {
 		if err := gsql.OraclePush(scalar, tp); err != nil {
@@ -299,15 +320,15 @@ func fuzzSameFold(t *testing.T, st *gsql.Statement, query string, tape []gsql.Tu
 		bErr = batch.Close()
 	}
 	if (sErr == nil) != (bErr == nil) || sErr != nil && sErr.Error() != bErr.Error() {
-		t.Fatalf("%q %+v: Push err %v, PushBatch err %v", query, opts, sErr, bErr)
+		t.Fatalf("%q %+v stop at %d: Push err %v, PushBatch err %v", query, opts, stopAt, sErr, bErr)
 	}
 	sN, sEv := scalar.Stats()
 	bN, bEv := batch.Stats()
 	if sRej != bRej || sN != bN || sEv != bEv {
-		t.Fatalf("%q %+v: Push rejected %d, counted %d, evicted %d; PushBatch %d, %d, %d",
-			query, opts, sRej, sN, sEv, bRej, bN, bEv)
+		t.Fatalf("%q %+v stop at %d: Push rejected %d, counted %d, evicted %d; PushBatch %d, %d, %d",
+			query, opts, stopAt, sRej, sN, sEv, bRej, bN, bEv)
 	}
-	requireSameBits(t, sRows, bRows, fmt.Sprintf("%q %+v: Push vs PushBatch", query, opts))
+	requireSameBits(t, sRows, bRows, fmt.Sprintf("%q %+v stop at %d: Push vs PushBatch", query, opts, stopAt))
 }
 
 // fuzzShared attaches query twice, beside a count(*) sibling with its WHERE

@@ -135,3 +135,50 @@ func TestHeartbeatWithScaledBucketExpr(t *testing.T) {
 		t.Fatalf("rows = %v", rows)
 	}
 }
+
+// TestHeartbeatClosesBucketsOfEitherTimeType: a heartbeat closes the open
+// bucket of a query grouping on the float time column as it does one on the
+// int column, whichever type the heartbeat's timestamp has (the listener
+// sends ints), on a Run and on a MultiRun member alike: the timestamp is
+// converted to the temporal column's type before the bucket expression
+// sees it.
+func TestHeartbeatClosesBucketsOfEitherTimeType(t *testing.T) {
+	e := mkEngine(t)
+	for _, by := range []string{"ftime/10", "ftime", "time/10", "time"} {
+		q := "select tb, count(*) from TCP group by " + by + " as tb"
+		st, err := e.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ts := range []Value{Int(100), Float(100.5)} {
+			check := func(rt string, rows []Tuple, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s %q heartbeat %v: %v", rt, q, ts, err)
+				}
+				if len(rows) != 1 || rows[0][1] != Int(1) {
+					t.Fatalf("%s %q heartbeat %v: rows %v, want the first bucket's", rt, q, ts, rows)
+				}
+			}
+			var rows []Tuple
+			run := st.Start(func(r Tuple) error { rows = append(rows, r); return nil }, Options{})
+			if err := run.Push(pkt(5, 1, 80, 1)); err != nil {
+				t.Fatal(err)
+			}
+			check("Run", rows, run.Heartbeat(ts))
+
+			m, err := NewMultiRun(e, "TCP", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mrows []Tuple
+			if _, err := m.Attach(q, 0, func(r Tuple) error { mrows = append(mrows, r); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Push(pkt(5, 1, 80, 1)); err != nil {
+				t.Fatal(err)
+			}
+			check("MultiRun", mrows, m.Heartbeat(ts))
+		}
+	}
+}

@@ -118,7 +118,7 @@ func TestBuiltinKernelsMatchScalar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: scalar compile: %v", src, err)
 		}
-		vc := &vecComp{env: env, schema: s}
+		vc := &vecComp{env: env}
 		n, err := vc.compile(e)
 		if err != nil {
 			t.Fatalf("%s: vector compile: %v", src, err)
@@ -126,10 +126,9 @@ func TestBuiltinKernelsMatchScalar(t *testing.T) {
 		if got, want := n.t, env.staticType(e); got != want {
 			t.Errorf("%s: kernel type %s, static type %s", src, got, want)
 		}
-		vp := &vecPlan{nslots: vc.nslots}
 		var ctx vctx
 		for r := 0; r < b.Len(); r++ {
-			ctx.reset(b, vp)
+			ctx.reset(b, vc.nslots)
 			ctx.box = nil
 			clear(sel)
 			putBit(sel, r, true)
@@ -158,13 +157,13 @@ func TestBuiltinKernelsMatchScalar(t *testing.T) {
 
 	// The check sees a boxed kernel where one is due: an operand that is not
 	// statically numeric.
-	vc := &vecComp{env: env, schema: s}
+	vc := &vecComp{env: env}
 	n, err := vc.compile(parseTupleExpr(t, "exp(s)"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ctx vctx
-	ctx.reset(b, &vecPlan{nslots: vc.nslots})
+	ctx.reset(b, vc.nslots)
 	clear(sel)
 	putBit(sel, 0, true)
 	n.run(&ctx, sel)
@@ -211,7 +210,7 @@ func TestBatchKeysMatchKeyAppend(t *testing.T) {
 			t.Fatalf("%q: plan did not vectorize", list)
 		}
 		var ctx vctx
-		ctx.reset(b, p.vec)
+		ctx.reset(b, p.vec.nslots)
 		sel := allBits(b.Len())
 		for _, g := range p.vec.groups {
 			g.run(&ctx, sel)
@@ -219,8 +218,8 @@ func TestBatchKeysMatchKeyAppend(t *testing.T) {
 		if fails := ctx.take(nil, nil); len(fails) > 0 {
 			t.Fatalf("%q: kernels failed: %v", list, fails[0].err)
 		}
-		gvBatch := make(Tuple, len(p.groupFns))
-		gvScalar := make(Tuple, len(p.groupFns))
+		gvBatch := make(Tuple, len(oracleOf(p).groupFns))
+		gvScalar := make(Tuple, len(oracleOf(p).groupFns))
 		keys := map[string]Value{}
 		var words []groupKey
 		var byteKeys [][]byte
@@ -231,7 +230,7 @@ func TestBatchKeysMatchKeyAppend(t *testing.T) {
 				gvBatch[gi] = ctx.valueAt(g, r)
 			}
 			b.row(r, row)
-			for gi, fn := range p.groupFns {
+			for gi, fn := range oracleOf(p).groupFns {
 				if gvScalar[gi], err = fn(row); err != nil {
 					t.Fatalf("%q row %d: %v", list, r, err)
 				}
@@ -245,7 +244,7 @@ func TestBatchKeysMatchKeyAppend(t *testing.T) {
 			if core.HashBytes(got) != core.HashBytes(oracle) {
 				t.Fatalf("%q row %d: hashes differ", list, r)
 			}
-			if len(p.groupFns) == 1 {
+			if len(oracleOf(p).groupFns) == 1 {
 				keys[string(got)] = gvScalar[0]
 			}
 			if p.keyTypes != nil {

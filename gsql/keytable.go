@@ -75,6 +75,8 @@ type keyTable struct {
 	// member failed leaves them all here for the caller to book.
 	failed []memberErr
 
+	beat *beat // heartbeat scratch, made at the first heartbeat
+
 	// Catalog bookkeeping (MultiRun): id names the table in the stats;
 	// share is its sharing identity within its class (the canonical key
 	// list and the table config); pos indexes cls.tables; from is the first
@@ -149,7 +151,7 @@ func (t *keyTable) remove(r *Run) (empty bool) {
 // same slots, groups (by id), bucket, landmark and counters, and no member.
 func (t *keyTable) clone() *keyTable {
 	c := *t
-	c.members, c.failed, c.refs, c.parked, c.id = nil, nil, nil, false, 0
+	c.members, c.failed, c.refs, c.beat, c.parked, c.id = nil, nil, nil, nil, false, 0
 	cp := func(g *group) *group {
 		n := &group{hash: g.hash, id: g.id, gv: slices.Clone(g.gv)}
 		n.key.set(&g.key)
@@ -530,18 +532,43 @@ func (t *keyTable) advance(cat *MultiRun, b Value, row int) (closed bool, err er
 	return true, nil
 }
 
-// heartbeat advances the temporal bucket to the one holding ts. An error is
-// every member's (t.failed).
+// heartbeat advances the temporal bucket to the one holding ts: the
+// temporal group kernel runs on a one-row batch whose temporal column holds
+// ts in that column's type. An error is every member's (t.failed).
 func (t *keyTable) heartbeat(cat *MultiRun, ts Value) error {
-	if t.p.temporalIdx < 0 {
+	ti := t.p.temporalIdx
+	if ti < 0 {
 		return nil
 	}
-	b, err := t.p.temporalOf(ts)
-	if err != nil {
-		return t.fail(err)
+	if t.beat == nil {
+		t.beat = &beat{b: &Batch{schema: t.p.schema, cols: make([]batchCol, len(t.p.schema.Cols))}, sel: []uint64{1}}
+		t.beat.b.Resize(1)
 	}
-	_, err = t.advance(cat, b, -1)
+	hb, c := t.beat, t.p.temporalCol
+	switch col := &hb.b.cols[c]; t.p.schema.Cols[c].Type {
+	case TFloat:
+		col.fls[0] = ts.AsFloat()
+	case TString:
+		col.strs[0] = ts.S
+	default: // TInt, TBool
+		col.ints[0] = ts.AsInt()
+	}
+	n := t.p.vec.groups[ti]
+	hb.ctx.reset(hb.b, t.p.vec.nslots)
+	n.run(&hb.ctx, hb.sel)
+	if fails := hb.ctx.take(nil, nil); len(fails) > 0 {
+		return t.fail(fails[0].err)
+	}
+	_, err := t.advance(cat, hb.ctx.valueAt(n, 0), -1)
 	return err
+}
+
+// beat is a table's heartbeat scratch: a one-row batch of the table's
+// stream and the kernel context over it.
+type beat struct {
+	b   *Batch
+	sel []uint64
+	ctx vctx
 }
 
 // fold folds rows [lo,hi) of b in base into every member. Standalone runs
@@ -569,7 +596,7 @@ func (t *keyTable) fold(bx *batchExec, b *Batch, lo, hi int, base []uint64, pre 
 	}
 	vp := t.p.vec
 	ctx := &bx.ctx
-	ctx.reset(b, vp)
+	ctx.reset(b, vp.nslots)
 	b.sel = growBits(b.sel, b.n)
 	sel := b.sel
 	maskRange(sel, base, lo, hi)
@@ -599,7 +626,7 @@ func (t *keyTable) fold(bx *batchExec, b *Batch, lo, hi int, base []uint64, pre 
 				r.actx = new(vctx)
 			}
 			r.cctx = r.actx
-			r.cctx.reset(b, r.p.vec)
+			r.cctx.reset(b, r.p.vec.nslots)
 		}
 		for si, slotNodes := range r.p.vec.args {
 			r.cctx.slot = si

@@ -362,7 +362,7 @@ func (m *MultiRun) classFor(ss *multiStmt) (*predClass, error) {
 	cls := &predClass{key: ss.whereKey, byShare: map[string]*keyTable{}}
 	if ss.whereAST != nil {
 		var err error
-		if cls.vp, err = compileVecPlan(tupleEnv(m.schema), m.schema, ss.whereAST, nil, nil); err != nil {
+		if cls.vp, err = compileWhere(tupleEnv(m.schema), ss.whereAST); err != nil {
 			return nil, err
 		}
 	}
@@ -1021,7 +1021,7 @@ func (m *MultiRun) classSelect(cls *predClass, b *Batch, lo, hi int) {
 	if cls.vp == nil {
 		return
 	}
-	cls.ctx.reset(b, cls.vp)
+	cls.ctx.reset(b, cls.vp.nslots)
 	cls.vp.where.run(&cls.ctx, cls.sel)
 	wb := cls.ctx.bits(cls.vp.where)
 	for w := range cls.sel {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"sort"
 
 	"forwarddecay/internal/core"
 	"forwarddecay/internal/faultinject"
@@ -18,15 +19,18 @@ import (
 // folded into a single high-level result via the existing Aggregator.Merge
 // path and emitted exactly as the serial Run would emit them.
 //
-// Routing hashes the evaluated non-temporal group-by values, so every
-// logical group lives on exactly one shard and accumulates its tuples in
-// arrival order — the merged output is then bit-identical to the serial
-// path, including float aggregates and mergeable sketch UDAFs. Queries with
-// no non-temporal group columns (global aggregates, purely temporal
-// grouping) are routed round-robin instead; their per-group partials are
-// combined with Merge, whose float reassociation may differ from serial
-// evaluation in the last ulp (and whose sketch merges carry the documented
-// additive error bounds).
+// The coordinator runs every kernel of the plan — WHERE, the group keys and
+// the aggregate arguments — and ships each routed row's group values and
+// argument values; a shard keys its groups by the values and steps their
+// aggregates on the arguments. Routing hashes the non-temporal group
+// values, so every logical group lives on exactly one shard and
+// accumulates its rows in arrival order — the merged output is then
+// bit-identical to the serial path, including float aggregates and
+// mergeable sketch UDAFs. Queries with no non-temporal group columns
+// (global aggregates, purely temporal grouping) are routed round-robin
+// instead; their per-group partials are combined with Merge, whose float
+// reassociation may differ from serial evaluation in the last ulp (and
+// whose sketch merges carry the documented additive error bounds).
 //
 // Shard workers recover panics, so a panicking shard never deadlocks the
 // drain barrier: the panic surfaces as a *ShardPanicError from the flush
@@ -40,7 +44,7 @@ type ParallelOptions struct {
 }
 
 const (
-	// shardBatchSize is the number of tuples shipped to a shard per channel
+	// shardBatchSize is the number of rows shipped to a shard per channel
 	// send.
 	shardBatchSize = 256
 	// shardQueue is the per-shard channel capacity in batches; the producer
@@ -48,15 +52,12 @@ const (
 	shardQueue = 4
 )
 
-// tupleBatch is one unit of work shipped to a shard: n tuples of fixed
-// width, stored flat (recycled via each worker's free list). gvals carries
-// the coordinator's already-evaluated group values, one run of len(groupFns)
-// Values per tuple: the coordinator evaluates every group expression for
-// routing anyway, so shards reuse those bits instead of evaluating again.
-type tupleBatch struct {
-	vals  []Value
-	gvals []Value
-	n     int
+// shardBatch is one unit of work shipped to a shard: n routed rows of
+// width values each — a row's group values, then its aggregate arguments
+// slot by slot — stored flat (recycled via each worker's free list).
+type shardBatch struct {
+	vals []Value
+	n    int
 }
 
 // shardResult is a shard's reply to a drain request: its accumulated
@@ -67,27 +68,26 @@ type shardResult struct {
 	err    error
 }
 
-// shardMsg is the single message type of a shard's work channel: a tuple
+// shardMsg is the single message type of a shard's work channel: a row
 // batch or a drain request. FIFO channel order guarantees a drain request
 // observes every batch sent before it.
 type shardMsg struct {
-	batch *tupleBatch
+	batch *shardBatch
 	drain chan shardResult
 }
 
 // shardWorker is one low-level executor: it owns a partial-group table keyed
-// exactly like the serial high-level table and steps tuples into it.
+// exactly like the serial high-level table and steps rows into it.
 type shardWorker struct {
 	idx   int
 	p     *plan
 	width int
 	work  chan shardMsg
-	free  chan *tupleBatch // room for every batch in flight: the queue's and the one filling
+	free  chan *shardBatch // room for every batch in flight: the queue's and the one filling
 	done  chan struct{}
 
 	groups map[string]*group
 	keyBuf []byte
-	args   []Value
 	err    error
 }
 
@@ -115,9 +115,9 @@ func (w *shardWorker) run() {
 }
 
 // process steps one batch into the shard's tables, isolating panics: a
-// panicking tuple (bad UDAF, poisoned input) marks the shard failed for
-// this window but leaves the worker alive and answering drains.
-func (w *shardWorker) process(b *tupleBatch) {
+// panicking row (bad UDAF) marks the shard failed for this window but leaves
+// the worker alive and answering drains.
+func (w *shardWorker) process(b *shardBatch) {
 	if w.err != nil {
 		return
 	}
@@ -126,21 +126,20 @@ func (w *shardWorker) process(b *tupleBatch) {
 			w.err = &ShardPanicError{Shard: w.idx, Value: rec, Stack: debug.Stack()}
 		}
 	}()
-	gw := len(w.p.groupFns)
+	ng := len(w.p.vec.groups)
 	for i := 0; i < b.n; i++ {
-		t := Tuple(b.vals[i*w.width : (i+1)*w.width])
-		gv := Tuple(b.gvals[i*gw : (i+1)*gw])
-		if err := w.step(t, gv); err != nil {
+		row := b.vals[i*w.width : (i+1)*w.width]
+		if err := w.step(row[:ng], row[ng:]); err != nil {
 			w.err = err
 			return
 		}
 	}
 }
 
-// step folds one tuple into the shard's partial-group table. It mirrors the
-// serial high-level path: same key encoding, same group-value capture, same
-// aggregator stepping, on the group values the coordinator evaluated.
-func (w *shardWorker) step(t Tuple, gv Tuple) error {
+// step folds one routed row into the shard's partial-group table: the
+// serial high-level path's key encoding and group-value capture, and each
+// slot's Step on its arguments.
+func (w *shardWorker) step(gv, args Tuple) error {
 	if err := faultinject.Hit("gsql.shard.step"); err != nil {
 		return err
 	}
@@ -150,29 +149,14 @@ func (w *shardWorker) step(t Tuple, gv Tuple) error {
 		g = &group{gv: append(Tuple(nil), gv...), aggs: newAggs(w.p)}
 		w.groups[string(w.keyBuf)] = g
 	}
-	var err error
-	w.args, err = stepAggs(w.p, g.aggs, t, w.args)
-	return err
-}
-
-// stepAggs folds tuple t into each aggregator through the scalar argument
-// closures, reusing args as the argument scratch buffer; the (possibly
-// grown) buffer is returned for the caller to keep.
-func stepAggs(p *plan, aggs []Aggregator, t Tuple, args []Value) ([]Value, error) {
-	for i, a := range aggs {
-		args = args[:0]
-		for _, fn := range p.aggArgFns[i] {
-			v, err := fn(t)
-			if err != nil {
-				return args, err
-			}
-			args = append(args, v)
+	for si, a := range g.aggs {
+		k := len(w.p.vec.args[si])
+		if err := a.Step(args[:k:k]); err != nil {
+			return err
 		}
-		if err := a.Step(args); err != nil {
-			return args, err
-		}
+		args = args[k:]
 	}
-	return args, nil
+	return nil
 }
 
 // ParallelRun executes one prepared statement across shard workers:
@@ -188,24 +172,24 @@ type ParallelRun struct {
 	sink func(Tuple) error
 
 	workers []*shardWorker
-	pending []*tupleBatch // per-shard batch being filled
-	width   int
-	hasKey  bool // at least one non-temporal group column → hash routing
-	rr      int  // round-robin cursor when !hasKey
+	pending []*shardBatch // per-shard batch being filled
+	width   int           // values per shipped row: group values, then arguments
+	hasKey  bool          // at least one non-temporal group column → hash routing
+	rr      int           // round-robin cursor when !hasKey
 
 	bucketSet bool
 	bucket    Value
 
-	rec    Tuple
-	row    Tuple // scratch materialized row for the replay path
-	gv     Tuple // scratch evaluated group values, shipped with each tuple
 	tuples uint64
 	err    error
 	closed bool
 
 	// bx is the coordinator's batch-executor scratch (PushBatch), allocated
-	// on first use.
-	bx *batchExec
+	// on first use; fails are the rows of a batch whose arguments failed.
+	// em is the output stage the merged groups emit through (emitRows).
+	bx    *batchExec
+	fails []rowErr
+	em    *emitter
 }
 
 // routeSeed starts the group routing hash.
@@ -218,7 +202,7 @@ const routeSeed = uint64(0x51_7c_c1_b7_27_22_0a_95)
 // LFTA/HFTA split.
 func (s *Statement) StartParallel(sink func(Tuple) error, opts ParallelOptions) (*ParallelRun, error) {
 	if !s.p.mergeable {
-		return nil, fmt.Errorf("gsql: query has a non-mergeable aggregate; sharded (LFTA/HFTA) execution requires every aggregate to support merging: %s", s.text)
+		return nil, fmt.Errorf("gsql: query has a non-mergeable aggregate; sharded (LFTA/HFTA) execution requires every aggregate to support merging: %s", s.p.text)
 	}
 	shards := opts.Shards
 	if shards <= 0 {
@@ -227,14 +211,14 @@ func (s *Statement) StartParallel(sink func(Tuple) error, opts ParallelOptions) 
 	pr := &ParallelRun{
 		p:       s.p,
 		sink:    sink,
-		width:   len(s.p.schema.Cols),
-		rec:     make(Tuple, len(s.p.groupFns)+len(s.p.aggSpecs)),
-		row:     make(Tuple, len(s.p.schema.Cols)),
-		gv:      make(Tuple, len(s.p.groupFns)),
+		width:   len(s.p.vec.groups),
 		workers: make([]*shardWorker, shards),
-		pending: make([]*tupleBatch, shards),
+		pending: make([]*shardBatch, shards),
 	}
-	for i := range s.p.groupFns {
+	for _, args := range s.p.vec.args {
+		pr.width += len(args)
+	}
+	for i := range s.p.vec.groups {
 		if i != s.p.temporalIdx {
 			pr.hasKey = true
 		}
@@ -245,10 +229,9 @@ func (s *Statement) StartParallel(sink func(Tuple) error, opts ParallelOptions) 
 			p:      s.p,
 			width:  pr.width,
 			work:   make(chan shardMsg, shardQueue),
-			free:   make(chan *tupleBatch, shardQueue+1),
+			free:   make(chan *shardBatch, shardQueue+1),
 			done:   make(chan struct{}),
 			groups: make(map[string]*group, 256),
-			args:   make([]Value, 0, 4),
 		}
 		pr.workers[i] = w
 		go w.run()
@@ -283,85 +266,16 @@ func (pr *ParallelRun) fail(err error) error {
 // errClosed reports use after Close.
 var errClosed = fmt.Errorf("gsql: ParallelRun used after Close")
 
-// routeTuple routes one materialized row: WHERE, group evaluation with
-// window-close detection, routing, and the shard enqueue. PushBatch's
-// replay of a batch a kernel failed on calls it row by row.
-func (pr *ParallelRun) routeTuple(t Tuple) error {
-	if pr.p.where != nil {
-		ok, err := pr.p.where(t)
-		if err != nil {
-			return pr.fail(err)
-		}
-		if !ok.Truthy() {
-			return nil
-		}
-	}
-
-	// Evaluate the group-by expressions: the temporal one drives window
-	// close detection (flush points are identical to the serial Run's, so
-	// out-of-order inputs group and emit identically), the rest form the
-	// routing hash. The evaluated values ship with the tuple so the shard
-	// does not evaluate them again.
-	h := routeSeed
-	gv := pr.gv
-	for i, fn := range pr.p.groupFns {
-		v, err := fn(t)
-		if err != nil {
-			return pr.fail(err)
-		}
-		gv[i] = v
-		if i == pr.p.temporalIdx {
-			if !pr.bucketSet {
-				pr.bucket, pr.bucketSet = v, true
-			} else if pr.p.bucketAfter(v, pr.bucket) {
-				if err := pr.flushAll(); err != nil {
-					return pr.fail(err)
-				}
-				pr.bucket = v
-			}
-			continue
-		}
-		h = hashValue(h, v)
-	}
-	var shard int
-	if pr.hasKey {
-		shard = int(h % uint64(len(pr.workers)))
-	} else {
-		shard = pr.rr
-		pr.rr++
-		if pr.rr == len(pr.workers) {
-			pr.rr = 0
-		}
-	}
-	pr.enqueue(shard, t, gv)
-	return nil
-}
-
-// enqueue copies t (and its evaluated group values) into the shard's pending
-// batch, shipping the batch when full.
-func (pr *ParallelRun) enqueue(shard int, t Tuple, gv Tuple) {
-	b := pr.pendingFor(shard)
-	copy(b.vals[b.n*pr.width:(b.n+1)*pr.width], t)
-	if gw := len(pr.p.groupFns); gw > 0 {
-		copy(b.gvals[b.n*gw:(b.n+1)*gw], gv)
-	}
-	b.n++
-	pr.shipIfFull(shard)
-}
-
 // pendingFor returns the shard's pending batch, reusing one from the
 // worker's free list or allocating.
-func (pr *ParallelRun) pendingFor(shard int) *tupleBatch {
+func (pr *ParallelRun) pendingFor(shard int) *shardBatch {
 	b := pr.pending[shard]
 	if b == nil {
 		select {
 		case b = <-pr.workers[shard].free:
 			b.n = 0
 		default:
-			b = &tupleBatch{
-				vals:  make([]Value, shardBatchSize*pr.width),
-				gvals: make([]Value, shardBatchSize*len(pr.p.groupFns)),
-			}
+			b = &shardBatch{vals: make([]Value, shardBatchSize*pr.width)}
 		}
 		pr.pending[shard] = b
 	}
@@ -436,10 +350,22 @@ func (pr *ParallelRun) flushAll() error {
 		if firstErr != nil {
 			return
 		}
-		firstErr = emitGroups(pr.p, high, pr.rec, pr.sink)
+		keys := make([]string, 0, len(high))
+		for k := range high {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		refs := make([]*group, len(keys))
+		for i, k := range keys {
+			refs[i] = high[k]
+		}
+		firstErr = emitRows(pr.p, &pr.em, refs, groupAggs, pr.sink)
 	}()
 	return firstErr
 }
+
+// groupAggs returns a shard group's aggregates.
+func groupAggs(g *group) []Aggregator { return g.aggs }
 
 // Close flushes the final (still open) bucket and shuts the shard workers
 // down. Afterwards PushBatch fails, and a second Close returns the run's

@@ -6,26 +6,22 @@ import (
 	"strings"
 )
 
-// plan is a fully compiled query. Run and MultiRun evaluate its
-// tuple-level expressions through vec alone; their scalar closures (where,
-// groupFns, aggArgFns) serve the sharded runtime and temporalOf.
+// plan is a fully compiled query: every expression of it compiles to
+// kernels (vexpr.go), the tuple-level ones into vec and HAVING and the
+// select items into out.
 type plan struct {
 	schema *Schema
-	where  evalFn // nil if absent
+	// text is the query the plan was compiled from.
+	text string
 
-	// Group-by expressions evaluated per tuple; groupVals form the group
-	// identity.
-	groupFns []evalFn
 	// temporalIdx is the index of the group expression defining tumbling
 	// time buckets, or -1 (single landmark bucket, flushed at close);
 	// temporalCol is the schema column it derives from.
 	temporalIdx int
 	temporalCol int
 
-	// Aggregates, in slot order. aggArgFns[i] are the compiled argument
-	// expressions of aggregate i.
+	// Aggregates, in slot order.
 	aggSpecs  []AggSpec
-	aggArgFns [][]evalFn
 	mergeable bool // all aggregates mergeable → two-level split possible
 	// links pairs each slot that reads another's state (Sharer) with it;
 	// argKeys are the slots' argument expressions.
@@ -43,19 +39,18 @@ type plan struct {
 	// specialized to the temporal expression's static type.
 	bucketAfter func(b, cur Value) bool
 
-	// Output expressions over the combined record groupVals ++ aggFinals.
-	outFns   []evalFn
 	outNames []string
-	having   evalFn // nil if absent
 	// outDirect, when there is no HAVING and every output item is a bare
 	// group expression or a bare aggregate naming a slot no other item
 	// names, holds each item's record index: the row is then written
 	// straight from the group, each slot finalized once in slot order.
 	outDirect []int
 
-	// vec is the batch-compiled form of the tuple-level expressions (WHERE,
-	// group-by, aggregate arguments); every plan has one.
+	// vec holds the tuple-level expressions' kernels (WHERE, group-by,
+	// aggregate arguments); out holds HAVING's and the select items' over
+	// the record of a flushed group (groupVals ++ aggFinals).
 	vec *vecPlan
+	out *outPlan
 
 	// fp fingerprints the (query text, schema) pair for checkpoint
 	// compatibility checks; set by Prepare.
@@ -64,23 +59,27 @@ type plan struct {
 
 // buildPlan analyzes and compiles a parsed query. stripWhere is the
 // multi-query runtime's form: the WHERE clause is validated and compiled (so
-// its errors surface at plan time) but kept out of the plan, scalar and
-// vectorized, because the predicate class applies it once before fanning
-// into the per-query folds.
+// its errors surface at plan time) but kept out of the plan, because the
+// predicate class applies it once before fanning into the per-query folds.
 func buildPlan(q *queryAST, schema *Schema, aggs map[string]AggSpec, stripWhere bool) (*plan, error) {
-	p := &plan{schema: schema, temporalIdx: -1, temporalCol: -1, mergeable: true}
+	p := &plan{schema: schema, temporalIdx: -1, temporalCol: -1, mergeable: true, vec: &vecPlan{}}
 	tenv := tupleEnv(schema)
+	vc := &vecComp{env: tenv}
 	// WHERE clause: tuple-level, no aggregates.
 	if q.where != nil {
 		if hasAgg(q.where) {
 			return nil, fmt.Errorf("gsql: aggregates are not allowed in WHERE")
 		}
-		fn, err := tenv.compile(q.where)
+		wc := vc
+		if stripWhere {
+			wc = &vecComp{env: tenv}
+		}
+		n, err := wc.compile(q.where)
 		if err != nil {
 			return nil, err
 		}
 		if !stripWhere {
-			p.where = fn
+			p.vec.where = vc.asBits(n)
 		}
 	}
 
@@ -92,11 +91,11 @@ func buildPlan(q *queryAST, schema *Schema, aggs map[string]AggSpec, stripWhere 
 		if hasAgg(g.e) {
 			return nil, fmt.Errorf("gsql: aggregates are not allowed in GROUP BY")
 		}
-		fn, err := tenv.compile(g.e)
+		n, err := vc.compile(g.e)
 		if err != nil {
 			return nil, err
 		}
-		p.groupFns = append(p.groupFns, fn)
+		p.vec.groups = append(p.vec.groups, n)
 		groupTypes = append(groupTypes, tenv.staticType(g.e))
 		groupKeyToIdx[exprKey(g.e)] = i
 		if g.alias != "" {
@@ -121,8 +120,7 @@ func buildPlan(q *queryAST, schema *Schema, aggs map[string]AggSpec, stripWhere 
 	}
 
 	// Aggregate slot assignment: identical aggregate calls share a slot.
-	// argASTs mirrors p.aggArgFns with the source expressions, for the batch
-	// compiler below.
+	// argASTs mirrors p.vec.args with the source expressions.
 	aggKeyToSlot := map[string]int{}
 	var argASTs [][]expr
 	addAgg := func(a *aggExpr) (int, error) {
@@ -142,20 +140,20 @@ func buildPlan(q *queryAST, schema *Schema, aggs map[string]AggSpec, stripWhere 
 			return 0, fmt.Errorf("gsql: %s expects between %d and %d argument(s), got %d",
 				a.name, spec.MinArgs, spec.MaxArgs, nargs)
 		}
-		var argFns []evalFn
+		var args []*vecNode
 		for _, arg := range a.args {
 			if hasAgg(arg) {
 				return 0, fmt.Errorf("gsql: nested aggregates are not allowed")
 			}
-			fn, err := tenv.compile(arg)
+			n, err := vc.compile(arg)
 			if err != nil {
 				return 0, err
 			}
-			argFns = append(argFns, fn)
+			args = append(args, n)
 		}
 		slot := len(p.aggSpecs)
 		p.aggSpecs = append(p.aggSpecs, spec)
-		p.aggArgFns = append(p.aggArgFns, argFns)
+		p.vec.args = append(p.vec.args, args)
 		argASTs = append(argASTs, a.args)
 		if !spec.Mergeable {
 			p.mergeable = false
@@ -167,8 +165,8 @@ func buildPlan(q *queryAST, schema *Schema, aggs map[string]AggSpec, stripWhere 
 	// Output expressions evaluate against groupVals ++ aggFinals. A select
 	// item subtree that textually matches a group-by expression (or its
 	// alias) compiles to a reference; aggregate calls compile to their slot.
-	nGroups := len(p.groupFns)
-	outEnv := &compileEnv{
+	nGroups := len(p.vec.groups)
+	oc := &vecComp{env: &compileEnv{
 		resolve: func(name string) int {
 			if idx, ok := groupKeyToIdx[name]; ok {
 				return idx
@@ -191,11 +189,11 @@ func buildPlan(q *queryAST, schema *Schema, aggs map[string]AggSpec, stripWhere 
 			return -1
 		},
 		funcs: builtinFuncs,
-	}
-
+	}}
+	p.out = &outPlan{}
 	direct := q.having == nil
 	for i, item := range q.sel {
-		fn, err := outEnv.compile(item.e)
+		n, err := oc.compile(item.e)
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +212,7 @@ func buildPlan(q *queryAST, schema *Schema, aggs map[string]AggSpec, stripWhere 
 			return nil, fmt.Errorf("gsql: select item %d (%s) is neither an aggregate nor a group-by expression",
 				i+1, item.e.String())
 		}
-		p.outFns = append(p.outFns, fn)
+		p.out.items = append(p.out.items, n)
 		name := item.alias
 		if name == "" {
 			name = item.e.String()
@@ -226,36 +224,23 @@ func buildPlan(q *queryAST, schema *Schema, aggs map[string]AggSpec, stripWhere 
 		p.outDirect = nil
 	}
 	if q.having != nil {
-		fn, err := outEnv.compile(q.having)
+		n, err := oc.compile(q.having)
 		if err != nil {
 			return nil, err
 		}
-		p.having = fn
+		p.out.having = oc.asBits(n)
 	}
+	p.out.nslots = oc.nslots
+	p.vec.nslots = vc.nslots
 
 	if len(p.aggSpecs) == 0 && len(q.group) > 0 {
 		return nil, fmt.Errorf("gsql: GROUP BY without aggregates is not supported")
 	}
 
-	// Batch-compile the tuple-level expressions from the same ASTs the scalar
-	// closures came from.
-	groupASTs := make([]expr, len(q.group))
-	for i, g := range q.group {
-		groupASTs[i] = g.e
-	}
-	vecWhere := q.where
-	if stripWhere {
-		vecWhere = nil
-	}
-	vec, err := compileVecPlan(tenv, schema, vecWhere, groupASTs, argASTs)
-	if err != nil {
-		return nil, err
-	}
-	p.vec = vec
 	p.links, p.argKeys = shareLinks(p, argASTs)
 	p.keyTypes = groupTypes
 	for i, t := range groupTypes {
-		if t != TInt && t != TBool && t != TFloat || vec.groups[i].t != t {
+		if t != TInt && t != TBool && t != TFloat || p.vec.groups[i].t != t {
 			p.keyTypes = nil
 		}
 	}
@@ -326,17 +311,6 @@ func derivesFromGroups(e expr, groups map[string]int) bool {
 	default:
 		return false
 	}
-}
-
-// temporalOf evaluates the temporal group expression for a heartbeat: a
-// synthetic tuple carrying ts in the temporal source column.
-func (p *plan) temporalOf(ts Value) (Value, error) {
-	if p.temporalIdx < 0 || p.temporalCol < 0 {
-		return Null, fmt.Errorf("gsql: query has no temporal bucket")
-	}
-	scratch := make(Tuple, len(p.schema.Cols))
-	scratch[p.temporalCol] = ts
-	return p.groupFns[p.temporalIdx](scratch)
 }
 
 // Columns returns the output column names, in select-list order.

@@ -1,36 +1,37 @@
 package gsql
 
-// Vectorized expression compilation: every tuple-level expression of a plan
-// (WHERE, group-by, aggregate arguments) compiles to a vecNode tree whose
-// kernels evaluate a whole Batch column-at-a-time under a selection bitmap.
-// The kernels are the only evaluator of those expressions in Run and
-// MultiRun; the scalar closures of expr.go serve the output projection,
-// HAVING, heartbeats and the sharded runtime.
+// Vectorized expression compilation: every expression of a plan compiles to
+// a vecNode tree whose kernels evaluate a whole Batch column-at-a-time under
+// a selection bitmap. The tuple-level expressions (WHERE, group-by,
+// aggregate arguments) run over the stream's batches; HAVING and the select
+// items run over the record batch of a bucket's flushed groups (emitter).
+// The kernels are the only expression evaluator of every runtime.
 //
-// Exactness discipline:
+// Exactness discipline (the closure fold of oracle_test.go is the reference
+// the suites hold the kernels to):
 //
-//   - Kernels perform the same primitive operation on the same operand
-//     representation as the scalar evaluator (same int64/float64 ops, the
-//     same three-way float compare, and for builtins the very Go function the
-//     scalar closure calls, on the same float promotion), so results are
+//   - Kernels perform the primitive operation scalar evaluation defines on
+//     the same operand representation (the same int64/float64 ops, the same
+//     three-way float compare, and for builtins the very Go function a boxed
+//     value goes through, on the same float promotion), so results are
 //     bit-identical.
 //   - and/or kernels evaluate their right side only under the rows the left
 //     side selects, preserving scalar short-circuit semantics.
 //   - A kernel that fails on a row (division by zero, a builtin's domain
 //     error, a boxed operation's error) records the row and goes on with the
-//     next (vctx.fail). Kernels run in the scalar evaluator's order — a
-//     node's operands before the node, left before right, WHERE before the
-//     group keys before the arguments slot by slot — so the first failure
-//     recorded for a row is the error scalar evaluation gives it. The fold
-//     charges that error at the row, after the rows before it
-//     (keyTable.fold), and each segment's kernels run once however many of
-//     its rows fail.
+//     next (vctx.fail). Kernels run in scalar evaluation's order — a node's
+//     operands before the node, left before right, WHERE before the group
+//     keys before the arguments slot by slot, HAVING before the select items
+//     in order — so the first failure recorded for a row is the error scalar
+//     evaluation gives it. The fold charges that error at the row, after the
+//     rows before it (keyTable.fold), the emitter stops at it, and each
+//     segment's kernels run once however many of its rows fail.
 //
 // Boxed kernels cover operands the static type pass cannot pin to a kernel
-// representation — dynamically typed values, or a string where a number is
-// expected: each selected row's operands are read as Values and handed to
-// the operation the scalar closure applies (numericBinop, compare, a
-// builtin's fn1 or fn).
+// representation — dynamically typed values (every record column), or a
+// string where a number is expected: each selected row's operands are read
+// as Values and handed to the operation scalar evaluation applies
+// (numericBinop, compare, a builtin's fn1 or fn).
 
 import (
 	"cmp"
@@ -41,12 +42,21 @@ import (
 )
 
 // vecPlan is the batch-compiled form of a plan's tuple-level expressions.
-// It is immutable after compilation and shared across runs and shard
-// workers; all evaluation state lives in a vctx.
+// It is immutable after compilation and shared across runs; all evaluation
+// state lives in a vctx.
 type vecPlan struct {
 	where  *vecNode   // selection-bits node, nil when the query has no WHERE
 	groups []*vecNode // one per group-by expression
 	args   [][]*vecNode
+	nslots int
+}
+
+// outPlan is the batch-compiled output stage: HAVING and the select items
+// over a record batch, whose columns are a flushed group's values and then
+// its aggregate finals (emitter).
+type outPlan struct {
+	having *vecNode // selection-bits node, nil when the query has no HAVING
+	items  []*vecNode
 	nslots int
 }
 
@@ -72,9 +82,9 @@ func (n *vecNode) run(ctx *vctx, sel []uint64) {
 }
 
 // vctx is the per-run evaluation context: scratch slots for kernel outputs
-// and the rows the kernels failed on. Compiled plans are shared across shard
-// workers, so kernels must never capture mutable state — it all lives here,
-// one vctx per Run / ParallelRun / BatchPredicate closure.
+// and the rows the kernels failed on. Compiled plans are shared across runs,
+// so kernels must never capture mutable state — it all lives here: one vctx
+// per fold, emitter, heartbeat and BatchPredicate closure.
 type vctx struct {
 	b     *Batch
 	n     int
@@ -106,12 +116,13 @@ type vslot struct {
 	bits []uint64
 }
 
-// reset points the context at a batch, forgetting every recorded failure.
-func (ctx *vctx) reset(b *Batch, vp *vecPlan) {
+// reset points the context at a batch for a plan of nslots scratch slots,
+// forgetting every recorded failure.
+func (ctx *vctx) reset(b *Batch, nslots int) {
 	ctx.b, ctx.n = b, b.n
 	ctx.forget()
-	if len(ctx.slots) < vp.nslots {
-		ctx.slots = make([]vslot, vp.nslots)
+	if len(ctx.slots) < nslots {
+		ctx.slots = make([]vslot, nslots)
 	}
 }
 
@@ -245,7 +256,7 @@ func (a *intAcc) at(r int) int64 {
 }
 
 // floatAcc reads per-row float64 payloads for a statically numeric node,
-// with the same promotion toFloatFn applies on the scalar path.
+// with the same promotion AsFloat applies on the scalar path.
 type floatAcc struct {
 	fs   []float64
 	ia   intAcc
@@ -306,6 +317,9 @@ func (a *strAcc) at(r int) string {
 // valueAt materializes one row of a node as a Value, bit-identical to what
 // the scalar evaluator would have returned for that row.
 func (ctx *vctx) valueAt(n *vecNode, r int) Value {
+	if vs := ctx.valueSlice(n); vs != nil {
+		return vs[r]
+	}
 	if n.constOK {
 		return n.constV
 	}
@@ -320,10 +334,21 @@ func (ctx *vctx) valueAt(n *vecNode, r int) Value {
 	case TBool:
 		bm := ctx.slots[n.slot].bits
 		return Bool(bm[r>>6]&(1<<uint(r&63)) != 0)
-	case TString:
+	default: // TString
 		return Str(ctx.slots[n.slot].strs[r])
+	}
+}
+
+// valueSlice returns the Values of a dynamically typed node's rows — a
+// record column, or a boxed kernel's slot — and nil for any other node.
+func (ctx *vctx) valueSlice(n *vecNode) []Value {
+	switch {
+	case n.t != TNull || n.constOK:
+		return nil
+	case n.col >= 0:
+		return ctx.b.cols[n.col].vals
 	default:
-		return ctx.slots[n.slot].vals[r]
+		return ctx.slots[n.slot].vals
 	}
 }
 
@@ -411,7 +436,6 @@ func writeBits(sel, out []uint64, f func(r int) bool) {
 // vecComp compiles expressions to vecNodes, allocating scratch slots.
 type vecComp struct {
 	env    *compileEnv
-	schema *Schema
 	nslots int
 }
 
@@ -426,44 +450,27 @@ func constNode(v Value) *vecNode {
 	return &vecNode{t: v.T, col: -1, constOK: true, constV: v}
 }
 
-// compileVecPlan batch-compiles a plan's tuple-level expressions. It fails
-// only on an expression the scalar compiler rejects as well.
-func compileVecPlan(env *compileEnv, schema *Schema, where expr, groups []expr, args [][]expr) (*vecPlan, error) {
-	vc := &vecComp{env: env, schema: schema}
-	vp := &vecPlan{}
-	if where != nil {
-		n, err := vc.compile(where)
-		if err != nil {
-			return nil, err
-		}
-		vp.where = vc.asBits(n)
+// compileWhere batch-compiles a WHERE clause alone: a predicate class's
+// plan.
+func compileWhere(env *compileEnv, where expr) (*vecPlan, error) {
+	vc := &vecComp{env: env}
+	n, err := vc.compile(where)
+	if err != nil {
+		return nil, err
 	}
-	for _, g := range groups {
-		n, err := vc.compile(g)
-		if err != nil {
-			return nil, err
-		}
-		vp.groups = append(vp.groups, n)
-	}
-	for _, slotArgs := range args {
-		var row []*vecNode
-		for _, a := range slotArgs {
-			n, err := vc.compile(a)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, n)
-		}
-		vp.args = append(vp.args, row)
-	}
-	vp.nslots = vc.nslots
-	return vp, nil
+	return &vecPlan{where: vc.asBits(n), nslots: vc.nslots}, nil
 }
 
-// compile builds a vecNode for e. Errors only surface for expressions the
-// scalar compiler would also reject; everything else vectorizes, worst case
-// as a boxed kernel.
+// compile builds a vecNode for e. Errors only surface for expressions that
+// do not compile at all; everything else vectorizes, worst case as a boxed
+// kernel. Under an output environment a subtree matching a group expression
+// and an aggregate call each read their record column.
 func (vc *vecComp) compile(e expr) (*vecNode, error) {
+	if vc.env.subMatch != nil {
+		if idx := vc.env.subMatch(e); idx >= 0 {
+			return &vecNode{t: TNull, col: idx}, nil
+		}
+	}
 	switch n := e.(type) {
 	case *numLit:
 		return constNode(n.v), nil
@@ -476,13 +483,22 @@ func (vc *vecComp) compile(e expr) (*vecNode, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("gsql: unknown column %q", n.name)
 		}
-		return &vecNode{t: vc.schema.Cols[idx].Type, col: idx}, nil
+		return &vecNode{t: vc.env.staticType(n), col: idx}, nil
 	case *unExpr:
 		return vc.compileUn(n)
 	case *binExpr:
 		return vc.compileVecBin(n)
 	case *callExpr:
 		return vc.compileCall(n)
+	case *aggExpr:
+		if vc.env.aggSlot == nil {
+			return nil, fmt.Errorf("gsql: aggregate %s is not allowed here", n.name)
+		}
+		idx, err := vc.env.aggSlot(n)
+		if err != nil {
+			return nil, err
+		}
+		return &vecNode{t: TNull, col: idx}, nil
 	default:
 		return nil, fmt.Errorf("gsql: cannot compile %T", e)
 	}
@@ -717,8 +733,7 @@ func (vc *vecComp) asBits(n *vecNode) *vecNode {
 	default: // dynamic
 		out.eval = func(ctx *vctx, sel []uint64) {
 			c.run(ctx, sel)
-			vs := ctx.values(c)
-			writeBits(sel, ctx.bits(out), func(i int) bool { return vs[i].Truthy() })
+			writeBits(sel, ctx.bits(out), func(i int) bool { return ctx.valueAt(c, i).Truthy() })
 		}
 	}
 	return out

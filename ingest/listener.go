@@ -76,9 +76,10 @@ type Config struct {
 // Config.WAL). LogFrame records a data frame — with its session and
 // sequence number, so a recovering successor can rebuild the dedup table
 // from the log — and LogHeartbeat records an applied heartbeat, preserving
-// the value's type (an Int and a Float heartbeat take different temporal
-// paths through the engine). Both are called from the single pump
-// goroutine, before the corresponding sink call.
+// the value's type (the engine converts it to the temporal column's type,
+// so Int(100) and Float(100.5) can close different buckets). Both are
+// called from the single pump goroutine, before the corresponding sink
+// call.
 type ApplyLog interface {
 	LogFrame(session, seq uint64, pkts []netgen.Packet) error
 	LogHeartbeat(ts gsql.Value) error
