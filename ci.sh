@@ -54,8 +54,10 @@ go test -race -run 'Churn|Crash|Handoff|Fault' -short -count=1 ./distrib/
 # PersistCrashPoints, CatalogChange, ParentLayout and Revive are the
 # pipelined checkpoint's drills (DESIGN.md §16): a kill at every boundary of
 # cut and persist, catalog changes between the two, the older directory
-# layout, and the revive a crash inside a checkpoint must not re-apply — the
-# cut, the persister and the supervisor's join meet there. Catalog also takes
+# layouts (among them WAL segments, state files and checkpoints sealed with
+# the FNV-1a sum, before CRC-32C), and the revive a crash inside a
+# checkpoint must not re-apply — the cut, the persister and the supervisor's
+# join meet there. Catalog also takes
 # the catalog records' sync costs, appended from the control plane and the
 # pump alike. ResumeJoins is the recovery drill: one log tail re-fed through
 # the shared pass, every catalog record applied at its position in it (state

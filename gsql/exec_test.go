@@ -408,8 +408,9 @@ func TestAliasReuseInSelectAndOutputArithmetic(t *testing.T) {
 
 // TestDirectEmitMatchesProjection: a plan writes rows straight from the
 // group only when there is no HAVING and every output item is a bare group
-// expression or an aggregate slot named once, and those rows are the
-// projection's to the bit.
+// expression or an aggregate slot named once, keeps no output kernels then,
+// and its rows are the closure fold's (which projects every row through the
+// select-item closures) to the bit.
 func TestDirectEmitMatchesProjection(t *testing.T) {
 	e := mkEngine(t)
 	var tuples []Tuple
@@ -435,17 +436,25 @@ func TestDirectEmitMatchesProjection(t *testing.T) {
 		if got := st.p.outDirect != nil; got != c.direct {
 			t.Errorf("%q: direct emit %v, want %v", c.query, got, c.direct)
 		}
+		if got := st.p.out == nil; got != c.direct {
+			t.Errorf("%q: output kernels dropped %v, want %v", c.query, got, c.direct)
+		}
 		rows, err := execute(st, tuples, Options{LowLevelSlots: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.p.outDirect = nil
-		want, err := execute(st, tuples, Options{LowLevelSlots: 4})
-		if err != nil {
+		var want []Tuple
+		oracle := st.Start(func(row Tuple) error { want = append(want, row); return nil }, Options{LowLevelSlots: 4})
+		for _, tp := range tuples {
+			if err := oracle.oraclePush(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := oracle.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := fmt.Sprintf("%#v", rows), fmt.Sprintf("%#v", want); got != want {
-			t.Errorf("%q:\ndirect     %s\nprojection %s", c.query, got, want)
+			t.Errorf("%q:\ndirect     %s\nclosures   %s", c.query, got, want)
 		}
 	}
 }

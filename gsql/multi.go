@@ -177,6 +177,7 @@ const (
 	QuarantineBreaker     = "breaker"
 	QuarantineCardinality = "cardinality"
 	QuarantineEpoch       = "epoch-shift"
+	QuarantineSink        = "sink" // MultiHandle.Fault: its rows could not be taken
 )
 
 // QuarantineEvent describes one query being fenced out of the shared feed.
@@ -1198,6 +1199,13 @@ func (h *MultiHandle) Stats() (tuples, evictions uint64) {
 	h.m.syncTuples(h.e)
 	return h.e.run.Stats()
 }
+
+// Fault fences the query for a fault outside its fold — the caller could not
+// take rows it emitted — as a panic inside it would be: one error charged,
+// then quarantine with QuarantineSink and cause (a retained checkpoint,
+// OnQuarantine). Call it on the producer goroutine, between pushes. A
+// detached or fenced query is left as it is.
+func (h *MultiHandle) Fault(cause error) { h.m.chargeMember(h.e, cause, QuarantineSink) }
 
 // Close flushes the query's final (still open) bucket. The query stays
 // attached; Detach removes it from the feed. Closing a quarantined query is

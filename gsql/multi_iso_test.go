@@ -189,6 +189,47 @@ func TestMultiQuarantinePanic(t *testing.T) {
 	}
 }
 
+// TestMultiQuarantineSink: MultiHandle.Fault fences a member from outside
+// its fold (a caller that could not take its rows) — one QuarantineSink
+// event with the cause, once however often it is called — and a second
+// member sharing its shape goes on bit-identical to a standalone run.
+func TestMultiQuarantineSink(t *testing.T) {
+	e := parallelEngine(t)
+	tuples := trace(12_000, 0, 73)
+	var events []gsql.QuarantineEvent
+	opts := isoOpts(gsql.IsolateConfig{OnQuarantine: func(ev gsql.QuarantineEvent) { events = append(events, ev) }})
+	q := multiQueries[2]
+	m, handles, rows := multiAttach(t, e, opts, []string{q, q})
+	cause := errors.New("no room for the rows")
+	for i, tp := range tuples {
+		if err := m.Push(tp); err != nil {
+			t.Fatal(err)
+		}
+		if i == len(tuples)/2 {
+			handles[1].Fault(cause)
+			handles[1].Fault(cause)
+		}
+	}
+	if qs := handles[1].QueryStats(); !qs.Quarantined || qs.Reason != gsql.QuarantineSink {
+		t.Fatalf("faulted member: %+v", qs)
+	}
+	if len(events) != 1 || events[0].Reason != gsql.QuarantineSink || !errors.Is(events[0].Err, cause) {
+		t.Fatalf("quarantine events = %+v, want one sink event with its cause", events)
+	}
+	ck, err := handles[0].Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CloseAll(); err != nil {
+		t.Fatal(err)
+	}
+	wantRows, wantCkpt := standaloneRun(t, e, q, tuples, gsql.Options{})
+	requireIdentical(t, wantRows, *rows[0], "the faulted member's neighbour")
+	if !bytes.Equal(ck, wantCkpt) {
+		t.Error("the faulted member's neighbour: checkpoint differs from a standalone run")
+	}
+}
+
 // TestMultiIsolationZeroConfig states the contract of Options{} (no
 // IsolateConfig): isolation is the runtime, not a mode. A member's error is
 // counted in QueryStats.Errors and the tuple continues for its neighbours, a

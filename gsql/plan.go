@@ -48,7 +48,8 @@ type plan struct {
 
 	// vec holds the tuple-level expressions' kernels (WHERE, group-by,
 	// aggregate arguments); out holds HAVING's and the select items' over
-	// the record of a flushed group (groupVals ++ aggFinals).
+	// the record of a flushed group (groupVals ++ aggFinals), and is nil on
+	// a plan with outDirect, whose rows never run them.
 	vec *vecPlan
 	out *outPlan
 
@@ -220,9 +221,6 @@ func buildPlan(q *queryAST, schema *Schema, aggs map[string]AggSpec, stripWhere 
 		p.outNames = append(p.outNames, name)
 	}
 
-	if !direct {
-		p.outDirect = nil
-	}
 	if q.having != nil {
 		n, err := oc.compile(q.having)
 		if err != nil {
@@ -231,6 +229,11 @@ func buildPlan(q *queryAST, schema *Schema, aggs map[string]AggSpec, stripWhere 
 		p.out.having = oc.asBits(n)
 	}
 	p.out.nslots = oc.nslots
+	if direct {
+		p.out = nil // compiled for the aggregate slots it registers
+	} else {
+		p.outDirect = nil
+	}
 	p.vec.nslots = vc.nslots
 
 	if len(p.aggSpecs) == 0 && len(q.group) > 0 {

@@ -9,8 +9,9 @@
 // writes, silence — degrades into either a retried frame or a quarantined
 // frame, never a crash and never silent data loss:
 //
-//   - Every frame carries a 64-bit checksum over its body; corruption is
-//     detected before a single field is interpreted.
+//   - Every frame carries a CRC-32C of its body (core.Checksum); corruption
+//     is detected before a single field is interpreted, every error burst
+//     of up to 32 bits among it.
 //   - Data frames carry a per-session sequence number. The server applies
 //     them in order, acknowledges cumulatively after applying, and drops
 //     duplicates; the client retains unacknowledged frames and resends them
@@ -24,7 +25,10 @@
 // Wire layout (little-endian), one frame:
 //
 //	u32 body length (bounded by the reader's MaxFrame)
-//	u64 checksum of body (internal/core.HashBytes)
+//	u64 sum slot: u32 CRC-32C of body, then the u32 tag 0x32434446
+//	    (internal/core.Checksum); a reader also accepts the slot when it
+//	    holds internal/core.HashBytes of the body, the sum earlier releases
+//	    sealed with, so their logs and checkpoints still open
 //	body:
 //	  u8 frame type
 //	  payload (type-specific, fixed layout below)
@@ -194,7 +198,15 @@ func ReserveSealed(dst []byte) []byte {
 func SealInPlace(b []byte, at int) {
 	body := b[at+frameHeaderSize:]
 	binary.LittleEndian.PutUint32(b[at:], uint32(len(body)))
-	binary.LittleEndian.PutUint64(b[at+4:], core.HashBytes(body))
+	binary.LittleEndian.PutUint64(b[at+4:], core.Checksum(body))
+}
+
+// verifySealed checks body against the sum slot of its header hdr.
+func verifySealed(hdr, body []byte) error {
+	if !core.ChecksumOK(body, binary.LittleEndian.Uint64(hdr[4:])) {
+		return frameErrf(FrameBadChecksum, "body of %d bytes", len(body))
+	}
+	return nil
 }
 
 // DecodeSealed splits the first sealed record off b, verifying its checksum,
@@ -218,8 +230,8 @@ func DecodeSealed(b []byte, maxLen int) (body []byte, n int, err error) {
 		return nil, 0, ErrIncomplete
 	}
 	body = b[frameHeaderSize : frameHeaderSize+int(ln)]
-	if core.HashBytes(body) != binary.LittleEndian.Uint64(b[4:]) {
-		return nil, 0, frameErrf(FrameBadChecksum, "body of %d bytes", ln)
+	if err := verifySealed(b, body); err != nil {
+		return nil, 0, err
 	}
 	return body, frameHeaderSize + int(ln), nil
 }
@@ -471,8 +483,8 @@ func (fr *FrameReader) ReadFrame() (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	if core.HashBytes(body) != binary.LittleEndian.Uint64(hdr[4:]) {
-		return Frame{}, frameErrf(FrameBadChecksum, "body of %d bytes", n)
+	if err := verifySealed(hdr, body); err != nil {
+		return Frame{}, err
 	}
 	return parseBody(body)
 }

@@ -63,17 +63,20 @@ func AppendBytes64[T ~string | ~[]byte](b []byte, p T) []byte {
 // prefixes has been appended.
 func PutU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 
-// Seal appends the integrity hash of b: a u64 core.HashBytes trailer.
-func Seal(b []byte) []byte { return AppendU64(b, core.HashBytes(b)) }
+// Seal appends the integrity sum of b: a u64 core.Checksum trailer, the
+// tagged CRC-32C of b.
+func Seal(b []byte) []byte { return AppendU64(b, core.Checksum(b)) }
 
-// Unseal strips the trailer Seal appended, reporting whether it matched: any
-// flipped byte or truncation fails here, before a field is read.
+// Unseal strips the trailer Seal appended, reporting whether it matched
+// (core.ChecksumOK, which also accepts the core.HashBytes trailer of earlier
+// releases): a flipped bit, an error burst of up to 32 bits or a truncation
+// fails here, before a field is read.
 func Unseal(b []byte) ([]byte, bool) {
 	if len(b) < 8 {
 		return nil, false
 	}
 	body := b[:len(b)-8]
-	return body, core.HashBytes(body) == binary.LittleEndian.Uint64(b[len(body):])
+	return body, core.ChecksumOK(body, binary.LittleEndian.Uint64(b[len(body):]))
 }
 
 // Error is a decode failure: the decoder's context, the offset of the read

@@ -1,10 +1,16 @@
 package codec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
+
+	"forwarddecay/internal/core"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -123,5 +129,91 @@ func TestSeal(t *testing.T) {
 	}
 	if _, ok := Unseal(sealed[:7]); ok {
 		t.Fatal("a 7-byte input passed")
+	}
+}
+
+// sumSizes are the body lengths the sum is checked at: the smallest, around
+// a word, a small frame, a big frame and a large state image.
+var sumSizes = []int{1, 2, 3, 7, 8, 9, 60, 61, 1000, 6000, 64 << 10}
+
+// TestSealRefusesBursts: a sealed body refuses every single-bit flip of its
+// body or sum, and every error burst of up to 32 bits at seeded offsets —
+// CRC-32C's guarantee. Past 6000 bytes the body's flips are checked against
+// the tagged sum alone: Unseal then also computes core.HashBytes for each,
+// half a million times at 64 KiB.
+func TestSealRefusesBursts(t *testing.T) {
+	rng := rand.New(rand.NewPCG(47, 1))
+	for _, n := range sumSizes {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(rng.Uint32())
+		}
+		sealed := Seal(bytes.Clone(body))
+		if got, ok := Unseal(sealed); !ok || !bytes.Equal(got, body) {
+			t.Fatalf("%d bytes: Unseal(Seal) = %v", n, ok)
+		}
+		sum := binary.LittleEndian.Uint64(sealed[n:])
+		for bit := range 8 * len(sealed) {
+			sealed[bit/8] ^= 1 << (bit % 8)
+			var ok bool
+			if bit >= 8*n || n <= 6000 {
+				_, ok = Unseal(sealed)
+			} else {
+				ok = core.Checksum(sealed[:n]) == sum
+			}
+			sealed[bit/8] ^= 1 << (bit % 8)
+			if ok {
+				t.Fatalf("%d bytes: a flip of bit %d passed", n, bit)
+			}
+		}
+		for range 256 {
+			span := 1 + rng.IntN(32)
+			at := rng.IntN(8*len(sealed) - span + 1)
+			burst := uint64(1) | uint64(1)<<(span-1) | rng.Uint64()&(1<<span-1)
+			flip := func() {
+				for i := range span {
+					if burst>>i&1 != 0 {
+						sealed[(at+i)/8] ^= 1 << ((at + i) % 8)
+					}
+				}
+			}
+			flip()
+			_, ok := Unseal(sealed)
+			flip()
+			if ok {
+				t.Fatalf("%d bytes: a %d-bit burst %#x at bit %d passed", n, span, burst, at)
+			}
+		}
+	}
+}
+
+// TestUnsealAcceptsHashBytes: a trailer holding core.HashBytes of the body,
+// as Seal wrote before core.Checksum, still unseals; a tagged trailer whose
+// CRC is wrong does not fall back to it.
+func TestUnsealAcceptsHashBytes(t *testing.T) {
+	body := []byte("a checkpoint sealed by an earlier release")
+	if got, ok := Unseal(AppendU64(bytes.Clone(body), core.HashBytes(body))); !ok || !bytes.Equal(got, body) {
+		t.Fatalf("a core.HashBytes trailer: %v", ok)
+	}
+	for _, sum := range []uint64{core.Checksum(body) ^ 1, core.Checksum(body) ^ 1<<32, core.HashBytes(body) ^ 1<<63} {
+		if _, ok := Unseal(AppendU64(bytes.Clone(body), sum)); ok {
+			t.Fatalf("a %#x trailer passed", sum)
+		}
+	}
+}
+
+// BenchmarkSeal seals and unseals a body of a short record, a big frame and
+// a large state image.
+func BenchmarkSeal(b *testing.B) {
+	for _, n := range []int{60, 6000, 1 << 20} {
+		b.Run(fmt.Sprintf("bytes=%d", n), func(b *testing.B) {
+			buf := make([]byte, n, n+8)
+			b.SetBytes(int64(n))
+			for range b.N {
+				if _, ok := Unseal(Seal(buf[:n])); !ok {
+					b.Fatal("refused")
+				}
+			}
+		})
 	}
 }

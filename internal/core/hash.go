@@ -1,5 +1,7 @@
 package core
 
+import "hash/crc32"
+
 // Mix64 is the SplitMix64 finalizer: a fast, high-quality 64-bit mixing
 // function used to derive hash values and per-item pseudo-random draws from
 // integer identities.
@@ -40,6 +42,32 @@ func HashBytes(b []byte) uint64 {
 		h *= prime64
 	}
 	return Mix64(h)
+}
+
+// sealTag fills the high half of a sealed record's u64 sum slot (see
+// Checksum). Any fixed value serves; this one reads "FDC2" in a little-endian
+// dump of the slot's high half.
+const sealTag = 0x3243_4446
+
+// castagnoli is the CRC-32C table; crc32 computes with it in hardware
+// (SSE4.2 and carry-less multiply on amd64, the CRC instructions on arm64).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum is the integrity sum a sealed record (a wire frame, a
+// write-ahead-log record, a state image, a checkpoint) carries in its u64
+// sum slot: sealTag<<32 | CRC-32C(b). CRC-32C detects every error burst of
+// at most 32 bits, so every single-bit flip among them, in a body of any
+// length a record can have.
+func Checksum(b []byte) uint64 {
+	return sealTag<<32 | uint64(crc32.Checksum(b, castagnoli))
+}
+
+// ChecksumOK reports whether stored is a valid sum slot for body b: the
+// tagged CRC-32C Checksum gives, or HashBytes(b), the sum records were sealed
+// with before, so logs, state files and checkpoints written then still open.
+// HashBytes is computed only when the tagged sum does not match.
+func ChecksumOK(b []byte, stored uint64) bool {
+	return stored == Checksum(b) || stored == HashBytes(b)
 }
 
 // Hash2 combines two 64-bit values into one well-mixed 64-bit hash.

@@ -10,6 +10,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -382,4 +383,62 @@ func TestTopExpensiveNonPositive(t *testing.T) {
 		t.Fatal("TopExpensive left the service mutex locked")
 	}
 	s.mu.Unlock()
+}
+
+// TestRingOverflowQuarantinesQuery: a query whose result ring would pass its
+// byte bound is fenced as a fault of its own (gsql.QuarantineSink), where the
+// ring once panicked the pump, and its neighbours' PolicyBlock streams stay
+// bit-identical to the serial oracle.
+func TestRingOverflowQuarantinesQuery(t *testing.T) {
+	defer func(bound uint64) { maxRingBytes = bound }(maxRingBytes)
+	maxRingBytes = 32 << 10 // the healthy rings stay under half of it
+	pkts := genPackets(t, 3000, 50, 59)
+	want := oracleRows(t, pkts)
+	if len(want) < 100 {
+		t.Fatalf("reference run emitted only %d rows", len(want))
+	}
+	svc := startService(t, t.TempDir(), func(c *Config) { c.ResultLog = 1 << 15 })
+	cl := dialControl(t, svc)
+
+	var healthy []uint32
+	for range 2 {
+		id, err := cl.Attach(testQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		healthy = append(healthy, id)
+	}
+	wide, err := cl.Attach(`select tb, srcIP, dstIP, srcPort, destPort, count(*) from TCP
+		group by time/1 as tb, srcIP, dstIP, srcPort, destPort`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chs []<-chan SubEvent
+	for _, id := range healthy {
+		// One client each: a client's subscriptions share its connection, so
+		// draining one stream to its end would stall the other's.
+		ch, err := dialControl(t, svc).Subscribe(id, 0, PolicyBlock, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chs = append(chs, ch)
+	}
+	streamAll(t, dialIngest(t, svc, 33), pkts)
+
+	for i, ch := range chs {
+		got, _ := collectRows(t, ch, 0, len(want), 30*time.Second)
+		requireIdentical(t, want, got, fmt.Sprintf("healthy neighbour %d", i))
+		if fenced, _ := mustLookup(t, svc, healthy[i]).Quarantined(); fenced {
+			t.Fatalf("healthy neighbour %d fenced", i)
+		}
+	}
+	waitFor(t, 10*time.Second, "the wide query quarantined", func() bool {
+		return svc.Counters().Get("server_quarantines") >= 1
+	})
+	if fenced, why := mustLookup(t, svc, wide).Quarantined(); !fenced || why != gsql.QuarantineSink {
+		t.Fatalf("wide query fenced=%v why=%q, want a %q quarantine", fenced, why, gsql.QuarantineSink)
+	}
+	if m := svc.Mode(); m != ModeHealthy {
+		t.Fatalf("service in mode %v, want healthy", m)
+	}
 }

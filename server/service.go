@@ -698,11 +698,14 @@ func (s *Service) startRun(rt *runtime, q *Query, ckpt []byte) (*queryRun, error
 
 // flushEmits ends an apply (a frame, a heartbeat, a replayed record, a run's
 // close): every run that emitted appends its rows to its ring in one call,
-// gated by the incarnation's fence. Callers are whoever drove the engine —
-// the pump under rt.mu, or buildRuntime before the listener exists.
+// gated by the incarnation's fence. A ring that cannot take its rows fences
+// its query, as a fault of the query's own. Callers are whoever drove the
+// engine — the pump under rt.mu, or buildRuntime before the listener exists.
 func (s *Service) flushEmits(rt *runtime) {
 	for i, run := range rt.emitted {
-		run.q.log.appendRows(&run.pending, &rt.fenced)
+		if err := run.q.log.appendRows(&run.pending, &rt.fenced); err != nil {
+			run.h.Fault(err)
+		}
 		s.counters.Add("server_rows_emitted", uint64(run.pending.n))
 		run.pending.reset()
 		rt.emitted[i] = nil
@@ -762,23 +765,28 @@ func (s *Service) replay(rt *runtime, queries []queryState, recs []walRecord) er
 	// adopt enters a query into the catalog, keeping the ring (and every
 	// cursor) of the incarnation before, rewound to the image: the replay
 	// re-emits what followed it bit-identically.
-	adopt := func(qs *queryState) *Query {
+	adopt := func(qs *queryState) (*Query, error) {
 		known[qs.id] = true
 		q := s.queries[qs.id]
 		if q == nil {
 			q = &Query{ID: qs.id, Text: qs.text, log: s.newRing()}
-			q.log.restoreRows(qs.base, qs.rows)
+			if err := q.log.restoreRows(qs.base, qs.rows); err != nil {
+				return nil, fmt.Errorf("server: rebuilding query %d: %w", q.ID, err)
+			}
 			s.queries[q.ID] = q
 		} else {
 			q.log.truncateTo(qs.end)
 			q.log.thaw()
 		}
 		q.quar.Store(nil)
-		return q
+		return q, nil
 	}
 	for i := range queries {
 		qs := &queries[i]
-		q := adopt(qs)
+		q, err := adopt(qs)
+		if err != nil {
+			return err
+		}
 		if qs.quarantined {
 			// A fenced query rebuilds dormant: no run, its retained partials
 			// parked on the Query until an operator revives it.
@@ -803,7 +811,8 @@ func (s *Service) replay(rt *runtime, queries []queryState, recs []walRecord) er
 			err = rt.multi.Heartbeat(rec.hb)
 		case rec.kind == recAttach:
 			s.nextID = max(s.nextID, rec.id+1)
-			_, err = s.startRun(rt, adopt(&queryState{id: rec.id, text: rec.text, base: 1}), nil)
+			q, _ := adopt(&queryState{id: rec.id, text: rec.text, base: 1}) // no rows to overflow
+			_, err = s.startRun(rt, q, nil)
 		case !known[rec.id]:
 			err = fmt.Errorf("no query %d", rec.id)
 		case rec.kind == recDetach:

@@ -8,8 +8,10 @@ package server
 // the result ring snapshot with its absolute cursors; plus the ingest
 // session table and the WAL watermark (epoch, applied). Restart = load
 // state + replay WAL past the watermark; the catalog changes since the
-// watermark are records of that log too (wal.go). The whole file is wrapped in
-// a core.HashBytes trailer and written with durable.WriteFileAtomic.
+// watermark are records of that log too (wal.go). The whole file is sealed
+// with codec.Seal's core.Checksum trailer (a tagged CRC-32C; a file an
+// earlier release sealed with core.HashBytes still loads) and written with
+// durable.WriteFileAtomic.
 
 import (
 	"errors"

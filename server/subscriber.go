@@ -246,11 +246,29 @@ func (rl *resultLog) setWidthLocked(width int) {
 	}
 }
 
+// maxRingBytes bounds the bytes of a ring's rows: their offsets are u32.
+// Tests lower it.
+var maxRingBytes uint64 = math.MaxUint32
+
+// RingOverflowError reports a row its query's result ring could not take:
+// the ring's rows would pass maxRingBytes (4 GiB). The service fences the
+// query, as a fault of its own (gsql.QuarantineSink).
+type RingOverflowError struct {
+	Bytes uint64 // what the ring's rows would take with the row
+	Limit uint64
+}
+
+func (e *RingOverflowError) Error() string {
+	return fmt.Sprintf("server: a result ring's rows would take %d bytes, past its %d-byte bound", e.Bytes, e.Limit)
+}
+
 // putLocked copies one encoded row in after the newest; the caller has made
 // sure rl.n < rl.cap.
-func (rl *resultLog) putLocked(row []byte) {
+func (rl *resultLog) putLocked(row []byte) error {
 	if rl.n == rl.slots || rl.used+len(row) > len(rl.dataLocked()) {
-		rl.growLocked(len(row))
+		if err := rl.growLocked(len(row)); err != nil {
+			return err
+		}
 	}
 	at := rl.offLocked(rl.n)
 	binary.LittleEndian.PutUint32(rl.store[4*((rl.head+rl.n)%rl.slots):], uint32(at))
@@ -260,6 +278,7 @@ func (rl *resultLog) putLocked(row []byte) {
 	}
 	rl.n++
 	rl.used += len(row)
+	return nil
 }
 
 // growLocked re-linearizes the rows into a larger store with room for one
@@ -267,8 +286,12 @@ func (rl *resultLog) putLocked(row []byte) {
 // quarter, up to cap — a thousand rings filling in lockstep carry a thousand
 // times the slack, so the step is small — with bytes for as many rows of the
 // mean size so far; when only the bytes ran out (rows carrying strings
-// vary), the bytes grow by a quarter.
-func (rl *resultLog) growLocked(need int) {
+// vary), the bytes grow by a quarter. The bytes stop at maxRingBytes; rows
+// that would pass it are a *RingOverflowError.
+func (rl *resultLog) growLocked(need int) error {
+	if want := uint64(rl.used + need); want > maxRingBytes {
+		return &RingOverflowError{Bytes: want, Limit: maxRingBytes}
+	}
 	slots, size := rl.slots, len(rl.dataLocked())
 	if rl.n == slots {
 		slots = min(slots+max(slots/4, 16), rl.cap)
@@ -278,16 +301,14 @@ func (rl *resultLog) growLocked(need int) {
 	if rl.used+need > size {
 		size = max(rl.used+need, size+size/4)
 	}
-	rl.resizeLocked(slots, size)
+	rl.resizeLocked(slots, int(min(uint64(size), maxRingBytes)))
+	return nil
 }
 
 // resizeLocked re-linearizes the rows into a store of slots offsets and size
-// bytes. Slots and bytes are one allocation, so a resize allocates once.
-// Offsets are u32, so a ring's rows may take at most 4 GiB.
+// (at most maxRingBytes) bytes. Slots and bytes are one allocation, so a
+// resize allocates once.
 func (rl *resultLog) resizeLocked(slots, size int) {
-	if uint64(size) > math.MaxUint32 {
-		panic("server: a result ring of more than 4 GiB")
-	}
 	store := make([]byte, 4*slots+size)
 	for i := 0; i < rl.n; i++ {
 		binary.LittleEndian.PutUint32(store[4*i:], uint32(rl.spanLocked(0, i)))
@@ -321,20 +342,22 @@ func (rl *resultLog) dropLocked(k int) {
 // appendRows adds the rows one apply of the runtime emitted — a bucket
 // flush, usually — under one lock acquisition and wakes the waiters once,
 // enforcing the slow-consumer policies whenever the ring is full. The bytes
-// are copied in; rows stays the caller's.
+// are copied in; rows stays the caller's. A row the ring cannot take (a
+// *RingOverflowError) ends the call: the rows before it stay appended.
 //
 // fence, when non-nil, is the owning incarnation's teardown fence. A writer
 // parked here while its incarnation is torn down must drop the rest of its
 // rows when it wakes — even if a successor has already thawed the ring —
 // because the successor's WAL replay re-derives those rows itself.
-func (rl *resultLog) appendRows(rows *rowBuf, fence *atomic.Bool) {
+func (rl *resultLog) appendRows(rows *rowBuf, fence *atomic.Bool) (err error) {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	if rl.frozen || rl.closed || rows.n == 0 {
-		return
+		return nil
 	}
 	rl.setWidthLocked(rows.width)
 	var now time.Time // read when an eviction first needs it, and after each wait
+fill:
 	for i, at := 0, 0; i < rows.n; {
 		if rl.n >= rl.cap {
 			if now.IsZero() {
@@ -360,7 +383,7 @@ func (rl *resultLog) appendRows(rows *rowBuf, fence *atomic.Bool) {
 				}
 				rl.mu.Lock()
 				if rl.frozen || rl.closed || (fence != nil && fence.Load()) {
-					return
+					return nil
 				}
 				now = time.Now()
 				continue
@@ -368,12 +391,15 @@ func (rl *resultLog) appendRows(rows *rowBuf, fence *atomic.Bool) {
 		}
 		for ; i < rows.n && rl.n < rl.cap; i++ {
 			end := rows.rowEnd(at)
-			rl.putLocked(rows.data[at:end])
+			if err = rl.putLocked(rows.data[at:end]); err != nil {
+				break fill
+			}
 			at = end
 		}
 	}
 	rl.shrinkLocked()
 	rl.broadcast()
+	return err
 }
 
 // evictLocked drops up to want (≥ 1) of the oldest rows in one pass and
@@ -602,8 +628,9 @@ func (rl *resultLog) truncateTo(k uint64) {
 }
 
 // restoreRows replaces the ring contents with a state file's ring image (cold
-// start); of more rows than the ring retains, the newest are kept.
-func (rl *resultLog) restoreRows(base uint64, rows rowBuf) {
+// start); of more rows than the ring retains, the newest are kept. An image
+// whose rows the ring cannot take is a *RingOverflowError.
+func (rl *resultLog) restoreRows(base uint64, rows rowBuf) (err error) {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	first := max(rows.n-rl.cap, 0)
@@ -611,15 +638,16 @@ func (rl *resultLog) restoreRows(base uint64, rows rowBuf) {
 	if first < rows.n {
 		rl.setWidthLocked(rows.width)
 	}
-	for i, at := 0, 0; i < rows.n; i++ {
+	for i, at := 0, 0; i < rows.n && err == nil; i++ {
 		end := rows.rowEnd(at)
 		if i >= first {
-			rl.putLocked(rows.data[at:end])
+			err = rl.putLocked(rows.data[at:end])
 		}
 		at = end
 	}
 	rl.shrinkLocked()
 	rl.broadcast()
+	return err
 }
 
 // appendSnapshot appends the ring's image to a state file under

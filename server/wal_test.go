@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"forwarddecay/gsql"
+	"forwarddecay/internal/codec/codectest"
+	"forwarddecay/internal/durable"
 )
 
 // walName formats the file name for an epoch.
@@ -78,7 +80,10 @@ func writeFixtureHistory(t *testing.T, dir string) {
 
 // TestWALBytesMatchFixture: the log writes, byte for byte, the files in
 // testdata, which were recorded before the segment mechanics moved into
-// internal/durable. Every record kind and a rotation are covered.
+// internal/durable, but for the sum slots: those were core.HashBytes then
+// and are core.Checksum now, so every slot is checked and rewritten to the
+// earlier sum before the comparison. Every record kind and a rotation are
+// covered.
 func TestWALBytesMatchFixture(t *testing.T) {
 	dir := t.TempDir()
 	writeFixtureHistory(t, dir)
@@ -87,6 +92,7 @@ func TestWALBytesMatchFixture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		got = codectest.ParentHeaders(t, got, durable.LogHeaderSize)
 		want, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)

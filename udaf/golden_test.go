@@ -11,6 +11,7 @@ import (
 
 	"forwarddecay/decay"
 	"forwarddecay/gsql"
+	"forwarddecay/internal/codec/codectest"
 	"forwarddecay/netgen"
 	"forwarddecay/udaf"
 )
@@ -40,7 +41,9 @@ var fdGoldenLoose = map[int]bool{2: true, 4: true}
 
 // fdGoldenDigests were recorded before the decayed aggregates stepped from
 // the kernel columns: every row, checkpoint byte and counter of every row
-// path must stay as it was. fdGoldenExp fingerprints math.Exp on the
+// path must stay as it was. A checkpoint's sum was core.HashBytes then and is
+// core.Checksum now; it is hashed as the earlier sum
+// (codectest.ParentTrailer). fdGoldenExp fingerprints math.Exp on the
 // recording machine (amd64 with FMA); where it rounds differently the
 // digests cannot hold and the test skips.
 var (
@@ -169,7 +172,7 @@ func (d *fdDigest) bytes(b []byte, err error) []byte {
 	}
 	d.u64(uint64(len(b)))
 	if !d.loose {
-		d.h.Write(b)
+		d.h.Write(codectest.ParentTrailer(d.t, b))
 	}
 	return b
 }
