@@ -43,6 +43,16 @@ go test -run Soak -short -count=1 ./gsql/
 go test -run Soak -short -count=1 ./distrib/
 go test -race -run 'Churn|Crash|Handoff|Fault' -short -count=1 ./distrib/
 
+# The two operational drills, end to end: fdctl's five-act cluster drill
+# (ingest, scale-out, kill, rejoin from the log, scale-in, each act checked
+# bit-identical against a static-roster oracle) and its supervised-server
+# drill (kill, cursor resume, quarantine and revive, cold restart, checked
+# against a serial oracle). Each exits non-zero on any divergence, and no
+# test runs either program, so without these lines a handoff or recovery
+# change could break both drills unseen. Each takes well under a second.
+go run ./cmd/fdctl > /dev/null
+go run ./cmd/fdctl -serve-drill > /dev/null
+
 # Supervised query service: the crash/resume, shedding, breaker and wedge
 # drills get a dedicated -race pass — the supervisor's lock-passing pump
 # protocol and the ring freeze/thaw/fence dance are where the server's

@@ -137,8 +137,8 @@ type Config struct {
 	// WALSegmentBytes rotates log segments at this size (default 1 MiB).
 	WALSegmentBytes int
 
-	// Metrics, when set, mirrors the cluster's health counters into the
-	// registry under "distrib.*" names (see Health).
+	// Metrics, when set, is the registry that holds the cluster's health
+	// counters, under "distrib.*" names (see Health).
 	Metrics *metrics.CounterSet
 
 	// SnapshotTimeout bounds how long Snapshot waits for any single site's
@@ -178,33 +178,29 @@ type route struct {
 	seq  uint64
 }
 
+// siteReq is the one request a site serves. With install set, the site
+// decodes those slices and merges-or-installs them. Otherwise it encodes
+// the partitions named by parts (nil = everything it holds): a copy for a
+// snapshot or checkpoint, or, with take, a cut that removes them from its
+// state for a handoff.
+type siteReq struct {
+	parts   []uint32
+	take    bool
+	install map[uint32][]byte
+	reply   chan siteAnswer
+}
+
 // siteAnswer is a site's serialized per-partition state.
 type siteAnswer struct {
 	parts map[uint32][]byte // partition → encoded state slice
 	err   error
 }
 
-// handoffReq asks a site to quiesce and cut the named partitions (nil =
-// everything it holds) out of its state.
-type handoffReq struct {
-	parts []uint32
-	reply chan siteAnswer
-}
-
-// installReq ships serialized partition slices into a running site, which
-// decodes and merges-or-installs.
-type installReq struct {
-	slices map[uint32][]byte
-	reply  chan error
-}
-
 // site is one ingestion worker.
 type site struct {
 	id   int
 	in   chan route
-	snap chan chan siteAnswer
-	cut  chan *handoffReq
-	inst chan *installReq
+	req  chan siteReq
 	kill chan struct{}
 	done chan struct{}
 }
@@ -282,8 +278,8 @@ func New(cfg Config) (*Cluster, error) {
 		ring:    NewRing(cfg.RingSeed, cfg.VNodes),
 		roster:  map[int]*site{},
 		downSet: map[int]bool{},
+		health:  newHealth(cfg.Metrics),
 	}
-	c.health.set = cfg.Metrics
 	if cfg.WALDir != "" {
 		wal, err := OpenLog(cfg.WALDir, cfg.WALSegmentBytes)
 		if err != nil {
@@ -305,9 +301,7 @@ func (c *Cluster) startSite(id int, init map[uint32]*partState) *site {
 	s := &site{
 		id:   id,
 		in:   make(chan route, c.cfg.Buffer),
-		snap: make(chan chan siteAnswer),
-		cut:  make(chan *handoffReq),
-		inst: make(chan *installReq),
+		req:  make(chan siteReq),
 		kill: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -333,9 +327,9 @@ func (c *Cluster) runSite(s *site, parts map[uint32]*partState) {
 		}
 		ps.observe(rt.ob, rt.seq)
 	}
-	// drain consumes everything already queued, so snapshots and handoffs
-	// observe every delivered observation. It reports false
-	// when the input channel closed.
+	// drain consumes everything already queued, so every request observes
+	// every delivered observation. It reports false when the input channel
+	// closed.
 	drain := func() bool {
 		for {
 			select {
@@ -349,64 +343,42 @@ func (c *Cluster) runSite(s *site, parts map[uint32]*partState) {
 			}
 		}
 	}
-	marshalParts := func(sel []uint32, remove bool) siteAnswer {
-		var ids []uint32
-		if sel == nil {
+	serve := func(req siteReq) siteAnswer {
+		if req.install != nil {
+			return siteAnswer{err: installSlices(parts, req.install, c.cfg.Model.Landmark)}
+		}
+		// Fault-injection points for the failed-site experiments: an armed
+		// error or delay models a site that crashes or stalls while serving
+		// a snapshot, or while cutting a handoff.
+		point := "distrib.site.snapshot"
+		if req.take {
+			point = "distrib.site.handoff"
+		}
+		if err := faultinject.Hit(point); err != nil {
+			return siteAnswer{err: err}
+		}
+		ids := req.parts
+		if ids == nil {
 			for p := range parts {
 				ids = append(ids, p)
 			}
-		} else {
-			ids = sel
 		}
-		out := map[uint32][]byte{}
+		out := make(map[uint32][]byte, len(ids))
 		for _, p := range ids {
-			ps := parts[p]
-			if ps == nil {
-				continue
+			if ps := parts[p]; ps != nil {
+				blob, err := encodeSlice(p, ps)
+				if err != nil {
+					return siteAnswer{err: err}
+				}
+				out[p] = blob
 			}
-			blob, err := encodeSlice(p, ps)
-			if err != nil {
-				return siteAnswer{err: err}
-			}
-			out[p] = blob
 		}
-		if remove {
+		if req.take {
 			for p := range out {
 				delete(parts, p)
 			}
 		}
 		return siteAnswer{parts: out}
-	}
-	answer := func() siteAnswer {
-		// Fault-injection point for the failed-site experiments: an armed
-		// error or delay here models a site that crashes or stalls while
-		// serving a snapshot.
-		if err := faultinject.Hit("distrib.site.snapshot"); err != nil {
-			return siteAnswer{err: err}
-		}
-		return marshalParts(nil, false)
-	}
-	// zombie services the site's channels with errors after a failed
-	// handoff cut left its state indeterminate: it keeps consuming (so no
-	// sender ever wedges on a full queue) but contributes nothing, until the
-	// coordinator reaps it.
-	zombie := func(siteErr error) {
-		for {
-			select {
-			case _, ok := <-s.in:
-				if !ok {
-					return
-				}
-			case reply := <-s.snap:
-				reply <- siteAnswer{err: siteErr}
-			case req := <-s.cut:
-				req.reply <- siteAnswer{err: siteErr}
-			case req := <-s.inst:
-				req.reply <- siteErr
-			case <-s.kill:
-				return
-			}
-		}
 	}
 
 	for {
@@ -420,34 +392,74 @@ func (c *Cluster) runSite(s *site, parts map[uint32]*partState) {
 			// Simulated process death: discard all in-memory state. Whatever
 			// was acknowledged lives in the write-ahead log.
 			return
-		case reply := <-s.snap:
-			if !drain() {
-				reply <- answer()
+		case req := <-s.req:
+			open := drain()
+			ans := serve(req)
+			req.reply <- ans
+			if !open {
 				return
 			}
-			reply <- answer()
-		case req := <-s.cut:
-			// Shard handoff, source leg: quiesce, cut the requested slices
-			// out of the local state, ship them serialized.
-			if !drain() {
-				req.reply <- siteAnswer{err: fmt.Errorf("distrib: site closed during handoff")}
+			if req.take && ans.err != nil {
+				c.zombie(s, fmt.Errorf("distrib: site crashed during handoff: %w", ans.err))
 				return
 			}
-			if err := faultinject.Hit("distrib.site.handoff"); err != nil {
-				req.reply <- siteAnswer{err: err}
-				zombie(fmt.Errorf("distrib: site crashed during handoff: %w", err))
-				return
-			}
-			req.reply <- marshalParts(req.parts, true)
-		case req := <-s.inst:
-			// Shard handoff, destination leg: decode, merge-or-install.
-			if !drain() {
-				req.reply <- fmt.Errorf("distrib: site closed during install")
-				return
-			}
-			req.reply <- installSlices(parts, req.slices, c.cfg.Model.Landmark)
 		}
 	}
+}
+
+// zombie services a site's channels with errors after a failed handoff cut
+// left its state indeterminate: it keeps consuming (so no sender ever
+// wedges on a full queue) but contributes nothing, until the coordinator
+// reaps it.
+func (c *Cluster) zombie(s *site, err error) {
+	for {
+		select {
+		case _, ok := <-s.in:
+			if !ok {
+				return
+			}
+		case req := <-s.req:
+			req.reply <- siteAnswer{err: err}
+		case <-s.kill:
+			return
+		}
+	}
+}
+
+// ask sends a request to a site and waits for its answer. Each attempt is
+// bounded by the snapshot timeout, and a failed attempt is retried until
+// attempts are spent. A timed-out attempt leaves the request outstanding;
+// the buffered reply channel lets the site's late answer complete without
+// blocking it.
+func (c *Cluster) ask(s *site, req siteReq, attempts int) siteAnswer {
+	var last siteAnswer
+	for a := 0; a < attempts; a++ {
+		if a > 0 {
+			c.health.snapshotRetries.Add(1)
+		}
+		req.reply = make(chan siteAnswer, 1)
+		timer := time.NewTimer(c.cfg.SnapshotTimeout)
+		select {
+		case s.req <- req:
+		case <-s.done:
+			timer.Stop()
+			return siteAnswer{err: fmt.Errorf("distrib: site %d already closed", s.id)}
+		case <-timer.C:
+			last.err = fmt.Errorf("distrib: site %d request timed out after %v", s.id, c.cfg.SnapshotTimeout)
+			continue
+		}
+		select {
+		case ans := <-req.reply:
+			timer.Stop()
+			if ans.err == nil {
+				return ans
+			}
+			last.err = fmt.Errorf("distrib: site %d: %w", s.id, ans.err)
+		case <-timer.C:
+			last.err = fmt.Errorf("distrib: site %d reply timed out after %v", s.id, c.cfg.SnapshotTimeout)
+		}
+	}
+	return last
 }
 
 // installSlices decodes serialized partition slices into a site's state,
@@ -518,7 +530,7 @@ func (c *Cluster) ObserveKeyed(ob Observation) error {
 		if seq, err = c.wal.Append(part, ob.Key, ob.Value, ob.Time); err != nil {
 			return err
 		}
-		c.health.bump(&c.health.logged, cntLoggedRecords, 1)
+		c.health.logged.Add(1)
 	}
 	s := c.roster[owner]
 	if s == nil {
@@ -576,15 +588,10 @@ func (c *Cluster) LiveSites() []int {
 func (c *Cluster) DownSites() []int {
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
-	var out []int
-	for id := range c.downSet {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+	return sortedIDs(c.downSet)
 }
 
-func sortedIDs(m map[int]*site) []int {
+func sortedIDs[V any](m map[int]V) []int {
 	out := make([]int, 0, len(m))
 	for id := range m {
 		out = append(out, id)
@@ -593,45 +600,23 @@ func sortedIDs(m map[int]*site) []int {
 	return out
 }
 
-// snapshotSite requests one site's serialized state, bounding each attempt
-// by the configured timeout and retrying failed attempts up to the retry
-// budget. A timed-out attempt leaves the request outstanding; the buffered
-// reply channel lets the site's late answer complete without blocking it.
-func (c *Cluster) snapshotSite(s *site) siteAnswer {
-	var last siteAnswer
-	for attempt := 0; attempt <= c.cfg.SnapshotRetries; attempt++ {
-		if attempt > 0 {
-			c.health.bump(&c.health.snapshotRetries, cntSnapshotRetries, 1)
-		}
-		reply := make(chan siteAnswer, 1)
-		timer := time.NewTimer(c.cfg.SnapshotTimeout)
-		select {
-		case s.snap <- reply:
-		case <-s.done:
-			timer.Stop()
-			return siteAnswer{err: fmt.Errorf("distrib: site %d already closed", s.id)}
-		case <-timer.C:
-			last = siteAnswer{err: fmt.Errorf("distrib: site %d snapshot request timed out after %v", s.id, c.cfg.SnapshotTimeout)}
-			continue
-		}
-		select {
-		case st := <-reply:
-			timer.Stop()
-			if st.err == nil {
-				return st
-			}
-			last = siteAnswer{err: fmt.Errorf("distrib: site %d snapshot: %w", s.id, st.err)}
-		case <-timer.C:
-			last = siteAnswer{err: fmt.Errorf("distrib: site %d snapshot reply timed out after %v", s.id, c.cfg.SnapshotTimeout)}
+// eachLive asks every live site, in ascending id order, for a copy of all
+// it holds within the snapshot retry budget, and hands each answer to fn.
+// An error from fn stops the loop and is returned.
+func (c *Cluster) eachLive(fn func(id int, ans siteAnswer) error) error {
+	c.routeMu.Lock()
+	ids := sortedIDs(c.roster)
+	sites := make([]*site, len(ids))
+	for i, id := range ids {
+		sites[i] = c.roster[id]
+	}
+	c.routeMu.Unlock()
+	for i, id := range ids {
+		if err := fn(id, c.ask(sites[i], siteReq{}, 1+c.cfg.SnapshotRetries)); err != nil {
+			return err
 		}
 	}
-	return last
-}
-
-// newSummary allocates the coordinator-side merge target.
-func (c *Cluster) newSummary() *Summary {
-	ps := c.newPartState()
-	return &Summary{Sum: ps.sum, HH: ps.hh, Quantiles: ps.qd}
+	return nil
 }
 
 // decodeAnswer decodes every slice of a site's answer before any of it is
@@ -641,38 +626,10 @@ func (c *Cluster) newSummary() *Summary {
 // in.
 func (c *Cluster) decodeAnswer(siteID int, ans siteAnswer) (map[uint32]*partState, error) {
 	out := make(map[uint32]*partState, len(ans.parts))
-	for p, blob := range ans.parts {
-		hdr, ps, err := decodeSlice(blob)
-		if err != nil {
-			return nil, fmt.Errorf("distrib: decoding site %d partition %d: %w", siteID, p, err)
-		}
-		if hdr.part != p {
-			return nil, fmt.Errorf("distrib: site %d shipped partition %d labelled %d", siteID, p, hdr.part)
-		}
-		if err := hdr.frameErr(c.cfg.Model.Landmark); err != nil {
-			return nil, fmt.Errorf("distrib: site %d: %w", siteID, err)
-		}
-		out[p] = ps
+	if err := installSlices(out, ans.parts, c.cfg.Model.Landmark); err != nil {
+		return nil, fmt.Errorf("distrib: site %d: %w", siteID, err)
 	}
 	return out, nil
-}
-
-// mergeState folds one partition's decoded state into the summary.
-func mergeState(out *Summary, siteID int, part uint32, ps *partState) error {
-	if err := out.Sum.Merge(ps.sum); err != nil {
-		return fmt.Errorf("distrib: merging site %d partition %d sum: %w", siteID, part, err)
-	}
-	if out.HH != nil && ps.hh != nil {
-		if err := out.HH.Merge(ps.hh); err != nil {
-			return fmt.Errorf("distrib: merging site %d partition %d heavy hitters: %w", siteID, part, err)
-		}
-	}
-	if out.Quantiles != nil && ps.qd != nil {
-		if err := out.Quantiles.Merge(ps.qd); err != nil {
-			return fmt.Errorf("distrib: merging site %d partition %d quantiles: %w", siteID, part, err)
-		}
-	}
-	return nil
 }
 
 // Snapshot asks every live site for its serialized partial state, rebuilds
@@ -704,42 +661,28 @@ func (c *Cluster) Snapshot() (*Summary, error) {
 			return err
 		}
 		missing = append(missing, id)
-		c.health.bump(&c.health.failedSites, cntFailedSites, 1)
+		c.health.failedSites.Add(1)
 		return nil
 	}
 
-	c.routeMu.Lock()
-	liveIDs := sortedIDs(c.roster)
-	liveSites := make([]*site, 0, len(liveIDs))
-	for _, id := range liveIDs {
-		liveSites = append(liveSites, c.roster[id])
-	}
-	downIDs := make([]int, 0, len(c.downSet))
-	for id := range c.downSet {
-		downIDs = append(downIDs, id)
-	}
-	sort.Ints(downIDs)
-	c.routeMu.Unlock()
-
-	for i, id := range liveIDs {
-		ans := c.snapshotSite(liveSites[i])
-		if ans.err == nil {
-			parts, err := c.decodeAnswer(id, ans)
-			if err != nil {
-				ans.err = err
-			} else {
-				all = append(all, decoded{id: id, parts: parts})
-				continue
-			}
+	err := c.eachLive(func(id int, ans siteAnswer) error {
+		if ans.err != nil {
+			return fail(id, ans.err)
 		}
-		if err := fail(id, ans.err); err != nil {
-			return nil, err
+		parts, err := c.decodeAnswer(id, ans)
+		if err != nil {
+			return fail(id, err)
 		}
+		all = append(all, decoded{id: id, parts: parts})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Downed sites: their acknowledged observations are all in the log, so
 	// reconstruct their owned partitions coordinator-side instead of
 	// reporting a hole. Without a log there is nothing to rebuild from.
-	for _, id := range downIDs {
+	for _, id := range c.DownSites() {
 		if c.wal == nil {
 			if err := fail(id, fmt.Errorf("distrib: site %d is down", id)); err != nil {
 				return nil, err
@@ -747,8 +690,7 @@ func (c *Cluster) Snapshot() (*Summary, error) {
 			continue
 		}
 		c.routeMu.Lock()
-		parts := c.ownedBy(id)
-		states, err := c.rebuildParts(parts)
+		states, err := c.rebuildParts(c.ownedBy(id))
 		c.routeMu.Unlock()
 		if err != nil {
 			if err := fail(id, fmt.Errorf("distrib: rebuilding down site %d: %w", id, err)); err != nil {
@@ -760,19 +702,18 @@ func (c *Cluster) Snapshot() (*Summary, error) {
 	}
 
 	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
-	out := c.newSummary()
+	acc := c.newPartState()
 	for p := 0; p < c.cfg.Partitions; p++ {
 		for _, d := range all {
 			if ps, ok := d.parts[uint32(p)]; ok {
-				if err := mergeState(out, d.id, uint32(p), ps); err != nil {
-					return nil, err
+				if err := acc.merge(ps); err != nil {
+					return nil, fmt.Errorf("distrib: merging site %d partition %d: %w", d.id, p, err)
 				}
 			}
 		}
 	}
 	sort.Ints(missing)
-	out.MissingSites = missing
-	return out, nil
+	return &Summary{Sum: acc.sum, HH: acc.hh, Quantiles: acc.qd, MissingSites: missing}, nil
 }
 
 // ownedBy lists the partitions the ring assigns to a site (routeMu held).
@@ -792,35 +733,44 @@ func (c *Cluster) ownedBy(id int) []uint32 {
 // holds opMu and routeMu.
 func (c *Cluster) rebuildParts(parts []uint32) (map[uint32]*partState, error) {
 	states := make(map[uint32]*partState, len(parts))
-	after := make(map[uint32]uint64, len(parts))
-	sel := make(map[uint32]bool, len(parts))
+	blobs := map[uint32][]byte{}
 	for _, p := range parts {
-		sel[p] = true
 		if e, ok := c.ckpt[p]; ok {
-			hdr, ps, err := decodeSlice(e.blob)
-			if err != nil {
-				return nil, fmt.Errorf("distrib: checkpoint slice for partition %d: %w", p, err)
-			}
-			if err := hdr.frameErr(c.cfg.Model.Landmark); err != nil {
-				return nil, fmt.Errorf("distrib: checkpoint slice: %w", err)
-			}
-			states[p] = ps
-			after[p] = hdr.lastSeq
+			blobs[p] = e.blob
 		} else {
 			states[p] = c.newPartState()
 		}
 	}
+	if err := installSlices(states, blobs, c.cfg.Model.Landmark); err != nil {
+		return nil, fmt.Errorf("distrib: checkpoint: %w", err)
+	}
 	if c.wal != nil && len(parts) > 0 {
+		sel := make(map[uint32]bool, len(parts))
+		after := make(map[uint32]uint64, len(parts))
+		for p, ps := range states {
+			sel[p], after[p] = true, ps.lastSeq
+		}
 		n, err := c.wal.Replay(sel, after, func(r Record) error {
 			states[r.Part].observe(Observation{Key: r.Key, Value: r.Val, Time: r.Time}, r.Seq)
 			return nil
 		})
-		c.health.bump(&c.health.replayed, cntReplayedRecords, uint64(n))
+		c.health.replayed.Add(uint64(n))
 		if err != nil {
 			return nil, err
 		}
 	}
 	return states, nil
+}
+
+// park records a slice as its partition's checkpoint entry. Caller holds
+// opMu.
+func (c *Cluster) park(p uint32, blob []byte) error {
+	hdr, _, err := decodeSlice(blob)
+	if err != nil {
+		return fmt.Errorf("distrib: partition %d slice: %w", p, err)
+	}
+	c.ckpt[p] = ckptEntry{blob: blob, seq: hdr.lastSeq}
+	return nil
 }
 
 // Checkpoint cuts a fresh per-partition state slice from every live site
@@ -831,34 +781,23 @@ func (c *Cluster) rebuildParts(parts []uint32) (map[uint32]*partState, error) {
 func (c *Cluster) Checkpoint() error {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
-	c.routeMu.Lock()
-	ids := sortedIDs(c.roster)
-	sites := make([]*site, 0, len(ids))
-	for _, id := range ids {
-		sites = append(sites, c.roster[id])
-	}
-	c.routeMu.Unlock()
-
 	var firstErr error
-	for i, id := range ids {
-		ans := c.snapshotSite(sites[i])
+	note := func(err error) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("distrib: checkpoint: %w", err)
+		}
+	}
+	c.eachLive(func(id int, ans siteAnswer) error {
 		if ans.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("distrib: checkpoint of site %d: %w", id, ans.err)
-			}
-			continue
+			note(ans.err)
 		}
 		for p, blob := range ans.parts {
-			hdr, _, err := decodeSlice(blob)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("distrib: checkpoint slice from site %d partition %d: %w", id, p, err)
-				}
-				continue
+			if err := c.park(p, blob); err != nil {
+				note(err)
 			}
-			c.ckpt[p] = ckptEntry{blob: blob, seq: hdr.lastSeq}
 		}
-	}
+		return nil
+	})
 	if c.wal != nil {
 		wm := make(map[uint32]uint64, len(c.ckpt))
 		for p, e := range c.ckpt {
@@ -867,57 +806,12 @@ func (c *Cluster) Checkpoint() error {
 		c.routeMu.Lock()
 		n, err := c.wal.Trim(wm)
 		c.routeMu.Unlock()
-		c.health.bump(&c.health.trimmed, cntTrimmedSegments, uint64(n))
-		if err != nil && firstErr == nil {
-			firstErr = err
+		c.health.trimmed.Add(uint64(n))
+		if err != nil {
+			note(err)
 		}
 	}
 	return firstErr
-}
-
-// cutParts asks a live site to quiesce and hand over partitions (nil = all
-// it holds), bounded by the snapshot timeout.
-func (c *Cluster) cutParts(s *site, parts []uint32) siteAnswer {
-	req := &handoffReq{parts: parts, reply: make(chan siteAnswer, 1)}
-	timer := time.NewTimer(c.cfg.SnapshotTimeout)
-	defer timer.Stop()
-	select {
-	case s.cut <- req:
-	case <-s.done:
-		return siteAnswer{err: fmt.Errorf("distrib: site %d already closed", s.id)}
-	case <-timer.C:
-		return siteAnswer{err: fmt.Errorf("distrib: site %d handoff request timed out after %v", s.id, c.cfg.SnapshotTimeout)}
-	}
-	select {
-	case ans := <-req.reply:
-		return ans
-	case <-timer.C:
-		return siteAnswer{err: fmt.Errorf("distrib: site %d handoff reply timed out after %v", s.id, c.cfg.SnapshotTimeout)}
-	}
-}
-
-// installAt ships serialized slices into a live site, bounded by the
-// snapshot timeout.
-func (c *Cluster) installAt(s *site, slices map[uint32][]byte) error {
-	if len(slices) == 0 {
-		return nil
-	}
-	req := &installReq{slices: slices, reply: make(chan error, 1)}
-	timer := time.NewTimer(c.cfg.SnapshotTimeout)
-	defer timer.Stop()
-	select {
-	case s.inst <- req:
-	case <-s.done:
-		return fmt.Errorf("distrib: site %d already closed", s.id)
-	case <-timer.C:
-		return fmt.Errorf("distrib: site %d install request timed out after %v", s.id, c.cfg.SnapshotTimeout)
-	}
-	select {
-	case err := <-req.reply:
-		return err
-	case <-timer.C:
-		return fmt.Errorf("distrib: site %d install reply timed out after %v", s.id, c.cfg.SnapshotTimeout)
-	}
 }
 
 // crashSiteRouted tears a live site down as a crash: its goroutine exits,
@@ -932,7 +826,7 @@ func (c *Cluster) crashSiteRouted(id int) {
 	<-s.done
 	delete(c.roster, id)
 	c.downSet[id] = true
-	c.health.bump(&c.health.crashes, cntSiteCrashes, 1)
+	c.health.crashes.Add(1)
 }
 
 // CrashSite simulates the process death of a live site: the worker is torn
@@ -964,21 +858,19 @@ func (c *Cluster) RecoverSite(id int) error {
 	if !c.downSet[id] {
 		return &RouteError{Site: id, Reason: "site is not down"}
 	}
-	if c.wal == nil && len(c.ckpt) == 0 {
-		// Nothing to rebuild from; the site rejoins empty (its window is
-		// lost, which is the best a log-less cluster can do).
-		c.roster[id] = c.startSite(id, nil)
-		delete(c.downSet, id)
-		c.health.bump(&c.health.rejoins, cntSiteRejoins, 1)
-		return nil
-	}
-	states, err := c.rebuildParts(c.ownedBy(id))
-	if err != nil {
-		return err
+	var states map[uint32]*partState
+	// With neither a log nor a checkpoint there is nothing to rebuild from:
+	// the site rejoins empty (its window is lost, which is the best a
+	// log-less cluster can do).
+	if c.wal != nil || len(c.ckpt) > 0 {
+		var err error
+		if states, err = c.rebuildParts(c.ownedBy(id)); err != nil {
+			return err
+		}
 	}
 	c.roster[id] = c.startSite(id, states)
 	delete(c.downSet, id)
-	c.health.bump(&c.health.rejoins, cntSiteRejoins, 1)
+	c.health.rejoins.Add(1)
 	return nil
 }
 
@@ -995,66 +887,12 @@ func (c *Cluster) AddSite() (int, error) {
 	defer c.opMu.Unlock()
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
-
 	id := c.nextID
 	c.nextID++
-	newRing := c.ring.Clone()
-	newRing.Add(id)
-	moved := movedPartitions(c.ring, newRing, c.cfg.Partitions)
-
-	bySrc := map[int][]uint32{}
-	for _, p := range moved {
-		owner, ok := c.ring.Owner(p)
-		if !ok {
-			owner = -1
-		}
-		bySrc[owner] = append(bySrc[owner], p)
-	}
-	srcs := make([]int, 0, len(bySrc))
-	for src := range bySrc {
-		srcs = append(srcs, src)
-	}
-	sort.Ints(srcs)
-
-	states := map[uint32]*partState{}
-	var firstErr error
-	for _, src := range srcs {
-		parts := bySrc[src]
-		s := c.roster[src]
-		if s != nil {
-			ans := c.cutParts(s, parts)
-			if ans.err == nil {
-				if err := installSlices(states, ans.parts, c.cfg.Model.Landmark); err == nil {
-					continue
-				} else if firstErr == nil {
-					firstErr = err
-				}
-			} else if firstErr == nil {
-				firstErr = fmt.Errorf("distrib: handoff from site %d failed (site quarantined): %w", src, ans.err)
-			}
-			// The source failed mid-handoff: treat it as crashed and fall
-			// back to the log.
-			c.crashSiteRouted(src)
-		} else if firstErr == nil && c.wal == nil {
-			firstErr = fmt.Errorf("distrib: source site %d is down and no write-ahead log is configured; partitions rebuilt from last checkpoint only", src)
-		}
-		rebuilt, err := c.rebuildParts(parts)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		for p, ps := range rebuilt {
-			states[p] = ps
-		}
-	}
-
-	c.roster[id] = c.startSite(id, states)
-	c.ring = newRing
-	c.health.bump(&c.health.handoffs, cntHandoffs, 1)
-	c.health.bump(&c.health.handoffParts, cntHandoffPartitions, uint64(len(moved)))
-	return id, firstErr
+	next := c.ring.Clone()
+	next.Add(id)
+	c.roster[id] = c.startSite(id, nil)
+	return id, c.rebalance(next, -1)
 }
 
 // RemoveSite retires a site from the roster, handing every partition it
@@ -1066,103 +904,104 @@ func (c *Cluster) RemoveSite(id int) error {
 	defer c.opMu.Unlock()
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
-
-	s := c.roster[id]
-	wasDown := c.downSet[id]
-	if s == nil && !wasDown {
+	live := c.roster[id] != nil
+	if !live && !c.downSet[id] {
 		return &RouteError{Site: id, Reason: "no such site"}
 	}
-	if s != nil && len(c.roster) == 1 {
+	if live && len(c.roster) == 1 {
 		return fmt.Errorf("distrib: cannot remove the last live site")
 	}
-	ownedBefore := c.ownedBy(id)
-	newRing := c.ring.Clone()
-	newRing.Remove(id)
-	if newRing.Size() == 0 {
+	next := c.ring.Clone()
+	next.Remove(id)
+	if next.Size() == 0 {
 		return fmt.Errorf("distrib: cannot remove the last ring member")
 	}
+	return c.rebalance(next, id)
+}
 
-	var slices map[uint32][]byte
+// rebalance moves the cluster onto the ring next; leaving is the site
+// that retires, or -1. Each source cuts the partitions whose owner
+// changes, or everything it holds (explicitly routed state too) if it is
+// the leaving site, so every partition has at most one source. A source
+// whose cut fails is crashed, and a down or crashed source's partitions
+// are rebuilt from checkpoint + log replay. Every slice then goes to its
+// owner under next: a live owner installs it, and a down owner finds it
+// parked in the checkpoint, where its rebuild reads it. Caller holds opMu
+// and routeMu.
+func (c *Cluster) rebalance(next *Ring, leaving int) error {
 	var firstErr error
-	if s != nil {
-		ans := c.cutParts(s, nil)
-		if ans.err != nil {
-			firstErr = fmt.Errorf("distrib: handoff from site %d failed (site quarantined): %w", id, ans.err)
-			c.crashSiteRouted(id)
-			wasDown = true
-		} else {
-			slices = ans.parts
-			close(s.in)
-			<-s.done
-			delete(c.roster, id)
-		}
-	}
-	if wasDown {
-		// Rebuild what the departed site owned from the log; anything not
-		// reconstructible is already reflected in firstErr.
-		states, err := c.rebuildParts(ownedBefore)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-		} else {
-			slices = map[uint32][]byte{}
-			for p, ps := range states {
-				blob, err := encodeSlice(p, ps)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
-				}
-				slices[p] = blob
-			}
-		}
-		delete(c.downSet, id)
-	}
-
-	// Ship every cut or rebuilt partition to its new owner.
-	byDst := map[int]map[uint32][]byte{}
-	for p, blob := range slices {
-		dst, ok := newRing.Owner(p)
-		if !ok {
-			continue
-		}
-		if byDst[dst] == nil {
-			byDst[dst] = map[uint32][]byte{}
-		}
-		byDst[dst][p] = blob
-	}
-	dsts := make([]int, 0, len(byDst))
-	for dst := range byDst {
-		dsts = append(dsts, dst)
-	}
-	sort.Ints(dsts)
-	moved := 0
-	for _, dst := range dsts {
-		moved += len(byDst[dst])
-		ds := c.roster[dst]
-		if ds == nil {
-			// New owner is itself down; its rebuild path will pick the
-			// partitions up from checkpoint + log. Re-checkpoint the slices
-			// so nothing depends on the departed site.
-			for p, blob := range byDst[dst] {
-				hdr, _, err := decodeSlice(blob)
-				if err == nil {
-					c.ckpt[p] = ckptEntry{blob: blob, seq: hdr.lastSeq}
-				} else if firstErr == nil {
-					firstErr = err
-				}
-			}
-			continue
-		}
-		if err := c.installAt(ds, byDst[dst]); err != nil && firstErr == nil {
+	note := func(err error) {
+		if firstErr == nil {
 			firstErr = err
 		}
 	}
-	c.ring = newRing
-	c.health.bump(&c.health.handoffs, cntHandoffs, 1)
-	c.health.bump(&c.health.handoffParts, cntHandoffPartitions, uint64(moved))
+	bySrc := map[int][]uint32{}
+	for _, p := range movedPartitions(c.ring, next, c.cfg.Partitions) {
+		src, _ := c.ring.Owner(p)
+		bySrc[src] = append(bySrc[src], p)
+	}
+	if _, ok := bySrc[leaving]; !ok && leaving >= 0 {
+		bySrc[leaving] = nil // it may hold explicitly routed state only
+	}
+	slices := map[uint32][]byte{}
+	for _, src := range sortedIDs(bySrc) {
+		req := siteReq{parts: bySrc[src], take: true}
+		if src == leaving {
+			req.parts = nil
+		}
+		if s := c.roster[src]; s != nil {
+			ans := c.ask(s, req, 1)
+			if ans.err == nil {
+				for p, blob := range ans.parts {
+					slices[p] = blob
+				}
+				continue
+			}
+			note(fmt.Errorf("distrib: handoff from site %d failed (site quarantined): %w", src, ans.err))
+			c.crashSiteRouted(src)
+		} else if c.wal == nil {
+			note(fmt.Errorf("distrib: source site %d is down and no write-ahead log is configured; partitions rebuilt from last checkpoint only", src))
+		}
+		states, err := c.rebuildParts(bySrc[src])
+		if err != nil {
+			note(err)
+			continue
+		}
+		for p, ps := range states {
+			blob, err := encodeSlice(p, ps)
+			if err != nil {
+				note(err)
+				continue
+			}
+			slices[p] = blob
+		}
+	}
+	if s := c.roster[leaving]; s != nil {
+		close(s.in)
+		<-s.done
+		delete(c.roster, leaving)
+	}
+	delete(c.downSet, leaving)
+	c.ring = next
+
+	for p := uint32(0); p < uint32(c.cfg.Partitions); p++ {
+		blob, ok := slices[p]
+		if !ok {
+			continue
+		}
+		var err error
+		if dst, _ := next.Owner(p); c.roster[dst] != nil {
+			err = c.ask(c.roster[dst], siteReq{install: map[uint32][]byte{p: blob}}, 1).err
+		} else {
+			err = c.park(p, blob)
+		}
+		if err != nil {
+			note(err)
+			continue
+		}
+		c.health.handoffParts.Add(1)
+	}
+	c.health.handoffs.Add(1)
 	return firstErr
 }
 

@@ -2,16 +2,11 @@ package distrib
 
 // Cluster health counters. Every robustness event the elastic tier absorbs
 // — a retried snapshot, a skipped site, a shard handoff, a replayed log
-// record — increments a counter here, readable
-// in-process via Cluster.Health and mirrored into an optional
-// metrics.CounterSet (Config.Metrics) so operators scrape them alongside
-// the runtimes' RuntimeStats.
+// record — increments a counter here, readable in-process via
+// Cluster.Health. The counters live in Config.Metrics when it is set, so
+// operators scrape them alongside the runtimes' RuntimeStats.
 
-import (
-	"sync/atomic"
-
-	"forwarddecay/metrics"
-)
+import "forwarddecay/metrics"
 
 // Health is a point-in-time copy of a cluster's health counters.
 type Health struct {
@@ -19,10 +14,12 @@ type Health struct {
 	SnapshotRetries uint64
 	// FailedSites counts sites skipped by snapshots under MaxFailedSites.
 	FailedSites uint64
-	// Handoffs counts completed membership changes that moved state
-	// (AddSite, RemoveSite, RecoverSite).
+	// Handoffs counts membership changes that moved state: AddSite and
+	// RemoveSite. RecoverSite counts under SiteRejoins instead.
 	Handoffs uint64
-	// HandoffPartitions counts partitions moved across sites by handoffs.
+	// HandoffPartitions counts the partition slices handoffs delivered:
+	// installed into the new owner, or parked in the checkpoint when that
+	// owner is down.
 	HandoffPartitions uint64
 	// ReplayedRecords counts write-ahead-log records re-applied during
 	// rebuilds (site recovery, handoff fallback, down-site snapshots).
@@ -38,42 +35,29 @@ type Health struct {
 	TrimmedSegments uint64
 }
 
-// counterNames mirror the Health fields into a CounterSet, namespaced so a
-// shared registry can host several components.
-const (
-	cntSnapshotRetries   = "distrib.snapshot_retries"
-	cntFailedSites       = "distrib.failed_sites"
-	cntHandoffs          = "distrib.handoffs"
-	cntHandoffPartitions = "distrib.handoff_partitions"
-	cntReplayedRecords   = "distrib.replayed_records"
-	cntSiteCrashes       = "distrib.site_crashes"
-	cntSiteRejoins       = "distrib.site_rejoins"
-	cntLoggedRecords     = "distrib.logged_records"
-	cntTrimmedSegments   = "distrib.trimmed_segments"
-)
-
-// health is the live counter block on a Cluster.
+// health holds the live counters, resolved once from the registry.
 type health struct {
-	snapshotRetries atomic.Uint64
-	failedSites     atomic.Uint64
-	handoffs        atomic.Uint64
-	handoffParts    atomic.Uint64
-	replayed        atomic.Uint64
-	crashes         atomic.Uint64
-	rejoins         atomic.Uint64
-	logged          atomic.Uint64
-	trimmed         atomic.Uint64
-	set             *metrics.CounterSet // optional mirror; nil when unset
+	snapshotRetries, failedSites, handoffs, handoffParts, replayed,
+	crashes, rejoins, logged, trimmed *metrics.Counter
 }
 
-// bump adds delta to a counter and its metrics mirror.
-func (h *health) bump(c *atomic.Uint64, name string, delta uint64) {
-	if delta == 0 {
-		return
+// newHealth resolves the counters in set under "distrib.*" names, so a
+// shared registry can host several components; nil gives the cluster a
+// private set.
+func newHealth(set *metrics.CounterSet) health {
+	if set == nil {
+		set = metrics.NewCounterSet()
 	}
-	c.Add(delta)
-	if h.set != nil {
-		h.set.Add(name, delta)
+	return health{
+		snapshotRetries: set.Counter("distrib.snapshot_retries"),
+		failedSites:     set.Counter("distrib.failed_sites"),
+		handoffs:        set.Counter("distrib.handoffs"),
+		handoffParts:    set.Counter("distrib.handoff_partitions"),
+		replayed:        set.Counter("distrib.replayed_records"),
+		crashes:         set.Counter("distrib.site_crashes"),
+		rejoins:         set.Counter("distrib.site_rejoins"),
+		logged:          set.Counter("distrib.logged_records"),
+		trimmed:         set.Counter("distrib.trimmed_segments"),
 	}
 }
 
@@ -81,14 +65,14 @@ func (h *health) bump(c *atomic.Uint64, name string, delta uint64) {
 func (c *Cluster) Health() Health {
 	h := &c.health
 	return Health{
-		SnapshotRetries:   h.snapshotRetries.Load(),
-		FailedSites:       h.failedSites.Load(),
-		Handoffs:          h.handoffs.Load(),
-		HandoffPartitions: h.handoffParts.Load(),
-		ReplayedRecords:   h.replayed.Load(),
-		SiteCrashes:       h.crashes.Load(),
-		SiteRejoins:       h.rejoins.Load(),
-		LoggedRecords:     h.logged.Load(),
-		TrimmedSegments:   h.trimmed.Load(),
+		SnapshotRetries:   h.snapshotRetries.Value(),
+		FailedSites:       h.failedSites.Value(),
+		Handoffs:          h.handoffs.Value(),
+		HandoffPartitions: h.handoffParts.Value(),
+		ReplayedRecords:   h.replayed.Value(),
+		SiteCrashes:       h.crashes.Value(),
+		SiteRejoins:       h.rejoins.Value(),
+		LoggedRecords:     h.logged.Value(),
+		TrimmedSegments:   h.trimmed.Value(),
 	}
 }
