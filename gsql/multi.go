@@ -11,8 +11,10 @@ import (
 //
 // A MultiRun registers any number of prepared statements against a single
 // ingest feed and evaluates each predicate class's WHERE bitmap once per
-// batch segment instead of once per query, and the members of a class that
-// group by the same key list fold through one key table: its group kernels
+// batch segment instead of once per query — every `col = literal` class on
+// an int or bool column in one hashed pass per column (eqindex.go) — and
+// the members of a class that group by the same key list fold through one
+// key table: its group kernels
 // run, its keys are built, hashed and probed, and its buckets are sorted and
 // flushed once, while each member steps only its own aggregates over the
 // table's groups (keyTable). Each member runs its own argument kernels.
@@ -63,9 +65,9 @@ import (
 //     query continues bit-for-bit as if the offender were never attached.
 //   - Admission control (Options.Isolate.AdmitBudget): Attach estimates the
 //     per-tuple cost of the candidate's expressions (its WHERE at a flat
-//     charge when its predicate class already runs) against a catalog-wide
-//     budget and rejects with a typed *AdmissionError before touching any
-//     catalog state.
+//     charge when its predicate class already runs or the equality index
+//     serves it) against a catalog-wide budget and rejects with a typed
+//     *AdmissionError before touching any catalog state.
 //
 // Sharing safety invariants:
 //
@@ -96,6 +98,8 @@ type MultiRun struct {
 
 	classes    []*predClass
 	classByKey map[string]*predClass
+	// eq is the equality index of each schema column (eqindex.go).
+	eq []eqIndex
 
 	entries map[uint64]*multiEntry
 	nextID  uint64
@@ -152,7 +156,8 @@ type IsolateConfig struct {
 	// per-tuple cost, in estimated ns/tuple (the same unit QueryStats
 	// reports). A candidate's estimate prices its group expressions and
 	// aggregate steps, and its WHERE — at a flat charge when its predicate
-	// class already runs; it depends on nothing else in the catalog.
+	// class already runs or the equality index serves it; it depends on
+	// nothing else in the catalog.
 	// Attach rejects with *AdmissionError when the estimate would push the
 	// catalog over. 0 disables admission control.
 	AdmitBudget float64
@@ -236,6 +241,13 @@ type predClass struct {
 	sel   []uint64
 	fails []rowErr
 
+	// eq is the column index holding the class when its WHERE is an
+	// equality the index serves (nil otherwise), under payload eqKey at
+	// position eqPos of its slot's list.
+	eq    *eqIndex
+	eqKey int64
+	eqPos int
+
 	members []*multiEntry // order changes under churn (swap-remove)
 
 	// tables are the key tables the members fold through; byShare holds, per
@@ -316,6 +328,10 @@ func NewMultiRun(e *Engine, stream string, opts Options) (*MultiRun, error) {
 		classByKey: map[string]*predClass{},
 		entries:    map[uint64]*multiEntry{},
 		ep:         ep,
+		eq:         make([]eqIndex, len(schema.Cols)),
+	}
+	for i := range m.eq {
+		m.eq[i].col = i
 	}
 	if opts.Isolate != nil {
 		m.iso = *opts.Isolate
@@ -366,6 +382,9 @@ func (m *MultiRun) classFor(ss *multiStmt) (*predClass, error) {
 		if cls.vp, err = compileWhere(tupleEnv(m.schema), ss.whereAST); err != nil {
 			return nil, err
 		}
+		if col, key, ok := eqTerm(ss.whereAST, m.schema); ok {
+			m.eq[col].add(cls, key)
+		}
 	}
 	cls.pos = len(m.classes)
 	m.classByKey[ss.whereKey] = cls
@@ -377,7 +396,8 @@ func (m *MultiRun) classFor(ss *multiStmt) (*predClass, error) {
 // core. Absolute accuracy does not matter — admission compares candidates
 // against a budget in the same unit, and the measured EWMA refines the
 // picture once the query runs. costClassRead is the flat charge for a WHERE
-// whose predicate class already runs: the member reads its bitmap.
+// whose predicate class already runs, or that the equality index will
+// serve: the member reads its bitmap.
 const (
 	costLit       = 1.0
 	costCol       = 2.0
@@ -438,17 +458,18 @@ func aggStepCost(e expr) float64 {
 
 // privateCost estimates the per-tuple cost a candidate adds to the shared
 // pass: its WHERE (costClassRead when an identical predicate class already
-// runs), group expressions, and aggregate stepping. It depends only on the
-// candidate's text and on whether its class exists. This is the estimate
-// admission control checks and the seed of the query's measured ns/tuple
-// EWMA.
+// runs or the equality index will serve it), group expressions, and
+// aggregate stepping. It depends only on the candidate's text and on
+// whether its class exists. This is the estimate admission control checks
+// and the seed of the query's measured ns/tuple EWMA.
 func (m *MultiRun) privateCost(q *queryAST) float64 {
 	var c float64
 	if q.where != nil {
-		if m.classByKey[exprKey(q.where)] == nil {
-			c += exprCost(q.where)
-		} else {
+		_, _, eq := eqTerm(q.where, m.schema)
+		if eq || m.classByKey[exprKey(q.where)] != nil {
 			c += costClassRead
+		} else {
+			c += exprCost(q.where)
 		}
 	}
 	for _, g := range q.group {
@@ -698,6 +719,9 @@ func (m *MultiRun) unlink(e *multiEntry) {
 
 // dropClass prunes a memberless class (swap-remove from m.classes).
 func (m *MultiRun) dropClass(cls *predClass) {
+	if cls.eq != nil {
+		cls.eq.remove(cls)
+	}
 	delete(m.classByKey, cls.key)
 	last := len(m.classes) - 1
 	m.classes[cls.pos] = m.classes[last]
@@ -906,13 +930,19 @@ func (m *MultiRun) PushBatch(b *Batch) (rejected int, err error) {
 }
 
 // processSegmentAll folds rows [lo,hi) — a fixed-landmark segment — into
-// every member, one class selection per class. Quarantine swap-removes from
-// the very lists being walked, so every loop re-checks its cursor.
+// every member: one index pass per indexed column, then one class
+// selection per class the index does not serve. Quarantine swap-removes
+// from the very lists being walked, so every loop re-checks its cursor.
 func (m *MultiRun) processSegmentAll(b *Batch, lo, hi int) {
 	if lo >= hi {
 		return
 	}
 	m.segLo = lo
+	for i := range m.eq {
+		if x := &m.eq[i]; x.classes > 0 {
+			x.selectRows(b, m.valid, lo, hi)
+		}
+	}
 	for ci := 0; ci < len(m.classes); {
 		cls := m.classes[ci]
 		if err := m.classSelectSafe(cls, b, lo, hi); err != nil {
@@ -1014,8 +1044,12 @@ func (m *MultiRun) charge(r *Run, i int, err error) bool {
 
 // classSelect fills cls.sel with finite ∧ class-WHERE over [lo,hi). The
 // rows whose predicate failed leave the selection and go to cls.fails, in
-// row order.
+// row order. A class the equality index serves was selected by its
+// column's pass.
 func (m *MultiRun) classSelect(cls *predClass, b *Batch, lo, hi int) {
+	if cls.eq != nil {
+		return
+	}
 	cls.sel = growBits(cls.sel, b.n)
 	maskRange(cls.sel, m.valid, lo, hi)
 	cls.fails = cls.fails[:0]
@@ -1036,14 +1070,16 @@ func (m *MultiRun) classSelect(cls *predClass, b *Batch, lo, hi int) {
 type MultiStats struct {
 	// Queries is the attached-query count (quarantined included);
 	// DistinctTexts the deduped compiled-statement count; Classes the
-	// predicate-class count; KeyTables the live key-table count (members
-	// of a class that group alike share one); Quarantined the fenced-query
+	// predicate-class count; IndexedClasses how many of them the equality
+	// index selects; KeyTables the live key-table count (members of a
+	// class that group alike share one); Quarantined the fenced-query
 	// count.
-	Queries       int
-	DistinctTexts int
-	Classes       int
-	KeyTables     int
-	Quarantined   int
+	Queries        int
+	DistinctTexts  int
+	Classes        int
+	IndexedClasses int
+	KeyTables      int
+	Quarantined    int
 	// DistinctExprs always reads 0: no expression is shared below the
 	// predicate class. It stays for callers that report it.
 	DistinctExprs int
@@ -1065,17 +1101,22 @@ func (m *MultiRun) MultiStats() MultiStats {
 			quar++
 		}
 	}
+	indexed := 0
 	for _, cls := range m.classes {
 		tables += len(cls.tables)
+		if cls.eq != nil {
+			indexed++
+		}
 	}
 	return MultiStats{
-		Queries:       len(m.entries),
-		DistinctTexts: len(m.stmts),
-		Classes:       len(m.classes),
-		KeyTables:     tables,
-		Quarantined:   quar,
-		Tuples:        m.tuples,
-		AdmitUsed:     m.admitUsed,
+		Queries:        len(m.entries),
+		DistinctTexts:  len(m.stmts),
+		Classes:        len(m.classes),
+		IndexedClasses: indexed,
+		KeyTables:      tables,
+		Quarantined:    quar,
+		Tuples:         m.tuples,
+		AdmitUsed:      m.admitUsed,
 	}
 }
 

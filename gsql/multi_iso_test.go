@@ -333,6 +333,71 @@ func TestMultiAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestMultiAdmissionEqualityIndex: a new class the equality index serves is
+// charged the flat class read, not its predicate's kernel, so a budget that
+// holds 64 distinct `dstIP = k` queries admits all 64, while 64 `dstIP >= k`
+// queries, whose kernels the catalog does pay for, overrun it.
+func TestMultiAdmissionEqualityIndex(t *testing.T) {
+	e := parallelEngine(t)
+	eqQ := func(k int) string {
+		return fmt.Sprintf("select tb, count(*) from TCP where dstIP = %d group by time/60 as tb", k)
+	}
+	rangeQ := func(k int) string {
+		return fmt.Sprintf("select tb, count(*) from TCP where dstIP >= %d group by time/60 as tb", k)
+	}
+	nop := func(gsql.Tuple) error { return nil }
+	probe, err := gsql.NewMultiRun(e, "TCP", gsql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	he, err := probe.Attach(eqQ(0), 0, nop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := probe.Attach(rangeQ(0), 0, nop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eqCost, rangeCost := he.QueryStats().EstCostNs, hr.QueryStats().EstCostNs
+	if eqCost >= rangeCost {
+		t.Fatalf("a new equality class costs %v, a new range class %v: want the equality cheaper", eqCost, rangeCost)
+	}
+
+	budget := 64 * eqCost
+	m, err := gsql.NewMultiRun(e, "TCP", isoOpts(gsql.IsolateConfig{AdmitBudget: budget}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 64; k++ {
+		if _, err := m.Attach(eqQ(k), 0, nop); err != nil {
+			t.Fatalf("equality class %d of 64 under a budget of 64: %v", k, err)
+		}
+	}
+	if s := m.MultiStats(); s.Classes != 64 || s.IndexedClasses != 64 || s.AdmitUsed != budget {
+		t.Fatalf("stats %+v, want 64 indexed classes using the whole budget", s)
+	}
+	var adm *gsql.AdmissionError
+	if _, err := m.Attach(eqQ(64), 0, nop); !errors.As(err, &adm) {
+		t.Fatalf("a 65th equality class: %v, want *AdmissionError", err)
+	}
+
+	m, err = gsql.NewMultiRun(e, "TCP", isoOpts(gsql.IsolateConfig{AdmitBudget: budget}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := 0
+	for k := 0; k < 64; k++ {
+		if _, err := m.Attach(rangeQ(k), 0, nop); err == nil {
+			admitted++
+		} else if !errors.As(err, &adm) {
+			t.Fatal(err)
+		}
+	}
+	if admitted == 64 {
+		t.Fatal("64 range classes fit the budget of 64 equality classes")
+	}
+}
+
 // TestMultiReviveAfterQuarantine: an operator revive re-links a fenced
 // query from its retained checkpoint — class membership, key table and
 // admission budget come back, the breaker resets, and folding resumes.

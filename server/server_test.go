@@ -1184,6 +1184,38 @@ func TestDetachNotifiesSubscribers(t *testing.T) {
 	}
 }
 
+// TestCatalogIndexedClassesGauge: sixteen `dstIP = k` queries are sixteen
+// predicate classes the equality index selects, a range query's class runs
+// its kernel, and the gauge falls to zero as the sixteen detach.
+func TestCatalogIndexedClassesGauge(t *testing.T) {
+	svc := startService(t, t.TempDir(), nil)
+	cl := dialControl(t, svc)
+	var ids []uint32
+	for k := 0; k < 16; k++ {
+		id, err := cl.Attach(fmt.Sprintf("select tb, count(*) from TCP where dstIP = %d group by time/10 as tb", 167772160+k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if _, err := cl.Attach("select tb, count(*) from TCP where len > 100 group by time/10 as tb"); err != nil {
+		t.Fatal(err)
+	}
+	sp := fetchStats(t, cl)
+	if g := sp.Gauges; g["server_catalog_indexed_classes"] != 16 || g["server_catalog_predicate_classes"] != 17 {
+		t.Fatalf("with sixteen equality classes and a range: %v", g)
+	}
+	for _, id := range ids {
+		if err := cl.Detach(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sp = fetchStats(t, cl)
+	if g := sp.Gauges; g["server_catalog_indexed_classes"] != 0 || g["server_catalog_predicate_classes"] != 1 {
+		t.Fatalf("after the sixteen detach: %v", g)
+	}
+}
+
 // TestShutdownCutsAfterCatalogChangesOnly: catalog changes are logged like
 // frames, so a shutdown with nothing but an attach since the last checkpoint
 // still cuts a final one, and the state file holds the query.

@@ -1025,7 +1025,8 @@ func (rt *runtime) joinPersister() error {
 
 // refreshCatalogGauges snapshots the live incarnation's shared-runtime
 // scoreboard into the gauge registry: attached-query count, distinct texts,
-// predicate classes, and how many key tables the queries fold through.
+// predicate classes and how many of them the equality index selects, and
+// how many key tables the queries fold through.
 // Called at scrape time; a degraded or restarting incarnation leaves the
 // gauges at their last published levels.
 func (s *Service) refreshCatalogGauges() {
@@ -1043,6 +1044,7 @@ func (s *Service) refreshCatalogGauges() {
 	s.gauges.Set("server_catalog_queries", float64(st.Queries))
 	s.gauges.Set("server_catalog_distinct_texts", float64(st.DistinctTexts))
 	s.gauges.Set("server_catalog_predicate_classes", float64(st.Classes))
+	s.gauges.Set("server_catalog_indexed_classes", float64(st.IndexedClasses))
 	s.gauges.Set("server_catalog_key_tables", float64(st.KeyTables))
 	s.gauges.Set("server_catalog_quarantined", float64(st.Quarantined))
 	s.gauges.Set("server_catalog_admit_used", st.AdmitUsed)
